@@ -169,7 +169,11 @@ def rollup(
     """
     if grouping not in GROUPINGS:
         raise ValueError(f"grouping must be one of {GROUPINGS}")
+    return _rollup(_join_series(estimates, records, bin_s), grouping, airports, continents, bin_s)
 
+
+def _rollup(joined: Iterable[ServerSeries], grouping: str, airports: AirportDatabase | None,
+            continents: Mapping[str, str] | None, bin_s: float) -> list[TrafficRollup]:
     def key_for(record: ServerRecord) -> str:
         if grouping == "location":
             return record.site_code
@@ -184,7 +188,7 @@ def rollup(
 
     bin_ns = round(bin_s * 1e9)
     groups: dict[str, list[ServerSeries]] = {}
-    for series in _join_series(estimates, records, bin_s):
+    for series in joined:
         groups.setdefault(key_for(series.record), []).append(series)
 
     rollups = []
@@ -235,8 +239,12 @@ def deployment_vs_traffic(
     """One point per location: how many servers it hosts and the sum of
     their campaign-mean rates. IXP and ISP deployments at the same site
     code are distinct locations."""
+    return _deployment_vs_traffic(_join_series(estimates, records, bin_s))
+
+
+def _deployment_vs_traffic(joined: Iterable[ServerSeries]) -> list[LocationTraffic]:
     points: dict[tuple[str, str], list[ServerSeries]] = {}
-    for series in _join_series(estimates, records, bin_s):
+    for series in joined:
         key = (series.record.site_code, series.record.operator_kind)
         points.setdefault(key, []).append(series)
     return [
@@ -299,7 +307,6 @@ def write_reports(
     airports: AirportDatabase | None = None,
     continents: Mapping[str, str] | None = None,
     bin_s: float = DEFAULT_BIN_S,
-    extra_summary: Mapping | None = None,
 ) -> dict[str, Path]:
     """Write the CSV report set plus a JSON summary; returns the paths.
 
@@ -341,7 +348,7 @@ def write_reports(
         ["site", "operator_kind", "servers", "mean_bps"],
         [
             (p.site_code, p.operator_kind, p.server_count, repr(p.mean_bps))
-            for p in deployment_vs_traffic(records, estimates, bin_s)
+            for p in _deployment_vs_traffic(series)
         ],
     )
 
@@ -350,7 +357,7 @@ def write_reports(
         ("continent", "rollup_continent.csv"),
         ("operator_kind", "rollup_kind.csv"),
     ):
-        rows = rollup(estimates, records, grouping, airports, continents, bin_s)
+        rows = _rollup(series, grouping, airports, continents, bin_s)
         paths[grouping] = out / filename
         _write_csv(
             paths[grouping],
@@ -370,8 +377,6 @@ def write_reports(
             {e.target for e in estimates if e.lower_bound_only}
         ),
     }
-    if extra_summary:
-        summary.update(extra_summary)
     paths["summary"] = out / "summary.json"
     paths["summary"].write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
     return paths

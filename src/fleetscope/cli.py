@@ -1,20 +1,26 @@
 """Command-line interface: enumerate, crawl, validate, probe, estimate,
 report, and the end-to-end simulate pipeline.
 
+Each stage is one function that its subcommand and ``simulate`` share.
+``--config`` and ``--seed`` are loaded once and reach every stage.
+
 Exit codes: 0 success, 1 usage error, 2 stage failure.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import logging
 import sys
+from dataclasses import replace
 from pathlib import Path
+from typing import Iterable
 
 from . import analytics, discovery, ipid, names, probe, simulation, store, validation
 from .config import CampaignConfig, ConfigError, load_config, parse_duration_s
-from .transport import TransportError
+from .transport import EchoTransport, TransportError
 
 logger = logging.getLogger(__name__)
 
@@ -39,7 +45,7 @@ def _build_parser() -> _Parser:
     parser.add_argument("--log-level", default="warning",
                         choices=["debug", "info", "warning", "error"])
     parser.add_argument("--seed", type=int, default=None, help="override the config seed")
-    parser.add_argument("--config", default=None, help="campaign config JSON")
+    parser.add_argument("--config", default=None, help="campaign config JSON (every stage)")
     parser.add_argument("--store", default=None,
                         help="campaign store directory; stages read/write its streams")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -79,9 +85,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("estimate", help="turn stored samples into rate estimates")
     p.add_argument("--samples", default=None, help="samples file (or use --store)")
-    p.add_argument("--interval", default="30ms")
-    p.add_argument("--mtu", type=int, default=1500)
-    p.add_argument("--no-self-subtraction", action="store_true")
+    p.add_argument("--interval", default=None)
     p.add_argument("--out", default=None, help="estimates file (or use --store)")
 
     p = sub.add_parser("report", help="aggregate estimates into report CSVs")
@@ -128,32 +132,55 @@ def _visits_from_samples(rows, interval_s: float):
 
 
 class _JsonlSink:
-    """Writes visits as flat sample lines into a campaign store stream."""
+    """One stage's output rows, sent to a store stream and/or a JSON-lines file.
 
-    def __init__(self, campaign_store: store.CampaignStore):
+    Rows land in ``.partial`` files; ``commit`` renames them into place and
+    then marks the stage done, so a stage interrupted mid-write leaves its
+    previous output untouched and runs again from the start.
+    """
+
+    def __init__(self, campaign_store: store.CampaignStore | None, stream: str, out: str | None):
         self._store = campaign_store
+        self._stream = stream
+        self._file = store.JsonlWriter(out) if out else None
+
+    def add(self, row: dict) -> None:
+        if self._store is not None:
+            self._store.append(self._stream, row)
+        if self._file is not None:
+            self._file.append(row)
 
     def add_visit(self, visit: probe.VisitLog) -> None:
         for s in visit.samples:
-            self._store.append(
-                "samples",
-                {"target": s.target, "seq": s.seq, "sent_ns": s.sent_ns,
-                 "recv_ns": s.recv_ns, "ipid": s.ipid},
-            )
+            self.add({"target": s.target, "seq": s.seq, "sent_ns": s.sent_ns,
+                      "recv_ns": s.recv_ns, "ipid": s.ipid})
+
+    def commit(self, stage: str) -> None:
+        if self._file is not None:
+            self._file.commit()
+        if self._store is not None:
+            self._store.commit(self._stream)
+            self._store.mark_stage_done(stage)
+
+    def close(self) -> None:
+        if self._file is not None:
+            self._file.close()
 
 
-class _FileSink:
-    """Writes visits as flat sample lines into a plain JSON-lines file."""
-
-    def __init__(self, fh):
-        self._fh = fh
-
-    def add_visit(self, visit: probe.VisitLog) -> None:
-        for s in visit.samples:
-            self._fh.write(json.dumps(
-                {"target": s.target, "seq": s.seq, "sent_ns": s.sent_ns,
-                 "recv_ns": s.recv_ns, "ipid": s.ipid},
-                separators=(",", ":")) + "\n")
+@contextlib.contextmanager
+def _stage_output(campaign_store: store.CampaignStore | None, stage: str, stream: str, out):
+    """Yield the sink for a stage's rows and commit it when the block ends;
+    yield None, before any work is done, if the store already holds them."""
+    if campaign_store is not None and campaign_store.stage_done(stage):
+        print(f"{stage} stage already complete; nothing to do")
+        yield None
+        return
+    sink = _JsonlSink(campaign_store, stream, out)
+    try:
+        yield sink
+        sink.commit(stage)
+    finally:
+        sink.close()
 
 
 def derive_wordlists(fleet: simulation.SimulatedFleet) -> names.Wordlists:
@@ -199,6 +226,82 @@ def synthesize_snapshot(
     return validation.AddressSnapshot(rows), {SIM_CDN_ASN}, isp_asn_table
 
 
+# -- stages: each is called by its subcommand and by simulate. Output goes to
+# ``campaign_store`` and/or ``out`` (a JSON-lines path); a stage the store
+# already holds returns None.
+
+
+def crawl_stage(campaign_store, out, lists: names.Wordlists, resolver: discovery.Resolver,
+                policy: discovery.CrawlPolicy, domain_suffix: str = names.DEFAULT_DOMAIN_SUFFIX
+                ) -> list[discovery.ServerRecord] | None:
+    """Resolve every candidate name and write the hits as records."""
+    with _stage_output(campaign_store, "crawl", "records", out) as sink:
+        if sink is None:
+            return None
+        records = discovery.run_crawl(lists, resolver, policy, domain_suffix=domain_suffix)
+        for record in records:
+            sink.add(record.to_json())
+    return records
+
+
+def validate_stage(campaign_store, out, records: list[discovery.ServerRecord],
+                   snapshot: validation.AddressSnapshot, cdn_asns: set[int],
+                   isp_asns: dict[str, list[int]], airports: validation.AirportDatabase) -> None:
+    """Write one geo and ASN verdict per record."""
+    with _stage_output(campaign_store, "validate", "verdicts", out) as sink:
+        if sink is None:
+            return
+        for record in records:
+            geo = validation.geo_crosscheck(record, snapshot, cdn_asns, airports)
+            asn = validation.asn_crosscheck(record, snapshot, cdn_asns, isp_asns)
+            sink.add({
+                "v": 1,
+                "name": record.hostname,
+                "geo": {"verdict": geo.verdict, "mismatch_class": geo.mismatch_class,
+                        "expected_country": geo.expected_country,
+                        "observed_country": geo.observed_country},
+                "asn": {"verdict": asn.verdict, "observed_asn": asn.observed_asn,
+                        "expected_owner": asn.expected_owner, "isp": asn.isp_label},
+            })
+
+
+def probe_stage(campaign_store, out, config: CampaignConfig, targets: list[str],
+                transport: EchoTransport) -> probe.CampaignSummary | None:
+    """Run the ID-sampling campaign and write every probe as a sample."""
+    with _stage_output(campaign_store, "probe", "samples", out) as sink:
+        if sink is None:
+            return None
+        summary = probe.run_campaign(targets, config.campaign, transport, sink)
+    return summary
+
+
+def estimate_stage(campaign_store, out, config: CampaignConfig, sample_rows: Iterable[dict]) -> None:
+    """Rebuild visits from sample rows and write one rate estimate per valid visit."""
+    with _stage_output(campaign_store, "estimate", "estimates", out) as sink:
+        if sink is None:
+            return
+        interval_s = config.campaign.probe_interval_s
+        per_target: dict[str, list[probe.VisitLog]] = {}
+        for visit in _visits_from_samples(sample_rows, interval_s):
+            per_target.setdefault(visit.target, []).append(visit)
+        for target in sorted(per_target):
+            for est in ipid.series_estimates(per_target[target], interval_s,
+                                             config.campaign.mtu_bytes):
+                sink.add(est.to_json())
+
+
+def report_stage(out_dir, config: CampaignConfig, records: list[discovery.ServerRecord],
+                 estimates: list[ipid.RateEstimate], airports: validation.AirportDatabase
+                 ) -> dict[str, Path]:
+    """Write the report files, binned by the revisit period; always rewritten."""
+    return analytics.write_reports(out_dir, records, estimates, airports,
+                                   validation.load_continent_table(),
+                                   bin_s=config.campaign.revisit_period_s)
+
+
+# -- subcommands -------------------------------------------------------------
+
+
 def _cmd_enumerate(args) -> int:
     lists = names.Wordlists.from_dir(
         args.wordlists,
@@ -215,22 +318,44 @@ def _cmd_enumerate(args) -> int:
     return EXIT_OK
 
 
-def _make_resolver(spec: str, clock=None):
+def _make_resolver(spec: str):
     if spec == "system":
         return discovery.SystemResolver()
     if spec.startswith("zone:"):
         fleet = simulation.SimulatedFleet.from_file(spec[len("zone:"):])
-        return simulation.ZoneResolver(fleet.zone(), clock=clock)
+        return simulation.ZoneResolver(fleet.zone())
     raise _UsageError(f"unknown resolver {spec!r}")
 
 
-def _open_store(args) -> store.CampaignStore | None:
-    return store.CampaignStore(args.store) if args.store else None
+def _open_store(args, create: bool = True):
+    """The global --store as a context manager; a null context without one."""
+    if args.store is None:
+        return contextlib.nullcontext()
+    return store.CampaignStore(args.store, create=create)
 
 
 def _require_out(args, what: str) -> None:
     if args.out is None and args.store is None:
         raise _UsageError(f"{what} needs --out or a global --store")
+
+
+def _rows_in(path: str | None, campaign_store: store.CampaignStore | None, stream: str):
+    """A stage's input rows: the file at ``path`` if given, else the store's stream."""
+    if path:
+        return store.read_jsonl(path)
+    if campaign_store is not None:
+        return campaign_store.scan(stream)
+    raise _UsageError(f"need --{stream} or a global --store")
+
+
+def _records_in(path: str | None, campaign_store) -> list[discovery.ServerRecord]:
+    return [discovery.ServerRecord.from_json(obj)
+            for obj in _rows_in(path, campaign_store, "records")]
+
+
+def _estimates_in(path: str | None, campaign_store) -> list[ipid.RateEstimate]:
+    return [ipid.RateEstimate.from_json(obj)
+            for obj in _rows_in(path, campaign_store, "estimates")]
 
 
 def _cmd_crawl(args) -> int:
@@ -244,18 +369,10 @@ def _cmd_crawl(args) -> int:
     policy = discovery.CrawlPolicy(
         max_queries_per_second=None if args.rate == 0 else args.rate
     )
-    records = discovery.run_crawl(lists, resolver, policy)
-    campaign_store = _open_store(args)
-    if campaign_store is not None:
-        if not campaign_store.stage_done("crawl"):
-            for record in records:
-                campaign_store.append("records", record.to_json())
-            campaign_store.mark_stage_done("crawl")
-        campaign_store.close()
-    if args.out:
-        with open(args.out, "w") as fh:
-            for record in records:
-                fh.write(json.dumps(record.to_json(), separators=(",", ":")) + "\n")
+    with _open_store(args) as campaign_store:
+        records = crawl_stage(campaign_store, args.out, lists, resolver, policy)
+    if records is None:
+        return EXIT_OK
     summary = discovery.summarize_discovery(
         records, validation.AirportDatabase.bundled().country_map()
     )
@@ -265,28 +382,8 @@ def _cmd_crawl(args) -> int:
     return EXIT_OK
 
 
-def _load_records_file(path: str) -> list[discovery.ServerRecord]:
-    records = []
-    with open(path) as fh:
-        for line in fh:
-            if line.strip():
-                records.append(discovery.ServerRecord.from_json(json.loads(line)))
-    return records
-
-
-def _records_in(args) -> list[discovery.ServerRecord]:
-    if args.records:
-        return _load_records_file(args.records)
-    if args.store:
-        with store.CampaignStore(args.store, create=False) as campaign_store:
-            return [discovery.ServerRecord.from_json(obj)
-                    for obj in campaign_store.scan("records")]
-    raise _UsageError("need --records or a global --store")
-
-
 def _cmd_validate(args) -> int:
     _require_out(args, "validate")
-    records = _records_in(args)
     snapshot = validation.AddressSnapshot.from_csv(args.snapshot)
     cdn_asns = {int(a) for a in args.cdn_asns.split(",") if a}
     isp_asns = {}
@@ -297,56 +394,29 @@ def _cmd_validate(args) -> int:
         if args.airports
         else validation.AirportDatabase.bundled(with_aliases=bool(args.aliases))
     )
-    verdicts = []
-    for record in records:
-        geo = validation.geo_crosscheck(record, snapshot, cdn_asns, airports)
-        asn = validation.asn_crosscheck(record, snapshot, cdn_asns, isp_asns)
-        verdicts.append({
-            "v": 1,
-            "name": record.hostname,
-            "geo": {"verdict": geo.verdict, "mismatch_class": geo.mismatch_class,
-                    "expected_country": geo.expected_country,
-                    "observed_country": geo.observed_country},
-            "asn": {"verdict": asn.verdict, "observed_asn": asn.observed_asn,
-                    "expected_owner": asn.expected_owner, "isp": asn.isp_label},
-        })
-    campaign_store = _open_store(args)
-    if campaign_store is not None:
-        if not campaign_store.stage_done("validate"):
-            for verdict in verdicts:
-                campaign_store.append("verdicts", verdict)
-            campaign_store.mark_stage_done("validate")
-        campaign_store.close()
-    if args.out:
-        with open(args.out, "w") as fh:
-            for verdict in verdicts:
-                fh.write(json.dumps(verdict, separators=(",", ":")) + "\n")
+    with _open_store(args, create=args.records is not None) as campaign_store:
+        records = _records_in(args.records, campaign_store)
+        validate_stage(campaign_store, args.out, records, snapshot, cdn_asns, isp_asns, airports)
     return EXIT_OK
 
 
 def _campaign_params(config: CampaignConfig, args) -> probe.CampaignParams:
-    params = config.campaign
-    overrides = {}
-    if getattr(args, "interval", None):
-        overrides["probe_interval_s"] = parse_duration_s(args.interval, "interval")
-    if getattr(args, "dwell", None):
-        overrides["dwell_s"] = parse_duration_s(args.dwell, "dwell")
+    """``config.campaign`` with ``config.seed`` and the command's
+    --interval, --dwell, --workers and --duration applied."""
+    overrides = {"seed": config.seed}
+    for flag, fieldname in (("interval", "probe_interval_s"), ("dwell", "dwell_s"),
+                            ("duration", "total_duration_s")):
+        if getattr(args, flag, None):
+            overrides[fieldname] = parse_duration_s(getattr(args, flag), flag)
     if getattr(args, "workers", None):
         overrides["workers"] = args.workers
-    if getattr(args, "duration", None):
-        overrides["total_duration_s"] = parse_duration_s(args.duration, "duration")
-    if not overrides:
-        return params
-    from dataclasses import replace
-
-    return replace(params, **overrides)
+    return replace(config.campaign, **overrides)
 
 
 def _cmd_probe(args, config: CampaignConfig) -> int:
     _require_out(args, "probe")
     targets = [line.strip() for line in Path(args.targets).read_text().splitlines()
                if line.strip() and ":" not in line]  # ID sampling is IPv4-only
-    params = _campaign_params(config, args)
     if args.transport.startswith("sim:"):
         fleet = simulation.SimulatedFleet.from_file(args.transport[len("sim:"):])
         transport = simulation.SimulatedTransport(fleet)
@@ -356,163 +426,79 @@ def _cmd_probe(args, config: CampaignConfig) -> int:
         transport = RawIcmpTransport()
     else:
         raise _UsageError(f"unknown transport {args.transport!r}")
-
-    campaign_store = _open_store(args)
-    if campaign_store is not None:
-        if campaign_store.stage_done("probe"):
-            print("probe stage already complete; nothing to do")
-            campaign_store.close()
-            return EXIT_OK
-        summary = probe.run_campaign(targets, params, transport, _JsonlSink(campaign_store))
-        campaign_store.mark_stage_done("probe")
-        campaign_store.close()
-    else:
-        with open(args.out, "w") as fh:
-            summary = probe.run_campaign(targets, params, transport, _FileSink(fh))
-    print(f"visits={summary.visits_completed} probes={summary.probes_sent} "
-          f"losses={summary.losses} reachable={len(summary.reachable)} "
-          f"non_reachable={len(summary.unreachable)}")
+    with _open_store(args) as campaign_store:
+        summary = probe_stage(campaign_store, args.out, config, targets, transport)
+    if summary is not None:
+        print(f"visits={summary.visits_completed} probes={summary.probes_sent} "
+              f"losses={summary.losses} reachable={len(summary.reachable)} "
+              f"non_reachable={len(summary.unreachable)}")
     return EXIT_OK
 
 
-def _cmd_estimate(args) -> int:
+def _cmd_estimate(args, config: CampaignConfig) -> int:
     _require_out(args, "estimate")
-    interval_s = parse_duration_s(args.interval, "interval")
-    if args.samples:
-        with open(args.samples) as fh:
-            rows = [json.loads(line) for line in fh if line.strip()]
-    elif args.store:
-        with store.CampaignStore(args.store, create=False) as campaign_store:
-            rows = list(campaign_store.scan("samples"))
-    else:
-        raise _UsageError("need --samples or a global --store")
-    visits = _visits_from_samples(rows, interval_s)
-    per_target: dict[str, list[probe.VisitLog]] = {}
-    for visit in visits:
-        per_target.setdefault(visit.target, []).append(visit)
-    estimates = []
-    for target in sorted(per_target):
-        estimates.extend(ipid.series_estimates(
-            per_target[target], interval_s, args.mtu,
-            subtract_self=not args.no_self_subtraction,
-        ))
-    campaign_store = _open_store(args)
-    if campaign_store is not None:
-        if not campaign_store.stage_done("estimate"):
-            for est in estimates:
-                campaign_store.append("estimates", est.to_json())
-            campaign_store.mark_stage_done("estimate")
-        campaign_store.close()
-    if args.out:
-        with open(args.out, "w") as fh:
-            for est in estimates:
-                fh.write(json.dumps(est.to_json(), separators=(",", ":")) + "\n")
+    with _open_store(args, create=args.samples is not None) as campaign_store:
+        estimate_stage(campaign_store, args.out, config,
+                       _rows_in(args.samples, campaign_store, "samples"))
     return EXIT_OK
 
 
-def _cmd_report(args) -> int:
-    records = _records_in(args)
-    if args.estimates:
-        with open(args.estimates) as fh:
-            rows = [json.loads(line) for line in fh if line.strip()]
-    elif args.store:
-        with store.CampaignStore(args.store, create=False) as campaign_store:
-            rows = list(campaign_store.scan("estimates"))
-    else:
-        raise _UsageError("need --estimates or a global --store")
-    estimates = [ipid.RateEstimate.from_json(obj) for obj in rows]
+def _cmd_report(args, config: CampaignConfig) -> int:
+    with _open_store(args, create=False) as campaign_store:
+        records = _records_in(args.records, campaign_store)
+        estimates = _estimates_in(args.estimates, campaign_store)
     airports = validation.AirportDatabase.bundled(with_aliases=True)
-    continents = validation.load_continent_table()
-    paths = analytics.write_reports(args.out, records, estimates, airports, continents)
+    paths = report_stage(args.out, config, records, estimates, airports)
     for name in sorted(paths):
         print(paths[name])
     return EXIT_OK
 
 
-def _cmd_simulate(args, seed_override: int | None) -> int:
+def _cmd_simulate(args, config: CampaignConfig) -> int:
+    """Run every stage against a virtual fleet: its DNS zone, a snapshot
+    synthesized from its names, and its simulated echo transport."""
     fleet = simulation.SimulatedFleet.from_file(args.fleet)
-    config = load_config(args.config) if args.config else CampaignConfig()
-    if seed_override is not None:
-        config.seed = seed_override
-        from dataclasses import replace
-
-        config.campaign = replace(config.campaign, seed=seed_override)
-    params = _campaign_params(config, args)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    campaign_store = store.CampaignStore(out_dir / "store")
-
-    clock = simulation.VirtualClock()
     airports = validation.AirportDatabase.bundled(with_aliases=True)
-    continents = validation.load_continent_table()
 
-    # crawl
-    if not campaign_store.stage_done("crawl"):
-        lists = derive_wordlists(fleet)
-        resolver = simulation.ZoneResolver(fleet.zone(), clock=clock)
+    with store.CampaignStore(out_dir / "store") as campaign_store:
         policy = discovery.CrawlPolicy(max_queries_per_second=None, retries=1, retry_backoff_s=0.0)
-        records = discovery.run_crawl(lists, resolver, policy, domain_suffix=fleet.domain_suffix)
-        for record in records:
-            campaign_store.append("records", record.to_json())
-        campaign_store.mark_stage_done("crawl")
-        logger.info("crawl found %d records", len(records))
-    records = [
-        discovery.ServerRecord.from_json(obj, domain_suffix=fleet.domain_suffix)
-        for obj in campaign_store.scan("records")
-    ]
+        crawl_stage(campaign_store, None, derive_wordlists(fleet),
+                    simulation.ZoneResolver(fleet.zone()), policy, fleet.domain_suffix)
+        records = _records_in(None, campaign_store)
 
-    # validate
-    if not campaign_store.stage_done("validate"):
         snapshot, cdn_asns, isp_asns = synthesize_snapshot(fleet, airports)
-        for record in records:
-            geo = validation.geo_crosscheck(record, snapshot, cdn_asns, airports)
-            asn = validation.asn_crosscheck(record, snapshot, cdn_asns, isp_asns)
-            campaign_store.append("verdicts", {
-                "v": 1,
-                "name": record.hostname,
-                "geo": {"verdict": geo.verdict, "mismatch_class": geo.mismatch_class},
-                "asn": {"verdict": asn.verdict, "observed_asn": asn.observed_asn},
-            })
-        campaign_store.mark_stage_done("validate")
+        validate_stage(campaign_store, None, records, snapshot, cdn_asns, isp_asns, airports)
 
-    # probe
-    if not campaign_store.stage_done("probe"):
-        transport = simulation.SimulatedTransport(fleet, clock=clock, loss_rate=args.loss_rate)
         targets = [a for r in records for a in r.addresses if ":" not in a]
-        summary = probe.run_campaign(targets, params, transport, _JsonlSink(campaign_store))
-        fleet.export_truth_csv(out_dir / "truth.csv")
-        (out_dir / "reachability.json").write_text(json.dumps({
-            "reachable": list(summary.reachable),
-            "non_reachable": list(summary.unreachable),
-            "visits": summary.visits_completed,
-            "losses": summary.losses,
-        }, indent=2, sort_keys=True) + "\n")
-        campaign_store.mark_stage_done("probe")
+        transport = simulation.SimulatedTransport(fleet, loss_rate=args.loss_rate)
+        summary = probe_stage(campaign_store, None, config, targets, transport)
+        if summary is not None:
+            fleet.export_truth_csv(out_dir / "truth.csv")
+            (out_dir / "reachability.json").write_text(json.dumps({
+                "reachable": list(summary.reachable),
+                "non_reachable": list(summary.unreachable),
+                "visits": summary.visits_completed,
+                "losses": summary.losses,
+            }, indent=2, sort_keys=True) + "\n")
 
-    # estimate
-    if not campaign_store.stage_done("estimate"):
-        visits = _visits_from_samples(campaign_store.scan("samples"), params.probe_interval_s)
-        per_target: dict[str, list[probe.VisitLog]] = {}
-        for visit in visits:
-            per_target.setdefault(visit.target, []).append(visit)
-        for target in sorted(per_target):
-            for est in ipid.series_estimates(
-                per_target[target], params.probe_interval_s, params.mtu_bytes,
-                subtract_self=config.subtract_self_traffic,
-            ):
-                campaign_store.append("estimates", est.to_json())
-        campaign_store.mark_stage_done("estimate")
-
-    # report
-    estimates = [ipid.RateEstimate.from_json(obj) for obj in campaign_store.scan("estimates")]
-    analytics.write_reports(out_dir, records, estimates, airports, continents,
-                            bin_s=params.revisit_period_s)
-    if not campaign_store.stage_done("report"):
-        campaign_store.mark_stage_done("report")
-    campaign_store.close()
+        estimate_stage(campaign_store, None, config, campaign_store.scan("samples"))
+        estimates = _estimates_in(None, campaign_store)
+    report_stage(out_dir, config, records, estimates, airports)
     print(f"simulated campaign complete: {len(records)} servers, "
           f"{len(estimates)} estimates, reports in {out_dir}")
     return EXIT_OK
+
+
+def _load_config(args) -> CampaignConfig:
+    """The --config file (or defaults) with --seed and the command's
+    campaign flags applied; every stage reads this one object."""
+    config = load_config(args.config) if args.config else CampaignConfig()
+    if args.seed is not None:
+        config.seed = args.seed
+    config.campaign = _campaign_params(config, args)
+    return config
 
 
 def main(argv=None) -> int:
@@ -524,6 +510,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     logging.basicConfig(level=getattr(logging, args.log_level.upper()))
     try:
+        config = _load_config(args)
         if args.command == "enumerate":
             return _cmd_enumerate(args)
         if args.command == "crawl":
@@ -531,14 +518,13 @@ def main(argv=None) -> int:
         if args.command == "validate":
             return _cmd_validate(args)
         if args.command == "probe":
-            config = load_config(args.config) if args.config else CampaignConfig()
             return _cmd_probe(args, config)
         if args.command == "estimate":
-            return _cmd_estimate(args)
+            return _cmd_estimate(args, config)
         if args.command == "report":
-            return _cmd_report(args)
+            return _cmd_report(args, config)
         if args.command == "simulate":
-            return _cmd_simulate(args, args.seed)
+            return _cmd_simulate(args, config)
         raise _UsageError(f"unknown command {args.command!r}")
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -1,4 +1,12 @@
-"""Campaign configuration: one JSON file drives the whole pipeline.
+"""Campaign configuration: the seed and the campaign parameters.
+
+A config file is a JSON object with two optional keys, ``seed`` and
+``campaign`` (``probe_interval``, ``dwell``, ``revisit_period``,
+``workers``, ``total_duration``, ``max_visits_per_hour``,
+``probe_timeout``, ``mtu_bytes``). Any other key is an error. The CLI
+loads it once and hands it to every stage: probe paces and schedules by
+it, estimate reads the probe interval and MTU, report bins by the revisit
+period.
 
 Durations accept plain seconds or strings with units ("30ms", "60s",
 "30m", "10d"). Defaults pace probes every 30 ms, dwell one minute per
@@ -12,12 +20,11 @@ import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .discovery import CrawlPolicy
 from .probe import CampaignParams
 
 
 class ConfigError(ValueError):
-    """A config field is missing, malformed or points nowhere."""
+    """A config field is missing, malformed or unknown."""
 
     def __init__(self, fieldname: str, reason: str):
         self.fieldname = fieldname
@@ -36,6 +43,9 @@ _DURATION_UNITS = {
     "d": 86400.0,
 }
 
+_CAMPAIGN_KEYS = ("probe_interval", "dwell", "revisit_period", "workers", "total_duration",
+                  "max_visits_per_hour", "probe_timeout", "mtu_bytes")
+
 
 def parse_duration_s(value, fieldname: str = "duration") -> float:
     """'30ms' -> 0.03; bare numbers are seconds."""
@@ -52,32 +62,21 @@ class CampaignConfig:
     """Validated pipeline configuration with defaults applied."""
 
     seed: int = 0
-    wordlists_dir: Path | None = None
-    fleet_path: Path | None = None
-    output_dir: Path = Path("campaign-out")
-    domain_suffix: str = "nflxvideo.net"
-    crawl_policy: CrawlPolicy = field(default_factory=CrawlPolicy)
     campaign: CampaignParams = field(default_factory=CampaignParams)
-    provider_snapshot: Path | None = None
-    airports_path: Path | None = None
-    aliases_path: Path | None = None
-    cdn_asns: tuple[int, ...] = ()
-    isp_asns: dict = field(default_factory=dict)
-    multinational_isps: tuple[str, ...] = ()
-    subtract_self_traffic: bool = True
 
 
-def _require_path(value: str, fieldname: str, base: Path) -> Path:
-    path = Path(value)
-    if not path.is_absolute():
-        path = base / path
-    if not path.exists():
-        raise ConfigError(fieldname, f"path does not exist: {path}")
-    return path
+def _fields(value, prefix: str, known: tuple[str, ...]) -> dict:
+    """``value``, checked to be a JSON object with no key outside ``known``."""
+    if not isinstance(value, dict):
+        raise ConfigError(prefix.rstrip(".") or "config", "expected a JSON object")
+    for key in value:
+        if key not in known:
+            raise ConfigError(prefix + key, "unknown field")
+    return value
 
 
 def load_config(path: str | Path) -> CampaignConfig:
-    """Load and validate a config file; referenced paths must exist."""
+    """Load and validate a config file."""
     path = Path(path)
     if not path.exists():
         raise ConfigError("config", f"no such file: {path}")
@@ -85,33 +84,11 @@ def load_config(path: str | Path) -> CampaignConfig:
         raw = json.loads(path.read_text())
     except json.JSONDecodeError as exc:
         raise ConfigError("config", f"invalid JSON: {exc}") from exc
-    base = path.parent
+    raw = _fields(raw, "", ("seed", "campaign"))
 
     config = CampaignConfig()
     config.seed = int(raw.get("seed", 0))
-    config.domain_suffix = raw.get("domain_suffix", "nflxvideo.net")
-    if "wordlists" in raw:
-        config.wordlists_dir = _require_path(raw["wordlists"], "wordlists", base)
-    if "fleet" in raw:
-        config.fleet_path = _require_path(raw["fleet"], "fleet", base)
-    out = raw.get("output_dir", "campaign-out")
-    config.output_dir = Path(out) if Path(out).is_absolute() else base / out
-
-    crawl = raw.get("crawl", {})
-    try:
-        rate = crawl.get("rate_qps", 500.0)
-        config.crawl_policy = CrawlPolicy(
-            max_queries_per_second=None if rate in (None, 0) else float(rate),
-            retries=int(crawl.get("retries", 2)),
-            retry_backoff_s=parse_duration_s(crawl.get("retry_backoff", 0.5), "crawl.retry_backoff"),
-            resolver_endpoints=tuple(crawl.get("endpoints", ())),
-        )
-    except ValueError as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        raise ConfigError("crawl", str(exc)) from exc
-
-    campaign = raw.get("campaign", {})
+    campaign = _fields(raw.get("campaign", {}), "campaign.", _CAMPAIGN_KEYS)
     try:
         config.campaign = CampaignParams(
             probe_interval_s=parse_duration_s(campaign.get("probe_interval", 0.03), "campaign.probe_interval"),
@@ -136,20 +113,4 @@ def load_config(path: str | Path) -> CampaignConfig:
         if isinstance(exc, ConfigError):
             raise
         raise ConfigError("campaign", str(exc)) from exc
-
-    providers = raw.get("providers", {})
-    if "snapshot" in providers:
-        config.provider_snapshot = _require_path(providers["snapshot"], "providers.snapshot", base)
-    if "airports" in providers:
-        config.airports_path = _require_path(providers["airports"], "providers.airports", base)
-    if "aliases" in providers:
-        config.aliases_path = _require_path(providers["aliases"], "providers.aliases", base)
-    config.cdn_asns = tuple(int(a) for a in providers.get("cdn_asns", ()))
-    config.isp_asns = {
-        label: [int(a) for a in asns] for label, asns in providers.get("isp_asns", {}).items()
-    }
-    config.multinational_isps = tuple(providers.get("multinational_isps", ()))
-
-    estimate = raw.get("estimate", {})
-    config.subtract_self_traffic = bool(estimate.get("subtract_self_traffic", True))
     return config

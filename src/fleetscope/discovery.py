@@ -103,7 +103,6 @@ class CrawlPolicy:
     max_queries_per_second: float | None = 500.0
     retries: int = 2
     retry_backoff_s: float = 0.5
-    resolver_endpoints: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
         if self.max_queries_per_second is not None and self.max_queries_per_second <= 0:

@@ -285,7 +285,6 @@ def series_estimates(
     visits: Iterable[VisitLog],
     interval_s: float,
     mtu_bytes: int = 1500,
-    subtract_self: bool = True,
 ) -> list[RateEstimate]:
     """One estimate per valid visit, with under-sampling flagged per target.
 
@@ -299,9 +298,7 @@ def series_estimates(
     estimates: list[RateEstimate] = []
     for visit in ordered:
         try:
-            estimates.append(
-                estimate_rate(visit, interval_s, mtu_bytes, subtract_self=subtract_self)
-            )
+            estimates.append(estimate_rate(visit, interval_s, mtu_bytes))
         except (InsufficientSamples, NotACounter) as exc:
             logger.debug("skipping visit of %s: %s", visit.target, exc)
     if not estimates:

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from fleetscope import analytics, store
 from fleetscope.cli import EXIT_OK, EXIT_STAGE, EXIT_USAGE, main
 from fleetscope.simulation import SimulatedFleet
 
@@ -150,3 +151,165 @@ def test_simulate_stages_are_idempotent(tmp_path, small_fleet_file):
     # a second run skips completed stages instead of appending twice
     assert main(args) == EXIT_OK
     assert (out / "store" / "samples.jsonl").read_bytes() == samples_before
+
+
+# -- crash-safe reruns ---------------------------------------------------------
+
+class _Crash(Exception):
+    """Stands in for a process killed mid-stage."""
+
+
+def _simulate(out, fleet_file) -> int:
+    return main(["--seed", "3", "simulate", "--fleet", str(fleet_file), "--out", str(out),
+                 "--dwell", "6s", "--workers", "3", "--duration", "60s"])
+
+
+def _tree(root):
+    return {str(p.relative_to(root)): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+@pytest.mark.parametrize("stream", ["records", "verdicts", "samples", "estimates"])
+def test_stage_interrupted_mid_write_reruns_to_identical_output(
+    tmp_path, small_fleet_file, monkeypatch, stream
+):
+    clean = tmp_path / "clean"
+    assert _simulate(clean, small_fleet_file) == EXIT_OK
+
+    append = store.CampaignStore.append
+    written = []
+
+    def append_then_crash(self, name, obj):
+        if name == stream:
+            if len(written) == 2:
+                raise _Crash(name)
+            written.append(obj)
+        append(self, name, obj)
+
+    crashed = tmp_path / "crashed"
+    monkeypatch.setattr(store.CampaignStore, "append", append_then_crash)
+    with pytest.raises(_Crash):
+        _simulate(crashed, small_fleet_file)
+    monkeypatch.undo()
+    partial = crashed / "store" / f"{stream}.jsonl.partial"
+    assert len(partial.read_text().splitlines()) == 2
+    assert not (crashed / "store" / f"{stream}.jsonl").exists()
+    with open(partial, "a") as fh:
+        fh.write("not json\n")  # the rerun must discard the partial file, not read it
+
+    assert _simulate(crashed, small_fleet_file) == EXIT_OK
+    assert _tree(crashed) == _tree(clean)  # no duplicate rows, no .partial left
+
+
+def test_report_interrupted_mid_write_reruns_to_identical_output(
+    tmp_path, small_fleet_file, monkeypatch
+):
+    clean = tmp_path / "clean"
+    assert _simulate(clean, small_fleet_file) == EXIT_OK
+
+    write_csv = analytics._write_csv
+    calls = []
+
+    def write_then_crash(path, header, rows):
+        if len(calls) == 2:
+            raise _Crash(path)
+        calls.append(path)
+        write_csv(path, header, rows)
+
+    crashed = tmp_path / "crashed"
+    monkeypatch.setattr(analytics, "_write_csv", write_then_crash)
+    with pytest.raises(_Crash):
+        _simulate(crashed, small_fleet_file)
+    monkeypatch.undo()
+    assert not (crashed / "summary.json").exists()
+    assert _simulate(crashed, small_fleet_file) == EXIT_OK
+    assert _tree(crashed) == _tree(clean)
+
+
+@pytest.mark.parametrize("stage", ["crawl", "validate", "probe", "estimate"])
+def test_rerun_after_lost_done_marker_replaces_rows(tmp_path, small_fleet_file, stage):
+    # a crash between writing a stage's rows and marking it done
+    out = tmp_path / "out"
+    assert _simulate(out, small_fleet_file) == EXIT_OK
+    before = _tree(out)
+    manifest_path = out / "store" / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    del manifest["stages"][stage]
+    manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    assert _simulate(out, small_fleet_file) == EXIT_OK
+    assert _tree(out) == before
+
+
+def test_interrupted_out_file_keeps_previous_contents(tmp_path, small_fleet_file, monkeypatch):
+    wordlists = tmp_path / "wl"
+    wordlists.mkdir()
+    (wordlists / "airports.txt").write_text("lhr\njfk\n")
+    (wordlists / "isps.txt").write_text("bt\n")
+    out = tmp_path / "records.jsonl"
+    args = ["crawl", "--wordlists", str(wordlists), "--resolver", f"zone:{small_fleet_file}",
+            "--rate", "0", "--max-counter", "3", "--out", str(out)]
+    assert main(args) == EXIT_OK
+    complete = out.read_bytes()
+
+    def crash(self, obj):
+        raise _Crash(obj)
+
+    monkeypatch.setattr(store.JsonlWriter, "append", crash)
+    with pytest.raises(_Crash):
+        main(args)
+    monkeypatch.undo()
+    assert out.read_bytes() == complete
+    assert main(args) == EXIT_OK
+    assert out.read_bytes() == complete
+    assert not (tmp_path / "records.jsonl.partial").exists()
+
+
+# -- --config and --seed reach every stage ------------------------------------
+
+def _targets_file(tmp_path, fleet_file):
+    targets = tmp_path / "targets.txt"
+    targets.write_text("\n".join(s.address for s in SimulatedFleet.from_file(fleet_file).servers))
+    return targets
+
+
+def test_seed_flag_reaches_probe(tmp_path, small_fleet_file):
+    targets = _targets_file(tmp_path, small_fleet_file)
+    config = tmp_path / "seed.json"
+    config.write_text(json.dumps({"seed": 3}))
+
+    def probe_with(global_args, name):
+        out = tmp_path / name
+        assert main([*global_args, "probe", "--targets", str(targets),
+                     "--transport", f"sim:{small_fleet_file}", "--dwell", "6s",
+                     "--workers", "2", "--duration", "30s", "--out", str(out)]) == EXIT_OK
+        return out.read_bytes()
+
+    by_flag = probe_with(["--seed", "3"], "flag.jsonl")
+    assert by_flag == probe_with(["--config", str(config)], "config.jsonl")
+    assert by_flag != probe_with([], "default.jsonl")  # the seed orders the schedule
+
+
+def test_config_interval_reaches_estimate(tmp_path, small_fleet_file):
+    targets = _targets_file(tmp_path, small_fleet_file)
+    config = tmp_path / "interval.json"
+    config.write_text(json.dumps({"campaign": {"probe_interval": "60ms"}}))
+    samples = tmp_path / "samples.jsonl"
+    assert main(["--config", str(config), "probe", "--targets", str(targets),
+                 "--transport", f"sim:{small_fleet_file}", "--dwell", "6s",
+                 "--workers", "3", "--duration", "30s", "--out", str(samples)]) == EXIT_OK
+    by_config = tmp_path / "by_config.jsonl"
+    by_flag = tmp_path / "by_flag.jsonl"
+    assert main(["--config", str(config), "estimate", "--samples", str(samples),
+                 "--out", str(by_config)]) == EXIT_OK
+    assert main(["estimate", "--samples", str(samples), "--interval", "60ms",
+                 "--out", str(by_flag)]) == EXIT_OK
+    assert by_config.read_text()
+    assert by_config.read_bytes() == by_flag.read_bytes()
+
+
+def test_config_with_a_removed_key_fails(tmp_path, small_fleet_file, capsys):
+    config = tmp_path / "old.json"
+    config.write_text(json.dumps({"estimate": {"subtract_self_traffic": False}}))
+    code = main(["--config", str(config), "simulate", "--fleet", str(small_fleet_file),
+                 "--out", str(tmp_path / "out")])
+    assert code == EXIT_STAGE
+    assert "estimate: unknown field" in capsys.readouterr().err
