@@ -81,7 +81,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--dwell", default=None)
     p.add_argument("--workers", type=int, default=None)
     p.add_argument("--duration", default=None)
-    p.add_argument("--out", default=None, help="samples JSON-lines file (or use --store)")
+    p.add_argument("--out", default=None, help="samples frame file (or use --store)")
 
     p = sub.add_parser("estimate", help="turn stored samples into rate estimates")
     p.add_argument("--samples", default=None, help="samples file (or use --store)")
@@ -104,35 +104,9 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _visits_from_samples(rows, interval_s: float):
-    """Rebuild visit logs from flat sample lines; sequence reset starts a visit."""
-    interval_ns = round(interval_s * 1e9)
-    per_target: dict[str, list[probe.ProbeSample]] = {}
-    last_seq: dict[str, int] = {}
-    visits: list[probe.VisitLog] = []
-
-    def close(target: str) -> None:
-        samples = per_target.pop(target, [])
-        if samples:
-            visits.append(
-                probe.VisitLog(target, samples[0].sent_ns, samples[-1].sent_ns + interval_ns, samples)
-            )
-
-    for row in rows:
-        target = row["target"]
-        if target in last_seq and row["seq"] <= last_seq[target]:
-            close(target)
-        last_seq[target] = row["seq"]
-        per_target.setdefault(target, []).append(
-            probe.ProbeSample(target, row["seq"], row["sent_ns"], row["recv_ns"], row["ipid"])
-        )
-    for target in list(per_target):
-        close(target)
-    return visits
-
-
 class _JsonlSink:
-    """One stage's output rows, sent to a store stream and/or a JSON-lines file.
+    """One stage's output rows, sent to a store stream and/or a file in the
+    stream's format (JSON lines, or sample frames for the probe stage).
 
     Rows land in ``.partial`` files; ``commit`` renames them into place and
     then marks the stage done, so a stage interrupted mid-write leaves its
@@ -142,18 +116,16 @@ class _JsonlSink:
     def __init__(self, campaign_store: store.CampaignStore | None, stream: str, out: str | None):
         self._store = campaign_store
         self._stream = stream
-        self._file = store.JsonlWriter(out) if out else None
+        self._file = store.open_writer(stream, out) if out else None
 
-    def add(self, row: dict) -> None:
+    def add(self, row) -> None:
         if self._store is not None:
             self._store.append(self._stream, row)
         if self._file is not None:
             self._file.append(row)
 
     def add_visit(self, visit: probe.VisitLog) -> None:
-        for s in visit.samples:
-            self.add({"target": s.target, "seq": s.seq, "sent_ns": s.sent_ns,
-                      "recv_ns": s.recv_ns, "ipid": s.ipid})
+        self.add(visit)
 
     def commit(self, stage: str) -> None:
         if self._file is not None:
@@ -227,8 +199,8 @@ def synthesize_snapshot(
 
 
 # -- stages: each is called by its subcommand and by simulate. Output goes to
-# ``campaign_store`` and/or ``out`` (a JSON-lines path); a stage the store
-# already holds returns None.
+# ``campaign_store`` and/or ``out`` (a path, written in the stream's format);
+# a stage the store already holds returns None.
 
 
 def crawl_stage(campaign_store, out, lists: names.Wordlists, resolver: discovery.Resolver,
@@ -275,18 +247,26 @@ def probe_stage(campaign_store, out, config: CampaignConfig, targets: list[str],
     return summary
 
 
-def estimate_stage(campaign_store, out, config: CampaignConfig, sample_rows: Iterable[dict]) -> None:
-    """Rebuild visits from sample rows and write one rate estimate per valid visit."""
+def estimate_stage(campaign_store, out, config: CampaignConfig,
+                   frames: Iterable[store.VisitFrame]) -> None:
+    """Estimate each visit as its frame is read, then write every target's
+    series, flagged by ``ipid.flag_series``, in target order."""
     with _stage_output(campaign_store, "estimate", "estimates", out) as sink:
         if sink is None:
             return
         interval_s = config.campaign.probe_interval_s
-        per_target: dict[str, list[probe.VisitLog]] = {}
-        for visit in _visits_from_samples(sample_rows, interval_s):
-            per_target.setdefault(visit.target, []).append(visit)
+        per_target: dict[str, list[ipid.RateEstimate]] = {}
+        for frame in frames:
+            try:
+                est = ipid.estimate_replies(frame.target, frame.start_ns, frame.end_ns,
+                                            *frame.replies(), interval_s,
+                                            config.campaign.mtu_bytes)
+            except (ipid.InsufficientSamples, ipid.NotACounter) as exc:
+                logger.debug("skipping visit of %s: %s", frame.target, exc)
+                continue
+            per_target.setdefault(frame.target, []).append(est)
         for target in sorted(per_target):
-            for est in ipid.series_estimates(per_target[target], interval_s,
-                                             config.campaign.mtu_bytes):
+            for est in ipid.flag_series(per_target[target], interval_s):
                 sink.add(est.to_json())
 
 
@@ -342,7 +322,7 @@ def _require_out(args, what: str) -> None:
 def _rows_in(path: str | None, campaign_store: store.CampaignStore | None, stream: str):
     """A stage's input rows: the file at ``path`` if given, else the store's stream."""
     if path:
-        return store.read_jsonl(path)
+        return store.read_stream(stream, path)
     if campaign_store is not None:
         return campaign_store.scan(stream)
     raise _UsageError(f"need --{stream} or a global --store")

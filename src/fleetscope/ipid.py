@@ -13,7 +13,6 @@ from __future__ import annotations
 import enum
 import logging
 import math
-import statistics
 from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
 
@@ -71,42 +70,50 @@ def ambiguity_bound(interval_s: float) -> float:
     return MAX_ID / interval_s
 
 
-def _live(samples: Iterable[ProbeSample]) -> list[ProbeSample]:
-    return [s for s in samples if s.ipid is not None]
+def _replies(samples: Sequence[ProbeSample]) -> tuple[np.ndarray, np.ndarray]:
+    """Send times and IDs (both int64) of the answered probes, in order."""
+    answered = [(s.sent_ns, s.ipid) for s in samples if s.ipid is not None]
+    columns = np.array(answered, dtype=np.int64).reshape(-1, 2)
+    return columns[:, 0], columns[:, 1]
 
 
-def detect_id_behavior(samples: Sequence[ProbeSample]) -> IdBehavior:
-    """Classify how a target populates the ID field.
+def classify_replies(sent_ns: np.ndarray, ids: np.ndarray) -> IdBehavior:
+    """Classify how a target populates the ID field from its answered probes.
 
     Counters show a high fraction of small positive modular deltas between
     consecutive readings (or, when faster, tightly clustered ones); all-zero
     deltas mean a constant or per-flow ID; everything else is random.
+    ``sent_ns`` and ``ids`` are int64 arrays in send order.
     """
-    live = _live(samples)
-    if len(live) < MIN_BEHAVIOR_SAMPLES:
+    if ids.size < MIN_BEHAVIOR_SAMPLES:
         raise InsufficientSamples(
-            f"need >= {MIN_BEHAVIOR_SAMPLES} replies to classify, got {len(live)}"
+            f"need >= {MIN_BEHAVIOR_SAMPLES} replies to classify, got {ids.size}"
         )
-    deltas = [wrap_corrected_delta(a.ipid, b.ipid) for a, b in zip(live, live[1:])]
-    gaps = [b.sent_ns - a.sent_ns for a, b in zip(live, live[1:])]
+    deltas = np.diff(ids) % ID_SPACE
+    gaps = np.diff(sent_ns)
 
-    if all(d == 0 for d in deltas):
+    if not deltas.any():
         return IdBehavior.CONSTANT_OR_PERFLOW
-    small = sum(1 for d in deltas if 0 < d < SMALL_DELTA)
-    if small / len(deltas) >= COUNTER_FRACTION:
+    small = np.count_nonzero((deltas > 0) & (deltas < SMALL_DELTA))
+    if small / deltas.size >= COUNTER_FRACTION:
         return IdBehavior.GLOBAL_COUNTER
 
-    base_gap = min(gaps)
-    base = [d for d, g in zip(deltas, gaps) if g <= 1.5 * base_gap]
-    if len(base) >= 10:
-        angles = [2 * math.pi * d / ID_SPACE for d in base]
+    base = deltas[gaps <= 1.5 * gaps.min()]
+    if base.size >= 10:
+        angles = 2 * math.pi * base / ID_SPACE
+        # left-to-right sums (np.sum is pairwise), as in a loop over the replies
         resultant = math.hypot(
-            sum(math.cos(a) for a in angles) / len(angles),
-            sum(math.sin(a) for a in angles) / len(angles),
+            np.cumsum(np.cos(angles))[-1] / base.size,
+            np.cumsum(np.sin(angles))[-1] / base.size,
         )
         if resultant >= CLUSTER_CONCENTRATION:
             return IdBehavior.GLOBAL_COUNTER
     return IdBehavior.RANDOM
+
+
+def detect_id_behavior(samples: Sequence[ProbeSample]) -> IdBehavior:
+    """``classify_replies`` over a visit's samples; lost probes are skipped."""
+    return classify_replies(*_replies(samples))
 
 
 @dataclass(slots=True)
@@ -163,17 +170,76 @@ class RateEstimate:
         )
 
 
-def _segments(live: list[ProbeSample], split_ns: float) -> list[list[ProbeSample]]:
-    segments: list[list[ProbeSample]] = []
-    current = [live[0]]
-    for sample in live[1:]:
-        if sample.sent_ns - current[-1].sent_ns > split_ns:
-            segments.append(current)
-            current = [sample]
-        else:
-            current.append(sample)
-    segments.append(current)
-    return [seg for seg in segments if len(seg) >= 2]
+def estimate_replies(
+    target: str,
+    start_ns: int,
+    end_ns: int,
+    sent_ns: np.ndarray,
+    ids: np.ndarray,
+    interval_s: float,
+    mtu_bytes: int = 1500,
+    behavior: IdBehavior | None = None,
+    subtract_self: bool = True,
+) -> RateEstimate:
+    """Estimate a visit's mean packet and bit rate from its answered probes.
+
+    ``sent_ns`` and ``ids`` are int64 arrays in send order; the window is
+    ``start_ns``..``end_ns``. The visit splits into segments at gaps longer
+    than three intervals (beyond that, multi-wrap risk grows even for
+    modest rates). Within a segment, wrap-corrected deltas between
+    consecutive replies are summed; gaps spanning several intervals (probe
+    loss) additionally resolve how many whole wraps they hide using the
+    segment's single-interval rate. One reply packet per observed echo is
+    our own traffic and is subtracted unless ``subtract_self`` is off.
+
+    Raises ``NotACounter`` unless the target keeps a global counter and
+    ``InsufficientSamples`` below two usable replies.
+    """
+    if ids.size < 2:
+        raise InsufficientSamples(f"need >= 2 replies to estimate, got {ids.size}")
+    if behavior is None:
+        behavior = classify_replies(sent_ns, ids)
+    if behavior is not IdBehavior.GLOBAL_COUNTER:
+        raise NotACounter(f"{target} ID behavior is {behavior.value}")
+
+    gaps_ns = np.diff(sent_ns)
+    in_segment = gaps_ns <= GAP_SPLIT_FACTOR * (interval_s * 1e9)
+    # each run of gaps within the split is one segment of two or more replies
+    segments = int(np.count_nonzero(in_segment[:1])
+                   + np.count_nonzero(in_segment[1:] > in_segment[:-1]))
+    if not segments:
+        raise InsufficientSamples("no segment with two consecutive replies")
+    deltas = (np.diff(ids) % ID_SPACE)[in_segment]
+    gaps = gaps_ns[in_segment] / 1e9
+
+    single = gaps <= 1.5 * interval_s
+    if single.any():
+        rate_ref = np.median(deltas[single] / gaps[single])
+        multi = ~single
+        wraps = np.round((rate_ref * gaps[multi] - deltas[multi]) / ID_SPACE)
+        deltas[multi] += np.maximum(wraps, 0).astype(np.int64) * ID_SPACE
+    # left-to-right sums (np.sum is pairwise), as in a loop over the replies
+    packets = float(np.cumsum(deltas.astype(np.float64))[-1])
+    covered_s = float(np.cumsum(gaps)[-1])
+    if covered_s <= 0:
+        raise InsufficientSamples("zero covered time")
+    if subtract_self:
+        packets = max(0.0, packets - deltas.size)
+
+    pps = packets / covered_s
+    typical_gap = float(np.median(gaps))
+    risk = pps > RISK_BOUND_FACTOR * ambiguity_bound(typical_gap)
+    return RateEstimate(
+        target=target,
+        window_start_ns=start_ns,
+        window_end_ns=end_ns,
+        packets_per_second=pps,
+        bits_per_second=pps * mtu_bytes * 8,
+        mtu_bytes=mtu_bytes,
+        id_behavior=behavior,
+        segments_used=segments,
+        ambiguity_risk=risk,
+    )
 
 
 def estimate_rate(
@@ -183,69 +249,9 @@ def estimate_rate(
     behavior: IdBehavior | None = None,
     subtract_self: bool = True,
 ) -> RateEstimate:
-    """Estimate the visit's mean packet and bit rate from its ID samples.
-
-    The visit splits into segments at gaps longer than three intervals
-    (beyond that, multi-wrap risk grows even for modest rates). Within a
-    segment, wrap-corrected deltas between consecutive replies are summed;
-    gaps spanning several intervals (probe loss) additionally resolve how
-    many whole wraps they hide using the segment's single-interval rate.
-    One reply packet per observed echo is our own traffic and is
-    subtracted unless ``subtract_self`` is off.
-
-    Raises ``NotACounter`` unless the target keeps a global counter and
-    ``InsufficientSamples`` below two usable replies.
-    """
-    live = _live(visit.samples)
-    if len(live) < 2:
-        raise InsufficientSamples(f"need >= 2 replies to estimate, got {len(live)}")
-    if behavior is None:
-        behavior = detect_id_behavior(visit.samples)
-    if behavior is not IdBehavior.GLOBAL_COUNTER:
-        raise NotACounter(f"{visit.target} ID behavior is {behavior.value}")
-
-    interval_ns = interval_s * 1e9
-    segments = _segments(live, GAP_SPLIT_FACTOR * interval_ns)
-    if not segments:
-        raise InsufficientSamples("no segment with two consecutive replies")
-
-    pairs: list[tuple[int, float]] = []  # (raw delta, gap seconds)
-    for seg in segments:
-        for a, b in zip(seg, seg[1:]):
-            pairs.append((wrap_corrected_delta(a.ipid, b.ipid), (b.sent_ns - a.sent_ns) / 1e9))
-
-    single_rates = [d / g for d, g in pairs if g <= 1.5 * interval_s]
-    rate_ref = statistics.median(single_rates) if single_rates else None
-
-    packets = 0.0
-    covered_s = 0.0
-    replies_in_gaps = 0
-    for d, g in pairs:
-        if g > 1.5 * interval_s and rate_ref is not None:
-            wraps = round((rate_ref * g - d) / ID_SPACE)
-            d += max(0, wraps) * ID_SPACE
-        packets += d
-        covered_s += g
-        replies_in_gaps += 1
-    if covered_s <= 0:
-        raise InsufficientSamples("zero covered time")
-    if subtract_self:
-        packets = max(0.0, packets - replies_in_gaps)
-
-    pps = packets / covered_s
-    typical_gap = statistics.median(g for _, g in pairs)
-    risk = pps > RISK_BOUND_FACTOR * ambiguity_bound(typical_gap)
-    return RateEstimate(
-        target=visit.target,
-        window_start_ns=visit.start_ns,
-        window_end_ns=visit.end_ns,
-        packets_per_second=pps,
-        bits_per_second=pps * mtu_bytes * 8,
-        mtu_bytes=mtu_bytes,
-        id_behavior=behavior,
-        segments_used=len(segments),
-        ambiguity_risk=risk,
-    )
+    """``estimate_replies`` over a visit log; lost probes are skipped."""
+    return estimate_replies(visit.target, visit.start_ns, visit.end_ns, *_replies(visit.samples),
+                            interval_s, mtu_bytes, behavior, subtract_self)
 
 
 def daily_autocorrelation(
@@ -281,26 +287,16 @@ def daily_autocorrelation(
     return float(np.corrcoef(x, y)[0, 1])
 
 
-def series_estimates(
-    visits: Iterable[VisitLog],
-    interval_s: float,
-    mtu_bytes: int = 1500,
-) -> list[RateEstimate]:
-    """One estimate per valid visit, with under-sampling flagged per target.
+def flag_series(estimates: Iterable[RateEstimate], interval_s: float) -> list[RateEstimate]:
+    """One target's estimates in window order, with under-sampling flagged.
 
-    A target is reported as lower-bound-only when ambiguity risk recurs
+    The target is reported as lower-bound-only when ambiguity risk recurs
     across its visits, or when its series oscillates at high values with
     no daily structure (day-lag autocorrelation below threshold while the
     mean exceeds half the single-wrap ceiling); all of its estimates then
     carry the flag. Empty input yields an empty series.
     """
-    ordered = sorted(visits, key=lambda v: v.start_ns)
-    estimates: list[RateEstimate] = []
-    for visit in ordered:
-        try:
-            estimates.append(estimate_rate(visit, interval_s, mtu_bytes))
-        except (InsufficientSamples, NotACounter) as exc:
-            logger.debug("skipping visit of %s: %s", visit.target, exc)
+    estimates = sorted(estimates, key=lambda e: e.window_start_ns)
     if not estimates:
         return []
 
@@ -315,3 +311,18 @@ def series_estimates(
     if risk_fraction >= ALIAS_RISK_VISIT_FRACTION or structureless_high:
         estimates = [replace(e, lower_bound_only=True) for e in estimates]
     return estimates
+
+
+def series_estimates(
+    visits: Iterable[VisitLog],
+    interval_s: float,
+    mtu_bytes: int = 1500,
+) -> list[RateEstimate]:
+    """One estimate per valid visit of one target, flagged by ``flag_series``."""
+    estimates: list[RateEstimate] = []
+    for visit in visits:
+        try:
+            estimates.append(estimate_rate(visit, interval_s, mtu_bytes))
+        except (InsufficientSamples, NotACounter) as exc:
+            logger.debug("skipping visit of %s: %s", visit.target, exc)
+    return flag_series(estimates, interval_s)

@@ -16,11 +16,13 @@ import threading
 from dataclasses import dataclass
 from typing import Protocol, Sequence
 
+from .store import MAX_RTT_NS
 from .transport import EchoTransport
 
 logger = logging.getLogger(__name__)
 
 MAX_IPID = 0xFFFF
+MAX_PROBES_PER_VISIT = 1 << 16
 
 
 class AllProbesLost(Exception):
@@ -101,7 +103,7 @@ class CampaignParams:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.probe_interval_s <= 0:
+        if round(self.probe_interval_s * 1e9) <= 0:
             raise ValueError("probe_interval_s must be > 0")
         if self.dwell_s < 2 * self.probe_interval_s:
             raise ValueError("dwell_s must cover at least two probe intervals")
@@ -111,6 +113,12 @@ class CampaignParams:
             raise ValueError("total_duration_s must be >= 0")
         if self.mtu_bytes < 1:
             raise ValueError("mtu_bytes must be >= 1")
+        # Echo sequence numbers are 16-bit on the wire, and replies are
+        # matched by sequence number within a visit.
+        if round(self.dwell_s * 1e9) // round(self.probe_interval_s * 1e9) > MAX_PROBES_PER_VISIT:
+            raise ValueError(f"a visit must send at most {MAX_PROBES_PER_VISIT} probes")
+        if round(self.effective_timeout_s * 1e9) > MAX_RTT_NS:
+            raise ValueError(f"the reply timeout must be at most {MAX_RTT_NS / 1e9} s")
 
     @property
     def effective_timeout_s(self) -> float:

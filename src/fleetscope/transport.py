@@ -87,7 +87,9 @@ class RawIcmpTransport:
 
     The echo identifier is process-scoped; sequence numbers are the probe
     index mod 65536. Replies are matched by (source address, sequence) with
-    the identifier checked; duplicates are dropped, first wins.
+    the identifier checked; duplicates are dropped, first wins. Times are
+    UNIX-epoch ns: the monotonic clock plus its offset from the wall clock,
+    taken once at construction, so a wall-clock step cannot reorder them.
     """
 
     is_virtual = False
@@ -96,6 +98,7 @@ class RawIcmpTransport:
         import os
 
         self.ident = (ident if ident is not None else os.getpid()) & 0xFFFF
+        self._epoch_offset_ns = time.time_ns() - time.monotonic_ns()
         try:
             self._sock = socket.socket(socket.AF_INET, socket.SOCK_RAW, socket.IPPROTO_ICMP)
         except PermissionError as exc:
@@ -119,7 +122,7 @@ class RawIcmpTransport:
                 continue
             except OSError:
                 return
-            recv_ns = time.monotonic_ns()
+            recv_ns = self.now_ns()
             parsed = parse_echo_reply(packet)
             if parsed is None:
                 continue
@@ -132,11 +135,11 @@ class RawIcmpTransport:
                     bucket.setdefault(seq, (recv_ns, ip_id))
 
     def now_ns(self) -> int:
-        return time.monotonic_ns()
+        return time.monotonic_ns() + self._epoch_offset_ns
 
     def sleep_until_ns(self, t_ns: int) -> None:
         while True:
-            remaining = t_ns - time.monotonic_ns()
+            remaining = t_ns - self.now_ns()
             if remaining <= 0:
                 return
             time.sleep(min(remaining / 1e9, 0.05))
@@ -147,7 +150,7 @@ class RawIcmpTransport:
 
     def send_echo(self, target: str, seq: int) -> int:
         packet = build_echo_request(self.ident, seq)
-        sent_ns = time.monotonic_ns()
+        sent_ns = self.now_ns()
         try:
             self._sock.sendto(packet, (target, 0))
         except OSError as exc:

@@ -83,7 +83,7 @@ def test_simulate_end_to_end(tmp_path, small_fleet_file, capsys):
     ])
     assert code == EXIT_OK
     for expected in (
-        "store/records.jsonl", "store/samples.jsonl", "store/estimates.jsonl",
+        "store/records.jsonl", "store/samples.bin", "store/estimates.jsonl",
         "store/verdicts.jsonl", "truth.csv", "reachability.json",
         "peaks.csv", "cdf.csv", "rollup_country.csv", "summary.json",
     ):
@@ -147,10 +147,76 @@ def test_simulate_stages_are_idempotent(tmp_path, small_fleet_file):
     args = ["--seed", "3", "simulate", "--fleet", str(small_fleet_file),
             "--out", str(out), "--dwell", "6s", "--workers", "3", "--duration", "30s"]
     assert main(args) == EXIT_OK
-    samples_before = (out / "store" / "samples.jsonl").read_bytes()
+    samples_before = (out / "store" / "samples.bin").read_bytes()
     # a second run skips completed stages instead of appending twice
     assert main(args) == EXIT_OK
-    assert (out / "store" / "samples.jsonl").read_bytes() == samples_before
+    assert (out / "store" / "samples.bin").read_bytes() == samples_before
+
+
+def test_simulate_stores_every_probe_of_every_visit(tmp_path, small_fleet_file):
+    out = tmp_path / "out"
+    assert main(["--seed", "3", "simulate", "--fleet", str(small_fleet_file), "--out", str(out),
+                 "--interval", "30ms", "--dwell", "6s", "--workers", "3",
+                 "--duration", "1h", "--loss-rate", "0.01"]) == EXIT_OK
+    frames = list(store.read_frames(out / "store" / "samples.bin"))
+    # 3 targets, each visited every 30 minutes: 2 visits of 6 s / 30 ms probes
+    assert len(frames) == 3 * 2
+    assert sum(len(f.sent_ns) for f in frames) == 3 * 2 * 200
+    for frame in frames:
+        assert frame.sent_ns.tolist() == [frame.start_ns + i * 30_000_000 for i in range(200)]
+        assert frame.end_ns == frame.start_ns + 200 * 30_000_000
+
+
+def _store_with_estimate_to_redo(tmp_path, fleet_file):
+    out = tmp_path / "out"
+    assert _simulate(out, fleet_file) == EXIT_OK
+    manifest_path = out / "store" / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    del manifest["stages"]["estimate"]
+    manifest_path.write_text(json.dumps(manifest))
+    return out / "store"
+
+
+def test_estimate_refuses_samples_of_the_v1_format(tmp_path, small_fleet_file, capsys):
+    store_dir = _store_with_estimate_to_redo(tmp_path, small_fleet_file)
+    manifest_path = store_dir / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    manifest["streams"]["samples"] = 1
+    manifest_path.write_text(json.dumps(manifest))
+    assert main(["--store", str(store_dir), "estimate"]) == EXIT_STAGE
+    assert "samples stream is v1 (JSON lines); re-run the probe stage" in capsys.readouterr().err
+
+
+def test_estimate_refuses_a_store_that_keeps_samples_jsonl(tmp_path, small_fleet_file, capsys):
+    store_dir = _store_with_estimate_to_redo(tmp_path, small_fleet_file)
+    (store_dir / "samples.jsonl").write_text(
+        '{"target":"198.18.0.1","seq":0,"sent_ns":0,"recv_ns":null,"ipid":null}\n')
+    assert main(["--store", str(store_dir), "estimate"]) == EXIT_STAGE
+    assert "samples stream is v1 (JSON lines); re-run the probe stage" in capsys.readouterr().err
+    samples_file = tmp_path / "old_samples.jsonl"
+    samples_file.write_text((store_dir / "samples.jsonl").read_text())
+    assert main(["estimate", "--samples", str(samples_file), "--out", str(tmp_path / "e.jsonl")]) \
+        == EXIT_STAGE
+    assert "samples stream is v1" in capsys.readouterr().err
+
+    # re-running the probe stage replaces the old stream, as the error advises
+    manifest_path = store_dir / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    del manifest["stages"]["probe"]
+    manifest_path.write_text(json.dumps(manifest))
+    clean = tmp_path / "clean"
+    assert _simulate(clean, small_fleet_file) == EXIT_OK
+    assert _simulate(store_dir.parent, small_fleet_file) == EXIT_OK
+    assert not (store_dir / "samples.jsonl").exists()
+    assert _tree(store_dir.parent) == _tree(clean)
+
+
+def test_estimate_refuses_a_truncated_samples_frame(tmp_path, small_fleet_file, capsys):
+    store_dir = _store_with_estimate_to_redo(tmp_path, small_fleet_file)
+    samples = store_dir / "samples.bin"
+    samples.write_bytes(samples.read_bytes()[:-3])
+    assert main(["--store", str(store_dir), "estimate"]) == EXIT_STAGE
+    assert "truncated frame" in capsys.readouterr().err
 
 
 # -- crash-safe reruns ---------------------------------------------------------
@@ -190,11 +256,12 @@ def test_stage_interrupted_mid_write_reruns_to_identical_output(
     with pytest.raises(_Crash):
         _simulate(crashed, small_fleet_file)
     monkeypatch.undo()
-    partial = crashed / "store" / f"{stream}.jsonl.partial"
-    assert len(partial.read_text().splitlines()) == 2
-    assert not (crashed / "store" / f"{stream}.jsonl").exists()
-    with open(partial, "a") as fh:
-        fh.write("not json\n")  # the rerun must discard the partial file, not read it
+    path = store.CampaignStore(crashed / "store").stream_path(stream)
+    partial = path.with_name(path.name + ".partial")
+    assert len(list(store.read_stream(stream, partial))) == 2
+    assert not path.exists()
+    with open(partial, "ab") as fh:
+        fh.write(b"not json\n")  # the rerun must discard the partial file, not read it
 
     assert _simulate(crashed, small_fleet_file) == EXIT_OK
     assert _tree(crashed) == _tree(clean)  # no duplicate rows, no .partial left
@@ -283,16 +350,16 @@ def test_seed_flag_reaches_probe(tmp_path, small_fleet_file):
                      "--workers", "2", "--duration", "30s", "--out", str(out)]) == EXIT_OK
         return out.read_bytes()
 
-    by_flag = probe_with(["--seed", "3"], "flag.jsonl")
-    assert by_flag == probe_with(["--config", str(config)], "config.jsonl")
-    assert by_flag != probe_with([], "default.jsonl")  # the seed orders the schedule
+    by_flag = probe_with(["--seed", "3"], "flag.bin")
+    assert by_flag == probe_with(["--config", str(config)], "config.bin")
+    assert by_flag != probe_with([], "default.bin")  # the seed orders the schedule
 
 
 def test_config_interval_reaches_estimate(tmp_path, small_fleet_file):
     targets = _targets_file(tmp_path, small_fleet_file)
     config = tmp_path / "interval.json"
     config.write_text(json.dumps({"campaign": {"probe_interval": "60ms"}}))
-    samples = tmp_path / "samples.jsonl"
+    samples = tmp_path / "samples.bin"
     assert main(["--config", str(config), "probe", "--targets", str(targets),
                  "--transport", f"sim:{small_fleet_file}", "--dwell", "6s",
                  "--workers", "3", "--duration", "30s", "--out", str(samples)]) == EXIT_OK

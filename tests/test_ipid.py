@@ -4,7 +4,7 @@ per-visit estimates and series flagging."""
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fleetscope.ipid import (
@@ -21,6 +21,7 @@ from fleetscope.ipid import (
 from fleetscope.probe import ProbeSample, VisitLog, probe_target
 from fleetscope.simulation import SimulatedTransport
 
+import ipid_oracle
 from conftest import make_fleet, make_server
 
 
@@ -230,3 +231,72 @@ def test_series_flags_above_bound_server_as_lower_bound():
 
 def test_daily_autocorrelation_needs_data():
     assert daily_autocorrelation([]) is None
+
+
+# -- the array kernel against the per-sample reference loops -------------------
+
+@st.composite
+def _random_visits(draw):
+    """Visits with loss, wraps, gaps over three intervals, random, constant
+    and counter IDs, and any number of replies from none upwards."""
+    interval_ns = draw(st.sampled_from([10_000_000, 30_000_000, 1_000_000_000]))
+    count = draw(st.one_of(st.integers(0, 25), st.integers(25, 150)))
+    kind = draw(st.sampled_from(["counter", "fast_counter", "random", "constant", "noisy"]))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    per_probe = {"counter": rng.randrange(1, 2000), "fast_counter": rng.randrange(2000, 200_000),
+                 "constant": 0}.get(kind, 0)
+    loss = draw(st.sampled_from([0.0, 0.0, 0.02, 0.3, 1.0]))
+    silences = draw(st.sampled_from([0.0, 0.01, 0.1]))
+    jitter_ns = draw(st.sampled_from([0, interval_ns // 10]))
+    start_ns = draw(st.integers(0, 2 * 10**18))
+    samples = []
+    sent_ns = start_ns
+    counter = rng.randrange(65536)
+    for i in range(count):
+        if i:
+            step = interval_ns
+            if rng.random() < silences:  # of up to six intervals
+                step *= rng.randrange(2, 7)
+            step += rng.randint(-jitter_ns, jitter_ns)
+            sent_ns += step
+            counter += per_probe * step // interval_ns
+        if kind == "random":
+            ipid = rng.randrange(65536)
+        elif kind == "noisy":
+            ipid = (counter + rng.randrange(-3, 40)) % 65536
+            counter += rng.randrange(0, 30)
+        else:
+            ipid = counter % 65536
+        if rng.random() < loss:
+            samples.append(ProbeSample("t", i, sent_ns))
+        else:
+            samples.append(ProbeSample("t", i, sent_ns, sent_ns + rng.randrange(10**8), ipid))
+    end_ns = sent_ns + interval_ns
+    return VisitLog("t", start_ns, end_ns, samples), interval_ns / 1e9
+
+
+def _outcome(call, *args, **kwargs):
+    try:
+        return call(*args, **kwargs)
+    except (InsufficientSamples, NotACounter) as exc:
+        return type(exc)
+
+
+# exactly nine in ten deltas small: a counter by the small-delta rule alone
+_NINE_IN_TEN = (_visit([(i * 5 + 30_000 * (i // 10)) % 65536 for i in range(101)]), 0.03)
+# 20,000 IDs per interval, every third probe lost: a counter only if the
+# clustering rule keeps the single-interval gaps and drops the double ones
+_FAST_WITH_LOSS = (_visit([None if i % 3 == 2 else i * 20_000 % 65536 for i in range(101)]), 0.03)
+
+
+@settings(max_examples=300, deadline=None)
+@example(_NINE_IN_TEN, None, True)
+@example(_FAST_WITH_LOSS, None, True)
+@given(_random_visits(), st.sampled_from([None, IdBehavior.GLOBAL_COUNTER]), st.booleans())
+def test_kernel_matches_the_per_sample_loops(visit_and_interval, behavior, subtract_self):
+    visit, interval_s = visit_and_interval
+    assert _outcome(detect_id_behavior, visit.samples) == _outcome(
+        ipid_oracle.detect_id_behavior, visit.samples)
+    kwargs = dict(mtu_bytes=1500, behavior=behavior, subtract_self=subtract_self)
+    assert _outcome(estimate_rate, visit, interval_s, **kwargs) == _outcome(
+        ipid_oracle.estimate_rate, visit, interval_s, **kwargs)

@@ -64,6 +64,23 @@ def test_plan_rejects_unschedulable_configs():
         plan_campaign([], CampaignParams())
 
 
+def test_params_accept_the_most_probes_a_visit_can_number():
+    # 65,536 probes of 1 ms in a 65.536 s visit, then one more
+    assert CampaignParams(probe_interval_s=0.001, dwell_s=65.536)
+    with pytest.raises(ValueError, match="at most 65536 probes"):
+        CampaignParams(probe_interval_s=0.001, dwell_s=65.537)
+
+
+def test_params_accept_the_longest_timeout_a_frame_can_hold():
+    assert CampaignParams(probe_timeout_s=4.294967294)
+    with pytest.raises(ValueError, match="timeout"):
+        CampaignParams(probe_timeout_s=4.294967295)
+    # the default timeout is ten intervals: 0.4294967294 s is the longest interval
+    assert CampaignParams(probe_interval_s=0.4294967294, dwell_s=60.0)
+    with pytest.raises(ValueError, match="timeout"):
+        CampaignParams(probe_interval_s=0.4294967295, dwell_s=60.0)
+
+
 def test_probe_target_sends_dwell_over_interval_probes():
     server = make_server(base_pps=1000.0)
     fleet = make_fleet([server])
@@ -234,6 +251,37 @@ def test_raw_transport_probes_loopback():
         if sample.ipid is not None:
             assert 0 <= sample.ipid <= 65535
             assert sample.rtt_ns is not None and sample.rtt_ns > 0
+
+
+class _NoSocket:
+    """Stands in for a raw socket: sends go nowhere and nothing is received."""
+
+    def __init__(self, *args):
+        pass
+
+    def settimeout(self, timeout):
+        pass
+
+    def sendto(self, packet, address):
+        pass
+
+    def recvfrom(self, size):
+        raise OSError("no socket")
+
+    def close(self):
+        pass
+
+
+def test_raw_transport_clock_is_utc(monkeypatch):
+    from fleetscope import transport
+
+    monkeypatch.setattr(transport.socket, "socket", _NoSocket)
+    with transport.RawIcmpTransport() as raw:
+        assert abs(raw.now_ns() - time.time_ns()) < 1_000_000_000
+        assert abs(raw.send_echo("192.0.2.1", 0) - time.time_ns()) < 1_000_000_000
+        deadline_ns = raw.now_ns() + 20_000_000
+        raw.sleep_until_ns(deadline_ns)
+        assert deadline_ns <= raw.now_ns() < deadline_ns + 1_000_000_000
 
 
 def test_icmp_checksum_known_vector():
