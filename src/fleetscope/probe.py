@@ -1,18 +1,24 @@
 """Probe engine: paced echo visits and the round-robin campaign scheduler.
 
 A campaign dwells on each target for a fixed time, sending one echo per
-interval, then moves on; a pool of workers cycles through its share of the
+interval, then moves on; each worker cycles through its share of the
 target list so every target is revisited once per cycle. A per-target
 courtesy cap bounds visit frequency; the scheduler inserts idle slots
 rather than revisiting too fast.
+
+One event loop runs every campaign, on a virtual or a real clock alike. It
+takes the next due event from a heap: a send event sends one probe to each
+visit of a slot, and a collection event, one reply timeout after the slot's
+last send, hands the slot's visits to the sink. Due times are fixed from
+the campaign's start, so a late event delays only itself.
 """
 
 from __future__ import annotations
 
+import heapq
 import logging
 import math
 import random
-import threading
 from dataclasses import dataclass
 from typing import Protocol, Sequence
 
@@ -39,7 +45,8 @@ class CapacityExceeded(ValueError):
 
 
 class Aborted(Exception):
-    """Campaign interrupted; completed visits were persisted."""
+    """Campaign interrupted. The probe stage commits nothing of an
+    interrupted campaign, so the stage must be rerun."""
 
 
 @dataclass(slots=True)
@@ -115,10 +122,15 @@ class CampaignParams:
             raise ValueError("mtu_bytes must be >= 1")
         # Echo sequence numbers are 16-bit on the wire, and replies are
         # matched by sequence number within a visit.
-        if round(self.dwell_s * 1e9) // round(self.probe_interval_s * 1e9) > MAX_PROBES_PER_VISIT:
+        if self.probes_per_visit > MAX_PROBES_PER_VISIT:
             raise ValueError(f"a visit must send at most {MAX_PROBES_PER_VISIT} probes")
         if round(self.effective_timeout_s * 1e9) > MAX_RTT_NS:
             raise ValueError(f"the reply timeout must be at most {MAX_RTT_NS / 1e9} s")
+
+    @property
+    def probes_per_visit(self) -> int:
+        """Echoes one visit sends: whole intervals in the dwell."""
+        return round(self.dwell_s * 1e9) // round(self.probe_interval_s * 1e9)
 
     @property
     def effective_timeout_s(self) -> float:
@@ -134,7 +146,8 @@ class CampaignSchedule:
 
     A worker runs ``cycle_slots`` slots of ``slot_s`` seconds per cycle:
     its assigned targets in order, then idle padding when the raw cycle
-    would violate the courtesy cap.
+    would violate the courtesy cap or revisit a target within its previous
+    visit's reply window.
     """
 
     worker_targets: tuple[tuple[str, ...], ...]
@@ -167,7 +180,10 @@ def plan_campaign(targets: Sequence[str], params: CampaignParams) -> CampaignSch
 
     Targets are shuffled (seeded) before dealing so load spreads across
     sites; each target lands on exactly one worker and is visited once per
-    cycle. Cycles shorter than the courtesy cap allows get idle padding.
+    cycle. Cycles shorter than the courtesy cap allows get idle padding, as
+    do cycles shorter than a visit's last send plus the reply timeout:
+    replies are matched by (address, seq), so a target's next visit must
+    not start before its previous reply window closes.
     """
     unique = sorted(set(targets))
     if not unique:
@@ -181,8 +197,10 @@ def plan_campaign(targets: Sequence[str], params: CampaignParams) -> CampaignSch
     worker_count = min(params.workers, len(order))
     assignment = tuple(tuple(order[i::worker_count]) for i in range(worker_count))
 
-    per_worker = max(len(a) for a in assignment)
-    cycle_slots = per_worker
+    slot_ns = round(params.dwell_s * 1e9)
+    window_ns = ((params.probes_per_visit - 1) * round(params.probe_interval_s * 1e9)
+                 + round(params.effective_timeout_s * 1e9))
+    cycle_slots = max(max(len(a) for a in assignment), -(-window_ns // slot_ns))
     if cap is not None:
         min_spacing_s = 3600.0 / cap
         cycle_slots = max(cycle_slots, math.ceil(min_spacing_s / params.dwell_s - 1e-9))
@@ -196,60 +214,37 @@ def probe_target(
     transport: EchoTransport,
     timeout_s: float | None = None,
 ) -> VisitLog:
-    """Send ``dwell/interval`` echoes paced at ``interval`` and collect replies.
+    """Send ``dwell/interval`` echoes paced at ``interval``, starting now,
+    and collect the replies: a one-target, one-slot campaign.
 
     Raises ``AllProbesLost`` (visit attached) when nothing answered, and
     ``TransportError`` on socket or privilege failures.
     """
-    interval_ns = round(interval_s * 1e9)
-    dwell_ns = round(dwell_s * 1e9)
-    if interval_ns <= 0:
-        raise ValueError("interval must be > 0")
-    if dwell_ns < 2 * interval_ns:
-        raise ValueError("dwell must cover at least two intervals")
-    timeout_ns = round((timeout_s if timeout_s is not None else max(1.0, 10 * interval_s)) * 1e9)
-
-    count = dwell_ns // interval_ns
-    transport.begin_visit(target)
-    start_ns = transport.now_ns()
-    sent: list[int] = []
-    for i in range(count):
-        transport.sleep_until_ns(start_ns + i * interval_ns)
-        sent.append(transport.send_echo(target, i))
-
-    replies = transport.drain(target, sent[-1] + timeout_ns)
-    samples: list[ProbeSample] = []
-    losses = 0
-    for i, sent_ns in enumerate(sent):
-        hit = replies.get(i)
-        if hit is not None and hit[0] - sent_ns <= timeout_ns:
-            samples.append(ProbeSample(target, i, sent_ns, hit[0], hit[1]))
-        else:
-            samples.append(ProbeSample(target, i, sent_ns))
-            losses += 1
-    visit = VisitLog(target, start_ns, sent[-1] + interval_ns, samples)
-    transport.end_visit(target)
-    if losses == count:
+    params = CampaignParams(probe_interval_s=interval_s, dwell_s=dwell_s, workers=1,
+                            total_duration_s=dwell_s, max_visits_per_hour=None,
+                            probe_timeout_s=timeout_s)
+    sink = ListSink()
+    run_campaign([target], params, transport, sink)
+    (visit,) = sink.visits
+    if not visit.reply_count:
         raise AllProbesLost(target, visit)
     return visit
 
 
 class SampleSink(Protocol):
-    """Where completed visits go; must accept appends from many workers."""
+    """Where completed visits go, in slot order and then worker order."""
 
     def add_visit(self, visit: VisitLog) -> None: ...
 
 
 class ListSink:
-    """In-memory sink, safe for concurrent appends."""
+    """In-memory sink."""
 
     def __init__(self) -> None:
         self.visits: list[VisitLog] = []
-        self._lock = threading.Lock()
 
     def add_visit(self, visit: VisitLog) -> None:
-        with self._lock:
-            self.visits.append(visit)
+        self.visits.append(visit)
 
 
 @dataclass
@@ -272,76 +267,83 @@ def run_campaign(
 ) -> CampaignSummary:
     """Execute the schedule until the campaign duration elapses.
 
-    Every visit is appended to ``sink`` before the same worker starts its
-    next one. With a virtual-clock transport the schedule replays
-    sequentially in visit-start order; with a real transport each worker
-    runs in its own thread against the wall clock.
+    The visits of slot ``s`` start at ``epoch + s * slot_s``, where the
+    epoch is the transport's clock at the call, and send in step. One reply
+    timeout after their last send they reach ``sink``, in slot order and
+    then worker order. A ``KeyboardInterrupt`` raises ``Aborted``.
     """
     if params.total_duration_s <= 0:
         return CampaignSummary()
     schedule = plan_campaign(targets, params)
-    duration_ns = round(params.total_duration_s * 1e9)
     slot_ns = round(schedule.slot_s * 1e9)
-    timeout_s = params.effective_timeout_s
+    interval_ns = round(params.probe_interval_s * 1e9)
+    timeout_ns = round(params.effective_timeout_s * 1e9)
+    count = params.probes_per_visit
+
+    def slots_with_visits():
+        """Each slot that has visits, with an empty list of send times per visit."""
+        for slot in range(-(-round(params.total_duration_s * 1e9) // slot_ns)):
+            targets_now = [schedule.target_for_slot(w, slot) for w in range(schedule.workers)]
+            visits = [(target, []) for target in targets_now if target is not None]
+            if visits:
+                yield slot, visits
+
+    slots = slots_with_visits()
+    epoch_ns = transport.now_ns()
+    # (due_ns, slot, probe index, visits): index ``count`` collects the
+    # slot's replies. At equal due times a slot's collection comes before a
+    # later slot's first send, which may revisit the same target.
+    events: list[tuple[int, int, int, list[tuple[str, list[int]]]]] = []
+
+    def schedule_next_slot() -> None:
+        following = next(slots, None)
+        if following is not None:
+            slot, visits = following
+            heapq.heappush(events, (epoch_ns + slot * slot_ns, slot, 0, visits))
 
     answered: set[str] = set()
     totals = CampaignSummary()
-    lock = threading.Lock()
-
-    def run_visit(target: str) -> None:
-        try:
-            visit = probe_target(target, params.probe_interval_s, params.dwell_s, transport, timeout_s)
-        except AllProbesLost as exc:
-            visit = exc.visit
-        with lock:
-            sink.add_visit(visit)
-            totals.visits_completed += 1
-            totals.probes_sent += len(visit.samples)
-            totals.losses += visit.loss_count
-            if visit.reply_count:
-                answered.add(target)
-
-    if getattr(transport, "is_virtual", False):
-        slot = 0
-        while slot * slot_ns < duration_ns:
-            t_ns = slot * slot_ns
-            for worker in range(schedule.workers):
-                target = schedule.target_for_slot(worker, slot)
-                if target is None:
-                    continue
-                transport.jump_to_ns(t_ns)
-                run_visit(target)
-            slot += 1
-    else:
-        stop = threading.Event()
-
-        def worker_loop(worker: int) -> None:
-            epoch_ns = transport.now_ns()
-            slot = 0
-            while not stop.is_set() and slot * slot_ns < duration_ns:
-                target = schedule.target_for_slot(worker, slot)
-                if target is not None:
-                    transport.sleep_until_ns(epoch_ns + slot * slot_ns)
-                    if stop.is_set():
-                        break
-                    run_visit(target)
-                slot += 1
-
-        threads = [
-            threading.Thread(target=worker_loop, args=(w,), daemon=True)
-            for w in range(schedule.workers)
-        ]
-        for t in threads:
-            t.start()
-        try:
-            for t in threads:
-                t.join()
-        except KeyboardInterrupt:
-            stop.set()
-            for t in threads:
-                t.join()
-            raise Aborted("campaign interrupted; partial results persisted") from None
+    schedule_next_slot()
+    try:
+        while events:
+            due_ns, slot, index, visits = heapq.heappop(events)
+            transport.sleep_until_ns(due_ns)
+            if index == count:
+                for target, sent in visits:
+                    visit = _visit_log(target, sent, transport.end_visit(target, sent[-1]),
+                                       interval_ns, timeout_ns)
+                    sink.add_visit(visit)
+                    totals.visits_completed += 1
+                    totals.probes_sent += count
+                    totals.losses += visit.loss_count
+                    if visit.reply_count:
+                        answered.add(target)
+                continue
+            if index == 0:
+                for target, _ in visits:
+                    transport.begin_visit(target)
+                schedule_next_slot()
+            for target, sent in visits:
+                sent.append(transport.send_echo(target, index))
+            step_ns = timeout_ns if index + 1 == count else interval_ns
+            heapq.heappush(events, (due_ns + step_ns, slot, index + 1, visits))
+    except KeyboardInterrupt:
+        raise Aborted("campaign interrupted; nothing was committed, rerun the probe stage") from None
 
     totals.reachable = tuple(sorted(answered))
     totals.unreachable = tuple(sorted(set(targets) - answered))
     return totals
+
+
+def _visit_log(target: str, sent: list[int], replies: dict[int, tuple[int, int]],
+               interval_ns: int, timeout_ns: int) -> VisitLog:
+    """The visit whose probe ``i`` went out at ``sent[i]``; a reply later
+    than the timeout counts as a loss."""
+    samples: list[ProbeSample] = []
+    for i, sent_ns in enumerate(sent):
+        hit = replies.get(i)
+        if hit is not None and hit[0] - sent_ns <= timeout_ns:
+            samples.append(ProbeSample(target, i, sent_ns, hit[0], hit[1]))
+        else:
+            samples.append(ProbeSample(target, i, sent_ns))
+    return VisitLog(target, sent[0], sent[-1] + interval_ns, samples)

@@ -7,9 +7,8 @@ the echo reply itself incrementing it by one, which is exactly what a rate
 estimator has to cope with. The fleet also logs exact per-visit mean rates
 so estimates can be judged against ground truth.
 
-All randomness (profile noise, random IDs, injected timeouts, probe loss)
-comes from streams seeded by the fleet seed and the server address: one
-seed, one behaviour.
+All randomness (profile noise, random IDs, probe loss) comes from streams
+seeded by the fleet seed and the server address: one seed, one behaviour.
 """
 
 from __future__ import annotations
@@ -25,7 +24,6 @@ from typing import Iterable, Mapping
 from .discovery import (
     OUTCOME_NXDOMAIN,
     OUTCOME_RESOLVED,
-    OUTCOME_TIMEOUT,
     ResolutionResult,
 )
 from .ipid import IdBehavior
@@ -36,27 +34,6 @@ DAY_S = 86400.0
 
 class TimeRegression(ValueError):
     """A responder was asked to advance backwards in time."""
-
-
-class VirtualClock:
-    """Monotonic virtual time in nanoseconds.
-
-    ``jump_to`` may move backwards; the campaign runner uses it to replay
-    overlapping per-worker visits sequentially. Individual responders keep
-    their own clocks and stay monotonic per server.
-    """
-
-    __slots__ = ("now_ns",)
-
-    def __init__(self, start_ns: int = 0):
-        self.now_ns = start_ns
-
-    def advance_to(self, t_ns: int) -> None:
-        if t_ns > self.now_ns:
-            self.now_ns = t_ns
-
-    def jump_to(self, t_ns: int) -> None:
-        self.now_ns = t_ns
 
 
 def parse_hhmm(text: str) -> float:
@@ -344,83 +321,72 @@ class ZoneResolver:
     """Resolver backed by a static name-to-address map.
 
     Fleet members resolve to their addresses; everything else is nxdomain.
-    ``timeout_rate`` injects that fraction of timeouts, deterministically
-    per seed, for exercising retry paths.
     """
 
-    def __init__(self, zone: Mapping[str, tuple[str, ...]], clock: VirtualClock | None = None,
-                 timeout_rate: float = 0.0, seed: int = 0):
+    def __init__(self, zone: Mapping[str, tuple[str, ...]]):
         self._zone = dict(zone)
-        self._clock = clock
-        self._timeout_rate = timeout_rate
-        self._rng = random.Random(f"{seed}:zone")
         self.queries = 0
-        self.timeouts = 0
 
     def query(self, name: str) -> ResolutionResult:
         self.queries += 1
-        now = self._clock.now_ns if self._clock is not None else 0
-        if self._timeout_rate and self._rng.random() < self._timeout_rate:
-            self.timeouts += 1
-            return ResolutionResult(name, OUTCOME_TIMEOUT, (), now)
         addresses = self._zone.get(name)
         if addresses is None:
-            return ResolutionResult(name, OUTCOME_NXDOMAIN, (), now)
-        return ResolutionResult(name, OUTCOME_RESOLVED, tuple(addresses), now)
+            return ResolutionResult(name, OUTCOME_NXDOMAIN, (), 0)
+        return ResolutionResult(name, OUTCOME_RESOLVED, tuple(addresses), 0)
 
 
 class SimulatedTransport:
     """Echo transport over a virtual fleet; sleeping costs nothing.
 
+    Its clock is virtual nanoseconds from 0 and never moves backwards.
     Losses model requests dropped in flight: the responder never sees them
     and its counter does not move. Replies arrive one RTT after the send;
-    the responder is served at the halfway point.
+    the responder is served at the halfway point. A visit's truth window
+    runs from its start to its last send.
+
+    ``end_visit`` serves the visit's echoes, in send order: nothing else
+    touches a responder while one of its visits is open, so its replies
+    are those it would have given as each echo arrived.
     """
 
-    is_virtual = True
-
-    def __init__(self, fleet: SimulatedFleet, clock: VirtualClock | None = None,
-                 loss_rate: float = 0.0, seed: int | None = None):
+    def __init__(self, fleet: SimulatedFleet, loss_rate: float = 0.0):
         self.fleet = fleet
-        self.clock = clock if clock is not None else VirtualClock()
         self.loss_rate = loss_rate
-        self._seed = fleet.seed if seed is None else seed
+        self._now_ns = 0
         self._loss_rngs: dict[str, random.Random] = {}
-        self._pending: dict[str, dict[int, tuple[int, int]]] = {}
+        self._pending: dict[str, dict[int, int]] = {}  # seq -> sent_ns of delivered echoes
 
     def _loss_rng(self, target: str) -> random.Random:
         rng = self._loss_rngs.get(target)
         if rng is None:
-            rng = random.Random(f"{self._seed}:loss:{target}")
+            rng = random.Random(f"{self.fleet.seed}:loss:{target}")
             self._loss_rngs[target] = rng
         return rng
 
     def now_ns(self) -> int:
-        return self.clock.now_ns
+        return self._now_ns
 
     def sleep_until_ns(self, t_ns: int) -> None:
-        self.clock.advance_to(t_ns)
-
-    def jump_to_ns(self, t_ns: int) -> None:
-        self.clock.jump_to(t_ns)
+        if t_ns > self._now_ns:
+            self._now_ns = t_ns
 
     def begin_visit(self, target: str) -> None:
         self._pending.pop(target, None)
-        self.fleet.mark_visit_start(target, self.clock.now_ns)
+        self.fleet.mark_visit_start(target, self._now_ns)
 
     def send_echo(self, target: str, seq: int) -> int:
-        sent_ns = self.clock.now_ns
+        sent_ns = self._now_ns
         server = self.fleet.by_address.get(target)
         if server is not None and server.reachable:
             if self.loss_rate and self._loss_rng(target).random() < self.loss_rate:
                 return sent_ns
-            ipid = server.serve_echo(sent_ns + server.rtt_ns // 2)
-            if ipid is not None:
-                self._pending.setdefault(target, {})[seq] = (sent_ns + server.rtt_ns, ipid)
+            self._pending.setdefault(target, {})[seq] = sent_ns
         return sent_ns
 
-    def drain(self, target: str, deadline_ns: int) -> dict[int, tuple[int, int]]:
-        return self._pending.pop(target, {})
-
-    def end_visit(self, target: str) -> None:
-        self.fleet.mark_visit_end(target, self.clock.now_ns)
+    def end_visit(self, target: str, last_sent_ns: int) -> dict[int, tuple[int, int]]:
+        replies = {}
+        server = self.fleet.by_address.get(target)
+        for seq, sent_ns in self._pending.pop(target, {}).items():
+            replies[seq] = (sent_ns + server.rtt_ns, server.serve_echo(sent_ns + server.rtt_ns // 2))
+        self.fleet.mark_visit_end(target, last_sent_ns)
+        return replies

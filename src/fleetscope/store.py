@@ -22,7 +22,6 @@ from __future__ import annotations
 import json
 import logging
 import struct
-import threading
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator
@@ -219,7 +218,6 @@ class CampaignStore:
             raise StoreError(f"no store at {self.directory}")
         self._manifest_path = self.directory / MANIFEST_NAME
         self._writers: dict[str, JsonlWriter | FrameWriter] = {}
-        self._lock = threading.Lock()
         if not self._manifest_path.exists():
             self._write_manifest({"manifest_version": 1, "streams": {}, "stages": {}})
 
@@ -275,19 +273,17 @@ class CampaignStore:
     def append(self, stream: str, obj) -> None:
         """Append one record (a ``probe.VisitLog`` for samples) to the stream's
         pending rows; ``commit`` publishes them."""
-        with self._lock:
-            writer = self._writers.get(stream)
-            if writer is None:
-                writer = self._writers[stream] = self._open_writer(stream)
-            writer.append(obj)
+        writer = self._writers.get(stream)
+        if writer is None:
+            writer = self._writers[stream] = self._open_writer(stream)
+        writer.append(obj)
 
     def commit(self, stream: str) -> None:
         """Replace the stream with the rows appended since its last commit."""
-        with self._lock:
-            writer = self._writers.pop(stream, None) or self._open_writer(stream)
-            writer.commit()
-            if stream == "samples":
-                (self.directory / "samples.jsonl").unlink(missing_ok=True)
+        writer = self._writers.pop(stream, None) or self._open_writer(stream)
+        writer.commit()
+        if stream == "samples":
+            (self.directory / "samples.jsonl").unlink(missing_ok=True)
 
     def scan(self, stream: str) -> Iterator:
         """Yield the committed items in append order (see ``read_stream``).
@@ -304,10 +300,9 @@ class CampaignStore:
 
     def close(self) -> None:
         """Close open writers without committing them."""
-        with self._lock:
-            for writer in self._writers.values():
-                writer.close()
-            self._writers.clear()
+        for writer in self._writers.values():
+            writer.close()
+        self._writers.clear()
 
     def __enter__(self) -> "CampaignStore":
         return self

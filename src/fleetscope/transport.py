@@ -3,7 +3,9 @@
 Two implementations exist: ``RawIcmpTransport`` here (real sockets, needs
 CAP_NET_RAW or root) and the in-process simulated transport in
 ``simulation`` (no privilege, virtual time). Both satisfy ``EchoTransport``
-structurally; the prober never imports a concrete transport.
+structurally; the prober never imports a concrete transport, and runs its
+one event loop against either. Only ``sleep_until_ns`` waits for time to
+pass.
 """
 
 from __future__ import annotations
@@ -26,9 +28,12 @@ class TransportError(Exception):
 class EchoTransport(Protocol):
     """What the prober needs: a clock, pacing, and fire-and-collect echoes.
 
-    ``send_echo`` must not block on the reply; replies are collected once
-    per visit via ``drain``. ``begin_visit``/``end_visit`` bracket a visit
-    so implementations can reset per-target state.
+    ``begin_visit``/``end_visit`` bracket a visit so implementations can
+    reset per-target state. ``send_echo`` must not block on the reply.
+    ``end_visit``, called once the reply timeout after the visit's last
+    send (at ``last_sent_ns``) has passed, returns the visit's replies as
+    ``{seq: (recv_ns, ip_id)}`` without waiting. Visits of different
+    targets overlap.
     """
 
     def now_ns(self) -> int: ...
@@ -39,9 +44,7 @@ class EchoTransport(Protocol):
 
     def send_echo(self, target: str, seq: int) -> int: ...
 
-    def drain(self, target: str, deadline_ns: int) -> dict[int, tuple[int, int]]: ...
-
-    def end_visit(self, target: str) -> None: ...
+    def end_visit(self, target: str, last_sent_ns: int) -> dict[int, tuple[int, int]]: ...
 
 
 def icmp_checksum(data: bytes) -> int:
@@ -91,8 +94,6 @@ class RawIcmpTransport:
     UNIX-epoch ns: the monotonic clock plus its offset from the wall clock,
     taken once at construction, so a wall-clock step cannot reorder them.
     """
-
-    is_virtual = False
 
     def __init__(self, ident: int | None = None):
         import os
@@ -157,14 +158,9 @@ class RawIcmpTransport:
             raise TransportError(f"send to {target} failed: {exc}") from exc
         return sent_ns
 
-    def drain(self, target: str, deadline_ns: int) -> dict[int, tuple[int, int]]:
-        self.sleep_until_ns(deadline_ns)
+    def end_visit(self, target: str, last_sent_ns: int) -> dict[int, tuple[int, int]]:
         with self._lock:
             return self._pending.pop(target, {})
-
-    def end_visit(self, target: str) -> None:
-        with self._lock:
-            self._pending.pop(target, None)
 
     def close(self) -> None:
         self._closed.set()

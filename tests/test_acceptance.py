@@ -128,13 +128,13 @@ def test_c03_above_bound_servers_flagged_every_visit():
         for i in range(5)
     ]
     fleet = SimulatedFleet(servers, seed=303)
-    transport = SimulatedTransport(fleet)
     flagged_visits = 0
     total_visits = 0
     for server in servers:
+        transport = SimulatedTransport(fleet)
         visits = []
         for k in range(48):  # one day of 30-minute revisits
-            transport.jump_to_ns(k * 1800 * 10**9)
+            transport.sleep_until_ns(k * 1800 * 10**9)
             visits.append(probe_target(server.address, interval, 30.0, transport))
         estimates = series_estimates(visits, interval)
         assert len(estimates) == 48
@@ -186,21 +186,23 @@ def test_c04_periodic_matches_constant_sampling_below_bound():
 
     periodic_fleet = build_fleet()
     periodic = {}
-    transport = SimulatedTransport(periodic_fleet)
     for server in periodic_fleet.servers:
+        transport = SimulatedTransport(periodic_fleet)
         visits = []
         for k in range(int(span_s / 1800.0)):
-            transport.jump_to_ns(k * 1800 * 10**9)
+            transport.sleep_until_ns(k * 1800 * 10**9)
             visits.append(probe_target(server.address, interval, dwell, transport))
         periodic[server.address] = series_estimates(visits, interval)
 
     constant_fleet = build_fleet()
     constant = {}
-    transport = SimulatedTransport(constant_fleet)
     for server in constant_fleet.servers:
         visits = []
         for k in range(int(span_s / dwell)):
-            transport.jump_to_ns(round(k * dwell * 1e9))
+            # back to back: a visit starts before the previous one's reply
+            # timeout has passed, which one transport's clock cannot do
+            transport = SimulatedTransport(constant_fleet)
+            transport.sleep_until_ns(round(k * dwell * 1e9))
             visits.append(probe_target(server.address, interval, dwell, transport))
         constant[server.address] = series_estimates(visits, interval)
 
@@ -253,13 +255,13 @@ def test_c05_peak_times_recovered_across_timezones():
         for c in range(2)
     ]
     fleet = SimulatedFleet(servers + fill_servers, seed=505)
-    transport = SimulatedTransport(fleet)
     estimates = []
     kinds = {}
     for server in fleet.servers:
+        transport = SimulatedTransport(fleet)
         visits = []
         for k in range(days * 48):
-            transport.jump_to_ns(k * 1800 * 10**9)
+            transport.sleep_until_ns(k * 1800 * 10**9)
             visits.append(probe_target(server.address, interval, dwell, transport))
         estimates.extend(series_estimates(visits, interval))
         kinds[server.address] = "isp" if ".isp." in server.name else "ixp"

@@ -6,7 +6,7 @@ import pytest
 
 from fleetscope import analytics, store
 from fleetscope.cli import EXIT_OK, EXIT_STAGE, EXIT_USAGE, main
-from fleetscope.simulation import SimulatedFleet
+from fleetscope.simulation import SimulatedFleet, SimulatedTransport
 
 from conftest import make_server
 
@@ -304,6 +304,26 @@ def test_rerun_after_lost_done_marker_replaces_rows(tmp_path, small_fleet_file, 
     manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     assert _simulate(out, small_fleet_file) == EXIT_OK
     assert _tree(out) == before
+
+
+def test_interrupted_campaign_commits_nothing(tmp_path, small_fleet_file, monkeypatch, capsys):
+    send_echo = SimulatedTransport.send_echo
+    sent = []
+
+    def send_then_interrupt(self, target, seq):
+        if len(sent) == 500:
+            raise KeyboardInterrupt
+        sent.append(seq)
+        return send_echo(self, target, seq)
+
+    monkeypatch.setattr(SimulatedTransport, "send_echo", send_then_interrupt)
+    out = tmp_path / "out"
+    assert _simulate(out, small_fleet_file) == EXIT_STAGE
+    assert "nothing was committed" in capsys.readouterr().err
+    campaign_store = store.CampaignStore(out / "store", create=False)
+    assert campaign_store.stage_done("validate")
+    assert not campaign_store.stage_done("probe")
+    assert not campaign_store.stream_path("samples").exists()
 
 
 def test_interrupted_out_file_keeps_previous_contents(tmp_path, small_fleet_file, monkeypatch):

@@ -136,10 +136,12 @@ def test_run_crawl_invariant_under_candidate_order():
 
 def test_run_crawl_queries_each_candidate_at_most_retry_budget():
     fleet = make_fleet([make_server(1.0)])
-    counting = CountingResolver(ZoneResolver(fleet.zone(), timeout_rate=0.3, seed=5))
+    # four timeouts: the first name exhausts its retries, the second needs one
+    counting = CountingResolver(FlakyResolver(ZoneResolver(fleet.zone()), failures=4))
     lists = _covering_wordlists(fleet, extra_airports=("ams", "nrt"))
     run_crawl(lists, counting, FAST)
-    assert max(counting.per_name.values()) <= 1 + FAST.retries
+    assert max(counting.per_name.values()) == 1 + FAST.retries
+    assert sorted(counting.per_name.values())[-2:] == [2, 1 + FAST.retries]
 
 
 def test_run_crawl_worker_pool_matches_sequential():

@@ -195,7 +195,7 @@ def _campaign_series(base_pps, hours=26.0, dwell_s=30.0, amplitude=0.0, noise=0.
     visits = []
     t = 0.0
     while t < hours * 3600.0:
-        transport.jump_to_ns(round(t * 1e9))
+        transport.sleep_until_ns(round(t * 1e9))
         visits.append(probe_target(server.address, 0.03, dwell_s, transport))
         t += revisit_s
     return server, fleet, visits

@@ -178,13 +178,8 @@ def test_run_campaign_respects_courtesy_cap():
 class RealTimeCounterTransport:
     """Wall-clock fake transport: a single shared counter, instant replies."""
 
-    is_virtual = False
-
     def __init__(self):
-        import threading
-
         self.counter = 0
-        self._lock = threading.Lock()
         self._pending: dict[str, dict[int, tuple[int, int]]] = {}
 
     def now_ns(self) -> int:
@@ -200,22 +195,15 @@ class RealTimeCounterTransport:
 
     def send_echo(self, target: str, seq: int) -> int:
         sent = time.monotonic_ns()
-        with self._lock:
-            self.counter += 1
-            value = self.counter & 0xFFFF
-            self._pending.setdefault(target, {})[seq] = (sent + 1000, value)
+        self.counter += 1
+        self._pending.setdefault(target, {})[seq] = (sent + 1000, self.counter & 0xFFFF)
         return sent
 
-    def drain(self, target: str, deadline_ns: int) -> dict:
-        self.sleep_until_ns(deadline_ns)
-        with self._lock:
-            return self._pending.pop(target, {})
-
-    def end_visit(self, target: str) -> None:
-        pass
+    def end_visit(self, target: str, last_sent_ns: int) -> dict:
+        return self._pending.pop(target, {})
 
 
-def test_run_campaign_threaded_path_with_real_clock():
+def test_run_campaign_with_a_real_clock():
     transport = RealTimeCounterTransport()
     targets = ["198.18.5.1", "198.18.5.2", "198.18.5.3", "198.18.5.4"]
     params = CampaignParams(
@@ -226,6 +214,61 @@ def test_run_campaign_threaded_path_with_real_clock():
     summary = run_campaign(targets, params, transport, sink)
     assert summary.visits_completed >= 4
     assert set(summary.reachable) == set(targets)
+
+
+def test_real_clock_campaign_keeps_to_its_slots():
+    # A visit's reply window overlaps the next visit's sends, so 20 visits
+    # of 0.1 s end 2.0 s plus one reply timeout after the start.
+    transport = RealTimeCounterTransport()
+    targets = [f"198.18.6.{i + 1}" for i in range(20)]
+    params = CampaignParams(
+        probe_interval_s=0.01, dwell_s=0.1, workers=1, total_duration_s=2.0,
+        max_visits_per_hour=None, probe_timeout_s=0.05,
+    )
+    sink = ListSink()
+    started_ns = time.monotonic_ns()
+    run_campaign(targets, params, transport, sink)
+    wall_s = (time.monotonic_ns() - started_ns) / 1e9
+    assert wall_s < 2.5
+    assert len(sink.visits) == 20
+    for slot, visit in enumerate(sink.visits):
+        lag_ns = visit.samples[0].sent_ns - (started_ns + slot * 100_000_000)
+        assert 0 <= lag_ns < 100_000_000, f"visit {slot} started {lag_ns / 1e6:.1f} ms late"
+
+
+def test_single_target_worker_waits_out_its_reply_window():
+    # The last send at 59.97 s plus the 1 s timeout outlasts a 60 s slot.
+    assert plan_campaign(["198.18.0.1"], CampaignParams(workers=1,
+                                                        max_visits_per_hour=None)).cycle_slots == 2
+    server = make_server(base_pps=100.0)
+    fleet = make_fleet([server])
+    params = CampaignParams(
+        probe_interval_s=0.03, dwell_s=3.0, workers=1, total_duration_s=12.0,
+        max_visits_per_hour=None,
+    )
+    sink = ListSink()
+    summary = run_campaign(fleet.addresses(), params, SimulatedTransport(fleet), sink)
+    assert [v.start_ns for v in sink.visits] == [0, 6 * 10**9]
+    assert summary.probes_sent == 200
+    assert summary.losses == 0
+
+
+def test_visits_of_a_slot_send_in_step_and_arrive_in_slot_then_worker_order():
+    servers = [make_server(base_pps=50.0, counter=i + 1) for i in range(6)]
+    fleet = make_fleet(servers)
+    params = CampaignParams(
+        probe_interval_s=0.03, dwell_s=3.0, workers=3, total_duration_s=12.0,
+        max_visits_per_hour=None, seed=4,
+    )
+    sink = ListSink()
+    run_campaign(fleet.addresses(), params, SimulatedTransport(fleet), sink)
+    schedule = plan_campaign(fleet.addresses(), params)
+    expected = [(slot, schedule.target_for_slot(worker, slot))
+                for slot in range(4) for worker in range(3)]
+    assert [(v.start_ns // (3 * 10**9), v.target) for v in sink.visits] == expected
+    for slot in range(4):
+        sent = {tuple(s.sent_ns for s in v.samples) for v in sink.visits[3 * slot:3 * slot + 3]}
+        assert len(sent) == 1
 
 
 def _raw_socket_available() -> bool:
