@@ -21,8 +21,6 @@ from .ipid import (  # noqa: F401
     IdBehavior,
     RateEstimate,
     ambiguity_bound,
-    detect_id_behavior,
-    estimate_rate,
     series_estimates,
     wrap_corrected_delta,
 )

@@ -22,8 +22,6 @@ from . import analytics, discovery, ipid, names, probe, simulation, store, valid
 from .config import CampaignConfig, ConfigError, load_config, parse_duration_s
 from .transport import EchoTransport, TransportError
 
-logger = logging.getLogger(__name__)
-
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_STAGE = 2
@@ -124,7 +122,8 @@ class _JsonlSink:
         if self._file is not None:
             self._file.append(row)
 
-    def add_visit(self, visit: probe.VisitLog) -> None:
+    def add_visit(self, visit: store.VisitFrame) -> None:
+        """Called by ``probe.run_campaign`` with each visit's frame."""
         self.add(visit)
 
     def commit(self, stage: str) -> None:
@@ -250,24 +249,13 @@ def probe_stage(campaign_store, out, config: CampaignConfig, targets: list[str],
 def estimate_stage(campaign_store, out, config: CampaignConfig,
                    frames: Iterable[store.VisitFrame]) -> None:
     """Estimate each visit as its frame is read, then write every target's
-    series, flagged by ``ipid.flag_series``, in target order."""
+    flagged series in target order (``ipid.series_estimates``)."""
     with _stage_output(campaign_store, "estimate", "estimates", out) as sink:
         if sink is None:
             return
-        interval_s = config.campaign.probe_interval_s
-        per_target: dict[str, list[ipid.RateEstimate]] = {}
-        for frame in frames:
-            try:
-                est = ipid.estimate_replies(frame.target, frame.start_ns, frame.end_ns,
-                                            *frame.replies(), interval_s,
-                                            config.campaign.mtu_bytes)
-            except (ipid.InsufficientSamples, ipid.NotACounter) as exc:
-                logger.debug("skipping visit of %s: %s", frame.target, exc)
-                continue
-            per_target.setdefault(frame.target, []).append(est)
-        for target in sorted(per_target):
-            for est in ipid.flag_series(per_target[target], interval_s):
-                sink.add(est.to_json())
+        for est in ipid.series_estimates(frames, config.campaign.probe_interval_s,
+                                         config.campaign.mtu_bytes):
+            sink.add(est.to_json())
 
 
 def report_stage(out_dir, config: CampaignConfig, records: list[discovery.ServerRecord],

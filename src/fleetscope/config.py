@@ -5,8 +5,8 @@ A config file is a JSON object with two optional keys, ``seed`` and
 ``workers``, ``total_duration``, ``max_visits_per_hour``,
 ``probe_timeout``, ``mtu_bytes``). Any other key is an error. The CLI
 loads it once and hands it to every stage: probe paces and schedules by
-it, estimate reads the probe interval and MTU, report bins by the revisit
-period.
+it and plans no cycle longer than the revisit period, estimate reads the
+probe interval and MTU, report bins by the revisit period.
 
 Durations accept plain seconds or strings with units ("30ms", "60s",
 "30m", "10d"). Defaults pace probes every 30 ms, dwell one minute per

@@ -18,7 +18,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .probe import ProbeSample, VisitLog
+from .store import VisitFrame
 
 logger = logging.getLogger(__name__)
 
@@ -70,13 +70,6 @@ def ambiguity_bound(interval_s: float) -> float:
     return MAX_ID / interval_s
 
 
-def _replies(samples: Sequence[ProbeSample]) -> tuple[np.ndarray, np.ndarray]:
-    """Send times and IDs (both int64) of the answered probes, in order."""
-    answered = [(s.sent_ns, s.ipid) for s in samples if s.ipid is not None]
-    columns = np.array(answered, dtype=np.int64).reshape(-1, 2)
-    return columns[:, 0], columns[:, 1]
-
-
 def classify_replies(sent_ns: np.ndarray, ids: np.ndarray) -> IdBehavior:
     """Classify how a target populates the ID field from its answered probes.
 
@@ -109,11 +102,6 @@ def classify_replies(sent_ns: np.ndarray, ids: np.ndarray) -> IdBehavior:
         if resultant >= CLUSTER_CONCENTRATION:
             return IdBehavior.GLOBAL_COUNTER
     return IdBehavior.RANDOM
-
-
-def detect_id_behavior(samples: Sequence[ProbeSample]) -> IdBehavior:
-    """``classify_replies`` over a visit's samples; lost probes are skipped."""
-    return classify_replies(*_replies(samples))
 
 
 @dataclass(slots=True)
@@ -179,7 +167,6 @@ def estimate_replies(
     interval_s: float,
     mtu_bytes: int = 1500,
     behavior: IdBehavior | None = None,
-    subtract_self: bool = True,
 ) -> RateEstimate:
     """Estimate a visit's mean packet and bit rate from its answered probes.
 
@@ -190,7 +177,7 @@ def estimate_replies(
     consecutive replies are summed; gaps spanning several intervals (probe
     loss) additionally resolve how many whole wraps they hide using the
     segment's single-interval rate. One reply packet per observed echo is
-    our own traffic and is subtracted unless ``subtract_self`` is off.
+    our own traffic and is subtracted.
 
     Raises ``NotACounter`` unless the target keeps a global counter and
     ``InsufficientSamples`` below two usable replies.
@@ -223,8 +210,7 @@ def estimate_replies(
     covered_s = float(np.cumsum(gaps)[-1])
     if covered_s <= 0:
         raise InsufficientSamples("zero covered time")
-    if subtract_self:
-        packets = max(0.0, packets - deltas.size)
+    packets = max(0.0, packets - deltas.size)
 
     pps = packets / covered_s
     typical_gap = float(np.median(gaps))
@@ -240,18 +226,6 @@ def estimate_replies(
         segments_used=segments,
         ambiguity_risk=risk,
     )
-
-
-def estimate_rate(
-    visit: VisitLog,
-    interval_s: float,
-    mtu_bytes: int = 1500,
-    behavior: IdBehavior | None = None,
-    subtract_self: bool = True,
-) -> RateEstimate:
-    """``estimate_replies`` over a visit log; lost probes are skipped."""
-    return estimate_replies(visit.target, visit.start_ns, visit.end_ns, *_replies(visit.samples),
-                            interval_s, mtu_bytes, behavior, subtract_self)
 
 
 def daily_autocorrelation(
@@ -314,15 +288,25 @@ def flag_series(estimates: Iterable[RateEstimate], interval_s: float) -> list[Ra
 
 
 def series_estimates(
-    visits: Iterable[VisitLog],
+    frames: Iterable[VisitFrame],
     interval_s: float,
     mtu_bytes: int = 1500,
 ) -> list[RateEstimate]:
-    """One estimate per valid visit of one target, flagged by ``flag_series``."""
-    estimates: list[RateEstimate] = []
-    for visit in visits:
+    """One estimate per valid visit, each target's series flagged by
+    ``flag_series``, ordered by target and then window.
+
+    Visits that are not estimable (``InsufficientSamples``,
+    ``NotACounter``) are skipped. The frames are read once, in order, and
+    may cover any number of targets.
+    """
+    per_target: dict[str, list[RateEstimate]] = {}
+    for frame in frames:
         try:
-            estimates.append(estimate_rate(visit, interval_s, mtu_bytes))
+            est = estimate_replies(frame.target, frame.start_ns, frame.end_ns, *frame.replies(),
+                                   interval_s, mtu_bytes)
         except (InsufficientSamples, NotACounter) as exc:
-            logger.debug("skipping visit of %s: %s", visit.target, exc)
-    return flag_series(estimates, interval_s)
+            logger.debug("skipping visit of %s: %s", frame.target, exc)
+            continue
+        per_target.setdefault(frame.target, []).append(est)
+    return [est for target in sorted(per_target)
+            for est in flag_series(per_target[target], interval_s)]

@@ -19,10 +19,12 @@ import heapq
 import logging
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Protocol, Sequence
 
-from .store import MAX_RTT_NS
+import numpy as np
+
+from .store import LOST_RTT, MAX_RTT_NS, VisitFrame
 from .transport import EchoTransport
 
 logger = logging.getLogger(__name__)
@@ -32,9 +34,9 @@ MAX_PROBES_PER_VISIT = 1 << 16
 
 
 class AllProbesLost(Exception):
-    """Every probe of a visit went unanswered; carries the visit log."""
+    """Every probe of a visit went unanswered; carries the visit's frame."""
 
-    def __init__(self, target: str, visit: "VisitLog"):
+    def __init__(self, target: str, visit: VisitFrame):
         self.target = target
         self.visit = visit
         super().__init__(f"no replies from {target} this visit")
@@ -47,51 +49,6 @@ class CapacityExceeded(ValueError):
 class Aborted(Exception):
     """Campaign interrupted. The probe stage commits nothing of an
     interrupted campaign, so the stage must be rerun."""
-
-
-@dataclass(slots=True)
-class ProbeSample:
-    """One echo observation; ``ipid`` is None when the probe was lost."""
-
-    target: str
-    seq: int
-    sent_ns: int
-    recv_ns: int | None = None
-    ipid: int | None = None
-
-    def __post_init__(self) -> None:
-        if self.recv_ns is not None and self.recv_ns < self.sent_ns:
-            raise ValueError("recv_ns must be >= sent_ns")
-        if self.ipid is not None and not 0 <= self.ipid <= MAX_IPID:
-            raise ValueError("ipid must be a 16-bit value")
-
-    @property
-    def lost(self) -> bool:
-        return self.ipid is None
-
-    @property
-    def rtt_ns(self) -> int | None:
-        if self.recv_ns is None:
-            return None
-        return self.recv_ns - self.sent_ns
-
-
-@dataclass(slots=True)
-class VisitLog:
-    """All samples of one dwell on one target, ordered by send time."""
-
-    target: str
-    start_ns: int
-    end_ns: int
-    samples: list[ProbeSample]
-
-    @property
-    def loss_count(self) -> int:
-        return sum(1 for s in self.samples if s.lost)
-
-    @property
-    def reply_count(self) -> int:
-        return len(self.samples) - self.loss_count
 
 
 @dataclass(frozen=True)
@@ -183,7 +140,9 @@ def plan_campaign(targets: Sequence[str], params: CampaignParams) -> CampaignSch
     cycle. Cycles shorter than the courtesy cap allows get idle padding, as
     do cycles shorter than a visit's last send plus the reply timeout:
     replies are matched by (address, seq), so a target's next visit must
-    not start before its previous reply window closes.
+    not start before its previous reply window closes. A cycle longer than
+    the revisit period, which is also the width of the report bins, raises
+    ``CapacityExceeded``.
     """
     unique = sorted(set(targets))
     if not unique:
@@ -200,10 +159,21 @@ def plan_campaign(targets: Sequence[str], params: CampaignParams) -> CampaignSch
     slot_ns = round(params.dwell_s * 1e9)
     window_ns = ((params.probes_per_visit - 1) * round(params.probe_interval_s * 1e9)
                  + round(params.effective_timeout_s * 1e9))
-    cycle_slots = max(max(len(a) for a in assignment), -(-window_ns // slot_ns))
+    min_slots = -(-window_ns // slot_ns)
     if cap is not None:
         min_spacing_s = 3600.0 / cap
-        cycle_slots = max(cycle_slots, math.ceil(min_spacing_s / params.dwell_s - 1e-9))
+        min_slots = max(min_slots, math.ceil(min_spacing_s / params.dwell_s - 1e-9))
+    cycle_slots = max(min_slots, max(len(a) for a in assignment))
+    period_ns = round(params.revisit_period_s * 1e9)
+    if cycle_slots * slot_ns > period_ns:
+        fits = f"a revisit period of at least {cycle_slots * slot_ns / 1e9:g} s"
+        slots_per_period = period_ns // slot_ns
+        if min_slots <= slots_per_period:
+            fits = f"{-(-len(order) // slots_per_period)} workers or {fits}"
+        raise CapacityExceeded(
+            f"{len(order)} targets over {worker_count} workers take "
+            f"{cycle_slots * slot_ns / 1e9:g} s per cycle, more than the revisit period "
+            f"of {params.revisit_period_s:g} s; this needs {fits}")
     return CampaignSchedule(assignment, params.dwell_s, cycle_slots)
 
 
@@ -213,7 +183,7 @@ def probe_target(
     dwell_s: float,
     transport: EchoTransport,
     timeout_s: float | None = None,
-) -> VisitLog:
+) -> VisitFrame:
     """Send ``dwell/interval`` echoes paced at ``interval``, starting now,
     and collect the replies: a one-target, one-slot campaign.
 
@@ -223,10 +193,12 @@ def probe_target(
     params = CampaignParams(probe_interval_s=interval_s, dwell_s=dwell_s, workers=1,
                             total_duration_s=dwell_s, max_visits_per_hour=None,
                             probe_timeout_s=timeout_s)
+    # one visit, never revisited: the cycle need only hold its reply window
+    params = replace(params, revisit_period_s=2 * dwell_s + params.effective_timeout_s)
     sink = ListSink()
     run_campaign([target], params, transport, sink)
     (visit,) = sink.visits
-    if not visit.reply_count:
+    if (visit.rtt_ns == LOST_RTT).all():
         raise AllProbesLost(target, visit)
     return visit
 
@@ -234,16 +206,16 @@ def probe_target(
 class SampleSink(Protocol):
     """Where completed visits go, in slot order and then worker order."""
 
-    def add_visit(self, visit: VisitLog) -> None: ...
+    def add_visit(self, visit: VisitFrame) -> None: ...
 
 
 class ListSink:
     """In-memory sink."""
 
     def __init__(self) -> None:
-        self.visits: list[VisitLog] = []
+        self.visits: list[VisitFrame] = []
 
-    def add_visit(self, visit: VisitLog) -> None:
+    def add_visit(self, visit: VisitFrame) -> None:
         self.visits.append(visit)
 
 
@@ -310,13 +282,14 @@ def run_campaign(
             transport.sleep_until_ns(due_ns)
             if index == count:
                 for target, sent in visits:
-                    visit = _visit_log(target, sent, transport.end_visit(target, sent[-1]),
-                                       interval_ns, timeout_ns)
+                    visit = _visit_frame(target, sent, transport.end_visit(target, sent[-1]),
+                                         interval_ns, timeout_ns)
                     sink.add_visit(visit)
+                    losses = int(np.count_nonzero(visit.rtt_ns == LOST_RTT))
                     totals.visits_completed += 1
                     totals.probes_sent += count
-                    totals.losses += visit.loss_count
-                    if visit.reply_count:
+                    totals.losses += losses
+                    if losses < count:
                         answered.add(target)
                 continue
             if index == 0:
@@ -335,15 +308,28 @@ def run_campaign(
     return totals
 
 
-def _visit_log(target: str, sent: list[int], replies: dict[int, tuple[int, int]],
-               interval_ns: int, timeout_ns: int) -> VisitLog:
-    """The visit whose probe ``i`` went out at ``sent[i]``; a reply later
-    than the timeout counts as a loss."""
-    samples: list[ProbeSample] = []
-    for i, sent_ns in enumerate(sent):
-        hit = replies.get(i)
-        if hit is not None and hit[0] - sent_ns <= timeout_ns:
-            samples.append(ProbeSample(target, i, sent_ns, hit[0], hit[1]))
-        else:
-            samples.append(ProbeSample(target, i, sent_ns))
-    return VisitLog(target, sent[0], sent[-1] + interval_ns, samples)
+def _visit_frame(target: str, sent: list[int], replies: dict[int, tuple[int, int]],
+                 interval_ns: int, timeout_ns: int) -> VisitFrame:
+    """The visit whose probe ``i`` went out at ``sent[i]``, from the
+    transport's ``{seq: (recv_ns, ip_id)}`` replies. A reply later than the
+    timeout, or to a sequence number the visit did not send, counts as a
+    loss; a reply before its send or an ID outside 16 bits raises
+    ``ValueError``."""
+    sent_ns = np.array(sent, dtype=np.int64)
+    rtt_ns = np.full(len(sent), LOST_RTT, dtype=np.uint32)
+    ipid = np.zeros(len(sent), dtype=np.uint16)
+    if replies:
+        seq = np.fromiter(replies, np.int64, len(replies))
+        recv_ns, ids = np.array(list(replies.values()), dtype=np.int64).reshape(-1, 2).T
+        ours = (seq >= 0) & (seq < len(sent))
+        seq, recv_ns, ids = seq[ours], recv_ns[ours], ids[ours]
+        rtt = recv_ns - sent_ns[seq]
+        if (rtt < 0).any():
+            raise ValueError(f"{target}: a reply arrived before its probe was sent")
+        timely = rtt <= timeout_ns
+        seq, rtt, ids = seq[timely], rtt[timely], ids[timely]
+        if ((ids < 0) | (ids > MAX_IPID)).any():
+            raise ValueError(f"{target}: an IP ID is not a 16-bit value")
+        rtt_ns[seq] = rtt
+        ipid[seq] = ids
+    return VisitFrame(target, sent[0], sent[-1] + interval_ns, sent_ns, rtt_ns, ipid)

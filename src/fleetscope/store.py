@@ -102,22 +102,16 @@ class VisitFrame:
         return self.sent_ns[answered], self.ipid[answered].astype(np.int64)
 
 
-def encode_frame(visit) -> bytes:
-    """The frame of a ``probe.VisitLog``; its samples must be in seq order."""
-    # A lost probe's rtt is -1, which the cast to u32 turns into LOST_RTT.
-    rows = [(s.sent_ns, -1 if s.ipid is None else s.recv_ns - s.sent_ns, s.ipid or 0)
-            for s in visit.samples]
-    columns = np.array(rows, dtype=np.int64).reshape(-1, 3)
-    rtt_ns = columns[:, 1]
-    if rtt_ns.size and rtt_ns.max() > MAX_RTT_NS:
-        raise ValueError(f"{visit.target}: a round-trip time exceeds {MAX_RTT_NS} ns")
-    target = visit.target.encode("ascii")
+def encode_frame(frame: VisitFrame) -> bytes:
+    """The bytes of ``frame`` in the samples file."""
+    target = frame.target.encode("ascii")
     return b"".join((
-        _FRAME_HEADER.pack(FRAME_MAGIC, visit.start_ns, visit.end_ns, len(columns), len(target)),
+        _FRAME_HEADER.pack(FRAME_MAGIC, frame.start_ns, frame.end_ns, len(frame.sent_ns),
+                           len(target)),
         target,
-        columns[:, 0].astype("<i8").tobytes(),
-        rtt_ns.astype("<u4").tobytes(),
-        columns[:, 2].astype("<u2").tobytes(),
+        frame.sent_ns.astype("<i8").tobytes(),
+        frame.rtt_ns.astype("<u4").tobytes(),
+        frame.ipid.astype("<u2").tobytes(),
     ))
 
 
@@ -188,12 +182,12 @@ class JsonlWriter(_PartialFile):
 
 
 class FrameWriter(_PartialFile):
-    """Writes a samples file, one frame per ``probe.VisitLog``."""
+    """Writes a samples file, one frame per ``VisitFrame``."""
 
     binary = True
 
-    def append(self, visit) -> None:
-        self._fh.write(encode_frame(visit))
+    def append(self, frame: VisitFrame) -> None:
+        self._fh.write(encode_frame(frame))
         self._fh.flush()
 
 
@@ -271,7 +265,7 @@ class CampaignStore:
         return open_writer(stream, path)
 
     def append(self, stream: str, obj) -> None:
-        """Append one record (a ``probe.VisitLog`` for samples) to the stream's
+        """Append one record (a ``VisitFrame`` for samples) to the stream's
         pending rows; ``commit`` publishes them."""
         writer = self._writers.get(stream)
         if writer is None:

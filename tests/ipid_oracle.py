@@ -1,11 +1,19 @@
 """Reference estimator: the per-sample loops that ``fleetscope.ipid``'s array
-kernel replaced, kept verbatim so property tests can compare the two."""
+kernel replaced, kept verbatim so property tests can compare the two.
+
+The loops read one record per probe (``ProbeSample``) grouped into a visit
+(``VisitLog``), the in-memory form visits had before ``store.VisitFrame``
+replaced it; ``to_frame`` turns a visit into the frame the kernel reads.
+"""
 
 from __future__ import annotations
 
 import math
 import statistics
+from dataclasses import dataclass
 from typing import Iterable, Sequence
+
+import numpy as np
 
 from fleetscope.ipid import (
     CLUSTER_CONCENTRATION,
@@ -22,7 +30,39 @@ from fleetscope.ipid import (
     ambiguity_bound,
     wrap_corrected_delta,
 )
-from fleetscope.probe import ProbeSample, VisitLog
+from fleetscope.store import LOST_RTT, VisitFrame
+
+
+@dataclass(slots=True)
+class ProbeSample:
+    """One echo observation; ``ipid`` is None when the probe was lost."""
+
+    target: str
+    seq: int
+    sent_ns: int
+    recv_ns: int | None = None
+    ipid: int | None = None
+
+
+@dataclass(slots=True)
+class VisitLog:
+    """All samples of one dwell on one target, ordered by send time."""
+
+    target: str
+    start_ns: int
+    end_ns: int
+    samples: list[ProbeSample]
+
+
+def to_frame(visit: VisitLog) -> VisitFrame:
+    """The frame of ``visit``, whose samples are in seq order."""
+    return VisitFrame(
+        visit.target, visit.start_ns, visit.end_ns,
+        np.array([s.sent_ns for s in visit.samples], dtype=np.int64),
+        np.array([LOST_RTT if s.ipid is None else s.recv_ns - s.sent_ns for s in visit.samples],
+                 dtype=np.uint32),
+        np.array([s.ipid or 0 for s in visit.samples], dtype=np.uint16),
+    )
 
 
 def _live(samples: Iterable[ProbeSample]) -> list[ProbeSample]:

@@ -1,6 +1,8 @@
 """Command-line behaviour: exit codes and the simulate pipeline."""
 
+import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -95,6 +97,25 @@ def test_simulate_end_to_end(tmp_path, small_fleet_file, capsys):
     assert estimates
     reach = json.loads((out / "reachability.json").read_text())
     assert len(reach["reachable"]) == 3
+
+
+@pytest.mark.parametrize("loss_rate, samples_sha256, estimates_sha256", [
+    ("0", "4bad8337d8be2486d99d2acad0ed4b12c6c00662d43f55d273608356e79a1c72",
+     "6a98c24c6bfd95b877a79f016cf1a15f670ad460960fc1eea1919847ec5534e6"),
+    ("0.01", "44306a5bfa63c8ecaf197c87b4a976781998d42dc7404cf10d2384e135e28d76",
+     "4c77f895c468f1445ea8504db6f4cc6f12e9e5d1719bdeb4992a07618838b49c"),
+])
+def test_simulate_outputs_are_pinned(tmp_path, loss_rate, samples_sha256, estimates_sha256):
+    """A change that alters a stored sample or estimate of the example fleet
+    shows here; refactors must keep these digests."""
+    fleet = Path(__file__).resolve().parent.parent / "fleet.example.json"
+    out = tmp_path / "out"
+    assert main(["--seed", "7", "simulate", "--fleet", str(fleet), "--out", str(out),
+                 "--dwell", "6s", "--workers", "4", "--duration", "2h",
+                 "--loss-rate", loss_rate]) == EXIT_OK
+    digests = [hashlib.sha256((out / "store" / name).read_bytes()).hexdigest()
+               for name in ("samples.bin", "estimates.jsonl")]
+    assert digests == [samples_sha256, estimates_sha256]
 
 
 def test_store_backed_pipeline_across_commands(tmp_path, small_fleet_file):

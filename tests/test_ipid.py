@@ -12,17 +12,18 @@ from fleetscope.ipid import (
     InsufficientSamples,
     NotACounter,
     ambiguity_bound,
+    classify_replies,
     daily_autocorrelation,
-    detect_id_behavior,
-    estimate_rate,
+    estimate_replies,
     series_estimates,
     wrap_corrected_delta,
 )
-from fleetscope.probe import ProbeSample, VisitLog, probe_target
+from fleetscope.probe import CampaignParams, ListSink, probe_target, run_campaign
 from fleetscope.simulation import SimulatedTransport
 
 import ipid_oracle
 from conftest import make_fleet, make_server
+from ipid_oracle import ProbeSample, VisitLog, to_frame
 
 
 def test_wrap_corrected_delta_examples():
@@ -56,18 +57,28 @@ def test_ambiguity_bound_examples():
         ambiguity_bound(0.0)
 
 
-def _samples(ids, interval_ns=30_000_000, target="t"):
-    return [
+def _visit(ids, interval_ns=30_000_000, target="t"):
+    samples = [
         ProbeSample(target, i, i * interval_ns, i * interval_ns + 1_000_000, ipid)
         if ipid is not None
         else ProbeSample(target, i, i * interval_ns)
         for i, ipid in enumerate(ids)
     ]
-
-
-def _visit(ids, interval_ns=30_000_000, target="t"):
-    samples = _samples(ids, interval_ns, target)
     return VisitLog(target, 0, len(ids) * interval_ns, samples)
+
+
+def _frame(ids, interval_ns=30_000_000, target="t"):
+    """A visit with one probe per ID, sent every interval; None is a lost probe."""
+    return to_frame(_visit(ids, interval_ns, target))
+
+
+def _classify(frame):
+    return classify_replies(*frame.replies())
+
+
+def _estimate(frame, interval_s, mtu_bytes=1500, behavior=None):
+    return estimate_replies(frame.target, frame.start_ns, frame.end_ns, *frame.replies(),
+                            interval_s, mtu_bytes, behavior)
 
 
 def test_detect_counter_from_simulated_server():
@@ -75,7 +86,7 @@ def test_detect_counter_from_simulated_server():
     fleet = make_fleet([server])
     transport = SimulatedTransport(fleet)
     visit = probe_target(server.address, 0.03, 6.0, transport)
-    assert detect_id_behavior(visit.samples) is IdBehavior.GLOBAL_COUNTER
+    assert _classify(visit) is IdBehavior.GLOBAL_COUNTER
 
 
 def test_detect_random_uniform_ids():
@@ -85,22 +96,22 @@ def test_detect_random_uniform_ids():
     deltas = [wrap_corrected_delta(a, b) for a, b in zip(ids, ids[1:])]
     small = sum(1 for d in deltas if 0 < d < 16384) / len(deltas)
     assert 0.2 < small < 0.3
-    assert detect_id_behavior(_samples(ids)) is IdBehavior.RANDOM
+    assert _classify(_frame(ids)) is IdBehavior.RANDOM
 
 
 def test_detect_constant_sequence():
-    assert detect_id_behavior(_samples([7] * 30)) is IdBehavior.CONSTANT_OR_PERFLOW
+    assert _classify(_frame([7] * 30)) is IdBehavior.CONSTANT_OR_PERFLOW
 
 
 def test_detect_fast_counter_beyond_quarter_range():
     # 1.3 Mpps at 30 ms advances ~39000 per probe: still a counter.
     ids = [(i * 39000) % 65536 for i in range(100)]
-    assert detect_id_behavior(_samples(ids)) is IdBehavior.GLOBAL_COUNTER
+    assert _classify(_frame(ids)) is IdBehavior.GLOBAL_COUNTER
 
 
 def test_detect_requires_enough_samples():
     with pytest.raises(InsufficientSamples):
-        detect_id_behavior(_samples([1, 2, 3]))
+        _classify(_frame([1, 2, 3]))
 
 
 def test_estimate_simulated_steady_server_within_two_percent():
@@ -108,7 +119,7 @@ def test_estimate_simulated_steady_server_within_two_percent():
     fleet = make_fleet([server])
     transport = SimulatedTransport(fleet)
     visit = probe_target(server.address, 0.03, 60.0, transport)
-    est = estimate_rate(visit, 0.03)
+    est = _estimate(visit, 0.03)
     truth = fleet.truth_for(server.address)[0].true_pps
     assert est.packets_per_second == pytest.approx(truth, rel=0.02)
     assert est.bits_per_second == pytest.approx(est.packets_per_second * 1500 * 8)
@@ -120,27 +131,28 @@ def test_estimate_idle_server_after_self_subtraction():
     fleet = make_fleet([server])
     transport = SimulatedTransport(fleet)
     visit = probe_target(server.address, 0.03, 60.0, transport)
-    est = estimate_rate(visit, 0.03)
+    est = _estimate(visit, 0.03)
     probe_rate = 1 / 0.03
     assert est.packets_per_second <= 0.01 * probe_rate
 
 
 def test_estimate_conversion_rule():
-    # 1,000 pps at 1500-byte MTU is 12 Mbit/s.
+    # 30 IDs per 30 ms, one of them our own echo reply: (30 - 1) / 0.03 pps,
+    # or 11.6 Mbit/s at a 1500-byte MTU.
     ids = [(i * 30) % 65536 for i in range(2001)]
-    est = estimate_rate(_visit(ids), 0.03, mtu_bytes=1500, subtract_self=False)
-    assert est.packets_per_second == pytest.approx(1000.0)
-    assert est.bits_per_second == pytest.approx(12_000_000.0)
+    est = _estimate(_frame(ids), 0.03, mtu_bytes=1500)
+    assert est.packets_per_second == pytest.approx((30 - 1) / 0.03)
+    assert est.bits_per_second == pytest.approx((30 - 1) / 0.03 * 1500 * 8)
 
 
 def test_estimate_requires_counter_behavior():
     with pytest.raises(NotACounter):
-        estimate_rate(_visit([7] * 30), 0.03)
+        _estimate(_frame([7] * 30), 0.03)
 
 
 def test_estimate_requires_two_replies():
     with pytest.raises(InsufficientSamples):
-        estimate_rate(_visit([5] + [None] * 20), 0.03)
+        _estimate(_frame([5] + [None] * 20), 0.03)
 
 
 def test_estimate_survives_loss_gaps_with_wrap_completion():
@@ -148,9 +160,9 @@ def test_estimate_survives_loss_gaps_with_wrap_completion():
     per_gap = 39000
     ids = [(i * per_gap) % 65536 for i in range(200)]
     ids[50] = ids[100] = None
-    est = estimate_rate(_visit(ids), 0.03, behavior=IdBehavior.GLOBAL_COUNTER,
-                        subtract_self=False)
-    assert est.packets_per_second == pytest.approx(per_gap / 0.03, rel=0.001)
+    est = _estimate(_frame(ids), 0.03, behavior=IdBehavior.GLOBAL_COUNTER)
+    # 199 intervals in 197 gaps between replies, less one own reply per gap
+    assert est.packets_per_second == pytest.approx((199 * per_gap - 197) / (199 * 0.03))
 
 
 def test_estimate_splits_segments_on_long_gaps():
@@ -168,9 +180,10 @@ def test_estimate_splits_segments_on_long_gaps():
             offset += interval_ns
         offset += 10 * interval_ns
     visit = VisitLog("t", 0, offset, samples)
-    est = estimate_rate(visit, 0.03, behavior=IdBehavior.GLOBAL_COUNTER, subtract_self=False)
+    est = _estimate(to_frame(visit), 0.03, behavior=IdBehavior.GLOBAL_COUNTER)
     assert est.segments_used == 2
-    assert est.packets_per_second == pytest.approx(1000.0, rel=0.01)
+    # 30 IDs per interval, one of them our own echo reply
+    assert est.packets_per_second == pytest.approx((30 - 1) / 0.03)
 
 
 def test_no_overcount_against_simulator_truth():
@@ -178,13 +191,33 @@ def test_no_overcount_against_simulator_truth():
     fleet = make_fleet([server])
     transport = SimulatedTransport(fleet, loss_rate=0.01)
     visit = probe_target(server.address, 0.03, 60.0, transport)
-    est = estimate_rate(visit, 0.03)
+    est = _estimate(visit, 0.03)
     truth = fleet.truth_for(server.address)[0].true_pps
     assert est.packets_per_second <= truth * 1.001 + 1.0
 
 
 def test_series_estimates_empty_input():
     assert series_estimates([], 0.03) == []
+
+
+def test_series_estimates_orders_many_targets_and_skips_what_it_cannot_estimate():
+    counters = [make_server(base_pps=500.0 * (i + 1), counter=i + 1) for i in range(3)]
+    randoms = make_server(base_pps=500.0, counter=8, behavior=IdBehavior.RANDOM)
+    silent = make_server(base_pps=500.0, counter=9, reachable=False)
+    fleet = make_fleet(counters + [randoms, silent])
+    params = CampaignParams(probe_interval_s=0.03, dwell_s=3.0, workers=2,
+                            total_duration_s=60.0, max_visits_per_hour=None, seed=5)
+    sink = ListSink()
+    run_campaign(fleet.addresses(), params, SimulatedTransport(fleet), sink)
+    estimates = series_estimates(iter(sink.visits), 0.03)
+    # the visits of the random-ID and the silent server are skipped
+    assert sorted({e.target for e in estimates}) == sorted(s.address for s in counters)
+    keys = [(e.target, e.window_start_ns) for e in estimates]
+    assert keys == sorted(keys)
+    assert len(keys) == sum(1 for v in sink.visits if v.target in {s.address for s in counters})
+    per_target = [est for target in sorted(s.address for s in counters)
+                  for est in series_estimates([v for v in sink.visits if v.target == target], 0.03)]
+    assert estimates == per_target
 
 
 def _campaign_series(base_pps, hours=26.0, dwell_s=30.0, amplitude=0.0, noise=0.0,
@@ -290,13 +323,12 @@ _FAST_WITH_LOSS = (_visit([None if i % 3 == 2 else i * 20_000 % 65536 for i in r
 
 
 @settings(max_examples=300, deadline=None)
-@example(_NINE_IN_TEN, None, True)
-@example(_FAST_WITH_LOSS, None, True)
-@given(_random_visits(), st.sampled_from([None, IdBehavior.GLOBAL_COUNTER]), st.booleans())
-def test_kernel_matches_the_per_sample_loops(visit_and_interval, behavior, subtract_self):
+@example(_NINE_IN_TEN, None)
+@example(_FAST_WITH_LOSS, None)
+@given(_random_visits(), st.sampled_from([None, IdBehavior.GLOBAL_COUNTER]))
+def test_kernel_matches_the_per_sample_loops(visit_and_interval, behavior):
     visit, interval_s = visit_and_interval
-    assert _outcome(detect_id_behavior, visit.samples) == _outcome(
-        ipid_oracle.detect_id_behavior, visit.samples)
-    kwargs = dict(mtu_bytes=1500, behavior=behavior, subtract_self=subtract_self)
-    assert _outcome(estimate_rate, visit, interval_s, **kwargs) == _outcome(
-        ipid_oracle.estimate_rate, visit, interval_s, **kwargs)
+    frame = to_frame(visit)
+    assert _outcome(_classify, frame) == _outcome(ipid_oracle.detect_id_behavior, visit.samples)
+    assert _outcome(_estimate, frame, interval_s, 1500, behavior) == _outcome(
+        ipid_oracle.estimate_rate, visit, interval_s, 1500, behavior, subtract_self=True)

@@ -2,6 +2,7 @@
 
 import time
 
+import numpy as np
 import pytest
 
 from fleetscope.probe import (
@@ -9,12 +10,12 @@ from fleetscope.probe import (
     CampaignParams,
     CapacityExceeded,
     ListSink,
-    ProbeSample,
     plan_campaign,
     probe_target,
     run_campaign,
 )
 from fleetscope.simulation import SimulatedTransport
+from fleetscope.store import LOST_RTT
 from fleetscope.transport import build_echo_request, icmp_checksum, parse_echo_reply
 
 from conftest import make_fleet, make_server
@@ -31,6 +32,28 @@ def test_plan_matches_thirty_minute_revisit():
     assert schedule.cycle_s == 1800.0
     assigned = [t for worker in schedule.worker_targets for t in worker]
     assert sorted(assigned) == sorted(targets)
+
+
+def _addresses(count):
+    return [f"198.18.{i // 250}.{i % 250 + 1}" for i in range(count)]
+
+
+def test_plan_refuses_a_cycle_longer_than_the_revisit_period():
+    # 32 one-minute visits per worker take 1,920 s, but reports bin by 1,800 s
+    with pytest.raises(CapacityExceeded, match="156 workers or a revisit period of at least 1920 s"):
+        plan_campaign(_addresses(4669), CampaignParams(seed=7))
+    # the courtesy cap alone needs 1,800 s: no number of workers fits 900 s
+    with pytest.raises(CapacityExceeded, match="this needs a revisit period of at least 1800 s"):
+        plan_campaign(_addresses(8), CampaignParams(workers=4, revisit_period_s=900.0))
+
+
+@pytest.mark.parametrize("targets, workers, dwell_s", [
+    (4669, 150, 0.75),  # the shape of the fleet-sweep benchmark
+    (8, 4, 60.0),  # the shape of the campaign-day benchmark
+])
+def test_plan_keeps_benchmark_shapes_at_thirty_minutes(targets, workers, dwell_s):
+    schedule = plan_campaign(_addresses(targets), CampaignParams(workers=workers, dwell_s=dwell_s))
+    assert schedule.cycle_slots * round(dwell_s * 1e9) == 1800 * 10**9
 
 
 def test_plan_pads_single_target_to_cap_spacing():
@@ -85,18 +108,26 @@ def test_probe_target_sends_dwell_over_interval_probes():
     server = make_server(base_pps=1000.0)
     fleet = make_fleet([server])
     visit = probe_target(server.address, 0.03, 60.0, SimulatedTransport(fleet))
-    assert len(visit.samples) == 2000
-    assert visit.loss_count == 0
-    assert all(0 <= s.ipid <= 65535 for s in visit.samples)
+    assert len(visit.sent_ns) == len(visit.rtt_ns) == len(visit.ipid) == 2000
+    assert not (visit.rtt_ns == LOST_RTT).any()
+    assert len(set(visit.ipid.tolist())) > 1000
 
 
 def test_probe_target_pacing_is_exact_under_virtual_clock():
     server = make_server(base_pps=100.0)
     fleet = make_fleet([server])
     visit = probe_target(server.address, 0.03, 6.0, SimulatedTransport(fleet))
-    gaps = [b.sent_ns - a.sent_ns for a, b in zip(visit.samples, visit.samples[1:])]
     interval_ns = 30_000_000
-    assert all(abs(g - interval_ns) <= interval_ns / 10 for g in gaps)
+    assert (abs(np.diff(visit.sent_ns) - interval_ns) <= interval_ns / 10).all()
+
+
+def test_probe_target_is_one_visit_whatever_the_revisit_period():
+    # 2,000 probes over 1,000 s plus the reply timeout span two slots,
+    # 2,000 s: longer than the default 1,800 s a campaign may cycle in
+    server = make_server(base_pps=100.0)
+    visit = probe_target(server.address, 0.5, 1000.0, SimulatedTransport(make_fleet([server])),
+                         timeout_s=1.0)
+    assert len(visit.sent_ns) == 2000
 
 
 def test_probe_target_black_hole_raises_with_visit():
@@ -104,14 +135,68 @@ def test_probe_target_black_hole_raises_with_visit():
     fleet = make_fleet([server])
     with pytest.raises(AllProbesLost) as exc:
         probe_target(server.address, 0.03, 6.0, SimulatedTransport(fleet))
-    assert exc.value.visit.loss_count == 200
+    assert (exc.value.visit.rtt_ns == LOST_RTT).sum() == 200
 
 
-def test_sample_invariants():
-    with pytest.raises(ValueError):
-        ProbeSample("t", 0, 100, 50, 1)
-    with pytest.raises(ValueError):
-        ProbeSample("t", 0, 0, 1, 70000)
+class ScriptedTransport:
+    """Virtual clock whose ``end_visit`` returns ``replies(send times)``."""
+
+    def __init__(self, replies):
+        self.replies = replies
+        self.clock_ns = 0
+        self.sent: list[int] = []
+
+    def now_ns(self) -> int:
+        return self.clock_ns
+
+    def sleep_until_ns(self, t_ns: int) -> None:
+        self.clock_ns = max(self.clock_ns, t_ns)
+
+    def begin_visit(self, target: str) -> None:
+        self.sent = []
+
+    def send_echo(self, target: str, seq: int) -> int:
+        self.sent.append(self.clock_ns)
+        return self.clock_ns
+
+    def end_visit(self, target: str, last_sent_ns: int) -> dict:
+        return self.replies(self.sent)
+
+
+def _one_visit(replies):
+    """One visit of ten probes (1 s timeout) against ``ScriptedTransport(replies)``."""
+    params = CampaignParams(probe_interval_s=0.03, dwell_s=0.3, workers=1, total_duration_s=0.3,
+                            max_visits_per_hour=None)
+    sink = ListSink()
+    summary = run_campaign(["198.18.0.1"], params, ScriptedTransport(replies), sink)
+    (visit,) = sink.visits
+    return summary, visit
+
+
+def _answer_all(sent):
+    return {i: (sent_ns + 1_000, i) for i, sent_ns in enumerate(sent)}
+
+
+def test_a_reply_before_its_probe_is_an_error():
+    with pytest.raises(ValueError, match="before its probe"):
+        _one_visit(lambda sent: _answer_all(sent) | {3: (sent[3] - 1, 3)})
+
+
+def test_an_id_outside_sixteen_bits_is_an_error():
+    with pytest.raises(ValueError, match="16-bit"):
+        _one_visit(lambda sent: _answer_all(sent) | {4: (sent[4] + 1_000, 70_000)})
+
+
+def test_replies_to_unsent_probes_and_late_replies_count_as_lost():
+    # neither is checked further: seq 10 arrives before any send of that
+    # number could have, and the late reply carries an impossible ID
+    def replies(sent):
+        return _answer_all(sent) | {10: (0, 1), -1: (0, 1), 2: (sent[2] + 1_000_000_001, 70_000)}
+
+    summary, visit = _one_visit(replies)
+    assert summary.losses == 1
+    assert visit.rtt_ns.tolist() == [1_000] * 2 + [LOST_RTT] + [1_000] * 7
+    assert visit.ipid.tolist() == [0, 1, 0, 3, 4, 5, 6, 7, 8, 9]
 
 
 def test_run_campaign_reachability_partition():
@@ -149,7 +234,7 @@ def test_run_campaign_sample_times_strictly_increase_per_target():
     run_campaign(fleet.addresses(), params, SimulatedTransport(fleet), sink)
     per_target: dict[str, list[int]] = {}
     for visit in sink.visits:
-        per_target.setdefault(visit.target, []).extend(s.sent_ns for s in visit.samples)
+        per_target.setdefault(visit.target, []).extend(visit.sent_ns.tolist())
     for times in per_target.values():
         assert all(a < b for a, b in zip(times, times[1:]))
 
@@ -232,7 +317,7 @@ def test_real_clock_campaign_keeps_to_its_slots():
     assert wall_s < 2.5
     assert len(sink.visits) == 20
     for slot, visit in enumerate(sink.visits):
-        lag_ns = visit.samples[0].sent_ns - (started_ns + slot * 100_000_000)
+        lag_ns = visit.sent_ns[0] - (started_ns + slot * 100_000_000)
         assert 0 <= lag_ns < 100_000_000, f"visit {slot} started {lag_ns / 1e6:.1f} ms late"
 
 
@@ -267,7 +352,7 @@ def test_visits_of_a_slot_send_in_step_and_arrive_in_slot_then_worker_order():
                 for slot in range(4) for worker in range(3)]
     assert [(v.start_ns // (3 * 10**9), v.target) for v in sink.visits] == expected
     for slot in range(4):
-        sent = {tuple(s.sent_ns for s in v.samples) for v in sink.visits[3 * slot:3 * slot + 3]}
+        sent = {tuple(v.sent_ns.tolist()) for v in sink.visits[3 * slot:3 * slot + 3]}
         assert len(sent) == 1
 
 
@@ -288,12 +373,10 @@ def test_raw_transport_probes_loopback():
 
     with RawIcmpTransport() as transport:
         visit = probe_target("127.0.0.1", 0.005, 0.25, transport, timeout_s=0.5)
-    assert len(visit.samples) == 50
-    assert visit.reply_count > 40  # loopback answers essentially everything
-    for sample in visit.samples:
-        if sample.ipid is not None:
-            assert 0 <= sample.ipid <= 65535
-            assert sample.rtt_ns is not None and sample.rtt_ns > 0
+    assert len(visit.sent_ns) == 50
+    answered = visit.rtt_ns != LOST_RTT
+    assert answered.sum() > 40  # loopback answers essentially everything
+    assert (visit.rtt_ns[answered] > 0).all()
 
 
 class _NoSocket:

@@ -2,10 +2,10 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from fleetscope.config import ConfigError, load_config, parse_duration_s
-from fleetscope.probe import ProbeSample, VisitLog
 from fleetscope.store import (
     LOST_RTT,
     MAX_RTT_NS,
@@ -13,7 +13,7 @@ from fleetscope.store import (
     SchemaMismatch,
     StageOrderError,
     StoreError,
-    encode_frame,
+    VisitFrame,
 )
 
 
@@ -73,14 +73,14 @@ def test_newer_schema_version_is_rejected(tmp_path):
 # -- sample frames -------------------------------------------------------------
 
 def _visit(target="198.18.0.7", start_ns=5_000_000_000, count=40, lost=(3, 4, 17)):
-    samples = []
-    for i in range(count):
-        sent_ns = start_ns + i * 30_000_000
-        if i in lost:
-            samples.append(ProbeSample(target, i, sent_ns))
-        else:
-            samples.append(ProbeSample(target, i, sent_ns, sent_ns + 1_000 * i, (60_000 + 7 * i) % 65536))
-    return VisitLog(target, start_ns, start_ns + count * 30_000_000, samples)
+    seq = np.arange(count)
+    answered = ~np.isin(seq, lost)
+    return VisitFrame(
+        target, start_ns, start_ns + count * 30_000_000,
+        (start_ns + seq * 30_000_000).astype(np.int64),
+        np.where(answered, 1_000 * seq, LOST_RTT).astype(np.uint32),
+        np.where(answered, (60_000 + 7 * seq) % 65536, 0).astype(np.uint16),
+    )
 
 
 def _committed_samples(tmp_path, visits):
@@ -99,23 +99,26 @@ def test_frames_round_trip_every_column(tmp_path):
     assert len(frames) == len(visits)
     for visit, frame in zip(visits, frames):
         assert (frame.target, frame.start_ns, frame.end_ns) == (visit.target, visit.start_ns, visit.end_ns)
-        assert frame.sent_ns.tolist() == [s.sent_ns for s in visit.samples]
-        assert frame.rtt_ns.tolist() == [LOST_RTT if s.lost else s.rtt_ns for s in visit.samples]
-        assert frame.ipid.tolist() == [s.ipid or 0 for s in visit.samples]
+        for column in ("sent_ns", "rtt_ns", "ipid"):
+            assert getattr(frame, column).tolist() == getattr(visit, column).tolist()
         sent_ns, ids = frame.replies()
-        assert sent_ns.tolist() == [s.sent_ns for s in visit.samples if not s.lost]
-        assert ids.tolist() == [s.ipid for s in visit.samples if not s.lost]
+        answered = visit.rtt_ns != LOST_RTT
+        assert sent_ns.tolist() == visit.sent_ns[answered].tolist()
+        assert ids.tolist() == visit.ipid[answered].tolist()
+    sent_ns, ids = frames[0].replies()  # probes 3, 4 and 17 were lost
+    assert sent_ns[:4].tolist() == [5_000_000_000 + i * 30_000_000 for i in (0, 1, 2, 5)]
+    assert ids[:4].tolist() == [60_000, 60_007, 60_014, 60_035]
+    assert len(ids) == 37
     # 25 header bytes and the target per frame, 8 + 4 + 2 bytes per probe
     assert store.stream_path("samples").stat().st_size == sum(
-        25 + len(v.target) + 14 * len(v.samples) for v in visits)
+        25 + len(v.target) + 14 * len(v.sent_ns) for v in visits)
 
 
 def test_frame_round_trip_longest_rtt(tmp_path):
-    visit = VisitLog("t", 0, 60, [ProbeSample("t", 0, 0, MAX_RTT_NS, 1), ProbeSample("t", 1, 30)])
+    visit = VisitFrame("t", 0, 60, np.array([0, 30]), np.array([MAX_RTT_NS, LOST_RTT], np.uint32),
+                       np.array([1, 0], np.uint16))
     (frame,) = _committed_samples(tmp_path, [visit]).scan("samples")
     assert frame.rtt_ns.tolist() == [MAX_RTT_NS, LOST_RTT]
-    with pytest.raises(ValueError):
-        encode_frame(VisitLog("t", 0, 60, [ProbeSample("t", 0, 0, MAX_RTT_NS + 1, 1)]))
 
 
 @pytest.mark.parametrize("damage", ["truncated", "bad magic", "do not increase"])
