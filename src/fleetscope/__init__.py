@@ -1,8 +1,8 @@
 """fleetscope: map structured-hostname CDN fleets and estimate their traffic.
 
 Discovery enumerates grammar-generated hostnames and resolves them;
-validation cross-checks claimed locations against geo/ASN snapshots and
-RTT proximity; the probe engine samples IPv4 ID counters over ICMP; the
+validation cross-checks claimed locations and operators against geo and
+ASN snapshots; the probe engine samples IPv4 ID counters over ICMP; the
 estimator turns ID deltas into packet rates; analytics aggregates them.
 A simulated fleet with exact ground truth backs the whole test suite.
 """

@@ -253,42 +253,6 @@ def _deployment_vs_traffic(joined: Iterable[ServerSeries]) -> list[LocationTraff
     ]
 
 
-def reachability_table(
-    records: Sequence[ServerRecord],
-    reachable: Iterable[str],
-    airports: AirportDatabase | None = None,
-    continents: Mapping[str, str] | None = None,
-) -> dict[str, dict[str, dict[str, int]]]:
-    """Reachable/non-reachable target counts per continent and operator kind.
-
-    Returns ``table[continent][kind] = {"reachable": n, "non_reachable": m}``
-    with a ``"total"`` row and kind.
-    """
-    reachable_set = set(reachable)
-    table: dict[str, dict[str, dict[str, int]]] = {}
-
-    def bump(continent: str, kind: str, bucket: str) -> None:
-        row = table.setdefault(continent, {})
-        cell = row.setdefault(kind, {"reachable": 0, "non_reachable": 0})
-        cell[bucket] += 1
-
-    for record in records:
-        continent = "unknown"
-        if airports is not None and record.name.airport_code in airports:
-            country = airports.country(record.name.airport_code)
-            continent = (continents or {}).get(country, "unknown")
-        bucket = (
-            "reachable"
-            if any(a in reachable_set for a in record.addresses)
-            else "non_reachable"
-        )
-        bump(continent, record.operator_kind, bucket)
-        bump(continent, "total", bucket)
-        bump("total", record.operator_kind, bucket)
-        bump("total", "total", bucket)
-    return table
-
-
 def _write_csv(path: Path, header: list[str], rows: Iterable[Sequence]) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
@@ -307,11 +271,13 @@ def write_reports(
     airports: AirportDatabase | None = None,
     continents: Mapping[str, str] | None = None,
     bin_s: float = DEFAULT_BIN_S,
+    validation: Mapping | None = None,
 ) -> dict[str, Path]:
     """Write the CSV report set plus a JSON summary; returns the paths.
 
-    Output is deterministic for identical inputs: rows are sorted and
-    floats rendered with ``repr``.
+    ``validation``, the verdict counts, becomes the summary's
+    ``validation`` key when given. Output is deterministic for identical
+    inputs: rows are sorted and floats rendered with ``repr``.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -377,6 +343,8 @@ def write_reports(
             {e.target for e in estimates if e.lower_bound_only}
         ),
     }
+    if validation is not None:
+        summary["validation"] = validation
     paths["summary"] = out / "summary.json"
     paths["summary"].write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
     return paths

@@ -218,22 +218,29 @@ def crawl_stage(campaign_store, out, lists: names.Wordlists, resolver: discovery
 def validate_stage(campaign_store, out, records: list[discovery.ServerRecord],
                    snapshot: validation.AddressSnapshot, cdn_asns: set[int],
                    isp_asns: dict[str, list[int]], airports: validation.AirportDatabase) -> None:
-    """Write one geo and ASN verdict per record."""
+    """Write one geo and ASN verdict per record. ISP labels that claim sites
+    in two or more countries count as multinational operators."""
     with _stage_output(campaign_store, "validate", "verdicts", out) as sink:
         if sink is None:
             return
+        multinational = validation.multinational_labels(records, airports)
         for record in records:
-            geo = validation.geo_crosscheck(record, snapshot, cdn_asns, airports)
-            asn = validation.asn_crosscheck(record, snapshot, cdn_asns, isp_asns)
             sink.add({
                 "v": 1,
                 "name": record.hostname,
-                "geo": {"verdict": geo.verdict, "mismatch_class": geo.mismatch_class,
-                        "expected_country": geo.expected_country,
-                        "observed_country": geo.observed_country},
-                "asn": {"verdict": asn.verdict, "observed_asn": asn.observed_asn,
-                        "expected_owner": asn.expected_owner, "isp": asn.isp_label},
+                "geo": _verdict(validation.geo_crosscheck, record, snapshot, cdn_asns, airports,
+                                multinational),
+                "asn": _verdict(validation.asn_crosscheck, record, snapshot, cdn_asns, isp_asns),
             })
+
+
+def _verdict(check, *args) -> dict:
+    """``check``'s verdict as a row field; ``unverified``, with the reason,
+    when the airport database or the snapshot does not cover the record."""
+    try:
+        return check(*args).to_json()
+    except (validation.UnknownAirportCode, validation.UnknownAddress) as exc:
+        return {"verdict": validation.VERDICT_UNVERIFIED, "reason": exc.reason}
 
 
 def probe_stage(campaign_store, out, config: CampaignConfig, targets: list[str],
@@ -258,13 +265,18 @@ def estimate_stage(campaign_store, out, config: CampaignConfig,
             sink.add(est.to_json())
 
 
-def report_stage(out_dir, config: CampaignConfig, records: list[discovery.ServerRecord],
-                 estimates: list[ipid.RateEstimate], airports: validation.AirportDatabase
-                 ) -> dict[str, Path]:
-    """Write the report files, binned by the revisit period; always rewritten."""
+def report_stage(campaign_store, out_dir, config: CampaignConfig,
+                 records: list[discovery.ServerRecord], estimates: list[ipid.RateEstimate],
+                 airports: validation.AirportDatabase) -> dict[str, Path]:
+    """Write the report files, binned by the revisit period; always rewritten.
+    When the store's validate stage is done, ``summary.json`` gains the
+    verdict counts (``validation.summarize_verdicts``)."""
+    verdicts = None
+    if campaign_store is not None and campaign_store.stage_done("validate"):
+        verdicts = validation.summarize_verdicts(campaign_store.scan("verdicts"))
     return analytics.write_reports(out_dir, records, estimates, airports,
                                    validation.load_continent_table(),
-                                   bin_s=config.campaign.revisit_period_s)
+                                   bin_s=config.campaign.revisit_period_s, validation=verdicts)
 
 
 # -- subcommands -------------------------------------------------------------
@@ -412,11 +424,11 @@ def _cmd_estimate(args, config: CampaignConfig) -> int:
 
 
 def _cmd_report(args, config: CampaignConfig) -> int:
+    airports = validation.AirportDatabase.bundled(with_aliases=True)
     with _open_store(args, create=False) as campaign_store:
         records = _records_in(args.records, campaign_store)
         estimates = _estimates_in(args.estimates, campaign_store)
-    airports = validation.AirportDatabase.bundled(with_aliases=True)
-    paths = report_stage(args.out, config, records, estimates, airports)
+        paths = report_stage(campaign_store, args.out, config, records, estimates, airports)
     for name in sorted(paths):
         print(paths[name])
     return EXIT_OK
@@ -453,7 +465,7 @@ def _cmd_simulate(args, config: CampaignConfig) -> int:
 
         estimate_stage(campaign_store, None, config, campaign_store.scan("samples"))
         estimates = _estimates_in(None, campaign_store)
-    report_stage(out_dir, config, records, estimates, airports)
+        report_stage(campaign_store, out_dir, config, records, estimates, airports)
     print(f"simulated campaign complete: {len(records)} servers, "
           f"{len(estimates)} estimates, reports in {out_dir}")
     return EXIT_OK
@@ -498,9 +510,13 @@ def main(argv=None) -> int:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (ConfigError, store.StoreError, discovery.ResolverUnavailable,
-            probe.CapacityExceeded, probe.Aborted, TransportError,
-            OSError, ValueError) as exc:
+            probe.CapacityExceeded, TransportError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_STAGE
+    except KeyboardInterrupt:
+        # every stage writes to .partial files and commits only at its end
+        print(f"error: interrupted; nothing was committed, rerun the {args.command} stage",
+              file=sys.stderr)
         return EXIT_STAGE
 
 

@@ -2,20 +2,16 @@
 
 The crawl walks the candidate stream, resolves each name through a
 pluggable resolver, and records one ``ServerRecord`` per name that
-resolves. Output is invariant under candidate order; a progress cursor
-makes long crawls resumable.
+resolves. Output is invariant under candidate order. The crawl runs on one
+thread and keeps no cursor: an interrupted crawl reruns from the start.
 """
 
 from __future__ import annotations
 
-import json
 import logging
 import socket
-import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Iterable, Mapping, Protocol
 
 from .names import (
@@ -40,10 +36,6 @@ class ResolverUnavailable(Exception):
     """All resolver endpoints failed; distinct from an authoritative nxdomain."""
 
 
-class Interrupted(Exception):
-    """Crawl interrupted; progress was persisted."""
-
-
 @dataclass(slots=True)
 class ResolutionResult:
     """Outcome of one resolution attempt."""
@@ -59,10 +51,7 @@ class ResolutionResult:
 
 
 class Resolver(Protocol):
-    """One resolution attempt; retry policy lives in the crawl, not here.
-
-    Implementations must be safe for concurrent calls.
-    """
+    """One resolution attempt; retry policy lives in the crawl, not here."""
 
     def query(self, name: str) -> ResolutionResult: ...
 
@@ -137,10 +126,6 @@ class ServerRecord:
         return self.name.isp_label
 
     @property
-    def claimed_location(self) -> str:
-        return self.name.airport_code
-
-    @property
     def site_code(self) -> str:
         return self.name.site_code
 
@@ -177,19 +162,16 @@ class RateLimiter:
         self.capacity = max(1.0, rate_per_s / 10.0)
         self._tokens = self.capacity
         self._last = time.monotonic()
-        self._lock = threading.Lock()
 
     def acquire(self) -> None:
         while True:
-            with self._lock:
-                now = time.monotonic()
-                self._tokens = min(self.capacity, self._tokens + (now - self._last) * self.rate)
-                self._last = now
-                if self._tokens >= 1.0:
-                    self._tokens -= 1.0
-                    return
-                wait = (1.0 - self._tokens) / self.rate
-            time.sleep(wait)
+            now = time.monotonic()
+            self._tokens = min(self.capacity, self._tokens + (now - self._last) * self.rate)
+            self._last = now
+            if self._tokens >= 1.0:
+                self._tokens -= 1.0
+                return
+            time.sleep((1.0 - self._tokens) / self.rate)
 
 
 def resolve_candidate(name: str, resolver: Resolver, policy: CrawlPolicy) -> ResolutionResult:
@@ -217,109 +199,34 @@ def resolve_candidate(name: str, resolver: Resolver, policy: CrawlPolicy) -> Res
     return last
 
 
-def _load_cursor(path: Path) -> tuple[int, list[dict]]:
-    if not path.exists():
-        return 0, []
-    state = json.loads(path.read_text())
-    return state["cursor"], state["records"]
-
-
-def _save_cursor(path: Path, cursor: int, records: Iterable[ServerRecord]) -> None:
-    state = {"cursor": cursor, "records": [r.to_json() for r in records]}
-    tmp = path.with_suffix(path.suffix + ".tmp")
-    tmp.write_text(json.dumps(state))
-    tmp.replace(path)
-
-
 def run_crawl(
     lists: Wordlists,
     resolver: Resolver,
     policy: CrawlPolicy,
     domain_suffix: str = "nflxvideo.net",
-    worker_count: int = 1,
-    progress_path: str | Path | None = None,
-    persist_every: int = 10000,
 ) -> list[ServerRecord]:
     """Attempt every candidate once (plus timeout retries) and collect hits.
 
-    Returns one record per resolved name, sorted by hostname. When
-    ``progress_path`` is set, a cursor plus found records persist every
-    ``persist_every`` candidates; re-running resumes past the cursor.
-    Interruption persists progress and raises ``Interrupted``.
+    Returns one record per resolved name, sorted by hostname.
     """
     limiter = (
         RateLimiter(policy.max_queries_per_second)
         if policy.max_queries_per_second is not None
         else None
     )
-    progress = Path(progress_path) if progress_path is not None else None
-    start_at = 0
-    found: dict[str, ServerRecord] = {}
-    if progress is not None:
-        start_at, persisted = _load_cursor(progress)
-        for obj in persisted:
-            record = ServerRecord.from_json(obj, domain_suffix=domain_suffix)
-            found[record.hostname] = record
-
-    def record_hit(result: ResolutionResult) -> None:
-        name = parse_server_name(result.name, domain_suffix=domain_suffix)
-        existing = found.get(result.name)
-        if existing is None:
-            found[result.name] = ServerRecord(
-                name=name,
+    found = []
+    for candidate in enumerate_candidates(lists, domain_suffix=domain_suffix):
+        if limiter is not None:
+            limiter.acquire()
+        result = resolve_candidate(candidate, resolver, policy)
+        if result.outcome == OUTCOME_RESOLVED:
+            found.append(ServerRecord(
+                name=parse_server_name(result.name, domain_suffix=domain_suffix),
                 addresses=result.addresses,
                 first_seen_ns=result.resolved_at_ns,
                 last_seen_ns=result.resolved_at_ns,
-            )
-        else:
-            existing.last_seen_ns = max(existing.last_seen_ns, result.resolved_at_ns)
-
-    def resolve_one(name: str) -> ResolutionResult:
-        if limiter is not None:
-            limiter.acquire()
-        return resolve_candidate(name, resolver, policy)
-
-    cursor = 0
-    candidates = enumerate_candidates(lists, domain_suffix=domain_suffix)
-    try:
-        if worker_count <= 1:
-            for cursor, candidate in enumerate(candidates, start=1):
-                if cursor <= start_at:
-                    continue
-                result = resolve_one(candidate)
-                if result.outcome == OUTCOME_RESOLVED:
-                    record_hit(result)
-                if progress is not None and cursor % persist_every == 0:
-                    _save_cursor(progress, cursor, found.values())
-        else:
-            with ThreadPoolExecutor(max_workers=worker_count) as pool:
-                batch: list[str] = []
-                last_persist = start_at
-
-                def flush() -> None:
-                    for result in pool.map(resolve_one, batch):
-                        if result.outcome == OUTCOME_RESOLVED:
-                            record_hit(result)
-                    batch.clear()
-
-                for cursor, candidate in enumerate(candidates, start=1):
-                    if cursor <= start_at:
-                        continue
-                    batch.append(candidate)
-                    if len(batch) >= max(worker_count * 8, 64):
-                        flush()
-                        if progress is not None and cursor - last_persist >= persist_every:
-                            _save_cursor(progress, cursor, found.values())
-                            last_persist = cursor
-                flush()
-    except KeyboardInterrupt:
-        if progress is not None:
-            _save_cursor(progress, max(cursor - 1, start_at), found.values())
-        raise Interrupted(f"crawl interrupted at candidate {cursor}") from None
-
-    if progress is not None:
-        _save_cursor(progress, cursor, found.values())
-    return sorted(found.values(), key=lambda r: r.hostname)
+            ))
+    return sorted(found, key=lambda r: r.hostname)
 
 
 @dataclass(frozen=True)

@@ -21,13 +21,10 @@ stays within ordinary crawl sizes.
 
 from __future__ import annotations
 
-import logging
 import re
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Collection, Iterator
-
-logger = logging.getLogger(__name__)
 
 DEFAULT_DOMAIN_SUFFIX = "nflxvideo.net"
 
@@ -152,20 +149,16 @@ class ServerName:
         return format_server_name(self)
 
 
-def parse_server_name(
-    name: str,
-    domain_suffix: str = DEFAULT_DOMAIN_SUFFIX,
-    known_airports: Collection[str] | None = None,
-) -> ServerName:
+def parse_server_name(name: str, domain_suffix: str = DEFAULT_DOMAIN_SUFFIX) -> ServerName:
     """Decompose a hostname into its components.
 
     Raises ``MalformedName`` naming the failing component for anything that
     does not match the grammar byte for byte; ``format_server_name`` of the
     result reproduces the input exactly.
 
-    Unknown airport codes are accepted (real fleets contain typo'd codes);
-    when ``known_airports`` is given, unknown codes are logged as warnings
-    rather than rejected, so discovery never drops real servers.
+    Any three-letter airport code is accepted (real fleets contain typo'd
+    codes), so discovery never drops real servers; validation marks a code
+    the airport database cannot place as unverified.
     """
     dot_suffix = "." + domain_suffix
     if not name.endswith(dot_suffix):
@@ -214,9 +207,6 @@ def parse_server_name(
     if not _valid_operator(operator):
         raise MalformedName("operator", name, "expected 'ix' or '<label>.isp'")
 
-    if known_airports is not None and airport_code not in known_airports:
-        logger.warning("unknown airport code %r in %r (accepted)", airport_code, name)
-
     return ServerName(
         protocol=protocol,
         protocol_index=protocol_index,
@@ -252,26 +242,23 @@ def _normalize(entries: Collection[str]) -> tuple[str, ...]:
 class Wordlists:
     """Enumeration inputs: one list per hostname dimension plus counter bounds.
 
-    Lists are lowercase-normalized and deduplicated on construction.
-    ``countries`` carries metadata only; hostnames have no country component.
+    Lists are lowercase-normalized and deduplicated on construction. The
+    operators are ``ix`` plus one ``<label>.isp`` per ISP label.
     """
 
     airport_codes: tuple[str, ...]
     isp_labels: tuple[str, ...] = ()
     nic_types: tuple[str, ...] = ("lagg0",)
-    countries: tuple[str, ...] = ()
     protocols: tuple[str, ...] = PROTOCOLS
     protocol_indices: tuple[int, ...] = (1,)
     deployment_indices: tuple[int, ...] = (1,)
     max_server_counter: int = 50
     max_site_counter: int = 1
-    include_ixp: bool = True
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "airport_codes", _normalize(self.airport_codes))
         object.__setattr__(self, "isp_labels", _normalize(self.isp_labels))
         object.__setattr__(self, "nic_types", _normalize(self.nic_types))
-        object.__setattr__(self, "countries", _normalize(self.countries))
         object.__setattr__(self, "protocols", tuple(dict.fromkeys(self.protocols)))
         object.__setattr__(self, "protocol_indices", tuple(dict.fromkeys(self.protocol_indices)))
         object.__setattr__(self, "deployment_indices", tuple(dict.fromkeys(self.deployment_indices)))
@@ -292,16 +279,14 @@ class Wordlists:
 
     @property
     def operators(self) -> tuple[str, ...]:
-        ops: list[str] = ["ix"] if self.include_ixp else []
-        ops.extend(f"{label}.isp" for label in self.isp_labels)
-        return tuple(ops)
+        return ("ix", *(f"{label}.isp" for label in self.isp_labels))
 
     @classmethod
     def from_dir(cls, directory: str | Path, **bounds) -> "Wordlists":
         """Load lists from a directory of plain-text files.
 
-        Expects ``airports.txt`` (required), ``isps.txt``, ``nics.txt`` and
-        ``countries.txt`` (optional); one entry per line, '#' comments.
+        Expects ``airports.txt`` (required), ``isps.txt`` and ``nics.txt``
+        (optional); one entry per line, '#' comments.
         """
         directory = Path(directory)
         airports_file = directory / "airports.txt"
@@ -315,7 +300,6 @@ class Wordlists:
         kwargs: dict = {
             "airport_codes": load_wordlist(airports_file),
             "isp_labels": optional("isps.txt"),
-            "countries": optional("countries.txt"),
         }
         nics = optional("nics.txt")
         if nics:
@@ -362,7 +346,6 @@ def enumerate_candidates(
         ("nic_types", lists.nic_types),
         ("deployment_indices", lists.deployment_indices),
         ("airport_codes", lists.airport_codes),
-        ("operators", lists.operators),
     ):
         if not entries:
             raise EmptyDimension(dimension)

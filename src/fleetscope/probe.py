@@ -46,11 +46,6 @@ class CapacityExceeded(ValueError):
     """Campaign parameters cannot be scheduled at all."""
 
 
-class Aborted(Exception):
-    """Campaign interrupted. The probe stage commits nothing of an
-    interrupted campaign, so the stage must be rerun."""
-
-
 @dataclass(frozen=True)
 class CampaignParams:
     """Campaign knobs; defaults pace one echo per 30 ms, one minute per
@@ -242,7 +237,7 @@ def run_campaign(
     The visits of slot ``s`` start at ``epoch + s * slot_s``, where the
     epoch is the transport's clock at the call, and send in step. One reply
     timeout after their last send they reach ``sink``, in slot order and
-    then worker order. A ``KeyboardInterrupt`` raises ``Aborted``.
+    then worker order.
     """
     if params.total_duration_s <= 0:
         return CampaignSummary()
@@ -276,32 +271,29 @@ def run_campaign(
     answered: set[str] = set()
     totals = CampaignSummary()
     schedule_next_slot()
-    try:
-        while events:
-            due_ns, slot, index, visits = heapq.heappop(events)
-            transport.sleep_until_ns(due_ns)
-            if index == count:
-                for target, sent in visits:
-                    visit = _visit_frame(target, sent, transport.end_visit(target, sent[-1]),
-                                         interval_ns, timeout_ns)
-                    sink.add_visit(visit)
-                    losses = int(np.count_nonzero(visit.rtt_ns == LOST_RTT))
-                    totals.visits_completed += 1
-                    totals.probes_sent += count
-                    totals.losses += losses
-                    if losses < count:
-                        answered.add(target)
-                continue
-            if index == 0:
-                for target, _ in visits:
-                    transport.begin_visit(target)
-                schedule_next_slot()
+    while events:
+        due_ns, slot, index, visits = heapq.heappop(events)
+        transport.sleep_until_ns(due_ns)
+        if index == count:
             for target, sent in visits:
-                sent.append(transport.send_echo(target, index))
-            step_ns = timeout_ns if index + 1 == count else interval_ns
-            heapq.heappush(events, (due_ns + step_ns, slot, index + 1, visits))
-    except KeyboardInterrupt:
-        raise Aborted("campaign interrupted; nothing was committed, rerun the probe stage") from None
+                visit = _visit_frame(target, sent, transport.end_visit(target, sent[-1]),
+                                     interval_ns, timeout_ns)
+                sink.add_visit(visit)
+                losses = int(np.count_nonzero(visit.rtt_ns == LOST_RTT))
+                totals.visits_completed += 1
+                totals.probes_sent += count
+                totals.losses += losses
+                if losses < count:
+                    answered.add(target)
+            continue
+        if index == 0:
+            for target, _ in visits:
+                transport.begin_visit(target)
+            schedule_next_slot()
+        for target, sent in visits:
+            sent.append(transport.send_echo(target, index))
+        step_ns = timeout_ns if index + 1 == count else interval_ns
+        heapq.heappush(events, (due_ns + step_ns, slot, index + 1, visits))
 
     totals.reachable = tuple(sorted(answered))
     totals.unreachable = tuple(sorted(set(targets) - answered))

@@ -112,11 +112,6 @@ class TrafficProfile:
         """Exact deterministic packet count sent over [t0, t1]."""
         return self._cumulative(t1_s) - self._cumulative(t0_s)
 
-    def mean_rate(self, t0_s: float, t1_s: float) -> float:
-        if t1_s <= t0_s:
-            return self.rate_at(t0_s)
-        return self.packets_between(t0_s, t1_s) / (t1_s - t0_s)
-
 
 @dataclass
 class SimulatedServer:

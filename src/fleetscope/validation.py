@@ -1,28 +1,27 @@
 """Cross-checks of claimed server locations and operator attribution.
 
-Three independent methods: a geolocation snapshot (country per address), an
-address-to-ASN snapshot, and RTT proximity from vantage points of known
-location. Providers are offline snapshot files, never live services, so
-verdicts are reproducible.
+Two independent methods: a geolocation snapshot (country per address) and
+an address-to-ASN snapshot. Providers are offline snapshot files, never
+live services, so verdicts are reproducible. RTT proximity from vantage
+points would be a third method; it needs live vantage measurements, which
+no offline input provides, so it is out of scope.
 """
 
 from __future__ import annotations
 
 import csv
 import ipaddress
-import math
+from collections import Counter
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
-from typing import Iterable, Mapping, Protocol, Sequence
+from typing import Iterable, Mapping, Protocol
 
 from .discovery import ServerRecord
 
-EARTH_RADIUS_KM = 6371.0088
-COINCIDENT_TOLERANCE_KM = 0.001  # one metre
-
 VERDICT_MATCH = "match"
 VERDICT_MISMATCH = "mismatch"
+VERDICT_UNVERIFIED = "unverified"
 
 MISMATCH_IXP_PREFIX = "ixp_prefix_registration"
 MISMATCH_ONGOING = "ongoing_deployment"
@@ -33,27 +32,21 @@ ASN_CONSISTENT = "consistent"
 ASN_ONGOING = "ongoing_deployment"
 ASN_INCONSISTENT = "inconsistent"
 
-PROXIMITY_KS = (1, 5, 10, 25)
-
 
 class UnknownAirportCode(KeyError):
     """Airport code absent from the database (and alias table, if any)."""
 
-
-class UnknownAsn(KeyError):
-    """No ASN mapping covers the address."""
+    reason = "unknown_airport"
 
 
 class UnknownAddress(KeyError):
     """No snapshot row covers the address."""
 
-
-class ProviderUnavailable(Exception):
-    """A provider could not answer at all (as opposed to a negative answer)."""
+    reason = "unknown_address"
 
 
-class NoVantagePoints(ValueError):
-    """RTT proximity check called without any vantage measurements."""
+class UnknownAsn(UnknownAddress):
+    """No ASN mapping covers the address."""
 
 
 @dataclass(frozen=True, slots=True)
@@ -68,37 +61,6 @@ class GeoPoint:
             raise ValueError(f"latitude out of range: {self.latitude}")
         if not -180.0 <= self.longitude <= 180.0:
             raise ValueError(f"longitude out of range: {self.longitude}")
-
-
-def haversine_km(a: GeoPoint, b: GeoPoint) -> float:
-    """Great-circle distance in kilometres."""
-    lat1, lon1, lat2, lon2 = map(math.radians, (a.latitude, a.longitude, b.latitude, b.longitude))
-    dlat = lat2 - lat1
-    dlon = lon2 - lon1
-    h = math.sin(dlat / 2) ** 2 + math.cos(lat1) * math.cos(lat2) * math.sin(dlon / 2) ** 2
-    return 2 * EARTH_RADIUS_KM * math.asin(min(1.0, math.sqrt(h)))
-
-
-def spherical_centroid(points: Sequence[GeoPoint]) -> GeoPoint:
-    """Unweighted centroid on the sphere (mean of unit vectors)."""
-    if not points:
-        raise ValueError("centroid of no points")
-    x = y = z = 0.0
-    for p in points:
-        lat = math.radians(p.latitude)
-        lon = math.radians(p.longitude)
-        x += math.cos(lat) * math.cos(lon)
-        y += math.cos(lat) * math.sin(lon)
-        z += math.sin(lat)
-    n = len(points)
-    x, y, z = x / n, y / n, z / n
-    norm = math.sqrt(x * x + y * y + z * z)
-    if norm == 0.0:
-        # Antipodal degenerate case; fall back to the flat average.
-        return GeoPoint(
-            sum(p.latitude for p in points) / n, sum(p.longitude for p in points) / n
-        )
-    return GeoPoint(math.degrees(math.asin(z / norm)), math.degrees(math.atan2(y, x)))
 
 
 class AirportDatabase:
@@ -195,11 +157,6 @@ def load_continent_table(path: str | Path | None = None) -> dict[str, str]:
     return table
 
 
-def airport_location(code: str, db: AirportDatabase) -> tuple[GeoPoint, str]:
-    """Coordinates and country claimed by an airport code."""
-    return db.location(code)
-
-
 class AddressInfoProvider(Protocol):
     """Per-address metadata from an offline snapshot."""
 
@@ -280,6 +237,11 @@ class GeoVerdict:
         if (self.verdict == VERDICT_MISMATCH) != (self.mismatch_class is not None):
             raise ValueError("mismatch_class present iff verdict is mismatch")
 
+    def to_json(self) -> dict:
+        return {"verdict": self.verdict, "mismatch_class": self.mismatch_class,
+                "expected_country": self.expected_country,
+                "observed_country": self.observed_country}
+
 
 @dataclass(frozen=True, slots=True)
 class AsnVerdict:
@@ -289,6 +251,10 @@ class AsnVerdict:
     observed_asn: int
     expected_owner: str  # "cdn_operator" or "isp"
     isp_label: str | None = None
+
+    def to_json(self) -> dict:
+        return {"verdict": self.verdict, "observed_asn": self.observed_asn,
+                "expected_owner": self.expected_owner, "isp": self.isp_label}
 
 
 def _first_ipv4(record: ServerRecord) -> str:
@@ -357,60 +323,30 @@ def asn_crosscheck(
     return AsnVerdict(ASN_INCONSISTENT, observed, "isp", label)
 
 
-@dataclass(frozen=True, slots=True)
-class VantageMeasurement:
-    """One vantage point's best RTT towards the target."""
+def multinational_labels(records: Iterable[ServerRecord], airports: AirportDatabase) -> frozenset[str]:
+    """ISP labels whose records claim sites in two or more countries.
 
-    vantage_id: str
-    location: GeoPoint
-    rtt_ms: float
-
-
-@dataclass(frozen=True)
-class ProximityReport:
-    """The k lowest-RTT vantages and their distance to the claimed spot."""
-
-    target: str
-    k: int
-    closest_vantages: tuple[tuple[str, float, float], ...]  # (id, rtt_ms, km to claim)
-    centroid: GeoPoint
-    distance_to_claim_km: float
-
-
-def rtt_proximity_check(
-    claimed: GeoPoint,
-    vantage_rtts: Iterable[VantageMeasurement],
-    k: int,
-    target: str = "",
-) -> ProximityReport:
-    """Select the k lowest-RTT vantages and measure how far their centroid
-    sits from the claimed location.
-
-    Several measurements from one vantage collapse to their minimum RTT
-    (the minimum filters queueing noise). Equal RTTs order stably by
-    vantage id. Fewer than k vantages use all of them.
+    Airport codes the database cannot place are left out.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    best: dict[str, VantageMeasurement] = {}
-    for m in vantage_rtts:
-        if not math.isfinite(m.rtt_ms):
-            raise ValueError(f"non-finite RTT from {m.vantage_id}")
-        current = best.get(m.vantage_id)
-        if current is None or m.rtt_ms < current.rtt_ms:
-            best[m.vantage_id] = m
-    if not best:
-        raise NoVantagePoints("no vantage measurements")
+    countries: dict[str, set[str]] = {}
+    for record in records:
+        if record.isp_label is not None and record.name.airport_code in airports:
+            countries.setdefault(record.isp_label, set()).add(
+                airports.country(record.name.airport_code))
+    return frozenset(label for label, seen in countries.items() if len(seen) > 1)
 
-    ranked = sorted(best.values(), key=lambda m: (m.rtt_ms, m.vantage_id))[:k]
-    closest = tuple(
-        (m.vantage_id, m.rtt_ms, haversine_km(claimed, m.location)) for m in ranked
-    )
-    centroid = spherical_centroid([m.location for m in ranked])
-    return ProximityReport(
-        target=target,
-        k=k,
-        closest_vantages=closest,
-        centroid=centroid,
-        distance_to_claim_km=haversine_km(claimed, centroid),
-    )
+
+def summarize_verdicts(rows: Iterable[dict]) -> dict:
+    """Counts of verdict rows per geo class (``match``, a mismatch class or
+    ``unverified``) and per ASN outcome, plus the sorted hostnames of the
+    unexplained geo mismatches. Reads ``rows`` once, keeping only those."""
+    geo: Counter[str] = Counter()
+    asn: Counter[str] = Counter()
+    unexplained = []
+    for row in rows:
+        geo_class = row["geo"].get("mismatch_class") or row["geo"]["verdict"]
+        geo[geo_class] += 1
+        asn[row["asn"]["verdict"]] += 1
+        if geo_class == MISMATCH_UNEXPLAINED:
+            unexplained.append(row["name"])
+    return {"geo": dict(geo), "asn": dict(asn), "unexplained": sorted(unexplained)}

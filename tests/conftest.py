@@ -76,6 +76,21 @@ def record_for(server: SimulatedServer, seen_ns: int = 0) -> ServerRecord:
     )
 
 
+class InterruptingResolver:
+    """Raises KeyboardInterrupt after a fixed number of queries."""
+
+    def __init__(self, inner, after):
+        self.inner = inner
+        self.after = after
+        self.calls = 0
+
+    def query(self, name):
+        self.calls += 1
+        if self.calls > self.after:
+            raise KeyboardInterrupt
+        return self.inner.query(name)
+
+
 @pytest.fixture
 def steady_server() -> SimulatedServer:
     return make_server(base_pps=1000.0)

@@ -9,7 +9,6 @@ from fleetscope.analytics import (
     UnjoinedEstimate,
     deployment_vs_traffic,
     detect_peaks,
-    reachability_table,
     rollup,
     traffic_cdf,
     write_reports,
@@ -187,19 +186,6 @@ def test_deployment_vs_traffic_points():
 
 def test_deployment_vs_traffic_empty():
     assert deployment_vs_traffic([], []) == []
-
-
-def test_reachability_table_shape():
-    records = list(_fixture_records().values())
-    airports = AirportDatabase.bundled()
-    continents = load_continent_table()
-    reachable = [records[0].addresses[0], records[3].addresses[0]]
-    table = reachability_table(records, reachable, airports, continents)
-    assert table["EU"]["total"]["reachable"] == 1
-    assert table["EU"]["total"]["non_reachable"] == 2
-    assert table["NA"]["ixp"]["reachable"] == 1
-    assert table["total"]["total"]["reachable"] == 2
-    assert table["total"]["total"]["non_reachable"] == 2
 
 
 def test_write_reports_deterministic(tmp_path):

@@ -6,11 +6,11 @@ from pathlib import Path
 
 import pytest
 
-from fleetscope import analytics, store
+from fleetscope import analytics, cli, store
 from fleetscope.cli import EXIT_OK, EXIT_STAGE, EXIT_USAGE, main
 from fleetscope.simulation import SimulatedFleet, SimulatedTransport
 
-from conftest import make_server
+from conftest import InterruptingResolver, make_server, record_for
 
 
 @pytest.fixture
@@ -347,6 +347,37 @@ def test_interrupted_campaign_commits_nothing(tmp_path, small_fleet_file, monkey
     assert not campaign_store.stream_path("samples").exists()
 
 
+def _crawl_args(tmp_path, fleet_file, store_dir, airports=("lhr", "jfk")):
+    wordlists = tmp_path / "wl"
+    wordlists.mkdir(exist_ok=True)
+    (wordlists / "airports.txt").write_text("".join(a + "\n" for a in airports))
+    (wordlists / "isps.txt").write_text("bt\n")
+    return ["--store", str(store_dir), "crawl", "--wordlists", str(wordlists),
+            "--resolver", f"zone:{fleet_file}", "--rate", "0", "--max-counter", "3"]
+
+
+def test_interrupted_crawl_commits_nothing_and_reruns_from_the_start(
+    tmp_path, small_fleet_file, monkeypatch, capsys
+):
+    clean = tmp_path / "clean"
+    assert main(_crawl_args(tmp_path, small_fleet_file, clean)) == EXIT_OK
+
+    make_resolver = cli._make_resolver
+    monkeypatch.setattr(cli, "_make_resolver",
+                        lambda spec: InterruptingResolver(make_resolver(spec), after=5))
+    crashed = tmp_path / "crashed"
+    assert main(_crawl_args(tmp_path, small_fleet_file, crashed)) == EXIT_STAGE
+    assert ("error: interrupted; nothing was committed, rerun the crawl stage"
+            in capsys.readouterr().err)
+    campaign_store = store.CampaignStore(crashed, create=False)
+    assert not campaign_store.stage_done("crawl")
+    assert not campaign_store.stream_path("records").exists()
+
+    monkeypatch.undo()
+    assert main(_crawl_args(tmp_path, small_fleet_file, crashed)) == EXIT_OK
+    assert (crashed / "records.jsonl").read_bytes() == (clean / "records.jsonl").read_bytes()
+
+
 def test_interrupted_out_file_keeps_previous_contents(tmp_path, small_fleet_file, monkeypatch):
     wordlists = tmp_path / "wl"
     wordlists.mkdir()
@@ -421,3 +452,106 @@ def test_config_with_a_removed_key_fails(tmp_path, small_fleet_file, capsys):
                  "--out", str(tmp_path / "out")])
     assert code == EXIT_STAGE
     assert "estimate: unknown field" in capsys.readouterr().err
+
+
+# -- validation verdicts and the report's validation block ----------------------
+
+def _write_lines(path, rows):
+    path.write_text("".join(row + "\n" for row in rows))
+    return path
+
+
+def _validate_records(tmp_path, servers, snapshot_rows, isp_asns):
+    """Run ``validate`` on files; return its exit code and verdict rows by name."""
+    records = _write_lines(tmp_path / "records.jsonl",
+                           [json.dumps(record_for(s).to_json()) for s in servers])
+    snapshot = _write_lines(tmp_path / "snapshot.csv", snapshot_rows)
+    isp_asn_file = tmp_path / "isp_asns.json"
+    isp_asn_file.write_text(json.dumps(isp_asns))
+    out = tmp_path / "verdicts.jsonl"
+    code = main(["validate", "--records", str(records), "--snapshot", str(snapshot),
+                 "--cdn-asns", "64500", "--isp-asns", str(isp_asn_file), "--out", str(out)])
+    rows = [json.loads(line) for line in out.read_text().splitlines()] if out.exists() else []
+    return code, {row["name"]: row for row in rows}
+
+
+def test_validate_names_an_isp_in_two_countries_a_multinational_operator(tmp_path):
+    # big claims London (GB) and Paris (FR); its London server geolocates
+    # to DE on big's own ASN
+    london = make_server(1.0, airport="lhr", operator="big.isp", address="198.51.100.1")
+    paris = make_server(1.0, airport="cdg", operator="big.isp", address="198.51.100.2")
+    code, verdicts = _validate_records(
+        tmp_path, [london, paris],
+        ["198.51.100.1/32,de,de,64520,big", "198.51.100.2/32,fr,fr,64520,big"],
+        {"big": [64520]})
+    assert code == EXIT_OK
+    assert verdicts[london.name]["geo"]["mismatch_class"] == "multinational_operator"
+    assert verdicts[london.name]["asn"]["verdict"] == "consistent"
+    assert verdicts[paris.name]["geo"]["verdict"] == "match"
+
+
+def test_validate_marks_what_its_tables_do_not_cover_unverified(tmp_path):
+    unknown_airport = make_server(1.0, airport="xxz", operator="ix", address="203.0.113.1")
+    unknown_address = make_server(1.0, airport="lhr", operator="ix", address="192.0.2.1")
+    code, verdicts = _validate_records(
+        tmp_path, [unknown_airport, unknown_address], ["203.0.113.0/24,gb,gb,64500,cdn"], {})
+    assert code == EXIT_OK
+    assert verdicts[unknown_airport.name]["geo"] == {"verdict": "unverified",
+                                                     "reason": "unknown_airport"}
+    assert verdicts[unknown_airport.name]["asn"]["verdict"] == "consistent"
+    for check in ("geo", "asn"):
+        assert verdicts[unknown_address.name][check] == {"verdict": "unverified",
+                                                         "reason": "unknown_address"}
+
+
+def test_report_counts_the_stored_verdicts(tmp_path):
+    servers = [
+        make_server(1.0, airport="lhr", operator="ix", counter=1),      # match
+        make_server(1.0, airport="lhr", operator="ix", counter=2),      # ixp prefix
+        make_server(1.0, airport="lhr", operator="bt.isp", counter=3),  # ongoing
+        make_server(1.0, airport="jfk", operator="ix", counter=1),      # unexplained
+        make_server(1.0, airport="jfk", operator="bt.isp", counter=2),  # no snapshot row
+        make_server(1.0, airport="xxz", operator="ix", counter=1),      # no airport row
+    ]
+    fleet_file = tmp_path / "fleet.json"
+    SimulatedFleet(servers, seed=5).save(fleet_file)
+    store_dir = tmp_path / "campaign"
+    assert main(_crawl_args(tmp_path, fleet_file, store_dir, ("lhr", "jfk", "xxz"))) == EXIT_OK
+    snapshot = _write_lines(tmp_path / "snapshot.csv", [
+        f"{servers[0].address}/32,gb,gb,64500,cdn",
+        f"{servers[1].address}/32,nl,nl,64500,cdn",
+        f"{servers[2].address}/32,us,us,64500,cdn",
+        f"{servers[3].address}/32,fr,us,64999,other",
+        f"{servers[5].address}/32,gb,gb,64500,cdn",
+    ])
+    assert main(["--store", str(store_dir), "validate", "--snapshot", str(snapshot),
+                 "--cdn-asns", "64500"]) == EXIT_OK
+    assert main(["--store", str(store_dir), "report", "--out", str(tmp_path / "r")]) == EXIT_OK
+
+    rows = list(store.read_jsonl(store_dir / "verdicts.jsonl"))
+    assert len(rows) == len(servers)
+    geo, asn = {}, {}
+    for row in rows:
+        key = row["geo"].get("mismatch_class") or row["geo"]["verdict"]
+        geo[key] = geo.get(key, 0) + 1
+        asn[row["asn"]["verdict"]] = asn.get(row["asn"]["verdict"], 0) + 1
+    block = json.loads((tmp_path / "r" / "summary.json").read_text())["validation"]
+    assert block == {"geo": geo, "asn": asn, "unexplained": [servers[3].name]}
+    assert geo == {"match": 1, "ixp_prefix_registration": 1, "ongoing_deployment": 1,
+                   "unexplained": 1, "unverified": 2}
+    assert asn == {"consistent": 3, "ongoing_deployment": 1, "inconsistent": 1,
+                   "unverified": 1}
+
+
+def test_report_on_files_has_no_validation_block(tmp_path, small_fleet_file):
+    out = tmp_path / "out"
+    assert _simulate(out, small_fleet_file) == EXIT_OK
+    assert main(["report", "--records", str(out / "store" / "records.jsonl"),
+                 "--estimates", str(out / "store" / "estimates.jsonl"),
+                 "--out", str(tmp_path / "r")]) == EXIT_OK
+    summary = json.loads((tmp_path / "r" / "summary.json").read_text())
+    simulated = json.loads((out / "summary.json").read_text())
+    assert "validation" not in summary
+    assert simulated.pop("validation") == {"geo": {"match": 3}, "asn": {"consistent": 3},
+                                           "unexplained": []}
+    assert summary == simulated

@@ -9,7 +9,6 @@ from fleetscope.discovery import (
     OUTCOME_RESOLVED,
     OUTCOME_TIMEOUT,
     CrawlPolicy,
-    Interrupted,
     ResolutionResult,
     ResolverUnavailable,
     ServerRecord,
@@ -144,16 +143,6 @@ def test_run_crawl_queries_each_candidate_at_most_retry_budget():
     assert sorted(counting.per_name.values())[-2:] == [2, 1 + FAST.retries]
 
 
-def test_run_crawl_worker_pool_matches_sequential():
-    servers = [make_server(1.0, airport=a, counter=c + 1)
-               for a in ("lhr", "ams", "nrt") for c in range(4)]
-    fleet = make_fleet(servers)
-    lists = _covering_wordlists(fleet)
-    sequential = run_crawl(lists, ZoneResolver(fleet.zone()), FAST, worker_count=1)
-    threaded = run_crawl(lists, ZoneResolver(fleet.zone()), FAST, worker_count=8)
-    assert [r.hostname for r in sequential] == [r.hostname for r in threaded]
-
-
 def test_run_crawl_rate_limit_is_observed():
     fleet = make_fleet([make_server(1.0)])
     lists = Wordlists(airport_codes=("lhr", "ams"), protocols=("ipv4",), max_server_counter=30)
@@ -166,50 +155,13 @@ def test_run_crawl_rate_limit_is_observed():
     assert elapsed >= 0.15
 
 
-class InterruptingResolver:
-    """Raises KeyboardInterrupt after a fixed number of queries."""
-
-    def __init__(self, inner, after):
-        self.inner = inner
-        self.after = after
-        self.calls = 0
-        self.seen: list[str] = []
-
-    def query(self, name):
-        self.calls += 1
-        if self.calls > self.after:
-            raise KeyboardInterrupt
-        self.seen.append(name)
-        return self.inner.query(name)
-
-
-def test_run_crawl_resumes_from_cursor(tmp_path):
-    servers = [make_server(1.0, airport=a, counter=c + 1)
-               for a in ("lhr", "ams") for c in range(5)]
-    fleet = make_fleet(servers)
-    lists = _covering_wordlists(fleet)
-    progress = tmp_path / "cursor.json"
-
-    interrupting = InterruptingResolver(ZoneResolver(fleet.zone()), after=6)
-    with pytest.raises(Interrupted):
-        run_crawl(lists, interrupting, FAST, progress_path=progress, persist_every=2)
-
-    resumed = CountingResolver(ZoneResolver(fleet.zone()))
-    records = run_crawl(lists, resumed, FAST, progress_path=progress, persist_every=2)
-    assert {r.hostname for r in records} == {s.name for s in servers}
-    # candidates completed before the persisted cursor are not re-queried
-    persisted_names = set(interrupting.seen[: (len(interrupting.seen) // 2) * 2])
-    requeried = persisted_names & set(resumed.per_name)
-    assert len(requeried) < len(interrupting.seen)
-
-
 def test_record_json_round_trip():
     record = record_for(make_server(1.0, operator="bt.isp", airport="man"), seen_ns=123)
     clone = ServerRecord.from_json(record.to_json())
     assert clone.hostname == record.hostname
     assert clone.addresses == record.addresses
     assert clone.operator_kind == "isp"
-    assert clone.claimed_location == "man"
+    assert clone.name.airport_code == "man"
 
 
 def test_summarize_small_cases():

@@ -196,9 +196,7 @@ def test_enumeration_order_is_deterministic():
 
 
 def test_enumeration_empty_dimension():
-    lists = Wordlists(
-        airport_codes=("lhr",), isp_labels=(), include_ixp=False, max_server_counter=1
-    )
+    lists = Wordlists(airport_codes=(), isp_labels=(), max_server_counter=1)
     with pytest.raises(EmptyDimension):
         next(enumerate_candidates(lists))
 
@@ -248,12 +246,3 @@ def test_wordlists_from_dir(tmp_path):
 def test_wordlists_from_dir_requires_airports(tmp_path):
     with pytest.raises(FileNotFoundError):
         Wordlists.from_dir(tmp_path)
-
-
-def test_unknown_airport_accepted_with_warning(caplog):
-    import logging
-
-    with caplog.at_level(logging.WARNING, logger="fleetscope.names"):
-        name = parse_server_name(IXP_NAME, known_airports={"ams"})
-    assert name.airport_code == "lhr"
-    assert any("unknown airport" in r.message for r in caplog.records)

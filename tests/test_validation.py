@@ -1,27 +1,18 @@
 """Location and attribution cross-checks."""
 
-import math
-
-import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from fleetscope.validation import (
     AddressSnapshot,
     AirportDatabase,
     GeoPoint,
     GeoVerdict,
-    NoVantagePoints,
     UnknownAirportCode,
     UnknownAsn,
-    VantageMeasurement,
-    airport_location,
     asn_crosscheck,
     geo_crosscheck,
-    haversine_km,
     load_continent_table,
-    rtt_proximity_check,
+    multinational_labels,
 )
 
 from conftest import make_server, record_for
@@ -31,7 +22,7 @@ from conftest import make_server, record_for
 
 def test_bundled_airport_lookup_lhr():
     db = AirportDatabase.bundled()
-    point, country = airport_location("lhr", db)
+    point, country = db.location("lhr")
     assert country == "GB"
     assert point.latitude == pytest.approx(51.47, abs=0.05)
     assert point.longitude == pytest.approx(-0.45, abs=0.05)
@@ -70,138 +61,11 @@ def test_airport_utc_offsets():
     assert db.utc_offset_hours("bom") == 5.5
 
 
-# -- great-circle geometry -------------------------------------------------
-
-def test_haversine_known_pair():
-    db = AirportDatabase.bundled()
-    lhr, _ = db.location("lhr")
-    jfk, _ = db.location("jfk")
-    # transatlantic distance is about 5540 km
-    assert haversine_km(lhr, jfk) == pytest.approx(5540.0, rel=0.02)
-
-
-coords = st.builds(
-    GeoPoint,
-    latitude=st.floats(-89.9, 89.9),
-    longitude=st.floats(-180.0, 180.0),
-)
-
-
-@given(coords, coords)
-@settings(max_examples=200)
-def test_haversine_symmetric_nonnegative(a, b):
-    d_ab = haversine_km(a, b)
-    assert d_ab >= 0.0
-    assert d_ab == pytest.approx(haversine_km(b, a), abs=1e-9)
-
-
-@given(coords)
-def test_haversine_zero_iff_coincident(p):
-    assert haversine_km(p, p) < 0.001
-
-
 def test_geopoint_validates_range():
     with pytest.raises(ValueError):
         GeoPoint(91.0, 0.0)
     with pytest.raises(ValueError):
         GeoPoint(0.0, 181.0)
-
-
-# -- RTT proximity ---------------------------------------------------------
-
-def _vantages():
-    return [
-        VantageMeasurement("london", GeoPoint(51.5, -0.1), 2.0),
-        VantageMeasurement("paris", GeoPoint(48.9, 2.3), 8.0),
-        VantageMeasurement("amsterdam", GeoPoint(52.3, 4.9), 9.0),
-        VantageMeasurement("frankfurt", GeoPoint(50.1, 8.7), 12.0),
-        VantageMeasurement("madrid", GeoPoint(40.4, -3.7), 25.0),
-        VantageMeasurement("newyork", GeoPoint(40.7, -74.0), 75.0),
-        VantageMeasurement("chicago", GeoPoint(41.9, -87.6), 95.0),
-        VantageMeasurement("tokyo", GeoPoint(35.7, 139.7), 200.0),
-        VantageMeasurement("sydney", GeoPoint(-33.9, 151.2), 280.0),
-        VantageMeasurement("saopaulo", GeoPoint(-23.5, -46.6), 190.0),
-    ]
-
-
-def test_proximity_coincident_vantage_is_zero():
-    claim = GeoPoint(51.5, -0.1)
-    report = rtt_proximity_check(claim, [VantageMeasurement("here", claim, 1.0)], k=1)
-    assert report.distance_to_claim_km < 0.001
-    assert report.closest_vantages[0][0] == "here"
-
-
-def test_proximity_k1_picks_lowest_rtt():
-    claim = GeoPoint(51.5, -0.1)
-    vantages = [
-        VantageMeasurement("london", GeoPoint(51.5, -0.1), 2.0),
-        VantageMeasurement("tokyo", GeoPoint(35.7, 139.7), 200.0),
-    ]
-    report = rtt_proximity_check(claim, vantages, k=1)
-    assert [v[0] for v in report.closest_vantages] == ["london"]
-    assert report.distance_to_claim_km < 0.001
-
-
-def test_proximity_centroid_matches_independent_computation():
-    # Oracle: numpy unit-vector mean plus haversine, computed from scratch.
-    claim = GeoPoint(51.5, -0.1)
-    vantages = _vantages()
-    report = rtt_proximity_check(claim, vantages, k=5)
-
-    closest5 = sorted(vantages, key=lambda m: (m.rtt_ms, m.vantage_id))[:5]
-    lat = np.radians([m.location.latitude for m in closest5])
-    lon = np.radians([m.location.longitude for m in closest5])
-    xyz = np.array([np.cos(lat) * np.cos(lon), np.cos(lat) * np.sin(lon), np.sin(lat)])
-    mean = xyz.mean(axis=1)
-    mean /= np.linalg.norm(mean)
-    cen_lat, cen_lon = math.asin(mean[2]), math.atan2(mean[1], mean[0])
-    phi1, lam1 = math.radians(claim.latitude), math.radians(claim.longitude)
-    h = (
-        math.sin((cen_lat - phi1) / 2) ** 2
-        + math.cos(phi1) * math.cos(cen_lat) * math.sin((cen_lon - lam1) / 2) ** 2
-    )
-    expected = 2 * 6371.0088 * math.asin(math.sqrt(h))
-
-    assert report.distance_to_claim_km == pytest.approx(expected, abs=1e-6)
-    assert [v[0] for v in report.closest_vantages] == [m.vantage_id for m in closest5]
-
-
-def test_proximity_invariant_under_permutation():
-    claim = GeoPoint(51.5, -0.1)
-    vantages = _vantages()
-    forward = rtt_proximity_check(claim, vantages, k=5)
-    backward = rtt_proximity_check(claim, list(reversed(vantages)), k=5)
-    assert forward == backward
-
-
-def test_proximity_k_nesting():
-    claim = GeoPoint(51.5, -0.1)
-    for k_small, k_big in [(1, 5), (5, 10), (10, 25)]:
-        small = {v[0] for v in rtt_proximity_check(claim, _vantages(), k_small).closest_vantages}
-        big = {v[0] for v in rtt_proximity_check(claim, _vantages(), k_big).closest_vantages}
-        assert small <= big
-
-
-def test_proximity_uses_minimum_rtt_per_vantage():
-    claim = GeoPoint(51.5, -0.1)
-    vantages = [
-        VantageMeasurement("a", GeoPoint(51.5, -0.1), 50.0),
-        VantageMeasurement("a", GeoPoint(51.5, -0.1), 3.0),
-        VantageMeasurement("b", GeoPoint(48.9, 2.3), 10.0),
-    ]
-    report = rtt_proximity_check(claim, vantages, k=1)
-    assert report.closest_vantages[0][:2] == ("a", 3.0)
-
-
-def test_proximity_requires_vantages():
-    with pytest.raises(NoVantagePoints):
-        rtt_proximity_check(GeoPoint(0, 0), [], k=1)
-
-
-def test_proximity_with_fewer_vantages_than_k():
-    claim = GeoPoint(0.0, 0.0)
-    report = rtt_proximity_check(claim, _vantages()[:3], k=25)
-    assert len(report.closest_vantages) == 3
 
 
 # -- geo / ASN cross-checks --------------------------------------------------
@@ -249,6 +113,17 @@ def test_geo_crosscheck_multinational_and_unexplained():
     other = record_for(make_server(1.0, airport="lhr", operator="bt.isp", address="198.51.100.21"))
     verdict = geo_crosscheck(other, snapshot, CDN_ASNS, db)
     assert verdict.mismatch_class == "unexplained"
+
+
+def test_multinational_labels_claim_two_or_more_countries():
+    db = AirportDatabase.bundled()
+    records = [record_for(make_server(1.0, airport=airport, operator=operator, counter=i))
+               for i, (airport, operator) in enumerate([
+                   ("lhr", "big.isp"), ("cdg", "big.isp"),   # GB and FR
+                   ("lhr", "bt.isp"), ("man", "bt.isp"),     # GB twice
+                   ("lhr", "odd.isp"), ("xxz", "odd.isp"),   # xxz is no airport
+                   ("jfk", "ix"), ("cdg", "ix")], start=1)]
+    assert multinational_labels(records, db) == {"big"}
 
 
 def test_geo_verdict_invariant():
