@@ -1,8 +1,11 @@
 """Command-line interface: enumerate, crawl, validate, probe, estimate,
 report, and the end-to-end simulate pipeline.
 
-Each stage is one function that its subcommand and ``simulate`` share.
-``--config`` and ``--seed`` are loaded once and reach every stage.
+Each stage is one function that its subcommand and ``simulate`` share. It
+reads the one ``CampaignParams`` loaded from ``--config``, ``--seed`` and
+the campaign flags, and appends its rows straight to the writers of its
+``--out`` file and store stream. Only ``crawl`` and ``simulate`` create a
+store.
 
 Exit codes: 0 success, 1 usage error, 2 stage failure.
 """
@@ -14,12 +17,11 @@ import contextlib
 import json
 import logging
 import sys
-from dataclasses import replace
 from pathlib import Path
 from typing import Iterable
 
 from . import analytics, discovery, ipid, names, probe, simulation, store, validation
-from .config import CampaignConfig, ConfigError, load_config, parse_duration_s
+from .config import ConfigError, load_config
 from .transport import EchoTransport, TransportError
 
 EXIT_OK = 0
@@ -102,56 +104,39 @@ def _build_parser() -> _Parser:
     return parser
 
 
-class _JsonlSink:
-    """One stage's output rows, sent to a store stream and/or a file in the
-    stream's format (JSON lines, or sample frames for the probe stage).
-
-    Rows land in ``.partial`` files; ``commit`` renames them into place and
-    then marks the stage done, so a stage interrupted mid-write leaves its
-    previous output untouched and runs again from the start.
-    """
-
-    def __init__(self, campaign_store: store.CampaignStore | None, stream: str, out: str | None):
-        self._store = campaign_store
-        self._stream = stream
-        self._file = store.open_writer(stream, out) if out else None
-
-    def add(self, row) -> None:
-        if self._store is not None:
-            self._store.append(self._stream, row)
-        if self._file is not None:
-            self._file.append(row)
-
-    def add_visit(self, visit: store.VisitFrame) -> None:
-        """Called by ``probe.run_campaign`` with each visit's frame."""
-        self.add(visit)
-
-    def commit(self, stage: str) -> None:
-        if self._file is not None:
-            self._file.commit()
-        if self._store is not None:
-            self._store.commit(self._stream)
-            self._store.mark_stage_done(stage)
-
-    def close(self) -> None:
-        if self._file is not None:
-            self._file.close()
-
-
 @contextlib.contextmanager
 def _stage_output(campaign_store: store.CampaignStore | None, stage: str, stream: str, out):
-    """Yield the sink for a stage's rows and commit it when the block ends;
-    yield None, before any work is done, if the store already holds them."""
-    if campaign_store is not None and campaign_store.stage_done(stage):
-        print(f"{stage} stage already complete; nothing to do")
-        yield None
-        return
-    sink = _JsonlSink(campaign_store, stream, out)
+    """Yield a function that appends a row to the store stream's writer and
+    the ``out`` file's. When the block ends they commit (rename their
+    ``.partial`` files into place), then the store marks the stage done; an
+    interrupted stage leaves the previous output as it was. Before any work
+    is done: yield None if the store holds the stage already, and raise
+    ``StageOrderError`` if an earlier stage is not done."""
+    if campaign_store is not None:
+        if campaign_store.stage_done(stage):
+            print(f"{stage} stage already complete; nothing to do")
+            yield None
+            return
+        campaign_store.check_stage_order(stage)
+    writers = []
     try:
-        yield sink
-        sink.commit(stage)
+        if campaign_store is not None:
+            writers.append(campaign_store.writer(stream))
+        if out:
+            writers.append(store.open_writer(stream, out))
+
+        def add(row) -> None:
+            for writer in writers:
+                writer.append(row)
+
+        yield add
+        for writer in writers:
+            writer.commit()
+        if campaign_store is not None:
+            campaign_store.mark_stage_done(stage)
     finally:
-        sink.close()
+        for writer in writers:
+            writer.close()
 
 
 def derive_wordlists(fleet: simulation.SimulatedFleet) -> names.Wordlists:
@@ -206,12 +191,12 @@ def crawl_stage(campaign_store, out, lists: names.Wordlists, resolver: discovery
                 policy: discovery.CrawlPolicy, domain_suffix: str = names.DEFAULT_DOMAIN_SUFFIX
                 ) -> list[discovery.ServerRecord] | None:
     """Resolve every candidate name and write the hits as records."""
-    with _stage_output(campaign_store, "crawl", "records", out) as sink:
-        if sink is None:
+    with _stage_output(campaign_store, "crawl", "records", out) as add:
+        if add is None:
             return None
         records = discovery.run_crawl(lists, resolver, policy, domain_suffix=domain_suffix)
         for record in records:
-            sink.add(record.to_json())
+            add(record.to_json())
     return records
 
 
@@ -220,12 +205,12 @@ def validate_stage(campaign_store, out, records: list[discovery.ServerRecord],
                    isp_asns: dict[str, list[int]], airports: validation.AirportDatabase) -> None:
     """Write one geo and ASN verdict per record. ISP labels that claim sites
     in two or more countries count as multinational operators."""
-    with _stage_output(campaign_store, "validate", "verdicts", out) as sink:
-        if sink is None:
+    with _stage_output(campaign_store, "validate", "verdicts", out) as add:
+        if add is None:
             return
         multinational = validation.multinational_labels(records, airports)
         for record in records:
-            sink.add({
+            add({
                 "v": 1,
                 "name": record.hostname,
                 "geo": _verdict(validation.geo_crosscheck, record, snapshot, cdn_asns, airports,
@@ -243,29 +228,28 @@ def _verdict(check, *args) -> dict:
         return {"verdict": validation.VERDICT_UNVERIFIED, "reason": exc.reason}
 
 
-def probe_stage(campaign_store, out, config: CampaignConfig, targets: list[str],
+def probe_stage(campaign_store, out, params: probe.CampaignParams, targets: list[str],
                 transport: EchoTransport) -> probe.CampaignSummary | None:
-    """Run the ID-sampling campaign and write every probe as a sample."""
-    with _stage_output(campaign_store, "probe", "samples", out) as sink:
-        if sink is None:
+    """Run the ID-sampling campaign and write each visit's frame."""
+    with _stage_output(campaign_store, "probe", "samples", out) as add:
+        if add is None:
             return None
-        summary = probe.run_campaign(targets, config.campaign, transport, sink)
+        summary = probe.run_campaign(targets, params, transport, add)
     return summary
 
 
-def estimate_stage(campaign_store, out, config: CampaignConfig,
+def estimate_stage(campaign_store, out, params: probe.CampaignParams,
                    frames: Iterable[store.VisitFrame]) -> None:
     """Estimate each visit as its frame is read, then write every target's
     flagged series in target order (``ipid.series_estimates``)."""
-    with _stage_output(campaign_store, "estimate", "estimates", out) as sink:
-        if sink is None:
+    with _stage_output(campaign_store, "estimate", "estimates", out) as add:
+        if add is None:
             return
-        for est in ipid.series_estimates(frames, config.campaign.probe_interval_s,
-                                         config.campaign.mtu_bytes):
-            sink.add(est.to_json())
+        for est in ipid.series_estimates(frames, params.probe_interval_s, params.mtu_bytes):
+            add(est.to_json())
 
 
-def report_stage(campaign_store, out_dir, config: CampaignConfig,
+def report_stage(campaign_store, out_dir, params: probe.CampaignParams,
                  records: list[discovery.ServerRecord], estimates: list[ipid.RateEstimate],
                  airports: validation.AirportDatabase) -> dict[str, Path]:
     """Write the report files, binned by the revisit period; always rewritten.
@@ -276,7 +260,7 @@ def report_stage(campaign_store, out_dir, config: CampaignConfig,
         verdicts = validation.summarize_verdicts(campaign_store.scan("verdicts"))
     return analytics.write_reports(out_dir, records, estimates, airports,
                                    validation.load_continent_table(),
-                                   bin_s=config.campaign.revisit_period_s, validation=verdicts)
+                                   bin_s=params.revisit_period_s, validation=verdicts)
 
 
 # -- subcommands -------------------------------------------------------------
@@ -307,11 +291,9 @@ def _make_resolver(spec: str):
     raise _UsageError(f"unknown resolver {spec!r}")
 
 
-def _open_store(args, create: bool = True):
-    """The global --store as a context manager; a null context without one."""
-    if args.store is None:
-        return contextlib.nullcontext()
-    return store.CampaignStore(args.store, create=create)
+def _open_store(args) -> store.CampaignStore | None:
+    """The global --store, which must exist; None without one."""
+    return store.CampaignStore(args.store, create=False) if args.store else None
 
 
 def _require_out(args, what: str) -> None:
@@ -349,8 +331,8 @@ def _cmd_crawl(args) -> int:
     policy = discovery.CrawlPolicy(
         max_queries_per_second=None if args.rate == 0 else args.rate
     )
-    with _open_store(args) as campaign_store:
-        records = crawl_stage(campaign_store, args.out, lists, resolver, policy)
+    campaign_store = store.CampaignStore(args.store) if args.store else None
+    records = crawl_stage(campaign_store, args.out, lists, resolver, policy)
     if records is None:
         return EXIT_OK
     summary = discovery.summarize_discovery(
@@ -369,31 +351,17 @@ def _cmd_validate(args) -> int:
     isp_asns = {}
     if args.isp_asns:
         isp_asns = {k: [int(a) for a in v] for k, v in json.loads(Path(args.isp_asns).read_text()).items()}
-    airports = (
-        validation.AirportDatabase.from_csv(args.airports, args.aliases)
-        if args.airports
-        else validation.AirportDatabase.bundled(with_aliases=bool(args.aliases))
-    )
-    with _open_store(args, create=args.records is not None) as campaign_store:
-        records = _records_in(args.records, campaign_store)
-        validate_stage(campaign_store, args.out, records, snapshot, cdn_asns, isp_asns, airports)
+    airports = (validation.AirportDatabase.from_csv(args.airports) if args.airports
+                else validation.AirportDatabase.bundled())
+    if args.aliases:
+        airports.add_aliases(validation.load_alias_table(args.aliases))
+    campaign_store = _open_store(args)
+    records = _records_in(args.records, campaign_store)
+    validate_stage(campaign_store, args.out, records, snapshot, cdn_asns, isp_asns, airports)
     return EXIT_OK
 
 
-def _campaign_params(config: CampaignConfig, args) -> probe.CampaignParams:
-    """``config.campaign`` with ``config.seed`` and the command's
-    --interval, --dwell, --workers and --duration applied."""
-    overrides = {"seed": config.seed}
-    for flag, fieldname in (("interval", "probe_interval_s"), ("dwell", "dwell_s"),
-                            ("duration", "total_duration_s")):
-        if getattr(args, flag, None):
-            overrides[fieldname] = parse_duration_s(getattr(args, flag), flag)
-    if getattr(args, "workers", None):
-        overrides["workers"] = args.workers
-    return replace(config.campaign, **overrides)
-
-
-def _cmd_probe(args, config: CampaignConfig) -> int:
+def _cmd_probe(args, params: probe.CampaignParams) -> int:
     _require_out(args, "probe")
     targets = [line.strip() for line in Path(args.targets).read_text().splitlines()
                if line.strip() and ":" not in line]  # ID sampling is IPv4-only
@@ -406,8 +374,7 @@ def _cmd_probe(args, config: CampaignConfig) -> int:
         transport = RawIcmpTransport()
     else:
         raise _UsageError(f"unknown transport {args.transport!r}")
-    with _open_store(args) as campaign_store:
-        summary = probe_stage(campaign_store, args.out, config, targets, transport)
+    summary = probe_stage(_open_store(args), args.out, params, targets, transport)
     if summary is not None:
         print(f"visits={summary.visits_completed} probes={summary.probes_sent} "
               f"losses={summary.losses} reachable={len(summary.reachable)} "
@@ -415,70 +382,60 @@ def _cmd_probe(args, config: CampaignConfig) -> int:
     return EXIT_OK
 
 
-def _cmd_estimate(args, config: CampaignConfig) -> int:
+def _cmd_estimate(args, params: probe.CampaignParams) -> int:
     _require_out(args, "estimate")
-    with _open_store(args, create=args.samples is not None) as campaign_store:
-        estimate_stage(campaign_store, args.out, config,
-                       _rows_in(args.samples, campaign_store, "samples"))
+    campaign_store = _open_store(args)
+    estimate_stage(campaign_store, args.out, params,
+                   _rows_in(args.samples, campaign_store, "samples"))
     return EXIT_OK
 
 
-def _cmd_report(args, config: CampaignConfig) -> int:
-    airports = validation.AirportDatabase.bundled(with_aliases=True)
-    with _open_store(args, create=False) as campaign_store:
-        records = _records_in(args.records, campaign_store)
-        estimates = _estimates_in(args.estimates, campaign_store)
-        paths = report_stage(campaign_store, args.out, config, records, estimates, airports)
+def _cmd_report(args, params: probe.CampaignParams) -> int:
+    campaign_store = _open_store(args)
+    records = _records_in(args.records, campaign_store)
+    estimates = _estimates_in(args.estimates, campaign_store)
+    paths = report_stage(campaign_store, args.out, params, records, estimates,
+                         validation.AirportDatabase.bundled())
     for name in sorted(paths):
         print(paths[name])
     return EXIT_OK
 
 
-def _cmd_simulate(args, config: CampaignConfig) -> int:
+def _cmd_simulate(args, params: probe.CampaignParams) -> int:
     """Run every stage against a virtual fleet: its DNS zone, a snapshot
     synthesized from its names, and its simulated echo transport."""
     fleet = simulation.SimulatedFleet.from_file(args.fleet)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    airports = validation.AirportDatabase.bundled(with_aliases=True)
+    airports = validation.AirportDatabase.bundled()
+    campaign_store = store.CampaignStore(out_dir / "store")
 
-    with store.CampaignStore(out_dir / "store") as campaign_store:
-        policy = discovery.CrawlPolicy(max_queries_per_second=None, retries=1, retry_backoff_s=0.0)
-        crawl_stage(campaign_store, None, derive_wordlists(fleet),
-                    simulation.ZoneResolver(fleet.zone()), policy, fleet.domain_suffix)
-        records = _records_in(None, campaign_store)
+    policy = discovery.CrawlPolicy(max_queries_per_second=None, retries=1, retry_backoff_s=0.0)
+    crawl_stage(campaign_store, None, derive_wordlists(fleet),
+                simulation.ZoneResolver(fleet.zone()), policy, fleet.domain_suffix)
+    records = _records_in(None, campaign_store)
 
-        snapshot, cdn_asns, isp_asns = synthesize_snapshot(fleet, airports)
-        validate_stage(campaign_store, None, records, snapshot, cdn_asns, isp_asns, airports)
+    snapshot, cdn_asns, isp_asns = synthesize_snapshot(fleet, airports)
+    validate_stage(campaign_store, None, records, snapshot, cdn_asns, isp_asns, airports)
 
-        targets = [a for r in records for a in r.addresses if ":" not in a]
-        transport = simulation.SimulatedTransport(fleet, loss_rate=args.loss_rate)
-        summary = probe_stage(campaign_store, None, config, targets, transport)
-        if summary is not None:
-            fleet.export_truth_csv(out_dir / "truth.csv")
-            (out_dir / "reachability.json").write_text(json.dumps({
-                "reachable": list(summary.reachable),
-                "non_reachable": list(summary.unreachable),
-                "visits": summary.visits_completed,
-                "losses": summary.losses,
-            }, indent=2, sort_keys=True) + "\n")
+    targets = [a for r in records for a in r.addresses if ":" not in a]
+    transport = simulation.SimulatedTransport(fleet, loss_rate=args.loss_rate)
+    summary = probe_stage(campaign_store, None, params, targets, transport)
+    if summary is not None:
+        fleet.export_truth_csv(out_dir / "truth.csv")
+        (out_dir / "reachability.json").write_text(json.dumps({
+            "reachable": list(summary.reachable),
+            "non_reachable": list(summary.unreachable),
+            "visits": summary.visits_completed,
+            "losses": summary.losses,
+        }, indent=2, sort_keys=True) + "\n")
 
-        estimate_stage(campaign_store, None, config, campaign_store.scan("samples"))
-        estimates = _estimates_in(None, campaign_store)
-        report_stage(campaign_store, out_dir, config, records, estimates, airports)
+    estimate_stage(campaign_store, None, params, campaign_store.scan("samples"))
+    estimates = _estimates_in(None, campaign_store)
+    report_stage(campaign_store, out_dir, params, records, estimates, airports)
     print(f"simulated campaign complete: {len(records)} servers, "
           f"{len(estimates)} estimates, reports in {out_dir}")
     return EXIT_OK
-
-
-def _load_config(args) -> CampaignConfig:
-    """The --config file (or defaults) with --seed and the command's
-    campaign flags applied; every stage reads this one object."""
-    config = load_config(args.config) if args.config else CampaignConfig()
-    if args.seed is not None:
-        config.seed = args.seed
-    config.campaign = _campaign_params(config, args)
-    return config
 
 
 def main(argv=None) -> int:
@@ -490,7 +447,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     logging.basicConfig(level=getattr(logging, args.log_level.upper()))
     try:
-        config = _load_config(args)
+        params = load_config(args.config, vars(args))
         if args.command == "enumerate":
             return _cmd_enumerate(args)
         if args.command == "crawl":
@@ -498,13 +455,13 @@ def main(argv=None) -> int:
         if args.command == "validate":
             return _cmd_validate(args)
         if args.command == "probe":
-            return _cmd_probe(args, config)
+            return _cmd_probe(args, params)
         if args.command == "estimate":
-            return _cmd_estimate(args, config)
+            return _cmd_estimate(args, params)
         if args.command == "report":
-            return _cmd_report(args, config)
+            return _cmd_report(args, params)
         if args.command == "simulate":
-            return _cmd_simulate(args, config)
+            return _cmd_simulate(args, params)
         raise _UsageError(f"unknown command {args.command!r}")
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

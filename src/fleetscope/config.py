@@ -1,24 +1,25 @@
-"""Campaign configuration: the seed and the campaign parameters.
+"""Campaign configuration: the one ``CampaignParams`` every stage reads.
 
 A config file is a JSON object with two optional keys, ``seed`` and
 ``campaign`` (``probe_interval``, ``dwell``, ``revisit_period``,
 ``workers``, ``total_duration``, ``max_visits_per_hour``,
 ``probe_timeout``, ``mtu_bytes``). Any other key is an error. The CLI
-loads it once and hands it to every stage: probe paces and schedules by
-it and plans no cycle longer than the revisit period, estimate reads the
-probe interval and MTU, report bins by the revisit period.
+loads it once, with its campaign flags on top: probe paces and schedules
+by it and plans no cycle longer than the revisit period, estimate reads
+the probe interval and MTU, report bins by the revisit period. What is
+unset keeps its ``CampaignParams`` default.
 
 Durations accept plain seconds or strings with units ("30ms", "60s",
-"30m", "10d"). Defaults pace probes every 30 ms, dwell one minute per
-visit, and run 150 workers.
+"30m", "10d").
 """
 
 from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field
+from dataclasses import replace
 from pathlib import Path
+from typing import Mapping
 
 from .probe import CampaignParams
 
@@ -43,9 +44,6 @@ _DURATION_UNITS = {
     "d": 86400.0,
 }
 
-_CAMPAIGN_KEYS = ("probe_interval", "dwell", "revisit_period", "workers", "total_duration",
-                  "max_visits_per_hour", "probe_timeout", "mtu_bytes")
-
 
 def parse_duration_s(value, fieldname: str = "duration") -> float:
     """'30ms' -> 0.03; bare numbers are seconds."""
@@ -57,60 +55,68 @@ def parse_duration_s(value, fieldname: str = "duration") -> float:
     return float(match.group(1)) * _DURATION_UNITS[match.group(2) or "s"]
 
 
-@dataclass
-class CampaignConfig:
-    """Validated pipeline configuration with defaults applied."""
-
-    seed: int = 0
-    campaign: CampaignParams = field(default_factory=CampaignParams)
-
-
-def _fields(value, prefix: str, known: tuple[str, ...]) -> dict:
-    """``value``, checked to be a JSON object with no key outside ``known``."""
-    if not isinstance(value, dict):
-        raise ConfigError(prefix.rstrip(".") or "config", "expected a JSON object")
-    for key in value:
-        if key not in known:
-            raise ConfigError(prefix + key, "unknown field")
-    return value
-
-
-def load_config(path: str | Path) -> CampaignConfig:
-    """Load and validate a config file."""
-    path = Path(path)
-    if not path.exists():
-        raise ConfigError("config", f"no such file: {path}")
+def _int(value, fieldname: str) -> int:
     try:
-        raw = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise ConfigError("config", f"invalid JSON: {exc}") from exc
-    raw = _fields(raw, "", ("seed", "campaign"))
+        return int(value)
+    except (TypeError, ValueError) as exc:  # named by its section: "seed" or "campaign"
+        raise ConfigError(fieldname.partition(".")[0], str(exc)) from exc
 
-    config = CampaignConfig()
-    config.seed = int(raw.get("seed", 0))
-    campaign = _fields(raw.get("campaign", {}), "campaign.", _CAMPAIGN_KEYS)
-    try:
-        config.campaign = CampaignParams(
-            probe_interval_s=parse_duration_s(campaign.get("probe_interval", 0.03), "campaign.probe_interval"),
-            dwell_s=parse_duration_s(campaign.get("dwell", 60.0), "campaign.dwell"),
-            revisit_period_s=parse_duration_s(campaign.get("revisit_period", 1800.0), "campaign.revisit_period"),
-            workers=int(campaign.get("workers", 150)),
-            total_duration_s=parse_duration_s(campaign.get("total_duration", 864000.0), "campaign.total_duration"),
-            max_visits_per_hour=(
-                None
-                if campaign.get("max_visits_per_hour", 2.0) is None
-                else float(campaign.get("max_visits_per_hour", 2.0))
-            ),
-            probe_timeout_s=(
-                None
-                if campaign.get("probe_timeout") is None
-                else parse_duration_s(campaign["probe_timeout"], "campaign.probe_timeout")
-            ),
-            mtu_bytes=int(campaign.get("mtu_bytes", 1500)),
-            seed=config.seed,
-        )
-    except ValueError as exc:
-        if isinstance(exc, ConfigError):
+
+def _optional(parse):  # null: no courtesy cap, the default reply timeout
+    return lambda value, fieldname: None if value is None else parse(value, fieldname)
+
+
+# Each setting by its key in a config file: the CampaignParams field it
+# sets, its parser (given the value and the name to use in errors) and the
+# command-line flag that overrides it.
+_SETTINGS = {
+    "seed": ("seed", _int, "seed"),
+    "campaign.probe_interval": ("probe_interval_s", parse_duration_s, "interval"),
+    "campaign.dwell": ("dwell_s", parse_duration_s, "dwell"),
+    "campaign.revisit_period": ("revisit_period_s", parse_duration_s, None),
+    "campaign.workers": ("workers", _int, "workers"),
+    "campaign.total_duration": ("total_duration_s", parse_duration_s, "duration"),
+    "campaign.max_visits_per_hour": ("max_visits_per_hour", _optional(lambda v, _: float(v)), None),
+    "campaign.probe_timeout": ("probe_timeout_s", _optional(parse_duration_s), None),
+    "campaign.mtu_bytes": ("mtu_bytes", _int, None),
+}
+
+
+def _with(params: CampaignParams, values: dict[str, tuple[object, str]]) -> CampaignParams:
+    """``params`` with each setting's (value, name in errors) parsed into its field."""
+    return replace(params, **{_SETTINGS[key][0]: _SETTINGS[key][1](value, name)
+                              for key, (value, name) in values.items()})
+
+
+def load_config(path: str | Path | None = None,
+                flags: Mapping[str, object] | None = None) -> CampaignParams:
+    """The campaign parameters: the config file at ``path``, if any, then
+    the command-line ``flags`` that are set (parsed arguments by flag name,
+    None when unset), over the ``CampaignParams`` defaults."""
+    params = CampaignParams()
+    if path is not None:
+        path = Path(path)
+        if not path.exists():
+            raise ConfigError("config", f"no such file: {path}")
+        try:
+            raw = json.loads(path.read_text())
+        except json.JSONDecodeError as exc:
+            raise ConfigError("config", f"invalid JSON: {exc}") from exc
+        if not isinstance(raw, dict):
+            raise ConfigError("config", "expected a JSON object")
+        campaign = raw.pop("campaign", {})
+        if not isinstance(campaign, dict):
+            raise ConfigError("campaign", "expected a JSON object")
+        values = {**raw, **{f"campaign.{key}": value for key, value in campaign.items()}}
+        for key in values:
+            if key not in _SETTINGS:
+                raise ConfigError(key, "unknown field")
+        try:
+            params = _with(params, {key: (value, key) for key, value in values.items()})
+        except ConfigError:
             raise
-        raise ConfigError("campaign", str(exc)) from exc
-    return config
+        except (TypeError, ValueError) as exc:
+            raise ConfigError("campaign", str(exc)) from exc
+    flags = flags or {}
+    return _with(params, {key: (flags[flag], flag) for key, (_, _, flag) in _SETTINGS.items()
+                          if flag and flags.get(flag) is not None})

@@ -9,8 +9,9 @@ rather than revisiting too fast.
 One event loop runs every campaign, on a virtual or a real clock alike. It
 takes the next due event from a heap: a send event sends one probe to each
 visit of a slot, and a collection event, one reply timeout after the slot's
-last send, hands the slot's visits to the sink. Due times are fixed from
-the campaign's start, so a late event delays only itself.
+last send, passes each of the slot's visits, as one ``VisitFrame``, to the
+caller's ``emit`` function. Due times are fixed from the campaign's start,
+so a late event delays only itself.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import logging
 import math
 import random
 from dataclasses import dataclass, replace
-from typing import Protocol, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -190,28 +191,12 @@ def probe_target(
                             probe_timeout_s=timeout_s)
     # one visit, never revisited: the cycle need only hold its reply window
     params = replace(params, revisit_period_s=2 * dwell_s + params.effective_timeout_s)
-    sink = ListSink()
-    run_campaign([target], params, transport, sink)
-    (visit,) = sink.visits
+    visits: list[VisitFrame] = []
+    run_campaign([target], params, transport, visits.append)
+    (visit,) = visits
     if (visit.rtt_ns == LOST_RTT).all():
         raise AllProbesLost(target, visit)
     return visit
-
-
-class SampleSink(Protocol):
-    """Where completed visits go, in slot order and then worker order."""
-
-    def add_visit(self, visit: VisitFrame) -> None: ...
-
-
-class ListSink:
-    """In-memory sink."""
-
-    def __init__(self) -> None:
-        self.visits: list[VisitFrame] = []
-
-    def add_visit(self, visit: VisitFrame) -> None:
-        self.visits.append(visit)
 
 
 @dataclass
@@ -230,14 +215,15 @@ def run_campaign(
     targets: Sequence[str],
     params: CampaignParams,
     transport: EchoTransport,
-    sink: SampleSink,
+    emit: Callable[[VisitFrame], None],
 ) -> CampaignSummary:
-    """Execute the schedule until the campaign duration elapses.
+    """Execute the schedule until the campaign duration elapses, calling
+    ``emit`` with each finished visit.
 
     The visits of slot ``s`` start at ``epoch + s * slot_s``, where the
     epoch is the transport's clock at the call, and send in step. One reply
-    timeout after their last send they reach ``sink``, in slot order and
-    then worker order.
+    timeout after their last send each is emitted, in slot order and then
+    worker order.
     """
     if params.total_duration_s <= 0:
         return CampaignSummary()
@@ -278,7 +264,7 @@ def run_campaign(
             for target, sent in visits:
                 visit = _visit_frame(target, sent, transport.end_visit(target, sent[-1]),
                                      interval_ns, timeout_ns)
-                sink.add_visit(visit)
+                emit(visit)
                 losses = int(np.count_nonzero(visit.rtt_ns == LOST_RTT))
                 totals.visits_completed += 1
                 totals.probes_sent += count

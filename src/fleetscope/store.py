@@ -1,13 +1,14 @@
 """Campaign store: versioned streams plus a manifest.
 
-One directory per campaign. Each stream has a single writer. Records,
-estimates and verdicts are JSON-lines files, written through
-``JsonlWriter`` and read through ``read_jsonl`` like any other JSON-lines
-file of the package. Samples are one binary frame per visit in
-``samples.bin``, written through ``FrameWriter`` and read through
-``read_frames``. A stream holds one complete stage run or nothing. The
-manifest tracks schema versions and stage completion markers so a finished
-stage is never re-run.
+One directory per campaign. Records, estimates and verdicts are
+JSON-lines files, written through ``JsonlWriter`` and read through
+``read_jsonl`` like any other JSON-lines file of the package. Samples are
+one binary frame per visit in ``samples.bin``, written through
+``FrameWriter`` and read through ``read_frames``; ``CampaignStore.writer``
+opens a stream's writer, which publishes the stream whole when it
+commits, so a stream holds one complete stage run or nothing. The
+manifest tracks schema versions and stage completion markers so a
+finished stage is never re-run and stages complete in pipeline order.
 
 A sample frame is little-endian: the header ``FRAME_MAGIC``, ``start_ns``
 (i64), ``end_ns`` (i64), the probe count (u32) and the target's length
@@ -211,7 +212,6 @@ class CampaignStore:
         elif not self.directory.is_dir():
             raise StoreError(f"no store at {self.directory}")
         self._manifest_path = self.directory / MANIFEST_NAME
-        self._writers: dict[str, JsonlWriter | FrameWriter] = {}
         if not self._manifest_path.exists():
             self._write_manifest({"manifest_version": 1, "streams": {}, "stages": {}})
 
@@ -238,14 +238,18 @@ class CampaignStore:
     def stage_done(self, stage: str) -> bool:
         return bool(self._read_manifest()["stages"].get(stage, {}).get("done"))
 
-    def mark_stage_done(self, stage: str) -> None:
-        """Record stage completion; earlier pipeline stages must be done."""
+    def check_stage_order(self, stage: str) -> None:
+        """Raise ``StageOrderError`` unless every earlier pipeline stage is done."""
         if stage not in STAGE_ORDER:
             raise ValueError(f"unknown stage {stage!r}")
-        manifest = self._read_manifest()
         for earlier in STAGE_ORDER[: STAGE_ORDER.index(stage)]:
-            if not manifest["stages"].get(earlier, {}).get("done"):
+            if not self.stage_done(earlier):
                 raise StageOrderError(f"stage {stage!r} before {earlier!r} completed")
+
+    def mark_stage_done(self, stage: str) -> None:
+        """Record stage completion; earlier pipeline stages must be done."""
+        self.check_stage_order(stage)
+        manifest = self._read_manifest()
         manifest["stages"][stage] = {"done": True}
         self._write_manifest(manifest)
 
@@ -256,28 +260,22 @@ class CampaignStore:
             raise ValueError(f"unknown stream {stream!r}")
         return self.directory / (f"{stream}.bin" if stream == "samples" else f"{stream}.jsonl")
 
-    def _open_writer(self, stream: str) -> JsonlWriter | FrameWriter:
+    def writer(self, stream: str) -> JsonlWriter | FrameWriter:
+        """A writer whose ``commit`` replaces ``stream`` with the rows appended
+        to it; records the stream's schema version in the manifest.
+
+        Raises ``SchemaMismatch`` if a newer schema wrote the stream. Opening
+        the samples writer deletes a v1 ``samples.jsonl``, which this build
+        cannot read and the new stream replaces.
+        """
         path = self.stream_path(stream)
         manifest = self._manifest_for(stream)
         if manifest["streams"].get(stream) != STREAM_VERSIONS[stream]:
             manifest["streams"][stream] = STREAM_VERSIONS[stream]
             self._write_manifest(manifest)
-        return open_writer(stream, path)
-
-    def append(self, stream: str, obj) -> None:
-        """Append one record (a ``VisitFrame`` for samples) to the stream's
-        pending rows; ``commit`` publishes them."""
-        writer = self._writers.get(stream)
-        if writer is None:
-            writer = self._writers[stream] = self._open_writer(stream)
-        writer.append(obj)
-
-    def commit(self, stream: str) -> None:
-        """Replace the stream with the rows appended since its last commit."""
-        writer = self._writers.pop(stream, None) or self._open_writer(stream)
-        writer.commit()
         if stream == "samples":
             (self.directory / "samples.jsonl").unlink(missing_ok=True)
+        return open_writer(stream, path)
 
     def scan(self, stream: str) -> Iterator:
         """Yield the committed items in append order (see ``read_stream``).
@@ -291,15 +289,3 @@ class CampaignStore:
         path = self.stream_path(stream)
         if path.exists():
             yield from read_stream(stream, path)
-
-    def close(self) -> None:
-        """Close open writers without committing them."""
-        for writer in self._writers.values():
-            writer.close()
-        self._writers.clear()
-
-    def __enter__(self) -> "CampaignStore":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()

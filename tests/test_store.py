@@ -1,4 +1,4 @@
-"""Campaign store: append/scan, sample frames, corruption tolerance, versions, stages."""
+"""Campaign store: write/scan, sample frames, corruption tolerance, versions, stages."""
 
 import json
 
@@ -17,21 +17,27 @@ from fleetscope.store import (
 )
 
 
+def _committed(store, stream, rows):
+    writer = store.writer(stream)
+    for row in rows:
+        writer.append(row)
+    writer.commit()
+    return store
+
+
 def test_append_scan_round_trip(tmp_path):
-    with CampaignStore(tmp_path / "store") as store:
-        rows = [{"v": 1, "hostname": f"h{i}", "addresses": [f"198.18.0.{i}"]} for i in range(3)]
-        for row in rows:
-            store.append("records", row)
-        assert list(store.scan("records")) == []  # nothing is visible before commit
-        store.commit("records")
-        assert list(store.scan("records")) == rows
+    store = CampaignStore(tmp_path / "store")
+    rows = [{"v": 1, "hostname": f"h{i}", "addresses": [f"198.18.0.{i}"]} for i in range(3)]
+    writer = store.writer("records")
+    for row in rows:
+        writer.append(row)
+    assert list(store.scan("records")) == []  # nothing is visible before commit
+    writer.commit()
+    assert list(store.scan("records")) == rows
 
 
 def test_scan_tolerates_truncated_final_line(tmp_path, caplog):
-    store = CampaignStore(tmp_path / "store")
-    store.append("records", {"seq": 1})
-    store.append("records", {"seq": 2})
-    store.commit("records")
+    store = _committed(CampaignStore(tmp_path / "store"), "records", [{"seq": 1}, {"seq": 2}])
     path = store.stream_path("records")
     with open(path, "a") as fh:
         fh.write('{"seq": 3, "trunc')  # crash mid-line
@@ -44,9 +50,7 @@ def test_scan_tolerates_truncated_final_line(tmp_path, caplog):
 
 
 def test_scan_rejects_mid_file_corruption(tmp_path):
-    store = CampaignStore(tmp_path / "store")
-    store.append("records", {"seq": 1})
-    store.commit("records")
+    store = _committed(CampaignStore(tmp_path / "store"), "records", [{"seq": 1}])
     path = store.stream_path("records")
     with open(path, "a") as fh:
         fh.write("garbage\n")
@@ -56,9 +60,9 @@ def test_scan_rejects_mid_file_corruption(tmp_path):
 
 
 def test_newer_schema_version_is_rejected(tmp_path):
-    store = CampaignStore(tmp_path / "store")
-    store.append("records", {"seq": 1})
-    store.close()
+    writer = CampaignStore(tmp_path / "store").writer("records")
+    writer.append({"seq": 1})
+    writer.close()
     manifest_path = tmp_path / "store" / "manifest.json"
     manifest = json.loads(manifest_path.read_text())
     manifest["streams"]["records"] = 2
@@ -67,7 +71,7 @@ def test_newer_schema_version_is_rejected(tmp_path):
     with pytest.raises(SchemaMismatch):
         list(reopened.scan("records"))
     with pytest.raises(SchemaMismatch):
-        reopened.append("records", {"seq": 2})
+        reopened.writer("records")
 
 
 # -- sample frames -------------------------------------------------------------
@@ -84,11 +88,7 @@ def _visit(target="198.18.0.7", start_ns=5_000_000_000, count=40, lost=(3, 4, 17
 
 
 def _committed_samples(tmp_path, visits):
-    store = CampaignStore(tmp_path / "store")
-    for visit in visits:
-        store.append("samples", visit)
-    store.commit("samples")
-    return store
+    return _committed(CampaignStore(tmp_path / "store"), "samples", visits)
 
 
 def test_frames_round_trip_every_column(tmp_path):
@@ -164,7 +164,7 @@ def test_stage_markers_enforce_order(tmp_path):
 def test_unknown_stream_rejected(tmp_path):
     store = CampaignStore(tmp_path / "store")
     with pytest.raises(ValueError):
-        store.append("nonsense", {})
+        store.writer("nonsense")
 
 
 def test_scan_missing_stream_is_empty(tmp_path):
@@ -188,11 +188,11 @@ def test_minimal_config_gets_campaign_defaults(tmp_path):
     config_path = tmp_path / "config.json"
     config_path.write_text(json.dumps({}))
     config = load_config(config_path)
-    assert config.campaign.probe_interval_s == pytest.approx(0.03)
-    assert config.campaign.dwell_s == 60.0
-    assert config.campaign.workers == 150
-    assert config.campaign.total_duration_s == 864000.0
-    assert config.campaign.max_visits_per_hour == 2.0
+    assert config.probe_interval_s == pytest.approx(0.03)
+    assert config.dwell_s == 60.0
+    assert config.workers == 150
+    assert config.total_duration_s == 864000.0
+    assert config.max_visits_per_hour == 2.0
 
 
 @pytest.mark.parametrize("fieldname, value", [
@@ -219,7 +219,7 @@ def test_config_explicit_interval_overrides_default(tmp_path):
     config_path = tmp_path / "config.json"
     config_path.write_text(json.dumps({"campaign": {"probe_interval": "15ms"}}))
     config = load_config(config_path)
-    assert config.campaign.probe_interval_s == pytest.approx(0.015)
+    assert config.probe_interval_s == pytest.approx(0.015)
 
 
 def test_config_rejects_bad_json(tmp_path):

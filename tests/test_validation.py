@@ -1,5 +1,7 @@
 """Location and attribution cross-checks."""
 
+from importlib import resources
+
 import pytest
 
 from fleetscope.validation import (
@@ -29,10 +31,11 @@ def test_bundled_airport_lookup_lhr():
 
 
 def test_airport_alias_resolves_typo():
-    plain = AirportDatabase.bundled()
+    with resources.as_file(resources.files("fleetscope.data") / "airports.csv") as path:
+        plain = AirportDatabase.from_csv(path)
     with pytest.raises(UnknownAirportCode):
         plain.location("mdv")
-    aliased = AirportDatabase.bundled(with_aliases=True)
+    aliased = AirportDatabase.bundled()
     point, country = aliased.location("mdv")
     assert country == "UY"
     assert point.latitude == pytest.approx(-34.84, abs=0.05)
