@@ -7,6 +7,14 @@ bin grid (default 30 minutes, matching the revisit period, so roughly one
 estimate lands in each bin). Bins without measurements are left out of
 means rather than zero-filled: absence of measurement is not absence of
 traffic.
+
+Estimates are read once into an ``EstimateTable`` of numpy columns, 29
+bytes per estimate. Every report shape groups those columns with one
+kernel (``_group``), which adds each group's values in row order, so each
+sum has a fixed left-to-right order: estimates in input order within a
+bin, bins in ascending order within a server, servers in hostname order
+within a group. Floats are written with ``repr``, and that order keeps the
+report files byte-identical on every Python and numpy version.
 """
 
 from __future__ import annotations
@@ -14,25 +22,129 @@ from __future__ import annotations
 import csv
 import datetime as dt
 import json
-from dataclasses import dataclass
+from array import array
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
+import numpy as np
+
 from .discovery import ServerRecord
-from .ipid import RateEstimate
 from .validation import AirportDatabase
 
 DEFAULT_BIN_S = 1800.0
 DAY_NS = 86_400 * 10**9
-UTC = dt.timezone.utc
+_EPOCH_ORDINAL = dt.date(1970, 1, 1).toordinal()
 
 
-class UnjoinedEstimate(KeyError):
+class BadEstimate(ValueError):
+    """An estimate row the report cannot use; ``row`` counts the rows from 1."""
+
+    def __init__(self, row: int, reason: str):
+        super().__init__(f"estimate {row}: {reason}")
+        self.row = row
+        self.reason = reason
+
+
+class UnjoinedEstimate(BadEstimate):
     """An estimate's target does not belong to any known server record."""
 
 
 class EmptyInput(ValueError):
     """A computation that needs data got none."""
+
+
+@dataclass(frozen=True, eq=False)
+class EstimateTable:
+    """Rate estimates as columns; entry ``i`` of each column is row ``i``."""
+
+    targets: tuple[str, ...]  # target names in order of first appearance
+    target: np.ndarray  # index into ``targets``
+    mid_ns: np.ndarray  # int64 window midpoint
+    pps: np.ndarray  # float64
+    bps: np.ndarray  # float64
+    lower_bound: np.ndarray  # bool, the lower_bound_only flag
+
+    @classmethod
+    def from_rows(cls, rows: Iterable[Mapping]) -> "EstimateTable":
+        """The table of estimate rows in the ``estimates.jsonl`` format, in order.
+
+        Raises ``BadEstimate`` for a row without a field the report reads
+        (target, window, pps, bps, ``flags.lower_bound_only``), with a value
+        of the wrong type, or with a rate that is not a finite number.
+        """
+        index: dict[str, int] = {}
+        target, mid_ns, pps, bps = array("i"), array("q"), array("d"), array("d")
+        lower_bound = array("b")
+        for number, row in enumerate(rows, 1):
+            try:
+                mid_ns.append((row["window_start_ns"] + row["window_end_ns"]) // 2)
+                pps.append(row["pps"])
+                bps.append(row["bps"])
+                lower_bound.append(row["flags"]["lower_bound_only"])
+                target.append(index.setdefault(row["target"], len(index)))
+            except KeyError as exc:
+                raise BadEstimate(number, f"no field {exc.args[0]!r}") from None
+            except (TypeError, OverflowError) as exc:
+                raise BadEstimate(number, f"bad value ({exc})") from None
+        table = cls(
+            tuple(index),
+            np.frombuffer(target, np.intc),
+            np.frombuffer(mid_ns, np.int64),
+            np.frombuffer(pps, np.float64),
+            np.frombuffer(bps, np.float64),
+            np.frombuffer(lower_bound, np.int8) != 0,
+        )
+        infinite = np.flatnonzero(~(np.isfinite(table.pps) & np.isfinite(table.bps)))
+        if len(infinite):
+            raise BadEstimate(int(infinite[0]) + 1, "pps or bps is not a finite number")
+        return table
+
+    def __len__(self) -> int:
+        return len(self.target)
+
+
+def _group(keys: np.ndarray, *columns: np.ndarray):
+    """Group rows by integer key, groups in ascending key order.
+
+    Returns each group's first row, each row's group, each group's row
+    count, and per column the sum of each group's values. ``np.add.at``
+    adds them one by one in row order (``np.sum`` would add pairwise), so a
+    sum's order is the rows' order. Keys already in order are not sorted.
+    """
+    order = None if (keys[1:] >= keys[:-1]).all() else np.argsort(keys, kind="stable")
+    ordered = keys if order is None else keys[order]
+    first = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]][:len(keys)])
+    del ordered
+    counts = np.diff(first, append=len(keys))
+    inverse = np.repeat(np.arange(len(first)), counts)  # of the rows in key order
+    if order is not None:
+        first = order[first]
+        inverse[order] = inverse.copy()  # back to row order
+    sums = []
+    for column in columns:
+        total = np.zeros(len(first))
+        np.add.at(total, inverse, column)
+        sums.append(total)
+    return first, inverse, counts, sums
+
+
+def _pairs(major: np.ndarray, minor: np.ndarray) -> np.ndarray:
+    """One int64 key per row that orders rows by ``major``, a non-negative
+    index, then by ``minor``."""
+    keys = minor - minor.min(initial=np.iinfo(np.int64).max)
+    span = int(keys.max(initial=0)) + 1
+    if span * (int(major.max(initial=0)) + 1) > np.iinfo(np.int64).max:
+        raise ValueError("estimate windows span too many bins")
+    keys += major.astype(np.int64, copy=False) * span
+    return keys
+
+
+def _label_groups(labels: Sequence) -> tuple[list, np.ndarray]:
+    """The distinct labels sorted, and each label's position among them."""
+    distinct = sorted(set(labels))
+    position = {label: i for i, label in enumerate(distinct)}
+    return distinct, np.array([position[label] for label in labels], np.int64)
 
 
 @dataclass(frozen=True, slots=True)
@@ -47,7 +159,7 @@ class PeakObservation:
 
 
 def detect_peaks(
-    estimates: Iterable[RateEstimate],
+    estimates: EstimateTable,
     operator_kinds: Mapping[str, str],
     bin_s: float = DEFAULT_BIN_S,
 ) -> list[PeakObservation]:
@@ -60,78 +172,91 @@ def detect_peaks(
     bin_ns = round(bin_s * 1e9)
     if DAY_NS % bin_ns:
         raise ValueError("bin must divide 24h")
-    per_day: dict[tuple[str, int], dict[int, list[float]]] = {}
-    for est in estimates:
-        mid = (est.window_start_ns + est.window_end_ns) // 2
-        day_index = mid // DAY_NS
-        bin_of_day = (mid % DAY_NS) // bin_ns
-        per_day.setdefault((est.target, day_index), {}).setdefault(bin_of_day, []).append(
-            est.packets_per_second
-        )
+    bins_per_day = DAY_NS // bin_ns
+    _, rank = _label_groups(estimates.targets)
+    first, inverse, counts, (means,) = _group(
+        _pairs(rank[estimates.target], estimates.mid_ns // bin_ns), estimates.pps)
+    means /= counts  # per (target, bin), in target and then bin order
+    del inverse, counts  # as long as the estimates; free them for the day grouping
+    bins = estimates.mid_ns[first] // bin_ns
+    day_first, day_of_bin, _, _ = _group(_pairs(rank[estimates.target[first]],
+                                                bins // bins_per_day))
+    best = np.full(len(day_first), -np.inf)
+    np.maximum.at(best, day_of_bin, means)
+    # within a day the bins ascend, so a day's first maximal bin is the earliest
+    maximal = np.flatnonzero(means == best[day_of_bin])
+    peak = maximal[np.unique(day_of_bin[maximal], return_index=True)[1]]
 
     peaks = []
-    for (target, day_index), bins in sorted(per_day.items()):
-        best_bin = None
-        best_value = -1.0
-        for bin_of_day in sorted(bins):
-            value = sum(bins[bin_of_day]) / len(bins[bin_of_day])
-            if value > best_value:
-                best_bin = bin_of_day
-                best_value = value
-        day = dt.datetime.fromtimestamp(day_index * 86_400, tz=UTC).date()
-        peaks.append(
-            PeakObservation(
-                target=target,
-                day=day,
-                peak_bin_start_s=int(best_bin * bin_ns // 10**9),
-                peak_pps=best_value,
-                operator_kind=operator_kinds.get(target, "unknown"),
-            )
-        )
+    for row, peak_bin, peak_pps in zip(first[peak].tolist(), bins[peak].tolist(),
+                                       means[peak].tolist()):
+        target = estimates.targets[estimates.target[row]]
+        peaks.append(PeakObservation(
+            target=target,
+            day=dt.date.fromordinal(_EPOCH_ORDINAL + peak_bin // bins_per_day),
+            peak_bin_start_s=peak_bin % bins_per_day * bin_ns // 10**9,
+            peak_pps=peak_pps,
+            operator_kind=operator_kinds.get(target, "unknown"),
+        ))
     return peaks
 
 
-@dataclass(frozen=True)
-class ServerSeries:
-    """Binned series and campaign means for one server record."""
+@dataclass(frozen=True, eq=False)
+class _Joined:
+    """Estimates joined to their server records, as columns.
 
-    record: ServerRecord
-    bins: dict[int, float]  # bin index -> mean pps within bin
-    mean_pps: float
-    mean_bps: float
+    Servers are the records with estimates, in hostname order; their
+    (server, bin) pairs follow in server and then bin order.
+    """
+
+    record: np.ndarray  # per server: index into the records
+    mean_pps: np.ndarray  # per server: mean of its bin means
+    mean_bps: np.ndarray
+    bin_server: np.ndarray  # per (server, bin): position of the server
+    bin: np.ndarray  # per (server, bin): bin index
+    bin_pps: np.ndarray  # per (server, bin): mean pps within the bin
+
+
+def _record_of_target(estimates: EstimateTable, records: Sequence[ServerRecord]) -> np.ndarray:
+    """Per target of ``estimates``, the index of the record holding its address.
+
+    Raises ``UnjoinedEstimate`` for the first row whose target no record holds.
+    """
+    by_address = {address: i for i, record in enumerate(records) for address in record.addresses}
+    found = np.array([by_address.get(target, -1) for target in estimates.targets], np.int64)
+    if (found < 0).any():
+        row = int(np.flatnonzero(found[estimates.target] < 0)[0])
+        target = estimates.targets[estimates.target[row]]
+        raise UnjoinedEstimate(row + 1, f"target {target} is not an address of any record")
+    return found
 
 
 def _join_series(
-    estimates: Iterable[RateEstimate],
+    estimates: EstimateTable,
     records: Sequence[ServerRecord],
     bin_s: float,
-) -> list[ServerSeries]:
-    by_address: dict[str, ServerRecord] = {}
-    for record in records:
-        for address in record.addresses:
-            by_address[address] = record
-
+) -> _Joined:
     bin_ns = round(bin_s * 1e9)
-    grouped: dict[str, dict[int, list[tuple[float, float]]]] = {}
-    for est in estimates:
-        record = by_address.get(est.target)
-        if record is None:
-            raise UnjoinedEstimate(est.target)
-        mid = (est.window_start_ns + est.window_end_ns) // 2
-        grouped.setdefault(record.hostname, {}).setdefault(mid // bin_ns, []).append(
-            (est.packets_per_second, est.bits_per_second)
-        )
-
-    series = []
-    by_hostname = {record.hostname: record for record in records}
-    for hostname in sorted(grouped):
-        raw = grouped[hostname]
-        bins = {b: sum(p for p, _ in vals) / len(vals) for b, vals in raw.items()}
-        bps_bins = {b: sum(x for _, x in vals) / len(vals) for b, vals in raw.items()}
-        mean_pps = sum(bins.values()) / len(bins)
-        mean_bps = sum(bps_bins.values()) / len(bps_bins)
-        series.append(ServerSeries(by_hostname[hostname], bins, mean_pps, mean_bps))
-    return series
+    hostnames, server_of_record = _label_groups([record.hostname for record in records])
+    server_of_target = server_of_record[_record_of_target(estimates, records)]
+    first, inverse, counts, (bin_pps, bin_bps) = _group(
+        _pairs(server_of_target[estimates.target], estimates.mid_ns // bin_ns),
+        estimates.pps, estimates.bps)
+    bin_pps /= counts
+    bin_bps /= counts
+    del inverse, counts  # as long as the estimates; free them for the server grouping
+    server = server_of_target[estimates.target[first]]
+    server_first, bin_server, bin_counts, (mean_pps, mean_bps) = _group(server, bin_pps, bin_bps)
+    record_of_server = np.empty(len(hostnames), np.int64)
+    record_of_server[server_of_record] = np.arange(len(records))  # any record of the name
+    return _Joined(
+        record=record_of_server[server[server_first]],
+        mean_pps=mean_pps / bin_counts,
+        mean_bps=mean_bps / bin_counts,
+        bin_server=bin_server,
+        bin=estimates.mid_ns[first] // bin_ns,
+        bin_pps=bin_pps,
+    )
 
 
 @dataclass(frozen=True)
@@ -140,6 +265,7 @@ class TrafficRollup:
 
     ``mean_pps``/``mean_bps`` are sums of the member servers' campaign
     means, so disjoint groupings add up exactly to the ungrouped total.
+    ``rollup`` fills ``series``; the report files do not hold it.
     """
 
     group: str
@@ -155,7 +281,7 @@ GROUPINGS = ("location", "country", "continent", "operator_kind")
 
 
 def rollup(
-    estimates: Iterable[RateEstimate],
+    estimates: EstimateTable,
     records: Sequence[ServerRecord],
     grouping: str,
     airports: AirportDatabase | None = None,
@@ -169,11 +295,22 @@ def rollup(
     """
     if grouping not in GROUPINGS:
         raise ValueError(f"grouping must be one of {GROUPINGS}")
-    return _rollup(_join_series(estimates, records, bin_s), grouping, airports, continents, bin_s)
+    joined = _join_series(estimates, records, bin_s)
+    rollups, group = _rollup(joined, records, grouping, airports, continents)
+    bin_group = group[joined.bin_server]
+    first, _, _, (totals,) = _group(_pairs(bin_group, joined.bin), joined.bin_pps)
+    bin_ns = round(bin_s * 1e9)
+    series: list[list[tuple[int, float]]] = [[] for _ in rollups]
+    for g, b, total in zip(bin_group[first].tolist(), joined.bin[first].tolist(), totals.tolist()):
+        series[g].append((b * bin_ns, total))
+    return [replace(r, series=tuple(points)) for r, points in zip(rollups, series)]
 
 
-def _rollup(joined: Iterable[ServerSeries], grouping: str, airports: AirportDatabase | None,
-            continents: Mapping[str, str] | None, bin_s: float) -> list[TrafficRollup]:
+def _rollup(joined: _Joined, records: Sequence[ServerRecord], grouping: str,
+            airports: AirportDatabase | None, continents: Mapping[str, str] | None
+            ) -> tuple[list[TrafficRollup], np.ndarray]:
+    """The rollups of ``joined`` without their series, and each server's
+    position among them."""
     def key_for(record: ServerRecord) -> str:
         if grouping == "location":
             return record.site_code
@@ -186,30 +323,17 @@ def _rollup(joined: Iterable[ServerSeries], grouping: str, airports: AirportData
             return country
         return (continents or {}).get(country, "unknown")
 
-    bin_ns = round(bin_s * 1e9)
-    groups: dict[str, list[ServerSeries]] = {}
-    for series in joined:
-        groups.setdefault(key_for(series.record), []).append(series)
-
-    rollups = []
-    for group in sorted(groups):
-        members = groups[group]
-        totals: dict[int, float] = {}
-        for member in members:
-            for b, value in member.bins.items():
-                totals[b] = totals.get(b, 0.0) + value
-        rollups.append(
-            TrafficRollup(
-                group=group,
-                grouping=grouping,
-                server_count=len(members),
-                location_count=len({m.record.site_code for m in members}),
-                mean_pps=sum(m.mean_pps for m in members),
-                mean_bps=sum(m.mean_bps for m in members),
-                series=tuple((b * bin_ns, totals[b]) for b in sorted(totals)),
-            )
-        )
-    return rollups
+    members = [records[i] for i in joined.record.tolist()]
+    groups, group = _label_groups([key_for(record) for record in members])
+    _, _, server_counts, (mean_pps, mean_bps) = _group(group, joined.mean_pps, joined.mean_bps)
+    _, site = _label_groups([record.site_code for record in members])
+    locations = np.bincount(group[_group(_pairs(group, site))[0]], minlength=len(groups))
+    return [
+        TrafficRollup(name, grouping, count, location_count, pps, bps, ())
+        for name, count, location_count, pps, bps in zip(
+            groups, server_counts.tolist(), locations.tolist(), mean_pps.tolist(),
+            mean_bps.tolist())
+    ], group
 
 
 def traffic_cdf(values: Sequence[float]) -> list[tuple[float, float]]:
@@ -233,24 +357,22 @@ class LocationTraffic:
 
 def deployment_vs_traffic(
     records: Sequence[ServerRecord],
-    estimates: Iterable[RateEstimate],
+    estimates: EstimateTable,
     bin_s: float = DEFAULT_BIN_S,
 ) -> list[LocationTraffic]:
     """One point per location: how many servers it hosts and the sum of
     their campaign-mean rates. IXP and ISP deployments at the same site
     code are distinct locations."""
-    return _deployment_vs_traffic(_join_series(estimates, records, bin_s))
+    return _deployment_vs_traffic(_join_series(estimates, records, bin_s), records)
 
 
-def _deployment_vs_traffic(joined: Iterable[ServerSeries]) -> list[LocationTraffic]:
-    points: dict[tuple[str, str], list[ServerSeries]] = {}
-    for series in joined:
-        key = (series.record.site_code, series.record.operator_kind)
-        points.setdefault(key, []).append(series)
-    return [
-        LocationTraffic(site, kind, len(members), sum(m.mean_bps for m in members))
-        for (site, kind), members in sorted(points.items())
-    ]
+def _deployment_vs_traffic(joined: _Joined, records: Sequence[ServerRecord]
+                           ) -> list[LocationTraffic]:
+    locations, location = _label_groups(
+        [(records[i].site_code, records[i].operator_kind) for i in joined.record.tolist()])
+    _, _, counts, (mean_bps,) = _group(location, joined.mean_bps)
+    return [LocationTraffic(site, kind, count, bps)
+            for (site, kind), count, bps in zip(locations, counts.tolist(), mean_bps.tolist())]
 
 
 def _write_csv(path: Path, header: list[str], rows: Iterable[Sequence]) -> None:
@@ -267,7 +389,7 @@ def _seconds_to_hhmm(seconds: int) -> str:
 def write_reports(
     out_dir: str | Path,
     records: Sequence[ServerRecord],
-    estimates: Sequence[RateEstimate],
+    estimates: EstimateTable,
     airports: AirportDatabase | None = None,
     continents: Mapping[str, str] | None = None,
     bin_s: float = DEFAULT_BIN_S,
@@ -277,18 +399,16 @@ def write_reports(
 
     ``validation``, the verdict counts, becomes the summary's
     ``validation`` key when given. Output is deterministic for identical
-    inputs: rows are sorted and floats rendered with ``repr``.
+    inputs: rows are sorted and floats rendered with ``repr``. An estimate
+    no record joins raises ``UnjoinedEstimate`` before any file is written.
     """
+    _record_of_target(estimates, records)  # raises UnjoinedEstimate now, not after peaks.csv
+    kinds = {address: record.operator_kind for record in records for address in record.addresses}
+    peaks = detect_peaks(estimates, kinds, bin_s)
+
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     paths: dict[str, Path] = {}
-
-    kinds = {}
-    for record in records:
-        for address in record.addresses:
-            kinds[address] = record.operator_kind
-
-    peaks = detect_peaks(estimates, kinds, bin_s)
     paths["peaks"] = out / "peaks.csv"
     _write_csv(
         paths["peaks"],
@@ -299,14 +419,11 @@ def write_reports(
         ],
     )
 
-    series = _join_series(estimates, records, bin_s)
+    joined = _join_series(estimates, records, bin_s)
+    mean_bps = joined.mean_bps.tolist()
     paths["cdf"] = out / "cdf.csv"
-    if series:
-        cdf = traffic_cdf([s.mean_bps for s in series])
-        _write_csv(paths["cdf"], ["mean_bps", "cumulative_fraction"],
-                   [(repr(v), repr(p)) for v, p in cdf])
-    else:
-        _write_csv(paths["cdf"], ["mean_bps", "cumulative_fraction"], [])
+    _write_csv(paths["cdf"], ["mean_bps", "cumulative_fraction"],
+               [(repr(v), repr(p)) for v, p in traffic_cdf(mean_bps)] if mean_bps else [])
 
     paths["location_scatter"] = out / "location_scatter.csv"
     _write_csv(
@@ -314,7 +431,7 @@ def write_reports(
         ["site", "operator_kind", "servers", "mean_bps"],
         [
             (p.site_code, p.operator_kind, p.server_count, repr(p.mean_bps))
-            for p in _deployment_vs_traffic(series)
+            for p in _deployment_vs_traffic(joined, records)
         ],
     )
 
@@ -323,7 +440,7 @@ def write_reports(
         ("continent", "rollup_continent.csv"),
         ("operator_kind", "rollup_kind.csv"),
     ):
-        rows = _rollup(series, grouping, airports, continents, bin_s)
+        rows, _ = _rollup(joined, records, grouping, airports, continents)
         paths[grouping] = out / filename
         _write_csv(
             paths[grouping],
@@ -334,13 +451,14 @@ def write_reports(
             ],
         )
 
+    (total,) = _group(np.zeros(len(mean_bps), np.int64), joined.mean_bps)[3]
     summary = {
         "servers": len(records),
         "estimates": len(estimates),
-        "targets_estimated": len({e.target for e in estimates}),
-        "total_mean_bps": sum(s.mean_bps for s in series),
+        "targets_estimated": len(estimates.targets),
+        "total_mean_bps": total.tolist()[0] if mean_bps else 0,
         "lower_bound_targets": sorted(
-            {e.target for e in estimates if e.lower_bound_only}
+            estimates.targets[i] for i in np.unique(estimates.target[estimates.lower_bound]).tolist()
         ),
     }
     if validation is not None:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import itertools
 import json
 import logging
 import sys
@@ -250,7 +251,7 @@ def estimate_stage(campaign_store, out, params: probe.CampaignParams,
 
 
 def report_stage(campaign_store, out_dir, params: probe.CampaignParams,
-                 records: list[discovery.ServerRecord], estimates: list[ipid.RateEstimate],
+                 records: list[discovery.ServerRecord], estimates: analytics.EstimateTable,
                  airports: validation.AirportDatabase) -> dict[str, Path]:
     """Write the report files, binned by the revisit period; always rewritten.
     When the store's validate stage is done, ``summary.json`` gains the
@@ -315,9 +316,22 @@ def _records_in(path: str | None, campaign_store) -> list[discovery.ServerRecord
             for obj in _rows_in(path, campaign_store, "records")]
 
 
-def _estimates_in(path: str | None, campaign_store) -> list[ipid.RateEstimate]:
-    return [ipid.RateEstimate.from_json(obj)
-            for obj in _rows_in(path, campaign_store, "estimates")]
+def _estimates_in(path: str | None, campaign_store) -> analytics.EstimateTable:
+    return analytics.EstimateTable.from_rows(_rows_in(path, campaign_store, "estimates"))
+
+
+@contextlib.contextmanager
+def _naming_estimate_lines(path: str | None, campaign_store):
+    """Re-raise an ``analytics.BadEstimate`` as a ValueError that names the
+    file and line of its row: the ``path`` file, else the store's stream."""
+    try:
+        yield
+    except analytics.BadEstimate as exc:
+        source = Path(path) if path else campaign_store.stream_path("estimates")
+        with open(source) as fh:  # the row-th line that read_jsonl yields
+            lines = (number for number, line in enumerate(fh, 1) if line.strip())
+            line = next(itertools.islice(lines, exc.row - 1, None))
+        raise ValueError(f"{source}: line {line}: {exc.reason}") from None
 
 
 def _cmd_crawl(args) -> int:
@@ -392,10 +406,13 @@ def _cmd_estimate(args, params: probe.CampaignParams) -> int:
 
 def _cmd_report(args, params: probe.CampaignParams) -> int:
     campaign_store = _open_store(args)
+    if campaign_store is not None and not campaign_store.stage_done("estimate"):
+        raise store.StageOrderError("report before stage 'estimate' completed")
     records = _records_in(args.records, campaign_store)
-    estimates = _estimates_in(args.estimates, campaign_store)
-    paths = report_stage(campaign_store, args.out, params, records, estimates,
-                         validation.AirportDatabase.bundled())
+    with _naming_estimate_lines(args.estimates, campaign_store):
+        estimates = _estimates_in(args.estimates, campaign_store)
+        paths = report_stage(campaign_store, args.out, params, records, estimates,
+                             validation.AirportDatabase.bundled())
     for name in sorted(paths):
         print(paths[name])
     return EXIT_OK
@@ -431,8 +448,9 @@ def _cmd_simulate(args, params: probe.CampaignParams) -> int:
         }, indent=2, sort_keys=True) + "\n")
 
     estimate_stage(campaign_store, None, params, campaign_store.scan("samples"))
-    estimates = _estimates_in(None, campaign_store)
-    report_stage(campaign_store, out_dir, params, records, estimates, airports)
+    with _naming_estimate_lines(None, campaign_store):
+        estimates = _estimates_in(None, campaign_store)
+        report_stage(campaign_store, out_dir, params, records, estimates, airports)
     print(f"simulated campaign complete: {len(records)} servers, "
           f"{len(estimates)} estimates, reports in {out_dir}")
     return EXIT_OK

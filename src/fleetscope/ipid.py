@@ -141,22 +141,6 @@ class RateEstimate:
             },
         }
 
-    @classmethod
-    def from_json(cls, obj: dict) -> "RateEstimate":
-        flags = obj["flags"]
-        return cls(
-            target=obj["target"],
-            window_start_ns=obj["window_start_ns"],
-            window_end_ns=obj["window_end_ns"],
-            packets_per_second=obj["pps"],
-            bits_per_second=obj["bps"],
-            mtu_bytes=obj["mtu_bytes"],
-            id_behavior=IdBehavior(flags["id_behavior"]),
-            segments_used=flags["segments_used"],
-            ambiguity_risk=flags["ambiguity_risk"],
-            lower_bound_only=flags["lower_bound_only"],
-        )
-
 
 def estimate_replies(
     target: str,

@@ -207,11 +207,12 @@ class CampaignStore:
 
     def __init__(self, directory: str | Path, create: bool = True):
         self.directory = Path(directory)
-        if create:
-            self.directory.mkdir(parents=True, exist_ok=True)
-        elif not self.directory.is_dir():
-            raise StoreError(f"no store at {self.directory}")
         self._manifest_path = self.directory / MANIFEST_NAME
+        if not create:
+            if not self._manifest_path.is_file():
+                raise StoreError(f"no store at {self.directory}")
+            return
+        self.directory.mkdir(parents=True, exist_ok=True)
         if not self._manifest_path.exists():
             self._write_manifest({"manifest_version": 1, "streams": {}, "stages": {}})
 

@@ -28,7 +28,7 @@ from fleetscope.validation import (
     asn_crosscheck,
     geo_crosscheck,
 )
-from fleetscope.analytics import detect_peaks, rollup
+from fleetscope.analytics import EstimateTable, detect_peaks, rollup
 
 from conftest import make_server, record_for
 
@@ -266,7 +266,8 @@ def test_c05_peak_times_recovered_across_timezones():
         estimates.extend(series_estimates(visits, interval))
         kinds[server.address] = "isp" if ".isp." in server.name else "ixp"
 
-    peaks = detect_peaks(estimates, kinds, bin_s=1800.0)
+    peaks = detect_peaks(EstimateTable.from_rows(e.to_json() for e in estimates), kinds,
+                         bin_s=1800.0)
     by_tz = {f"198.18.40.{i + 1}": zones[i // 2][1] for i in range(10)}
 
     isp_days = [p for p in peaks if p.operator_kind == "isp"]
@@ -497,6 +498,7 @@ def test_c09_rollup_conservation_across_groupings():
                 segments_used=1,
             ))
 
+    estimates = EstimateTable.from_rows(e.to_json() for e in estimates)
     total = sum(r.mean_bps for r in rollup(estimates, records, "operator_kind",
                                            airports, continents))
     worst = 0.0

@@ -1,11 +1,17 @@
 """Aggregation: peaks, rollups, CDFs, deployment-vs-traffic."""
 
 import datetime as dt
+import functools
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fleetscope.analytics import (
     EmptyInput,
+    EstimateTable,
     UnjoinedEstimate,
     deployment_vs_traffic,
     detect_peaks,
@@ -13,10 +19,13 @@ from fleetscope.analytics import (
     traffic_cdf,
     write_reports,
 )
+from fleetscope.discovery import ServerRecord
 from fleetscope.ipid import IdBehavior, RateEstimate
+from fleetscope.names import parse_server_name
 from fleetscope.validation import AirportDatabase, load_continent_table
 
-from conftest import make_server, record_for
+import analytics_oracle
+from conftest import make_hostname, make_server, record_for
 
 
 HOUR_NS = 3600 * 10**9
@@ -36,6 +45,10 @@ def _estimate(target, t_ns, pps, mtu=1500):
     )
 
 
+def _table(estimates):
+    return EstimateTable.from_rows(e.to_json() for e in estimates)
+
+
 def _sinusoid_series(target, peak_utc_s, days=1, step_s=1800, base=1000.0, amp=0.5):
     import math
 
@@ -52,7 +65,7 @@ def test_peak_detection_timezone_shift():
     # peak at 23:30 local in UTC-5 shows up at 04:30 UTC
     peak_utc = (23.5 + 5.0) % 24 * 3600
     series = _sinusoid_series("t1", peak_utc)
-    peaks = detect_peaks(series, {"t1": "isp"})
+    peaks = detect_peaks(_table(series), {"t1": "isp"})
     assert len(peaks) == 1
     assert peaks[0].peak_bin_start_s == int(peak_utc)
     assert peaks[0].operator_kind == "isp"
@@ -60,7 +73,7 @@ def test_peak_detection_timezone_shift():
 
 def test_peak_detection_flat_series_stable_tie_break():
     series = [_estimate("t1", s * 10**9, 500.0) for s in range(0, 86400, 1800)]
-    peaks = detect_peaks(series, {"t1": "ixp"})
+    peaks = detect_peaks(_table(series), {"t1": "ixp"})
     assert len(peaks) == 1
     assert peaks[0].peak_bin_start_s == 0  # first maximal bin
     assert peaks[0].peak_pps == 500.0
@@ -68,7 +81,7 @@ def test_peak_detection_flat_series_stable_tie_break():
 
 def test_peak_detection_one_observation_per_day():
     series = _sinusoid_series("t1", 3600.0 * 4, days=3)
-    peaks = detect_peaks(series, {"t1": "ixp"})
+    peaks = detect_peaks(_table(series), {"t1": "ixp"})
     assert len(peaks) == 3
     assert {p.day for p in peaks} == {
         dt.date(1970, 1, 1), dt.date(1970, 1, 2), dt.date(1970, 1, 3)
@@ -82,8 +95,8 @@ def test_peak_detection_shift_invariance():
         _estimate("t1", e.window_start_ns + DAY_NS, e.packets_per_second)
         for e in series
     ]
-    original = detect_peaks(series, {"t1": "ixp"})
-    moved = detect_peaks(shifted, {"t1": "ixp"})
+    original = detect_peaks(_table(series), {"t1": "ixp"})
+    moved = detect_peaks(_table(shifted), {"t1": "ixp"})
     assert [p.peak_bin_start_s for p in original] == [p.peak_bin_start_s for p in moved]
 
 
@@ -105,7 +118,7 @@ def test_rollup_country_additivity():
         estimates.append(_estimate(records["lhr_ix"].addresses[0], t, 100.0))
         estimates.append(_estimate(records["lhr_isp"].addresses[0], t, 200.0))
     airports = AirportDatabase.bundled()
-    rollups = rollup(estimates, list(records.values()), "country", airports)
+    rollups = rollup(_table(estimates), list(records.values()), "country", airports)
     gb = {r.group: r for r in rollups}["GB"]
     assert gb.server_count == 2
     assert gb.mean_pps == pytest.approx(300.0)
@@ -123,10 +136,10 @@ def test_rollup_partition_sums_to_total():
     airports = AirportDatabase.bundled()
     continents = load_continent_table()
     total = sum(
-        r.mean_bps for r in rollup(estimates, records, "operator_kind", airports, continents)
+        r.mean_bps for r in rollup(_table(estimates), records, "operator_kind", airports, continents)
     )
     for grouping in ("location", "country", "continent", "operator_kind"):
-        split = rollup(estimates, records, grouping, airports, continents)
+        split = rollup(_table(estimates), records, grouping, airports, continents)
         assert sum(r.mean_bps for r in split) == pytest.approx(total, rel=1e-12)
         assert all(r.server_count >= r.location_count for r in split)
 
@@ -139,7 +152,7 @@ def test_rollup_series_sums_members_at_aligned_bins():
         _estimate(records[0].addresses[0], HOUR_NS, 80.0),
     ]
     airports = AirportDatabase.bundled()
-    (gb,) = rollup(estimates, records, "country", airports)
+    (gb,) = rollup(_table(estimates), records, "country", airports)
     series = dict(gb.series)
     assert series[0] == pytest.approx(150.0)
     assert series[HOUR_NS] == pytest.approx(80.0)  # missing member bin is not zero-filled
@@ -148,7 +161,7 @@ def test_rollup_series_sums_members_at_aligned_bins():
 def test_rollup_unjoined_estimate():
     records = list(_fixture_records().values())
     with pytest.raises(UnjoinedEstimate):
-        rollup([_estimate("203.0.113.99", 0, 1.0)], records, "operator_kind")
+        rollup(_table([_estimate("203.0.113.99", 0, 1.0)]), records, "operator_kind")
 
 
 def test_traffic_cdf_examples():
@@ -176,7 +189,7 @@ def test_deployment_vs_traffic_points():
     ]
     estimates = [_estimate(r.addresses[0], 0, 1000.0) for r in three]
     estimates.append(_estimate(records["lhr_ix"].addresses[0], 0, 500.0))
-    points = deployment_vs_traffic(three + [records["lhr_ix"]], estimates)
+    points = deployment_vs_traffic(three + [records["lhr_ix"]], _table(estimates))
     by_site = {(p.site_code, p.operator_kind): p for p in points}
     fra = by_site[("fra001", "ixp")]
     assert fra.server_count == 3
@@ -185,7 +198,7 @@ def test_deployment_vs_traffic_points():
 
 
 def test_deployment_vs_traffic_empty():
-    assert deployment_vs_traffic([], []) == []
+    assert deployment_vs_traffic([], _table([])) == []
 
 
 def test_write_reports_deterministic(tmp_path):
@@ -198,10 +211,69 @@ def test_write_reports_deterministic(tmp_path):
             )
     airports = AirportDatabase.bundled()
     continents = load_continent_table()
-    first = write_reports(tmp_path / "a", records, estimates, airports, continents)
-    second = write_reports(tmp_path / "b", records, estimates, airports, continents)
+    first = write_reports(tmp_path / "a", records, _table(estimates), airports, continents)
+    second = write_reports(tmp_path / "b", records, _table(estimates), airports, continents)
     for key in first:
         assert first[key].read_bytes() == second[key].read_bytes()
     assert (tmp_path / "a" / "peaks.csv").exists()
     assert (tmp_path / "a" / "rollup_country.csv").exists()
     assert (tmp_path / "a" / "summary.json").exists()
+
+
+# -- the columnar report against the dict-of-lists oracle ---------------------
+
+@functools.cache
+def _tables():
+    return AirportDatabase.bundled(), load_continent_table()
+
+
+@st.composite
+def _report_inputs(draw):
+    """Records of one to three addresses each, and estimate rows in any order
+    over four UTC days: several per bin, missing bins, tied rates, and
+    lower-bound targets. Airport ``xxz`` is in no table."""
+    records = []
+    for counter in range(1, draw(st.integers(1, 6)) + 1):
+        name = make_hostname(airport=draw(st.sampled_from(["lhr", "ams", "jfk", "nrt", "xxz"])),
+                             site=draw(st.integers(1, 2)), counter=counter,
+                             operator=draw(st.sampled_from(["ix", "bt.isp", "kddi.isp"])))
+        addresses = tuple(f"198.18.{counter}.{i}" for i in range(draw(st.integers(1, 3))))
+        records.append(ServerRecord(parse_server_name(name), addresses, 0, 0))
+    addresses = [a for record in records for a in record.addresses]
+    rate = st.one_of(st.sampled_from([0.0, 1.0, 7.5, 7.5, 1e6]),
+                     st.floats(0, 1e9, allow_nan=False, allow_infinity=False))
+    rows = []
+    for _ in range(draw(st.integers(0, 40))):
+        start_ns = 1_452_729_600 * 10**9 + draw(st.integers(0, 4 * 86_400 - 61)) * 10**9
+        pps = draw(rate)
+        rows.append({
+            "target": draw(st.sampled_from(addresses)),
+            "window_start_ns": start_ns,
+            "window_end_ns": start_ns + 60 * 10**9,
+            "pps": pps,
+            "bps": draw(st.sampled_from([pps * 12_000, pps])),
+            "mtu_bytes": 1500,
+            "flags": {"id_behavior": "global_counter", "segments_used": 1,
+                      "ambiguity_risk": False, "lower_bound_only": draw(st.booleans())},
+        })
+    return records, rows, draw(st.sampled_from([900.0, 1800.0, 3600.0]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_report_inputs())
+def test_report_matches_the_dict_of_lists_oracle(inputs):
+    records, rows, bin_s = inputs
+    airports, continents = _tables()
+    table = EstimateTable.from_rows(rows)
+    estimates = [analytics_oracle.estimate_from_json(row) for row in rows]
+    with tempfile.TemporaryDirectory() as tmp:
+        ours = write_reports(Path(tmp) / "ours", records, table, airports, continents, bin_s)
+        theirs = analytics_oracle.write_reports(Path(tmp) / "oracle", records, estimates,
+                                                airports, continents, bin_s)
+        assert sorted(ours) == sorted(theirs)
+        for key in ours:
+            assert ours[key].read_bytes() == theirs[key].read_bytes(), key
+    joined = analytics_oracle._join_series(estimates, records, bin_s)
+    for grouping in ("location", "country", "continent", "operator_kind"):
+        assert rollup(table, records, grouping, airports, continents, bin_s) == (
+            analytics_oracle._rollup(joined, grouping, airports, continents, bin_s))

@@ -99,6 +99,27 @@ def test_simulate_end_to_end(tmp_path, small_fleet_file, capsys):
     assert len(reach["reachable"]) == 3
 
 
+REPORT_FILES = ("peaks.csv", "cdf.csv", "location_scatter.csv", "rollup_country.csv",
+                "rollup_continent.csv", "rollup_kind.csv", "summary.json")
+# the SHA-256 of each of REPORT_FILES, by loss rate
+REPORT_SHA256 = {
+    "0": ["ea7875cbc0337ab3d45131f200016e49ffacc582d3db306ee8cf0b32ab9bfff5",
+          "7fda267c0b6b13d1f6ded7d5985a319cef46b463ad48d537363b4130ff904c4e",
+          "7e694f268ce62dc37b2c33bae70e97f0072c3fea56e56c09eb32163ea1cece47",
+          "c2112b8b10b7dac3fd689b95058165a15b5c8f3beebe918f7489b7336301c66c",
+          "be3f289e6485ebd77789c9c99844655e34fa54649c2a30470dc819df3c75d0d7",
+          "58156fd1f23fa2084e5e9823ec8f182e02ac289c9196633a6a2e155d5e1a341a",
+          "d1e2bb165bbc146fb6a0cc2e185db99d894fb2febd2b59eb61eb2c3bf73994b5"],
+    "0.01": ["7a9dcc20d117ff7f70405771c351a72b9dd539f86a6d5e6eb116deca89a1fa1e",
+             "26e195384cc2a35f4d61103fad15da0f348ba44582b953183635ea829ec30a35",
+             "79b09bb8f3bbaf08f0e0d098f4c4df4b6f2479e0b207bcce8e19f90e6a67dfd1",
+             "9e896130f4ed4ca515146208a0035e6ee112596c4ed8565142d0b541bc2b3e94",
+             "4a93d3c8dfc90d83e805d3722cdef0d2766ea1bf9ceaf4ae2068ea9933937d81",
+             "2e4fd5472416e36aa41ed9f3fcd955bac71f1bd114396745b77e5e7b0fd08ac0",
+             "a00efb9fbd72831a7d0a6375343a67253eaacf9184fd4345daca9acf1a29a5ad"],
+}
+
+
 @pytest.mark.parametrize("loss_rate, samples_sha256, estimates_sha256", [
     ("0", "4bad8337d8be2486d99d2acad0ed4b12c6c00662d43f55d273608356e79a1c72",
      "6a98c24c6bfd95b877a79f016cf1a15f670ad460960fc1eea1919847ec5534e6"),
@@ -106,8 +127,10 @@ def test_simulate_end_to_end(tmp_path, small_fleet_file, capsys):
      "4c77f895c468f1445ea8504db6f4cc6f12e9e5d1719bdeb4992a07618838b49c"),
 ])
 def test_simulate_outputs_are_pinned(tmp_path, loss_rate, samples_sha256, estimates_sha256):
-    """A change that alters a stored sample or estimate of the example fleet
-    shows here; refactors must keep these digests."""
+    """A change that alters a stored sample or estimate, or a report file, of
+    the example fleet shows here; refactors must keep these digests. The
+    report sums its floats in a fixed order, so its digests (recorded on
+    Python 3.11) hold on every Python version."""
     fleet = Path(__file__).resolve().parent.parent / "fleet.example.json"
     out = tmp_path / "out"
     assert main(["--seed", "7", "simulate", "--fleet", str(fleet), "--out", str(out),
@@ -116,6 +139,8 @@ def test_simulate_outputs_are_pinned(tmp_path, loss_rate, samples_sha256, estima
     digests = [hashlib.sha256((out / "store" / name).read_bytes()).hexdigest()
                for name in ("samples.bin", "estimates.jsonl")]
     assert digests == [samples_sha256, estimates_sha256]
+    assert [hashlib.sha256((out / name).read_bytes()).hexdigest()
+            for name in REPORT_FILES] == REPORT_SHA256[loss_rate]
 
 
 def test_store_backed_pipeline_across_commands(tmp_path, small_fleet_file):
@@ -600,6 +625,7 @@ def test_report_counts_the_stored_verdicts(tmp_path):
     ])
     assert main(["--store", str(store_dir), "validate", "--snapshot", str(snapshot),
                  "--cdn-asns", "64500"]) == EXIT_OK
+    _probe_and_estimate(tmp_path, fleet_file, store_dir)
     assert main(["--store", str(store_dir), "report", "--out", str(tmp_path / "r")]) == EXIT_OK
 
     rows = list(store.read_jsonl(store_dir / "verdicts.jsonl"))
@@ -629,3 +655,56 @@ def test_report_on_files_has_no_validation_block(tmp_path, small_fleet_file):
     assert simulated.pop("validation") == {"geo": {"match": 3}, "asn": {"consistent": 3},
                                            "unexplained": []}
     assert summary == simulated
+
+
+def _probe_and_estimate(tmp_path, fleet_file, store_dir):
+    targets = _targets_file(tmp_path, fleet_file)
+    assert main(["--store", str(store_dir), "probe", "--targets", str(targets),
+                 "--transport", f"sim:{fleet_file}", "--dwell", "6s", "--workers", "2",
+                 "--duration", "60s"]) == EXIT_OK
+    assert main(["--store", str(store_dir), "estimate"]) == EXIT_OK
+
+
+def test_report_refuses_a_directory_that_is_no_store(tmp_path, capsys):
+    empty = tmp_path / "empty"
+    empty.mkdir()
+    out = tmp_path / "r"
+    assert main(["--store", str(empty), "report", "--out", str(out)]) == EXIT_STAGE
+    assert f"no store at {empty}" in capsys.readouterr().err
+    assert list(empty.iterdir()) == []
+    assert not out.exists()
+
+
+def test_report_refuses_a_store_whose_estimate_stage_is_not_done(
+    tmp_path, small_fleet_file, capsys
+):
+    store_dir = tmp_path / "campaign"
+    assert main(_crawl_args(tmp_path, small_fleet_file, store_dir)) == EXIT_OK
+    out = tmp_path / "r"
+    assert main(["--store", str(store_dir), "report", "--out", str(out)]) == EXIT_STAGE
+    assert "report before stage 'estimate' completed" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("bad_row, reason", [
+    (lambda good: json.dumps({**json.loads(good), "target": "203.0.113.99"}),
+     "target 203.0.113.99 is not an address of any record"),
+    (lambda good: '{"target": "10.0.14.132"}', "no field 'window_start_ns'"),
+    (lambda good: good.replace('"pps":', '"pps":NaN,"was":'),
+     "pps or bps is not a finite number"),
+], ids=["unjoined", "missing_fields", "nan_rate"])
+def test_report_on_a_bad_estimate_names_its_line_and_writes_nothing(
+    tmp_path, small_fleet_file, capsys, bad_row, reason
+):
+    run = tmp_path / "run"
+    assert _simulate(run, small_fleet_file) == EXIT_OK
+    good = (run / "store" / "estimates.jsonl").read_text().splitlines()
+    # the bad row is the third row and, after a blank line, the fourth line
+    estimates = _write_lines(tmp_path / "estimates.jsonl",
+                             [good[0], "", good[1], bad_row(good[0]), *good[2:]])
+    out = tmp_path / "r"
+    out.mkdir()
+    assert main(["report", "--records", str(run / "store" / "records.jsonl"),
+                 "--estimates", str(estimates), "--out", str(out)]) == EXIT_STAGE
+    assert capsys.readouterr().err == f"error: {estimates}: line 4: {reason}\n"
+    assert list(out.iterdir()) == []

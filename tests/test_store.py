@@ -161,6 +161,17 @@ def test_stage_markers_enforce_order(tmp_path):
         store.mark_stage_done("nonsense")
 
 
+def test_opening_a_directory_without_a_manifest_fails_and_writes_nothing(tmp_path):
+    (tmp_path / "empty").mkdir()
+    for directory in (tmp_path / "empty", tmp_path / "missing"):
+        with pytest.raises(StoreError, match=f"no store at {directory}"):
+            CampaignStore(directory, create=False)
+    assert list((tmp_path / "empty").iterdir()) == []
+    assert not (tmp_path / "missing").exists()
+    CampaignStore(tmp_path / "made")
+    assert not CampaignStore(tmp_path / "made", create=False).stage_done("crawl")
+
+
 def test_unknown_stream_rejected(tmp_path):
     store = CampaignStore(tmp_path / "store")
     with pytest.raises(ValueError):
