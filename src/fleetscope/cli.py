@@ -19,11 +19,11 @@ import json
 import logging
 import sys
 from pathlib import Path
-from typing import Iterable
+from typing import Callable, Iterable
 
 from . import analytics, discovery, ipid, names, probe, simulation, store, validation
 from .config import ConfigError, load_config
-from .transport import EchoTransport, TransportError
+from .transport import EchoTransport, RawIcmpTransport, TransportError
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -230,12 +230,17 @@ def _verdict(check, *args) -> dict:
 
 
 def probe_stage(campaign_store, out, params: probe.CampaignParams, targets: list[str],
-                transport: EchoTransport) -> probe.CampaignSummary | None:
-    """Run the ID-sampling campaign and write each visit's frame."""
+                transport: EchoTransport,
+                finish: Callable[[probe.CampaignSummary], None] = lambda summary: None
+                ) -> probe.CampaignSummary | None:
+    """Run the ID-sampling campaign and write each visit's frame. ``finish``
+    gets the campaign's summary before the stage commits, so what it writes
+    exists whenever the store holds the stage."""
     with _stage_output(campaign_store, "probe", "samples", out) as add:
         if add is None:
             return None
         summary = probe.run_campaign(targets, params, transport, add)
+        finish(summary)
     return summary
 
 
@@ -379,16 +384,15 @@ def _cmd_probe(args, params: probe.CampaignParams) -> int:
     _require_out(args, "probe")
     targets = [line.strip() for line in Path(args.targets).read_text().splitlines()
                if line.strip() and ":" not in line]  # ID sampling is IPv4-only
-    if args.transport.startswith("sim:"):
-        fleet = simulation.SimulatedFleet.from_file(args.transport[len("sim:"):])
-        transport = simulation.SimulatedTransport(fleet)
-    elif args.transport == "raw":
-        from .transport import RawIcmpTransport
-
-        transport = RawIcmpTransport()
-    else:
-        raise _UsageError(f"unknown transport {args.transport!r}")
-    summary = probe_stage(_open_store(args), args.out, params, targets, transport)
+    with contextlib.ExitStack() as resources:
+        if args.transport.startswith("sim:"):
+            fleet = simulation.SimulatedFleet.from_file(args.transport[len("sim:"):])
+            transport = simulation.SimulatedTransport(fleet)
+        elif args.transport == "raw":
+            transport = resources.enter_context(RawIcmpTransport())
+        else:
+            raise _UsageError(f"unknown transport {args.transport!r}")
+        summary = probe_stage(_open_store(args), args.out, params, targets, transport)
     if summary is not None:
         print(f"visits={summary.visits_completed} probes={summary.probes_sent} "
               f"losses={summary.losses} reachable={len(summary.reachable)} "
@@ -435,10 +439,7 @@ def _cmd_simulate(args, params: probe.CampaignParams) -> int:
     snapshot, cdn_asns, isp_asns = synthesize_snapshot(fleet, airports)
     validate_stage(campaign_store, None, records, snapshot, cdn_asns, isp_asns, airports)
 
-    targets = [a for r in records for a in r.addresses if ":" not in a]
-    transport = simulation.SimulatedTransport(fleet, loss_rate=args.loss_rate)
-    summary = probe_stage(campaign_store, None, params, targets, transport)
-    if summary is not None:
+    def write_truth(summary: probe.CampaignSummary) -> None:
         fleet.export_truth_csv(out_dir / "truth.csv")
         (out_dir / "reachability.json").write_text(json.dumps({
             "reachable": list(summary.reachable),
@@ -446,6 +447,10 @@ def _cmd_simulate(args, params: probe.CampaignParams) -> int:
             "visits": summary.visits_completed,
             "losses": summary.losses,
         }, indent=2, sort_keys=True) + "\n")
+
+    targets = [a for r in records for a in r.addresses if ":" not in a]
+    transport = simulation.SimulatedTransport(fleet, loss_rate=args.loss_rate)
+    probe_stage(campaign_store, None, params, targets, transport, write_truth)
 
     estimate_stage(campaign_store, None, params, campaign_store.scan("samples"))
     with _naming_estimate_lines(None, campaign_store):

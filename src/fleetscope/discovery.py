@@ -59,9 +59,6 @@ class Resolver(Protocol):
 class SystemResolver:
     """Resolve through the host's configured DNS via getaddrinfo."""
 
-    def __init__(self, timeout_s: float = 5.0):
-        self.timeout_s = timeout_s
-
     def query(self, name: str) -> ResolutionResult:
         now = time.time_ns()
         try:
@@ -144,10 +141,9 @@ class ServerRecord:
         }
 
     @classmethod
-    def from_json(cls, obj: dict, domain_suffix: str | None = None) -> "ServerRecord":
-        suffix = domain_suffix or obj.get("suffix", "nflxvideo.net")
+    def from_json(cls, obj: dict) -> "ServerRecord":
         return cls(
-            name=parse_server_name(obj["name"], domain_suffix=suffix),
+            name=parse_server_name(obj["name"], domain_suffix=obj.get("suffix", "nflxvideo.net")),
             addresses=tuple(obj["addresses"]),
             first_seen_ns=obj["first_seen_ns"],
             last_seen_ns=obj["last_seen_ns"],

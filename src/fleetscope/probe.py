@@ -6,12 +6,15 @@ target list so every target is revisited once per cycle. A per-target
 courtesy cap bounds visit frequency; the scheduler inserts idle slots
 rather than revisiting too fast.
 
-One event loop runs every campaign, on a virtual or a real clock alike. It
-takes the next due event from a heap: a send event sends one probe to each
-visit of a slot, and a collection event, one reply timeout after the slot's
-last send, passes each of the slot's visits, as one ``VisitFrame``, to the
-caller's ``emit`` function. Due times are fixed from the campaign's start,
-so a late event delays only itself.
+One event loop on one thread runs every campaign, on a virtual or a real
+clock alike. It walks the busy slots of each cycle only, so idle slots and
+workers cost nothing, and takes the next due event from a heap: a send
+event sends one probe to each visit of a slot, and a collection event, one
+reply timeout after the slot's last send, passes each of the slot's visits,
+as one ``VisitFrame``, to the caller's ``emit`` function. Between events
+the loop waits in the transport's ``sleep_until_ns``, which is where a real
+transport reads its replies. Due times are fixed from the campaign's
+start, so a late event delays only itself.
 """
 
 from __future__ import annotations
@@ -95,37 +98,18 @@ class CampaignParams:
 
 @dataclass(frozen=True)
 class CampaignSchedule:
-    """Per-worker visit assignments plus cycle geometry.
+    """The busy slots of one cycle plus the cycle's geometry.
 
-    A worker runs ``cycle_slots`` slots of ``slot_s`` seconds per cycle:
-    its assigned targets in order, then idle padding when the raw cycle
+    ``slots[i]`` holds, in worker order, the targets visited in slot ``i``
+    of each cycle of ``cycle_slots`` slots of ``slot_s`` seconds. The
+    slots from ``len(slots)`` on are idle padding, added when the raw cycle
     would violate the courtesy cap or revisit a target within its previous
     visit's reply window.
     """
 
-    worker_targets: tuple[tuple[str, ...], ...]
+    slots: tuple[tuple[str, ...], ...]
     slot_s: float
     cycle_slots: int
-
-    @property
-    def workers(self) -> int:
-        return len(self.worker_targets)
-
-    @property
-    def targets_per_worker(self) -> int:
-        return max(len(t) for t in self.worker_targets)
-
-    @property
-    def cycle_s(self) -> float:
-        return self.cycle_slots * self.slot_s
-
-    def target_for_slot(self, worker: int, slot: int) -> str | None:
-        """Target for the given absolute slot, or None for an idle slot."""
-        assigned = self.worker_targets[worker]
-        index = slot % self.cycle_slots
-        if index < len(assigned):
-            return assigned[index]
-        return None
 
 
 def plan_campaign(targets: Sequence[str], params: CampaignParams) -> CampaignSchedule:
@@ -149,8 +133,10 @@ def plan_campaign(targets: Sequence[str], params: CampaignParams) -> CampaignSch
 
     order = list(unique)
     random.Random(f"{params.seed}:schedule").shuffle(order)
+    # worker w visits order[w], order[w + workers], ...: slot i holds the
+    # i-th target of every worker that has one
     worker_count = min(params.workers, len(order))
-    assignment = tuple(tuple(order[i::worker_count]) for i in range(worker_count))
+    slots = tuple(tuple(order[i:i + worker_count]) for i in range(0, len(order), worker_count))
 
     slot_ns = round(params.dwell_s * 1e9)
     window_ns = ((params.probes_per_visit - 1) * round(params.probe_interval_s * 1e9)
@@ -159,7 +145,7 @@ def plan_campaign(targets: Sequence[str], params: CampaignParams) -> CampaignSch
     if cap is not None:
         min_spacing_s = 3600.0 / cap
         min_slots = max(min_slots, math.ceil(min_spacing_s / params.dwell_s - 1e-9))
-    cycle_slots = max(min_slots, max(len(a) for a in assignment))
+    cycle_slots = max(min_slots, len(slots))
     period_ns = round(params.revisit_period_s * 1e9)
     if cycle_slots * slot_ns > period_ns:
         fits = f"a revisit period of at least {cycle_slots * slot_ns / 1e9:g} s"
@@ -170,7 +156,7 @@ def plan_campaign(targets: Sequence[str], params: CampaignParams) -> CampaignSch
             f"{len(order)} targets over {worker_count} workers take "
             f"{cycle_slots * slot_ns / 1e9:g} s per cycle, more than the revisit period "
             f"of {params.revisit_period_s:g} s; this needs {fits}")
-    return CampaignSchedule(assignment, params.dwell_s, cycle_slots)
+    return CampaignSchedule(slots, params.dwell_s, cycle_slots)
 
 
 def probe_target(
@@ -233,15 +219,11 @@ def run_campaign(
     timeout_ns = round(params.effective_timeout_s * 1e9)
     count = params.probes_per_visit
 
-    def slots_with_visits():
-        """Each slot that has visits, with an empty list of send times per visit."""
-        for slot in range(-(-round(params.total_duration_s * 1e9) // slot_ns)):
-            targets_now = [schedule.target_for_slot(w, slot) for w in range(schedule.workers)]
-            visits = [(target, []) for target in targets_now if target is not None]
-            if visits:
-                yield slot, visits
-
-    slots = slots_with_visits()
+    slot_count = -(-round(params.total_duration_s * 1e9) // slot_ns)
+    # each busy slot of the campaign, with an empty list of send times per visit
+    slots = ((start + i, [(target, []) for target in targets_now])
+             for start in range(0, slot_count, schedule.cycle_slots)
+             for i, targets_now in enumerate(schedule.slots) if start + i < slot_count)
     epoch_ns = transport.now_ns()
     # (due_ns, slot, probe index, visits): index ``count`` collects the
     # slot's replies. At equal due times a slot's collection comes before a

@@ -229,7 +229,8 @@ class SimulatedFleet:
             return
         server = self.by_address[address]
         server.advance(max(t_ns, server.time_ns))
-        pps = (server.background_packets - start_packets) / ((t_ns - start_ns) / 1e9)
+        # the counter moved up to the last serve, half an RTT past the last send
+        pps = (server.background_packets - start_packets) / ((server.time_ns - start_ns) / 1e9)
         self.truth.append(TruthRecord(address, start_ns, t_ns, pps))
 
     def truth_for(self, address: str) -> list[TruthRecord]:
@@ -337,7 +338,8 @@ class SimulatedTransport:
     Losses model requests dropped in flight: the responder never sees them
     and its counter does not move. Replies arrive one RTT after the send;
     the responder is served at the halfway point. A visit's truth window
-    runs from its start to its last send.
+    runs from its start to its last send; its rate is the mean from the
+    start to the last serve, the span over which the counter moved.
 
     ``end_visit`` serves the visit's echoes, in send order: nothing else
     touches a responder while one of its visits is open, so its replies

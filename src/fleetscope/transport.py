@@ -5,14 +5,16 @@ CAP_NET_RAW or root) and the in-process simulated transport in
 ``simulation`` (no privilege, virtual time). Both satisfy ``EchoTransport``
 structurally; the prober never imports a concrete transport, and runs its
 one event loop against either. Only ``sleep_until_ns`` waits for time to
-pass.
+pass, and no transport starts a thread: the raw transport reads replies
+inside ``sleep_until_ns``, while the loop has nothing else to do.
 """
 
 from __future__ import annotations
 
+import os
+import select
 import socket
 import struct
-import threading
 import time
 from typing import Protocol
 
@@ -86,19 +88,21 @@ def parse_echo_reply(packet: bytes) -> tuple[int, int, int] | None:
 
 
 class RawIcmpTransport:
-    """Paced ICMP echo over a raw socket with an asynchronous receiver.
+    """Paced ICMP echo over a raw socket, on the caller's thread.
 
-    The echo identifier is process-scoped; sequence numbers are the probe
-    index mod 65536. Replies are matched by (source address, sequence) with
-    the identifier checked; duplicates are dropped, first wins. Times are
-    UNIX-epoch ns: the monotonic clock plus its offset from the wall clock,
-    taken once at construction, so a wall-clock step cannot reorder them.
+    The echo identifier is the process ID mod 65536; sequence numbers are
+    the probe index mod 65536. Replies are read only inside
+    ``sleep_until_ns``, which waits on the socket and, whenever it is
+    readable, reads every queued datagram and stamps each as it is read.
+    A reply is kept when it is an echo reply with our identifier from an
+    address whose visit is open; duplicates are dropped, first wins. Times
+    are UNIX-epoch ns: the monotonic clock plus its offset from the wall
+    clock, taken once at construction, so a wall-clock step cannot reorder
+    them.
     """
 
-    def __init__(self, ident: int | None = None):
-        import os
-
-        self.ident = (ident if ident is not None else os.getpid()) & 0xFFFF
+    def __init__(self):
+        self.ident = os.getpid() & 0xFFFF
         self._epoch_offset_ns = time.time_ns() - time.monotonic_ns()
         try:
             self._sock = socket.socket(socket.AF_INET, socket.SOCK_RAW, socket.IPPROTO_ICMP)
@@ -108,46 +112,52 @@ class RawIcmpTransport:
             ) from exc
         except OSError as exc:
             raise TransportError(f"cannot open raw ICMP socket: {exc}") from exc
-        self._sock.settimeout(0.2)
+        # A full send buffer delays a send by at most 0.2 s before it fails.
+        # This is the kernel's send timeout, not ``settimeout``: a Python
+        # timeout makes every receive poll first, so the last read of each
+        # drain would stall for the whole timeout.
+        self._sock.setsockopt(socket.SOL_SOCKET, socket.SO_SNDTIMEO, struct.pack("ll", 0, 200_000))
+        # Replies queue in the socket while the loop sends, until it waits
+        # again. The default buffer holds about 278 loopback datagrams, fewer
+        # than 150 echoes and their replies; the kernel caps this request at
+        # net.core.rmem_max.
+        self._sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 1 << 20)
         self._pending: dict[str, dict[int, tuple[int, int]]] = {}
-        self._lock = threading.Lock()
-        self._closed = threading.Event()
-        self._receiver = threading.Thread(target=self._receive_loop, daemon=True)
-        self._receiver.start()
 
-    def _receive_loop(self) -> None:
-        while not self._closed.is_set():
+    def _drain(self) -> None:
+        """Read every queued datagram without blocking and keep our replies."""
+        while True:
             try:
-                packet, addr = self._sock.recvfrom(2048)
-            except socket.timeout:
-                continue
-            except OSError:
+                packet, addr = self._sock.recvfrom(2048, socket.MSG_DONTWAIT)
+            except BlockingIOError:
                 return
+            except OSError as exc:
+                raise TransportError(f"receive failed: {exc}") from exc
             recv_ns = self.now_ns()
             parsed = parse_echo_reply(packet)
             if parsed is None:
                 continue
             ip_id, ident, seq = parsed
-            if ident != self.ident:
-                continue
-            with self._lock:
-                bucket = self._pending.get(addr[0])
-                if bucket is not None:
-                    bucket.setdefault(seq, (recv_ns, ip_id))
+            bucket = self._pending.get(addr[0])
+            if ident == self.ident and bucket is not None:
+                bucket.setdefault(seq, (recv_ns, ip_id))
 
     def now_ns(self) -> int:
         return time.monotonic_ns() + self._epoch_offset_ns
 
     def sleep_until_ns(self, t_ns: int) -> None:
+        """Wait until ``t_ns``, reading replies as they arrive; read the
+        queued ones once even when ``t_ns`` has passed."""
         while True:
-            remaining = t_ns - self.now_ns()
-            if remaining <= 0:
+            remaining_ns = t_ns - self.now_ns()
+            readable, _, _ = select.select([self._sock], [], [], max(remaining_ns, 0) / 1e9)
+            if readable:
+                self._drain()
+            if remaining_ns <= 0:
                 return
-            time.sleep(min(remaining / 1e9, 0.05))
 
     def begin_visit(self, target: str) -> None:
-        with self._lock:
-            self._pending[target] = {}
+        self._pending[target] = {}
 
     def send_echo(self, target: str, seq: int) -> int:
         packet = build_echo_request(self.ident, seq)
@@ -159,11 +169,9 @@ class RawIcmpTransport:
         return sent_ns
 
     def end_visit(self, target: str, last_sent_ns: int) -> dict[int, tuple[int, int]]:
-        with self._lock:
-            return self._pending.pop(target, {})
+        return self._pending.pop(target, {})
 
     def close(self) -> None:
-        self._closed.set()
         self._sock.close()
 
     def __enter__(self) -> "RawIcmpTransport":

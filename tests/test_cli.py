@@ -398,6 +398,25 @@ def test_rerun_after_lost_done_marker_replaces_rows(tmp_path, small_fleet_file, 
     assert _tree(out) == before
 
 
+def test_simulate_writes_truth_before_the_probe_stage_is_done(
+        tmp_path, small_fleet_file, monkeypatch):
+    # a rerun skips a done stage, so files written after it is marked done
+    # would be missing for good after a crash in between
+    out = tmp_path / "out"
+    written = {}
+    mark_stage_done = store.CampaignStore.mark_stage_done
+
+    def mark_and_look(self, stage):
+        if stage == "probe":
+            written.update({name: (out / name).exists()
+                            for name in ("truth.csv", "reachability.json")})
+        mark_stage_done(self, stage)
+
+    monkeypatch.setattr(store.CampaignStore, "mark_stage_done", mark_and_look)
+    assert _simulate(out, small_fleet_file) == EXIT_OK
+    assert written == {"truth.csv": True, "reachability.json": True}
+
+
 def test_interrupted_campaign_commits_nothing(tmp_path, small_fleet_file, monkeypatch, capsys):
     send_echo = SimulatedTransport.send_echo
     sent = []

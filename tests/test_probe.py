@@ -1,10 +1,16 @@
 """Probe engine: pacing, scheduling, campaign execution; ICMP packet codecs."""
 
+import json
+import socket
+import struct
+import threading
 import time
 
 import numpy as np
 import pytest
 
+from fleetscope import transport
+from fleetscope.cli import main
 from fleetscope.probe import (
     AllProbesLost,
     CampaignParams,
@@ -15,7 +21,12 @@ from fleetscope.probe import (
 )
 from fleetscope.simulation import SimulatedTransport
 from fleetscope.store import LOST_RTT
-from fleetscope.transport import build_echo_request, icmp_checksum, parse_echo_reply
+from fleetscope.transport import (
+    RawIcmpTransport,
+    build_echo_request,
+    icmp_checksum,
+    parse_echo_reply,
+)
 
 from conftest import make_fleet, make_server
 
@@ -24,12 +35,12 @@ def test_plan_matches_thirty_minute_revisit():
     targets = [f"198.18.{i // 250}.{i % 250 + 1}" for i in range(4340)]
     params = CampaignParams(seed=7)
     schedule = plan_campaign(targets, params)
-    assert schedule.workers == 150
-    assert schedule.targets_per_worker == 29  # ceil(4340 / 150)
+    assert len(schedule.slots[0]) == 150  # every worker is busy in the first slot
+    assert len(schedule.slots) == 29  # ceil(4340 / 150)
     # 29 visits of 60 s come to 29 min; the 2-per-hour courtesy cap pads
     # the cycle to exactly 30 min.
-    assert schedule.cycle_s == 1800.0
-    assigned = [t for worker in schedule.worker_targets for t in worker]
+    assert schedule.cycle_slots * schedule.slot_s == 1800.0
+    assigned = [t for slot in schedule.slots for t in slot]
     assert sorted(assigned) == sorted(targets)
 
 
@@ -58,16 +69,17 @@ def test_plan_keeps_benchmark_shapes_at_thirty_minutes(targets, workers, dwell_s
 def test_plan_pads_single_target_to_cap_spacing():
     params = CampaignParams(workers=1, max_visits_per_hour=2.0)
     schedule = plan_campaign(["198.18.0.1"], params)
-    assert schedule.cycle_s == 1800.0
-    assert schedule.target_for_slot(0, 0) == "198.18.0.1"
-    assert all(schedule.target_for_slot(0, s) is None for s in range(1, 30))
-    assert schedule.target_for_slot(0, 30) == "198.18.0.1"
+    # slot 0 of every 30-slot cycle is busy and slots 1-29 are idle, so the
+    # target's next visit is in slot 30
+    assert schedule.cycle_slots * schedule.slot_s == 1800.0
+    assert schedule.slots == (("198.18.0.1",),)
+    assert schedule.cycle_slots == 30
 
 
 def test_plan_divides_targets_across_workers():
     targets = [f"198.18.1.{i + 1}" for i in range(200)] + [f"198.18.2.{i + 1}" for i in range(100)]
     schedule = plan_campaign(targets, CampaignParams(workers=150))
-    assert schedule.targets_per_worker == 2
+    assert [len(slot) for slot in schedule.slots] == [150, 150]
 
 
 def test_plan_is_deterministic_given_seed():
@@ -75,8 +87,8 @@ def test_plan_is_deterministic_given_seed():
     a = plan_campaign(targets, CampaignParams(workers=7, seed=5))
     b = plan_campaign(targets, CampaignParams(workers=7, seed=5))
     c = plan_campaign(targets, CampaignParams(workers=7, seed=6))
-    assert a.worker_targets == b.worker_targets
-    assert a.worker_targets != c.worker_targets
+    assert a.slots == b.slots
+    assert a.slots != c.slots
 
 
 def test_plan_rejects_unschedulable_configs():
@@ -347,8 +359,8 @@ def test_visits_of_a_slot_send_in_step_and_arrive_in_slot_then_worker_order():
     visits = []
     run_campaign(fleet.addresses(), params, SimulatedTransport(fleet), visits.append)
     schedule = plan_campaign(fleet.addresses(), params)
-    expected = [(slot, schedule.target_for_slot(worker, slot))
-                for slot in range(4) for worker in range(3)]
+    assert schedule.cycle_slots == len(schedule.slots) == 2
+    expected = [(slot, target) for slot in range(4) for target in schedule.slots[slot % 2]]
     assert [(v.start_ns // (3 * 10**9), v.target) for v in visits] == expected
     for slot in range(4):
         sent = {tuple(v.sent_ns.tolist()) for v in visits[3 * slot:3 * slot + 3]}
@@ -368,8 +380,6 @@ def _raw_socket_available() -> bool:
 
 @pytest.mark.skipif(not _raw_socket_available(), reason="needs CAP_NET_RAW")
 def test_raw_transport_probes_loopback():
-    from fleetscope.transport import RawIcmpTransport
-
     with RawIcmpTransport() as transport:
         visit = probe_target("127.0.0.1", 0.005, 0.25, transport, timeout_s=0.5)
     assert len(visit.sent_ns) == 50
@@ -378,35 +388,169 @@ def test_raw_transport_probes_loopback():
     assert (visit.rtt_ns[answered] > 0).all()
 
 
-class _NoSocket:
-    """Stands in for a raw socket: sends go nowhere and nothing is received."""
+@pytest.mark.skipif(not _raw_socket_available(), reason="needs CAP_NET_RAW")
+def test_raw_transport_hears_every_reply_to_a_full_slot():
+    # 150 visits send in step; on loopback the socket also receives every
+    # echo request, so each send event queues 300 datagrams before the loop
+    # waits and reads them
+    targets = [f"127.0.0.{i}" for i in range(1, 151)]
+    params = CampaignParams(probe_interval_s=0.03, dwell_s=0.15, workers=150,
+                            total_duration_s=0.15, max_visits_per_hour=None,
+                            probe_timeout_s=0.3)
+    visits = []
+    with RawIcmpTransport() as raw:
+        summary = run_campaign(targets, params, raw, visits.append)
+    assert summary.probes_sent == 750
+    assert summary.losses <= 7  # 1%: without room for a send event's replies, 15% are lost
 
-    def __init__(self, *args):
-        pass
 
-    def settimeout(self, timeout):
-        pass
+class _FakeRawSocket:
+    """Stands in for a raw ICMP socket. A datagram socket pair lies under it,
+    so ``select`` and non-blocking reads behave as on a raw socket: what
+    is written to ``peer`` is received, from the source address in its IPv4
+    header. Sends are recorded, or fail when ``fail_sends`` is set."""
+
+    def __init__(self, fail_sends=False):
+        self._inner, self.peer = socket.socketpair(socket.AF_UNIX, socket.SOCK_DGRAM)
+        self.fail_sends = fail_sends
+        self.sent = []
+        self.closed = False
+
+    def fileno(self):
+        return self._inner.fileno()
+
+    def setsockopt(self, *args):
+        self._inner.setsockopt(*args)
 
     def sendto(self, packet, address):
-        pass
+        if self.fail_sends:
+            raise OSError("network is unreachable")
+        self.sent.append((packet, address))
 
-    def recvfrom(self, size):
-        raise OSError("no socket")
+    def recvfrom(self, size, flags=0):
+        packet = self._inner.recv(size, flags)
+        return packet, (socket.inet_ntoa(packet[12:16]), 0)
 
     def close(self):
-        pass
+        self.closed = True
+        self._inner.close()
+        self.peer.close()
+
+
+def _raw_transport(monkeypatch, **fake_args):
+    """A ``RawIcmpTransport`` over a new ``_FakeRawSocket``, and the fake."""
+    fake = _FakeRawSocket(**fake_args)  # made before socket.socket is patched
+    monkeypatch.setattr(transport.socket, "socket", lambda *args: fake)
+    return transport.RawIcmpTransport(), fake
+
+
+def _echo_reply(source, ident, seq, ip_id, icmp_type=0):
+    """An IPv4 datagram from ``source`` carrying an ICMP echo reply."""
+    icmp = bytearray(build_echo_request(ident, seq))
+    icmp[0] = icmp_type
+    header = struct.pack("!BBHHHBBH4s4s", 0x45, 0, 20 + len(icmp), ip_id, 0, 64, 1, 0,
+                         socket.inet_aton(source), socket.inet_aton("192.0.2.254"))
+    return header + bytes(icmp)
 
 
 def test_raw_transport_clock_is_utc(monkeypatch):
-    from fleetscope import transport
-
-    monkeypatch.setattr(transport.socket, "socket", _NoSocket)
-    with transport.RawIcmpTransport() as raw:
+    raw, _ = _raw_transport(monkeypatch)
+    with raw:
         assert abs(raw.now_ns() - time.time_ns()) < 1_000_000_000
         assert abs(raw.send_echo("192.0.2.1", 0) - time.time_ns()) < 1_000_000_000
         deadline_ns = raw.now_ns() + 20_000_000
         raw.sleep_until_ns(deadline_ns)
         assert deadline_ns <= raw.now_ns() < deadline_ns + 1_000_000_000
+
+
+def test_raw_transport_reads_replies_that_arrive_while_it_waits(monkeypatch):
+    raw, fake = _raw_transport(monkeypatch)
+    raw.begin_visit("192.0.2.1")
+    sent = [raw.send_echo("192.0.2.1", seq) for seq in range(2)]
+    assert [address for _, address in fake.sent] == [("192.0.2.1", 0)] * 2
+    written_ns = []
+
+    def answer():
+        written_ns.append(raw.now_ns())
+        for seq in range(2):
+            fake.peer.send(_echo_reply("192.0.2.1", raw.ident, seq, 100 + seq))
+
+    deadline_ns = raw.now_ns() + 300_000_000
+    replier = threading.Timer(0.05, answer)
+    replier.start()
+    raw.sleep_until_ns(deadline_ns)
+    replier.join(timeout=5)
+    assert not replier.is_alive()
+    assert raw.now_ns() >= deadline_ns
+    replies = raw.end_visit("192.0.2.1", sent[-1])
+    assert {seq: ip_id for seq, (_, ip_id) in replies.items()} == {0: 100, 1: 101}
+    # stamped as they were read, during the wait, not when it ended
+    assert all(written_ns[0] <= recv_ns < deadline_ns for recv_ns, _ in replies.values())
+    raw.close()
+
+
+def test_raw_transport_keeps_only_first_replies_to_its_open_visits(monkeypatch):
+    raw, fake = _raw_transport(monkeypatch)
+    raw.begin_visit("192.0.2.1")
+    for packet in (
+        _echo_reply("192.0.2.1", raw.ident ^ 1, 0, 1),  # another prober's identifier
+        _echo_reply("192.0.2.9", raw.ident, 0, 2),  # no visit to this address is open
+        _echo_reply("192.0.2.1", raw.ident, 0, 3, icmp_type=8),  # a request, not a reply
+        _echo_reply("192.0.2.1", raw.ident, 0, 4),
+        _echo_reply("192.0.2.1", raw.ident, 0, 5),  # a duplicate: the first wins
+    ):
+        fake.peer.send(packet)
+    raw.sleep_until_ns(raw.now_ns() + 20_000_000)
+    replies = raw.end_visit("192.0.2.1", 0)
+    assert {seq: ip_id for seq, (_, ip_id) in replies.items()} == {0: 4}
+    raw.close()
+
+
+def test_raw_transport_reads_queued_replies_when_the_wait_is_past_due(monkeypatch):
+    raw, fake = _raw_transport(monkeypatch)
+    raw.begin_visit("192.0.2.1")
+    raw.send_echo("192.0.2.1", 0)
+    fake.peer.send(_echo_reply("192.0.2.1", raw.ident, 0, 7))
+    before_ns = raw.now_ns()
+    raw.sleep_until_ns(before_ns - 1)
+    after_ns = raw.now_ns()
+    (recv_ns, ip_id), = raw.end_visit("192.0.2.1", 0).values()
+    assert ip_id == 7
+    assert before_ns <= recv_ns <= after_ns
+    # reading until the queue is empty does not wait for more
+    assert after_ns - before_ns < 100_000_000
+    raw.close()
+
+
+def test_raw_transport_starts_no_thread(monkeypatch):
+    threads = threading.active_count()
+    raw, fake = _raw_transport(monkeypatch)
+    assert threading.active_count() == threads
+    raw.begin_visit("192.0.2.1")
+    raw.send_echo("192.0.2.1", 0)
+    fake.peer.send(_echo_reply("192.0.2.1", raw.ident, 0, 7))
+    raw.sleep_until_ns(raw.now_ns() + 10_000_000)
+    assert len(raw.end_visit("192.0.2.1", 0)) == 1
+    assert threading.active_count() == threads
+    raw.close()
+    assert fake.closed
+    assert threading.active_count() == threads
+
+
+@pytest.mark.parametrize("fail_sends, exit_code", [(False, 0), (True, 2)])
+def test_probe_command_closes_the_raw_transport(tmp_path, monkeypatch, fail_sends, exit_code):
+    fake = _FakeRawSocket(fail_sends=fail_sends)
+    monkeypatch.setattr(transport.socket, "socket", lambda *args: fake)
+    targets = tmp_path / "targets.txt"
+    targets.write_text("192.0.2.1\n")
+    config = tmp_path / "fast.json"  # one visit of two probes and a 20 ms reply window
+    config.write_text(json.dumps({"campaign": {
+        "probe_interval": "10ms", "dwell": "20ms", "total_duration": "20ms", "workers": 1,
+        "probe_timeout": "20ms", "max_visits_per_hour": None}}))
+    assert main(["--config", str(config), "probe", "--targets", str(targets),
+                 "--transport", "raw", "--out", str(tmp_path / "samples.bin")]) == exit_code
+    assert fake.closed
+    assert len(fake.sent) == (0 if fail_sends else 2)
 
 
 def test_icmp_checksum_known_vector():

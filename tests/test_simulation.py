@@ -5,6 +5,7 @@ import pytest
 
 from fleetscope.discovery import OUTCOME_NXDOMAIN, OUTCOME_RESOLVED
 from fleetscope.ipid import IdBehavior
+from fleetscope.probe import probe_target
 from fleetscope.simulation import (
     SimulatedFleet,
     SimulatedServer,
@@ -154,6 +155,16 @@ def test_truth_records_mean_rate():
     truth = fleet.truth_for(server.address)
     assert len(truth) == 1
     assert truth[0].true_pps == pytest.approx(2000.0, rel=1e-6)
+
+
+def test_truth_of_a_far_server_is_its_rate():
+    # The counter runs to the last serve, 75 ms after the last of 25 sends
+    # 30 ms apart; over the 720 ms send span it would read ~10% high.
+    server = make_server(base_pps=1000.0, rtt_ms=150.0)
+    fleet = make_fleet([server])
+    probe_target(server.address, 0.03, 0.75, SimulatedTransport(fleet))
+    (truth,) = fleet.truth
+    assert truth.true_pps == pytest.approx(1000.0, rel=1e-9)
 
 
 def test_hhmm_round_trip():
