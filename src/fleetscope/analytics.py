@@ -8,6 +8,11 @@ estimate lands in each bin). Bins without measurements are left out of
 means rather than zero-filled: absence of measurement is not absence of
 traffic.
 
+``join_series`` joins estimates to their server records once; ``rollup``
+and ``deployment_vs_traffic`` take its result, and ``traffic_cdf`` its
+``mean_bps`` column. ``write_reports`` writes its files from these same
+functions, so each report shape has one implementation.
+
 Estimates are read once into an ``EstimateTable`` of numpy columns, 29
 bytes per estimate. Every report shape groups those columns with one
 kernel (``_group``), which adds each group's values in row order, so each
@@ -23,7 +28,7 @@ import csv
 import datetime as dt
 import json
 from array import array
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -48,10 +53,6 @@ class BadEstimate(ValueError):
 
 class UnjoinedEstimate(BadEstimate):
     """An estimate's target does not belong to any known server record."""
-
-
-class EmptyInput(ValueError):
-    """A computation that needs data got none."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -202,19 +203,19 @@ def detect_peaks(
 
 
 @dataclass(frozen=True, eq=False)
-class _Joined:
+class JoinedSeries:
     """Estimates joined to their server records, as columns.
 
-    Servers are the records with estimates, in hostname order; their
-    (server, bin) pairs follow in server and then bin order.
+    Servers are the records with estimates, in hostname order. A server's
+    campaign mean is the mean of its bin means: estimates average within
+    the bin holding their window midpoint, and bins without estimates are
+    left out.
     """
 
-    record: np.ndarray  # per server: index into the records
+    records: Sequence[ServerRecord]
+    record: np.ndarray  # per server: index into ``records``
     mean_pps: np.ndarray  # per server: mean of its bin means
     mean_bps: np.ndarray
-    bin_server: np.ndarray  # per (server, bin): position of the server
-    bin: np.ndarray  # per (server, bin): bin index
-    bin_pps: np.ndarray  # per (server, bin): mean pps within the bin
 
 
 def _record_of_target(estimates: EstimateTable, records: Sequence[ServerRecord]) -> np.ndarray:
@@ -231,11 +232,17 @@ def _record_of_target(estimates: EstimateTable, records: Sequence[ServerRecord])
     return found
 
 
-def _join_series(
+def join_series(
     estimates: EstimateTable,
     records: Sequence[ServerRecord],
-    bin_s: float,
-) -> _Joined:
+    bin_s: float = DEFAULT_BIN_S,
+) -> JoinedSeries:
+    """The campaign-mean rates of each server with estimates, over bins of
+    ``bin_s`` seconds; the input of ``rollup`` and
+    ``deployment_vs_traffic``. Records that share a hostname are one server.
+
+    Raises ``UnjoinedEstimate`` for the first estimate no record joins.
+    """
     bin_ns = round(bin_s * 1e9)
     hostnames, server_of_record = _label_groups([record.hostname for record in records])
     server_of_target = server_of_record[_record_of_target(estimates, records)]
@@ -246,26 +253,23 @@ def _join_series(
     bin_bps /= counts
     del inverse, counts  # as long as the estimates; free them for the server grouping
     server = server_of_target[estimates.target[first]]
-    server_first, bin_server, bin_counts, (mean_pps, mean_bps) = _group(server, bin_pps, bin_bps)
+    server_first, _, bin_counts, (mean_pps, mean_bps) = _group(server, bin_pps, bin_bps)
     record_of_server = np.empty(len(hostnames), np.int64)
     record_of_server[server_of_record] = np.arange(len(records))  # any record of the name
-    return _Joined(
+    return JoinedSeries(
+        records=records,
         record=record_of_server[server[server_first]],
         mean_pps=mean_pps / bin_counts,
         mean_bps=mean_bps / bin_counts,
-        bin_server=bin_server,
-        bin=estimates.mid_ns[first] // bin_ns,
-        bin_pps=bin_pps,
     )
 
 
 @dataclass(frozen=True)
 class TrafficRollup:
-    """Traffic of one group: campaign means plus the binned total series.
+    """Traffic of one group: the sums of its member servers' campaign means.
 
-    ``mean_pps``/``mean_bps`` are sums of the member servers' campaign
-    means, so disjoint groupings add up exactly to the ungrouped total.
-    ``rollup`` fills ``series``; the report files do not hold it.
+    Every server is in exactly one group, so disjoint groupings add up
+    exactly to the ungrouped total.
     """
 
     group: str
@@ -274,43 +278,25 @@ class TrafficRollup:
     location_count: int
     mean_pps: float
     mean_bps: float
-    series: tuple[tuple[int, float], ...]  # (bin start ns, summed pps)
 
 
 GROUPINGS = ("location", "country", "continent", "operator_kind")
 
 
 def rollup(
-    estimates: EstimateTable,
-    records: Sequence[ServerRecord],
+    joined: JoinedSeries,
     grouping: str,
     airports: AirportDatabase | None = None,
     continents: Mapping[str, str] | None = None,
-    bin_s: float = DEFAULT_BIN_S,
 ) -> list[TrafficRollup]:
-    """Group per-server traffic by the requested key.
+    """Group per-server traffic by the requested key, groups in sorted order.
 
     ``country`` and ``continent`` need an airport database (and continent
     table); codes it cannot place fall into the ``"unknown"`` group.
     """
     if grouping not in GROUPINGS:
         raise ValueError(f"grouping must be one of {GROUPINGS}")
-    joined = _join_series(estimates, records, bin_s)
-    rollups, group = _rollup(joined, records, grouping, airports, continents)
-    bin_group = group[joined.bin_server]
-    first, _, _, (totals,) = _group(_pairs(bin_group, joined.bin), joined.bin_pps)
-    bin_ns = round(bin_s * 1e9)
-    series: list[list[tuple[int, float]]] = [[] for _ in rollups]
-    for g, b, total in zip(bin_group[first].tolist(), joined.bin[first].tolist(), totals.tolist()):
-        series[g].append((b * bin_ns, total))
-    return [replace(r, series=tuple(points)) for r, points in zip(rollups, series)]
 
-
-def _rollup(joined: _Joined, records: Sequence[ServerRecord], grouping: str,
-            airports: AirportDatabase | None, continents: Mapping[str, str] | None
-            ) -> tuple[list[TrafficRollup], np.ndarray]:
-    """The rollups of ``joined`` without their series, and each server's
-    position among them."""
     def key_for(record: ServerRecord) -> str:
         if grouping == "location":
             return record.site_code
@@ -323,23 +309,22 @@ def _rollup(joined: _Joined, records: Sequence[ServerRecord], grouping: str,
             return country
         return (continents or {}).get(country, "unknown")
 
-    members = [records[i] for i in joined.record.tolist()]
+    members = [joined.records[i] for i in joined.record.tolist()]
     groups, group = _label_groups([key_for(record) for record in members])
     _, _, server_counts, (mean_pps, mean_bps) = _group(group, joined.mean_pps, joined.mean_bps)
     _, site = _label_groups([record.site_code for record in members])
     locations = np.bincount(group[_group(_pairs(group, site))[0]], minlength=len(groups))
     return [
-        TrafficRollup(name, grouping, count, location_count, pps, bps, ())
+        TrafficRollup(name, grouping, count, location_count, pps, bps)
         for name, count, location_count, pps, bps in zip(
             groups, server_counts.tolist(), locations.tolist(), mean_pps.tolist(),
             mean_bps.tolist())
-    ], group
+    ]
 
 
 def traffic_cdf(values: Sequence[float]) -> list[tuple[float, float]]:
-    """Empirical CDF points, sorted ascending, ending at probability 1."""
-    if not values:
-        raise EmptyInput("traffic_cdf needs at least one value")
+    """Empirical CDF points, sorted ascending, ending at probability 1;
+    none for no values."""
     ordered = sorted(values)
     n = len(ordered)
     return [(value, (i + 1) / n) for i, value in enumerate(ordered)]
@@ -355,21 +340,13 @@ class LocationTraffic:
     mean_bps: float
 
 
-def deployment_vs_traffic(
-    records: Sequence[ServerRecord],
-    estimates: EstimateTable,
-    bin_s: float = DEFAULT_BIN_S,
-) -> list[LocationTraffic]:
+def deployment_vs_traffic(joined: JoinedSeries) -> list[LocationTraffic]:
     """One point per location: how many servers it hosts and the sum of
     their campaign-mean rates. IXP and ISP deployments at the same site
     code are distinct locations."""
-    return _deployment_vs_traffic(_join_series(estimates, records, bin_s), records)
-
-
-def _deployment_vs_traffic(joined: _Joined, records: Sequence[ServerRecord]
-                           ) -> list[LocationTraffic]:
     locations, location = _label_groups(
-        [(records[i].site_code, records[i].operator_kind) for i in joined.record.tolist()])
+        [(joined.records[i].site_code, joined.records[i].operator_kind)
+         for i in joined.record.tolist()])
     _, _, counts, (mean_bps,) = _group(location, joined.mean_bps)
     return [LocationTraffic(site, kind, count, bps)
             for (site, kind), count, bps in zip(locations, counts.tolist(), mean_bps.tolist())]
@@ -419,11 +396,11 @@ def write_reports(
         ],
     )
 
-    joined = _join_series(estimates, records, bin_s)
+    joined = join_series(estimates, records, bin_s)  # after detect_peaks: never both at once
     mean_bps = joined.mean_bps.tolist()
     paths["cdf"] = out / "cdf.csv"
     _write_csv(paths["cdf"], ["mean_bps", "cumulative_fraction"],
-               [(repr(v), repr(p)) for v, p in traffic_cdf(mean_bps)] if mean_bps else [])
+               [(repr(v), repr(p)) for v, p in traffic_cdf(mean_bps)])
 
     paths["location_scatter"] = out / "location_scatter.csv"
     _write_csv(
@@ -431,7 +408,7 @@ def write_reports(
         ["site", "operator_kind", "servers", "mean_bps"],
         [
             (p.site_code, p.operator_kind, p.server_count, repr(p.mean_bps))
-            for p in _deployment_vs_traffic(joined, records)
+            for p in deployment_vs_traffic(joined)
         ],
     )
 
@@ -440,7 +417,7 @@ def write_reports(
         ("continent", "rollup_continent.csv"),
         ("operator_kind", "rollup_kind.csv"),
     ):
-        rows, _ = _rollup(joined, records, grouping, airports, continents)
+        rows = rollup(joined, grouping, airports, continents)
         paths[grouping] = out / filename
         _write_csv(
             paths[grouping],

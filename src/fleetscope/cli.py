@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import ipaddress
 import itertools
 import json
 import logging
@@ -68,7 +69,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("validate", help="geo/ASN cross-checks for discovered records")
     p.add_argument("--records", default=None, help="records file (or use --store)")
-    p.add_argument("--snapshot", required=True, help="prefix,country,reg_country,asn,holder CSV")
+    p.add_argument("--snapshot", required=True, help="prefix,country,reg_country,asn[,holder] CSV")
     p.add_argument("--cdn-asns", required=True, help="comma-separated ASNs of the CDN operator")
     p.add_argument("--isp-asns", default=None, help="JSON file: label -> [asns]")
     p.add_argument("--airports", default=None, help="airport CSV (bundled set by default)")
@@ -178,8 +179,7 @@ def synthesize_snapshot(
             else "zz"
         )
         asn = SIM_CDN_ASN if parsed.is_ixp else isp_asn_table[parsed.isp_label][0]
-        holder = "cdn" if parsed.is_ixp else parsed.isp_label
-        rows.append((f"{server.address}/32", country, country, asn, holder))
+        rows.append((f"{server.address}/32", country, country, asn))
     return validation.AddressSnapshot(rows), {SIM_CDN_ASN}, isp_asn_table
 
 
@@ -380,10 +380,27 @@ def _cmd_validate(args) -> int:
     return EXIT_OK
 
 
+def _ipv4_targets(path: str) -> list[str]:
+    """The addresses of a targets file, one per line. Blank lines and IPv6
+    addresses are skipped (ID sampling is IPv4-only); any other line that is
+    not an IPv4 address raises a ValueError that names its line."""
+    targets = []
+    for number, line in enumerate(Path(path).read_text().splitlines(), 1):
+        text = line.strip()
+        if not text:
+            continue
+        try:
+            version = ipaddress.ip_address(text).version
+        except ValueError:
+            raise ValueError(f"{path}: line {number}: {text!r} is not an IPv4 address") from None
+        if version == 4:
+            targets.append(text)
+    return targets
+
+
 def _cmd_probe(args, params: probe.CampaignParams) -> int:
     _require_out(args, "probe")
-    targets = [line.strip() for line in Path(args.targets).read_text().splitlines()
-               if line.strip() and ":" not in line]  # ID sampling is IPv4-only
+    targets = _ipv4_targets(args.targets)
     with contextlib.ExitStack() as resources:
         if args.transport.startswith("sim:"):
             fleet = simulation.SimulatedFleet.from_file(args.transport[len("sim:"):])

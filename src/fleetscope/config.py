@@ -10,7 +10,8 @@ the probe interval and MTU, report bins by the revisit period. What is
 unset keeps its ``CampaignParams`` default.
 
 Durations accept plain seconds or strings with units ("30ms", "60s",
-"30m", "10d").
+"30m", "10d"). The revisit period must divide 24 hours, because the
+report's bins must tile each UTC day.
 """
 
 from __future__ import annotations
@@ -55,6 +56,16 @@ def parse_duration_s(value, fieldname: str = "duration") -> float:
     return float(match.group(1)) * _DURATION_UNITS[match.group(2) or "s"]
 
 
+def _day_divisor_s(value, fieldname: str) -> float:
+    """A duration that divides a UTC day into whole bins: the report bins
+    by the revisit period, and a day must hold a whole number of them."""
+    seconds = parse_duration_s(value, fieldname)
+    period_ns = round(seconds * 1e9)
+    if period_ns <= 0 or 86_400 * 10**9 % period_ns:
+        raise ConfigError(fieldname, f"{value!r} does not divide 24h")
+    return seconds
+
+
 def _int(value, fieldname: str) -> int:
     try:
         return int(value)
@@ -73,7 +84,7 @@ _SETTINGS = {
     "seed": ("seed", _int, "seed"),
     "campaign.probe_interval": ("probe_interval_s", parse_duration_s, "interval"),
     "campaign.dwell": ("dwell_s", parse_duration_s, "dwell"),
-    "campaign.revisit_period": ("revisit_period_s", parse_duration_s, None),
+    "campaign.revisit_period": ("revisit_period_s", _day_divisor_s, None),
     "campaign.workers": ("workers", _int, "workers"),
     "campaign.total_duration": ("total_duration_s", parse_duration_s, "duration"),
     "campaign.max_visits_per_hour": ("max_visits_per_hour", _optional(lambda v, _: float(v)), None),

@@ -1,10 +1,13 @@
 """Cross-checks of claimed server locations and operator attribution.
 
 Two independent methods: a geolocation snapshot (country per address) and
-an address-to-ASN snapshot. Providers are offline snapshot files, never
-live services, so verdicts are reproducible. RTT proximity from vantage
-points would be a third method; it needs live vantage measurements, which
-no offline input provides, so it is out of scope.
+an address-to-ASN snapshot, both read from one ``AddressSnapshot``. The
+claimed country comes from the name's airport code through an
+``AirportDatabase``, which keeps only the country of each code. Providers
+are offline snapshot files, never live services, so verdicts are
+reproducible. RTT proximity from vantage points would be a third method;
+it needs live vantage measurements, which no offline input provides, so it
+is out of scope.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from collections import Counter
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
-from typing import Iterable, Mapping, Protocol
+from typing import Iterable, Mapping
 
 from .discovery import ServerRecord
 
@@ -49,43 +52,33 @@ class UnknownAsn(UnknownAddress):
     """No ASN mapping covers the address."""
 
 
-@dataclass(frozen=True, slots=True)
-class GeoPoint:
-    """A point on the globe in decimal degrees."""
-
-    latitude: float
-    longitude: float
-
-    def __post_init__(self) -> None:
-        if not -90.0 <= self.latitude <= 90.0:
-            raise ValueError(f"latitude out of range: {self.latitude}")
-        if not -180.0 <= self.longitude <= 180.0:
-            raise ValueError(f"longitude out of range: {self.longitude}")
-
-
 class AirportDatabase:
-    """Airport code to coordinates, country and UTC offset.
+    """Airport code to ISO country, with an alias table for typo'd codes.
 
-    Loaded from CSV rows ``code,lat,lon,country,utc_offset``; alias tables
-    (``code,canonical``, see ``add_aliases``) map typo'd codes onto real
-    ones.
+    Loaded from CSV rows ``code,lat,lon,country,utc_offset``. Only the code
+    and the country are kept; the other columns must still parse, and the
+    coordinates must lie on the globe. Alias tables (``code,canonical``,
+    see ``add_aliases``) map typo'd codes onto real ones.
     """
 
-    def __init__(self, rows: Iterable[tuple[str, float, float, str, float]]):
-        self._airports: dict[str, tuple[GeoPoint, str, float]] = {}
-        for code, lat, lon, country, offset in rows:
-            self._airports[code.lower()] = (GeoPoint(lat, lon), country.upper(), offset)
+    def __init__(self, countries: Mapping[str, str]):
+        self._countries = {code.lower(): country.upper() for code, country in countries.items()}
         self._aliases: dict[str, str] = {}
 
     @classmethod
     def from_csv(cls, path: str | Path) -> "AirportDatabase":
-        rows = []
+        countries = {}
         with open(path, newline="") as fh:
             for row in csv.reader(fh):
                 if not row or row[0].startswith("#"):
                     continue
-                rows.append((row[0], float(row[1]), float(row[2]), row[3], float(row[4])))
-        return cls(rows)
+                latitude, longitude, _ = float(row[1]), float(row[2]), float(row[4])
+                if not -90.0 <= latitude <= 90.0:
+                    raise ValueError(f"latitude out of range: {latitude}")
+                if not -180.0 <= longitude <= 180.0:
+                    raise ValueError(f"longitude out of range: {longitude}")
+                countries[row[0]] = row[3]
+        return cls(countries)
 
     @classmethod
     def bundled(cls, *_ignored) -> "AirportDatabase":
@@ -102,36 +95,21 @@ class AirportDatabase:
     def add_aliases(self, aliases: Mapping[str, str]) -> None:
         self._aliases.update({k.lower(): v.lower() for k, v in aliases.items()})
 
-    def _resolve(self, code: str) -> tuple[GeoPoint, str, float]:
+    def __contains__(self, code: str) -> bool:
         key = code.lower()
-        key = self._aliases.get(key, key)
+        return self._aliases.get(key, key) in self._countries
+
+    def country(self, code: str) -> str:
+        """ISO country of a known (or aliased) code."""
+        key = code.lower()
         try:
-            return self._airports[key]
+            return self._countries[self._aliases.get(key, key)]
         except KeyError:
             raise UnknownAirportCode(code) from None
 
-    def __contains__(self, code: str) -> bool:
-        key = code.lower()
-        return self._aliases.get(key, key) in self._airports
-
-    def codes(self) -> tuple[str, ...]:
-        return tuple(sorted(self._airports))
-
-    def location(self, code: str) -> tuple[GeoPoint, str]:
-        """Coordinates and ISO country for a known (or aliased) code."""
-        point, country, _ = self._resolve(code)
-        return point, country
-
-    def country(self, code: str) -> str:
-        return self._resolve(code)[1]
-
-    def utc_offset_hours(self, code: str) -> float:
-        """Standard-time UTC offset of the airport's site."""
-        return self._resolve(code)[2]
-
     def country_map(self) -> dict[str, str]:
         """ISO country by airport code, aliased codes included."""
-        countries = {code: entry[1] for code, entry in self._airports.items()}
+        countries = dict(self._countries)
         countries.update({alias: countries[code] for alias, code in self._aliases.items()
                           if code in countries})
         return countries
@@ -162,35 +140,22 @@ def load_continent_table(path: str | Path | None = None) -> dict[str, str]:
     return table
 
 
-class AddressInfoProvider(Protocol):
-    """Per-address metadata from an offline snapshot."""
-
-    def country(self, address: str) -> str: ...
-
-    def registered_country(self, address: str) -> str: ...
-
-    def asn(self, address: str) -> int: ...
-
-
 class AddressSnapshot:
-    """Longest-prefix-match snapshot of per-prefix address metadata.
+    """Longest-prefix-match snapshot of per-prefix address metadata: the
+    geolocated country, the registration country and the ASN.
 
-    CSV rows: ``prefix,country,registered_country,asn,holder``.
+    CSV rows: ``prefix,country,registered_country,asn`` and an optional
+    ``holder`` column, which is not read.
     """
 
-    def __init__(self, rows: Iterable[tuple[str, str, str, int, str]]):
-        self._by_prefixlen: dict[int, dict[int, tuple[str, str, int, str]]] = {}
-        for prefix, country, reg_country, asn, holder in rows:
+    def __init__(self, rows: Iterable[tuple[str, str, str, int]]):
+        self._by_prefixlen: dict[int, dict[int, tuple[str, str, int]]] = {}
+        for prefix, country, reg_country, asn in rows:
             network = ipaddress.ip_network(prefix, strict=True)
             if network.version != 4:
                 raise ValueError(f"only IPv4 prefixes supported, got {prefix}")
             table = self._by_prefixlen.setdefault(network.prefixlen, {})
-            table[int(network.network_address)] = (
-                country.upper(),
-                reg_country.upper(),
-                int(asn),
-                holder,
-            )
+            table[int(network.network_address)] = (country.upper(), reg_country.upper(), int(asn))
         self._prefixlens = sorted(self._by_prefixlen, reverse=True)
 
     @classmethod
@@ -200,10 +165,10 @@ class AddressSnapshot:
             for row in csv.reader(fh):
                 if not row or row[0].startswith("#"):
                     continue
-                rows.append((row[0], row[1], row[2], int(row[3]), row[4] if len(row) > 4 else ""))
+                rows.append((row[0], row[1], row[2], int(row[3])))
         return cls(rows)
 
-    def _lookup(self, address: str) -> tuple[str, str, int, str]:
+    def _lookup(self, address: str) -> tuple[str, str, int]:
         addr = int(ipaddress.IPv4Address(address))
         for prefixlen in self._prefixlens:
             mask = ((1 << prefixlen) - 1) << (32 - prefixlen) if prefixlen else 0
@@ -223,9 +188,6 @@ class AddressSnapshot:
             return self._lookup(address)[2]
         except UnknownAddress:
             raise UnknownAsn(address) from None
-
-    def holder(self, address: str) -> str:
-        return self._lookup(address)[3]
 
 
 @dataclass(frozen=True, slots=True)
@@ -271,7 +233,7 @@ def _first_ipv4(record: ServerRecord) -> str:
 
 def geo_crosscheck(
     record: ServerRecord,
-    provider: AddressInfoProvider,
+    provider: AddressSnapshot,
     cdn_asns: frozenset[int] | set[int],
     airports: AirportDatabase,
     multinational_isps: frozenset[str] | set[str] = frozenset(),
@@ -304,7 +266,7 @@ def geo_crosscheck(
 
 def asn_crosscheck(
     record: ServerRecord,
-    provider: AddressInfoProvider,
+    provider: AddressSnapshot,
     cdn_asns: frozenset[int] | set[int],
     isp_asn_table: Mapping[str, Iterable[int]],
 ) -> AsnVerdict:

@@ -96,7 +96,6 @@ def detect_peaks(
 @dataclass(frozen=True)
 class ServerSeries:
     record: ServerRecord
-    bins: dict[int, float]  # bin index -> mean pps within bin, ascending
     mean_pps: float
     mean_bps: float
 
@@ -128,12 +127,12 @@ def _join_series(
         bps_bins = {b: _sequential_sum(x for _, x in vals) / len(vals) for b, vals in raw.items()}
         mean_pps = _sequential_sum(bins.values()) / len(bins)
         mean_bps = _sequential_sum(bps_bins.values()) / len(bps_bins)
-        series.append(ServerSeries(by_hostname[hostname], bins, mean_pps, mean_bps))
+        series.append(ServerSeries(by_hostname[hostname], mean_pps, mean_bps))
     return series
 
 
 def _rollup(joined: Iterable[ServerSeries], grouping: str, airports: AirportDatabase | None,
-            continents: Mapping[str, str] | None, bin_s: float) -> list[TrafficRollup]:
+            continents: Mapping[str, str] | None) -> list[TrafficRollup]:
     def key_for(record: ServerRecord) -> str:
         if grouping == "location":
             return record.site_code
@@ -146,7 +145,6 @@ def _rollup(joined: Iterable[ServerSeries], grouping: str, airports: AirportData
             return country
         return (continents or {}).get(country, "unknown")
 
-    bin_ns = round(bin_s * 1e9)
     groups: dict[str, list[ServerSeries]] = {}
     for series in joined:
         groups.setdefault(key_for(series.record), []).append(series)
@@ -154,10 +152,6 @@ def _rollup(joined: Iterable[ServerSeries], grouping: str, airports: AirportData
     rollups = []
     for group in sorted(groups):
         members = groups[group]
-        totals: dict[int, float] = {}
-        for member in members:
-            for b, value in member.bins.items():
-                totals[b] = totals.get(b, 0.0) + value
         rollups.append(
             TrafficRollup(
                 group=group,
@@ -166,7 +160,6 @@ def _rollup(joined: Iterable[ServerSeries], grouping: str, airports: AirportData
                 location_count=len({m.record.site_code for m in members}),
                 mean_pps=_sequential_sum(m.mean_pps for m in members),
                 mean_bps=_sequential_sum(m.mean_bps for m in members),
-                series=tuple((b * bin_ns, totals[b]) for b in sorted(totals)),
             )
         )
     return rollups
@@ -247,7 +240,7 @@ def write_reports(
         ("continent", "rollup_continent.csv"),
         ("operator_kind", "rollup_kind.csv"),
     ):
-        rows = _rollup(series, grouping, airports, continents, bin_s)
+        rows = _rollup(series, grouping, airports, continents)
         paths[grouping] = out / filename
         _write_csv(
             paths[grouping],

@@ -28,7 +28,7 @@ from fleetscope.validation import (
     asn_crosscheck,
     geo_crosscheck,
 )
-from fleetscope.analytics import EstimateTable, detect_peaks, rollup
+from fleetscope.analytics import EstimateTable, detect_peaks, join_series, rollup
 
 from conftest import make_server, record_for
 
@@ -416,7 +416,7 @@ def test_c08_validation_taxonomy_proportions():
               "unexplained": 7}
     assert sum(counts.values()) == 5000
 
-    airports = AirportDatabase([("hme", 10.0, 10.0, "HM", 0.0)])
+    airports = AirportDatabase({"hme": "HM"})
     cdn_asns = {64500}
     isp_asns = {"loc": [64510], "big": [64511], "odd": [64512]}
     multinationals = {"big"}
@@ -430,7 +430,7 @@ def test_c08_validation_taxonomy_proportions():
         server = make_server(1.0, airport="hme", counter=counter % 999 + 1,
                              site=counter // 999 + 1, operator=operator, address=addr)
         records.append(record_for(server))
-        rows.append((f"{addr}/32", geo_country, reg_country, asn, "x"))
+        rows.append((f"{addr}/32", geo_country, reg_country, asn))
         planted.append(kind)
 
     for _ in range(counts["match"]):
@@ -498,12 +498,11 @@ def test_c09_rollup_conservation_across_groupings():
                 segments_used=1,
             ))
 
-    estimates = EstimateTable.from_rows(e.to_json() for e in estimates)
-    total = sum(r.mean_bps for r in rollup(estimates, records, "operator_kind",
-                                           airports, continents))
+    joined = join_series(EstimateTable.from_rows(e.to_json() for e in estimates), records)
+    total = sum(r.mean_bps for r in rollup(joined, "operator_kind", airports, continents))
     worst = 0.0
     for grouping in ("location", "country", "continent", "operator_kind"):
-        split = rollup(estimates, records, grouping, airports, continents)
+        split = rollup(joined, grouping, airports, continents)
         group_sum = sum(r.mean_bps for r in split)
         worst = max(worst, abs(group_sum - total) / total)
         assert group_sum == pytest.approx(total, rel=1e-9)

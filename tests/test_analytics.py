@@ -10,11 +10,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fleetscope.analytics import (
-    EmptyInput,
     EstimateTable,
     UnjoinedEstimate,
     deployment_vs_traffic,
     detect_peaks,
+    join_series,
     rollup,
     traffic_cdf,
     write_reports,
@@ -118,7 +118,7 @@ def test_rollup_country_additivity():
         estimates.append(_estimate(records["lhr_ix"].addresses[0], t, 100.0))
         estimates.append(_estimate(records["lhr_isp"].addresses[0], t, 200.0))
     airports = AirportDatabase.bundled()
-    rollups = rollup(_table(estimates), list(records.values()), "country", airports)
+    rollups = rollup(join_series(_table(estimates), list(records.values())), "country", airports)
     gb = {r.group: r for r in rollups}["GB"]
     assert gb.server_count == 2
     assert gb.mean_pps == pytest.approx(300.0)
@@ -135,41 +135,25 @@ def test_rollup_partition_sums_to_total():
             )
     airports = AirportDatabase.bundled()
     continents = load_continent_table()
-    total = sum(
-        r.mean_bps for r in rollup(_table(estimates), records, "operator_kind", airports, continents)
-    )
+    joined = join_series(_table(estimates), records)
+    total = sum(r.mean_bps for r in rollup(joined, "operator_kind", airports, continents))
     for grouping in ("location", "country", "continent", "operator_kind"):
-        split = rollup(_table(estimates), records, grouping, airports, continents)
+        split = rollup(joined, grouping, airports, continents)
         assert sum(r.mean_bps for r in split) == pytest.approx(total, rel=1e-12)
         assert all(r.server_count >= r.location_count for r in split)
-
-
-def test_rollup_series_sums_members_at_aligned_bins():
-    records = list(_fixture_records().values())[:2]
-    estimates = [
-        _estimate(records[0].addresses[0], 0, 100.0),
-        _estimate(records[1].addresses[0], 0, 50.0),
-        _estimate(records[0].addresses[0], HOUR_NS, 80.0),
-    ]
-    airports = AirportDatabase.bundled()
-    (gb,) = rollup(_table(estimates), records, "country", airports)
-    series = dict(gb.series)
-    assert series[0] == pytest.approx(150.0)
-    assert series[HOUR_NS] == pytest.approx(80.0)  # missing member bin is not zero-filled
 
 
 def test_rollup_unjoined_estimate():
     records = list(_fixture_records().values())
     with pytest.raises(UnjoinedEstimate):
-        rollup(_table([_estimate("203.0.113.99", 0, 1.0)]), records, "operator_kind")
+        join_series(_table([_estimate("203.0.113.99", 0, 1.0)]), records)
 
 
 def test_traffic_cdf_examples():
     assert traffic_cdf([100.0]) == [(100.0, 1.0)]
     quartiles = traffic_cdf([1.0, 2.0, 3.0, 4.0])
     assert quartiles == [(1.0, 0.25), (2.0, 0.5), (3.0, 0.75), (4.0, 1.0)]
-    with pytest.raises(EmptyInput):
-        traffic_cdf([])
+    assert traffic_cdf([]) == []
 
 
 def test_traffic_cdf_properties():
@@ -189,7 +173,7 @@ def test_deployment_vs_traffic_points():
     ]
     estimates = [_estimate(r.addresses[0], 0, 1000.0) for r in three]
     estimates.append(_estimate(records["lhr_ix"].addresses[0], 0, 500.0))
-    points = deployment_vs_traffic(three + [records["lhr_ix"]], _table(estimates))
+    points = deployment_vs_traffic(join_series(_table(estimates), three + [records["lhr_ix"]]))
     by_site = {(p.site_code, p.operator_kind): p for p in points}
     fra = by_site[("fra001", "ixp")]
     assert fra.server_count == 3
@@ -198,7 +182,7 @@ def test_deployment_vs_traffic_points():
 
 
 def test_deployment_vs_traffic_empty():
-    assert deployment_vs_traffic([], _table([])) == []
+    assert deployment_vs_traffic(join_series(_table([]), [])) == []
 
 
 def test_write_reports_deterministic(tmp_path):
@@ -273,7 +257,8 @@ def test_report_matches_the_dict_of_lists_oracle(inputs):
         assert sorted(ours) == sorted(theirs)
         for key in ours:
             assert ours[key].read_bytes() == theirs[key].read_bytes(), key
-    joined = analytics_oracle._join_series(estimates, records, bin_s)
+    ours = join_series(table, records, bin_s)
+    theirs = analytics_oracle._join_series(estimates, records, bin_s)
     for grouping in ("location", "country", "continent", "operator_kind"):
-        assert rollup(table, records, grouping, airports, continents, bin_s) == (
-            analytics_oracle._rollup(joined, grouping, airports, continents, bin_s))
+        assert rollup(ours, grouping, airports, continents) == (
+            analytics_oracle._rollup(theirs, grouping, airports, continents))

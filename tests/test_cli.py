@@ -552,6 +552,35 @@ def test_config_with_a_removed_key_fails(tmp_path, small_fleet_file, capsys):
     assert "estimate: unknown field" in capsys.readouterr().err
 
 
+def test_revisit_period_that_does_not_divide_a_day_fails_before_any_stage(tmp_path, capsys):
+    config = tmp_path / "revisit.json"
+    config.write_text(json.dumps({"campaign": {"revisit_period": "50m"}}))
+    fleet = Path(__file__).resolve().parent.parent / "fleet.example.json"
+    out = tmp_path / "out"
+    code = main(["--config", str(config), "simulate", "--fleet", str(fleet), "--out", str(out),
+                 "--dwell", "6s", "--workers", "4", "--duration", "2h"])
+    assert code == EXIT_STAGE
+    assert "campaign.revisit_period: '50m' does not divide 24h" in capsys.readouterr().err
+    assert not (out / "store").exists()
+
+
+def test_probe_refuses_a_target_line_that_is_no_ipv4_address(tmp_path, small_fleet_file, capsys):
+    address = SimulatedFleet.from_file(small_fleet_file).servers[0].address
+    targets = tmp_path / "targets.txt"
+    out = tmp_path / "samples.bin"
+    args = ["probe", "--targets", str(targets), "--transport", f"sim:{small_fleet_file}",
+            "--dwell", "6s", "--workers", "1", "--duration", "30s", "--out", str(out)]
+    for lines, number, text in ((f"{address}\n\nlocalhost\n", 3, "localhost"),
+                                (f"2001:db8::1\n{address}\n198.018.0.2\n", 3, "198.018.0.2")):
+        targets.write_text(lines)
+        assert main(args) == EXIT_STAGE
+        assert f"{targets}: line {number}: '{text}' is not an IPv4 address" in capsys.readouterr().err
+        assert not out.exists()
+    targets.write_text(f"{address}\n2001:db8::1\n")  # ID sampling is IPv4-only
+    assert main(args) == EXIT_OK
+    assert "reachable=1 non_reachable=0" in capsys.readouterr().out
+
+
 # -- validation verdicts and the report's validation block ----------------------
 
 def _write_lines(path, rows):

@@ -7,7 +7,6 @@ import pytest
 from fleetscope.validation import (
     AddressSnapshot,
     AirportDatabase,
-    GeoPoint,
     GeoVerdict,
     UnknownAirportCode,
     UnknownAsn,
@@ -23,28 +22,21 @@ from conftest import make_server, record_for
 # -- airport database ------------------------------------------------------
 
 def test_bundled_airport_lookup_lhr():
-    db = AirportDatabase.bundled()
-    point, country = db.location("lhr")
-    assert country == "GB"
-    assert point.latitude == pytest.approx(51.47, abs=0.05)
-    assert point.longitude == pytest.approx(-0.45, abs=0.05)
+    assert AirportDatabase.bundled().country("lhr") == "GB"
 
 
 def test_airport_alias_resolves_typo():
     with resources.as_file(resources.files("fleetscope.data") / "airports.csv") as path:
         plain = AirportDatabase.from_csv(path)
     with pytest.raises(UnknownAirportCode):
-        plain.location("mdv")
-    aliased = AirportDatabase.bundled()
-    point, country = aliased.location("mdv")
-    assert country == "UY"
-    assert point.latitude == pytest.approx(-34.84, abs=0.05)
+        plain.country("mdv")
+    assert AirportDatabase.bundled().country("mdv") == "UY"
 
 
 def test_unknown_airport_code():
     db = AirportDatabase.bundled()
     with pytest.raises(UnknownAirportCode):
-        db.location("zzz")
+        db.country("zzz")
     assert "zzz" not in db
     assert "lhr" in db
 
@@ -56,19 +48,12 @@ def test_continent_table_covers_bundled_countries():
     assert not missing
 
 
-def test_airport_utc_offsets():
-    db = AirportDatabase.bundled()
-    assert db.utc_offset_hours("lhr") == 0
-    assert db.utc_offset_hours("jfk") == -5
-    assert db.utc_offset_hours("syd") == 10
-    assert db.utc_offset_hours("bom") == 5.5
-
-
-def test_geopoint_validates_range():
-    with pytest.raises(ValueError):
-        GeoPoint(91.0, 0.0)
-    with pytest.raises(ValueError):
-        GeoPoint(0.0, 181.0)
+def test_airport_csv_rejects_coordinates_off_the_globe(tmp_path):
+    path = tmp_path / "airports.csv"
+    for row, reason in (("lhr,91.0,0.0,gb,0", "latitude"), ("lhr,0.0,181.0,gb,0", "longitude")):
+        path.write_text(f"ams,52.31,4.76,nl,1\n{row}\n")
+        with pytest.raises(ValueError, match=f"{reason} out of range"):
+            AirportDatabase.from_csv(path)
 
 
 # -- geo / ASN cross-checks --------------------------------------------------
@@ -83,7 +68,7 @@ def _snapshot(rows):
 
 def test_geo_crosscheck_match():
     record = record_for(make_server(1.0, airport="lhr", operator="ix", address="203.0.113.1"))
-    snapshot = _snapshot([("203.0.113.0/24", "gb", "gb", 64500, "cdn")])
+    snapshot = _snapshot([("203.0.113.0/24", "gb", "gb", 64500)])
     verdict = geo_crosscheck(record, snapshot, CDN_ASNS, AirportDatabase.bundled())
     assert verdict.verdict == "match"
     assert verdict.mismatch_class is None
@@ -92,7 +77,7 @@ def test_geo_crosscheck_match():
 def test_geo_crosscheck_ongoing_deployment():
     # name claims an ISP, address still sits in CDN space geolocated elsewhere
     record = record_for(make_server(1.0, airport="lhr", operator="bt.isp", address="203.0.113.9"))
-    snapshot = _snapshot([("203.0.113.0/24", "us", "us", 64500, "cdn")])
+    snapshot = _snapshot([("203.0.113.0/24", "us", "us", 64500)])
     verdict = geo_crosscheck(record, snapshot, CDN_ASNS, AirportDatabase.bundled())
     assert verdict.verdict == "mismatch"
     assert verdict.mismatch_class == "ongoing_deployment"
@@ -101,7 +86,7 @@ def test_geo_crosscheck_ongoing_deployment():
 def test_geo_crosscheck_ixp_prefix_registration():
     # IXP server at mia; the prefix geolocates to its registration country
     record = record_for(make_server(1.0, airport="mia", operator="ix", address="198.51.100.7"))
-    snapshot = _snapshot([("198.51.100.0/24", "nl", "nl", 64500, "cdn")])
+    snapshot = _snapshot([("198.51.100.0/24", "nl", "nl", 64500)])
     verdict = geo_crosscheck(record, snapshot, CDN_ASNS, AirportDatabase.bundled())
     assert verdict.verdict == "mismatch"
     assert verdict.mismatch_class == "ixp_prefix_registration"
@@ -110,7 +95,7 @@ def test_geo_crosscheck_ixp_prefix_registration():
 def test_geo_crosscheck_multinational_and_unexplained():
     db = AirportDatabase.bundled()
     multi = record_for(make_server(1.0, airport="lhr", operator="big.isp", address="198.51.100.20"))
-    snapshot = _snapshot([("198.51.100.0/24", "fr", "fr", 64520, "big")])
+    snapshot = _snapshot([("198.51.100.0/24", "fr", "fr", 64520)])
     verdict = geo_crosscheck(multi, snapshot, CDN_ASNS, db, multinational_isps={"big"})
     assert verdict.mismatch_class == "multinational_operator"
     other = record_for(make_server(1.0, airport="lhr", operator="bt.isp", address="198.51.100.21"))
@@ -138,9 +123,9 @@ def test_geo_verdict_invariant():
 
 def test_asn_crosscheck_examples():
     db_rows = [
-        ("203.0.113.0/24", "gb", "gb", 64500, "cdn"),
-        ("198.51.100.0/24", "gb", "gb", 64510, "bt"),
-        ("192.0.2.0/24", "gb", "gb", 64999, "other"),
+        ("203.0.113.0/24", "gb", "gb", 64500),
+        ("198.51.100.0/24", "gb", "gb", 64510),
+        ("192.0.2.0/24", "gb", "gb", 64999),
     ]
     snapshot = _snapshot(db_rows)
     ixp = record_for(make_server(1.0, operator="ix", address="203.0.113.50"))
@@ -154,7 +139,7 @@ def test_asn_crosscheck_examples():
 
 
 def test_asn_crosscheck_unknown_address():
-    snapshot = _snapshot([("203.0.113.0/24", "gb", "gb", 64500, "cdn")])
+    snapshot = _snapshot([("203.0.113.0/24", "gb", "gb", 64500)])
     record = record_for(make_server(1.0, operator="ix", address="10.0.0.1"))
     with pytest.raises(UnknownAsn):
         asn_crosscheck(record, snapshot, CDN_ASNS, ISP_ASNS)
@@ -162,9 +147,9 @@ def test_asn_crosscheck_unknown_address():
 
 def test_snapshot_longest_prefix_wins():
     snapshot = _snapshot([
-        ("10.0.0.0/8", "us", "us", 1, "coarse"),
-        ("10.1.0.0/16", "de", "de", 2, "finer"),
-        ("10.1.2.0/24", "fr", "fr", 3, "finest"),
+        ("10.0.0.0/8", "us", "us", 1),
+        ("10.1.0.0/16", "de", "de", 2),
+        ("10.1.2.0/24", "fr", "fr", 3),
     ])
     assert snapshot.asn("10.9.9.9") == 1
     assert snapshot.asn("10.1.9.9") == 2
@@ -178,12 +163,12 @@ def test_snapshot_csv_round_trip(tmp_path):
     snapshot = AddressSnapshot.from_csv(path)
     assert snapshot.country("203.0.113.1") == "GB"
     assert snapshot.registered_country("203.0.113.1") == "NL"
-    assert snapshot.holder("203.0.113.1") == "cdn"
+    assert snapshot.asn("203.0.113.1") == 64500  # the holder column is accepted, not read
 
 
 def test_every_record_gets_exactly_one_verdict_pair():
     db = AirportDatabase.bundled()
-    rows = [("198.51.100.0/24", "gb", "gb", 64500, "cdn")]
+    rows = [("198.51.100.0/24", "gb", "gb", 64500)]
     snapshot = _snapshot(rows)
     records = [
         record_for(make_server(1.0, airport="lhr", operator="ix", address=f"198.51.100.{i + 1}"))
