@@ -22,5 +22,4 @@ from .ipid import (  # noqa: F401
     RateEstimate,
     ambiguity_bound,
     series_estimates,
-    wrap_corrected_delta,
 )

@@ -56,11 +56,10 @@ class IdBehavior(enum.Enum):
     CONSTANT_OR_PERFLOW = "constant_or_perflow"
 
 
-def wrap_corrected_delta(prev_id: int, next_id: int) -> int:
-    """Packets sent between two ID readings, assuming at most one wrap."""
-    if not 0 <= prev_id <= MAX_ID or not 0 <= next_id <= MAX_ID:
-        raise ValueError("IDs must be 16-bit values")
-    return (next_id - prev_id) % ID_SPACE
+def _id_deltas(ids: np.ndarray) -> np.ndarray:
+    """Packets sent between consecutive ID readings (an int64 array),
+    assuming at most one wrap between them."""
+    return np.diff(ids) % ID_SPACE
 
 
 def ambiguity_bound(interval_s: float) -> float:
@@ -82,7 +81,7 @@ def classify_replies(sent_ns: np.ndarray, ids: np.ndarray) -> IdBehavior:
         raise InsufficientSamples(
             f"need >= {MIN_BEHAVIOR_SAMPLES} replies to classify, got {ids.size}"
         )
-    deltas = np.diff(ids) % ID_SPACE
+    deltas = _id_deltas(ids)
     gaps = np.diff(sent_ns)
 
     if not deltas.any():
@@ -180,7 +179,7 @@ def estimate_replies(
                    + np.count_nonzero(in_segment[1:] > in_segment[:-1]))
     if not segments:
         raise InsufficientSamples("no segment with two consecutive replies")
-    deltas = (np.diff(ids) % ID_SPACE)[in_segment]
+    deltas = _id_deltas(ids)[in_segment]
     gaps = gaps_ns[in_segment] / 1e9
 
     single = gaps <= 1.5 * interval_s

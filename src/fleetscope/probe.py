@@ -23,7 +23,7 @@ import heapq
 import logging
 import math
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -35,15 +35,6 @@ logger = logging.getLogger(__name__)
 
 MAX_IPID = 0xFFFF
 MAX_PROBES_PER_VISIT = 1 << 16
-
-
-class AllProbesLost(Exception):
-    """Every probe of a visit went unanswered; carries the visit's frame."""
-
-    def __init__(self, target: str, visit: VisitFrame):
-        self.target = target
-        self.visit = visit
-        super().__init__(f"no replies from {target} this visit")
 
 
 class CapacityExceeded(ValueError):
@@ -68,7 +59,7 @@ class CampaignParams:
     def __post_init__(self) -> None:
         if round(self.probe_interval_s * 1e9) <= 0:
             raise ValueError("probe_interval_s must be > 0")
-        if self.dwell_s < 2 * self.probe_interval_s:
+        if self.probes_per_visit < 2:
             raise ValueError("dwell_s must cover at least two probe intervals")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
@@ -157,32 +148,6 @@ def plan_campaign(targets: Sequence[str], params: CampaignParams) -> CampaignSch
             f"{cycle_slots * slot_ns / 1e9:g} s per cycle, more than the revisit period "
             f"of {params.revisit_period_s:g} s; this needs {fits}")
     return CampaignSchedule(slots, params.dwell_s, cycle_slots)
-
-
-def probe_target(
-    target: str,
-    interval_s: float,
-    dwell_s: float,
-    transport: EchoTransport,
-    timeout_s: float | None = None,
-) -> VisitFrame:
-    """Send ``dwell/interval`` echoes paced at ``interval``, starting now,
-    and collect the replies: a one-target, one-slot campaign.
-
-    Raises ``AllProbesLost`` (visit attached) when nothing answered, and
-    ``TransportError`` on socket or privilege failures.
-    """
-    params = CampaignParams(probe_interval_s=interval_s, dwell_s=dwell_s, workers=1,
-                            total_duration_s=dwell_s, max_visits_per_hour=None,
-                            probe_timeout_s=timeout_s)
-    # one visit, never revisited: the cycle need only hold its reply window
-    params = replace(params, revisit_period_s=2 * dwell_s + params.effective_timeout_s)
-    visits: list[VisitFrame] = []
-    run_campaign([target], params, transport, visits.append)
-    (visit,) = visits
-    if (visit.rtt_ns == LOST_RTT).all():
-        raise AllProbesLost(target, visit)
-    return visit
 
 
 @dataclass

@@ -42,11 +42,6 @@ def parse_hhmm(text: str) -> float:
     return int(hours) * 3600.0 + int(minutes or 0) * 60.0
 
 
-def format_hhmm(seconds: float) -> str:
-    total = int(round(seconds)) % int(DAY_S)
-    return f"{total // 3600:02d}:{(total % 3600) // 60:02d}"
-
-
 @dataclass(frozen=True)
 class TrafficProfile:
     """Instantaneous send rate of a simulated server.
@@ -78,19 +73,6 @@ class TrafficProfile:
             raise ValueError("fill window must satisfy 0 <= start < end <= 24h")
         if self.noise_rel < 0:
             raise ValueError("noise_rel must be >= 0")
-
-    def rate_at(self, t_s: float) -> float:
-        """Deterministic instantaneous rate at UTC time ``t_s``."""
-        local = t_s + self.tz_offset_s
-        phase = 2 * math.pi * (local - self.peak_local_s) / DAY_S
-        rate = self.base_pps * (1.0 + self.diurnal_amplitude * math.cos(phase))
-        pos = local % DAY_S
-        if self.fill_extra_pps and self.fill_start_s <= pos < self.fill_end_s:
-            width = self.fill_end_s - self.fill_start_s
-            rate += self.fill_extra_pps * 0.5 * (
-                1.0 - math.cos(2 * math.pi * (pos - self.fill_start_s) / width)
-            )
-        return rate
 
     def _cumulative(self, t_s: float) -> float:
         """Antiderivative of the deterministic rate at UTC time ``t_s``."""
@@ -210,9 +192,6 @@ class SimulatedFleet:
     def zone(self) -> dict[str, tuple[str, ...]]:
         return {server.name: (server.address,) for server in self.servers}
 
-    def addresses(self) -> list[str]:
-        return [server.address for server in self.servers]
-
     def mark_visit_start(self, address: str, t_ns: int) -> None:
         server = self.by_address.get(address)
         if server is None or not server.reachable:
@@ -233,9 +212,6 @@ class SimulatedFleet:
         pps = (server.background_packets - start_packets) / ((server.time_ns - start_ns) / 1e9)
         self.truth.append(TruthRecord(address, start_ns, t_ns, pps))
 
-    def truth_for(self, address: str) -> list[TruthRecord]:
-        return [t for t in self.truth if t.target == address]
-
     def export_truth_csv(self, path: str | Path) -> None:
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
@@ -245,10 +221,17 @@ class SimulatedFleet:
 
     @classmethod
     def from_config(cls, config: Mapping) -> "SimulatedFleet":
+        """The fleet a config describes; a missing ``servers`` list, or a
+        server without a ``name`` or an ``address``, raises a ValueError."""
+        if "servers" not in config:
+            raise ValueError("no 'servers' list")
         seed = config.get("seed", 0)
         suffix = config.get("domain_suffix", "nflxvideo.net")
         servers = []
-        for entry in config["servers"]:
+        for index, entry in enumerate(config["servers"]):
+            for key in ("name", "address"):
+                if key not in entry:
+                    raise ValueError(f"servers[{index}] has no {key!r}")
             profile_cfg = entry.get("profile", {})
             fill = profile_cfg.get("fill") or {}
             profile = TrafficProfile(
@@ -276,41 +259,11 @@ class SimulatedFleet:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "SimulatedFleet":
-        return cls.from_config(json.loads(Path(path).read_text()))
-
-    def to_config(self) -> dict:
-        servers = []
-        for s in self.servers:
-            p = s.profile
-            entry = {
-                "name": s.name,
-                "address": s.address,
-                "reachable": s.reachable,
-                "rtt_ms": s.rtt_ns / 1e6,
-                "id_behavior": s.id_behavior.value,
-                "constant_id": s.constant_id,
-                "profile": {
-                    "base_pps": p.base_pps,
-                    "diurnal_amplitude": p.diurnal_amplitude,
-                    "peak_local": format_hhmm(p.peak_local_s),
-                    "tz_offset_hours": p.tz_offset_s / 3600.0,
-                    "noise_rel": p.noise_rel,
-                    "fill": (
-                        {
-                            "start": format_hhmm(p.fill_start_s),
-                            "end": format_hhmm(p.fill_end_s),
-                            "extra_pps": p.fill_extra_pps,
-                        }
-                        if p.fill_extra_pps
-                        else None
-                    ),
-                },
-            }
-            servers.append(entry)
-        return {"seed": self.seed, "domain_suffix": self.domain_suffix, "servers": servers}
-
-    def save(self, path: str | Path) -> None:
-        Path(path).write_text(json.dumps(self.to_config(), indent=2) + "\n")
+        """``from_config`` of a JSON file; its ValueErrors name the file."""
+        try:
+            return cls.from_config(json.loads(Path(path).read_text()))
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
 
 
 class ZoneResolver:

@@ -18,7 +18,7 @@ from collections import Counter
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Mapping
 
 from .discovery import ServerRecord
 
@@ -48,10 +48,6 @@ class UnknownAddress(KeyError):
     reason = "unknown_address"
 
 
-class UnknownAsn(UnknownAddress):
-    """No ASN mapping covers the address."""
-
-
 class AirportDatabase:
     """Airport code to ISO country, with an alias table for typo'd codes.
 
@@ -67,18 +63,15 @@ class AirportDatabase:
 
     @classmethod
     def from_csv(cls, path: str | Path) -> "AirportDatabase":
-        countries = {}
-        with open(path, newline="") as fh:
-            for row in csv.reader(fh):
-                if not row or row[0].startswith("#"):
-                    continue
-                latitude, longitude, _ = float(row[1]), float(row[2]), float(row[4])
-                if not -90.0 <= latitude <= 90.0:
-                    raise ValueError(f"latitude out of range: {latitude}")
-                if not -180.0 <= longitude <= 180.0:
-                    raise ValueError(f"longitude out of range: {longitude}")
-                countries[row[0]] = row[3]
-        return cls(countries)
+        def country(row: list[str]) -> tuple[str, str]:
+            latitude, longitude, _ = float(row[1]), float(row[2]), float(row[4])
+            if not -90.0 <= latitude <= 90.0:
+                raise ValueError(f"latitude out of range: {latitude}")
+            if not -180.0 <= longitude <= 180.0:
+                raise ValueError(f"longitude out of range: {longitude}")
+            return row[0], row[3]
+
+        return cls(dict(_read_table(path, 5, country)))
 
     @classmethod
     def bundled(cls, *_ignored) -> "AirportDatabase":
@@ -115,14 +108,28 @@ class AirportDatabase:
         return countries
 
 
-def load_alias_table(path: str | Path) -> dict[str, str]:
-    aliases = {}
+def _read_table(path: str | Path, columns: int, parse: Callable[[list[str]], tuple]) -> list:
+    """``parse`` of each row of a CSV table, skipping blank rows and rows
+    whose first field starts with ``#``. A row of fewer than ``columns``
+    fields, or one that ``parse`` raises a ValueError for, raises a
+    ValueError that names the file and line."""
+    parsed = []
     with open(path, newline="") as fh:
-        for row in csv.reader(fh):
+        reader = csv.reader(fh)
+        for row in reader:
             if not row or row[0].startswith("#"):
                 continue
-            aliases[row[0].lower()] = row[1].lower()
-    return aliases
+            try:
+                if len(row) < columns:
+                    raise ValueError(f"expected {columns} columns, got {len(row)}")
+                parsed.append(parse(row))
+            except ValueError as exc:
+                raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
+    return parsed
+
+
+def load_alias_table(path: str | Path) -> dict[str, str]:
+    return dict(_read_table(path, 2, lambda row: (row[0].lower(), row[1].lower())))
 
 
 def load_continent_table(path: str | Path | None = None) -> dict[str, str]:
@@ -131,42 +138,29 @@ def load_continent_table(path: str | Path | None = None) -> dict[str, str]:
         data = resources.files("fleetscope.data")
         with resources.as_file(data / "continents.csv") as bundled:
             return load_continent_table(bundled)
-    table = {}
-    with open(path, newline="") as fh:
-        for row in csv.reader(fh):
-            if not row or row[0].startswith("#"):
-                continue
-            table[row[0].upper()] = row[1].upper()
-    return table
+    return dict(_read_table(path, 2, lambda row: (row[0].upper(), row[1].upper())))
 
 
 class AddressSnapshot:
-    """Longest-prefix-match snapshot of per-prefix address metadata: the
+    """Longest-prefix-match snapshot of per-IPv4-prefix address metadata: the
     geolocated country, the registration country and the ASN.
 
     CSV rows: ``prefix,country,registered_country,asn`` and an optional
     ``holder`` column, which is not read.
     """
 
-    def __init__(self, rows: Iterable[tuple[str, str, str, int]]):
+    def __init__(self, rows: Iterable[tuple[str | ipaddress.IPv4Network, str, str, int]]):
         self._by_prefixlen: dict[int, dict[int, tuple[str, str, int]]] = {}
         for prefix, country, reg_country, asn in rows:
-            network = ipaddress.ip_network(prefix, strict=True)
-            if network.version != 4:
-                raise ValueError(f"only IPv4 prefixes supported, got {prefix}")
+            network = ipaddress.IPv4Network(prefix)
             table = self._by_prefixlen.setdefault(network.prefixlen, {})
             table[int(network.network_address)] = (country.upper(), reg_country.upper(), int(asn))
         self._prefixlens = sorted(self._by_prefixlen, reverse=True)
 
     @classmethod
     def from_csv(cls, path: str | Path) -> "AddressSnapshot":
-        rows = []
-        with open(path, newline="") as fh:
-            for row in csv.reader(fh):
-                if not row or row[0].startswith("#"):
-                    continue
-                rows.append((row[0], row[1], row[2], int(row[3])))
-        return cls(rows)
+        return cls(_read_table(path, 4, lambda row: (
+            ipaddress.IPv4Network(row[0]), row[1], row[2], int(row[3]))))
 
     def _lookup(self, address: str) -> tuple[str, str, int]:
         addr = int(ipaddress.IPv4Address(address))
@@ -184,10 +178,7 @@ class AddressSnapshot:
         return self._lookup(address)[1]
 
     def asn(self, address: str) -> int:
-        try:
-            return self._lookup(address)[2]
-        except UnknownAddress:
-            raise UnknownAsn(address) from None
+        return self._lookup(address)[2]
 
 
 @dataclass(frozen=True, slots=True)

@@ -1,13 +1,18 @@
-"""Shared builders for simulated fleets and records."""
+"""Shared builders for simulated fleets, fleet files, visits and records."""
 
 from __future__ import annotations
+
+import json
+from pathlib import Path
 
 import pytest
 
 from fleetscope.discovery import ServerRecord
 from fleetscope.ipid import IdBehavior
 from fleetscope.names import parse_server_name
+from fleetscope.probe import CampaignParams, run_campaign
 from fleetscope.simulation import SimulatedFleet, SimulatedServer, TrafficProfile
+from fleetscope.store import VisitFrame
 
 
 def make_hostname(
@@ -65,6 +70,45 @@ def make_server(
 
 def make_fleet(servers: list[SimulatedServer], seed: int = 1) -> SimulatedFleet:
     return SimulatedFleet(servers, seed=seed)
+
+
+def hhmm(seconds: float) -> str:
+    """'HH:MM' of a time of day in whole minutes, as fleet configs write it."""
+    minutes = round(seconds / 60)
+    return f"{minutes // 60:02d}:{minutes % 60:02d}"
+
+
+def write_fleet(path: Path, servers: list[SimulatedServer], seed: int = 5) -> Path:
+    """Write ``servers`` as a fleet config for ``SimulatedFleet.from_file``:
+    the fields ``make_server`` sets, its peak time in whole minutes."""
+    entries = [{
+        "name": s.name,
+        "address": s.address,
+        "id_behavior": s.id_behavior.value,
+        "reachable": s.reachable,
+        "rtt_ms": s.rtt_ns / 1e6,
+        "profile": {
+            "base_pps": s.profile.base_pps,
+            "diurnal_amplitude": s.profile.diurnal_amplitude,
+            "peak_local": hhmm(s.profile.peak_local_s),
+            "tz_offset_hours": s.profile.tz_offset_s / 3600.0,
+            "noise_rel": s.profile.noise_rel,
+            "fill": {"extra_pps": s.profile.fill_extra_pps},
+        },
+    } for s in servers]
+    path.write_text(json.dumps({"seed": seed, "servers": entries}, indent=2) + "\n")
+    return path
+
+
+def one_visit(address: str, interval_s: float, dwell_s: float, transport) -> VisitFrame:
+    """The frame of a one-visit ``run_campaign`` of ``address``, which
+    starts at the transport's clock."""
+    params = CampaignParams(probe_interval_s=interval_s, dwell_s=dwell_s, workers=1,
+                            total_duration_s=dwell_s, max_visits_per_hour=None)
+    visits = []
+    run_campaign([address], params, transport, visits.append)
+    (visit,) = visits
+    return visit
 
 
 def record_for(server: SimulatedServer, seen_ns: int = 0) -> ServerRecord:

@@ -28,9 +28,13 @@ from fleetscope.ipid import (
     NotACounter,
     RateEstimate,
     ambiguity_bound,
-    wrap_corrected_delta,
 )
 from fleetscope.store import LOST_RTT, VisitFrame
+
+
+def wrap_corrected_delta(prev_id: int, next_id: int) -> int:
+    """Packets sent between two ID readings, assuming at most one wrap."""
+    return (next_id - prev_id) % ID_SPACE
 
 
 @dataclass(slots=True)

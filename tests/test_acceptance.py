@@ -18,9 +18,9 @@ import pytest
 
 from fleetscope.cli import main as cli_main
 from fleetscope.discovery import CrawlPolicy, run_crawl, summarize_discovery
-from fleetscope.ipid import ambiguity_bound, series_estimates, wrap_corrected_delta
+from fleetscope.ipid import _id_deltas, ambiguity_bound, series_estimates
 from fleetscope.names import ServerName, Wordlists, format_server_name, parse_server_name
-from fleetscope.probe import CampaignParams, probe_target, run_campaign
+from fleetscope.probe import CampaignParams, run_campaign
 from fleetscope.simulation import SimulatedFleet, SimulatedTransport, ZoneResolver
 from fleetscope.validation import (
     AddressSnapshot,
@@ -30,7 +30,7 @@ from fleetscope.validation import (
 )
 from fleetscope.analytics import EstimateTable, detect_peaks, join_series, rollup
 
-from conftest import make_server, record_for
+from conftest import make_server, one_visit, record_for, write_fleet
 
 
 def _ok(criterion: int, detail: str) -> None:
@@ -65,7 +65,7 @@ def test_c01_estimator_accuracy():
         max_visits_per_hour=None, seed=101,
     )
     frames = []
-    summary = run_campaign(fleet.addresses(), params, transport, frames.append)
+    summary = run_campaign(list(fleet.by_address), params, transport, frames.append)
     assert summary.visits_completed == 200  # 50 targets x 4 visits
 
     truth = {(t.target, t.start_ns): t.true_pps for t in fleet.truth}
@@ -91,6 +91,8 @@ def test_c01_estimator_accuracy():
 
 
 def test_c02_wrap_handling_sampled_ten_million_pairs():
+    # the pairs run through the estimator's delta kernel as consecutive IDs
+    # a0, b0, a1, b1, ...: every other delta is one pair's
     started = time.perf_counter()
     rng = np.random.default_rng(0xC2)
     n = 10_000_000
@@ -99,17 +101,19 @@ def test_c02_wrap_handling_sampled_ten_million_pairs():
     expected = (b - a) % 65536  # independent vectorized oracle
     checked = 0
     for start in range(0, n, 1_000_000):
-        xs = a[start : start + 1_000_000].tolist()
-        ys = b[start : start + 1_000_000].tolist()
-        es = expected[start : start + 1_000_000].tolist()
-        for x, y, e in zip(xs, ys, es):
-            if wrap_corrected_delta(x, y) != e:
-                pytest.fail(f"wrap_corrected_delta({x}, {y}) != {e}")
-        checked += len(xs)
+        xs = a[start : start + 1_000_000]
+        ys = b[start : start + 1_000_000]
+        deltas = _id_deltas(np.stack([xs, ys], axis=1).ravel())[::2]
+        wrong = np.flatnonzero(deltas != expected[start : start + 1_000_000])
+        if wrong.size:
+            i = wrong[0]
+            pytest.fail(f"delta of ({xs[i]}, {ys[i]}) is {deltas[i]}, not {expected[start + i]}")
+        checked += len(deltas)
     elapsed = time.perf_counter() - started
     assert checked == n
     assert elapsed < 30.0, f"took {elapsed:.1f}s"
-    _ok(2, f"{n:,} sampled pairs exact against (b-a) mod 65536 in {elapsed:.1f}s")
+    _ok(2, f"{n:,} sampled pairs through the estimator's delta kernel, exact against "
+           f"(b-a) mod 65536 in {elapsed:.1f}s")
 
 
 # ---------------------------------------------------------------------------
@@ -130,12 +134,12 @@ def test_c03_above_bound_servers_flagged_every_visit():
     fleet = SimulatedFleet(servers, seed=303)
     flagged_visits = 0
     total_visits = 0
+    # one day of 30-minute revisits
+    params = CampaignParams(probe_interval_s=interval, dwell_s=30.0, workers=1,
+                            total_duration_s=86400.0)
     for server in servers:
-        transport = SimulatedTransport(fleet)
         visits = []
-        for k in range(48):  # one day of 30-minute revisits
-            transport.sleep_until_ns(k * 1800 * 10**9)
-            visits.append(probe_target(server.address, interval, 30.0, transport))
+        run_campaign([server.address], params, SimulatedTransport(fleet), visits.append)
         estimates = series_estimates(visits, interval)
         assert len(estimates) == 48
         total_visits += len(estimates)
@@ -186,12 +190,12 @@ def test_c04_periodic_matches_constant_sampling_below_bound():
 
     periodic_fleet = build_fleet()
     periodic = {}
+    params = CampaignParams(probe_interval_s=interval, dwell_s=dwell, workers=1,
+                            total_duration_s=span_s)  # a visit every 30 minutes
     for server in periodic_fleet.servers:
-        transport = SimulatedTransport(periodic_fleet)
         visits = []
-        for k in range(int(span_s / 1800.0)):
-            transport.sleep_until_ns(k * 1800 * 10**9)
-            visits.append(probe_target(server.address, interval, dwell, transport))
+        run_campaign([server.address], params, SimulatedTransport(periodic_fleet),
+                     visits.append)
         periodic[server.address] = series_estimates(visits, interval)
 
     constant_fleet = build_fleet()
@@ -203,7 +207,7 @@ def test_c04_periodic_matches_constant_sampling_below_bound():
             # timeout has passed, which one transport's clock cannot do
             transport = SimulatedTransport(constant_fleet)
             transport.sleep_until_ns(round(k * dwell * 1e9))
-            visits.append(probe_target(server.address, interval, dwell, transport))
+            visits.append(one_visit(server.address, interval, dwell, transport))
         constant[server.address] = series_estimates(visits, interval)
 
     rms_values = []
@@ -257,12 +261,11 @@ def test_c05_peak_times_recovered_across_timezones():
     fleet = SimulatedFleet(servers + fill_servers, seed=505)
     estimates = []
     kinds = {}
+    params = CampaignParams(probe_interval_s=interval, dwell_s=dwell, workers=1,
+                            total_duration_s=days * 86400.0)  # a visit every 30 minutes
     for server in fleet.servers:
-        transport = SimulatedTransport(fleet)
         visits = []
-        for k in range(days * 48):
-            transport.sleep_until_ns(k * 1800 * 10**9)
-            visits.append(probe_target(server.address, interval, dwell, transport))
+        run_campaign([server.address], params, SimulatedTransport(fleet), visits.append)
         estimates.extend(series_estimates(visits, interval))
         kinds[server.address] = "isp" if ".isp." in server.name else "ixp"
 
@@ -525,9 +528,7 @@ def test_c10_simulate_is_byte_deterministic(tmp_path):
         make_server(5_000.0, airport="nrt", operator="kddi.isp", counter=1,
                     noise=0.05, tz_offset_h=9.0, address="198.18.60.4"),
     ]
-    fleet = SimulatedFleet(servers, seed=77)
-    fleet_path = tmp_path / "fleet.json"
-    fleet.save(fleet_path)
+    fleet_path = write_fleet(tmp_path / "fleet.json", servers, seed=77)
 
     outputs = []
     for run in ("one", "two"):

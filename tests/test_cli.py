@@ -10,7 +10,7 @@ from fleetscope import analytics, cli, store
 from fleetscope.cli import EXIT_OK, EXIT_STAGE, EXIT_USAGE, main
 from fleetscope.simulation import SimulatedFleet, SimulatedTransport
 
-from conftest import InterruptingResolver, make_server, record_for
+from conftest import InterruptingResolver, make_hostname, make_server, record_for, write_fleet
 
 
 @pytest.fixture
@@ -20,10 +20,7 @@ def small_fleet_file(tmp_path):
         make_server(1000.0, airport="lhr", operator="bt.isp", counter=2),
         make_server(500.0, airport="jfk", operator="ix", counter=1),
     ]
-    fleet = SimulatedFleet(servers, seed=5)
-    path = tmp_path / "fleet.json"
-    fleet.save(path)
-    return path
+    return write_fleet(tmp_path / "fleet.json", servers, seed=5)
 
 
 def test_usage_error_exit_code(capsys):
@@ -449,7 +446,7 @@ def _crawl_args(tmp_path, fleet_file, store_dir, airports=("lhr", "jfk")):
 def test_crawl_summary_places_aliased_airport_codes(tmp_path, capsys):
     # mdv is a code seen in the wild for Montevideo (MVD) in the bundled aliases
     fleet_file = tmp_path / "fleet.json"
-    SimulatedFleet([make_server(1.0, airport="mdv", operator="ix")], seed=5).save(fleet_file)
+    write_fleet(fleet_file, [make_server(1.0, airport="mdv", operator="ix")])
     assert main(_crawl_args(tmp_path, fleet_file, tmp_path / "campaign", ("mdv",))) == EXIT_OK
     assert "total=1; locations=1; countries=1;" in capsys.readouterr().out
 
@@ -651,6 +648,48 @@ def test_validate_aliases_add_to_the_airport_table_in_use(tmp_path, airports_fla
         "unverified" if airports_flag else "match")
 
 
+@pytest.mark.parametrize("flag, rows, line, reason", [
+    ("--aliases", ["xxz,lhr", "# typo'd codes", "lhr"], 3, "expected 2 columns, got 1"),
+    ("--airports", ["lhr,51.47,-0.45,gb,0", "", "jfk,forty,-73.78,us,-5"], 3,
+     "could not convert string to float: 'forty'"),
+    ("--snapshot", ["203.0.113.0/24,gb,gb,64500,cdn", "198.51.100.0/24,us,us"], 2,
+     "expected 4 columns, got 3"),
+    ("--snapshot", ["203.0.113.0/24,gb,gb,AS64500"], 1,
+     "invalid literal for int() with base 10: 'AS64500'"),
+    ("--snapshot", ["# prefix,country,registered_country,asn", "203.0.113.1/24,gb,gb,64500"], 2,
+     "203.0.113.1/24 has host bits set"),
+], ids=["short_alias", "bad_latitude", "short_prefix", "bad_asn", "host_bits"])
+def test_validate_names_the_bad_row_of_a_table(tmp_path, capsys, flag, rows, line, reason):
+    server = make_server(1.0, airport="lhr", operator="ix", address="203.0.113.1")
+    snapshot, flags = ["203.0.113.0/24,gb,gb,64500,cdn"], []
+    if flag == "--snapshot":
+        snapshot, table = rows, tmp_path / "snapshot.csv"
+    else:
+        table = _write_lines(tmp_path / "table.csv", rows)
+        flags = [flag, str(table)]
+    code, verdicts = _validate_records(tmp_path, [server], snapshot, {}, *flags)
+    assert code == EXIT_STAGE
+    assert capsys.readouterr().err == f"error: {table}: line {line}: {reason}\n"
+    assert verdicts == {}
+
+
+@pytest.mark.parametrize("command", ["simulate", "probe", "crawl"])
+def test_a_fleet_server_without_an_address_is_named(tmp_path, capsys, command):
+    fleet = tmp_path / "fleet.json"
+    fleet.write_text(json.dumps({"servers": [{"name": make_hostname()}]}))
+    targets = _write_lines(tmp_path / "targets.txt", ["198.18.0.1"])
+    args = {
+        "simulate": ["simulate", "--fleet", str(fleet), "--out", str(tmp_path / "out")],
+        "probe": ["probe", "--targets", str(targets), "--transport", f"sim:{fleet}",
+                  "--out", str(tmp_path / "samples.bin")],
+        "crawl": _crawl_args(tmp_path, fleet, tmp_path / "campaign"),
+    }[command]
+    assert main(args) == EXIT_STAGE
+    assert capsys.readouterr().err == f"error: {fleet}: servers[0] has no 'address'\n"
+    for output in ("out", "samples.bin", "campaign"):
+        assert not (tmp_path / output).exists()
+
+
 def test_report_counts_the_stored_verdicts(tmp_path):
     servers = [
         make_server(1.0, airport="lhr", operator="ix", counter=1),      # match
@@ -661,7 +700,7 @@ def test_report_counts_the_stored_verdicts(tmp_path):
         make_server(1.0, airport="xxz", operator="ix", counter=1),      # no airport row
     ]
     fleet_file = tmp_path / "fleet.json"
-    SimulatedFleet(servers, seed=5).save(fleet_file)
+    write_fleet(fleet_file, servers)
     store_dir = tmp_path / "campaign"
     assert main(_crawl_args(tmp_path, fleet_file, store_dir, ("lhr", "jfk", "xxz"))) == EXIT_OK
     snapshot = _write_lines(tmp_path / "snapshot.csv", [

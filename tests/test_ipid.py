@@ -3,6 +3,7 @@ per-visit estimates and series flagging."""
 
 import random
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -11,38 +12,36 @@ from fleetscope.ipid import (
     IdBehavior,
     InsufficientSamples,
     NotACounter,
+    _id_deltas,
     ambiguity_bound,
     classify_replies,
     daily_autocorrelation,
     estimate_replies,
     series_estimates,
-    wrap_corrected_delta,
 )
-from fleetscope.probe import CampaignParams, probe_target, run_campaign
+from fleetscope.probe import CampaignParams, run_campaign
 from fleetscope.simulation import SimulatedTransport
 
 import ipid_oracle
-from conftest import make_fleet, make_server
+from conftest import make_fleet, make_server, one_visit
 from ipid_oracle import ProbeSample, VisitLog, to_frame
 
 
+def _deltas(*ids):
+    """The estimator's wrap-corrected deltas between consecutive ``ids``."""
+    return _id_deltas(np.array(ids, dtype=np.int64)).tolist()
+
+
 def test_wrap_corrected_delta_examples():
-    assert wrap_corrected_delta(100, 116) == 16
-    assert wrap_corrected_delta(65530, 10) == 16
-    assert wrap_corrected_delta(42, 42) == 0
-
-
-def test_wrap_corrected_delta_range_check():
-    with pytest.raises(ValueError):
-        wrap_corrected_delta(-1, 0)
-    with pytest.raises(ValueError):
-        wrap_corrected_delta(0, 65536)
+    assert _deltas(100, 116) == [16]
+    assert _deltas(65530, 10) == [16]
+    assert _deltas(42, 42) == [0]
+    assert _deltas(0, 65535, 0) == [65535, 1]
 
 
 @given(st.integers(0, 65535), st.integers(0, 65535))
 def test_wrap_delta_pair_sums_to_zero_or_wrap(a, b):
-    forward = wrap_corrected_delta(a, b)
-    backward = wrap_corrected_delta(b, a)
+    forward, backward = _deltas(a, b, a)
     if a == b:
         assert forward == backward == 0
     else:
@@ -85,7 +84,7 @@ def test_detect_counter_from_simulated_server():
     server = make_server(base_pps=1000.0)
     fleet = make_fleet([server])
     transport = SimulatedTransport(fleet)
-    visit = probe_target(server.address, 0.03, 6.0, transport)
+    visit = one_visit(server.address, 0.03, 6.0, transport)
     assert _classify(visit) is IdBehavior.GLOBAL_COUNTER
 
 
@@ -93,7 +92,7 @@ def test_detect_random_uniform_ids():
     rng = random.Random(123)
     ids = [rng.randrange(65536) for _ in range(2000)]
     # sanity on the oracle itself: the small-positive fraction sits near 1/4
-    deltas = [wrap_corrected_delta(a, b) for a, b in zip(ids, ids[1:])]
+    deltas = [ipid_oracle.wrap_corrected_delta(a, b) for a, b in zip(ids, ids[1:])]
     small = sum(1 for d in deltas if 0 < d < 16384) / len(deltas)
     assert 0.2 < small < 0.3
     assert _classify(_frame(ids)) is IdBehavior.RANDOM
@@ -118,9 +117,9 @@ def test_estimate_simulated_steady_server_within_two_percent():
     server = make_server(base_pps=1000.0)
     fleet = make_fleet([server])
     transport = SimulatedTransport(fleet)
-    visit = probe_target(server.address, 0.03, 60.0, transport)
+    visit = one_visit(server.address, 0.03, 60.0, transport)
     est = _estimate(visit, 0.03)
-    truth = fleet.truth_for(server.address)[0].true_pps
+    (truth,) = (t.true_pps for t in fleet.truth)
     assert est.packets_per_second == pytest.approx(truth, rel=0.02)
     assert est.bits_per_second == pytest.approx(est.packets_per_second * 1500 * 8)
 
@@ -130,7 +129,7 @@ def test_estimate_idle_server_after_self_subtraction():
     server = make_server(base_pps=0.0)
     fleet = make_fleet([server])
     transport = SimulatedTransport(fleet)
-    visit = probe_target(server.address, 0.03, 60.0, transport)
+    visit = one_visit(server.address, 0.03, 60.0, transport)
     est = _estimate(visit, 0.03)
     probe_rate = 1 / 0.03
     assert est.packets_per_second <= 0.01 * probe_rate
@@ -190,9 +189,9 @@ def test_no_overcount_against_simulator_truth():
     server = make_server(base_pps=50_000.0, noise=0.02)
     fleet = make_fleet([server])
     transport = SimulatedTransport(fleet, loss_rate=0.01)
-    visit = probe_target(server.address, 0.03, 60.0, transport)
+    visit = one_visit(server.address, 0.03, 60.0, transport)
     est = _estimate(visit, 0.03)
-    truth = fleet.truth_for(server.address)[0].true_pps
+    (truth,) = (t.true_pps for t in fleet.truth)
     assert est.packets_per_second <= truth * 1.001 + 1.0
 
 
@@ -208,7 +207,7 @@ def test_series_estimates_orders_many_targets_and_skips_what_it_cannot_estimate(
     params = CampaignParams(probe_interval_s=0.03, dwell_s=3.0, workers=2,
                             total_duration_s=60.0, max_visits_per_hour=None, seed=5)
     visits = []
-    run_campaign(fleet.addresses(), params, SimulatedTransport(fleet), visits.append)
+    run_campaign(list(fleet.by_address), params, SimulatedTransport(fleet), visits.append)
     estimates = series_estimates(iter(visits), 0.03)
     # the visits of the random-ID and the silent server are skipped
     assert sorted({e.target for e in estimates}) == sorted(s.address for s in counters)
@@ -220,17 +219,14 @@ def test_series_estimates_orders_many_targets_and_skips_what_it_cannot_estimate(
     assert estimates == per_target
 
 
-def _campaign_series(base_pps, hours=26.0, dwell_s=30.0, amplitude=0.0, noise=0.0,
-                     revisit_s=1800.0, seed=2):
+def _campaign_series(base_pps, hours=26.0, amplitude=0.0, noise=0.0, seed=2):
+    """One server's visits of 30 s every 30 minutes for ``hours``."""
     server = make_server(base_pps=base_pps, amplitude=amplitude, noise=noise)
     fleet = make_fleet([server], seed=seed)
-    transport = SimulatedTransport(fleet)
+    params = CampaignParams(probe_interval_s=0.03, dwell_s=30.0, workers=1,
+                            total_duration_s=hours * 3600.0)
     visits = []
-    t = 0.0
-    while t < hours * 3600.0:
-        transport.sleep_until_ns(round(t * 1e9))
-        visits.append(probe_target(server.address, 0.03, dwell_s, transport))
-        t += revisit_s
+    run_campaign([server.address], params, SimulatedTransport(fleet), visits.append)
     return server, fleet, visits
 
 
@@ -239,7 +235,7 @@ def test_series_recovers_diurnal_shape():
         base_pps=20_000.0, amplitude=0.5, noise=0.02, hours=24.0
     )
     estimates = series_estimates(visits, 0.03)
-    truth = {t.start_ns: t.true_pps for t in fleet.truth_for(server.address)}
+    truth = {t.start_ns: t.true_pps for t in fleet.truth}
     rel_errors = [
         (e.packets_per_second - truth[e.window_start_ns]) / truth[e.window_start_ns]
         for e in estimates

@@ -8,15 +8,15 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fleetscope import transport
 from fleetscope.cli import main
 from fleetscope.probe import (
-    AllProbesLost,
     CampaignParams,
     CapacityExceeded,
     plan_campaign,
-    probe_target,
     run_campaign,
 )
 from fleetscope.simulation import SimulatedTransport
@@ -105,6 +105,14 @@ def test_params_accept_the_most_probes_a_visit_can_number():
         CampaignParams(probe_interval_s=0.001, dwell_s=65.537)
 
 
+def test_params_count_the_two_probes_a_visit_needs_in_whole_nanoseconds():
+    assert CampaignParams(probe_interval_s=0.03, dwell_s=0.06).probes_per_visit == 2
+    # 2.0012 us is two intervals of 1.0006 us, but probes go out every 1,001 ns:
+    # a visit of 2,001 ns holds one
+    with pytest.raises(ValueError, match="two probe intervals"):
+        CampaignParams(probe_interval_s=1.0006e-6, dwell_s=2.0012e-6)
+
+
 def test_params_accept_the_longest_timeout_a_frame_can_hold():
     assert CampaignParams(probe_timeout_s=4.294967294)
     with pytest.raises(ValueError, match="timeout"):
@@ -115,38 +123,27 @@ def test_params_accept_the_longest_timeout_a_frame_can_hold():
         CampaignParams(probe_interval_s=0.4294967295, dwell_s=60.0)
 
 
-def test_probe_target_sends_dwell_over_interval_probes():
-    server = make_server(base_pps=1000.0)
-    fleet = make_fleet([server])
-    visit = probe_target(server.address, 0.03, 60.0, SimulatedTransport(fleet))
-    assert len(visit.sent_ns) == len(visit.rtt_ns) == len(visit.ipid) == 2000
-    assert not (visit.rtt_ns == LOST_RTT).any()
-    assert len(set(visit.ipid.tolist())) > 1000
-
-
-def test_probe_target_pacing_is_exact_under_virtual_clock():
+@settings(max_examples=50, deadline=None)
+@given(interval_ns=st.integers(1_000, 429_496_729), intervals=st.floats(2.0, 500.0),
+       epoch_ns=st.integers(0, 10**15))
+def test_a_visit_sends_its_probes_one_interval_apart_from_the_epoch(interval_ns, intervals,
+                                                                    epoch_ns):
+    # the longest interval keeps the default reply timeout, ten intervals,
+    # within what a frame can hold
+    params = CampaignParams(probe_interval_s=interval_ns / 1e9,
+                            dwell_s=intervals * interval_ns / 1e9, workers=1,
+                            total_duration_s=intervals * interval_ns / 1e9,
+                            max_visits_per_hour=None)
     server = make_server(base_pps=100.0)
-    fleet = make_fleet([server])
-    visit = probe_target(server.address, 0.03, 6.0, SimulatedTransport(fleet))
-    interval_ns = 30_000_000
-    assert (abs(np.diff(visit.sent_ns) - interval_ns) <= interval_ns / 10).all()
-
-
-def test_probe_target_is_one_visit_whatever_the_revisit_period():
-    # 2,000 probes over 1,000 s plus the reply timeout span two slots,
-    # 2,000 s: longer than the default 1,800 s a campaign may cycle in
-    server = make_server(base_pps=100.0)
-    visit = probe_target(server.address, 0.5, 1000.0, SimulatedTransport(make_fleet([server])),
-                         timeout_s=1.0)
-    assert len(visit.sent_ns) == 2000
-
-
-def test_probe_target_black_hole_raises_with_visit():
-    server = make_server(base_pps=10.0, reachable=False)
-    fleet = make_fleet([server])
-    with pytest.raises(AllProbesLost) as exc:
-        probe_target(server.address, 0.03, 6.0, SimulatedTransport(fleet))
-    assert (exc.value.visit.rtt_ns == LOST_RTT).sum() == 200
+    transport = SimulatedTransport(make_fleet([server]))
+    transport.sleep_until_ns(epoch_ns)
+    visits = []
+    run_campaign([server.address], params, transport, visits.append)
+    (visit,) = visits
+    assert params.probes_per_visit >= 2
+    expected = epoch_ns + interval_ns * np.arange(params.probes_per_visit)
+    assert visit.sent_ns.tolist() == expected.tolist()
+    assert visit.start_ns == epoch_ns
 
 
 class ScriptedTransport:
@@ -219,7 +216,7 @@ def test_run_campaign_reachability_partition():
         max_visits_per_hour=None, seed=3,
     )
     visits = []
-    summary = run_campaign(fleet.addresses(), params, SimulatedTransport(fleet), visits.append)
+    summary = run_campaign(list(fleet.by_address), params, SimulatedTransport(fleet), visits.append)
     assert set(summary.reachable) == {s.address for s in responsive}
     assert set(summary.unreachable) == {s.address for s in silent}
     assert summary.visits_completed == len(visits)
@@ -228,7 +225,7 @@ def test_run_campaign_reachability_partition():
 def test_run_campaign_zero_duration_is_empty():
     fleet = make_fleet([make_server(base_pps=1.0)])
     params = CampaignParams(total_duration_s=0.0)
-    summary = run_campaign(fleet.addresses(), params, SimulatedTransport(fleet), [].append)
+    summary = run_campaign(list(fleet.by_address), params, SimulatedTransport(fleet), [].append)
     assert summary.visits_completed == 0
     assert summary.reachable == ()
     assert summary.unreachable == ()
@@ -242,7 +239,7 @@ def test_run_campaign_sample_times_strictly_increase_per_target():
         max_visits_per_hour=None, seed=1,
     )
     visits = []
-    run_campaign(fleet.addresses(), params, SimulatedTransport(fleet), visits.append)
+    run_campaign(list(fleet.by_address), params, SimulatedTransport(fleet), visits.append)
     per_target: dict[str, list[int]] = {}
     for visit in visits:
         per_target.setdefault(visit.target, []).extend(visit.sent_ns.tolist())
@@ -259,7 +256,7 @@ def test_run_campaign_respects_courtesy_cap():
         max_visits_per_hour=2.0, seed=1,
     )
     visits = []
-    run_campaign(fleet.addresses(), params, SimulatedTransport(fleet), visits.append)
+    run_campaign(list(fleet.by_address), params, SimulatedTransport(fleet), visits.append)
     starts: dict[str, list[int]] = {}
     for visit in visits:
         starts.setdefault(visit.target, []).append(visit.start_ns)
@@ -343,7 +340,7 @@ def test_single_target_worker_waits_out_its_reply_window():
         max_visits_per_hour=None,
     )
     visits = []
-    summary = run_campaign(fleet.addresses(), params, SimulatedTransport(fleet), visits.append)
+    summary = run_campaign(list(fleet.by_address), params, SimulatedTransport(fleet), visits.append)
     assert [v.start_ns for v in visits] == [0, 6 * 10**9]
     assert summary.probes_sent == 200
     assert summary.losses == 0
@@ -357,8 +354,8 @@ def test_visits_of_a_slot_send_in_step_and_arrive_in_slot_then_worker_order():
         max_visits_per_hour=None, seed=4,
     )
     visits = []
-    run_campaign(fleet.addresses(), params, SimulatedTransport(fleet), visits.append)
-    schedule = plan_campaign(fleet.addresses(), params)
+    run_campaign(list(fleet.by_address), params, SimulatedTransport(fleet), visits.append)
+    schedule = plan_campaign(list(fleet.by_address), params)
     assert schedule.cycle_slots == len(schedule.slots) == 2
     expected = [(slot, target) for slot in range(4) for target in schedule.slots[slot % 2]]
     assert [(v.start_ns // (3 * 10**9), v.target) for v in visits] == expected
@@ -380,8 +377,13 @@ def _raw_socket_available() -> bool:
 
 @pytest.mark.skipif(not _raw_socket_available(), reason="needs CAP_NET_RAW")
 def test_raw_transport_probes_loopback():
+    params = CampaignParams(probe_interval_s=0.005, dwell_s=0.25, workers=1,
+                            total_duration_s=0.25, max_visits_per_hour=None,
+                            probe_timeout_s=0.5)
+    visits = []
     with RawIcmpTransport() as transport:
-        visit = probe_target("127.0.0.1", 0.005, 0.25, transport, timeout_s=0.5)
+        run_campaign(["127.0.0.1"], params, transport, visits.append)
+    (visit,) = visits
     assert len(visit.sent_ns) == 50
     answered = visit.rtt_ns != LOST_RTT
     assert answered.sum() > 40  # loopback answers essentially everything

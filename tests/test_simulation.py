@@ -1,23 +1,25 @@
 """Virtual fleet: profile integration, echo semantics, zone behaviour."""
 
+import json
+import math
+
 import numpy as np
 import pytest
 
 from fleetscope.discovery import OUTCOME_NXDOMAIN, OUTCOME_RESOLVED
 from fleetscope.ipid import IdBehavior
-from fleetscope.probe import probe_target
 from fleetscope.simulation import (
+    DAY_S,
     SimulatedFleet,
     SimulatedServer,
     SimulatedTransport,
     TimeRegression,
     TrafficProfile,
     ZoneResolver,
-    format_hhmm,
     parse_hhmm,
 )
 
-from conftest import make_fleet, make_server
+from conftest import hhmm, make_fleet, make_server, one_visit, write_fleet
 
 
 def test_advance_constant_rate():
@@ -44,12 +46,32 @@ def test_advance_rejects_time_regression():
         server.advance(10**8)
 
 
+def _instant_rate(profile: TrafficProfile, t_s: float) -> float:
+    """Reference: the profile's deterministic rate at UTC time ``t_s``, from
+    its definition, for quadrature against the closed-form integral."""
+    local = t_s + profile.tz_offset_s
+    phase = 2 * math.pi * (local - profile.peak_local_s) / DAY_S
+    rate = profile.base_pps * (1.0 + profile.diurnal_amplitude * math.cos(phase))
+    pos = local % DAY_S
+    if profile.fill_extra_pps and profile.fill_start_s <= pos < profile.fill_end_s:
+        width = profile.fill_end_s - profile.fill_start_s
+        rate += profile.fill_extra_pps * 0.5 * (
+            1.0 - math.cos(2 * math.pi * (pos - profile.fill_start_s) / width)
+        )
+    return rate
+
+
+def _rate(profile: TrafficProfile, t_s: float) -> float:
+    """The mean rate a responder integrates over the second from ``t_s``."""
+    return profile.packets_between(t_s, t_s + 1.0)
+
+
 def test_sinusoid_day_matches_numeric_quadrature():
     # Independent oracle: trapezoidal quadrature of the instantaneous rate.
     profile = TrafficProfile(
         base_pps=5000.0, diurnal_amplitude=0.6, peak_local_s=84600.0, tz_offset_s=-5 * 3600.0
     )
-    rates = np.array([profile.rate_at(x) for x in np.linspace(0.0, 86400.0, 10_001)])
+    rates = np.array([_instant_rate(profile, x) for x in np.linspace(0.0, 86400.0, 10_001)])
     quad = np.trapezoid(rates, np.linspace(0.0, 86400.0, 10_001))
     exact = profile.packets_between(0.0, 86400.0)
     assert exact == pytest.approx(quad, rel=1e-3)
@@ -61,19 +83,19 @@ def test_fill_window_integral_matches_quadrature():
         base_pps=100.0, fill_extra_pps=900.0, fill_start_s=7200.0, fill_end_s=50400.0
     )
     xs = np.linspace(3600.0, 70000.0, 200_001)
-    rates = np.array([profile.rate_at(x) for x in xs])
+    rates = np.array([_instant_rate(profile, x) for x in xs])
     quad = np.trapezoid(rates, xs)
     assert profile.packets_between(3600.0, 70000.0) == pytest.approx(quad, rel=1e-4)
     # raised cosine: zero at edges, peak at the window midpoint
-    assert profile.rate_at(7200.0) == pytest.approx(100.0)
-    assert profile.rate_at(28800.0) == pytest.approx(1000.0)
+    assert _rate(profile, 7200.0) == pytest.approx(100.0)
+    assert _rate(profile, 28800.0) == pytest.approx(1000.0)
 
 
 def test_fill_window_respects_timezone():
     profile = TrafficProfile(base_pps=0.0, fill_extra_pps=100.0, tz_offset_s=-5 * 3600.0)
     # local 08:00 peak is 13:00 UTC
-    assert profile.rate_at(13 * 3600.0) == pytest.approx(100.0)
-    assert profile.rate_at(8 * 3600.0) < 100.0
+    assert _rate(profile, 13 * 3600.0) == pytest.approx(100.0)
+    assert _rate(profile, 8 * 3600.0) < 100.0
 
 
 def test_serve_echo_wraps_at_16_bits():
@@ -152,9 +174,9 @@ def test_truth_records_mean_rate():
     transport = SimulatedTransport(fleet)
     transport.begin_visit(server.address)
     transport.end_visit(server.address, 30 * 10**9)
-    truth = fleet.truth_for(server.address)
-    assert len(truth) == 1
-    assert truth[0].true_pps == pytest.approx(2000.0, rel=1e-6)
+    (truth,) = fleet.truth
+    assert truth.target == server.address
+    assert truth.true_pps == pytest.approx(2000.0, rel=1e-6)
 
 
 def test_truth_of_a_far_server_is_its_rate():
@@ -162,30 +184,47 @@ def test_truth_of_a_far_server_is_its_rate():
     # 30 ms apart; over the 720 ms send span it would read ~10% high.
     server = make_server(base_pps=1000.0, rtt_ms=150.0)
     fleet = make_fleet([server])
-    probe_target(server.address, 0.03, 0.75, SimulatedTransport(fleet))
+    one_visit(server.address, 0.03, 0.75, SimulatedTransport(fleet))
     (truth,) = fleet.truth
     assert truth.true_pps == pytest.approx(1000.0, rel=1e-9)
 
 
 def test_hhmm_round_trip():
     assert parse_hhmm("23:30") == 84600.0
-    assert format_hhmm(84600.0) == "23:30"
     assert parse_hhmm("02:00") == 7200.0
+    assert parse_hhmm("7") == 25200.0
+    # every minute of a day, as fleet files write it
+    assert all(parse_hhmm(hhmm(60.0 * m)) == 60.0 * m for m in range(1440))
 
 
 def test_fleet_config_round_trip(tmp_path):
     servers = [
         make_server(base_pps=100.0, amplitude=0.4, noise=0.05, airport="lhr"),
         make_server(base_pps=50.0, operator="bt.isp", airport="man", reachable=False),
+        make_server(base_pps=10.0, airport="jfk", tz_offset_h=-5.0, peak_local_s=73_800.0,
+                    fill_extra=20.0, behavior=IdBehavior.RANDOM, rtt_ms=150.0),
     ]
-    fleet = SimulatedFleet(servers, seed=11)
-    path = tmp_path / "fleet.json"
-    fleet.save(path)
-    loaded = SimulatedFleet.from_file(path)
+    loaded = SimulatedFleet.from_file(write_fleet(tmp_path / "fleet.json", servers, seed=11))
     assert loaded.seed == 11
-    assert loaded.to_config() == fleet.to_config()
-    assert [s.name for s in loaded.servers] == [s.name for s in fleet.servers]
+
+    def fields(s):
+        return s.name, s.address, s.profile, s.id_behavior, s.reachable, s.rtt_ns, s.constant_id
+
+    assert [fields(s) for s in loaded.servers] == [fields(s) for s in servers]
     assert loaded.servers[1].reachable is False
+
+
+@pytest.mark.parametrize("config, error", [
+    ({"seed": 1}, r"fleet\.json: no 'servers' list"),
+    ({"servers": [{"name": "x", "address": "198.18.0.1"}, {"name": "y"}]},
+     r"fleet\.json: servers\[1\] has no 'address'"),
+    ({"servers": [{"address": "198.18.0.1"}]}, r"fleet\.json: servers\[0\] has no 'name'"),
+])
+def test_fleet_file_errors_name_the_file_and_the_server(tmp_path, config, error):
+    path = tmp_path / "fleet.json"
+    path.write_text(json.dumps(config))
+    with pytest.raises(ValueError, match=error):
+        SimulatedFleet.from_file(path)
 
 
 def test_fleet_rejects_duplicates_and_bad_names():

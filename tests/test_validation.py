@@ -8,8 +8,8 @@ from fleetscope.validation import (
     AddressSnapshot,
     AirportDatabase,
     GeoVerdict,
+    UnknownAddress,
     UnknownAirportCode,
-    UnknownAsn,
     asn_crosscheck,
     geo_crosscheck,
     load_continent_table,
@@ -54,6 +54,13 @@ def test_airport_csv_rejects_coordinates_off_the_globe(tmp_path):
         path.write_text(f"ams,52.31,4.76,nl,1\n{row}\n")
         with pytest.raises(ValueError, match=f"{reason} out of range"):
             AirportDatabase.from_csv(path)
+
+
+def test_continent_table_names_a_short_row(tmp_path):
+    path = tmp_path / "continents.csv"
+    path.write_text("# country,continent\ngb,eu\n\nus\n")
+    with pytest.raises(ValueError, match=r"continents\.csv: line 4: expected 2 columns, got 1"):
+        load_continent_table(path)
 
 
 # -- geo / ASN cross-checks --------------------------------------------------
@@ -141,7 +148,7 @@ def test_asn_crosscheck_examples():
 def test_asn_crosscheck_unknown_address():
     snapshot = _snapshot([("203.0.113.0/24", "gb", "gb", 64500)])
     record = record_for(make_server(1.0, operator="ix", address="10.0.0.1"))
-    with pytest.raises(UnknownAsn):
+    with pytest.raises(UnknownAddress):
         asn_crosscheck(record, snapshot, CDN_ASNS, ISP_ASNS)
 
 
