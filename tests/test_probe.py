@@ -146,6 +146,30 @@ def test_a_visit_sends_its_probes_one_interval_apart_from_the_epoch(interval_ns,
     assert visit.start_ns == epoch_ns
 
 
+def _single_visit(server, interval_s, dwell_s):
+    """The one visit a one-target, one-worker campaign of one dwell makes to ``server``."""
+    params = CampaignParams(probe_interval_s=interval_s, dwell_s=dwell_s, workers=1,
+                            total_duration_s=dwell_s, max_visits_per_hour=None)
+    visits = []
+    run_campaign([server.address], params, SimulatedTransport(make_fleet([server])),
+                 visits.append)
+    (visit,) = visits
+    return visit
+
+
+def test_probe_target_sends_dwell_over_interval_probes():
+    visit = _single_visit(make_server(base_pps=1000.0), 0.03, 60.0)
+    assert len(visit.sent_ns) == len(visit.rtt_ns) == len(visit.ipid) == 2000
+    assert not (visit.rtt_ns == LOST_RTT).any()
+    assert len(set(visit.ipid.tolist())) > 1000
+
+
+def test_probe_target_pacing_is_exact_under_virtual_clock():
+    visit = _single_visit(make_server(base_pps=100.0), 0.03, 6.0)
+    interval_ns = 30_000_000
+    assert (abs(np.diff(visit.sent_ns) - interval_ns) <= interval_ns / 10).all()
+
+
 class ScriptedTransport:
     """Virtual clock whose ``end_visit`` returns ``replies(send times)``."""
 
