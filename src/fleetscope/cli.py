@@ -367,9 +367,7 @@ def _cmd_validate(args) -> int:
     _require_out(args, "validate")
     snapshot = validation.AddressSnapshot.from_csv(args.snapshot)
     cdn_asns = {int(a) for a in args.cdn_asns.split(",") if a}
-    isp_asns = {}
-    if args.isp_asns:
-        isp_asns = {k: [int(a) for a in v] for k, v in json.loads(Path(args.isp_asns).read_text()).items()}
+    isp_asns = _isp_asn_table(args.isp_asns) if args.isp_asns else {}
     airports = (validation.AirportDatabase.from_csv(args.airports) if args.airports
                 else validation.AirportDatabase.bundled())
     if args.aliases:
@@ -378,6 +376,22 @@ def _cmd_validate(args) -> int:
     records = _records_in(args.records, campaign_store)
     validate_stage(campaign_store, args.out, records, snapshot, cdn_asns, isp_asns, airports)
     return EXIT_OK
+
+
+def _isp_asn_table(path: str) -> dict[str, list[int]]:
+    """The ``--isp-asns`` file: a JSON object mapping each ISP label to a
+    list of integer ASNs. Anything else raises a ValueError that names the
+    file and, for a bad value, its label."""
+    try:
+        table = json.loads(Path(path).read_text())
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    if not isinstance(table, dict):
+        raise ValueError(f"{path}: not a JSON object of ISP label -> [ASN, ...]")
+    for label, asns in table.items():
+        if not isinstance(asns, list) or not all(type(asn) is int for asn in asns):
+            raise ValueError(f"{path}: {label!r}: not a list of integer ASNs")
+    return table
 
 
 def _ipv4_targets(path: str) -> list[str]:

@@ -14,7 +14,10 @@ reply timeout after the slot's last send, passes each of the slot's visits,
 as one ``VisitFrame``, to the caller's ``emit`` function. Between events
 the loop waits in the transport's ``sleep_until_ns``, which is where a real
 transport reads its replies. Due times are fixed from the campaign's
-start, so a late event delays only itself.
+start, and the loop reads the clock once per send event: a target whose
+previous send is less than one interval old waits until that send plus
+the interval. A late send thus delays only the sends that would follow it
+by less than the interval.
 """
 
 from __future__ import annotations
@@ -209,7 +212,7 @@ def run_campaign(
         transport.sleep_until_ns(due_ns)
         if index == count:
             for target, sent in visits:
-                visit = _visit_frame(target, sent, transport.end_visit(target, sent[-1]),
+                visit = _visit_frame(target, sent, transport.end_visit(target, sent),
                                      interval_ns, timeout_ns)
                 emit(visit)
                 losses = int(np.count_nonzero(visit.rtt_ns == LOST_RTT))
@@ -223,7 +226,12 @@ def run_campaign(
             for target, _ in visits:
                 transport.begin_visit(target)
             schedule_next_slot()
+        now_ns = transport.now_ns()
         for target, sent in visits:
+            if sent and now_ns < sent[-1] + interval_ns:
+                # a late send must not bring this target's next one closer
+                transport.sleep_until_ns(sent[-1] + interval_ns)
+                now_ns = transport.now_ns()
             sent.append(transport.send_echo(target, index))
         step_ns = timeout_ns if index + 1 == count else interval_ns
         heapq.heappush(events, (due_ns + step_ns, slot, index + 1, visits))

@@ -14,12 +14,15 @@ seeded by the fleet seed and the server address: one seed, one behaviour.
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import math
 import random
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
+
+import numpy as np
 
 from .discovery import (
     OUTCOME_NXDOMAIN,
@@ -116,11 +119,6 @@ class SimulatedServer:
         self._noise_rng = random.Random(f"{seed}:{self.address}:noise")
         self._id_rng = random.Random(f"{seed}:{self.address}:ids")
 
-    @property
-    def cumulative_packets(self) -> int:
-        """Total packets sent: background traffic plus our echo replies."""
-        return int(self.background_packets) + self.reply_packets
-
     def advance(self, to_ns: int) -> None:
         """Integrate the profile up to ``to_ns``.
 
@@ -138,23 +136,41 @@ class SimulatedServer:
         self.background_packets += packets
         self.time_ns = to_ns
 
-    def serve_echo(self, at_ns: int) -> int | None:
-        """Answer one echo arriving at ``at_ns``: returns the reply's IP ID.
+    def serve_visit(self, at_ns: Sequence[int]) -> np.ndarray:
+        """Answer echoes arriving at the ascending times ``at_ns``: returns
+        each reply's IP ID, as int64.
 
-        The current ID is returned first, then the counter moves by one for
-        the reply packet itself. Unreachable servers never reply.
+        Each echo first advances the profile to its arrival, one ``advance``
+        step per echo that finds the clock behind it, and then reads the ID;
+        the reply itself moves the counter by one. The steps' counts, noise
+        draws and running sum are those of one ``advance`` call per echo.
         """
-        if not self.reachable:
-            return None
-        self.advance(max(at_ns, self.time_ns))
+        count = len(at_ns)
+        if not count:
+            return np.zeros(0, dtype=np.int64)
+        bounds = list(itertools.accumulate(at_ns, max, initial=self.time_ns))
+        cumulative = self.profile._cumulative
+        # a boundary equal to the previous one makes no step: its count is 0.0
+        packets = np.diff([cumulative(t / 1e9) for t in bounds])
+        noise_rel = self.profile.noise_rel
+        if self._noise_rng is not None and noise_rel > 0:
+            stepped = packets > 0
+            gauss = self._noise_rng.gauss
+            noise = np.array([gauss(0.0, 1.0) for _ in range(int(np.count_nonzero(stepped)))])
+            packets[stepped] = np.maximum(0.0, packets[stepped] * (1.0 + noise_rel * noise))
+        background = np.cumsum(np.concatenate(([self.background_packets], packets)))[1:]
+        self.background_packets = float(background[-1])
+        self.time_ns = bounds[-1]
         if self.id_behavior is IdBehavior.GLOBAL_COUNTER:
-            ipid = self.cumulative_packets & 0xFFFF
+            # int() of each running sum, plus the replies served before it
+            ids = (background.astype(np.int64) + self.reply_packets + np.arange(count)) & 0xFFFF
         elif self.id_behavior is IdBehavior.RANDOM:
-            ipid = self._id_rng.randrange(0, 1 << 16) if self._id_rng else 0
+            randrange = self._id_rng.randrange
+            ids = np.array([randrange(0, 1 << 16) for _ in range(count)], dtype=np.int64)
         else:
-            ipid = self.constant_id
-        self.reply_packets += 1
-        return ipid
+            ids = np.full(count, self.constant_id, dtype=np.int64)
+        self.reply_packets += count
+        return ids
 
 
 @dataclass(frozen=True, slots=True)
@@ -221,40 +237,24 @@ class SimulatedFleet:
 
     @classmethod
     def from_config(cls, config: Mapping) -> "SimulatedFleet":
-        """The fleet a config describes; a missing ``servers`` list, or a
-        server without a ``name`` or an ``address``, raises a ValueError."""
+        """The fleet a config describes. A missing ``servers`` list, a server
+        without a ``name`` or an ``address``, or a server value that does
+        not parse raises a ValueError naming the server."""
         if "servers" not in config:
             raise ValueError("no 'servers' list")
         seed = config.get("seed", 0)
         suffix = config.get("domain_suffix", "nflxvideo.net")
         servers = []
         for index, entry in enumerate(config["servers"]):
+            if not isinstance(entry, Mapping):
+                raise ValueError(f"servers[{index}] is not an object")
             for key in ("name", "address"):
                 if key not in entry:
                     raise ValueError(f"servers[{index}] has no {key!r}")
-            profile_cfg = entry.get("profile", {})
-            fill = profile_cfg.get("fill") or {}
-            profile = TrafficProfile(
-                base_pps=float(profile_cfg.get("base_pps", 0.0)),
-                diurnal_amplitude=float(profile_cfg.get("diurnal_amplitude", 0.0)),
-                peak_local_s=parse_hhmm(profile_cfg.get("peak_local", "23:30")),
-                tz_offset_s=float(profile_cfg.get("tz_offset_hours", 0.0)) * 3600.0,
-                noise_rel=float(profile_cfg.get("noise_rel", 0.0)),
-                fill_extra_pps=float(fill.get("extra_pps", 0.0)),
-                fill_start_s=parse_hhmm(fill.get("start", "02:00")),
-                fill_end_s=parse_hhmm(fill.get("end", "14:00")),
-            )
-            servers.append(
-                SimulatedServer(
-                    name=entry["name"],
-                    address=entry["address"],
-                    profile=profile,
-                    id_behavior=IdBehavior(entry.get("id_behavior", "global_counter")),
-                    reachable=bool(entry.get("reachable", True)),
-                    rtt_ns=round(float(entry.get("rtt_ms", 5.0)) * 1e6),
-                    constant_id=int(entry.get("constant_id", 7)),
-                )
-            )
+            try:
+                servers.append(_server_from_config(entry))
+            except (ValueError, TypeError, AttributeError) as exc:
+                raise ValueError(f"servers[{index}] ({entry['name']}): {exc}") from None
         return cls(servers, seed=seed, domain_suffix=suffix)
 
     @classmethod
@@ -264,6 +264,30 @@ class SimulatedFleet:
             return cls.from_config(json.loads(Path(path).read_text()))
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from None
+
+
+def _server_from_config(entry: Mapping) -> SimulatedServer:
+    profile_cfg = entry.get("profile", {})
+    fill = profile_cfg.get("fill") or {}
+    profile = TrafficProfile(
+        base_pps=float(profile_cfg.get("base_pps", 0.0)),
+        diurnal_amplitude=float(profile_cfg.get("diurnal_amplitude", 0.0)),
+        peak_local_s=parse_hhmm(profile_cfg.get("peak_local", "23:30")),
+        tz_offset_s=float(profile_cfg.get("tz_offset_hours", 0.0)) * 3600.0,
+        noise_rel=float(profile_cfg.get("noise_rel", 0.0)),
+        fill_extra_pps=float(fill.get("extra_pps", 0.0)),
+        fill_start_s=parse_hhmm(fill.get("start", "02:00")),
+        fill_end_s=parse_hhmm(fill.get("end", "14:00")),
+    )
+    return SimulatedServer(
+        name=entry["name"],
+        address=entry["address"],
+        profile=profile,
+        id_behavior=IdBehavior(entry.get("id_behavior", "global_counter")),
+        reachable=bool(entry.get("reachable", True)),
+        rtt_ns=round(float(entry.get("rtt_ms", 5.0)) * 1e6),
+        constant_id=int(entry.get("constant_id", 7)),
+    )
 
 
 class ZoneResolver:
@@ -294,9 +318,11 @@ class SimulatedTransport:
     runs from its start to its last send; its rate is the mean from the
     start to the last serve, the span over which the counter moved.
 
-    ``end_visit`` serves the visit's echoes, in send order: nothing else
-    touches a responder while one of its visits is open, so its replies
-    are those it would have given as each echo arrived.
+    A send only reads the clock. ``end_visit`` draws the visit's losses,
+    one per send in sequence order, and serves the delivered echoes in one
+    ``serve_visit`` call: nothing else touches a responder while one of its
+    visits is open, so its replies are those it would have given as each
+    echo arrived.
     """
 
     def __init__(self, fleet: SimulatedFleet, loss_rate: float = 0.0):
@@ -304,7 +330,6 @@ class SimulatedTransport:
         self.loss_rate = loss_rate
         self._now_ns = 0
         self._loss_rngs: dict[str, random.Random] = {}
-        self._pending: dict[str, dict[int, int]] = {}  # seq -> sent_ns of delivered echoes
 
     def _loss_rng(self, target: str) -> random.Random:
         rng = self._loss_rngs.get(target)
@@ -321,22 +346,21 @@ class SimulatedTransport:
             self._now_ns = t_ns
 
     def begin_visit(self, target: str) -> None:
-        self._pending.pop(target, None)
         self.fleet.mark_visit_start(target, self._now_ns)
 
     def send_echo(self, target: str, seq: int) -> int:
-        sent_ns = self._now_ns
-        server = self.fleet.by_address.get(target)
-        if server is not None and server.reachable:
-            if self.loss_rate and self._loss_rng(target).random() < self.loss_rate:
-                return sent_ns
-            self._pending.setdefault(target, {})[seq] = sent_ns
-        return sent_ns
+        return self._now_ns
 
-    def end_visit(self, target: str, last_sent_ns: int) -> dict[int, tuple[int, int]]:
+    def end_visit(self, target: str, sent_ns: Sequence[int]) -> dict[int, tuple[int, int]]:
         replies = {}
         server = self.fleet.by_address.get(target)
-        for seq, sent_ns in self._pending.pop(target, {}).items():
-            replies[seq] = (sent_ns + server.rtt_ns, server.serve_echo(sent_ns + server.rtt_ns // 2))
-        self.fleet.mark_visit_end(target, last_sent_ns)
+        if server is not None and server.reachable:
+            seqs = range(len(sent_ns))
+            if self.loss_rate:
+                draw = self._loss_rng(target).random
+                seqs = [seq for seq in seqs if draw() >= self.loss_rate]
+            delivered = [sent_ns[seq] for seq in seqs]
+            ids = server.serve_visit([sent + server.rtt_ns // 2 for sent in delivered])
+            replies = dict(zip(seqs, zip([sent + server.rtt_ns for sent in delivered], ids.tolist())))
+        self.fleet.mark_visit_end(target, sent_ns[-1])
         return replies

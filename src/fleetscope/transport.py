@@ -16,7 +16,7 @@ import select
 import socket
 import struct
 import time
-from typing import Protocol
+from typing import Protocol, Sequence
 
 
 ICMP_ECHO_REQUEST = 8
@@ -31,11 +31,14 @@ class EchoTransport(Protocol):
     """What the prober needs: a clock, pacing, and fire-and-collect echoes.
 
     ``begin_visit``/``end_visit`` bracket a visit so implementations can
-    reset per-target state. ``send_echo`` must not block on the reply.
-    ``end_visit``, called once the reply timeout after the visit's last
-    send (at ``last_sent_ns``) has passed, returns the visit's replies as
-    ``{seq: (recv_ns, ip_id)}`` without waiting. Visits of different
-    targets overlap.
+    reset per-target state. ``send_echo`` must not block on the reply; it
+    returns the send time. ``end_visit(target, sent_ns)`` is called once
+    the reply timeout after the visit's last send has passed, with the
+    send times ``send_echo`` returned for the visit, in sequence order
+    (``sent_ns[seq]`` for echo ``seq``). It returns the visit's replies as
+    ``{seq: (recv_ns, ip_id)}`` without waiting; a transport that hears
+    real replies may ignore ``sent_ns``. Visits of different targets
+    overlap.
     """
 
     def now_ns(self) -> int: ...
@@ -46,7 +49,7 @@ class EchoTransport(Protocol):
 
     def send_echo(self, target: str, seq: int) -> int: ...
 
-    def end_visit(self, target: str, last_sent_ns: int) -> dict[int, tuple[int, int]]: ...
+    def end_visit(self, target: str, sent_ns: Sequence[int]) -> dict[int, tuple[int, int]]: ...
 
 
 def icmp_checksum(data: bytes) -> int:
@@ -168,7 +171,7 @@ class RawIcmpTransport:
             raise TransportError(f"send to {target} failed: {exc}") from exc
         return sent_ns
 
-    def end_visit(self, target: str, last_sent_ns: int) -> dict[int, tuple[int, int]]:
+    def end_visit(self, target: str, sent_ns: Sequence[int]) -> dict[int, tuple[int, int]]:
         return self._pending.pop(target, {})
 
     def close(self) -> None:

@@ -1,0 +1,86 @@
+"""Reference responder: the per-echo code that ``SimulatedServer.serve_visit``
+and the per-visit ``SimulatedTransport.end_visit`` replaced, kept so property
+tests can compare the two.
+
+``serve_echo`` answers one echo with one ``advance`` call, and
+``ScalarTransport`` draws each echo's loss as it is sent, keeps the delivered
+ones, and serves them one by one when the visit ends.
+"""
+
+from __future__ import annotations
+
+import random
+
+from fleetscope.ipid import IdBehavior
+from fleetscope.simulation import SimulatedFleet, SimulatedServer
+
+
+def cumulative_packets(server: SimulatedServer) -> int:
+    """Total packets sent: background traffic plus our echo replies."""
+    return int(server.background_packets) + server.reply_packets
+
+
+def serve_echo(server: SimulatedServer, at_ns: int) -> int | None:
+    """Answer one echo arriving at ``at_ns``: returns the reply's IP ID.
+
+    The current ID is returned first, then the counter moves by one for
+    the reply packet itself. Unreachable servers never reply.
+    """
+    if not server.reachable:
+        return None
+    server.advance(max(at_ns, server.time_ns))
+    if server.id_behavior is IdBehavior.GLOBAL_COUNTER:
+        ipid = cumulative_packets(server) & 0xFFFF
+    elif server.id_behavior is IdBehavior.RANDOM:
+        ipid = server._id_rng.randrange(0, 1 << 16) if server._id_rng else 0
+    else:
+        ipid = server.constant_id
+    server.reply_packets += 1
+    return ipid
+
+
+class ScalarTransport:
+    """The simulated transport with per-send state: a send draws its loss
+    and remembers a delivered echo, and ``end_visit`` serves each one."""
+
+    def __init__(self, fleet: SimulatedFleet, loss_rate: float = 0.0):
+        self.fleet = fleet
+        self.loss_rate = loss_rate
+        self._now_ns = 0
+        self._loss_rngs: dict[str, random.Random] = {}
+        self._pending: dict[str, dict[int, int]] = {}  # seq -> sent_ns of delivered echoes
+
+    def _loss_rng(self, target: str) -> random.Random:
+        rng = self._loss_rngs.get(target)
+        if rng is None:
+            rng = random.Random(f"{self.fleet.seed}:loss:{target}")
+            self._loss_rngs[target] = rng
+        return rng
+
+    def now_ns(self) -> int:
+        return self._now_ns
+
+    def sleep_until_ns(self, t_ns: int) -> None:
+        if t_ns > self._now_ns:
+            self._now_ns = t_ns
+
+    def begin_visit(self, target: str) -> None:
+        self._pending.pop(target, None)
+        self.fleet.mark_visit_start(target, self._now_ns)
+
+    def send_echo(self, target: str, seq: int) -> int:
+        sent_ns = self._now_ns
+        server = self.fleet.by_address.get(target)
+        if server is not None and server.reachable:
+            if self.loss_rate and self._loss_rng(target).random() < self.loss_rate:
+                return sent_ns
+            self._pending.setdefault(target, {})[seq] = sent_ns
+        return sent_ns
+
+    def end_visit(self, target: str, sent_ns: list[int]) -> dict[int, tuple[int, int]]:
+        replies = {}
+        server = self.fleet.by_address.get(target)
+        for seq, sent in self._pending.pop(target, {}).items():
+            replies[seq] = (sent + server.rtt_ns, serve_echo(server, sent + server.rtt_ns // 2))
+        self.fleet.mark_visit_end(target, sent_ns[-1])
+        return replies

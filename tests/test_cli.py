@@ -117,6 +117,11 @@ REPORT_SHA256 = {
 }
 
 
+# the SHA-256 of the simulator's truth.csv, by loss rate
+TRUTH_SHA256 = {"0": "eccd6d4b2cb1d53cb3cc97699d1054691aee7b80037fa3c4854e4fe6c7c91a91",
+                "0.01": "ed4ea566ac755de8c9949d463ed41c3c38e8ca75a951c11dbd0b6726915b2d58"}
+
+
 @pytest.mark.parametrize("loss_rate, samples_sha256, estimates_sha256", [
     ("0", "4bad8337d8be2486d99d2acad0ed4b12c6c00662d43f55d273608356e79a1c72",
      "6a98c24c6bfd95b877a79f016cf1a15f670ad460960fc1eea1919847ec5534e6"),
@@ -124,10 +129,11 @@ REPORT_SHA256 = {
      "4c77f895c468f1445ea8504db6f4cc6f12e9e5d1719bdeb4992a07618838b49c"),
 ])
 def test_simulate_outputs_are_pinned(tmp_path, loss_rate, samples_sha256, estimates_sha256):
-    """A change that alters a stored sample or estimate, or a report file, of
-    the example fleet shows here; refactors must keep these digests. The
-    report sums its floats in a fixed order, so its digests (recorded on
-    Python 3.11) hold on every Python version."""
+    """A change that alters a stored sample or estimate, the simulator's
+    ground truth, or a report file, of the example fleet shows here;
+    refactors must keep these digests. The report sums its floats in a
+    fixed order, so its digests (recorded on Python 3.11) hold on every
+    Python version."""
     fleet = Path(__file__).resolve().parent.parent / "fleet.example.json"
     out = tmp_path / "out"
     assert main(["--seed", "7", "simulate", "--fleet", str(fleet), "--out", str(out),
@@ -136,6 +142,7 @@ def test_simulate_outputs_are_pinned(tmp_path, loss_rate, samples_sha256, estima
     digests = [hashlib.sha256((out / "store" / name).read_bytes()).hexdigest()
                for name in ("samples.bin", "estimates.jsonl")]
     assert digests == [samples_sha256, estimates_sha256]
+    assert hashlib.sha256((out / "truth.csv").read_bytes()).hexdigest() == TRUTH_SHA256[loss_rate]
     assert [hashlib.sha256((out / name).read_bytes()).hexdigest()
             for name in REPORT_FILES] == REPORT_SHA256[loss_rate]
 
@@ -670,6 +677,20 @@ def test_validate_names_the_bad_row_of_a_table(tmp_path, capsys, flag, rows, lin
     code, verdicts = _validate_records(tmp_path, [server], snapshot, {}, *flags)
     assert code == EXIT_STAGE
     assert capsys.readouterr().err == f"error: {table}: line {line}: {reason}\n"
+    assert verdicts == {}
+
+
+@pytest.mark.parametrize("isp_asns, reason", [
+    ({"bt": 5}, "'bt': not a list of integer ASNs"),
+    ({"bt": [64510], "kpn": [64511, "64512"]}, "'kpn': not a list of integer ASNs"),
+    ([64510], "not a JSON object of ISP label -> [ASN, ...]"),
+], ids=["number", "string_asn", "list"])
+def test_validate_refuses_a_bad_isp_asn_file(tmp_path, capsys, isp_asns, reason):
+    server = make_server(1.0, airport="lhr", operator="bt.isp", address="203.0.113.1")
+    code, verdicts = _validate_records(tmp_path, [server], ["203.0.113.0/24,gb,gb,64510,bt"],
+                                       isp_asns)
+    assert code == EXIT_STAGE
+    assert capsys.readouterr().err == f"error: {tmp_path / 'isp_asns.json'}: {reason}\n"
     assert verdicts == {}
 
 

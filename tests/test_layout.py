@@ -46,3 +46,15 @@ def test_every_public_name_under_src_has_a_caller_under_src():
                 for qualified, name in _definitions(tree)
                 if name not in read and qualified not in HOOKS]
     assert not uncalled, "public names that nothing under src/ calls: " + ", ".join(uncalled)
+
+
+# the scalar responder, now the reference in tests/responder_oracle.py
+ORACLE_ONLY = {"serve_echo", "cumulative_packets"}
+
+
+def test_the_scalar_responder_lives_only_in_its_oracle():
+    defined = sorted(f"{path.name}:{node.name}"
+                     for path in PACKAGE.glob("*.py")
+                     for node in ast.walk(ast.parse(path.read_text()))
+                     if isinstance(node, ast.FunctionDef) and node.name in ORACLE_ONLY)
+    assert not defined, "defined under src/ again: " + ", ".join(defined)

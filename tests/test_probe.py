@@ -176,7 +176,6 @@ class ScriptedTransport:
     def __init__(self, replies):
         self.replies = replies
         self.clock_ns = 0
-        self.sent: list[int] = []
 
     def now_ns(self) -> int:
         return self.clock_ns
@@ -185,14 +184,13 @@ class ScriptedTransport:
         self.clock_ns = max(self.clock_ns, t_ns)
 
     def begin_visit(self, target: str) -> None:
-        self.sent = []
+        pass
 
     def send_echo(self, target: str, seq: int) -> int:
-        self.sent.append(self.clock_ns)
         return self.clock_ns
 
-    def end_visit(self, target: str, last_sent_ns: int) -> dict:
-        return self.replies(self.sent)
+    def end_visit(self, target: str, sent_ns: list[int]) -> dict:
+        return self.replies(sent_ns)
 
 
 def _one_visit(replies):
@@ -316,7 +314,7 @@ class RealTimeCounterTransport:
         self._pending.setdefault(target, {})[seq] = (sent + 1000, self.counter & 0xFFFF)
         return sent
 
-    def end_visit(self, target: str, last_sent_ns: int) -> dict:
+    def end_visit(self, target: str, sent_ns: list[int]) -> dict:
         return self._pending.pop(target, {})
 
 
@@ -351,6 +349,41 @@ def test_real_clock_campaign_keeps_to_its_slots():
     for slot, visit in enumerate(visits):
         lag_ns = visit.sent_ns[0] - (started_ns + slot * 100_000_000)
         assert 0 <= lag_ns < 100_000_000, f"visit {slot} started {lag_ns / 1e6:.1f} ms late"
+
+
+class StallingTransport(RealTimeCounterTransport):
+    """Its send number ``stall_at`` blocks for ``stall_ns`` after reading the
+    clock, as a send into a full socket buffer would."""
+
+    def __init__(self, stall_at: int, stall_ns: int):
+        super().__init__()
+        self.stall_at = stall_at
+        self.stall_ns = stall_ns
+        self.sends = 0
+
+    def send_echo(self, target: str, seq: int) -> int:
+        sent = super().send_echo(target, seq)
+        self.sends += 1
+        if self.sends == self.stall_at:
+            time.sleep(self.stall_ns / 1e9)
+        return sent
+
+
+def test_a_stalled_send_never_brings_a_targets_echoes_closer_than_the_interval():
+    # the second send event stalls for three intervals after its second
+    # send, so its third send and the next event are late
+    interval_ns = 10_000_000
+    transport = StallingTransport(stall_at=5, stall_ns=3 * interval_ns)
+    targets = [f"198.18.7.{i + 1}" for i in range(3)]
+    params = CampaignParams(probe_interval_s=0.01, dwell_s=0.1, workers=3, total_duration_s=0.1,
+                            max_visits_per_hour=None, probe_timeout_s=0.05)
+    visits = []
+    run_campaign(targets, params, transport, visits.append)
+    assert transport.sends == 30
+    assert len(visits) == 3
+    for visit in visits:
+        gaps = np.diff(visit.sent_ns)
+        assert (gaps >= interval_ns).all(), f"{visit.target}: a gap of {gaps.min() / 1e6:.3f} ms"
 
 
 def test_single_target_worker_waits_out_its_reply_window():
@@ -428,6 +461,8 @@ def test_raw_transport_hears_every_reply_to_a_full_slot():
         summary = run_campaign(targets, params, raw, visits.append)
     assert summary.probes_sent == 750
     assert summary.losses <= 7  # 1%: without room for a send event's replies, 15% are lost
+    for visit in visits:  # a late send event does not shorten the next gap
+        assert (np.diff(visit.sent_ns) >= 30_000_000).all(), visit.target
 
 
 class _FakeRawSocket:
@@ -508,7 +543,7 @@ def test_raw_transport_reads_replies_that_arrive_while_it_waits(monkeypatch):
     replier.join(timeout=5)
     assert not replier.is_alive()
     assert raw.now_ns() >= deadline_ns
-    replies = raw.end_visit("192.0.2.1", sent[-1])
+    replies = raw.end_visit("192.0.2.1", sent)
     assert {seq: ip_id for seq, (_, ip_id) in replies.items()} == {0: 100, 1: 101}
     # stamped as they were read, during the wait, not when it ended
     assert all(written_ns[0] <= recv_ns < deadline_ns for recv_ns, _ in replies.values())
@@ -527,7 +562,7 @@ def test_raw_transport_keeps_only_first_replies_to_its_open_visits(monkeypatch):
     ):
         fake.peer.send(packet)
     raw.sleep_until_ns(raw.now_ns() + 20_000_000)
-    replies = raw.end_visit("192.0.2.1", 0)
+    replies = raw.end_visit("192.0.2.1", [0])
     assert {seq: ip_id for seq, (_, ip_id) in replies.items()} == {0: 4}
     raw.close()
 
@@ -540,7 +575,7 @@ def test_raw_transport_reads_queued_replies_when_the_wait_is_past_due(monkeypatc
     before_ns = raw.now_ns()
     raw.sleep_until_ns(before_ns - 1)
     after_ns = raw.now_ns()
-    (recv_ns, ip_id), = raw.end_visit("192.0.2.1", 0).values()
+    (recv_ns, ip_id), = raw.end_visit("192.0.2.1", [0]).values()
     assert ip_id == 7
     assert before_ns <= recv_ns <= after_ns
     # reading until the queue is empty does not wait for more
@@ -556,7 +591,7 @@ def test_raw_transport_starts_no_thread(monkeypatch):
     raw.send_echo("192.0.2.1", 0)
     fake.peer.send(_echo_reply("192.0.2.1", raw.ident, 0, 7))
     raw.sleep_until_ns(raw.now_ns() + 10_000_000)
-    assert len(raw.end_visit("192.0.2.1", 0)) == 1
+    assert len(raw.end_visit("192.0.2.1", [0])) == 1
     assert threading.active_count() == threads
     raw.close()
     assert fake.closed

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fleetscope.discovery import OUTCOME_NXDOMAIN, OUTCOME_RESOLVED
 from fleetscope.ipid import IdBehavior
@@ -19,14 +21,15 @@ from fleetscope.simulation import (
     parse_hhmm,
 )
 
-from conftest import hhmm, make_fleet, make_server, one_visit, write_fleet
+from conftest import hhmm, make_fleet, make_hostname, make_server, one_visit, write_fleet
+from responder_oracle import ScalarTransport, serve_echo
 
 
 def test_advance_constant_rate():
     server = make_server(base_pps=1000.0)
     make_fleet([server])
     server.advance(10 * 10**9)
-    assert server.cumulative_packets == 10_000
+    assert int(server.background_packets) == 10_000
 
 
 def test_advance_zero_length_is_identity():
@@ -102,41 +105,44 @@ def test_serve_echo_wraps_at_16_bits():
     server = make_server(base_pps=0.0)
     make_fleet([server])
     server.background_packets = 65535.0
-    assert server.serve_echo(0) == 65535
-    assert server.serve_echo(1) == 0  # the reply itself advanced the counter
+    # the reply itself advances the counter
+    assert server.serve_visit([0, 1]).tolist() == [65535, 0]
 
 
 def test_serve_echo_random_mode_is_unconstrained():
     server = make_server(base_pps=0.0, behavior=IdBehavior.RANDOM)
     make_fleet([server], seed=5)
-    ids = [server.serve_echo(i) for i in range(2000)]
+    ids = server.serve_visit(range(2000)).tolist()
     assert all(0 <= i <= 65535 for i in ids)
     assert len(set(ids)) > 1500  # roughly uniform, not a counter
 
 
 def test_unreachable_server_never_replies():
     server = make_server(base_pps=10.0, reachable=False)
-    make_fleet([server])
-    assert server.serve_echo(10**9) is None
-    assert server.serve_echo(2 * 10**9) is None
+    fleet = make_fleet([server])
+    transport = SimulatedTransport(fleet)
+    transport.sleep_until_ns(10**9)
+    transport.begin_visit(server.address)
+    assert transport.end_visit(server.address, [10**9, 2 * 10**9]) == {}
+    assert server.reply_packets == 0
+    assert fleet.truth == []
 
 
 def test_id_stream_consistent_with_counter():
     server = make_server(base_pps=12345.0)
     make_fleet([server])
     for i in range(1, 50):
-        expected = None
         at = i * 30_000_000
         server.advance(at)
-        expected = server.cumulative_packets & 0xFFFF
-        assert server.serve_echo(at) == expected
+        expected = (int(server.background_packets) + server.reply_packets) & 0xFFFF
+        assert server.serve_visit([at]).tolist() == [expected]
 
 
 def test_fleet_determinism_same_seed():
     def run(seed):
         server = make_server(base_pps=5000.0, noise=0.1, amplitude=0.3, address="198.18.9.9")
-        fleet = SimulatedFleet([server], seed=seed)
-        return [server.serve_echo(i * 30_000_000) for i in range(500)]
+        SimulatedFleet([server], seed=seed)
+        return server.serve_visit([i * 30_000_000 for i in range(500)]).tolist()
 
     assert run(42) == run(42)
     assert run(42) != run(43)
@@ -158,10 +164,11 @@ def test_transport_loss_is_request_side():
     fleet = SimulatedFleet([server], seed=3)
     transport = SimulatedTransport(fleet, loss_rate=0.5)
     transport.begin_visit(server.address)
+    sent = []
     for i in range(200):
         transport.sleep_until_ns(i * 30_000_000)
-        transport.send_echo(server.address, i)
-    replies = transport.end_visit(server.address, transport.now_ns())
+        sent.append(transport.send_echo(server.address, i))
+    replies = transport.end_visit(server.address, sent)
     assert 0 < len(replies) < 200
     ids = [ipid for _, ipid in replies.values()]
     # counter only advanced by replies actually served
@@ -173,7 +180,10 @@ def test_truth_records_mean_rate():
     fleet = SimulatedFleet([server], seed=1)
     transport = SimulatedTransport(fleet)
     transport.begin_visit(server.address)
-    transport.end_visit(server.address, 30 * 10**9)
+    sent = [transport.send_echo(server.address, 0)]
+    transport.sleep_until_ns(30 * 10**9)
+    sent.append(transport.send_echo(server.address, 1))
+    transport.end_visit(server.address, sent)
     (truth,) = fleet.truth
     assert truth.target == server.address
     assert truth.true_pps == pytest.approx(2000.0, rel=1e-6)
@@ -227,6 +237,34 @@ def test_fleet_file_errors_name_the_file_and_the_server(tmp_path, config, error)
         SimulatedFleet.from_file(path)
 
 
+@pytest.mark.parametrize("change, error", [
+    ({"profile": {"peak_local": "ab:cd"}}, "invalid literal for int"),
+    ({"profile": {"base_pps": "fast"}}, "could not convert string to float"),
+    ({"profile": {"base_pps": None}}, "float() argument must be"),
+    ({"id_behavior": "sometimes"}, "'sometimes' is not a valid IdBehavior"),
+    ({"profile": 5}, "'int' object has no attribute 'get'"),
+    ({"profile": {"base_pps": -1}}, "base_pps must be >= 0"),
+], ids=["peak_local", "base_pps", "base_pps_null", "id_behavior", "profile", "negative_rate"])
+def test_a_bad_value_in_a_fleet_server_is_named(tmp_path, change, error):
+    servers = [make_server(base_pps=1.0, counter=1), make_server(base_pps=1.0, counter=2)]
+    path = write_fleet(tmp_path / "fleet.json", servers)
+    config = json.loads(path.read_text())
+    config["servers"][1].update(change)
+    path.write_text(json.dumps(config))
+    with pytest.raises(ValueError) as raised:
+        SimulatedFleet.from_file(path)
+    prefix = f"{path}: servers[1] ({servers[1].name}): "
+    assert str(raised.value).startswith(prefix)
+    assert error in str(raised.value)
+
+
+def test_a_fleet_server_that_is_no_object_is_named(tmp_path):
+    path = tmp_path / "fleet.json"
+    path.write_text(json.dumps({"servers": [5]}))
+    with pytest.raises(ValueError, match=r"fleet\.json: servers\[0\] is not an object"):
+        SimulatedFleet.from_file(path)
+
+
 def test_fleet_rejects_duplicates_and_bad_names():
     good = make_server(base_pps=1.0, address="198.18.1.1")
     clash = make_server(base_pps=1.0, address="198.18.1.1")
@@ -255,3 +293,83 @@ def test_virtual_clock_semantics():
     transport.sleep_until_ns(100)
     transport.sleep_until_ns(50)  # the clock never goes backwards
     assert transport.now_ns() == 100
+
+
+_profiles = st.builds(
+    lambda base, amplitude, peak, tz_h, noise, extra, start, width: TrafficProfile(
+        base_pps=base, diurnal_amplitude=amplitude, peak_local_s=peak, tz_offset_s=tz_h * 3600.0,
+        noise_rel=noise, fill_extra_pps=extra, fill_start_s=start,
+        fill_end_s=min(start + width, DAY_S)),
+    base=st.floats(0.0, 1e5),
+    amplitude=st.floats(0.0, 1.0),
+    peak=st.floats(0.0, DAY_S - 1.0),
+    tz_h=st.floats(-12.0, 14.0),
+    noise=st.one_of(st.just(0.0), st.floats(0.0, 0.5)),
+    extra=st.one_of(st.just(0.0), st.floats(0.0, 1e4)),
+    start=st.floats(0.0, DAY_S - 60.0),
+    width=st.floats(60.0, DAY_S),
+)
+_servers = st.fixed_dictionaries({
+    "profile": _profiles,
+    "id_behavior": st.sampled_from(IdBehavior),
+    "constant_id": st.integers(0, 0xFFFF),
+    "rtt_ns": st.integers(0, 300_000_000),
+})
+# offsets from a visit's start: a coarse grid repeats times and reaches
+# back before the responder's clock
+_offsets = st.one_of(st.integers(-3, 60).map(lambda k: k * 30_000_000),
+                     st.integers(-10**9, 10**11))
+
+
+def _twin_servers(spec, seed, reachable=True):
+    """Two equal servers, each in its own fleet of ``seed``, and the fleets."""
+    servers = [SimulatedServer(name=make_hostname(), address="198.18.3.3", reachable=reachable,
+                               **spec) for _ in range(2)]
+    return servers, [SimulatedFleet([server], seed=seed) for server in servers]
+
+
+def _state(server):
+    return server.background_packets, server.time_ns, server.reply_packets
+
+
+@settings(max_examples=200, deadline=None)
+@given(spec=_servers, seed=st.integers(0, 1000), start_ns=st.integers(0, 10 * 86400 * 10**9),
+       visits=st.lists(st.lists(_offsets, max_size=40), min_size=1, max_size=3))
+def test_serve_visit_matches_the_per_echo_responder(spec, seed, start_ns, visits):
+    (server, reference), _ = _twin_servers(spec, seed)
+    for offsets in visits:
+        server.advance(max(start_ns, server.time_ns))
+        reference.advance(max(start_ns, reference.time_ns))
+        at_ns = sorted(max(0, start_ns + offset) for offset in offsets)
+        ids = server.serve_visit(at_ns)
+        assert ids.dtype == np.int64
+        assert ids.tolist() == [serve_echo(reference, at) for at in at_ns]
+        assert _state(server) == _state(reference)
+        start_ns += 3 * 10**11
+
+
+@settings(max_examples=200, deadline=None)
+@given(spec=_servers, seed=st.integers(0, 1000), reachable=st.booleans(),
+       loss_rate=st.sampled_from([0.0, 0.01, 0.3, 0.9, 1.0]) | st.floats(0.0, 1.0),
+       start_ns=st.integers(0, 10 * 86400 * 10**9),
+       visits=st.lists(st.lists(st.integers(0, 60_000_000), min_size=1, max_size=40),
+                       min_size=1, max_size=3))
+def test_end_visit_matches_the_per_send_transport(spec, seed, reachable, loss_rate, start_ns,
+                                                   visits):
+    # each visit sends at its start plus the running sum of its gaps, some 0
+    (server, reference), fleets = _twin_servers(spec, seed, reachable)
+    transports = [SimulatedTransport(fleets[0], loss_rate), ScalarTransport(fleets[1], loss_rate)]
+    for gaps in visits:
+        results = []
+        for transport in transports:
+            transport.sleep_until_ns(start_ns)
+            transport.begin_visit(server.address)
+            sent = []
+            for seq, gap in enumerate(gaps):
+                transport.sleep_until_ns(transport.now_ns() + gap)
+                sent.append(transport.send_echo(server.address, seq))
+            results.append((sent, transport.end_visit(server.address, sent)))
+        assert results[0] == results[1]
+        assert _state(server) == _state(reference)
+        start_ns = transports[0].now_ns() + 10**10
+    assert fleets[0].truth == fleets[1].truth
