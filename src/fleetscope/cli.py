@@ -189,13 +189,15 @@ def synthesize_snapshot(
 
 
 def crawl_stage(campaign_store, out, lists: names.Wordlists, resolver: discovery.Resolver,
-                policy: discovery.CrawlPolicy, domain_suffix: str = names.DEFAULT_DOMAIN_SUFFIX
+                max_queries_per_second: float | None,
+                domain_suffix: str = names.DEFAULT_DOMAIN_SUFFIX
                 ) -> list[discovery.ServerRecord] | None:
     """Resolve every candidate name and write the hits as records."""
     with _stage_output(campaign_store, "crawl", "records", out) as add:
         if add is None:
             return None
-        records = discovery.run_crawl(lists, resolver, policy, domain_suffix=domain_suffix)
+        records = discovery.run_crawl(lists, resolver, max_queries_per_second,
+                                      domain_suffix=domain_suffix)
         for record in records:
             add(record.to_json())
     return records
@@ -347,11 +349,11 @@ def _cmd_crawl(args) -> int:
         max_site_counter=args.max_site_counter,
     )
     resolver = _make_resolver(args.resolver)
-    policy = discovery.CrawlPolicy(
-        max_queries_per_second=None if args.rate == 0 else args.rate
-    )
+    if args.rate < 0:
+        raise ValueError(f"--rate must be >= 0, not {args.rate:g}")
+    rate = None if args.rate == 0 else args.rate
     campaign_store = store.CampaignStore(args.store) if args.store else None
-    records = crawl_stage(campaign_store, args.out, lists, resolver, policy)
+    records = crawl_stage(campaign_store, args.out, lists, resolver, rate)
     if records is None:
         return EXIT_OK
     summary = discovery.summarize_discovery(
@@ -462,9 +464,8 @@ def _cmd_simulate(args, params: probe.CampaignParams) -> int:
     airports = validation.AirportDatabase.bundled()
     campaign_store = store.CampaignStore(out_dir / "store")
 
-    policy = discovery.CrawlPolicy(max_queries_per_second=None, retries=1, retry_backoff_s=0.0)
     crawl_stage(campaign_store, None, derive_wordlists(fleet),
-                simulation.ZoneResolver(fleet.zone()), policy, fleet.domain_suffix)
+                simulation.ZoneResolver(fleet.zone()), None, fleet.domain_suffix)
     records = _records_in(None, campaign_store)
 
     snapshot, cdn_asns, isp_asns = synthesize_snapshot(fleet, airports)

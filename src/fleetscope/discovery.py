@@ -31,6 +31,10 @@ OUTCOME_NXDOMAIN = "nxdomain"
 OUTCOME_TIMEOUT = "timeout"
 OUTCOME_SERVFAIL = "servfail"
 
+# a timed-out or unavailable resolver is asked again this many times, this far apart
+RETRIES = 2
+RETRY_BACKOFF_S = 0.5
+
 
 class ResolverUnavailable(Exception):
     """All resolver endpoints failed; distinct from an authoritative nxdomain."""
@@ -75,26 +79,6 @@ class SystemResolver:
         if not addresses:
             return ResolutionResult(name, OUTCOME_NXDOMAIN, (), now)
         return ResolutionResult(name, OUTCOME_RESOLVED, addresses, now)
-
-
-@dataclass(frozen=True)
-class CrawlPolicy:
-    """Crawl pacing and retry behaviour.
-
-    Only timeouts are retried; nxdomain is authoritative absence. The
-    default rate is conservative; resolvers that are ours (the simulator)
-    can run unlimited with ``max_queries_per_second=None``.
-    """
-
-    max_queries_per_second: float | None = 500.0
-    retries: int = 2
-    retry_backoff_s: float = 0.5
-
-    def __post_init__(self) -> None:
-        if self.max_queries_per_second is not None and self.max_queries_per_second <= 0:
-            raise ValueError("max_queries_per_second must be > 0")
-        if self.retries < 0:
-            raise ValueError("retries must be >= 0")
 
 
 @dataclass(slots=True)
@@ -154,6 +138,8 @@ class RateLimiter:
     """Token bucket; capacity is a tenth of a second's worth of tokens."""
 
     def __init__(self, rate_per_s: float):
+        if rate_per_s <= 0:
+            raise ValueError("the query rate must be > 0")
         self.rate = rate_per_s
         self.capacity = max(1.0, rate_per_s / 10.0)
         self._tokens = self.capacity
@@ -170,13 +156,15 @@ class RateLimiter:
             time.sleep((1.0 - self._tokens) / self.rate)
 
 
-def resolve_candidate(name: str, resolver: Resolver, policy: CrawlPolicy) -> ResolutionResult:
-    """Resolve one candidate, retrying timeouts and unavailable resolvers.
+def resolve_candidate(name: str, resolver: Resolver) -> ResolutionResult:
+    """Resolve one candidate, retrying timeouts and unavailable resolvers
+    ``RETRIES`` times, ``RETRY_BACKOFF_S`` apart.
 
-    Exactly one outcome is recorded per candidate. ``ResolverUnavailable``
+    Only timeouts are retried; nxdomain is authoritative absence. Exactly
+    one outcome is recorded per candidate. ``ResolverUnavailable``
     propagates once retries are exhausted.
     """
-    attempts = 1 + policy.retries
+    attempts = 1 + RETRIES
     last: ResolutionResult | None = None
     for attempt in range(attempts):
         try:
@@ -184,13 +172,13 @@ def resolve_candidate(name: str, resolver: Resolver, policy: CrawlPolicy) -> Res
         except ResolverUnavailable:
             if attempt == attempts - 1:
                 raise
-            time.sleep(policy.retry_backoff_s)
+            time.sleep(RETRY_BACKOFF_S)
             continue
         if result.outcome != OUTCOME_TIMEOUT:
             return result
         last = result
-        if attempt < attempts - 1 and policy.retry_backoff_s > 0:
-            time.sleep(policy.retry_backoff_s)
+        if attempt < attempts - 1 and RETRY_BACKOFF_S > 0:
+            time.sleep(RETRY_BACKOFF_S)
     assert last is not None
     return last
 
@@ -198,23 +186,21 @@ def resolve_candidate(name: str, resolver: Resolver, policy: CrawlPolicy) -> Res
 def run_crawl(
     lists: Wordlists,
     resolver: Resolver,
-    policy: CrawlPolicy,
+    max_queries_per_second: float | None,
     domain_suffix: str = "nflxvideo.net",
 ) -> list[ServerRecord]:
-    """Attempt every candidate once (plus timeout retries) and collect hits.
+    """Attempt every candidate once (plus timeout retries) and collect hits,
+    at most ``max_queries_per_second`` candidates a second; ``None`` is
+    unlimited, for resolvers that are ours (the simulator).
 
     Returns one record per resolved name, sorted by hostname.
     """
-    limiter = (
-        RateLimiter(policy.max_queries_per_second)
-        if policy.max_queries_per_second is not None
-        else None
-    )
+    limiter = RateLimiter(max_queries_per_second) if max_queries_per_second is not None else None
     found = []
     for candidate in enumerate_candidates(lists, domain_suffix=domain_suffix):
         if limiter is not None:
             limiter.acquire()
-        result = resolve_candidate(candidate, resolver, policy)
+        result = resolve_candidate(candidate, resolver)
         if result.outcome == OUTCOME_RESOLVED:
             found.append(ServerRecord(
                 name=parse_server_name(result.name, domain_suffix=domain_suffix),

@@ -15,9 +15,9 @@ as one ``VisitFrame``, to the caller's ``emit`` function. Between events
 the loop waits in the transport's ``sleep_until_ns``, which is where a real
 transport reads its replies. Due times are fixed from the campaign's
 start, and the loop reads the clock once per send event: a target whose
-previous send is less than one interval old waits until that send plus
-the interval. A late send thus delays only the sends that would follow it
-by less than the interval.
+previous send, in this visit or its last one, is less than one interval
+old waits until that send plus the interval. A late send thus delays only
+the sends that would follow it by less than the interval.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .store import LOST_RTT, MAX_RTT_NS, VisitFrame
-from .transport import EchoTransport
+from .transport import EchoTransport, Replies
 
 logger = logging.getLogger(__name__)
 
@@ -205,6 +205,7 @@ def run_campaign(
             heapq.heappush(events, (epoch_ns + slot * slot_ns, slot, 0, visits))
 
     answered: set[str] = set()
+    last_sent_ns: dict[str, int] = {}  # each target's last send of its previous visit
     totals = CampaignSummary()
     schedule_next_slot()
     while events:
@@ -212,9 +213,11 @@ def run_campaign(
         transport.sleep_until_ns(due_ns)
         if index == count:
             for target, sent in visits:
-                visit = _visit_frame(target, sent, transport.end_visit(target, sent),
+                sent_ns = np.array(sent, dtype=np.int64)
+                visit = _visit_frame(target, sent_ns, transport.end_visit(target, sent_ns),
                                      interval_ns, timeout_ns)
                 emit(visit)
+                last_sent_ns[target] = sent[-1]
                 losses = int(np.count_nonzero(visit.rtt_ns == LOST_RTT))
                 totals.visits_completed += 1
                 totals.probes_sent += count
@@ -222,11 +225,15 @@ def run_campaign(
                 if losses < count:
                     answered.add(target)
             continue
-        if index == 0:
-            for target, _ in visits:
-                transport.begin_visit(target)
-            schedule_next_slot()
         now_ns = transport.now_ns()
+        if index == 0:
+            schedule_next_slot()
+            # a late last send of a target's previous visit must not bring its first one closer
+            resume_ns = max((last_sent_ns[target] + interval_ns for target, _ in visits
+                             if target in last_sent_ns), default=now_ns)
+            if now_ns < resume_ns:
+                transport.sleep_until_ns(resume_ns)
+                now_ns = transport.now_ns()
         for target, sent in visits:
             if sent and now_ns < sent[-1] + interval_ns:
                 # a late send must not bring this target's next one closer
@@ -241,28 +248,25 @@ def run_campaign(
     return totals
 
 
-def _visit_frame(target: str, sent: list[int], replies: dict[int, tuple[int, int]],
+def _visit_frame(target: str, sent_ns: np.ndarray, replies: Replies,
                  interval_ns: int, timeout_ns: int) -> VisitFrame:
-    """The visit whose probe ``i`` went out at ``sent[i]``, from the
-    transport's ``{seq: (recv_ns, ip_id)}`` replies. A reply later than the
-    timeout, or to a sequence number the visit did not send, counts as a
-    loss; a reply before its send or an ID outside 16 bits raises
-    ``ValueError``."""
-    sent_ns = np.array(sent, dtype=np.int64)
-    rtt_ns = np.full(len(sent), LOST_RTT, dtype=np.uint32)
-    ipid = np.zeros(len(sent), dtype=np.uint16)
-    if replies:
-        seq = np.fromiter(replies, np.int64, len(replies))
-        recv_ns, ids = np.array(list(replies.values()), dtype=np.int64).reshape(-1, 2).T
-        ours = (seq >= 0) & (seq < len(sent))
-        seq, recv_ns, ids = seq[ours], recv_ns[ours], ids[ours]
-        rtt = recv_ns - sent_ns[seq]
-        if (rtt < 0).any():
-            raise ValueError(f"{target}: a reply arrived before its probe was sent")
-        timely = rtt <= timeout_ns
-        seq, rtt, ids = seq[timely], rtt[timely], ids[timely]
-        if ((ids < 0) | (ids > MAX_IPID)).any():
-            raise ValueError(f"{target}: an IP ID is not a 16-bit value")
-        rtt_ns[seq] = rtt
-        ipid[seq] = ids
-    return VisitFrame(target, sent[0], sent[-1] + interval_ns, sent_ns, rtt_ns, ipid)
+    """The visit whose probe ``i`` went out at ``sent_ns[i]``, from the
+    transport's reply columns. A reply later than the timeout, or to a
+    sequence number the visit did not send, counts as a loss; a reply
+    before its send or an ID outside 16 bits raises ``ValueError``."""
+    seq, recv_ns, ids = replies
+    rtt_ns = np.full(len(sent_ns), LOST_RTT, dtype=np.uint32)
+    ipid = np.zeros(len(sent_ns), dtype=np.uint16)
+    ours = (seq >= 0) & (seq < len(sent_ns))
+    seq, recv_ns, ids = seq[ours], recv_ns[ours], ids[ours]
+    rtt = recv_ns - sent_ns[seq]
+    if (rtt < 0).any():
+        raise ValueError(f"{target}: a reply arrived before its probe was sent")
+    timely = rtt <= timeout_ns
+    seq, rtt, ids = seq[timely], rtt[timely], ids[timely]
+    if ((ids < 0) | (ids > MAX_IPID)).any():
+        raise ValueError(f"{target}: an IP ID is not a 16-bit value")
+    rtt_ns[seq] = rtt
+    ipid[seq] = ids
+    return VisitFrame(target, int(sent_ns[0]), int(sent_ns[-1]) + interval_ns,
+                      sent_ns, rtt_ns, ipid)

@@ -31,6 +31,7 @@ from .discovery import (
 )
 from .ipid import IdBehavior
 from .names import parse_server_name
+from .transport import Replies
 
 DAY_S = 86400.0
 
@@ -203,30 +204,9 @@ class SimulatedFleet:
             self.by_address[server.address] = server
             self.by_name[server.name] = server
         self.truth: list[TruthRecord] = []
-        self._open_visits: dict[str, tuple[int, float]] = {}
 
     def zone(self) -> dict[str, tuple[str, ...]]:
         return {server.name: (server.address,) for server in self.servers}
-
-    def mark_visit_start(self, address: str, t_ns: int) -> None:
-        server = self.by_address.get(address)
-        if server is None or not server.reachable:
-            return
-        server.advance(max(t_ns, server.time_ns))
-        self._open_visits[address] = (t_ns, server.background_packets)
-
-    def mark_visit_end(self, address: str, t_ns: int) -> None:
-        opened = self._open_visits.pop(address, None)
-        if opened is None:
-            return
-        start_ns, start_packets = opened
-        if t_ns <= start_ns:
-            return
-        server = self.by_address[address]
-        server.advance(max(t_ns, server.time_ns))
-        # the counter moved up to the last serve, half an RTT past the last send
-        pps = (server.background_packets - start_packets) / ((server.time_ns - start_ns) / 1e9)
-        self.truth.append(TruthRecord(address, start_ns, t_ns, pps))
 
     def export_truth_csv(self, path: str | Path) -> None:
         with open(path, "w", newline="") as fh:
@@ -315,14 +295,15 @@ class SimulatedTransport:
     Losses model requests dropped in flight: the responder never sees them
     and its counter does not move. Replies arrive one RTT after the send;
     the responder is served at the halfway point. A visit's truth window
-    runs from its start to its last send; its rate is the mean from the
-    start to the last serve, the span over which the counter moved.
+    runs from its first send to its last; its rate is the mean from the
+    first send to the last serve, the span over which the counter moved.
 
-    A send only reads the clock. ``end_visit`` draws the visit's losses,
-    one per send in sequence order, and serves the delivered echoes in one
-    ``serve_visit`` call: nothing else touches a responder while one of its
-    visits is open, so its replies are those it would have given as each
-    echo arrived.
+    A send only reads the clock. ``end_visit`` advances the responder to
+    the visit's first send, draws the visit's losses, one per send in
+    sequence order, and serves the delivered echoes in one ``serve_visit``
+    call: nothing else touches a responder while one of its visits is
+    open, so its replies are those it would have given as each echo
+    arrived.
     """
 
     def __init__(self, fleet: SimulatedFleet, loss_rate: float = 0.0):
@@ -345,22 +326,27 @@ class SimulatedTransport:
         if t_ns > self._now_ns:
             self._now_ns = t_ns
 
-    def begin_visit(self, target: str) -> None:
-        self.fleet.mark_visit_start(target, self._now_ns)
-
     def send_echo(self, target: str, seq: int) -> int:
         return self._now_ns
 
-    def end_visit(self, target: str, sent_ns: Sequence[int]) -> dict[int, tuple[int, int]]:
-        replies = {}
+    def end_visit(self, target: str, sent_ns: np.ndarray) -> Replies:
         server = self.fleet.by_address.get(target)
-        if server is not None and server.reachable:
-            seqs = range(len(sent_ns))
-            if self.loss_rate:
-                draw = self._loss_rng(target).random
-                seqs = [seq for seq in seqs if draw() >= self.loss_rate]
-            delivered = [sent_ns[seq] for seq in seqs]
-            ids = server.serve_visit([sent + server.rtt_ns // 2 for sent in delivered])
-            replies = dict(zip(seqs, zip([sent + server.rtt_ns for sent in delivered], ids.tolist())))
-        self.fleet.mark_visit_end(target, sent_ns[-1])
-        return replies
+        if server is None or not server.reachable:
+            none = np.zeros(0, dtype=np.int64)
+            return none, none, none
+        # Python ints keep the responder's clock and the truth row's repr exact
+        start_ns, end_ns = int(sent_ns[0]), int(sent_ns[-1])
+        server.advance(max(start_ns, server.time_ns))
+        start_packets = server.background_packets
+        seq = np.arange(len(sent_ns), dtype=np.int64)
+        if self.loss_rate:
+            draw = self._loss_rng(target).random
+            seq = seq[[draw() >= self.loss_rate for _ in range(len(sent_ns))]]
+        delivered = sent_ns[seq]
+        ip_id = server.serve_visit((delivered + server.rtt_ns // 2).tolist())
+        if end_ns > start_ns:
+            server.advance(max(end_ns, server.time_ns))
+            # the counter moved up to the last serve, half an RTT past the last send
+            pps = (server.background_packets - start_packets) / ((server.time_ns - start_ns) / 1e9)
+            self.fleet.truth.append(TruthRecord(target, start_ns, end_ns, pps))
+        return seq, delivered + server.rtt_ns, ip_id

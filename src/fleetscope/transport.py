@@ -4,9 +4,13 @@ Two implementations exist: ``RawIcmpTransport`` here (real sockets, needs
 CAP_NET_RAW or root) and the in-process simulated transport in
 ``simulation`` (no privilege, virtual time). Both satisfy ``EchoTransport``
 structurally; the prober never imports a concrete transport, and runs its
-one event loop against either. Only ``sleep_until_ns`` waits for time to
-pass, and no transport starts a thread: the raw transport reads replies
-inside ``sleep_until_ns``, while the loop has nothing else to do.
+one event loop against either. The contract is four calls: a clock, a
+wait, a send, and one collection per visit. A visit opens with its first
+send and closes when its replies are collected, which come back as three
+int64 columns ``(seq, recv_ns, ip_id)``, the format the prober stores.
+Only ``sleep_until_ns`` waits for time to pass, and no transport starts a
+thread: the raw transport reads replies inside ``sleep_until_ns``, while
+the loop has nothing else to do.
 """
 
 from __future__ import annotations
@@ -16,7 +20,9 @@ import select
 import socket
 import struct
 import time
-from typing import Protocol, Sequence
+from typing import Protocol
+
+import numpy as np
 
 
 ICMP_ECHO_REQUEST = 8
@@ -27,29 +33,40 @@ class TransportError(Exception):
     """Socket or privilege failure while probing."""
 
 
+# a visit's replies as int64 columns (seq, recv_ns, ip_id)
+Replies = tuple[np.ndarray, np.ndarray, np.ndarray]
+
+
+def reply_columns(replies: dict[int, tuple[int, int]]) -> Replies:
+    """``{seq: (recv_ns, ip_id)}`` as ``Replies``."""
+    seq = np.fromiter(replies, np.int64, len(replies))
+    recv_ns, ip_id = np.array(list(replies.values()), dtype=np.int64).reshape(-1, 2).T
+    return seq, recv_ns, ip_id
+
+
 class EchoTransport(Protocol):
     """What the prober needs: a clock, pacing, and fire-and-collect echoes.
 
-    ``begin_visit``/``end_visit`` bracket a visit so implementations can
-    reset per-target state. ``send_echo`` must not block on the reply; it
-    returns the send time. ``end_visit(target, sent_ns)`` is called once
-    the reply timeout after the visit's last send has passed, with the
-    send times ``send_echo`` returned for the visit, in sequence order
-    (``sent_ns[seq]`` for echo ``seq``). It returns the visit's replies as
-    ``{seq: (recv_ns, ip_id)}`` without waiting; a transport that hears
-    real replies may ignore ``sent_ns``. Visits of different targets
-    overlap.
+    A visit to a target opens with its first ``send_echo``, sequence
+    number 0, and sends sequence numbers 0, 1, ... in order. ``send_echo``
+    must not block on the reply; it returns the send time.
+    ``end_visit(target, sent_ns)`` is called once the reply timeout after
+    the visit's last send has passed, with the send times ``send_echo``
+    returned for the visit as one int64 array (``sent_ns[seq]`` for echo
+    ``seq``). Without waiting, it closes the visit and returns the replies
+    heard as ``Replies``: one row per reply, at most one per sequence
+    number, in any order. A transport that hears real replies may ignore
+    ``sent_ns``. Visits of different targets overlap; visits of one
+    target do not.
     """
 
     def now_ns(self) -> int: ...
 
     def sleep_until_ns(self, t_ns: int) -> None: ...
 
-    def begin_visit(self, target: str) -> None: ...
-
     def send_echo(self, target: str, seq: int) -> int: ...
 
-    def end_visit(self, target: str, sent_ns: Sequence[int]) -> dict[int, tuple[int, int]]: ...
+    def end_visit(self, target: str, sent_ns: np.ndarray) -> Replies: ...
 
 
 def icmp_checksum(data: bytes) -> int:
@@ -98,7 +115,8 @@ class RawIcmpTransport:
     ``sleep_until_ns``, which waits on the socket and, whenever it is
     readable, reads every queued datagram and stamps each as it is read.
     A reply is kept when it is an echo reply with our identifier from an
-    address whose visit is open; duplicates are dropped, first wins. Times
+    address whose visit is open, that is, which has been sent the visit's
+    first echo; duplicates are dropped, first wins. Times
     are UNIX-epoch ns: the monotonic clock plus its offset from the wall
     clock, taken once at construction, so a wall-clock step cannot reorder
     them.
@@ -159,10 +177,9 @@ class RawIcmpTransport:
             if remaining_ns <= 0:
                 return
 
-    def begin_visit(self, target: str) -> None:
-        self._pending[target] = {}
-
     def send_echo(self, target: str, seq: int) -> int:
+        if seq == 0:
+            self._pending[target] = {}
         packet = build_echo_request(self.ident, seq)
         sent_ns = self.now_ns()
         try:
@@ -171,8 +188,8 @@ class RawIcmpTransport:
             raise TransportError(f"send to {target} failed: {exc}") from exc
         return sent_ns
 
-    def end_visit(self, target: str, sent_ns: Sequence[int]) -> dict[int, tuple[int, int]]:
-        return self._pending.pop(target, {})
+    def end_visit(self, target: str, sent_ns: np.ndarray) -> Replies:
+        return reply_columns(self._pending.pop(target, {}))
 
     def close(self) -> None:
         self._sock.close()

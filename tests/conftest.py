@@ -111,6 +111,12 @@ def one_visit(address: str, interval_s: float, dwell_s: float, transport) -> Vis
     return visit
 
 
+def reply_dict(columns) -> dict[int, tuple[int, int]]:
+    """The reply columns ``end_visit`` returns as ``{seq: (recv_ns, ip_id)}``."""
+    seq, recv_ns, ip_id = (column.tolist() for column in columns)
+    return dict(zip(seq, zip(recv_ns, ip_id)))
+
+
 def record_for(server: SimulatedServer, seen_ns: int = 0) -> ServerRecord:
     return ServerRecord(
         name=parse_server_name(server.name),

@@ -4,7 +4,9 @@ tests can compare the two.
 
 ``serve_echo`` answers one echo with one ``advance`` call, and
 ``ScalarTransport`` draws each echo's loss as it is sent, keeps the delivered
-ones, and serves them one by one when the visit ends.
+ones, and serves them one by one when the visit ends. The transport keeps
+the open-visit table the fleet once kept for its truth windows, and its
+replies in the reply dict transports once returned.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from __future__ import annotations
 import random
 
 from fleetscope.ipid import IdBehavior
-from fleetscope.simulation import SimulatedFleet, SimulatedServer
+from fleetscope.simulation import SimulatedFleet, SimulatedServer, TruthRecord
 
 
 def cumulative_packets(server: SimulatedServer) -> int:
@@ -40,8 +42,10 @@ def serve_echo(server: SimulatedServer, at_ns: int) -> int | None:
 
 
 class ScalarTransport:
-    """The simulated transport with per-send state: a send draws its loss
-    and remembers a delivered echo, and ``end_visit`` serves each one."""
+    """The simulated transport with per-send state: a visit's first send
+    advances the responder and opens its truth window, a send draws its
+    loss and remembers a delivered echo, and ``end_visit`` serves each one
+    and returns the replies as ``{seq: (recv_ns, ip_id)}``."""
 
     def __init__(self, fleet: SimulatedFleet, loss_rate: float = 0.0):
         self.fleet = fleet
@@ -49,6 +53,7 @@ class ScalarTransport:
         self._now_ns = 0
         self._loss_rngs: dict[str, random.Random] = {}
         self._pending: dict[str, dict[int, int]] = {}  # seq -> sent_ns of delivered echoes
+        self._windows: dict[str, tuple[int, float]] = {}  # first send, counter then
 
     def _loss_rng(self, target: str) -> random.Random:
         rng = self._loss_rngs.get(target)
@@ -64,14 +69,14 @@ class ScalarTransport:
         if t_ns > self._now_ns:
             self._now_ns = t_ns
 
-    def begin_visit(self, target: str) -> None:
-        self._pending.pop(target, None)
-        self.fleet.mark_visit_start(target, self._now_ns)
-
     def send_echo(self, target: str, seq: int) -> int:
         sent_ns = self._now_ns
         server = self.fleet.by_address.get(target)
         if server is not None and server.reachable:
+            if seq == 0:
+                self._pending.pop(target, None)
+                server.advance(max(sent_ns, server.time_ns))
+                self._windows[target] = (sent_ns, server.background_packets)
             if self.loss_rate and self._loss_rng(target).random() < self.loss_rate:
                 return sent_ns
             self._pending.setdefault(target, {})[seq] = sent_ns
@@ -82,5 +87,10 @@ class ScalarTransport:
         server = self.fleet.by_address.get(target)
         for seq, sent in self._pending.pop(target, {}).items():
             replies[seq] = (sent + server.rtt_ns, serve_echo(server, sent + server.rtt_ns // 2))
-        self.fleet.mark_visit_end(target, sent_ns[-1])
+        opened = self._windows.pop(target, None)
+        if opened is not None and sent_ns[-1] > opened[0]:
+            start_ns, start_packets = opened
+            server.advance(max(sent_ns[-1], server.time_ns))
+            pps = (server.background_packets - start_packets) / ((server.time_ns - start_ns) / 1e9)
+            self.fleet.truth.append(TruthRecord(target, start_ns, sent_ns[-1], pps))
         return replies

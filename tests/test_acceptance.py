@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from fleetscope.cli import main as cli_main
-from fleetscope.discovery import CrawlPolicy, run_crawl, summarize_discovery
+from fleetscope.discovery import run_crawl, summarize_discovery
 from fleetscope.ipid import _id_deltas, ambiguity_bound, series_estimates
 from fleetscope.names import ServerName, Wordlists, format_server_name, parse_server_name
 from fleetscope.probe import CampaignParams, run_campaign
@@ -342,8 +342,7 @@ def _table_shaped_fixture():
 def test_c06_crawler_completeness_on_table_shaped_zone():
     started = time.perf_counter()
     zone, lists, airport_countries = _table_shaped_fixture()
-    policy = CrawlPolicy(max_queries_per_second=None, retries=0, retry_backoff_s=0.0)
-    records = run_crawl(lists, ZoneResolver(zone), policy)
+    records = run_crawl(lists, ZoneResolver(zone), None)
     found = {r.hostname for r in records}
     assert found == set(zone), "crawl must find the zone exactly"
     assert len(records) == 4669

@@ -8,7 +8,7 @@ from fleetscope.discovery import (
     OUTCOME_NXDOMAIN,
     OUTCOME_RESOLVED,
     OUTCOME_TIMEOUT,
-    CrawlPolicy,
+    RETRIES,
     ResolutionResult,
     ResolverUnavailable,
     ServerRecord,
@@ -16,22 +16,25 @@ from fleetscope.discovery import (
     run_crawl,
     summarize_discovery,
 )
+from fleetscope import discovery
 from fleetscope.names import Wordlists, candidate_count, parse_server_name
 from fleetscope.simulation import ZoneResolver
 
 from conftest import make_fleet, make_hostname, make_server, record_for
 
 
-FAST = CrawlPolicy(max_queries_per_second=None, retries=2, retry_backoff_s=0.0)
+@pytest.fixture
+def no_backoff(monkeypatch):
+    monkeypatch.setattr(discovery, "RETRY_BACKOFF_S", 0.0)
 
 
 def test_resolve_candidate_hit_and_miss():
     fleet = make_fleet([make_server(1.0, airport="lhr")])
     resolver = ZoneResolver(fleet.zone())
-    hit = resolve_candidate(fleet.servers[0].name, resolver, FAST)
+    hit = resolve_candidate(fleet.servers[0].name, resolver)
     assert hit.outcome == OUTCOME_RESOLVED
     assert len(hit.addresses) == 1
-    miss = resolve_candidate(make_hostname(airport="zzz"), resolver, FAST)
+    miss = resolve_candidate(make_hostname(airport="zzz"), resolver)
     assert miss.outcome == OUTCOME_NXDOMAIN
 
 
@@ -59,24 +62,24 @@ class DeadResolver:
         raise ResolverUnavailable("endpoint down")
 
 
-def test_resolve_candidate_retries_timeouts_only():
+def test_resolve_candidate_retries_timeouts_only(no_backoff):
     fleet = make_fleet([make_server(1.0)])
-    flaky = FlakyResolver(ZoneResolver(fleet.zone()), failures=2)
-    result = resolve_candidate(fleet.servers[0].name, flaky, FAST)
+    flaky = FlakyResolver(ZoneResolver(fleet.zone()), failures=RETRIES)
+    result = resolve_candidate(fleet.servers[0].name, flaky)
     assert result.outcome == OUTCOME_RESOLVED
-    assert flaky.calls == 3
+    assert flaky.calls == 1 + RETRIES
 
     exhausted = FlakyResolver(ZoneResolver(fleet.zone()), failures=10)
-    result = resolve_candidate(fleet.servers[0].name, exhausted, FAST)
+    result = resolve_candidate(fleet.servers[0].name, exhausted)
     assert result.outcome == OUTCOME_TIMEOUT
-    assert exhausted.calls == 3  # 1 + 2 retries
+    assert exhausted.calls == 1 + RETRIES
 
 
-def test_resolver_unavailable_raises_after_retries():
+def test_resolver_unavailable_raises_after_retries(no_backoff):
     dead = DeadResolver()
     with pytest.raises(ResolverUnavailable):
-        resolve_candidate(make_hostname(), dead, FAST)
-    assert dead.calls == 3
+        resolve_candidate(make_hostname(), dead)
+    assert dead.calls == 1 + RETRIES
 
 
 class CountingResolver:
@@ -112,14 +115,14 @@ def test_run_crawl_finds_covered_subset():
         protocols=("ipv4",),
         max_server_counter=10,
     )
-    records = run_crawl(lists, ZoneResolver(fleet.zone()), FAST)
+    records = run_crawl(lists, ZoneResolver(fleet.zone()), None)
     assert {r.hostname for r in records} == {s.name for s in covered}
     assert len(records) == 7
 
 
 def test_run_crawl_empty_zone():
     lists = Wordlists(airport_codes=("lhr",), protocols=("ipv4",), max_server_counter=2)
-    assert run_crawl(lists, ZoneResolver({}), FAST) == []
+    assert run_crawl(lists, ZoneResolver({}), None) == []
 
 
 def test_run_crawl_invariant_under_candidate_order():
@@ -128,28 +131,27 @@ def test_run_crawl_invariant_under_candidate_order():
     fleet = make_fleet(servers)
     lists_a = Wordlists(airport_codes=("lhr", "ams"), protocols=("ipv4",), max_server_counter=4)
     lists_b = Wordlists(airport_codes=("ams", "lhr"), protocols=("ipv4",), max_server_counter=4)
-    records_a = run_crawl(lists_a, ZoneResolver(fleet.zone()), FAST)
-    records_b = run_crawl(lists_b, ZoneResolver(fleet.zone()), FAST)
+    records_a = run_crawl(lists_a, ZoneResolver(fleet.zone()), None)
+    records_b = run_crawl(lists_b, ZoneResolver(fleet.zone()), None)
     assert [r.hostname for r in records_a] == [r.hostname for r in records_b]
 
 
-def test_run_crawl_queries_each_candidate_at_most_retry_budget():
+def test_run_crawl_queries_each_candidate_at_most_retry_budget(no_backoff):
     fleet = make_fleet([make_server(1.0)])
-    # four timeouts: the first name exhausts its retries, the second needs one
-    counting = CountingResolver(FlakyResolver(ZoneResolver(fleet.zone()), failures=4))
+    # the first name exhausts its retries, the second needs one
+    counting = CountingResolver(FlakyResolver(ZoneResolver(fleet.zone()), failures=RETRIES + 2))
     lists = _covering_wordlists(fleet, extra_airports=("ams", "nrt"))
-    run_crawl(lists, counting, FAST)
-    assert max(counting.per_name.values()) == 1 + FAST.retries
-    assert sorted(counting.per_name.values())[-2:] == [2, 1 + FAST.retries]
+    run_crawl(lists, counting, None)
+    assert max(counting.per_name.values()) == 1 + RETRIES
+    assert sorted(counting.per_name.values())[-2:] == [2, 1 + RETRIES]
 
 
 def test_run_crawl_rate_limit_is_observed():
     fleet = make_fleet([make_server(1.0)])
     lists = Wordlists(airport_codes=("lhr", "ams"), protocols=("ipv4",), max_server_counter=30)
-    policy = CrawlPolicy(max_queries_per_second=200.0, retries=0)
     assert candidate_count(lists) == 60
     start = time.monotonic()
-    run_crawl(lists, ZoneResolver(fleet.zone()), policy)
+    run_crawl(lists, ZoneResolver(fleet.zone()), 200.0)
     elapsed = time.monotonic() - start
     # 60 candidates at 200 q/s with a 20-token burst: at least ~0.2 s
     assert elapsed >= 0.15

@@ -22,13 +22,16 @@ from fleetscope.probe import (
 from fleetscope.simulation import SimulatedTransport
 from fleetscope.store import LOST_RTT
 from fleetscope.transport import (
+    EchoTransport,
     RawIcmpTransport,
     build_echo_request,
     icmp_checksum,
     parse_echo_reply,
+    reply_columns,
 )
 
-from conftest import make_fleet, make_server
+from conftest import make_fleet, make_server, reply_dict
+from responder_oracle import ScalarTransport
 
 
 def test_plan_matches_thirty_minute_revisit():
@@ -171,7 +174,8 @@ def test_probe_target_pacing_is_exact_under_virtual_clock():
 
 
 class ScriptedTransport:
-    """Virtual clock whose ``end_visit`` returns ``replies(send times)``."""
+    """Virtual clock whose ``end_visit`` returns the columns of the
+    ``{seq: (recv_ns, ip_id)}`` dict ``replies(send times)``."""
 
     def __init__(self, replies):
         self.replies = replies
@@ -183,14 +187,11 @@ class ScriptedTransport:
     def sleep_until_ns(self, t_ns: int) -> None:
         self.clock_ns = max(self.clock_ns, t_ns)
 
-    def begin_visit(self, target: str) -> None:
-        pass
-
     def send_echo(self, target: str, seq: int) -> int:
         return self.clock_ns
 
-    def end_visit(self, target: str, sent_ns: list[int]) -> dict:
-        return self.replies(sent_ns)
+    def end_visit(self, target: str, sent_ns: np.ndarray):
+        return reply_columns(self.replies(sent_ns))
 
 
 def _one_visit(replies):
@@ -305,17 +306,14 @@ class RealTimeCounterTransport:
         if delta > 0:
             time.sleep(delta / 1e9)
 
-    def begin_visit(self, target: str) -> None:
-        pass
-
     def send_echo(self, target: str, seq: int) -> int:
         sent = time.monotonic_ns()
         self.counter += 1
         self._pending.setdefault(target, {})[seq] = (sent + 1000, self.counter & 0xFFFF)
         return sent
 
-    def end_visit(self, target: str, sent_ns: list[int]) -> dict:
-        return self._pending.pop(target, {})
+    def end_visit(self, target: str, sent_ns: np.ndarray):
+        return reply_columns(self._pending.pop(target, {}))
 
 
 def test_run_campaign_with_a_real_clock():
@@ -386,6 +384,22 @@ def test_a_stalled_send_never_brings_a_targets_echoes_closer_than_the_interval()
         assert (gaps >= interval_ns).all(), f"{visit.target}: a gap of {gaps.min() / 1e6:.3f} ms"
 
 
+def test_a_late_last_send_never_brings_the_next_visit_closer_than_the_interval():
+    # the first visit stalls for 2.5 intervals after its ninth send, so its
+    # tenth send is late; the reply timeout is one interval, so the next
+    # visit is due one interval after the tenth send's due time
+    interval_ns = 10_000_000
+    transport = StallingTransport(stall_at=9, stall_ns=25_000_000)
+    params = CampaignParams(probe_interval_s=0.01, dwell_s=0.1, workers=1, total_duration_s=0.2,
+                            max_visits_per_hour=None, probe_timeout_s=0.01)
+    visits = []
+    run_campaign(["198.18.8.1"], params, transport, visits.append)
+    assert transport.sends == 20
+    assert len(visits) == 2
+    gaps = np.diff(np.concatenate([visit.sent_ns for visit in visits]))
+    assert (gaps >= interval_ns).all(), f"a gap of {gaps.min() / 1e6:.3f} ms"
+
+
 def test_single_target_worker_waits_out_its_reply_window():
     # The last send at 59.97 s plus the 1 s timeout outlasts a 60 s slot.
     assert plan_campaign(["198.18.0.1"], CampaignParams(workers=1,
@@ -419,6 +433,23 @@ def test_visits_of_a_slot_send_in_step_and_arrive_in_slot_then_worker_order():
     for slot in range(4):
         sent = {tuple(v.sent_ns.tolist()) for v in visits[3 * slot:3 * slot + 3]}
         assert len(sent) == 1
+
+
+def _public_methods(cls) -> set[str]:
+    return {name for name in dir(cls) if not name.startswith("_") and callable(getattr(cls, name))}
+
+
+# public methods a transport may have beyond the protocol: the raw socket
+# is closed by its owner, never by run_campaign
+_OUTSIDE_THE_PROTOCOL = {RawIcmpTransport: {"close"}}
+
+
+@pytest.mark.parametrize("cls", [RawIcmpTransport, SimulatedTransport, ScalarTransport,
+                                 ScriptedTransport, RealTimeCounterTransport, StallingTransport])
+def test_every_transport_defines_exactly_the_protocol(cls):
+    assert _public_methods(EchoTransport) == {"now_ns", "sleep_until_ns", "send_echo", "end_visit"}
+    extra = _OUTSIDE_THE_PROTOCOL.get(cls, set())
+    assert _public_methods(cls) - extra == _public_methods(EchoTransport)
 
 
 def _raw_socket_available() -> bool:
@@ -526,7 +557,6 @@ def test_raw_transport_clock_is_utc(monkeypatch):
 
 def test_raw_transport_reads_replies_that_arrive_while_it_waits(monkeypatch):
     raw, fake = _raw_transport(monkeypatch)
-    raw.begin_visit("192.0.2.1")
     sent = [raw.send_echo("192.0.2.1", seq) for seq in range(2)]
     assert [address for _, address in fake.sent] == [("192.0.2.1", 0)] * 2
     written_ns = []
@@ -543,7 +573,7 @@ def test_raw_transport_reads_replies_that_arrive_while_it_waits(monkeypatch):
     replier.join(timeout=5)
     assert not replier.is_alive()
     assert raw.now_ns() >= deadline_ns
-    replies = raw.end_visit("192.0.2.1", sent)
+    replies = reply_dict(raw.end_visit("192.0.2.1", np.array(sent, dtype=np.int64)))
     assert {seq: ip_id for seq, (_, ip_id) in replies.items()} == {0: 100, 1: 101}
     # stamped as they were read, during the wait, not when it ended
     assert all(written_ns[0] <= recv_ns < deadline_ns for recv_ns, _ in replies.values())
@@ -552,30 +582,36 @@ def test_raw_transport_reads_replies_that_arrive_while_it_waits(monkeypatch):
 
 def test_raw_transport_keeps_only_first_replies_to_its_open_visits(monkeypatch):
     raw, fake = _raw_transport(monkeypatch)
-    raw.begin_visit("192.0.2.1")
+    # read before the visit's first send opens it
+    fake.peer.send(_echo_reply("192.0.2.1", raw.ident, 0, 6))
+    raw.sleep_until_ns(raw.now_ns() + 20_000_000)
+    sent = [raw.send_echo("192.0.2.1", 0)]
     for packet in (
         _echo_reply("192.0.2.1", raw.ident ^ 1, 0, 1),  # another prober's identifier
-        _echo_reply("192.0.2.9", raw.ident, 0, 2),  # no visit to this address is open
+        _echo_reply("192.0.2.9", raw.ident, 0, 2),  # this address was sent no echo
         _echo_reply("192.0.2.1", raw.ident, 0, 3, icmp_type=8),  # a request, not a reply
         _echo_reply("192.0.2.1", raw.ident, 0, 4),
         _echo_reply("192.0.2.1", raw.ident, 0, 5),  # a duplicate: the first wins
     ):
         fake.peer.send(packet)
     raw.sleep_until_ns(raw.now_ns() + 20_000_000)
-    replies = raw.end_visit("192.0.2.1", [0])
+    replies = reply_dict(raw.end_visit("192.0.2.1", np.array(sent, dtype=np.int64)))
     assert {seq: ip_id for seq, (_, ip_id) in replies.items()} == {0: 4}
+    # the visit is closed: a reply read after end_visit is dropped
+    fake.peer.send(_echo_reply("192.0.2.1", raw.ident, 1, 7))
+    raw.sleep_until_ns(raw.now_ns() + 20_000_000)
+    assert [len(column) for column in raw.end_visit("192.0.2.1", np.array(sent))] == [0] * 3
     raw.close()
 
 
 def test_raw_transport_reads_queued_replies_when_the_wait_is_past_due(monkeypatch):
     raw, fake = _raw_transport(monkeypatch)
-    raw.begin_visit("192.0.2.1")
-    raw.send_echo("192.0.2.1", 0)
+    sent = [raw.send_echo("192.0.2.1", 0)]
     fake.peer.send(_echo_reply("192.0.2.1", raw.ident, 0, 7))
     before_ns = raw.now_ns()
     raw.sleep_until_ns(before_ns - 1)
     after_ns = raw.now_ns()
-    (recv_ns, ip_id), = raw.end_visit("192.0.2.1", [0]).values()
+    (recv_ns, ip_id), = reply_dict(raw.end_visit("192.0.2.1", np.array(sent))).values()
     assert ip_id == 7
     assert before_ns <= recv_ns <= after_ns
     # reading until the queue is empty does not wait for more
@@ -587,11 +623,10 @@ def test_raw_transport_starts_no_thread(monkeypatch):
     threads = threading.active_count()
     raw, fake = _raw_transport(monkeypatch)
     assert threading.active_count() == threads
-    raw.begin_visit("192.0.2.1")
-    raw.send_echo("192.0.2.1", 0)
+    sent = [raw.send_echo("192.0.2.1", 0)]
     fake.peer.send(_echo_reply("192.0.2.1", raw.ident, 0, 7))
     raw.sleep_until_ns(raw.now_ns() + 10_000_000)
-    assert len(raw.end_visit("192.0.2.1", [0])) == 1
+    assert len(reply_dict(raw.end_visit("192.0.2.1", np.array(sent)))) == 1
     assert threading.active_count() == threads
     raw.close()
     assert fake.closed

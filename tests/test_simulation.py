@@ -21,7 +21,8 @@ from fleetscope.simulation import (
     parse_hhmm,
 )
 
-from conftest import hhmm, make_fleet, make_hostname, make_server, one_visit, write_fleet
+from conftest import (hhmm, make_fleet, make_hostname, make_server, one_visit, reply_dict,
+                      write_fleet)
 from responder_oracle import ScalarTransport, serve_echo
 
 
@@ -122,8 +123,8 @@ def test_unreachable_server_never_replies():
     fleet = make_fleet([server])
     transport = SimulatedTransport(fleet)
     transport.sleep_until_ns(10**9)
-    transport.begin_visit(server.address)
-    assert transport.end_visit(server.address, [10**9, 2 * 10**9]) == {}
+    seq, recv_ns, ip_id = transport.end_visit(server.address, np.array([10**9, 2 * 10**9]))
+    assert len(seq) == len(recv_ns) == len(ip_id) == 0
     assert server.reply_packets == 0
     assert fleet.truth == []
 
@@ -163,30 +164,39 @@ def test_transport_loss_is_request_side():
     server = make_server(base_pps=0.0, address="198.18.7.7")
     fleet = SimulatedFleet([server], seed=3)
     transport = SimulatedTransport(fleet, loss_rate=0.5)
-    transport.begin_visit(server.address)
     sent = []
     for i in range(200):
         transport.sleep_until_ns(i * 30_000_000)
         sent.append(transport.send_echo(server.address, i))
-    replies = transport.end_visit(server.address, sent)
-    assert 0 < len(replies) < 200
-    ids = [ipid for _, ipid in replies.values()]
+    seq, recv_ns, ip_id = transport.end_visit(server.address, np.array(sent, dtype=np.int64))
+    assert 0 < len(seq) < 200
     # counter only advanced by replies actually served
-    assert max(ids) == len(replies) - 1
+    assert ip_id.tolist() == list(range(len(seq)))
+    assert (recv_ns == np.array(sent)[seq] + server.rtt_ns).all()
+
+
+def test_end_visit_returns_int64_columns():
+    server = make_server(base_pps=100.0)
+    transport = SimulatedTransport(make_fleet([server]), loss_rate=0.2)
+    sent_ns = np.arange(50, dtype=np.int64) * 30_000_000
+    replies = transport.end_visit(server.address, sent_ns)
+    assert [column.dtype for column in replies] == [np.int64] * 3
+    assert len({len(column) for column in replies}) == 1
 
 
 def test_truth_records_mean_rate():
     server = make_server(base_pps=2000.0, address="198.18.8.8")
     fleet = SimulatedFleet([server], seed=1)
     transport = SimulatedTransport(fleet)
-    transport.begin_visit(server.address)
     sent = [transport.send_echo(server.address, 0)]
     transport.sleep_until_ns(30 * 10**9)
     sent.append(transport.send_echo(server.address, 1))
-    transport.end_visit(server.address, sent)
+    transport.end_visit(server.address, np.array(sent, dtype=np.int64))
     (truth,) = fleet.truth
     assert truth.target == server.address
     assert truth.true_pps == pytest.approx(2000.0, rel=1e-6)
+    # numpy scalars would print differently in truth.csv
+    assert (type(truth.start_ns), type(truth.end_ns), type(truth.true_pps)) == (int, int, float)
 
 
 def test_truth_of_a_far_server_is_its_rate():
@@ -356,20 +366,25 @@ def test_serve_visit_matches_the_per_echo_responder(spec, seed, start_ns, visits
                        min_size=1, max_size=3))
 def test_end_visit_matches_the_per_send_transport(spec, seed, reachable, loss_rate, start_ns,
                                                    visits):
-    # each visit sends at its start plus the running sum of its gaps, some 0
+    # each visit sends at its start plus the running sum of its gaps, some
+    # 0, and opens with its first send, as run_campaign drives a transport
     (server, reference), fleets = _twin_servers(spec, seed, reachable)
     transports = [SimulatedTransport(fleets[0], loss_rate), ScalarTransport(fleets[1], loss_rate)]
     for gaps in visits:
-        results = []
+        sents = []
         for transport in transports:
             transport.sleep_until_ns(start_ns)
-            transport.begin_visit(server.address)
             sent = []
             for seq, gap in enumerate(gaps):
                 transport.sleep_until_ns(transport.now_ns() + gap)
                 sent.append(transport.send_echo(server.address, seq))
-            results.append((sent, transport.end_visit(server.address, sent)))
-        assert results[0] == results[1]
+            sents.append(sent)
+        assert sents[0] == sents[1]
+        columns = transports[0].end_visit(server.address, np.array(sents[0], dtype=np.int64))
+        assert [column.dtype for column in columns] == [np.int64] * 3
+        replies = reply_dict(columns)
+        assert len(replies) == len(columns[0])
+        assert replies == transports[1].end_visit(server.address, sents[1])
         assert _state(server) == _state(reference)
         start_ns = transports[0].now_ns() + 10**10
     assert fleets[0].truth == fleets[1].truth
