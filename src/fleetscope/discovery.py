@@ -4,11 +4,16 @@ The crawl walks the candidate stream, resolves each name through a
 pluggable resolver, and records one ``ServerRecord`` per name that
 resolves. Output is invariant under candidate order. The crawl runs on one
 thread and keeps no cursor: an interrupted crawl reruns from the start.
+
+A resolver has two calls. ``query(name)`` returns the name's addresses,
+``()`` when the name does not exist (NXDOMAIN, NODATA and SERVFAIL alike),
+raises ``ResolverTimeout`` when no answer came in time and
+``ResolverUnavailable`` when the resolver cannot be reached. ``now_ns()``
+is the time stamped on the records the crawl finds.
 """
 
 from __future__ import annotations
 
-import logging
 import socket
 import time
 from dataclasses import dataclass
@@ -24,61 +29,43 @@ from .names import (
     parse_server_name,
 )
 
-logger = logging.getLogger(__name__)
-
-OUTCOME_RESOLVED = "resolved"
-OUTCOME_NXDOMAIN = "nxdomain"
-OUTCOME_TIMEOUT = "timeout"
-OUTCOME_SERVFAIL = "servfail"
-
 # a timed-out or unavailable resolver is asked again this many times, this far apart
 RETRIES = 2
 RETRY_BACKOFF_S = 0.5
 
 
 class ResolverUnavailable(Exception):
-    """All resolver endpoints failed; distinct from an authoritative nxdomain."""
+    """All resolver endpoints failed; distinct from a name that does not exist."""
 
 
-@dataclass(slots=True)
-class ResolutionResult:
-    """Outcome of one resolution attempt."""
-
-    name: str
-    outcome: str
-    addresses: tuple[str, ...] = ()
-    resolved_at_ns: int = 0
-
-    def __post_init__(self) -> None:
-        if self.outcome == OUTCOME_RESOLVED and not self.addresses:
-            raise ValueError("resolved outcome requires at least one address")
+class ResolverTimeout(Exception):
+    """No answer came in time; the name may or may not exist."""
 
 
 class Resolver(Protocol):
     """One resolution attempt; retry policy lives in the crawl, not here."""
 
-    def query(self, name: str) -> ResolutionResult: ...
+    def now_ns(self) -> int: ...
+
+    def query(self, name: str) -> tuple[str, ...]: ...
 
 
 class SystemResolver:
     """Resolve through the host's configured DNS via getaddrinfo."""
 
-    def query(self, name: str) -> ResolutionResult:
-        now = time.time_ns()
+    def now_ns(self) -> int:
+        return time.time_ns()
+
+    def query(self, name: str) -> tuple[str, ...]:
         try:
             infos = socket.getaddrinfo(name, None)
         except socket.gaierror as exc:
-            if exc.errno in (socket.EAI_NONAME, getattr(socket, "EAI_NODATA", -5)):
-                return ResolutionResult(name, OUTCOME_NXDOMAIN, (), now)
             if exc.errno == socket.EAI_AGAIN:
-                return ResolutionResult(name, OUTCOME_TIMEOUT, (), now)
-            return ResolutionResult(name, OUTCOME_SERVFAIL, (), now)
+                raise ResolverTimeout(name) from exc
+            return ()
         except OSError as exc:
             raise ResolverUnavailable(str(exc)) from exc
-        addresses = tuple(dict.fromkeys(info[4][0] for info in infos))
-        if not addresses:
-            return ResolutionResult(name, OUTCOME_NXDOMAIN, (), now)
-        return ResolutionResult(name, OUTCOME_RESOLVED, addresses, now)
+        return tuple(dict.fromkeys(info[4][0] for info in infos))
 
 
 @dataclass(slots=True)
@@ -156,31 +143,22 @@ class RateLimiter:
             time.sleep((1.0 - self._tokens) / self.rate)
 
 
-def resolve_candidate(name: str, resolver: Resolver) -> ResolutionResult:
-    """Resolve one candidate, retrying timeouts and unavailable resolvers
-    ``RETRIES`` times, ``RETRY_BACKOFF_S`` apart.
+def resolve_candidate(name: str, resolver: Resolver) -> tuple[str, ...]:
+    """The addresses of one candidate, ``()`` when it does not exist.
 
-    Only timeouts are retried; nxdomain is authoritative absence. Exactly
-    one outcome is recorded per candidate. ``ResolverUnavailable``
-    propagates once retries are exhausted.
+    A timeout or an unavailable resolver is asked again ``RETRIES`` times,
+    ``RETRY_BACKOFF_S`` apart. A name that still times out counts as
+    absent; ``ResolverUnavailable`` propagates.
     """
-    attempts = 1 + RETRIES
-    last: ResolutionResult | None = None
-    for attempt in range(attempts):
+    for _ in range(RETRIES):
         try:
-            result = resolver.query(name)
-        except ResolverUnavailable:
-            if attempt == attempts - 1:
-                raise
+            return resolver.query(name)
+        except (ResolverTimeout, ResolverUnavailable):
             time.sleep(RETRY_BACKOFF_S)
-            continue
-        if result.outcome != OUTCOME_TIMEOUT:
-            return result
-        last = result
-        if attempt < attempts - 1 and RETRY_BACKOFF_S > 0:
-            time.sleep(RETRY_BACKOFF_S)
-    assert last is not None
-    return last
+    try:
+        return resolver.query(name)
+    except ResolverTimeout:
+        return ()
 
 
 def run_crawl(
@@ -193,20 +171,22 @@ def run_crawl(
     at most ``max_queries_per_second`` candidates a second; ``None`` is
     unlimited, for resolvers that are ours (the simulator).
 
-    Returns one record per resolved name, sorted by hostname.
+    Returns one record per resolved name, stamped with the resolver's
+    ``now_ns()`` and sorted by hostname.
     """
     limiter = RateLimiter(max_queries_per_second) if max_queries_per_second is not None else None
     found = []
     for candidate in enumerate_candidates(lists, domain_suffix=domain_suffix):
         if limiter is not None:
             limiter.acquire()
-        result = resolve_candidate(candidate, resolver)
-        if result.outcome == OUTCOME_RESOLVED:
+        addresses = resolve_candidate(candidate, resolver)
+        if addresses:
+            seen_ns = resolver.now_ns()
             found.append(ServerRecord(
-                name=parse_server_name(result.name, domain_suffix=domain_suffix),
-                addresses=result.addresses,
-                first_seen_ns=result.resolved_at_ns,
-                last_seen_ns=result.resolved_at_ns,
+                name=parse_server_name(candidate, domain_suffix=domain_suffix),
+                addresses=addresses,
+                first_seen_ns=seen_ns,
+                last_seen_ns=seen_ns,
             ))
     return sorted(found, key=lambda r: r.hostname)
 

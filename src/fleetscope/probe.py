@@ -205,7 +205,8 @@ def run_campaign(
             heapq.heappush(events, (epoch_ns + slot * slot_ns, slot, 0, visits))
 
     answered: set[str] = set()
-    last_sent_ns: dict[str, int] = {}  # each target's last send of its previous visit
+    # each target's latest send, from any visit; the clock never reads below the epoch
+    last_sent_ns = dict.fromkeys(targets, epoch_ns - interval_ns)
     totals = CampaignSummary()
     schedule_next_slot()
     while events:
@@ -217,7 +218,6 @@ def run_campaign(
                 visit = _visit_frame(target, sent_ns, transport.end_visit(target, sent_ns),
                                      interval_ns, timeout_ns)
                 emit(visit)
-                last_sent_ns[target] = sent[-1]
                 losses = int(np.count_nonzero(visit.rtt_ns == LOST_RTT))
                 totals.visits_completed += 1
                 totals.probes_sent += count
@@ -228,18 +228,14 @@ def run_campaign(
         now_ns = transport.now_ns()
         if index == 0:
             schedule_next_slot()
-            # a late last send of a target's previous visit must not bring its first one closer
-            resume_ns = max((last_sent_ns[target] + interval_ns for target, _ in visits
-                             if target in last_sent_ns), default=now_ns)
+        for target, sent in visits:
+            resume_ns = last_sent_ns[target] + interval_ns
             if now_ns < resume_ns:
+                # a late send must not bring this target's next one closer
                 transport.sleep_until_ns(resume_ns)
                 now_ns = transport.now_ns()
-        for target, sent in visits:
-            if sent and now_ns < sent[-1] + interval_ns:
-                # a late send must not bring this target's next one closer
-                transport.sleep_until_ns(sent[-1] + interval_ns)
-                now_ns = transport.now_ns()
-            sent.append(transport.send_echo(target, index))
+            at_ns = last_sent_ns[target] = transport.send_echo(target, index)
+            sent.append(at_ns)
         step_ns = timeout_ns if index + 1 == count else interval_ns
         heapq.heappush(events, (due_ns + step_ns, slot, index + 1, visits))
 

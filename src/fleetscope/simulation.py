@@ -24,11 +24,6 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .discovery import (
-    OUTCOME_NXDOMAIN,
-    OUTCOME_RESOLVED,
-    ResolutionResult,
-)
 from .ipid import IdBehavior
 from .names import parse_server_name
 from .transport import Replies
@@ -273,19 +268,20 @@ def _server_from_config(entry: Mapping) -> SimulatedServer:
 class ZoneResolver:
     """Resolver backed by a static name-to-address map.
 
-    Fleet members resolve to their addresses; everything else is nxdomain.
+    Fleet members resolve to their addresses; everything else is absent.
+    Its clock reads 0, so the records a crawl stamps are deterministic.
     """
 
     def __init__(self, zone: Mapping[str, tuple[str, ...]]):
         self._zone = dict(zone)
         self.queries = 0
 
-    def query(self, name: str) -> ResolutionResult:
+    def now_ns(self) -> int:
+        return 0
+
+    def query(self, name: str) -> tuple[str, ...]:
         self.queries += 1
-        addresses = self._zone.get(name)
-        if addresses is None:
-            return ResolutionResult(name, OUTCOME_NXDOMAIN, (), 0)
-        return ResolutionResult(name, OUTCOME_RESOLVED, tuple(addresses), 0)
+        return self._zone.get(name, ())
 
 
 class SimulatedTransport:

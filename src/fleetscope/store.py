@@ -21,15 +21,12 @@ number is its index in the arrays.
 from __future__ import annotations
 
 import json
-import logging
 import struct
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator
 
 import numpy as np
-
-logger = logging.getLogger(__name__)
 
 STREAM_VERSIONS = {
     "records": 1,
@@ -51,7 +48,7 @@ _SAMPLES_V1 = "samples stream is v1 (JSON lines); re-run the probe stage"
 
 
 class StoreError(Exception):
-    """Corrupt store contents (not a trailing partial line)."""
+    """Corrupt store contents."""
 
 
 class SchemaMismatch(StoreError):
@@ -65,25 +62,18 @@ class StageOrderError(StoreError):
 def read_jsonl(path: str | Path) -> Iterator[dict]:
     """Yield the objects of a JSON-lines file in order; blank lines are skipped.
 
-    A corrupt final line (in flight when a writer crashed) is dropped and
-    logged; corruption elsewhere raises ``StoreError``.
+    A file is only ever published whole, so a line that is not JSON, the
+    last one included, raises ``StoreError`` naming the file and line.
     """
-    path = Path(path)
-    corrupt_line = None
     with open(path) as fh:
         for number, line in enumerate(fh, 1):
             if not line.strip():
                 continue
-            if corrupt_line is not None:
-                raise StoreError(f"{path.name}: corrupt line {corrupt_line}")
             try:
                 obj = json.loads(line)
             except json.JSONDecodeError:
-                corrupt_line = number
-                continue
+                raise StoreError(f"{path}: line {number}: not valid JSON") from None
             yield obj
-    if corrupt_line is not None:
-        logger.warning("%s: dropping corrupt trailing line", path.name)
 
 
 @dataclass(frozen=True, slots=True)
@@ -155,8 +145,7 @@ class _PartialFile:
     """A file written through ``<path>.partial``.
 
     Opening truncates a partial file an interrupted writer left behind;
-    ``commit`` renames the partial file over ``path``. Every append is
-    flushed as it is written.
+    ``commit`` renames the partial file over ``path``.
     """
 
     binary = False
@@ -179,7 +168,6 @@ class JsonlWriter(_PartialFile):
 
     def append(self, obj: dict) -> None:
         self._fh.write(json.dumps(obj, separators=(",", ":")) + "\n")
-        self._fh.flush()
 
 
 class FrameWriter(_PartialFile):
@@ -189,7 +177,6 @@ class FrameWriter(_PartialFile):
 
     def append(self, frame: VisitFrame) -> None:
         self._fh.write(encode_frame(frame))
-        self._fh.flush()
 
 
 def open_writer(stream: str, path: str | Path) -> JsonlWriter | FrameWriter:

@@ -117,6 +117,11 @@ def reply_dict(columns) -> dict[int, tuple[int, int]]:
     return dict(zip(seq, zip(recv_ns, ip_id)))
 
 
+def public_methods(cls) -> set[str]:
+    """The public callables of ``cls``, to compare a fake with its protocol."""
+    return {name for name in dir(cls) if not name.startswith("_") and callable(getattr(cls, name))}
+
+
 def record_for(server: SimulatedServer, seen_ns: int = 0) -> ServerRecord:
     return ServerRecord(
         name=parse_server_name(server.name),
@@ -133,6 +138,9 @@ class InterruptingResolver:
         self.inner = inner
         self.after = after
         self.calls = 0
+
+    def now_ns(self):
+        return self.inner.now_ns()
 
     def query(self, name):
         self.calls += 1

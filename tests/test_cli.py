@@ -816,3 +816,20 @@ def test_report_on_a_bad_estimate_names_its_line_and_writes_nothing(
                  "--estimates", str(estimates), "--out", str(out)]) == EXIT_STAGE
     assert capsys.readouterr().err == f"error: {estimates}: line 4: {reason}\n"
     assert list(out.iterdir()) == []
+
+
+def test_report_on_a_torn_last_estimate_line_names_it_and_writes_nothing(
+    tmp_path, small_fleet_file, capsys
+):
+    run = tmp_path / "run"
+    assert _simulate(run, small_fleet_file) == EXIT_OK
+    good = (run / "store" / "estimates.jsonl").read_text().splitlines()
+    # a writer that stopped mid-line leaves a last line without its end
+    estimates = tmp_path / "estimates.jsonl"
+    estimates.write_text("".join(row + "\n" for row in good) + good[0][:len(good[0]) // 2])
+    out = tmp_path / "r"
+    out.mkdir()
+    assert main(["report", "--records", str(run / "store" / "records.jsonl"),
+                 "--estimates", str(estimates), "--out", str(out)]) == EXIT_STAGE
+    assert capsys.readouterr().err == f"error: {estimates}: line {len(good) + 1}: not valid JSON\n"
+    assert list(out.iterdir()) == []

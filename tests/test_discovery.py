@@ -1,17 +1,17 @@
-"""Crawl behaviour: resolution outcomes, retries, rate limiting, summaries."""
+"""Crawl behaviour: the resolver contract, retries, rate limiting, summaries."""
 
+import socket
 import time
 
 import pytest
 
 from fleetscope.discovery import (
-    OUTCOME_NXDOMAIN,
-    OUTCOME_RESOLVED,
-    OUTCOME_TIMEOUT,
     RETRIES,
-    ResolutionResult,
+    Resolver,
+    ResolverTimeout,
     ResolverUnavailable,
     ServerRecord,
+    SystemResolver,
     resolve_candidate,
     run_crawl,
     summarize_discovery,
@@ -20,7 +20,14 @@ from fleetscope import discovery
 from fleetscope.names import Wordlists, candidate_count, parse_server_name
 from fleetscope.simulation import ZoneResolver
 
-from conftest import make_fleet, make_hostname, make_server, record_for
+from conftest import (
+    InterruptingResolver,
+    make_fleet,
+    make_hostname,
+    make_server,
+    public_methods,
+    record_for,
+)
 
 
 @pytest.fixture
@@ -31,11 +38,8 @@ def no_backoff(monkeypatch):
 def test_resolve_candidate_hit_and_miss():
     fleet = make_fleet([make_server(1.0, airport="lhr")])
     resolver = ZoneResolver(fleet.zone())
-    hit = resolve_candidate(fleet.servers[0].name, resolver)
-    assert hit.outcome == OUTCOME_RESOLVED
-    assert len(hit.addresses) == 1
-    miss = resolve_candidate(make_hostname(airport="zzz"), resolver)
-    assert miss.outcome == OUTCOME_NXDOMAIN
+    assert resolve_candidate(fleet.servers[0].name, resolver) == (fleet.servers[0].address,)
+    assert resolve_candidate(make_hostname(airport="zzz"), resolver) == ()
 
 
 class FlakyResolver:
@@ -46,16 +50,22 @@ class FlakyResolver:
         self.failures = failures
         self.calls = 0
 
+    def now_ns(self):
+        return self.inner.now_ns()
+
     def query(self, name):
         self.calls += 1
         if self.calls <= self.failures:
-            return ResolutionResult(name, OUTCOME_TIMEOUT, (), 0)
+            raise ResolverTimeout(name)
         return self.inner.query(name)
 
 
 class DeadResolver:
     def __init__(self):
         self.calls = 0
+
+    def now_ns(self):
+        return 0
 
     def query(self, name):
         self.calls += 1
@@ -65,13 +75,12 @@ class DeadResolver:
 def test_resolve_candidate_retries_timeouts_only(no_backoff):
     fleet = make_fleet([make_server(1.0)])
     flaky = FlakyResolver(ZoneResolver(fleet.zone()), failures=RETRIES)
-    result = resolve_candidate(fleet.servers[0].name, flaky)
-    assert result.outcome == OUTCOME_RESOLVED
+    assert resolve_candidate(fleet.servers[0].name, flaky) == (fleet.servers[0].address,)
     assert flaky.calls == 1 + RETRIES
 
+    # a name that still times out after its retries counts as absent
     exhausted = FlakyResolver(ZoneResolver(fleet.zone()), failures=10)
-    result = resolve_candidate(fleet.servers[0].name, exhausted)
-    assert result.outcome == OUTCOME_TIMEOUT
+    assert resolve_candidate(fleet.servers[0].name, exhausted) == ()
     assert exhausted.calls == 1 + RETRIES
 
 
@@ -87,9 +96,70 @@ class CountingResolver:
         self.inner = inner
         self.per_name: dict[str, int] = {}
 
+    def now_ns(self):
+        return self.inner.now_ns()
+
     def query(self, name):
         self.per_name[name] = self.per_name.get(name, 0) + 1
         return self.inner.query(name)
+
+
+@pytest.mark.parametrize("cls", [SystemResolver, ZoneResolver, FlakyResolver, DeadResolver,
+                                 CountingResolver, InterruptingResolver])
+def test_every_resolver_defines_exactly_the_protocol(cls):
+    assert public_methods(Resolver) == {"now_ns", "query"}
+    assert public_methods(cls) == public_methods(Resolver)
+
+
+def _getaddrinfo_raising(exc, calls):
+    """A ``socket.getaddrinfo`` that adds each name to ``calls`` and raises ``exc``."""
+    def getaddrinfo(host, port, *args, **kwargs):
+        calls.append(host)
+        raise exc
+    return getaddrinfo
+
+
+_ABSENT_ERRNOS = [socket.EAI_NONAME, socket.EAI_FAIL] + (
+    [socket.EAI_NODATA] if hasattr(socket, "EAI_NODATA") else [])
+
+
+@pytest.mark.parametrize("errno", _ABSENT_ERRNOS)
+def test_system_resolver_answers_nothing_for_a_name_that_does_not_resolve(monkeypatch, errno):
+    monkeypatch.setattr(socket, "getaddrinfo", _getaddrinfo_raising(socket.gaierror(errno, ""), []))
+    assert SystemResolver().query(make_hostname()) == ()
+
+
+def test_system_resolver_timeout_is_retried_then_absent(monkeypatch, no_backoff):
+    calls = []
+    monkeypatch.setattr(socket, "getaddrinfo",
+                        _getaddrinfo_raising(socket.gaierror(socket.EAI_AGAIN, ""), calls))
+    with pytest.raises(ResolverTimeout):
+        SystemResolver().query(make_hostname())
+    calls.clear()
+    assert resolve_candidate(make_hostname(), SystemResolver()) == ()
+    assert len(calls) == 1 + RETRIES
+
+
+def test_system_resolver_unreachable_raises_unavailable(monkeypatch):
+    monkeypatch.setattr(socket, "getaddrinfo",
+                        _getaddrinfo_raising(OSError("network is unreachable"), []))
+    with pytest.raises(ResolverUnavailable):
+        SystemResolver().query(make_hostname())
+
+
+def test_system_resolver_collapses_duplicate_addresses_in_order(monkeypatch):
+    answer = ["198.18.0.2", "198.18.0.1", "198.18.0.2", "2001:db8::1", "198.18.0.1"]
+
+    def getaddrinfo(host, port, *args, **kwargs):
+        return [(socket.AF_INET, socket.SOCK_STREAM, 6, "", (address, 0)) for address in answer]
+
+    monkeypatch.setattr(socket, "getaddrinfo", getaddrinfo)
+    assert SystemResolver().query(make_hostname()) == ("198.18.0.2", "198.18.0.1", "2001:db8::1")
+
+
+def test_system_resolver_resolves_localhost():
+    # answered from the hosts file; getaddrinfo lists it once per socket type
+    assert SystemResolver().query("localhost").count("127.0.0.1") == 1
 
 
 def _covering_wordlists(fleet, extra_airports=()):
@@ -115,9 +185,13 @@ def test_run_crawl_finds_covered_subset():
         protocols=("ipv4",),
         max_server_counter=10,
     )
-    records = run_crawl(lists, ZoneResolver(fleet.zone()), None)
+    resolver = ZoneResolver(fleet.zone())
+    resolver.now_ns = lambda: 123
+    records = run_crawl(lists, resolver, None)
     assert {r.hostname for r in records} == {s.name for s in covered}
     assert len(records) == 7
+    # each record is stamped with the resolver's clock
+    assert {(r.first_seen_ns, r.last_seen_ns) for r in records} == {(123, 123)}
 
 
 def test_run_crawl_empty_zone():

@@ -1,5 +1,6 @@
 """Probe engine: pacing, scheduling, campaign execution; ICMP packet codecs."""
 
+import dataclasses
 import json
 import socket
 import struct
@@ -30,7 +31,7 @@ from fleetscope.transport import (
     reply_columns,
 )
 
-from conftest import make_fleet, make_server, reply_dict
+from conftest import make_fleet, make_server, public_methods, reply_dict
 from responder_oracle import ScalarTransport
 
 
@@ -400,6 +401,48 @@ def test_a_late_last_send_never_brings_the_next_visit_closer_than_the_interval()
     assert (gaps >= interval_ns).all(), f"a gap of {gaps.min() / 1e6:.3f} ms"
 
 
+class VirtualStallingTransport(ScriptedTransport):
+    """Virtual clock that no reply reaches; its send number ``i`` moves the
+    clock forward by ``stalls_ns[i % len(stalls_ns)]`` after reading it.
+    ``sends`` holds each target's send times in the order they were made."""
+
+    def __init__(self, stalls_ns):
+        super().__init__(lambda sent_ns: {})
+        self.stalls_ns = stalls_ns
+        self.sends: dict[str, list[int]] = {}
+        self.count = 0
+
+    def send_echo(self, target: str, seq: int) -> int:
+        sent = super().send_echo(target, seq)
+        self.sends.setdefault(target, []).append(sent)
+        self.clock_ns += self.stalls_ns[self.count % len(self.stalls_ns)]
+        self.count += 1
+        return sent
+
+
+@settings(max_examples=60, deadline=None)
+@given(targets=st.integers(1, 6), workers=st.integers(1, 3), visits=st.integers(2, 3),
+       stalls=st.lists(st.integers(0, 3 * 10_000_000), min_size=1, max_size=40))
+def test_stalled_sends_never_bring_a_targets_echoes_closer_than_the_interval(targets, workers,
+                                                                           visits, stalls):
+    interval_ns = 10_000_000
+    addresses = [f"198.18.9.{i + 1}" for i in range(targets)]
+    params = CampaignParams(probe_interval_s=0.01, dwell_s=0.05, workers=workers,
+                            max_visits_per_hour=None, probe_timeout_s=0.01)
+    cycle_s = plan_campaign(addresses, params).cycle_slots * params.dwell_s
+    params = dataclasses.replace(params, total_duration_s=visits * cycle_s)
+    transport = VirtualStallingTransport(stalls)
+    frames = []
+    run_campaign(addresses, params, transport, frames.append)
+    assert len(frames) == targets * visits
+    assert all(len(frame.sent_ns) == params.probes_per_visit for frame in frames)
+    assert sorted(transport.sends) == sorted(addresses)
+    for target, sent in transport.sends.items():
+        assert len(sent) == visits * params.probes_per_visit
+        gaps = np.diff(sent)
+        assert (gaps >= interval_ns).all(), f"{target}: a gap of {gaps.min() / 1e6:.3f} ms"
+
+
 def test_single_target_worker_waits_out_its_reply_window():
     # The last send at 59.97 s plus the 1 s timeout outlasts a 60 s slot.
     assert plan_campaign(["198.18.0.1"], CampaignParams(workers=1,
@@ -435,21 +478,18 @@ def test_visits_of_a_slot_send_in_step_and_arrive_in_slot_then_worker_order():
         assert len(sent) == 1
 
 
-def _public_methods(cls) -> set[str]:
-    return {name for name in dir(cls) if not name.startswith("_") and callable(getattr(cls, name))}
-
-
 # public methods a transport may have beyond the protocol: the raw socket
 # is closed by its owner, never by run_campaign
 _OUTSIDE_THE_PROTOCOL = {RawIcmpTransport: {"close"}}
 
 
 @pytest.mark.parametrize("cls", [RawIcmpTransport, SimulatedTransport, ScalarTransport,
-                                 ScriptedTransport, RealTimeCounterTransport, StallingTransport])
+                                 ScriptedTransport, RealTimeCounterTransport, StallingTransport,
+                                 VirtualStallingTransport])
 def test_every_transport_defines_exactly_the_protocol(cls):
-    assert _public_methods(EchoTransport) == {"now_ns", "sleep_until_ns", "send_echo", "end_visit"}
+    assert public_methods(EchoTransport) == {"now_ns", "sleep_until_ns", "send_echo", "end_visit"}
     extra = _OUTSIDE_THE_PROTOCOL.get(cls, set())
-    assert _public_methods(cls) - extra == _public_methods(EchoTransport)
+    assert public_methods(cls) - extra == public_methods(EchoTransport)
 
 
 def _raw_socket_available() -> bool:

@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fleetscope.discovery import OUTCOME_NXDOMAIN, OUTCOME_RESOLVED
 from fleetscope.ipid import IdBehavior
 from fleetscope.simulation import (
     DAY_S,
@@ -152,11 +151,10 @@ def test_fleet_determinism_same_seed():
 def test_zone_resolver_member_and_unknown():
     fleet = make_fleet([make_server(base_pps=1.0)])
     resolver = ZoneResolver(fleet.zone())
-    hit = resolver.query(fleet.servers[0].name)
-    assert hit.outcome == OUTCOME_RESOLVED
-    assert hit.addresses == (fleet.servers[0].address,)
-    miss = resolver.query("ipv4_1-lagg0-c999.1.zzz001.ix.nflxvideo.net")
-    assert miss.outcome == OUTCOME_NXDOMAIN
+    assert resolver.query(fleet.servers[0].name) == (fleet.servers[0].address,)
+    assert resolver.query("ipv4_1-lagg0-c999.1.zzz001.ix.nflxvideo.net") == ()
+    assert resolver.queries == 2
+    assert resolver.now_ns() == 0
 
 
 def test_transport_loss_is_request_side():

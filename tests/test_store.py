@@ -1,6 +1,7 @@
-"""Campaign store: write/scan, sample frames, corruption tolerance, versions, stages."""
+"""Campaign store: write/scan, sample frames, corruption, versions, stages."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -36,17 +37,14 @@ def test_append_scan_round_trip(tmp_path):
     assert list(store.scan("records")) == rows
 
 
-def test_scan_tolerates_truncated_final_line(tmp_path, caplog):
+def test_scan_rejects_a_torn_last_line(tmp_path):
+    # streams are published whole, so a torn line is damage, not a crash to recover from
     store = _committed(CampaignStore(tmp_path / "store"), "records", [{"seq": 1}, {"seq": 2}])
     path = store.stream_path("records")
     with open(path, "a") as fh:
-        fh.write('{"seq": 3, "trunc')  # crash mid-line
-    import logging
-
-    with caplog.at_level(logging.WARNING):
-        rows = list(CampaignStore(tmp_path / "store").scan("records"))
-    assert rows == [{"seq": 1}, {"seq": 2}]
-    assert any("corrupt trailing" in r.message for r in caplog.records)
+        fh.write('{"seq": 3, "trunc')
+    with pytest.raises(StoreError, match=re.escape(f"{path}: line 3: not valid JSON")):
+        list(CampaignStore(tmp_path / "store").scan("records"))
 
 
 def test_scan_rejects_mid_file_corruption(tmp_path):
