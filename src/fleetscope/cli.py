@@ -87,7 +87,6 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("estimate", help="turn stored samples into rate estimates")
     p.add_argument("--samples", default=None, help="samples file (or use --store)")
-    p.add_argument("--interval", default=None)
     p.add_argument("--out", default=None, help="estimates file (or use --store)")
 
     p = sub.add_parser("report", help="aggregate estimates into report CSVs")
@@ -246,15 +245,16 @@ def probe_stage(campaign_store, out, params: probe.CampaignParams, targets: list
     return summary
 
 
-def estimate_stage(campaign_store, out, params: probe.CampaignParams,
+def estimate_stage(campaign_store, out, mtu_bytes: int,
                    frames: Iterable[store.VisitFrame]) -> None:
-    """Estimate each visit as its frame is read, then write every target's
-    flagged series in target order (``ipid.series_estimates``)."""
+    """Estimate each visit as its frame is read, at the interval the frame
+    carries, then write every target's flagged series in target order
+    (``ipid.series_estimates``), in bits at ``mtu_bytes``."""
     with _stage_output(campaign_store, "estimate", "estimates", out) as add:
         if add is None:
             return
-        for est in ipid.series_estimates(frames, params.probe_interval_s, params.mtu_bytes):
-            add(est.to_json())
+        for est in ipid.series_estimates(frames):
+            add(est.to_json(mtu_bytes))
 
 
 def report_stage(campaign_store, out_dir, params: probe.CampaignParams,
@@ -436,7 +436,7 @@ def _cmd_probe(args, params: probe.CampaignParams) -> int:
 def _cmd_estimate(args, params: probe.CampaignParams) -> int:
     _require_out(args, "estimate")
     campaign_store = _open_store(args)
-    estimate_stage(campaign_store, args.out, params,
+    estimate_stage(campaign_store, args.out, params.mtu_bytes,
                    _rows_in(args.samples, campaign_store, "samples"))
     return EXIT_OK
 
@@ -484,7 +484,7 @@ def _cmd_simulate(args, params: probe.CampaignParams) -> int:
     transport = simulation.SimulatedTransport(fleet, loss_rate=args.loss_rate)
     probe_stage(campaign_store, None, params, targets, transport, write_truth)
 
-    estimate_stage(campaign_store, None, params, campaign_store.scan("samples"))
+    estimate_stage(campaign_store, None, params.mtu_bytes, campaign_store.scan("samples"))
     with _naming_estimate_lines(None, campaign_store):
         estimates = _estimates_in(None, campaign_store)
         report_stage(campaign_store, out_dir, params, records, estimates, airports)

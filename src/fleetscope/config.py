@@ -6,8 +6,8 @@ A config file is a JSON object with two optional keys, ``seed`` and
 ``probe_timeout``, ``mtu_bytes``). Any other key is an error. The CLI
 loads it once, with its campaign flags on top: probe paces and schedules
 by it and plans no cycle longer than the revisit period, estimate reads
-the probe interval and MTU, report bins by the revisit period. What is
-unset keeps its ``CampaignParams`` default.
+the MTU (the probe interval it reads from the sample frames), report bins
+by the revisit period. What is unset keeps its ``CampaignParams`` default.
 
 Durations accept plain seconds or strings with units ("30ms", "60s",
 "30m", "10d"). The revisit period must divide 24 hours, because the
@@ -48,7 +48,7 @@ _DURATION_UNITS = {
 
 def parse_duration_s(value, fieldname: str = "duration") -> float:
     """'30ms' -> 0.03; bare numbers are seconds."""
-    if isinstance(value, (int, float)):
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
         return float(value)
     match = _DURATION_RE.match(str(value))
     if not match:
@@ -67,10 +67,15 @@ def _day_divisor_s(value, fieldname: str) -> float:
 
 
 def _int(value, fieldname: str) -> int:
-    try:
-        return int(value)
-    except (TypeError, ValueError) as exc:  # named by its section: "seed" or "campaign"
-        raise ConfigError(fieldname.partition(".")[0], str(exc)) from exc
+    if type(value) is not int:  # a float would truncate, a bool or a string convert
+        raise ConfigError(fieldname, f"expected an integer, not {value!r}")
+    return value
+
+
+def _number(value, fieldname: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(fieldname, f"expected a number, not {value!r}")
+    return float(value)
 
 
 def _optional(parse):  # null: no courtesy cap, the default reply timeout
@@ -87,7 +92,7 @@ _SETTINGS = {
     "campaign.revisit_period": ("revisit_period_s", _day_divisor_s, None),
     "campaign.workers": ("workers", _int, "workers"),
     "campaign.total_duration": ("total_duration_s", parse_duration_s, "duration"),
-    "campaign.max_visits_per_hour": ("max_visits_per_hour", _optional(lambda v, _: float(v)), None),
+    "campaign.max_visits_per_hour": ("max_visits_per_hour", _optional(_number), None),
     "campaign.probe_timeout": ("probe_timeout_s", _optional(parse_duration_s), None),
     "campaign.mtu_bytes": ("mtu_bytes", _int, None),
 }

@@ -40,6 +40,7 @@ ALIAS_RISK_VISIT_FRACTION = 0.02
 ALIAS_AUTOCORR_THRESHOLD = 0.2
 ALIAS_MEAN_BOUND_FACTOR = 0.5
 DAY_S = 86400.0
+AUTOCORR_BIN_S = 1800.0
 
 
 class InsufficientSamples(ValueError):
@@ -107,7 +108,6 @@ def classify_replies(sent_ns: np.ndarray, ids: np.ndarray) -> IdBehavior:
 class RateEstimate:
     """Traffic estimate for one visit window.
 
-    ``bits_per_second`` converts packets to bits at the assumed MTU.
     ``ambiguity_risk`` marks estimates close to the single-wrap ceiling;
     ``lower_bound_only`` marks targets whose series shows the sampling was
     too slow, so values underestimate the real traffic.
@@ -117,23 +117,21 @@ class RateEstimate:
     window_start_ns: int
     window_end_ns: int
     packets_per_second: float
-    bits_per_second: float
-    mtu_bytes: int
-    id_behavior: IdBehavior
     segments_used: int
     ambiguity_risk: bool = False
     lower_bound_only: bool = False
 
-    def to_json(self) -> dict:
+    def to_json(self, mtu_bytes: int) -> dict:
+        """The estimates row; only a global counter is ever estimated."""
         return {
             "target": self.target,
             "window_start_ns": self.window_start_ns,
             "window_end_ns": self.window_end_ns,
             "pps": self.packets_per_second,
-            "bps": self.bits_per_second,
-            "mtu_bytes": self.mtu_bytes,
+            "bps": self.packets_per_second * mtu_bytes * 8,
+            "mtu_bytes": mtu_bytes,
             "flags": {
-                "id_behavior": self.id_behavior.value,
+                "id_behavior": IdBehavior.GLOBAL_COUNTER.value,
                 "segments_used": self.segments_used,
                 "ambiguity_risk": self.ambiguity_risk,
                 "lower_bound_only": self.lower_bound_only,
@@ -141,36 +139,30 @@ class RateEstimate:
         }
 
 
-def estimate_replies(
-    target: str,
-    start_ns: int,
-    end_ns: int,
-    sent_ns: np.ndarray,
-    ids: np.ndarray,
-    interval_s: float,
-    mtu_bytes: int = 1500,
-    behavior: IdBehavior | None = None,
-) -> RateEstimate:
-    """Estimate a visit's mean packet and bit rate from its answered probes.
+def estimate_replies(frame: VisitFrame, behavior: IdBehavior | None = None) -> RateEstimate:
+    """Estimate a visit's mean packet rate from its answered probes.
 
-    ``sent_ns`` and ``ids`` are int64 arrays in send order; the window is
-    ``start_ns``..``end_ns``. The visit splits into segments at gaps longer
-    than three intervals (beyond that, multi-wrap risk grows even for
-    modest rates). Within a segment, wrap-corrected deltas between
-    consecutive replies are summed; gaps spanning several intervals (probe
-    loss) additionally resolve how many whole wraps they hide using the
-    segment's single-interval rate. One reply packet per observed echo is
-    our own traffic and is subtracted.
+    The window is the frame's ``start_ns``..``end_ns``, and the probe
+    interval is the frame's (``VisitFrame.interval_ns``). The visit splits
+    into segments at gaps longer than three intervals (beyond that,
+    multi-wrap risk grows even for modest rates). Within a segment,
+    wrap-corrected deltas between consecutive replies are summed; gaps
+    spanning several intervals (probe loss) additionally resolve how many
+    whole wraps they hide using the segment's single-interval rate. One
+    reply packet per observed echo is our own traffic and is subtracted.
 
-    Raises ``NotACounter`` unless the target keeps a global counter and
+    ``behavior``, when given, stands in for ``classify_replies``. Raises
+    ``NotACounter`` unless the target keeps a global counter and
     ``InsufficientSamples`` below two usable replies.
     """
+    sent_ns, ids = frame.replies()
     if ids.size < 2:
         raise InsufficientSamples(f"need >= 2 replies to estimate, got {ids.size}")
+    interval_s = frame.interval_ns / 1e9
     if behavior is None:
         behavior = classify_replies(sent_ns, ids)
     if behavior is not IdBehavior.GLOBAL_COUNTER:
-        raise NotACounter(f"{target} ID behavior is {behavior.value}")
+        raise NotACounter(f"{frame.target} ID behavior is {behavior.value}")
 
     gaps_ns = np.diff(sent_ns)
     in_segment = gaps_ns <= GAP_SPLIT_FACTOR * (interval_s * 1e9)
@@ -199,64 +191,51 @@ def estimate_replies(
     typical_gap = float(np.median(gaps))
     risk = pps > RISK_BOUND_FACTOR * ambiguity_bound(typical_gap)
     return RateEstimate(
-        target=target,
-        window_start_ns=start_ns,
-        window_end_ns=end_ns,
+        target=frame.target,
+        window_start_ns=frame.start_ns,
+        window_end_ns=frame.end_ns,
         packets_per_second=pps,
-        bits_per_second=pps * mtu_bytes * 8,
-        mtu_bytes=mtu_bytes,
-        id_behavior=behavior,
         segments_used=segments,
         ambiguity_risk=risk,
     )
 
 
-def daily_autocorrelation(
-    estimates: Sequence[RateEstimate], bin_s: float = 1800.0
-) -> float | None:
-    """Correlation of the binned rate series with itself one day later.
+def daily_autocorrelation(estimates: Sequence[RateEstimate]) -> float | None:
+    """Correlation of the rate series, in ``AUTOCORR_BIN_S`` bins, with
+    itself one day later.
 
     Returns None when the series is too short (fewer than 12 aligned bin
     pairs) or has no variance, in which case no structure claim is made.
     """
     if not estimates:
         return None
-    bin_ns = round(bin_s * 1e9)
-    lag_bins = round(DAY_S / bin_s)
+    bin_ns = round(AUTOCORR_BIN_S * 1e9)
+    lag_bins = round(DAY_S / AUTOCORR_BIN_S)
     bins: dict[int, list[float]] = {}
     for est in estimates:
         mid = (est.window_start_ns + est.window_end_ns) // 2
         bins.setdefault(mid // bin_ns, []).append(est.packets_per_second)
     means = {b: sum(v) / len(v) for b, v in bins.items()}
-    now_vals = []
-    later_vals = []
-    for b, value in means.items():
-        later = means.get(b + lag_bins)
-        if later is not None:
-            now_vals.append(value)
-            later_vals.append(later)
-    if len(now_vals) < 12:
+    aligned = [(value, means[b + lag_bins]) for b, value in means.items() if b + lag_bins in means]
+    if len(aligned) < 12:
         return None
-    x = np.asarray(now_vals)
-    y = np.asarray(later_vals)
+    x, y = (np.array(column) for column in zip(*aligned))
     if x.std() == 0 or y.std() == 0:
         return None
     return float(np.corrcoef(x, y)[0, 1])
 
 
-def flag_series(estimates: Iterable[RateEstimate], interval_s: float) -> list[RateEstimate]:
-    """One target's estimates in window order, with under-sampling flagged.
+def _flag_series(estimates: list[RateEstimate], interval_s: float) -> list[RateEstimate]:
+    """One target's estimates (at least one) in window order, with
+    under-sampling flagged.
 
     The target is reported as lower-bound-only when ambiguity risk recurs
     across its visits, or when its series oscillates at high values with
     no daily structure (day-lag autocorrelation below threshold while the
     mean exceeds half the single-wrap ceiling); all of its estimates then
-    carry the flag. Empty input yields an empty series.
+    carry the flag.
     """
     estimates = sorted(estimates, key=lambda e: e.window_start_ns)
-    if not estimates:
-        return []
-
     risk_fraction = sum(e.ambiguity_risk for e in estimates) / len(estimates)
     mean_pps = sum(e.packets_per_second for e in estimates) / len(estimates)
     autocorr = daily_autocorrelation(estimates)
@@ -270,26 +249,22 @@ def flag_series(estimates: Iterable[RateEstimate], interval_s: float) -> list[Ra
     return estimates
 
 
-def series_estimates(
-    frames: Iterable[VisitFrame],
-    interval_s: float,
-    mtu_bytes: int = 1500,
-) -> list[RateEstimate]:
+def series_estimates(frames: Iterable[VisitFrame]) -> list[RateEstimate]:
     """One estimate per valid visit, each target's series flagged by
-    ``flag_series``, ordered by target and then window.
+    ``_flag_series`` at the interval of its first estimated frame, ordered
+    by target and then window.
 
     Visits that are not estimable (``InsufficientSamples``,
     ``NotACounter``) are skipped. The frames are read once, in order, and
     may cover any number of targets.
     """
-    per_target: dict[str, list[RateEstimate]] = {}
+    per_target: dict[str, tuple[float, list[RateEstimate]]] = {}
     for frame in frames:
         try:
-            est = estimate_replies(frame.target, frame.start_ns, frame.end_ns, *frame.replies(),
-                                   interval_s, mtu_bytes)
+            est = estimate_replies(frame)
         except (InsufficientSamples, NotACounter) as exc:
             logger.debug("skipping visit of %s: %s", frame.target, exc)
             continue
-        per_target.setdefault(frame.target, []).append(est)
-    return [est for target in sorted(per_target)
-            for est in flag_series(per_target[target], interval_s)]
+        per_target.setdefault(frame.target, (frame.interval_ns / 1e9, []))[1].append(est)
+    return [est for _, (interval_s, series) in sorted(per_target.items())
+            for est in _flag_series(series, interval_s)]

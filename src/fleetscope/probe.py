@@ -74,8 +74,8 @@ class CampaignParams:
         # matched by sequence number within a visit.
         if self.probes_per_visit > MAX_PROBES_PER_VISIT:
             raise ValueError(f"a visit must send at most {MAX_PROBES_PER_VISIT} probes")
-        if round(self.effective_timeout_s * 1e9) > MAX_RTT_NS:
-            raise ValueError(f"the reply timeout must be at most {MAX_RTT_NS / 1e9} s")
+        if not 0 < round(self.effective_timeout_s * 1e9) <= MAX_RTT_NS:
+            raise ValueError(f"the reply timeout must be > 0 and at most {MAX_RTT_NS / 1e9} s")
 
     @property
     def probes_per_visit(self) -> int:

@@ -11,11 +11,12 @@ manifest tracks schema versions and stage completion markers so a
 finished stage is never re-run and stages complete in pipeline order.
 
 A sample frame is little-endian: the header ``FRAME_MAGIC``, ``start_ns``
-(i64), ``end_ns`` (i64), the probe count (u32) and the target's length
-(u8) followed by the target in ASCII; then one array per column, each
-``count`` long: ``sent_ns`` (i64), ``rtt_ns`` (u32, ``LOST_RTT`` for a
-lost probe) and ``ipid`` (u16, 0 for a lost probe). A probe's sequence
-number is its index in the arrays.
+(i64), ``end_ns`` (i64; the last send plus the probe interval), the probe
+count (u32) and the target's length (u8) followed by the target in ASCII;
+then one array per column, each ``count`` long: ``sent_ns`` (i64),
+``rtt_ns`` (u32, ``LOST_RTT`` for a lost probe) and ``ipid`` (u16, 0 for a
+lost probe). A probe's sequence number is its index in the arrays. The
+frames of one stream share one interval.
 """
 
 from __future__ import annotations
@@ -87,6 +88,11 @@ class VisitFrame:
     rtt_ns: np.ndarray  # uint32, LOST_RTT where the probe was lost
     ipid: np.ndarray  # uint16
 
+    @property
+    def interval_ns(self) -> int:
+        """The probe interval: ``end_ns`` is the last send plus one interval."""
+        return self.end_ns - int(self.sent_ns[-1])
+
     def replies(self) -> tuple[np.ndarray, np.ndarray]:
         """Send times and IDs (both int64) of the answered probes, in order."""
         answered = self.rtt_ns != LOST_RTT
@@ -109,12 +115,15 @@ def encode_frame(frame: VisitFrame) -> bytes:
 def read_frames(path: str | Path) -> Iterator[VisitFrame]:
     """Yield the frames of a samples file in order, one at a time.
 
-    A frame file is only ever published whole, so a short read, a bad magic
-    or send times that do not increase anywhere raise ``StoreError``.
+    A frame file is only ever published whole, so a short read, a bad magic,
+    send times that do not increase anywhere, an ``end_ns`` not after the
+    last send or an interval other than the first frame's (a stream is one
+    campaign) raise ``StoreError``.
     """
     path = Path(path)
     with open(path, "rb") as fh:
         offset = 0
+        first_interval_ns = None
         while header := fh.read(_FRAME_HEADER.size):
             if not header.startswith(FRAME_MAGIC):
                 if offset == 0 and header.startswith(b"{"):
@@ -133,6 +142,15 @@ def read_frames(path: str | Path) -> Iterator[VisitFrame]:
             if (np.diff(sent_ns) <= 0).any():
                 raise StoreError(f"{path.name}: send times do not increase in the frame "
                                  f"at byte {offset}")
+            if count:  # the estimator reads the probe interval from each frame
+                interval_ns = end_ns - int(sent_ns[-1])
+                if interval_ns <= 0:
+                    raise StoreError(f"{path.name}: end_ns is not after the last send in the "
+                                     f"frame at byte {offset}")
+                first_interval_ns = first_interval_ns or interval_ns
+                if interval_ns != first_interval_ns:
+                    raise StoreError(f"{path.name}: the frame at byte {offset} has an interval of "
+                                     f"{interval_ns} ns, the first frame {first_interval_ns} ns")
             yield VisitFrame(
                 body[:target_len].decode("ascii"), start_ns, end_ns, sent_ns,
                 np.frombuffer(body, "<u4", count, arrays),

@@ -1,7 +1,7 @@
 """Reference report: the dict-of-lists aggregation that ``fleetscope.analytics``'s
 columnar group-by replaced, kept so property tests can compare the two.
 
-It reads one ``RateEstimate`` per row (``estimate_from_json``) and groups
+It reads one ``EstimateRow`` per row (``estimate_from_json``) and groups
 them with dicts of lists, as the report did before ``EstimateTable``. Two
 changes from that code: every sum is an explicit left-to-right loop
 (``sum()`` of floats is compensated from Python 3.12 on), and each
@@ -26,25 +26,31 @@ from fleetscope.analytics import (
     traffic_cdf,
 )
 from fleetscope.discovery import ServerRecord
-from fleetscope.ipid import IdBehavior, RateEstimate
 from fleetscope.validation import AirportDatabase
 
 UTC = dt.timezone.utc
 
 
-def estimate_from_json(obj: dict) -> RateEstimate:
-    flags = obj["flags"]
-    return RateEstimate(
+@dataclass(frozen=True)
+class EstimateRow:
+    """The fields of an estimates row that the report reads."""
+
+    target: str
+    window_start_ns: int
+    window_end_ns: int
+    packets_per_second: float
+    bits_per_second: float
+    lower_bound_only: bool
+
+
+def estimate_from_json(obj: dict) -> EstimateRow:
+    return EstimateRow(
         target=obj["target"],
         window_start_ns=obj["window_start_ns"],
         window_end_ns=obj["window_end_ns"],
         packets_per_second=obj["pps"],
         bits_per_second=obj["bps"],
-        mtu_bytes=obj["mtu_bytes"],
-        id_behavior=IdBehavior(flags["id_behavior"]),
-        segments_used=flags["segments_used"],
-        ambiguity_risk=flags["ambiguity_risk"],
-        lower_bound_only=flags["lower_bound_only"],
+        lower_bound_only=obj["flags"]["lower_bound_only"],
     )
 
 
@@ -57,7 +63,7 @@ def _sequential_sum(values: Iterable[float]):
 
 
 def detect_peaks(
-    estimates: Iterable[RateEstimate],
+    estimates: Iterable[EstimateRow],
     operator_kinds: Mapping[str, str],
     bin_s: float = DEFAULT_BIN_S,
 ) -> list[PeakObservation]:
@@ -101,7 +107,7 @@ class ServerSeries:
 
 
 def _join_series(
-    estimates: Iterable[RateEstimate],
+    estimates: Iterable[EstimateRow],
     records: Sequence[ServerRecord],
     bin_s: float,
 ) -> list[ServerSeries]:
@@ -190,7 +196,7 @@ def _seconds_to_hhmm(seconds: int) -> str:
 def write_reports(
     out_dir: str | Path,
     records: Sequence[ServerRecord],
-    estimates: Sequence[RateEstimate],
+    estimates: Sequence[EstimateRow],
     airports: AirportDatabase | None = None,
     continents: Mapping[str, str] | None = None,
     bin_s: float = DEFAULT_BIN_S,

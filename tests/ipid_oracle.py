@@ -117,7 +117,6 @@ def _segments(live: list[ProbeSample], split_ns: float) -> list[list[ProbeSample
 def estimate_rate(
     visit: VisitLog,
     interval_s: float,
-    mtu_bytes: int = 1500,
     behavior: IdBehavior | None = None,
     subtract_self: bool = True,
 ) -> RateEstimate:
@@ -165,9 +164,6 @@ def estimate_rate(
         window_start_ns=visit.start_ns,
         window_end_ns=visit.end_ns,
         packets_per_second=pps,
-        bits_per_second=pps * mtu_bytes * 8,
-        mtu_bytes=mtu_bytes,
-        id_behavior=behavior,
         segments_used=len(segments),
         ambiguity_risk=risk,
     )

@@ -74,7 +74,7 @@ def test_c01_estimator_accuracy():
         per_target.setdefault(visit.target, []).append(visit)
     errors = []
     for target, visits in per_target.items():
-        for est in series_estimates(visits, 0.03):
+        for est in series_estimates(visits):
             true_pps = truth[(est.target, est.window_start_ns)]
             errors.append(abs(est.packets_per_second - true_pps) / true_pps)
     assert len(errors) == 200
@@ -140,7 +140,7 @@ def test_c03_above_bound_servers_flagged_every_visit():
     for server in servers:
         visits = []
         run_campaign([server.address], params, SimulatedTransport(fleet), visits.append)
-        estimates = series_estimates(visits, interval)
+        estimates = series_estimates(visits)
         assert len(estimates) == 48
         total_visits += len(estimates)
         flagged_visits += sum(e.lower_bound_only for e in estimates)
@@ -196,7 +196,7 @@ def test_c04_periodic_matches_constant_sampling_below_bound():
         visits = []
         run_campaign([server.address], params, SimulatedTransport(periodic_fleet),
                      visits.append)
-        periodic[server.address] = series_estimates(visits, interval)
+        periodic[server.address] = series_estimates(visits)
 
     constant_fleet = build_fleet()
     constant = {}
@@ -208,7 +208,7 @@ def test_c04_periodic_matches_constant_sampling_below_bound():
             transport = SimulatedTransport(constant_fleet)
             transport.sleep_until_ns(round(k * dwell * 1e9))
             visits.append(one_visit(server.address, interval, dwell, transport))
-        constant[server.address] = series_estimates(visits, interval)
+        constant[server.address] = series_estimates(visits)
 
     rms_values = []
     for i, server in enumerate(periodic_fleet.servers):
@@ -266,10 +266,10 @@ def test_c05_peak_times_recovered_across_timezones():
     for server in fleet.servers:
         visits = []
         run_campaign([server.address], params, SimulatedTransport(fleet), visits.append)
-        estimates.extend(series_estimates(visits, interval))
+        estimates.extend(series_estimates(visits))
         kinds[server.address] = "isp" if ".isp." in server.name else "ixp"
 
-    peaks = detect_peaks(EstimateTable.from_rows(e.to_json() for e in estimates), kinds,
+    peaks = detect_peaks(EstimateTable.from_rows(e.to_json(1500) for e in estimates), kinds,
                          bin_s=1800.0)
     by_tz = {f"198.18.40.{i + 1}": zones[i // 2][1] for i in range(10)}
 
@@ -470,7 +470,7 @@ def test_c08_validation_taxonomy_proportions():
 
 
 def test_c09_rollup_conservation_across_groupings():
-    from fleetscope.ipid import IdBehavior, RateEstimate
+    from fleetscope.ipid import RateEstimate
 
     rng = random.Random("acceptance:c9")
     airports = AirportDatabase.bundled()
@@ -494,13 +494,10 @@ def test_c09_rollup_conservation_across_groupings():
                 window_start_ns=b * 1800 * 10**9,
                 window_end_ns=(b * 1800 + 60) * 10**9,
                 packets_per_second=pps,
-                bits_per_second=pps * 1500 * 8,
-                mtu_bytes=1500,
-                id_behavior=IdBehavior.GLOBAL_COUNTER,
                 segments_used=1,
             ))
 
-    joined = join_series(EstimateTable.from_rows(e.to_json() for e in estimates), records)
+    joined = join_series(EstimateTable.from_rows(e.to_json(1500) for e in estimates), records)
     total = sum(r.mean_bps for r in rollup(joined, "operator_kind", airports, continents))
     worst = 0.0
     for grouping in ("location", "country", "continent", "operator_kind"):

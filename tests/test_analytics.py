@@ -20,7 +20,7 @@ from fleetscope.analytics import (
     write_reports,
 )
 from fleetscope.discovery import ServerRecord
-from fleetscope.ipid import IdBehavior, RateEstimate
+from fleetscope.ipid import RateEstimate
 from fleetscope.names import parse_server_name
 from fleetscope.validation import AirportDatabase, load_continent_table
 
@@ -32,21 +32,18 @@ HOUR_NS = 3600 * 10**9
 DAY_NS = 24 * HOUR_NS
 
 
-def _estimate(target, t_ns, pps, mtu=1500):
+def _estimate(target, t_ns, pps):
     return RateEstimate(
         target=target,
         window_start_ns=t_ns,
         window_end_ns=t_ns + 60 * 10**9,
         packets_per_second=pps,
-        bits_per_second=pps * mtu * 8,
-        mtu_bytes=mtu,
-        id_behavior=IdBehavior.GLOBAL_COUNTER,
         segments_used=1,
     )
 
 
 def _table(estimates):
-    return EstimateTable.from_rows(e.to_json() for e in estimates)
+    return EstimateTable.from_rows(e.to_json(1500) for e in estimates)
 
 
 def _sinusoid_series(target, peak_utc_s, days=1, step_s=1800, base=1000.0, amp=0.5):

@@ -184,7 +184,7 @@ def test_store_backed_pipeline_across_commands(tmp_path, small_fleet_file):
                  "--out", str(copies / "samples.bin")])
     assert code == EXIT_OK
 
-    code = main(["--store", str(store_dir), "estimate", "--interval", "30ms",
+    code = main(["--store", str(store_dir), "estimate",
                  "--out", str(copies / "estimates.jsonl")])
     assert code == EXIT_OK
     for name in ("records.jsonl", "verdicts.jsonl", "samples.bin", "estimates.jsonl"):
@@ -529,22 +529,58 @@ def test_seed_flag_reaches_probe(tmp_path, small_fleet_file):
     assert by_flag != probe_with([], "default.bin")  # the seed orders the schedule
 
 
-def test_config_interval_reaches_estimate(tmp_path, small_fleet_file):
-    targets = _targets_file(tmp_path, small_fleet_file)
-    config = tmp_path / "interval.json"
-    config.write_text(json.dumps({"campaign": {"probe_interval": "60ms"}}))
-    samples = tmp_path / "samples.bin"
-    assert main(["--config", str(config), "probe", "--targets", str(targets),
-                 "--transport", f"sim:{small_fleet_file}", "--dwell", "6s",
-                 "--workers", "3", "--duration", "30s", "--out", str(samples)]) == EXIT_OK
-    by_config = tmp_path / "by_config.jsonl"
-    by_flag = tmp_path / "by_flag.jsonl"
-    assert main(["--config", str(config), "estimate", "--samples", str(samples),
-                 "--out", str(by_config)]) == EXIT_OK
-    assert main(["estimate", "--samples", str(samples), "--interval", "60ms",
-                 "--out", str(by_flag)]) == EXIT_OK
-    assert by_config.read_text()
-    assert by_config.read_bytes() == by_flag.read_bytes()
+def test_config_interval_reaches_estimate(tmp_path, small_fleet_file, capsys):
+    # the probe interval reaches estimate through the frames alone: estimate
+    # gets neither a flag nor the campaign's config, and the default
+    # interval (30 ms) is neither of these
+    for interval in ("10ms", "50ms"):
+        config = tmp_path / f"{interval}.json"
+        config.write_text(json.dumps({"campaign": {"probe_interval": interval}}))
+        out = tmp_path / interval
+        assert main(["--config", str(config), "simulate", "--fleet", str(small_fleet_file),
+                     "--out", str(out), "--dwell", "6s", "--workers", "3",
+                     "--duration", "30m", "--loss-rate", "0.02"]) == EXIT_OK
+        estimates = tmp_path / f"{interval}.jsonl"
+        assert main(["estimate", "--samples", str(out / "store" / "samples.bin"),
+                     "--out", str(estimates)]) == EXIT_OK
+        assert (out / "store" / "estimates.jsonl").read_text()
+        assert estimates.read_bytes() == (out / "store" / "estimates.jsonl").read_bytes()
+    assert main(["estimate", "--samples", str(out / "store" / "samples.bin"),
+                 "--interval", "50ms", "--out", str(estimates)]) == EXIT_USAGE
+    assert "unrecognized arguments: --interval" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("campaign", [{"probe_timeout": "0ms"}, {"probe_timeout": -0.5}])
+def test_a_reply_timeout_that_is_not_positive_fails_before_any_stage(
+        tmp_path, small_fleet_file, capsys, campaign):
+    config = tmp_path / "timeout.json"
+    config.write_text(json.dumps({"campaign": campaign}))
+    out = tmp_path / "out"
+    assert main(["--config", str(config), "simulate", "--fleet", str(small_fleet_file),
+                 "--out", str(out)]) == EXIT_STAGE
+    assert "error: campaign: the reply timeout must be > 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("field, value", [
+    ("campaign.workers", 2.7),
+    ("campaign.workers", True),
+    ("seed", "12"),
+    ("campaign.mtu_bytes", 1500.9),
+    ("campaign.max_visits_per_hour", True),
+    ("campaign.max_visits_per_hour", "2"),
+    ("campaign.probe_interval", True),
+])
+def test_a_config_number_of_the_wrong_json_type_is_named(
+        tmp_path, small_fleet_file, capsys, field, value):
+    section, _, key = field.rpartition(".")
+    config = tmp_path / "types.json"
+    config.write_text(json.dumps({section: {key: value}} if section else {key: value}))
+    out = tmp_path / "out"
+    assert main(["--config", str(config), "simulate", "--fleet", str(small_fleet_file),
+                 "--out", str(out)]) == EXIT_STAGE
+    assert f"error: {field}: " in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_config_with_a_removed_key_fails(tmp_path, small_fleet_file, capsys):

@@ -75,11 +75,6 @@ def _classify(frame):
     return classify_replies(*frame.replies())
 
 
-def _estimate(frame, interval_s, mtu_bytes=1500, behavior=None):
-    return estimate_replies(frame.target, frame.start_ns, frame.end_ns, *frame.replies(),
-                            interval_s, mtu_bytes, behavior)
-
-
 def test_detect_counter_from_simulated_server():
     server = make_server(base_pps=1000.0)
     fleet = make_fleet([server])
@@ -118,10 +113,9 @@ def test_estimate_simulated_steady_server_within_two_percent():
     fleet = make_fleet([server])
     transport = SimulatedTransport(fleet)
     visit = one_visit(server.address, 0.03, 60.0, transport)
-    est = _estimate(visit, 0.03)
+    est = estimate_replies(visit)
     (truth,) = (t.true_pps for t in fleet.truth)
     assert est.packets_per_second == pytest.approx(truth, rel=0.02)
-    assert est.bits_per_second == pytest.approx(est.packets_per_second * 1500 * 8)
 
 
 def test_estimate_idle_server_after_self_subtraction():
@@ -130,7 +124,7 @@ def test_estimate_idle_server_after_self_subtraction():
     fleet = make_fleet([server])
     transport = SimulatedTransport(fleet)
     visit = one_visit(server.address, 0.03, 60.0, transport)
-    est = _estimate(visit, 0.03)
+    est = estimate_replies(visit)
     probe_rate = 1 / 0.03
     assert est.packets_per_second <= 0.01 * probe_rate
 
@@ -139,19 +133,36 @@ def test_estimate_conversion_rule():
     # 30 IDs per 30 ms, one of them our own echo reply: (30 - 1) / 0.03 pps,
     # or 11.6 Mbit/s at a 1500-byte MTU.
     ids = [(i * 30) % 65536 for i in range(2001)]
-    est = _estimate(_frame(ids), 0.03, mtu_bytes=1500)
-    assert est.packets_per_second == pytest.approx((30 - 1) / 0.03)
-    assert est.bits_per_second == pytest.approx((30 - 1) / 0.03 * 1500 * 8)
+    row = estimate_replies(_frame(ids)).to_json(1500)
+    assert row["pps"] == pytest.approx((30 - 1) / 0.03)
+    assert row["bps"] == row["pps"] * 1500 * 8
+    assert (row["mtu_bytes"], row["flags"]["id_behavior"]) == (1500, "global_counter")
+    assert list(row) == ["target", "window_start_ns", "window_end_ns", "pps", "bps",
+                         "mtu_bytes", "flags"]
+
+
+@pytest.mark.parametrize("interval_ns", [10_000_000, 50_000_000, 1_000_000_000])
+def test_estimate_reads_the_interval_from_the_frame(interval_ns):
+    # 40,000 IDs per interval with every third probe lost: each 2-interval
+    # gap hides a whole wrap, which the single-interval gaps resolve only
+    # when they are told apart at the frame's own interval
+    ids = [None if i % 3 == 2 else i * 40_000 % 65536 for i in range(101)]
+    frame = _frame(ids, interval_ns)
+    assert frame.interval_ns == interval_ns
+    est = estimate_replies(frame, IdBehavior.GLOBAL_COUNTER)
+    # 100 intervals in 67 gaps between replies, less one own reply per gap
+    assert est.packets_per_second == pytest.approx((100 * 40_000 - 67) / (100 * interval_ns / 1e9))
+    assert est.segments_used == 1
 
 
 def test_estimate_requires_counter_behavior():
     with pytest.raises(NotACounter):
-        _estimate(_frame([7] * 30), 0.03)
+        estimate_replies(_frame([7] * 30))
 
 
 def test_estimate_requires_two_replies():
     with pytest.raises(InsufficientSamples):
-        _estimate(_frame([5] + [None] * 20), 0.03)
+        estimate_replies(_frame([5] + [None] * 20))
 
 
 def test_estimate_survives_loss_gaps_with_wrap_completion():
@@ -159,7 +170,7 @@ def test_estimate_survives_loss_gaps_with_wrap_completion():
     per_gap = 39000
     ids = [(i * per_gap) % 65536 for i in range(200)]
     ids[50] = ids[100] = None
-    est = _estimate(_frame(ids), 0.03, behavior=IdBehavior.GLOBAL_COUNTER)
+    est = estimate_replies(_frame(ids), IdBehavior.GLOBAL_COUNTER)
     # 199 intervals in 197 gaps between replies, less one own reply per gap
     assert est.packets_per_second == pytest.approx((199 * per_gap - 197) / (199 * 0.03))
 
@@ -171,15 +182,15 @@ def test_estimate_splits_segments_on_long_gaps():
     seq = 0
     offset = 0
     counter = 0
-    for _segment in range(2):
+    for segment in range(2):
+        offset += 10 * interval_ns * segment
         for _ in range(50):
             samples.append(ProbeSample("t", seq, offset, offset + 1_000_000, counter % 65536))
             seq += 1
             counter += 30
             offset += interval_ns
-        offset += 10 * interval_ns
     visit = VisitLog("t", 0, offset, samples)
-    est = _estimate(to_frame(visit), 0.03, behavior=IdBehavior.GLOBAL_COUNTER)
+    est = estimate_replies(to_frame(visit), IdBehavior.GLOBAL_COUNTER)
     assert est.segments_used == 2
     # 30 IDs per interval, one of them our own echo reply
     assert est.packets_per_second == pytest.approx((30 - 1) / 0.03)
@@ -190,13 +201,13 @@ def test_no_overcount_against_simulator_truth():
     fleet = make_fleet([server])
     transport = SimulatedTransport(fleet, loss_rate=0.01)
     visit = one_visit(server.address, 0.03, 60.0, transport)
-    est = _estimate(visit, 0.03)
+    est = estimate_replies(visit)
     (truth,) = (t.true_pps for t in fleet.truth)
     assert est.packets_per_second <= truth * 1.001 + 1.0
 
 
 def test_series_estimates_empty_input():
-    assert series_estimates([], 0.03) == []
+    assert series_estimates([]) == []
 
 
 def test_series_estimates_orders_many_targets_and_skips_what_it_cannot_estimate():
@@ -208,14 +219,14 @@ def test_series_estimates_orders_many_targets_and_skips_what_it_cannot_estimate(
                             total_duration_s=60.0, max_visits_per_hour=None, seed=5)
     visits = []
     run_campaign(list(fleet.by_address), params, SimulatedTransport(fleet), visits.append)
-    estimates = series_estimates(iter(visits), 0.03)
+    estimates = series_estimates(iter(visits))
     # the visits of the random-ID and the silent server are skipped
     assert sorted({e.target for e in estimates}) == sorted(s.address for s in counters)
     keys = [(e.target, e.window_start_ns) for e in estimates]
     assert keys == sorted(keys)
     assert len(keys) == sum(1 for v in visits if v.target in {s.address for s in counters})
     per_target = [est for target in sorted(s.address for s in counters)
-                  for est in series_estimates([v for v in visits if v.target == target], 0.03)]
+                  for est in series_estimates([v for v in visits if v.target == target])]
     assert estimates == per_target
 
 
@@ -234,7 +245,7 @@ def test_series_recovers_diurnal_shape():
     server, fleet, visits = _campaign_series(
         base_pps=20_000.0, amplitude=0.5, noise=0.02, hours=24.0
     )
-    estimates = series_estimates(visits, 0.03)
+    estimates = series_estimates(visits)
     truth = {t.start_ns: t.true_pps for t in fleet.truth}
     rel_errors = [
         (e.packets_per_second - truth[e.window_start_ns]) / truth[e.window_start_ns]
@@ -251,7 +262,7 @@ def test_series_flags_above_bound_server_as_lower_bound():
     server, fleet, visits = _campaign_series(
         base_pps=3_000_000.0, amplitude=0.4, noise=0.03, hours=26.0
     )
-    estimates = series_estimates(visits, 0.03)
+    estimates = series_estimates(visits)
     assert estimates
     assert all(e.lower_bound_only for e in estimates)
     ceiling = ambiguity_bound(0.03)
@@ -326,5 +337,5 @@ def test_kernel_matches_the_per_sample_loops(visit_and_interval, behavior):
     visit, interval_s = visit_and_interval
     frame = to_frame(visit)
     assert _outcome(_classify, frame) == _outcome(ipid_oracle.detect_id_behavior, visit.samples)
-    assert _outcome(_estimate, frame, interval_s, 1500, behavior) == _outcome(
-        ipid_oracle.estimate_rate, visit, interval_s, 1500, behavior, subtract_self=True)
+    assert _outcome(estimate_replies, frame, behavior) == _outcome(
+        ipid_oracle.estimate_rate, visit, interval_s, behavior, subtract_self=True)

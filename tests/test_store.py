@@ -15,6 +15,7 @@ from fleetscope.store import (
     StageOrderError,
     StoreError,
     VisitFrame,
+    encode_frame,
 )
 
 
@@ -134,6 +135,24 @@ def test_damaged_frame_is_a_store_error(tmp_path, damage):
         path.write_bytes(data[:sent + 8] + data[sent:sent + 8] + data[sent + 16:])
     with pytest.raises(StoreError, match=damage):
         list(CampaignStore(tmp_path / "store").scan("samples"))
+
+
+@pytest.mark.parametrize("end_after_last_send_ns, reason", [
+    (0, "end_ns is not after the last send in the frame at byte {offset}"),
+    (-1, "end_ns is not after the last send in the frame at byte {offset}"),
+    (60_000_000, "the frame at byte {offset} has an interval of 60000000 ns, "
+                 "the first frame 30000000 ns"),
+])
+def test_a_frame_whose_interval_the_estimator_cannot_use_is_a_store_error(
+        tmp_path, end_after_last_send_ns, reason):
+    first, second = _visit(count=0), _visit()
+    second = VisitFrame(second.target, second.start_ns,
+                        int(second.sent_ns[-1]) + end_after_last_send_ns,
+                        second.sent_ns, second.rtt_ns, second.ipid)
+    store = _committed_samples(tmp_path, [first, _visit(), second, _visit()])
+    offset = len(encode_frame(first)) + len(encode_frame(_visit()))
+    with pytest.raises(StoreError, match=re.escape(reason.format(offset=offset))):
+        list(store.scan("samples"))
 
 
 def test_samples_stream_of_v1_is_a_store_error(tmp_path):
