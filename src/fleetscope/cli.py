@@ -319,26 +319,38 @@ def _rows_in(path: str | None, campaign_store: store.CampaignStore | None, strea
 
 
 def _records_in(path: str | None, campaign_store) -> list[discovery.ServerRecord]:
-    return [discovery.ServerRecord.from_json(obj)
-            for obj in _rows_in(path, campaign_store, "records")]
+    """The records of ``path``, else the store's; a bad row raises its ``_bad_row``."""
+    records = []
+    for row, obj in enumerate(_rows_in(path, campaign_store, "records"), 1):
+        try:
+            records.append(discovery.ServerRecord.from_json(obj))
+        except (KeyError, TypeError, ValueError) as exc:
+            reason = f"no field {exc}" if isinstance(exc, KeyError) else str(exc)
+            raise _bad_row(path, campaign_store, "records", row, reason) from None
+    return records
 
 
 def _estimates_in(path: str | None, campaign_store) -> analytics.EstimateTable:
     return analytics.EstimateTable.from_rows(_rows_in(path, campaign_store, "estimates"))
 
 
+def _bad_row(path: str | None, campaign_store, stream: str, row: int, reason: str) -> ValueError:
+    """A ValueError that names the file and line of the ``row``-th row (from
+    1) of ``stream``'s input: the ``path`` file, else the store's stream."""
+    source = Path(path) if path else campaign_store.stream_path(stream)
+    with open(source) as fh:  # the row-th line that read_jsonl yields
+        lines = (number for number, line in enumerate(fh, 1) if line.strip())
+        line = next(itertools.islice(lines, row - 1, None))
+    return ValueError(f"{source}: line {line}: {reason}")
+
+
 @contextlib.contextmanager
 def _naming_estimate_lines(path: str | None, campaign_store):
-    """Re-raise an ``analytics.BadEstimate`` as a ValueError that names the
-    file and line of its row: the ``path`` file, else the store's stream."""
+    """Re-raise an ``analytics.BadEstimate`` as the ``_bad_row`` of its row."""
     try:
         yield
     except analytics.BadEstimate as exc:
-        source = Path(path) if path else campaign_store.stream_path("estimates")
-        with open(source) as fh:  # the row-th line that read_jsonl yields
-            lines = (number for number, line in enumerate(fh, 1) if line.strip())
-            line = next(itertools.islice(lines, exc.row - 1, None))
-        raise ValueError(f"{source}: line {line}: {exc.reason}") from None
+        raise _bad_row(path, campaign_store, "estimates", exc.row, exc.reason) from None
 
 
 def _cmd_crawl(args) -> int:

@@ -17,6 +17,7 @@ report's bins must tile each UTC day.
 from __future__ import annotations
 
 import json
+import math
 import re
 from dataclasses import replace
 from pathlib import Path
@@ -47,13 +48,16 @@ _DURATION_UNITS = {
 
 
 def parse_duration_s(value, fieldname: str = "duration") -> float:
-    """'30ms' -> 0.03; bare numbers are seconds."""
+    """'30ms' -> 0.03; bare numbers are seconds; NaN and infinities are errors."""
     if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return float(value)
-    match = _DURATION_RE.match(str(value))
-    if not match:
+        seconds = float(value)
+    elif match := _DURATION_RE.match(str(value)):
+        seconds = float(match.group(1)) * _DURATION_UNITS[match.group(2) or "s"]
+    else:
         raise ConfigError(fieldname, f"cannot parse duration {value!r}")
-    return float(match.group(1)) * _DURATION_UNITS[match.group(2) or "s"]
+    if not math.isfinite(seconds):
+        raise ConfigError(fieldname, f"{value!r} is not a finite duration")
+    return seconds
 
 
 def _day_divisor_s(value, fieldname: str) -> float:

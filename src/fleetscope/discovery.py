@@ -113,6 +113,8 @@ class ServerRecord:
 
     @classmethod
     def from_json(cls, obj: dict) -> "ServerRecord":
+        if not isinstance(obj["addresses"], list):  # tuple() would split a string
+            raise ValueError(f"addresses: expected a list, not {obj['addresses']!r}")
         return cls(
             name=parse_server_name(obj["name"], domain_suffix=obj.get("suffix", "nflxvideo.net")),
             addresses=tuple(obj["addresses"]),

@@ -6,13 +6,13 @@ target list so every target is revisited once per cycle. A per-target
 courtesy cap bounds visit frequency; the scheduler inserts idle slots
 rather than revisiting too fast.
 
-One event loop on one thread runs every campaign, on a virtual or a real
-clock alike. It walks the busy slots of each cycle only, so idle slots and
-workers cost nothing, and takes the next due event from a heap: a send
-event sends one probe to each visit of a slot, and a collection event, one
-reply timeout after the slot's last send, passes each of the slot's visits,
-as one ``VisitFrame``, to the caller's ``emit`` function. Between events
-the loop waits in the transport's ``sleep_until_ns``, which is where a real
+One loop on one thread runs every campaign, on a virtual or a real clock
+alike. It walks the busy slots of each cycle in time order, so idle slots
+and workers cost nothing: a send event sends one probe to each visit of a
+slot, and before it the loop collects each earlier slot whose last send
+is one reply timeout old, passing each of its visits, as one
+``VisitFrame``, to the caller's ``emit`` function. Between events the
+loop waits in the transport's ``sleep_until_ns``, which is where a real
 transport reads its replies. Due times are fixed from the campaign's
 start, and the loop reads the clock once per send event: a target whose
 previous send, in this visit or its last one, is less than one interval
@@ -22,10 +22,10 @@ the sends that would follow it by less than the interval.
 
 from __future__ import annotations
 
-import heapq
 import logging
 import math
 import random
+from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -70,6 +70,9 @@ class CampaignParams:
             raise ValueError("total_duration_s must be >= 0")
         if self.mtu_bytes < 1:
             raise ValueError("mtu_bytes must be >= 1")
+        cap = self.max_visits_per_hour
+        if cap is not None and not 0 < cap < math.inf:  # NaN compares false
+            raise CapacityExceeded(f"the courtesy cap must be a finite number > 0, not {cap!r}")
         # Echo sequence numbers are 16-bit on the wire, and replies are
         # matched by sequence number within a visit.
         if self.probes_per_visit > MAX_PROBES_PER_VISIT:
@@ -92,17 +95,16 @@ class CampaignParams:
 
 @dataclass(frozen=True)
 class CampaignSchedule:
-    """The busy slots of one cycle plus the cycle's geometry.
+    """The busy slots of one cycle plus the cycle's length.
 
     ``slots[i]`` holds, in worker order, the targets visited in slot ``i``
-    of each cycle of ``cycle_slots`` slots of ``slot_s`` seconds. The
+    of each cycle of ``cycle_slots`` slots of one dwell each. The
     slots from ``len(slots)`` on are idle padding, added when the raw cycle
     would violate the courtesy cap or revisit a target within its previous
     visit's reply window.
     """
 
     slots: tuple[tuple[str, ...], ...]
-    slot_s: float
     cycle_slots: int
 
 
@@ -122,8 +124,6 @@ def plan_campaign(targets: Sequence[str], params: CampaignParams) -> CampaignSch
     if not unique:
         raise ValueError("targets must be non-empty")
     cap = params.max_visits_per_hour
-    if cap is not None and cap <= 0:
-        raise CapacityExceeded("courtesy cap must allow at least some visits")
 
     order = list(unique)
     random.Random(f"{params.seed}:schedule").shuffle(order)
@@ -150,7 +150,7 @@ def plan_campaign(targets: Sequence[str], params: CampaignParams) -> CampaignSch
             f"{len(order)} targets over {worker_count} workers take "
             f"{cycle_slots * slot_ns / 1e9:g} s per cycle, more than the revisit period "
             f"of {params.revisit_period_s:g} s; this needs {fits}")
-    return CampaignSchedule(slots, params.dwell_s, cycle_slots)
+    return CampaignSchedule(slots, cycle_slots)
 
 
 @dataclass
@@ -174,7 +174,7 @@ def run_campaign(
     """Execute the schedule until the campaign duration elapses, calling
     ``emit`` with each finished visit.
 
-    The visits of slot ``s`` start at ``epoch + s * slot_s``, where the
+    The visits of slot ``s`` start at ``epoch + s * dwell_s``, where the
     epoch is the transport's clock at the call, and send in step. One reply
     timeout after their last send each is emitted, in slot order and then
     worker order.
@@ -182,7 +182,7 @@ def run_campaign(
     if params.total_duration_s <= 0:
         return CampaignSummary()
     schedule = plan_campaign(targets, params)
-    slot_ns = round(schedule.slot_s * 1e9)
+    slot_ns = round(params.dwell_s * 1e9)
     interval_ns = round(params.probe_interval_s * 1e9)
     timeout_ns = round(params.effective_timeout_s * 1e9)
     count = params.probes_per_visit
@@ -193,26 +193,19 @@ def run_campaign(
              for start in range(0, slot_count, schedule.cycle_slots)
              for i, targets_now in enumerate(schedule.slots) if start + i < slot_count)
     epoch_ns = transport.now_ns()
-    # (due_ns, slot, probe index, visits): index ``count`` collects the
-    # slot's replies. At equal due times a slot's collection comes before a
-    # later slot's first send, which may revisit the same target.
-    events: list[tuple[int, int, int, list[tuple[str, list[int]]]]] = []
-
-    def schedule_next_slot() -> None:
-        following = next(slots, None)
-        if following is not None:
-            slot, visits = following
-            heapq.heappush(events, (epoch_ns + slot * slot_ns, slot, 0, visits))
-
     answered: set[str] = set()
     # each target's latest send, from any visit; the clock never reads below the epoch
     last_sent_ns = dict.fromkeys(targets, epoch_ns - interval_ns)
     totals = CampaignSummary()
-    schedule_next_slot()
-    while events:
-        due_ns, slot, index, visits = heapq.heappop(events)
-        transport.sleep_until_ns(due_ns)
-        if index == count:
+    # (due_ns, visits) of the sent slots not yet collected. A slot's sends
+    # end before the next slot's begin (``count`` intervals fit in a dwell),
+    # so sends and collections alike fall due in slot order.
+    pending: deque[tuple[int, list[tuple[str, list[int]]]]] = deque()
+
+    def collect_until(t_ns: float) -> None:
+        while pending and pending[0][0] <= t_ns:
+            due_ns, visits = pending.popleft()
+            transport.sleep_until_ns(due_ns)
             for target, sent in visits:
                 sent_ns = np.array(sent, dtype=np.int64)
                 visit = _visit_frame(target, sent_ns, transport.end_visit(target, sent_ns),
@@ -224,20 +217,25 @@ def run_campaign(
                 totals.losses += losses
                 if losses < count:
                     answered.add(target)
-            continue
-        now_ns = transport.now_ns()
-        if index == 0:
-            schedule_next_slot()
-        for target, sent in visits:
-            resume_ns = last_sent_ns[target] + interval_ns
-            if now_ns < resume_ns:
-                # a late send must not bring this target's next one closer
-                transport.sleep_until_ns(resume_ns)
-                now_ns = transport.now_ns()
-            at_ns = last_sent_ns[target] = transport.send_echo(target, index)
-            sent.append(at_ns)
-        step_ns = timeout_ns if index + 1 == count else interval_ns
-        heapq.heappush(events, (due_ns + step_ns, slot, index + 1, visits))
+
+    for slot, visits in slots:
+        for index in range(count):
+            due_ns = epoch_ns + slot * slot_ns + index * interval_ns
+            # a collection due at a send's time comes first: the send may
+            # revisit the same target
+            collect_until(due_ns)
+            transport.sleep_until_ns(due_ns)
+            now_ns = transport.now_ns()
+            for target, sent in visits:
+                resume_ns = last_sent_ns[target] + interval_ns
+                if now_ns < resume_ns:
+                    # a late send must not bring this target's next one closer
+                    transport.sleep_until_ns(resume_ns)
+                    now_ns = transport.now_ns()
+                at_ns = last_sent_ns[target] = transport.send_echo(target, index)
+                sent.append(at_ns)
+        pending.append((due_ns + timeout_ns, visits))
+    collect_until(math.inf)
 
     totals.reachable = tuple(sorted(answered))
     totals.unreachable = tuple(sorted(set(targets) - answered))

@@ -31,10 +31,6 @@ from .transport import Replies
 DAY_S = 86400.0
 
 
-class TimeRegression(ValueError):
-    """A responder was asked to advance backwards in time."""
-
-
 def parse_hhmm(text: str) -> float:
     """'23:30' -> seconds since local midnight."""
     hours, _, minutes = text.partition(":")
@@ -89,10 +85,6 @@ class TrafficProfile:
             total += self.fill_extra_pps * (days * 0.5 * width + partial)
         return total
 
-    def packets_between(self, t0_s: float, t1_s: float) -> float:
-        """Exact deterministic packet count sent over [t0, t1]."""
-        return self._cumulative(t1_s) - self._cumulative(t0_s)
-
 
 @dataclass
 class SimulatedServer:
@@ -115,36 +107,16 @@ class SimulatedServer:
         self._noise_rng = random.Random(f"{seed}:{self.address}:noise")
         self._id_rng = random.Random(f"{seed}:{self.address}:ids")
 
-    def advance(self, to_ns: int) -> None:
-        """Integrate the profile up to ``to_ns``.
+    def advance(self, times_ns: Sequence[int]) -> np.ndarray:
+        """Integrate the profile up to each of ``times_ns`` in turn: returns
+        the background packet count at each, as float64.
 
-        Noise applies multiplicatively per advance step, so the realized
-        counter depends on the step sequence; a fixed seed and campaign
-        replays identically.
+        The clock never moves backwards: a time behind it moves nothing.
+        Each time that moves the clock is one integration step, and noise
+        applies multiplicatively per step, so the realized counter depends
+        on the step sequence; a fixed seed and campaign replays identically.
         """
-        if to_ns < self.time_ns:
-            raise TimeRegression(f"{self.address}: {to_ns} < {self.time_ns}")
-        if to_ns == self.time_ns:
-            return
-        packets = self.profile.packets_between(self.time_ns / 1e9, to_ns / 1e9)
-        if self._noise_rng is not None and self.profile.noise_rel > 0 and packets > 0:
-            packets = max(0.0, packets * (1.0 + self.profile.noise_rel * self._noise_rng.gauss(0.0, 1.0)))
-        self.background_packets += packets
-        self.time_ns = to_ns
-
-    def serve_visit(self, at_ns: Sequence[int]) -> np.ndarray:
-        """Answer echoes arriving at the ascending times ``at_ns``: returns
-        each reply's IP ID, as int64.
-
-        Each echo first advances the profile to its arrival, one ``advance``
-        step per echo that finds the clock behind it, and then reads the ID;
-        the reply itself moves the counter by one. The steps' counts, noise
-        draws and running sum are those of one ``advance`` call per echo.
-        """
-        count = len(at_ns)
-        if not count:
-            return np.zeros(0, dtype=np.int64)
-        bounds = list(itertools.accumulate(at_ns, max, initial=self.time_ns))
+        bounds = list(itertools.accumulate(times_ns, max, initial=self.time_ns))
         cumulative = self.profile._cumulative
         # a boundary equal to the previous one makes no step: its count is 0.0
         packets = np.diff([cumulative(t / 1e9) for t in bounds])
@@ -154,9 +126,18 @@ class SimulatedServer:
             gauss = self._noise_rng.gauss
             noise = np.array([gauss(0.0, 1.0) for _ in range(int(np.count_nonzero(stepped)))])
             packets[stepped] = np.maximum(0.0, packets[stepped] * (1.0 + noise_rel * noise))
-        background = np.cumsum(np.concatenate(([self.background_packets], packets)))[1:]
+        # cumsum adds in order: each count is the one before plus its step
+        background = np.cumsum(np.concatenate(([self.background_packets], packets)))
         self.background_packets = float(background[-1])
         self.time_ns = bounds[-1]
+        return background[1:]
+
+    def serve_visit(self, at_ns: Sequence[int]) -> np.ndarray:
+        """Answer echoes arriving at the ascending times ``at_ns``: ``advance``
+        to each, then read its reply's IP ID (returned as int64); the reply
+        itself moves the counter by one."""
+        count = len(at_ns)
+        background = self.advance(at_ns)
         if self.id_behavior is IdBehavior.GLOBAL_COUNTER:
             # int() of each running sum, plus the replies served before it
             ids = (background.astype(np.int64) + self.reply_packets + np.arange(count)) & 0xFFFF
@@ -332,7 +313,7 @@ class SimulatedTransport:
             return none, none, none
         # Python ints keep the responder's clock and the truth row's repr exact
         start_ns, end_ns = int(sent_ns[0]), int(sent_ns[-1])
-        server.advance(max(start_ns, server.time_ns))
+        server.advance([start_ns])
         start_packets = server.background_packets
         seq = np.arange(len(sent_ns), dtype=np.int64)
         if self.loss_rate:
@@ -341,7 +322,7 @@ class SimulatedTransport:
         delivered = sent_ns[seq]
         ip_id = server.serve_visit((delivered + server.rtt_ns // 2).tolist())
         if end_ns > start_ns:
-            server.advance(max(end_ns, server.time_ns))
+            server.advance([end_ns])
             # the counter moved up to the last serve, half an RTT past the last send
             pps = (server.background_packets - start_packets) / ((server.time_ns - start_ns) / 1e9)
             self.fleet.truth.append(TruthRecord(target, start_ns, end_ns, pps))

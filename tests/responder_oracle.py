@@ -2,11 +2,12 @@
 and the per-visit ``SimulatedTransport.end_visit`` replaced, kept so property
 tests can compare the two.
 
-``serve_echo`` answers one echo with one ``advance`` call, and
-``ScalarTransport`` draws each echo's loss as it is sent, keeps the delivered
-ones, and serves them one by one when the visit ends. The transport keeps
-the open-visit table the fleet once kept for its truth windows, and its
-replies in the reply dict transports once returned.
+``advance_to`` is the scalar integration step ``SimulatedServer.advance``
+once took for every time, ``serve_echo`` answers one echo with one such
+step, and ``ScalarTransport`` draws each echo's loss as it is sent, keeps
+the delivered ones, and serves them one by one when the visit ends. The
+transport keeps the open-visit table the fleet once kept for its truth
+windows, and its replies in the reply dict transports once returned.
 """
 
 from __future__ import annotations
@@ -22,6 +23,21 @@ def cumulative_packets(server: SimulatedServer) -> int:
     return int(server.background_packets) + server.reply_packets
 
 
+def advance_to(server: SimulatedServer, to_ns: int) -> None:
+    """Integrate the server's profile from its clock up to ``to_ns`` in one
+    step, with one noise draw if any packets were sent; a time behind the
+    clock moves nothing."""
+    if to_ns <= server.time_ns:
+        return
+    cumulative = server.profile._cumulative
+    packets = cumulative(to_ns / 1e9) - cumulative(server.time_ns / 1e9)
+    noise_rel = server.profile.noise_rel
+    if server._noise_rng is not None and noise_rel > 0 and packets > 0:
+        packets = max(0.0, packets * (1.0 + noise_rel * server._noise_rng.gauss(0.0, 1.0)))
+    server.background_packets += packets
+    server.time_ns = to_ns
+
+
 def serve_echo(server: SimulatedServer, at_ns: int) -> int | None:
     """Answer one echo arriving at ``at_ns``: returns the reply's IP ID.
 
@@ -30,7 +46,7 @@ def serve_echo(server: SimulatedServer, at_ns: int) -> int | None:
     """
     if not server.reachable:
         return None
-    server.advance(max(at_ns, server.time_ns))
+    advance_to(server, at_ns)
     if server.id_behavior is IdBehavior.GLOBAL_COUNTER:
         ipid = cumulative_packets(server) & 0xFFFF
     elif server.id_behavior is IdBehavior.RANDOM:
@@ -75,7 +91,7 @@ class ScalarTransport:
         if server is not None and server.reachable:
             if seq == 0:
                 self._pending.pop(target, None)
-                server.advance(max(sent_ns, server.time_ns))
+                advance_to(server, sent_ns)
                 self._windows[target] = (sent_ns, server.background_packets)
             if self.loss_rate and self._loss_rng(target).random() < self.loss_rate:
                 return sent_ns
@@ -90,7 +106,7 @@ class ScalarTransport:
         opened = self._windows.pop(target, None)
         if opened is not None and sent_ns[-1] > opened[0]:
             start_ns, start_packets = opened
-            server.advance(max(sent_ns[-1], server.time_ns))
+            advance_to(server, sent_ns[-1])
             pps = (server.background_packets - start_packets) / ((server.time_ns - start_ns) / 1e9)
             self.fleet.truth.append(TruthRecord(target, start_ns, sent_ns[-1], pps))
         return replies

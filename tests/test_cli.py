@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -583,6 +584,34 @@ def test_a_config_number_of_the_wrong_json_type_is_named(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("cap", [-1, 0, math.nan])
+def test_a_courtesy_cap_that_allows_no_visit_fails_before_any_stage(
+        tmp_path, small_fleet_file, capsys, cap):
+    config = tmp_path / "cap.json"
+    config.write_text(json.dumps({"campaign": {"max_visits_per_hour": cap}}))
+    out = tmp_path / "out"
+    assert main(["--config", str(config), "simulate", "--fleet", str(small_fleet_file),
+                 "--out", str(out)]) == EXIT_STAGE
+    assert "error: campaign: the courtesy cap must be a finite number > 0" in (
+        capsys.readouterr().err)
+    assert not out.exists()  # no store, so no stage is marked done
+
+
+@pytest.mark.parametrize("value", ["Infinity", "NaN"])
+@pytest.mark.parametrize("key", ["probe_interval", "dwell", "revisit_period", "total_duration",
+                                 "probe_timeout"])
+def test_a_duration_that_is_not_finite_is_named(tmp_path, small_fleet_file, capsys, key, value):
+    config = tmp_path / "duration.json"
+    config.write_text(f'{{"campaign": {{"{key}": {value}}}}}')
+    out = tmp_path / "out"
+    # the file's value is refused even where a flag would replace it
+    assert main(["--config", str(config), "simulate", "--fleet", str(small_fleet_file),
+                 "--out", str(out), "--dwell", "6s"]) == EXIT_STAGE
+    assert f"error: campaign.{key}: {float(value)!r} is not a finite duration" in (
+        capsys.readouterr().err)
+    assert not out.exists()
+
+
 def test_config_with_a_removed_key_fails(tmp_path, small_fleet_file, capsys):
     config = tmp_path / "old.json"
     config.write_text(json.dumps({"estimate": {"subtract_self_traffic": False}}))
@@ -851,6 +880,38 @@ def test_report_on_a_bad_estimate_names_its_line_and_writes_nothing(
     assert main(["report", "--records", str(run / "store" / "records.jsonl"),
                  "--estimates", str(estimates), "--out", str(out)]) == EXIT_STAGE
     assert capsys.readouterr().err == f"error: {estimates}: line 4: {reason}\n"
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["report", "validate"])
+@pytest.mark.parametrize("bad_row, reason", [
+    (lambda good: {key: value for key, value in good.items() if key != "addresses"},
+     "no field 'addresses'"),
+    (lambda good: {**good, "name": "bad.name"},
+     "'bad.name': bad domain_suffix: expected suffix 'nflxvideo.net'"),
+    (lambda good: {**good, "addresses": []}, "a record needs at least one address"),
+    (lambda good: {**good, "addresses": "203.0.113.3"},
+     "addresses: expected a list, not '203.0.113.3'"),
+], ids=["no_addresses_field", "bad_name", "empty_addresses", "addresses_not_a_list"])
+def test_a_bad_record_names_its_line_and_writes_nothing(tmp_path, capsys, command, bad_row,
+                                                        reason):
+    good = [record_for(make_server(1.0, counter=i + 1, address=f"203.0.113.{i + 1}")).to_json()
+            for i in range(3)]
+    # the bad row is the third row and, after a blank line, the fourth line
+    records = _write_lines(tmp_path / "records.jsonl",
+                           [json.dumps(good[0]), "", json.dumps(good[1]),
+                            json.dumps(bad_row(good[2]))])
+    out = tmp_path / "out"
+    out.mkdir()
+    if command == "report":
+        args = ["--estimates", str(_write_lines(tmp_path / "estimates.jsonl", [])),
+                "--out", str(out)]
+    else:
+        snapshot = _write_lines(tmp_path / "snapshot.csv", ["203.0.113.0/24,gb,gb,64500,cdn"])
+        args = ["--snapshot", str(snapshot), "--cdn-asns", "64500",
+                "--out", str(out / "verdicts.jsonl")]
+    assert main([command, "--records", str(records), *args]) == EXIT_STAGE
+    assert capsys.readouterr().err == f"error: {records}: line 4: {reason}\n"
     assert list(out.iterdir()) == []
 
 

@@ -142,7 +142,7 @@ def test_a_method_named_like_a_field_needs_a_qualified_caller():
 
 
 # the scalar responder, now the reference in tests/responder_oracle.py
-ORACLE_ONLY = {"serve_echo", "cumulative_packets"}
+ORACLE_ONLY = {"advance_to", "serve_echo", "cumulative_packets"}
 
 
 def test_the_scalar_responder_lives_only_in_its_oracle():

@@ -43,7 +43,7 @@ def test_plan_matches_thirty_minute_revisit():
     assert len(schedule.slots) == 29  # ceil(4340 / 150)
     # 29 visits of 60 s come to 29 min; the 2-per-hour courtesy cap pads
     # the cycle to exactly 30 min.
-    assert schedule.cycle_slots * schedule.slot_s == 1800.0
+    assert schedule.cycle_slots * params.dwell_s == 1800.0
     assigned = [t for slot in schedule.slots for t in slot]
     assert sorted(assigned) == sorted(targets)
 
@@ -75,7 +75,7 @@ def test_plan_pads_single_target_to_cap_spacing():
     schedule = plan_campaign(["198.18.0.1"], params)
     # slot 0 of every 30-slot cycle is busy and slots 1-29 are idle, so the
     # target's next visit is in slot 30
-    assert schedule.cycle_slots * schedule.slot_s == 1800.0
+    assert schedule.cycle_slots * params.dwell_s == 1800.0
     assert schedule.slots == (("198.18.0.1",),)
     assert schedule.cycle_slots == 30
 
@@ -478,6 +478,61 @@ def test_visits_of_a_slot_send_in_step_and_arrive_in_slot_then_worker_order():
         assert len(sent) == 1
 
 
+class LoggingTransport(ScriptedTransport):
+    """Virtual clock that no reply reaches; ``log`` holds each send and each
+    collection in the order they were made, as ``(kind, target, clock, sent_ns)``
+    with the kind ``"send"`` or ``"end"``."""
+
+    def __init__(self):
+        super().__init__(lambda sent_ns: {})
+        self.log = []
+
+    def send_echo(self, target: str, seq: int) -> int:
+        self.log.append(("send", target, self.clock_ns, None))
+        return super().send_echo(target, seq)
+
+    def end_visit(self, target: str, sent_ns: np.ndarray):
+        self.log.append(("end", target, self.clock_ns, sent_ns.tolist()))
+        return super().end_visit(target, sent_ns)
+
+
+def _check_collections_interleave(log, timeout_ns):
+    """Each collection comes one timeout after its visit's last send, after
+    every send due before it and before every send due at or after it."""
+    for position, (kind, _, clock_ns, sent_ns) in enumerate(log):
+        if kind == "end":
+            assert clock_ns == sent_ns[-1] + timeout_ns
+            assert all(t < clock_ns for k, _, t, _ in log[:position] if k == "send")
+            assert all(t >= clock_ns for k, _, t, _ in log[position + 1:] if k == "send")
+
+
+def test_collections_interleave_with_the_sends_of_later_slots():
+    # the fleet-sweep shape: a reply timeout longer than a slot, so a slot's
+    # collection falls among the sends of the slot two after it
+    addresses = [f"198.18.9.{i + 1}" for i in range(9)]
+    params = CampaignParams(probe_interval_s=0.03, dwell_s=0.75, workers=3, probe_timeout_s=1.0,
+                            max_visits_per_hour=None, total_duration_s=4.5)
+    transport = LoggingTransport()
+    frames = []
+    run_campaign(addresses, params, transport, frames.append)
+    assert len(frames) == 18
+    ends = [clock_ns for kind, _, clock_ns, _ in transport.log if kind == "end"]
+    assert ends == sorted(ends) and ends[0] == 1_720_000_000 < ends[-1] == 5_470_000_000
+    _check_collections_interleave(transport.log, 1_000_000_000)
+
+
+def test_a_collection_comes_before_a_send_due_at_the_same_time():
+    # the last send at 2.97 s plus a 30 ms timeout is 3 s, when slot 1 revisits the target
+    params = CampaignParams(probe_interval_s=0.03, dwell_s=3.0, workers=1, probe_timeout_s=0.03,
+                            max_visits_per_hour=None, total_duration_s=6.0)
+    transport = LoggingTransport()
+    run_campaign(["198.18.0.1"], params, transport, [].append)
+    kinds = [kind for kind, *_ in transport.log]
+    assert kinds == ["send"] * 100 + ["end"] + ["send"] * 100 + ["end"]
+    assert transport.log[100][2] == transport.log[101][2] == 3_000_000_000
+    _check_collections_interleave(transport.log, 30_000_000)
+
+
 # public methods a transport may have beyond the protocol: the raw socket
 # is closed by its owner, never by run_campaign
 _OUTSIDE_THE_PROTOCOL = {RawIcmpTransport: {"close"}}
@@ -485,7 +540,7 @@ _OUTSIDE_THE_PROTOCOL = {RawIcmpTransport: {"close"}}
 
 @pytest.mark.parametrize("cls", [RawIcmpTransport, SimulatedTransport, ScalarTransport,
                                  ScriptedTransport, RealTimeCounterTransport, StallingTransport,
-                                 VirtualStallingTransport])
+                                 VirtualStallingTransport, LoggingTransport])
 def test_every_transport_defines_exactly_the_protocol(cls):
     assert public_methods(EchoTransport) == {"now_ns", "sleep_until_ns", "send_echo", "end_visit"}
     extra = _OUTSIDE_THE_PROTOCOL.get(cls, set())
