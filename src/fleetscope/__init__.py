@@ -1,6 +1,7 @@
 """fleetscope: map structured-hostname CDN fleets and estimate their traffic.
 
-Discovery enumerates grammar-generated hostnames and resolves them;
+Discovery walks each grammar-generated name prefix's server counters
+through DNS until the zone stops answering;
 validation cross-checks claimed locations and operators against geo and
 ASN snapshots; the probe engine samples IPv4 ID counters over ICMP; the
 estimator turns ID deltas into packet rates; analytics aggregates them.
@@ -13,7 +14,6 @@ from .names import (  # noqa: F401
     MalformedName,
     ServerName,
     Wordlists,
-    enumerate_candidates,
     format_server_name,
     parse_server_name,
 )

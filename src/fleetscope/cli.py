@@ -1,5 +1,5 @@
-"""Command-line interface: enumerate, crawl, validate, probe, estimate,
-report, and the end-to-end simulate pipeline.
+"""Command-line interface: crawl, validate, probe, estimate, report, and
+the end-to-end simulate pipeline.
 
 Each stage is one function that its subcommand and ``simulate`` share. It
 reads the one ``CampaignParams`` loaded from ``--config``, ``--seed`` and
@@ -52,18 +52,12 @@ def _build_parser() -> _Parser:
                         help="campaign store directory; stages read/write its streams")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("enumerate", help="print candidate hostnames from wordlists")
-    p.add_argument("--wordlists", required=True, help="directory with airports.txt etc.")
-    p.add_argument("--max-counter", type=int, default=5)
-    p.add_argument("--max-site-counter", type=int, default=1)
-    p.add_argument("--limit", type=int, default=None)
-    p.add_argument("--count-only", action="store_true")
-
-    p = sub.add_parser("crawl", help="resolve candidates and record the hits")
+    p = sub.add_parser("crawl", help="walk the name prefixes through DNS and record the hits")
     p.add_argument("--wordlists", required=True)
     p.add_argument("--resolver", default="system", help="'system' or 'zone:FLEET.json'")
     p.add_argument("--rate", type=float, default=500.0, help="queries per second (0 = unlimited)")
-    p.add_argument("--max-counter", type=int, default=5)
+    p.add_argument("--max-counter", type=int, default=5,
+                   help="highest server counter queried under any name prefix")
     p.add_argument("--max-site-counter", type=int, default=1)
     p.add_argument("--out", default=None, help="records JSON-lines file (or use --store)")
 
@@ -164,20 +158,14 @@ def synthesize_snapshot(
     IXP addresses map to a private-use CDN ASN, ISP addresses to one
     private-use ASN per label; countries come from the airport claim.
     """
-    isp_labels = sorted(
-        {n.isp_label for n in (names.parse_server_name(s.name, domain_suffix=fleet.domain_suffix)
-                               for s in fleet.servers) if n.isp_label}
-    )
+    parsed = [names.parse_server_name(s.name, domain_suffix=fleet.domain_suffix)
+              for s in fleet.servers]
+    isp_labels = sorted({n.isp_label for n in parsed if n.isp_label})
     isp_asn_table = {label: [64501 + i] for i, label in enumerate(isp_labels)}
     rows = []
-    for server in fleet.servers:
-        parsed = names.parse_server_name(server.name, domain_suffix=fleet.domain_suffix)
-        country = (
-            airports.country(parsed.airport_code)
-            if parsed.airport_code in airports
-            else "zz"
-        )
-        asn = SIM_CDN_ASN if parsed.is_ixp else isp_asn_table[parsed.isp_label][0]
+    for server, name in zip(fleet.servers, parsed):
+        country = airports.country(name.airport_code) if name.airport_code in airports else "zz"
+        asn = SIM_CDN_ASN if name.is_ixp else isp_asn_table[name.isp_label][0]
         rows.append((f"{server.address}/32", country, country, asn))
     return validation.AddressSnapshot(rows), {SIM_CDN_ASN}, isp_asn_table
 
@@ -191,7 +179,7 @@ def crawl_stage(campaign_store, out, lists: names.Wordlists, resolver: discovery
                 max_queries_per_second: float | None,
                 domain_suffix: str = names.DEFAULT_DOMAIN_SUFFIX
                 ) -> list[discovery.ServerRecord] | None:
-    """Resolve every candidate name and write the hits as records."""
+    """Walk the name prefixes through ``resolver`` and write the hits as records."""
     with _stage_output(campaign_store, "crawl", "records", out) as add:
         if add is None:
             return None
@@ -272,22 +260,6 @@ def report_stage(campaign_store, out_dir, params: probe.CampaignParams,
 
 
 # -- subcommands -------------------------------------------------------------
-
-
-def _cmd_enumerate(args) -> int:
-    lists = names.Wordlists.from_dir(
-        args.wordlists,
-        max_server_counter=args.max_counter,
-        max_site_counter=args.max_site_counter,
-    )
-    if args.count_only:
-        print(names.candidate_count(lists))
-        return EXIT_OK
-    for i, candidate in enumerate(names.enumerate_candidates(lists)):
-        if args.limit is not None and i >= args.limit:
-            break
-        print(candidate)
-    return EXIT_OK
 
 
 def _make_resolver(spec: str):
@@ -515,8 +487,6 @@ def main(argv=None) -> int:
     logging.basicConfig(level=getattr(logging, args.log_level.upper()))
     try:
         params = load_config(args.config, vars(args))
-        if args.command == "enumerate":
-            return _cmd_enumerate(args)
         if args.command == "crawl":
             return _cmd_crawl(args)
         if args.command == "validate":

@@ -48,7 +48,8 @@ _DURATION_UNITS = {
 
 
 def parse_duration_s(value, fieldname: str = "duration") -> float:
-    """'30ms' -> 0.03; bare numbers are seconds; NaN and infinities are errors."""
+    """'30ms' -> 0.03; bare numbers are seconds. NaN, infinities and
+    anything too long to count in int64 nanoseconds are errors."""
     if isinstance(value, (int, float)) and not isinstance(value, bool):
         seconds = float(value)
     elif match := _DURATION_RE.match(str(value)):
@@ -57,6 +58,8 @@ def parse_duration_s(value, fieldname: str = "duration") -> float:
         raise ConfigError(fieldname, f"cannot parse duration {value!r}")
     if not math.isfinite(seconds):
         raise ConfigError(fieldname, f"{value!r} is not a finite duration")
+    if abs(seconds) * 1e9 >= 2**63:
+        raise ConfigError(fieldname, f"{value!r} does not fit in int64 nanoseconds")
     return seconds
 
 

@@ -1,9 +1,11 @@
-"""Enumeration crawl: resolve generated candidates and keep the hits.
+"""Prefix-walk crawl: resolve generated names and keep the hits.
 
-The crawl walks the candidate stream, resolves each name through a
-pluggable resolver, and records one ``ServerRecord`` per name that
-resolves. Output is invariant under candidate order. The crawl runs on one
-thread and keeps no cursor: an interrupted crawl reruns from the start.
+The crawl walks each name prefix of the word lists (``names.name_prefixes``)
+upward from server counter c001, resolves each name through a pluggable
+resolver, and records one ``ServerRecord`` per name that resolves. A
+prefix's walk stops ``MISS_RUN`` misses past its highest hit. Output is
+invariant under prefix order. The crawl runs on one thread and keeps no
+cursor: an interrupted crawl reruns from the start.
 
 A resolver has two calls. ``query(name)`` returns the name's addresses,
 ``()`` when the name does not exist (NXDOMAIN, NODATA and SERVFAIL alike),
@@ -24,14 +26,17 @@ from .names import (
     OPERATOR_IXP,
     ServerName,
     Wordlists,
-    enumerate_candidates,
     format_server_name,
+    name_prefixes,
     parse_server_name,
 )
 
 # a timed-out or unavailable resolver is asked again this many times, this far apart
 RETRIES = 2
 RETRY_BACKOFF_S = 0.5
+
+# a prefix's walk stops after this many consecutive misses past its highest hit
+MISS_RUN = 5
 
 
 class ResolverUnavailable(Exception):
@@ -169,27 +174,41 @@ def run_crawl(
     max_queries_per_second: float | None,
     domain_suffix: str = "nflxvideo.net",
 ) -> list[ServerRecord]:
-    """Attempt every candidate once (plus timeout retries) and collect hits,
-    at most ``max_queries_per_second`` candidates a second; ``None`` is
-    unlimited, for resolvers that are ours (the simulator).
+    """Walk every name prefix's server counters upward from c001 and
+    collect the hits, at most ``max_queries_per_second`` names a second
+    (timeout retries aside); ``None`` is unlimited, for resolvers that are
+    ours (the simulator).
+
+    A prefix's walk stops after ``MISS_RUN`` consecutive misses past its
+    highest hit, and never passes ``lists.max_server_counter``; a name that
+    still times out after its retries is a miss. So the crawl finds every
+    name whose counter is at most ``MISS_RUN`` past the previous found
+    counter of its prefix (at most ``MISS_RUN`` for the prefix's first),
+    up to ``max_server_counter``.
 
     Returns one record per resolved name, stamped with the resolver's
     ``now_ns()`` and sorted by hostname.
     """
     limiter = RateLimiter(max_queries_per_second) if max_queries_per_second is not None else None
     found = []
-    for candidate in enumerate_candidates(lists, domain_suffix=domain_suffix):
-        if limiter is not None:
-            limiter.acquire()
-        addresses = resolve_candidate(candidate, resolver)
-        if addresses:
-            seen_ns = resolver.now_ns()
-            found.append(ServerRecord(
-                name=parse_server_name(candidate, domain_suffix=domain_suffix),
-                addresses=addresses,
-                first_seen_ns=seen_ns,
-                last_seen_ns=seen_ns,
-            ))
+    for head, tail in name_prefixes(lists, domain_suffix=domain_suffix):
+        last_hit = 0
+        for counter in range(1, lists.max_server_counter + 1):
+            if counter - last_hit > MISS_RUN:
+                break
+            name = f"{head}c{counter:03d}{tail}"
+            if limiter is not None:
+                limiter.acquire()
+            addresses = resolve_candidate(name, resolver)
+            if addresses:
+                last_hit = counter
+                seen_ns = resolver.now_ns()
+                found.append(ServerRecord(
+                    name=parse_server_name(name, domain_suffix=domain_suffix),
+                    addresses=addresses,
+                    first_seen_ns=seen_ns,
+                    last_seen_ns=seen_ns,
+                ))
     return sorted(found, key=lambda r: r.hostname)
 
 

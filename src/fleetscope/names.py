@@ -1,4 +1,4 @@
-"""Grammar for structured CDN hostnames: parse, format, enumerate.
+"""Grammar for structured CDN hostnames: parse, format, walk by prefix.
 
 Fleet hostnames follow a fixed component layout::
 
@@ -12,11 +12,12 @@ zero-padded site counter), the operator labels ("ix" for exchange-point
 deployments, "<isp>.isp" for ISP deployments, where the ISP part may span
 several DNS labels), and the shared domain suffix.
 
-Candidate enumeration walks the Cartesian product of those components from
-word lists. There is deliberately no unstructured brute-force mode: over a
-~29-symbol alphabet and 30 positions the flat candidate space is around
-29^30 names, far beyond any query budget, while the structured product
-stays within ordinary crawl sizes.
+Every component but the server counter comes from a word list, and each
+combination of them is one name prefix whose servers are numbered from
+c001 up. ``name_prefixes`` yields those prefixes; the crawl walks each
+one's counters. There is deliberately no unstructured brute-force mode:
+over a ~29-symbol alphabet and 30 positions the flat candidate space is
+around 29^30 names, far beyond any query budget.
 """
 
 from __future__ import annotations
@@ -54,11 +55,11 @@ class MalformedName(ValueError):
 
 
 class EmptyDimension(ValueError):
-    """Enumeration was asked to vary a dimension with no entries."""
+    """A word list that every name prefix draws from has no entries."""
 
     def __init__(self, dimension: str):
         self.dimension = dimension
-        super().__init__(f"enumeration dimension {dimension!r} is empty")
+        super().__init__(f"word list {dimension!r} is empty")
 
 
 def _canonical_int(text: str) -> int | None:
@@ -240,10 +241,11 @@ def _normalize(entries: Collection[str]) -> tuple[str, ...]:
 
 @dataclass(frozen=True)
 class Wordlists:
-    """Enumeration inputs: one list per hostname dimension plus counter bounds.
+    """Crawl inputs: one list per hostname dimension plus counter caps.
 
     Lists are lowercase-normalized and deduplicated on construction. The
-    operators are ``ix`` plus one ``<label>.isp`` per ISP label.
+    operators are ``ix`` plus one ``<label>.isp`` per ISP label. No server
+    counter above ``max_server_counter`` is queried.
     """
 
     airport_codes: tuple[str, ...]
@@ -318,27 +320,14 @@ def load_wordlist(path: str | Path) -> list[str]:
     return entries
 
 
-def candidate_count(lists: Wordlists) -> int:
-    """Number of names ``enumerate_candidates`` will yield."""
-    return (
-        len(lists.protocols)
-        * len(lists.protocol_indices)
-        * len(lists.nic_types)
-        * lists.max_server_counter
-        * len(lists.deployment_indices)
-        * len(lists.airport_codes)
-        * lists.max_site_counter
-        * len(lists.operators)
-    )
-
-
-def enumerate_candidates(
+def name_prefixes(
     lists: Wordlists, domain_suffix: str = DEFAULT_DOMAIN_SUFFIX
-) -> Iterator[str]:
-    """Yield every candidate hostname, lazily, in deterministic order.
+) -> Iterator[tuple[str, str]]:
+    """Yield each name prefix as the text before and after its server
+    counter, lazily, duplicate-free and in deterministic order: a name is
+    ``f"{head}c{counter:03d}{tail}"``.
 
-    The stream is the duplicate-free Cartesian product of all dimensions;
-    its length equals ``candidate_count(lists)``.
+    Raises ``EmptyDimension`` when a list every prefix draws from is empty.
     """
     for dimension, entries in (
         ("protocols", lists.protocols),
@@ -350,7 +339,6 @@ def enumerate_candidates(
         if not entries:
             raise EmptyDimension(dimension)
 
-    counters = [f"c{c:03d}" for c in range(1, lists.max_server_counter + 1)]
     sites = [
         f"{airport}{s:03d}"
         for airport in lists.airport_codes
@@ -359,12 +347,9 @@ def enumerate_candidates(
     operators = lists.operators
     for protocol in lists.protocols:
         for proto_index in lists.protocol_indices:
-            head = f"{protocol}_{proto_index}-"
             for nic in lists.nic_types:
-                for counter in counters:
-                    machine = f"{head}{nic}-{counter}"
-                    for deploy_index in lists.deployment_indices:
-                        prefix = f"{machine}.{deploy_index}."
-                        for site in sites:
-                            for operator in operators:
-                                yield f"{prefix}{site}.{operator}.{domain_suffix}"
+                head = f"{protocol}_{proto_index}-{nic}-"
+                for deploy_index in lists.deployment_indices:
+                    for site in sites:
+                        for operator in operators:
+                            yield head, f".{deploy_index}.{site}.{operator}.{domain_suffix}"

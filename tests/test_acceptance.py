@@ -342,7 +342,8 @@ def _table_shaped_fixture():
 def test_c06_crawler_completeness_on_table_shaped_zone():
     started = time.perf_counter()
     zone, lists, airport_countries = _table_shaped_fixture()
-    records = run_crawl(lists, ZoneResolver(zone), None)
+    resolver = ZoneResolver(zone)
+    records = run_crawl(lists, resolver, None)
     found = {r.hostname for r in records}
     assert found == set(zone), "crawl must find the zone exactly"
     assert len(records) == 4669
@@ -359,8 +360,11 @@ def test_c06_crawler_completeness_on_table_shaped_zone():
     assert summary.total.countries == 56
     assert summary.isps_found == 120
     elapsed = time.perf_counter() - started
+    # 30,720 empty prefixes x MISS_RUN + 39 IXP prefixes walked to the cap
+    # of 84 + ISP prefixes of 7 and 6 names walked MISS_RUN past them
+    assert resolver.queries == 30_720 * 5 + 39 * 84 + 126 * 12 + 91 * 11 == 159_389
     _ok(6, f"4,669/4,669 names found, 0 false records, summary exact "
-           f"({elapsed:.1f}s over 2.6M candidates)")
+           f"({elapsed:.1f}s over {resolver.queries:,} queries)")
 
 
 # ---------------------------------------------------------------------------

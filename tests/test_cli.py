@@ -35,28 +35,6 @@ def test_stage_failure_exit_code(tmp_path):
     assert code == EXIT_STAGE
 
 
-def test_enumerate_outputs_candidates(tmp_path, capsys):
-    wordlists = tmp_path / "wl"
-    wordlists.mkdir()
-    (wordlists / "airports.txt").write_text("lhr\n")
-    (wordlists / "isps.txt").write_text("bt\n")
-    code = main(["enumerate", "--wordlists", str(wordlists), "--max-counter", "2"])
-    assert code == EXIT_OK
-    lines = capsys.readouterr().out.strip().splitlines()
-    assert len(lines) == 8  # 2 protocols x 2 counters x 1 site x 2 operators
-    assert "ipv4_1-lagg0-c001.1.lhr001.ix.nflxvideo.net" in lines
-
-
-def test_enumerate_count_only(tmp_path, capsys):
-    wordlists = tmp_path / "wl"
-    wordlists.mkdir()
-    (wordlists / "airports.txt").write_text("lhr\nams\n")
-    code = main(["enumerate", "--wordlists", str(wordlists), "--max-counter", "3",
-                 "--count-only"])
-    assert code == EXIT_OK
-    assert capsys.readouterr().out.strip() == "12"
-
-
 def test_crawl_against_zone(tmp_path, small_fleet_file, capsys):
     wordlists = tmp_path / "wl"
     wordlists.mkdir()
@@ -609,6 +587,21 @@ def test_a_duration_that_is_not_finite_is_named(tmp_path, small_fleet_file, caps
                  "--out", str(out), "--dwell", "6s"]) == EXIT_STAGE
     assert f"error: campaign.{key}: {float(value)!r} is not a finite duration" in (
         capsys.readouterr().err)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key", ["probe_interval", "dwell", "revisit_period", "total_duration",
+                                 "probe_timeout"])
+def test_a_duration_too_long_for_int64_nanoseconds_is_named(tmp_path, small_fleet_file, capsys,
+                                                            key):
+    config = tmp_path / "duration.json"
+    config.write_text(f'{{"campaign": {{"{key}": 1e300}}}}')
+    out = tmp_path / "out"
+    assert main(["--config", str(config), "simulate", "--fleet", str(small_fleet_file),
+                 "--out", str(out)]) == EXIT_STAGE
+    assert f"error: campaign.{key}: 1e+300 does not fit in int64 nanoseconds" in (
+        capsys.readouterr().err)
+    # refused before any stage: none is marked done and no .partial file is left
     assert not out.exists()
 
 

@@ -1,4 +1,5 @@
-"""Crawl behaviour: the resolver contract, retries, rate limiting, summaries."""
+"""Crawl behaviour: the resolver contract, retries, the prefix walk, rate
+limiting, summaries."""
 
 import socket
 import time
@@ -6,6 +7,7 @@ import time
 import pytest
 
 from fleetscope.discovery import (
+    MISS_RUN,
     RETRIES,
     Resolver,
     ResolverTimeout,
@@ -17,7 +19,7 @@ from fleetscope.discovery import (
     summarize_discovery,
 )
 from fleetscope import discovery
-from fleetscope.names import Wordlists, candidate_count, parse_server_name
+from fleetscope.names import Wordlists, parse_server_name
 from fleetscope.simulation import ZoneResolver
 
 from conftest import (
@@ -220,14 +222,51 @@ def test_run_crawl_queries_each_candidate_at_most_retry_budget(no_backoff):
     assert sorted(counting.per_name.values())[-2:] == [2, 1 + RETRIES]
 
 
+def _walk_one_prefix(counters, max_server_counter=50):
+    """The server counters a crawl finds under one prefix whose zone holds
+    ``counters``, and the counters it queried, in order."""
+    zone = {make_hostname(counter=c): (f"198.18.0.{c}",) for c in counters}
+    resolver = CountingResolver(ZoneResolver(zone))
+    lists = Wordlists(airport_codes=("lhr",), protocols=("ipv4",),
+                      max_server_counter=max_server_counter)
+    found = [r.name.server_counter for r in run_crawl(lists, resolver, None)]
+    return found, [parse_server_name(name).server_counter for name in resolver.per_name]
+
+
+def test_run_crawl_finds_a_name_miss_run_past_the_previous_hit():
+    found, queried = _walk_one_prefix([1, 1 + MISS_RUN])
+    assert found == [1, 1 + MISS_RUN]
+    assert queried == list(range(1, 2 + 2 * MISS_RUN))
+
+
+def test_run_crawl_stops_miss_run_misses_past_the_previous_hit():
+    found, queried = _walk_one_prefix([1, 2 + MISS_RUN])
+    assert found == [1]
+    assert queried == list(range(1, 2 + MISS_RUN))
+
+
+def test_run_crawl_finds_a_first_name_at_most_miss_run_from_the_start():
+    assert _walk_one_prefix([MISS_RUN])[0] == [MISS_RUN]
+    found, queried = _walk_one_prefix([MISS_RUN + 1])
+    assert found == []
+    assert queried == list(range(1, MISS_RUN + 1))
+
+
+def test_run_crawl_queries_no_counter_past_the_cap():
+    found, queried = _walk_one_prefix(range(1, 13), max_server_counter=10)
+    assert found == list(range(1, 11))
+    assert queried == list(range(1, 11))
+
+
 def test_run_crawl_rate_limit_is_observed():
-    fleet = make_fleet([make_server(1.0)])
-    lists = Wordlists(airport_codes=("lhr", "ams"), protocols=("ipv4",), max_server_counter=30)
-    assert candidate_count(lists) == 60
+    zone = {make_hostname(counter=c): (f"198.18.0.{c}",) for c in range(1, 61)}
+    resolver = ZoneResolver(zone)
+    lists = Wordlists(airport_codes=("lhr",), protocols=("ipv4",), max_server_counter=100)
     start = time.monotonic()
-    run_crawl(lists, ZoneResolver(fleet.zone()), 200.0)
+    assert len(run_crawl(lists, resolver, 200.0)) == 60
     elapsed = time.monotonic() - start
-    # 60 candidates at 200 q/s with a 20-token burst: at least ~0.2 s
+    # c001..c065: 65 queries at 200 q/s with a 20-token burst, at least ~0.2 s
+    assert resolver.queries == 60 + MISS_RUN
     assert elapsed >= 0.15
 
 

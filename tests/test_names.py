@@ -1,4 +1,4 @@
-"""Hostname grammar: parsing, formatting, enumeration."""
+"""Hostname grammar: parsing, formatting, name prefixes."""
 
 import pytest
 from hypothesis import given, settings
@@ -9,10 +9,9 @@ from fleetscope.names import (
     MalformedName,
     ServerName,
     Wordlists,
-    candidate_count,
-    enumerate_candidates,
     format_server_name,
     load_wordlist,
+    name_prefixes,
     parse_server_name,
 )
 
@@ -159,6 +158,10 @@ def test_structural_mutations_are_rejected(name):
             parse_server_name(mutant)
 
 
+def _names(lists, counter=1):
+    return [f"{head}c{counter:03d}{tail}" for head, tail in name_prefixes(lists)]
+
+
 def test_enumeration_cardinality_example():
     lists = Wordlists(
         airport_codes=("lhr", "ams"),
@@ -167,12 +170,12 @@ def test_enumeration_cardinality_example():
         protocols=("ipv4", "ipv6"),
         max_server_counter=3,
     )
-    candidates = list(enumerate_candidates(lists))
-    assert len(candidates) == 24  # 2 protocols x 1 nic x 3 counters x 2 sites x 2 operators
-    assert len(set(candidates)) == 24
-    assert candidate_count(lists) == 24
-    for candidate in candidates:
-        parse_server_name(candidate)
+    prefixes = list(name_prefixes(lists))
+    assert len(prefixes) == 8  # 2 protocols x 1 nic x 2 sites x 2 operators
+    assert len(set(prefixes)) == 8
+    for counter in (1, 3, 1000):  # the counter cap bounds the walk, not the prefixes
+        for name in _names(lists, counter):
+            assert parse_server_name(name).server_counter == counter
 
 
 def test_enumeration_single_entry_identity():
@@ -183,8 +186,9 @@ def test_enumeration_single_entry_identity():
         protocols=("ipv4",),
         max_server_counter=1,
     )
-    assert list(enumerate_candidates(lists)) == [
-        "ipv4_1-lagg0-c001.1.lhr001.ix.nflxvideo.net"
+    assert list(name_prefixes(lists)) == [("ipv4_1-lagg0-", ".1.lhr001.ix.nflxvideo.net")]
+    assert list(name_prefixes(lists, domain_suffix="example.net")) == [
+        ("ipv4_1-lagg0-", ".1.lhr001.ix.example.net")
     ]
 
 
@@ -192,13 +196,16 @@ def test_enumeration_order_is_deterministic():
     lists = Wordlists(
         airport_codes=("lhr", "ams"), isp_labels=("bt",), max_server_counter=2
     )
-    assert list(enumerate_candidates(lists)) == list(enumerate_candidates(lists))
+    assert list(name_prefixes(lists)) == list(name_prefixes(lists))
 
 
 def test_enumeration_empty_dimension():
-    lists = Wordlists(airport_codes=(), isp_labels=(), max_server_counter=1)
-    with pytest.raises(EmptyDimension):
-        next(enumerate_candidates(lists))
+    for dimension in ("airport_codes", "nic_types", "protocols", "protocol_indices",
+                      "deployment_indices"):
+        lists = Wordlists(**{"airport_codes": ("lhr",), "max_server_counter": 1, dimension: ()})
+        with pytest.raises(EmptyDimension) as raised:
+            next(name_prefixes(lists))
+        assert raised.value.dimension == dimension
 
 
 def test_unstructured_brute_force_is_infeasible():
@@ -240,7 +247,7 @@ def test_wordlists_from_dir(tmp_path):
     assert lists.airport_codes == ("lhr", "ams")
     assert lists.isp_labels == ("bt", "sky")
     assert lists.nic_types == ("lagg0", "cxgbe0")
-    assert candidate_count(lists) == 2 * 2 * 2 * 2 * 3  # proto x nic x counter x site x ops
+    assert len(list(name_prefixes(lists))) == 2 * 2 * 2 * 3  # proto x nic x site x ops
 
 
 def test_wordlists_from_dir_requires_airports(tmp_path):
