@@ -56,7 +56,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--wordlists", required=True)
     p.add_argument("--resolver", default="system", help="'system' or 'zone:FLEET.json'")
     p.add_argument("--rate", type=float, default=500.0, help="queries per second (0 = unlimited)")
-    p.add_argument("--max-counter", type=int, default=5,
+    p.add_argument("--max-counter", type=int, default=names.Wordlists.max_server_counter,
                    help="highest server counter queried under any name prefix")
     p.add_argument("--max-site-counter", type=int, default=1)
     p.add_argument("--out", default=None, help="records JSON-lines file (or use --store)")

@@ -245,7 +245,8 @@ class Wordlists:
 
     Lists are lowercase-normalized and deduplicated on construction. The
     operators are ``ix`` plus one ``<label>.isp`` per ISP label. No server
-    counter above ``max_server_counter`` is queried.
+    counter above ``max_server_counter`` is queried; by default that is
+    999, the largest counter a name's three digits hold.
     """
 
     airport_codes: tuple[str, ...]
@@ -254,7 +255,7 @@ class Wordlists:
     protocols: tuple[str, ...] = PROTOCOLS
     protocol_indices: tuple[int, ...] = (1,)
     deployment_indices: tuple[int, ...] = (1,)
-    max_server_counter: int = 50
+    max_server_counter: int = 999
     max_site_counter: int = 1
 
     def __post_init__(self) -> None:

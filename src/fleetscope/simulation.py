@@ -4,8 +4,12 @@ Time is virtual throughout, so a ten-day campaign replays in seconds. Every
 responder integrates its traffic profile into a cumulative packet counter;
 in global-counter mode the exposed IP ID is that counter mod 65536, with
 the echo reply itself incrementing it by one, which is exactly what a rate
-estimator has to cope with. The fleet also logs exact per-visit mean rates
-so estimates can be judged against ground truth.
+estimator has to cope with. The counter is integrated per 1 s bin of server
+time, not per echo, and is linear within a bin. Each bin an echo falls in
+draws one noise factor, and the whole bins between visits are one step with
+one factor; a step of width W has the std ``noise_rel * sqrt(30 ms / W)``.
+The fleet also logs exact per-visit mean rates of that counter so
+estimates can be judged against ground truth.
 
 All randomness (profile noise, random IDs, probe loss) comes from streams
 seeded by the fleet seed and the server address: one seed, one behaviour.
@@ -14,7 +18,6 @@ seeded by the fleet seed and the server address: one seed, one behaviour.
 from __future__ import annotations
 
 import csv
-import itertools
 import json
 import math
 import random
@@ -29,6 +32,10 @@ from .names import parse_server_name
 from .transport import Replies
 
 DAY_S = 86400.0
+# the responder draws one noise factor per bin of server time
+BIN_NS = 1_000_000_000
+# the width whose noise step has the std noise_rel (see TrafficProfile)
+NOISE_STEP_NS = 30_000_000
 
 
 def parse_hhmm(text: str) -> float:
@@ -44,8 +51,12 @@ class TrafficProfile:
     The deterministic part is a daily sinusoid peaking at ``peak_local_s``
     plus an optional content-fill burst: a raised cosine inside the fill
     window, zero at the edges and ``fill_extra_pps`` high at the window
-    midpoint. Noise multiplies each integration step by a Gaussian factor,
-    clipped so the rate never goes negative.
+    midpoint. The responder multiplies the packets of each noise step (a
+    1 s bin that an echo falls in, or a span of whole bins that none does)
+    of width W by a Gaussian factor of mean 1 and std
+    ``noise_rel * sqrt(30 ms / W)``, clipped so the rate never goes
+    negative: a visit's mean rate varies about as much as if each 30 ms
+    echo drew a factor of std ``noise_rel``.
     """
 
     base_pps: float
@@ -86,7 +97,7 @@ class TrafficProfile:
         return total
 
 
-@dataclass
+@dataclass(slots=True)  # a fleet holds thousands: no per-server __dict__
 class SimulatedServer:
     """One responder: a name, an address, a profile and an ID counter."""
 
@@ -100,6 +111,10 @@ class SimulatedServer:
     background_packets: float = field(default=0.0, init=False)
     reply_packets: int = field(default=0, init=False)
     time_ns: int = field(default=0, init=False)
+    # the noise step that holds the clock: its start and end times, then the
+    # counts at them
+    _open_step: tuple[int, int, float, float] | None = field(default=None, init=False,
+                                                             repr=False)
     _noise_rng: random.Random | None = field(default=None, init=False, repr=False)
     _id_rng: random.Random | None = field(default=None, init=False, repr=False)
 
@@ -108,29 +123,49 @@ class SimulatedServer:
         self._id_rng = random.Random(f"{seed}:{self.address}:ids")
 
     def advance(self, times_ns: Sequence[int]) -> np.ndarray:
-        """Integrate the profile up to each of ``times_ns`` in turn: returns
-        the background packet count at each, as float64.
+        """Integrate the profile up to each of the ascending ``times_ns`` in
+        turn: returns the background packet count at each, as float64.
 
-        The clock never moves backwards: a time behind it moves nothing.
-        Each time that moves the clock is one integration step, and noise
-        applies multiplicatively per step, so the realized counter depends
-        on the step sequence; a fixed seed and campaign replays identically.
+        The count is piecewise linear in time, with knots at 1 s bin edges.
+        Each bin a time falls in (or its part past the clock, for a clock
+        that no earlier call left inside a bin) is one noise step: its
+        factor is drawn in time order the first time a call reaches into it
+        and kept while later calls continue inside it. A span of whole bins
+        that no time falls in is one step with one draw. A step of width W
+        has the std ``noise_rel * sqrt(NOISE_STEP_NS / W)``, clipped so the
+        count never falls. So the counter depends on the times alone, not on
+        how they are split into calls; a fixed seed and campaign replays
+        identically. The clock never moves backwards: a time behind it reads
+        the count at the clock.
         """
-        bounds = list(itertools.accumulate(times_ns, max, initial=self.time_ns))
+        times = np.asarray(times_ns, dtype=np.int64)
+        if not len(times) or times[-1] <= self.time_ns:
+            return np.full(len(times), self.background_packets)
+        if self._open_step is None:  # no call has moved the clock yet
+            xs, ys = [self.time_ns], [self.background_packets]
+        else:
+            xs, ys = list(self._open_step[:2]), list(self._open_step[2:])
+        known = len(xs)
+        for start in (np.unique(times[times > xs[-1]] // BIN_NS) * BIN_NS).tolist():
+            if start > xs[-1]:
+                xs.append(start)  # the whole bins before this one: one step
+            xs.append(start + BIN_NS)
         cumulative = self.profile._cumulative
-        # a boundary equal to the previous one makes no step: its count is 0.0
-        packets = np.diff([cumulative(t / 1e9) for t in bounds])
-        noise_rel = self.profile.noise_rel
-        if self._noise_rng is not None and noise_rel > 0:
-            stepped = packets > 0
-            gauss = self._noise_rng.gauss
-            noise = np.array([gauss(0.0, 1.0) for _ in range(int(np.count_nonzero(stepped)))])
-            packets[stepped] = np.maximum(0.0, packets[stepped] * (1.0 + noise_rel * noise))
-        # cumsum adds in order: each count is the one before plus its step
-        background = np.cumsum(np.concatenate(([self.background_packets], packets)))
+        noise_rel = self.profile.noise_rel if self._noise_rng is not None else 0.0
+        before = cumulative(xs[known - 1] / 1e9)
+        for at, to in zip(xs[known - 1:-1], xs[known:]):
+            after = cumulative(to / 1e9)
+            factor = 1.0
+            if noise_rel > 0:
+                std = noise_rel * math.sqrt(NOISE_STEP_NS / (to - at))
+                factor = max(0.0, 1.0 + std * self._noise_rng.gauss(0.0, 1.0))
+            ys.append(ys[-1] + (after - before) * factor)
+            before = after
+        background = np.interp(np.maximum(times, self.time_ns), xs, ys)
+        self._open_step = (xs[-2], xs[-1], ys[-2], ys[-1])
         self.background_packets = float(background[-1])
-        self.time_ns = bounds[-1]
-        return background[1:]
+        self.time_ns = int(times[-1])
+        return background
 
     def serve_visit(self, at_ns: Sequence[int]) -> np.ndarray:
         """Answer echoes arriving at the ascending times ``at_ns``: ``advance``
@@ -139,7 +174,7 @@ class SimulatedServer:
         count = len(at_ns)
         background = self.advance(at_ns)
         if self.id_behavior is IdBehavior.GLOBAL_COUNTER:
-            # int() of each running sum, plus the replies served before it
+            # int() of each count, plus the replies served before it
             ids = (background.astype(np.int64) + self.reply_packets + np.arange(count)) & 0xFFFF
         elif self.id_behavior is IdBehavior.RANDOM:
             randrange = self._id_rng.randrange
@@ -320,7 +355,7 @@ class SimulatedTransport:
             draw = self._loss_rng(target).random
             seq = seq[[draw() >= self.loss_rate for _ in range(len(sent_ns))]]
         delivered = sent_ns[seq]
-        ip_id = server.serve_visit((delivered + server.rtt_ns // 2).tolist())
+        ip_id = server.serve_visit(delivered + server.rtt_ns // 2)
         if end_ns > start_ns:
             server.advance([end_ns])
             # the counter moved up to the last serve, half an RTT past the last send

@@ -1,21 +1,26 @@
-"""Reference responder: the per-echo code that ``SimulatedServer.serve_visit``
-and the per-visit ``SimulatedTransport.end_visit`` replaced, kept so property
-tests can compare the two.
+"""Reference responder: the bin model of ``SimulatedServer.advance`` and the
+per-visit ``SimulatedTransport.end_visit``, evaluated one echo at a time,
+kept so property tests can compare the two.
 
-``advance_to`` is the scalar integration step ``SimulatedServer.advance``
-once took for every time, ``serve_echo`` answers one echo with one such
-step, and ``ScalarTransport`` draws each echo's loss as it is sent, keeps
-the delivered ones, and serves them one by one when the visit ends. The
-transport keeps the open-visit table the fleet once kept for its truth
-windows, and its replies in the reply dict transports once returned.
+``advance_to`` moves a server's clock to one time through the 1 s bins,
+drawing each step's noise as the walk first reaches it, ``serve_echo``
+answers one echo after such a move, and ``ScalarTransport`` draws each
+echo's loss as it is sent, keeps the delivered ones, and serves them one
+by one when the visit ends. The transport keeps the open-visit table the
+fleet once kept for its truth windows, and its replies in the reply dict
+transports once returned.
 """
 
 from __future__ import annotations
 
+import math
 import random
 
+import numpy as np
+
 from fleetscope.ipid import IdBehavior
-from fleetscope.simulation import SimulatedFleet, SimulatedServer, TruthRecord
+from fleetscope.simulation import (BIN_NS, NOISE_STEP_NS, SimulatedFleet, SimulatedServer,
+                                   TruthRecord)
 
 
 def cumulative_packets(server: SimulatedServer) -> int:
@@ -23,18 +28,36 @@ def cumulative_packets(server: SimulatedServer) -> int:
     return int(server.background_packets) + server.reply_packets
 
 
+def _step(server: SimulatedServer, at_ns: int, to_ns: int, count: float) -> float:
+    """The count at ``to_ns`` of one noise step from ``count`` at ``at_ns``."""
+    cumulative = server.profile._cumulative
+    packets = cumulative(to_ns / 1e9) - cumulative(at_ns / 1e9)
+    noise_rel = server.profile.noise_rel
+    if server._noise_rng is not None and noise_rel > 0:
+        std = noise_rel * math.sqrt(NOISE_STEP_NS / (to_ns - at_ns))
+        packets *= max(0.0, 1.0 + std * server._noise_rng.gauss(0.0, 1.0))
+    return count + packets
+
+
 def advance_to(server: SimulatedServer, to_ns: int) -> None:
-    """Integrate the server's profile from its clock up to ``to_ns`` in one
-    step, with one noise draw if any packets were sent; a time behind the
-    clock moves nothing."""
+    """Move the server's clock to ``to_ns``; a time behind the clock moves
+    nothing. Past the end of the clock's step, the whole bins before the
+    bin of ``to_ns`` are one step and that bin (from the clock, if the
+    clock is inside it) is another; the count is read on the line through
+    the ends of the step that holds ``to_ns``."""
     if to_ns <= server.time_ns:
         return
-    cumulative = server.profile._cumulative
-    packets = cumulative(to_ns / 1e9) - cumulative(server.time_ns / 1e9)
-    noise_rel = server.profile.noise_rel
-    if server._noise_rng is not None and noise_rel > 0 and packets > 0:
-        packets = max(0.0, packets * (1.0 + noise_rel * server._noise_rng.gauss(0.0, 1.0)))
-    server.background_packets += packets
+    step = server._open_step
+    if step is None or to_ns > step[1]:
+        at, count = ((server.time_ns, server.background_packets) if step is None
+                     else (step[1], step[3]))
+        start = to_ns // BIN_NS * BIN_NS
+        if start > at:
+            at, count = start, _step(server, at, start, count)
+        step = (at, start + BIN_NS, count, _step(server, at, start + BIN_NS, count))
+        server._open_step = step
+    # np.interp of one segment: the responder reads its knots with it, so both round alike
+    server.background_packets = float(np.interp(to_ns, step[:2], step[2:]))
     server.time_ns = to_ns
 
 

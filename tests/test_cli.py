@@ -3,12 +3,16 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from fleetscope import analytics, cli, store
 from fleetscope.cli import EXIT_OK, EXIT_STAGE, EXIT_USAGE, main
+from fleetscope.ipid import IdBehavior
 from fleetscope.simulation import SimulatedFleet, SimulatedTransport
 
 from conftest import InterruptingResolver, make_hostname, make_server, record_for, write_fleet
@@ -51,6 +55,19 @@ def test_crawl_against_zone(tmp_path, small_fleet_file, capsys):
     assert "total=3" in capsys.readouterr().out
 
 
+def test_crawl_with_default_flags_finds_a_prefix_numbered_past_c005(tmp_path):
+    servers = [make_server(1.0, counter=counter) for counter in range(1, 13)]
+    fleet_file = write_fleet(tmp_path / "fleet.json", servers)
+    wordlists = tmp_path / "wl"
+    wordlists.mkdir()
+    (wordlists / "airports.txt").write_text("lhr\n")
+    out = tmp_path / "records.jsonl"
+    assert main(["crawl", "--wordlists", str(wordlists), "--resolver", f"zone:{fleet_file}",
+                 "--out", str(out)]) == EXIT_OK
+    found = [json.loads(line)["name"] for line in out.read_text().splitlines()]
+    assert sorted(found) == sorted(server.name for server in servers)
+
+
 def test_simulate_end_to_end(tmp_path, small_fleet_file, capsys):
     out = tmp_path / "out"
     code = main([
@@ -79,33 +96,35 @@ REPORT_FILES = ("peaks.csv", "cdf.csv", "location_scatter.csv", "rollup_country.
                 "rollup_continent.csv", "rollup_kind.csv", "summary.json")
 # the SHA-256 of each of REPORT_FILES, by loss rate
 REPORT_SHA256 = {
-    "0": ["ea7875cbc0337ab3d45131f200016e49ffacc582d3db306ee8cf0b32ab9bfff5",
-          "7fda267c0b6b13d1f6ded7d5985a319cef46b463ad48d537363b4130ff904c4e",
-          "7e694f268ce62dc37b2c33bae70e97f0072c3fea56e56c09eb32163ea1cece47",
-          "c2112b8b10b7dac3fd689b95058165a15b5c8f3beebe918f7489b7336301c66c",
-          "be3f289e6485ebd77789c9c99844655e34fa54649c2a30470dc819df3c75d0d7",
-          "58156fd1f23fa2084e5e9823ec8f182e02ac289c9196633a6a2e155d5e1a341a",
-          "d1e2bb165bbc146fb6a0cc2e185db99d894fb2febd2b59eb61eb2c3bf73994b5"],
-    "0.01": ["7a9dcc20d117ff7f70405771c351a72b9dd539f86a6d5e6eb116deca89a1fa1e",
-             "26e195384cc2a35f4d61103fad15da0f348ba44582b953183635ea829ec30a35",
-             "79b09bb8f3bbaf08f0e0d098f4c4df4b6f2479e0b207bcce8e19f90e6a67dfd1",
-             "9e896130f4ed4ca515146208a0035e6ee112596c4ed8565142d0b541bc2b3e94",
-             "4a93d3c8dfc90d83e805d3722cdef0d2766ea1bf9ceaf4ae2068ea9933937d81",
-             "2e4fd5472416e36aa41ed9f3fcd955bac71f1bd114396745b77e5e7b0fd08ac0",
-             "a00efb9fbd72831a7d0a6375343a67253eaacf9184fd4345daca9acf1a29a5ad"],
+    "0": ["31e846318071d3da10d6f8c8956bf3a0625f988215590cb64aea11d5cecd7f85",
+          "a11b8d02170692e6321875d59ced62fcad720ba22ba552a5845df0108f349f87",
+          "f8ea5849d3e779baf9537f9748155e62f3fd40cb329b34e92cc87f52335966d6",
+          "853ea2bfeeef9ede3de3c898be749199facf15a3540886b6bc23e5327899a5a0",
+          "24a12928dc0cca1be95021e22b629dcf4c8996463706e7b1720d72113e8e2c29",
+          "cacbe251d9c5026cef77d4f9e165b2198fe5f050fbe7d2fb766e57a408dce5eb",
+          "cbfc3d78e603b552d050b195c38ff3e4f39f3603bf37ba4fe6ad3b40d2b1f1f2"],
+    "0.01": ["97455e787fb97ae631b180e3a0fb991a2293629701a9eedf0e2fcb919679ddcb",
+             "54d7e9b941d8f8f6308602a3e023aec1f72d409d02283867efbc38c264c882bc",
+             "49de5f19dde52497fb5c13fad8ad9dfb8d50d90d974c8e7408e3062da53f320b",
+             "baaf151e1726e88e6f7b62836a2c4bdb45f26612f5e99e498533c71ce7f8ead0",
+             "ffe6f11b586f55aa4eedbcb05995d1cf06d4bf6270bd268ad1a237d72f6da29b",
+             "e1d957beb08b0f2cf0e121d535461c5045e6279f7a38b2bbd451cc20d6ec874d",
+             "faf492e62f23dc79c1852009a517d7046e0c6c4766eac8be0bffdc75b34a3cda"],
 }
 
 
-# the SHA-256 of the simulator's truth.csv, by loss rate
-TRUTH_SHA256 = {"0": "eccd6d4b2cb1d53cb3cc97699d1054691aee7b80037fa3c4854e4fe6c7c91a91",
-                "0.01": "ed4ea566ac755de8c9949d463ed41c3c38e8ca75a951c11dbd0b6726915b2d58"}
+# the SHA-256 of the simulator's truth.csv, by loss rate: the counter moves
+# with time alone, so a loss that leaves an echo in each visited bin does
+# not change it
+TRUTH_SHA256 = {"0": "d81a328f1736ae294c0c2e2b01cec53dd0b487c7cbc786c0176d61e2e260bd6a",
+                "0.01": "d81a328f1736ae294c0c2e2b01cec53dd0b487c7cbc786c0176d61e2e260bd6a"}
 
 
 @pytest.mark.parametrize("loss_rate, samples_sha256, estimates_sha256", [
-    ("0", "4bad8337d8be2486d99d2acad0ed4b12c6c00662d43f55d273608356e79a1c72",
-     "6a98c24c6bfd95b877a79f016cf1a15f670ad460960fc1eea1919847ec5534e6"),
-    ("0.01", "44306a5bfa63c8ecaf197c87b4a976781998d42dc7404cf10d2384e135e28d76",
-     "4c77f895c468f1445ea8504db6f4cc6f12e9e5d1719bdeb4992a07618838b49c"),
+    pytest.param("0", "88806677fe9728f4505d8e01ac1452a035404184e055fad975e0819ebbadcc3b",
+                 "5c214832b53c08c566c69b95dd647de585889b0891191f80d81bdde553da6687", id="0"),
+    pytest.param("0.01", "96702606396c9c534ebc0fc8189c151d45b95c7301518d1d714ae31cdf9c87b3",
+                 "8310e7a98f155261307f8627b8bb568b58b91a16de0b29d52f337ef640de285a", id="0.01"),
 ])
 def test_simulate_outputs_are_pinned(tmp_path, loss_rate, samples_sha256, estimates_sha256):
     """A change that alters a stored sample or estimate, the simulator's
@@ -124,6 +143,33 @@ def test_simulate_outputs_are_pinned(tmp_path, loss_rate, samples_sha256, estima
     assert hashlib.sha256((out / "truth.csv").read_bytes()).hexdigest() == TRUTH_SHA256[loss_rate]
     assert [hashlib.sha256((out / name).read_bytes()).hexdigest()
             for name in REPORT_FILES] == REPORT_SHA256[loss_rate]
+
+
+def test_simulate_is_byte_identical_across_hash_seeds(tmp_path):
+    # one process per hash seed: a stream seeded from hash() of a string
+    # would agree with itself within a process, and differ here
+    servers = [
+        make_server(2000.0, amplitude=0.3, noise=0.05, counter=1),
+        make_server(800.0, noise=0.1, airport="jfk", counter=1),
+        make_server(300.0, noise=0.1, counter=2, behavior=IdBehavior.RANDOM),
+    ]
+    fleet_file = write_fleet(tmp_path / "fleet.json", servers)
+    package_root = Path(cli.__file__).resolve().parents[1]
+    outs = [tmp_path / "hash1", tmp_path / "hash2"]
+    for hash_seed, out in zip(("1", "2"), outs):
+        env = {**os.environ, "PYTHONHASHSEED": hash_seed,
+               "PYTHONPATH": os.pathsep.join(
+                   filter(None, [str(package_root), os.environ.get("PYTHONPATH")]))}
+        subprocess.run([sys.executable, "-m", "fleetscope.cli", "--seed", "3", "simulate",
+                        "--fleet", str(fleet_file), "--out", str(out), "--dwell", "6s",
+                        "--workers", "2", "--duration", "600s", "--loss-rate", "0.01"],
+                       env=env, check=True, capture_output=True, timeout=120)
+    files = [sorted(path.relative_to(out) for path in out.rglob("*") if path.is_file())
+             for out in outs]
+    assert files[0] == files[1]
+    assert Path("store", "samples.bin") in files[0]
+    for name in files[0]:
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
 
 
 def test_store_backed_pipeline_across_commands(tmp_path, small_fleet_file):

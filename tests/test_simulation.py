@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from fleetscope.ipid import IdBehavior
 from fleetscope.simulation import (
+    BIN_NS,
     DAY_S,
     SimulatedFleet,
     SimulatedServer,
@@ -355,6 +356,32 @@ def test_serve_visit_matches_the_per_echo_responder(spec, seed, start_ns, visits
         assert ids.tolist() == [serve_echo(reference, at) for at in at_ns]
         assert _state(server) == _state(reference)
         start_ns += 3 * 10**11
+
+
+@settings(max_examples=200, deadline=None)
+@given(spec=_servers, seed=st.integers(0, 1000),
+       start_ns=st.integers(0, 10 * 86400 * 10**9) | st.integers(0, 10 * 86400).map(
+           lambda s: s * BIN_NS),
+       offsets=st.lists(_offsets | st.integers(-1, 4).map(lambda k: k * BIN_NS), min_size=1,
+                        max_size=60),
+       cuts=st.lists(st.integers(0, 60), max_size=6), later_ns=st.integers(0, 3 * BIN_NS))
+def test_the_counter_depends_on_time_not_on_how_a_visit_is_cut(spec, seed, start_ns, offsets, cuts,
+                                                                later_ns):
+    # one serve_visit call, and the same arrivals served in consecutive
+    # chunks; times land on and across bin edges, and the visit then runs
+    # on inside its last bin, whose noise factor must have been kept
+    (whole, chunked), _ = _twin_servers(spec, seed)
+    at_ns = sorted(max(0, start_ns + offset) for offset in offsets)
+    bounds = sorted({cut % (len(at_ns) + 1) for cut in cuts})
+    chunks = [at_ns[a:b] for a, b in zip([0, *bounds], [*bounds, len(at_ns)])]
+    for server in (whole, chunked):
+        server.advance([start_ns])
+    ids = whole.serve_visit(at_ns).tolist()
+    assert [i for chunk in chunks for i in chunked.serve_visit(chunk).tolist()] == ids
+    assert _state(chunked) == _state(whole)
+    end_ns = at_ns[-1] + later_ns
+    assert chunked.advance([end_ns]).tolist() == whole.advance([end_ns]).tolist()
+    assert _state(chunked) == _state(whole)
 
 
 @settings(max_examples=200, deadline=None)
