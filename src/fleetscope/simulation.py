@@ -130,11 +130,13 @@ class SimulatedServer:
         Each bin a time falls in (or its part past the clock, for a clock
         that no earlier call left inside a bin) is one noise step: its
         factor is drawn in time order the first time a call reaches into it
-        and kept while later calls continue inside it. A span of whole bins
-        that no time falls in is one step with one draw. A step of width W
-        has the std ``noise_rel * sqrt(NOISE_STEP_NS / W)``, clipped so the
-        count never falls. So the counter depends on the times alone, not on
-        how they are split into calls; a fixed seed and campaign replays
+        and kept while later calls continue inside it. A time on the start
+        edge of a bin, where the step before it ends, reads that step's end
+        and opens no step. A span of whole bins that no time falls in is
+        one step with one draw. A step of width W has the std
+        ``noise_rel * sqrt(NOISE_STEP_NS / W)``, clipped so the count never
+        falls. So the counter depends on the times alone, not on how they
+        are split into calls; a fixed seed and campaign replays
         identically. The clock never moves backwards: a time behind it reads
         the count at the clock.
         """
@@ -146,7 +148,15 @@ class SimulatedServer:
         else:
             xs, ys = list(self._open_step[:2]), list(self._open_step[2:])
         known = len(xs)
-        for start in (np.unique(times[times > xs[-1]] // BIN_NS) * BIN_NS).tolist():
+        beyond = times[times > xs[-1]]
+        starts = np.unique(beyond // BIN_NS) * BIN_NS
+        edge_only = ()  # the bins whose times all sit on their start edge
+        if np.count_nonzero(beyond % BIN_NS) < len(beyond):
+            last = beyond[np.searchsorted(beyond, starts + BIN_NS) - 1]
+            edge_only = set(starts[last == starts].tolist())
+        for start in starts.tolist():
+            if start == xs[-1] and start in edge_only:
+                continue  # those times read the end of the step before, as a later call's would
             if start > xs[-1]:
                 xs.append(start)  # the whole bins before this one: one step
             xs.append(start + BIN_NS)

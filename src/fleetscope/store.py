@@ -116,21 +116,21 @@ def read_frames(path: str | Path) -> Iterator[VisitFrame]:
     """Yield the frames of a samples file in order, one at a time.
 
     A frame file is only ever published whole, so a short read, a bad magic,
-    send times that do not increase anywhere, an ``end_ns`` not after the
-    last send or an interval other than the first frame's (a stream is one
-    campaign) raise ``StoreError``.
+    a target that is not ASCII, send times that do not increase anywhere, an
+    ``end_ns`` not after the last send or an interval other than the first
+    frame's (a stream is one campaign) raise ``StoreError``.
     """
     path = Path(path)
     with open(path, "rb") as fh:
         offset = 0
         first_interval_ns = None
         while header := fh.read(_FRAME_HEADER.size):
-            if not header.startswith(FRAME_MAGIC):
-                if offset == 0 and header.startswith(b"{"):
-                    raise StoreError(f"{path.name}: {_SAMPLES_V1}")
-                raise StoreError(f"{path.name}: bad magic in the frame at byte {offset}")
+            if offset == 0 and header.startswith(b"{"):
+                raise StoreError(f"{path.name}: {_SAMPLES_V1}")
             if len(header) < _FRAME_HEADER.size:
                 raise StoreError(f"{path.name}: truncated frame at byte {offset}")
+            if not header.startswith(FRAME_MAGIC):
+                raise StoreError(f"{path.name}: bad magic in the frame at byte {offset}")
             _, start_ns, end_ns, count, target_len = _FRAME_HEADER.unpack(header)
             size = target_len + count * _BYTES_PER_PROBE
             body = fh.read(size)
@@ -151,8 +151,13 @@ def read_frames(path: str | Path) -> Iterator[VisitFrame]:
                 if interval_ns != first_interval_ns:
                     raise StoreError(f"{path.name}: the frame at byte {offset} has an interval of "
                                      f"{interval_ns} ns, the first frame {first_interval_ns} ns")
+            try:
+                target = body[:target_len].decode("ascii")
+            except UnicodeDecodeError:
+                raise StoreError(f"{path.name}: the target of the frame at byte {offset} "
+                                 f"is not ASCII") from None
             yield VisitFrame(
-                body[:target_len].decode("ascii"), start_ns, end_ns, sent_ns,
+                target, start_ns, end_ns, sent_ns,
                 np.frombuffer(body, "<u4", count, arrays),
                 np.frombuffer(body, "<u2", count, arrays + 4 * count),
             )

@@ -1,4 +1,4 @@
-"""Reference estimator: the per-sample loops that ``fleetscope.ipid``'s array
+"""Reference estimator: the per-sample loops that ``fleetscope.ipid``'s batch
 kernel replaced, kept verbatim so property tests can compare the two.
 
 The loops read one record per probe (``ProbeSample``) grouped into a visit
@@ -24,12 +24,18 @@ from fleetscope.ipid import (
     RISK_BOUND_FACTOR,
     SMALL_DELTA,
     IdBehavior,
-    InsufficientSamples,
-    NotACounter,
     RateEstimate,
     ambiguity_bound,
 )
 from fleetscope.store import LOST_RTT, VisitFrame
+
+
+class InsufficientSamples(ValueError):
+    """Too few usable samples to classify or estimate."""
+
+
+class NotACounter(ValueError):
+    """Target does not expose a global ID counter; rate estimation refused."""
 
 
 def wrap_corrected_delta(prev_id: int, next_id: int) -> int:

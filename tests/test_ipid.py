@@ -2,21 +2,23 @@
 per-visit estimates and series flagging."""
 
 import random
+from unittest.mock import patch
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from fleetscope import ipid
 from fleetscope.ipid import (
+    BEHAVIORS,
+    UNCLASSIFIED,
     IdBehavior,
-    InsufficientSamples,
-    NotACounter,
+    RateEstimate,
     _id_deltas,
     ambiguity_bound,
-    classify_replies,
     daily_autocorrelation,
-    estimate_replies,
+    estimate_batch,
     series_estimates,
 )
 from fleetscope.probe import CampaignParams, run_campaign
@@ -24,7 +26,7 @@ from fleetscope.simulation import SimulatedTransport
 
 import ipid_oracle
 from conftest import make_fleet, make_server, one_visit
-from ipid_oracle import ProbeSample, VisitLog, to_frame
+from ipid_oracle import InsufficientSamples, ProbeSample, VisitLog, to_frame
 
 
 def _deltas(*ids):
@@ -71,8 +73,25 @@ def _frame(ids, interval_ns=30_000_000, target="t"):
     return to_frame(_visit(ids, interval_ns, target))
 
 
+def _rows(frames):
+    """Each frame's (class, estimate) from one ``estimate_batch`` call, in the
+    oracle's terms: ``InsufficientSamples`` where the oracle raises it, and
+    the estimate of the visit read as a global counter."""
+    columns = estimate_batch(frames)
+    return [(InsufficientSamples if code == UNCLASSIFIED else BEHAVIORS[code],
+             RateEstimate(frame.target, frame.start_ns, frame.end_ns, pps, segments, risk)
+             if estimable else InsufficientSamples)
+            for frame, code, estimable, pps, segments, risk in zip(
+                frames, columns.behavior.tolist(), columns.estimable.tolist(),
+                columns.pps.tolist(), columns.segments.tolist(), columns.risk.tolist())]
+
+
 def _classify(frame):
-    return classify_replies(*frame.replies())
+    return _rows([frame])[0][0]
+
+
+def _estimate(frame):
+    return _rows([frame])[0][1]
 
 
 def test_detect_counter_from_simulated_server():
@@ -104,8 +123,7 @@ def test_detect_fast_counter_beyond_quarter_range():
 
 
 def test_detect_requires_enough_samples():
-    with pytest.raises(InsufficientSamples):
-        _classify(_frame([1, 2, 3]))
+    assert _classify(_frame([1, 2, 3])) is InsufficientSamples
 
 
 def test_estimate_simulated_steady_server_within_two_percent():
@@ -113,7 +131,7 @@ def test_estimate_simulated_steady_server_within_two_percent():
     fleet = make_fleet([server])
     transport = SimulatedTransport(fleet)
     visit = one_visit(server.address, 0.03, 60.0, transport)
-    est = estimate_replies(visit)
+    (est,) = series_estimates([visit])
     (truth,) = (t.true_pps for t in fleet.truth)
     assert est.packets_per_second == pytest.approx(truth, rel=0.02)
 
@@ -124,7 +142,7 @@ def test_estimate_idle_server_after_self_subtraction():
     fleet = make_fleet([server])
     transport = SimulatedTransport(fleet)
     visit = one_visit(server.address, 0.03, 60.0, transport)
-    est = estimate_replies(visit)
+    (est,) = series_estimates([visit])
     probe_rate = 1 / 0.03
     assert est.packets_per_second <= 0.01 * probe_rate
 
@@ -133,7 +151,8 @@ def test_estimate_conversion_rule():
     # 30 IDs per 30 ms, one of them our own echo reply: (30 - 1) / 0.03 pps,
     # or 11.6 Mbit/s at a 1500-byte MTU.
     ids = [(i * 30) % 65536 for i in range(2001)]
-    row = estimate_replies(_frame(ids)).to_json(1500)
+    (est,) = series_estimates([_frame(ids)])
+    row = est.to_json(1500)
     assert row["pps"] == pytest.approx((30 - 1) / 0.03)
     assert row["bps"] == row["pps"] * 1500 * 8
     assert (row["mtu_bytes"], row["flags"]["id_behavior"]) == (1500, "global_counter")
@@ -149,20 +168,21 @@ def test_estimate_reads_the_interval_from_the_frame(interval_ns):
     ids = [None if i % 3 == 2 else i * 40_000 % 65536 for i in range(101)]
     frame = _frame(ids, interval_ns)
     assert frame.interval_ns == interval_ns
-    est = estimate_replies(frame, IdBehavior.GLOBAL_COUNTER)
+    est = _estimate(frame)
     # 100 intervals in 67 gaps between replies, less one own reply per gap
     assert est.packets_per_second == pytest.approx((100 * 40_000 - 67) / (100 * interval_ns / 1e9))
     assert est.segments_used == 1
 
 
 def test_estimate_requires_counter_behavior():
-    with pytest.raises(NotACounter):
-        estimate_replies(_frame([7] * 30))
+    constant = _frame([7] * 30)
+    assert _classify(constant) is IdBehavior.CONSTANT_OR_PERFLOW
+    assert _estimate(constant).packets_per_second == 0.0
+    assert series_estimates([constant]) == []
 
 
 def test_estimate_requires_two_replies():
-    with pytest.raises(InsufficientSamples):
-        estimate_replies(_frame([5] + [None] * 20))
+    assert _estimate(_frame([5] + [None] * 20)) is InsufficientSamples
 
 
 def test_estimate_survives_loss_gaps_with_wrap_completion():
@@ -170,7 +190,7 @@ def test_estimate_survives_loss_gaps_with_wrap_completion():
     per_gap = 39000
     ids = [(i * per_gap) % 65536 for i in range(200)]
     ids[50] = ids[100] = None
-    est = estimate_replies(_frame(ids), IdBehavior.GLOBAL_COUNTER)
+    est = _estimate(_frame(ids))
     # 199 intervals in 197 gaps between replies, less one own reply per gap
     assert est.packets_per_second == pytest.approx((199 * per_gap - 197) / (199 * 0.03))
 
@@ -190,7 +210,7 @@ def test_estimate_splits_segments_on_long_gaps():
             counter += 30
             offset += interval_ns
     visit = VisitLog("t", 0, offset, samples)
-    est = estimate_replies(to_frame(visit), IdBehavior.GLOBAL_COUNTER)
+    est = _estimate(to_frame(visit))
     assert est.segments_used == 2
     # 30 IDs per interval, one of them our own echo reply
     assert est.packets_per_second == pytest.approx((30 - 1) / 0.03)
@@ -201,7 +221,7 @@ def test_no_overcount_against_simulator_truth():
     fleet = make_fleet([server])
     transport = SimulatedTransport(fleet, loss_rate=0.01)
     visit = one_visit(server.address, 0.03, 60.0, transport)
-    est = estimate_replies(visit)
+    (est,) = series_estimates([visit])
     (truth,) = (t.true_pps for t in fleet.truth)
     assert est.packets_per_second <= truth * 1.001 + 1.0
 
@@ -273,14 +293,15 @@ def test_daily_autocorrelation_needs_data():
     assert daily_autocorrelation([]) is None
 
 
-# -- the array kernel against the per-sample reference loops -------------------
+# -- the batch kernel against the per-sample reference loops -------------------
 
 @st.composite
-def _random_visits(draw):
-    """Visits with loss, wraps, gaps over three intervals, random, constant
-    and counter IDs, and any number of replies from none upwards."""
+def _random_visits(draw, counts=st.one_of(st.integers(0, 25), st.integers(25, 150))):
+    """Visits of one of three targets with loss, wraps, gaps over three
+    intervals, random, constant and counter IDs, and ``counts`` probes."""
     interval_ns = draw(st.sampled_from([10_000_000, 30_000_000, 1_000_000_000]))
-    count = draw(st.one_of(st.integers(0, 25), st.integers(25, 150)))
+    count = draw(counts)
+    target = draw(st.sampled_from(["a", "b", "c"]))
     kind = draw(st.sampled_from(["counter", "fast_counter", "random", "constant", "noisy"]))
     rng = random.Random(draw(st.integers(0, 2**32)))
     per_probe = {"counter": rng.randrange(1, 2000), "fast_counter": rng.randrange(2000, 200_000),
@@ -308,17 +329,17 @@ def _random_visits(draw):
         else:
             ipid = counter % 65536
         if rng.random() < loss:
-            samples.append(ProbeSample("t", i, sent_ns))
+            samples.append(ProbeSample(target, i, sent_ns))
         else:
-            samples.append(ProbeSample("t", i, sent_ns, sent_ns + rng.randrange(10**8), ipid))
+            samples.append(ProbeSample(target, i, sent_ns, sent_ns + rng.randrange(10**8), ipid))
     end_ns = sent_ns + interval_ns
-    return VisitLog("t", start_ns, end_ns, samples), interval_ns / 1e9
+    return VisitLog(target, start_ns, end_ns, samples), interval_ns / 1e9
 
 
 def _outcome(call, *args, **kwargs):
     try:
         return call(*args, **kwargs)
-    except (InsufficientSamples, NotACounter) as exc:
+    except InsufficientSamples as exc:
         return type(exc)
 
 
@@ -330,12 +351,38 @@ _FAST_WITH_LOSS = (_visit([None if i % 3 == 2 else i * 20_000 % 65536 for i in r
 
 
 @settings(max_examples=300, deadline=None)
-@example(_NINE_IN_TEN, None)
-@example(_FAST_WITH_LOSS, None)
-@given(_random_visits(), st.sampled_from([None, IdBehavior.GLOBAL_COUNTER]))
-def test_kernel_matches_the_per_sample_loops(visit_and_interval, behavior):
-    visit, interval_s = visit_and_interval
-    frame = to_frame(visit)
-    assert _outcome(_classify, frame) == _outcome(ipid_oracle.detect_id_behavior, visit.samples)
-    assert _outcome(estimate_replies, frame, behavior) == _outcome(
-        ipid_oracle.estimate_rate, visit, interval_s, behavior, subtract_self=True)
+@example([_NINE_IN_TEN])
+@example([_FAST_WITH_LOSS, _NINE_IN_TEN])
+@given(st.lists(_random_visits(), min_size=1, max_size=6))
+def test_kernel_matches_the_per_sample_loops(visits_and_intervals):
+    rows = _rows([to_frame(visit) for visit, _ in visits_and_intervals])
+    for (visit, interval_s), (behavior, estimate) in zip(visits_and_intervals, rows):
+        assert behavior == _outcome(ipid_oracle.detect_id_behavior, visit.samples)
+        assert estimate == _outcome(ipid_oracle.estimate_rate, visit, interval_s,
+                                    IdBehavior.GLOBAL_COUNTER, subtract_self=True)
+
+
+@st.composite
+def _streams(draw):
+    """Frames of 2, 25 and 150 probes, with a frame of no probes and one
+    whose probes were all lost among them."""
+    visits = draw(st.lists(_random_visits(st.sampled_from([2, 25, 150])), max_size=10))
+    frames = [to_frame(visit) for visit, _ in visits]
+    for extra in (_frame([]), _frame([None] * 25, target="b")):
+        frames.insert(draw(st.integers(0, len(frames))), extra)
+    return frames
+
+
+@settings(max_examples=100, deadline=None)
+@given(_streams(), st.data())
+def test_batch_boundaries_do_not_change_the_estimates(frames, data):
+    cuts = sorted(set(data.draw(st.lists(st.integers(1, len(frames) - 1), max_size=5))))
+    alone = [row for frame in frames for row in _rows([frame])]
+    assert _rows(frames) == alone
+    assert [row for start, end in zip([0, *cuts], [*cuts, len(frames)])
+            for row in _rows(frames[start:end])] == alone
+    with patch.object(ipid, "BATCH_CELLS", 1):
+        one_each = series_estimates(frames)
+    with patch.object(ipid, "BATCH_CELLS", 10**9):
+        one_batch = series_estimates(frames)
+    assert series_estimates(iter(frames)) == one_each == one_batch

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fleetscope.ipid import IdBehavior
@@ -365,6 +365,13 @@ def test_serve_visit_matches_the_per_echo_responder(spec, seed, start_ns, visits
        offsets=st.lists(_offsets | st.integers(-1, 4).map(lambda k: k * BIN_NS), min_size=1,
                         max_size=60),
        cuts=st.lists(st.integers(0, 60), max_size=6), later_ns=st.integers(0, 3 * BIN_NS))
+# a time on the edge where the first bin ends: one call must not open the
+# second bin for it, as the call that starts there does not
+@example(spec={"profile": TrafficProfile(base_pps=1.0, peak_local_s=0.0, noise_rel=0.5,
+                                         fill_start_s=0.0, fill_end_s=60.0),
+               "id_behavior": IdBehavior.GLOBAL_COUNTER, "constant_id": 0, "rtt_ns": 0},
+         seed=2, start_ns=0, offsets=[0] * 7 + [30_000_000, BIN_NS, 3 * BIN_NS], cuts=[8],
+         later_ns=0)
 def test_the_counter_depends_on_time_not_on_how_a_visit_is_cut(spec, seed, start_ns, offsets, cuts,
                                                                 later_ns):
     # one serve_visit call, and the same arrivals served in consecutive

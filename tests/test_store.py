@@ -137,6 +137,27 @@ def test_damaged_frame_is_a_store_error(tmp_path, damage):
         list(CampaignStore(tmp_path / "store").scan("samples"))
 
 
+def test_a_file_torn_inside_a_frame_magic_is_a_truncated_frame(tmp_path):
+    store = _committed_samples(tmp_path, [_visit(), _visit()])
+    path = store.stream_path("samples")
+    second = len(encode_frame(_visit()))
+    path.write_bytes(path.read_bytes()[:second + 2])
+    with pytest.raises(StoreError, match=f"samples.bin: truncated frame at byte {second}"):
+        list(store.scan("samples"))
+
+
+def test_a_target_that_is_not_ascii_is_a_store_error_naming_its_frame(tmp_path):
+    store = _committed_samples(tmp_path, [_visit(), _visit()])
+    path = store.stream_path("samples")
+    data = bytearray(path.read_bytes())
+    second = len(encode_frame(_visit()))
+    data[second + 25] = 0xE9  # the second frame's first target byte
+    path.write_bytes(bytes(data))
+    with pytest.raises(StoreError, match=f"samples.bin: the target of the frame at byte {second} "
+                                         f"is not ASCII"):
+        list(store.scan("samples"))
+
+
 @pytest.mark.parametrize("end_after_last_send_ns, reason", [
     (0, "end_ns is not after the last send in the frame at byte {offset}"),
     (-1, "end_ns is not after the last send in the frame at byte {offset}"),
