@@ -20,7 +20,7 @@ import json
 import logging
 import sys
 from pathlib import Path
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Sequence
 
 from . import analytics, discovery, ipid, names, probe, simulation, store, validation
 from .config import ConfigError, load_config
@@ -134,10 +134,8 @@ def _stage_output(campaign_store: store.CampaignStore | None, stage: str, stream
             writer.close()
 
 
-def derive_wordlists(fleet: simulation.SimulatedFleet) -> names.Wordlists:
-    """Word lists covering exactly the dimensions present in a fleet."""
-    parsed = [names.parse_server_name(s.name, domain_suffix=fleet.domain_suffix)
-              for s in fleet.servers]
+def derive_wordlists(parsed: Sequence[names.ServerName]) -> names.Wordlists:
+    """Word lists covering exactly the dimensions present in a fleet's parsed names."""
     return names.Wordlists(
         airport_codes=tuple(sorted({n.airport_code for n in parsed})),
         isp_labels=tuple(sorted({n.isp_label for n in parsed if n.isp_label})),
@@ -151,15 +149,15 @@ def derive_wordlists(fleet: simulation.SimulatedFleet) -> names.Wordlists:
 
 
 def synthesize_snapshot(
-    fleet: simulation.SimulatedFleet, airports: validation.AirportDatabase
+    fleet: simulation.SimulatedFleet, parsed: Sequence[names.ServerName],
+    airports: validation.AirportDatabase
 ) -> tuple[validation.AddressSnapshot, set[int], dict[str, list[int]]]:
-    """Per-address metadata consistent with the fleet's own naming.
+    """Per-address metadata consistent with the fleet's own naming;
+    ``parsed[i]`` is the parsed name of ``fleet.servers[i]``.
 
     IXP addresses map to a private-use CDN ASN, ISP addresses to one
     private-use ASN per label; countries come from the airport claim.
     """
-    parsed = [names.parse_server_name(s.name, domain_suffix=fleet.domain_suffix)
-              for s in fleet.servers]
     isp_labels = sorted({n.isp_label for n in parsed if n.isp_label})
     isp_asn_table = {label: [64501 + i] for i, label in enumerate(isp_labels)}
     rows = []
@@ -448,11 +446,17 @@ def _cmd_simulate(args, params: probe.CampaignParams) -> int:
     airports = validation.AirportDatabase.bundled()
     campaign_store = store.CampaignStore(out_dir / "store")
 
-    crawl_stage(campaign_store, None, derive_wordlists(fleet),
-                simulation.ZoneResolver(fleet.zone()), None, fleet.domain_suffix)
-    records = _records_in(None, campaign_store)
+    # one parse of the fleet's names serves the word lists and the snapshot,
+    # and is dropped before the crawl
+    parsed = [names.parse_server_name(server.name, domain_suffix=fleet.domain_suffix)
+              for server in fleet.servers]
+    lists = derive_wordlists(parsed)
+    snapshot, cdn_asns, isp_asns = synthesize_snapshot(fleet, parsed, airports)
+    del parsed
 
-    snapshot, cdn_asns, isp_asns = synthesize_snapshot(fleet, airports)
+    crawl_stage(campaign_store, None, lists, simulation.ZoneResolver(fleet.zone()), None,
+                fleet.domain_suffix)
+    records = _records_in(None, campaign_store)
     validate_stage(campaign_store, None, records, snapshot, cdn_asns, isp_asns, airports)
 
     def write_truth(summary: probe.CampaignSummary) -> None:

@@ -8,16 +8,22 @@ rather than revisiting too fast.
 
 One loop on one thread runs every campaign, on a virtual or a real clock
 alike. It walks the busy slots of each cycle in time order, so idle slots
-and workers cost nothing: a send event sends one probe to each visit of a
-slot, and before it the loop collects each earlier slot whose last send
-is one reply timeout old, passing each of its visits, as one
-``VisitFrame``, to the caller's ``emit`` function. Between events the
-loop waits in the transport's ``sleep_until_ns``, which is where a real
-transport reads its replies. Due times are fixed from the campaign's
-start, and the loop reads the clock once per send event: a target whose
-previous send, in this visit or its last one, is less than one interval
-old waits until that send plus the interval. A late send thus delays only
-the sends that would follow it by less than the interval.
+and workers cost nothing. The visits of a slot send in step: probe index
+``i`` of each is due ``i`` intervals after the slot's start. The loop asks
+the transport for a run of indices at a time (``send_run``) and cuts each
+slot's run at the due time of the next pending collection, so a slot takes
+one call plus one per collection that falls within it. A collection comes
+before any send due at or after it: once an earlier slot's last send is
+one reply timeout old, the loop waits for that time in the transport's
+``sleep_until_ns``, which is where a real transport reads its replies,
+and passes each of the slot's visits, as one ``VisitFrame``, to the
+caller's ``emit`` function. Due times are fixed from the campaign's
+start. The transport sends no index before its due time and no target
+within one interval of its previous send, in this visit or its last one,
+so a late send delays only the sends that would follow it by less than
+the interval. The loop checks every run it gets back and raises
+``TransportError`` on a gap under the interval: courtesy is checked, not
+trusted.
 """
 
 from __future__ import annotations
@@ -32,7 +38,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .store import LOST_RTT, MAX_RTT_NS, VisitFrame
-from .transport import EchoTransport, Replies
+from .transport import EchoTransport, Replies, TransportError
 
 logger = logging.getLogger(__name__)
 
@@ -188,8 +194,8 @@ def run_campaign(
     count = params.probes_per_visit
 
     slot_count = -(-round(params.total_duration_s * 1e9) // slot_ns)
-    # each busy slot of the campaign, with an empty list of send times per visit
-    slots = ((start + i, [(target, []) for target in targets_now])
+    # each busy slot of the campaign and the targets it visits
+    slots = ((start + i, targets_now)
              for start in range(0, slot_count, schedule.cycle_slots)
              for i, targets_now in enumerate(schedule.slots) if start + i < slot_count)
     epoch_ns = transport.now_ns()
@@ -197,17 +203,17 @@ def run_campaign(
     # each target's latest send, from any visit; the clock never reads below the epoch
     last_sent_ns = dict.fromkeys(targets, epoch_ns - interval_ns)
     totals = CampaignSummary()
-    # (due_ns, visits) of the sent slots not yet collected. A slot's sends
-    # end before the next slot's begin (``count`` intervals fit in a dwell),
-    # so sends and collections alike fall due in slot order.
-    pending: deque[tuple[int, list[tuple[str, list[int]]]]] = deque()
+    # (due_ns, targets, sent_ns) of the sent slots not yet collected, where
+    # row r of sent_ns holds the send times of the visit to targets[r]. A
+    # slot's sends end before the next slot's begin (``count`` intervals fit
+    # in a dwell), so sends and collections alike fall due in slot order.
+    pending: deque[tuple[int, tuple[str, ...], np.ndarray]] = deque()
 
     def collect_until(t_ns: float) -> None:
         while pending and pending[0][0] <= t_ns:
-            due_ns, visits = pending.popleft()
+            due_ns, visit_targets, sent = pending.popleft()
             transport.sleep_until_ns(due_ns)
-            for target, sent in visits:
-                sent_ns = np.array(sent, dtype=np.int64)
+            for target, sent_ns in zip(visit_targets, sent):
                 visit = _visit_frame(target, sent_ns, transport.end_visit(target, sent_ns),
                                      interval_ns, timeout_ns)
                 emit(visit)
@@ -218,28 +224,48 @@ def run_campaign(
                 if losses < count:
                     answered.add(target)
 
-    for slot, visits in slots:
-        for index in range(count):
-            due_ns = epoch_ns + slot * slot_ns + index * interval_ns
+    for slot, visit_targets in slots:
+        first_ns = epoch_ns + slot * slot_ns
+        previous_ns = np.array([last_sent_ns[target] for target in visit_targets], dtype=np.int64)
+        runs = []
+        start = 0
+        while start < count:
             # a collection due at a send's time comes first: the send may
             # revisit the same target
-            collect_until(due_ns)
-            transport.sleep_until_ns(due_ns)
-            now_ns = transport.now_ns()
-            for target, sent in visits:
-                resume_ns = last_sent_ns[target] + interval_ns
-                if now_ns < resume_ns:
-                    # a late send must not bring this target's next one closer
-                    transport.sleep_until_ns(resume_ns)
-                    now_ns = transport.now_ns()
-                at_ns = last_sent_ns[target] = transport.send_echo(target, index)
-                sent.append(at_ns)
-        pending.append((due_ns + timeout_ns, visits))
+            collect_until(first_ns + start * interval_ns)
+            stop = count
+            if pending:  # the run ends before the first index due at the next collection
+                stop = min(count, -(-(pending[0][0] - first_ns) // interval_ns))
+            run = transport.send_run(visit_targets, first_ns, interval_ns, start, stop,
+                                     previous_ns)
+            _check_courtesy(visit_targets, run, stop - start, previous_ns, interval_ns)
+            runs.append(run)
+            previous_ns, start = run[:, -1], stop
+        sent = runs[0] if len(runs) == 1 else np.concatenate(runs, axis=1)
+        last_sent_ns.update(zip(visit_targets, previous_ns.tolist()))
+        pending.append((first_ns + (count - 1) * interval_ns + timeout_ns, visit_targets, sent))
     collect_until(math.inf)
 
     totals.reachable = tuple(sorted(answered))
     totals.unreachable = tuple(sorted(set(targets) - answered))
     return totals
+
+
+def _check_courtesy(targets: Sequence[str], sent_ns: np.ndarray, width: int,
+                    previous_ns: np.ndarray, interval_ns: int) -> None:
+    """Raise ``TransportError`` unless ``sent_ns`` holds ``width`` send
+    times per target, each at least one interval after the target's
+    previous send (``previous_ns`` for the first)."""
+    if np.shape(sent_ns) != (len(targets), width):
+        raise TransportError(f"a run of {width} probes to {len(targets)} targets came back "
+                             f"with the shape {np.shape(sent_ns)}")
+    # each target's shortest gap, or the interval when none is shorter
+    gaps = np.minimum(sent_ns[:, 0] - previous_ns,
+                      np.diff(sent_ns, axis=1).min(axis=1, initial=interval_ns))
+    if (gaps < interval_ns).any():
+        row = int(np.argmax(gaps < interval_ns))
+        raise TransportError(f"{targets[row]}: the transport sent a probe {int(gaps[row])} ns "
+                             f"after the one before, under the {interval_ns} ns interval")
 
 
 def _visit_frame(target: str, sent_ns: np.ndarray, replies: Replies,

@@ -90,7 +90,10 @@ class VisitFrame:
 
     @property
     def interval_ns(self) -> int:
-        """The probe interval: ``end_ns`` is the last send plus one interval."""
+        """The probe interval: ``end_ns`` is the last send plus one interval.
+        A frame with no probes has none, and raises ``ValueError``."""
+        if not len(self.sent_ns):
+            raise ValueError(f"{self.target}: the frame has no probes, so no probe interval")
         return self.end_ns - int(self.sent_ns[-1])
 
     def replies(self) -> tuple[np.ndarray, np.ndarray]:

@@ -5,12 +5,15 @@ CAP_NET_RAW or root) and the in-process simulated transport in
 ``simulation`` (no privilege, virtual time). Both satisfy ``EchoTransport``
 structurally; the prober never imports a concrete transport, and runs its
 one event loop against either. The contract is four calls: a clock, a
-wait, a send, and one collection per visit. A visit opens with its first
-send and closes when its replies are collected, which come back as three
-int64 columns ``(seq, recv_ns, ip_id)``, the format the prober stores.
-Only ``sleep_until_ns`` waits for time to pass, and no transport starts a
-thread: the raw transport reads replies inside ``sleep_until_ns``, while
-the loop has nothing else to do.
+wait, a run of sends, and one collection per visit. ``send_run`` sends a
+run of probe indices to a slot's targets in one call and returns the send
+times as an int64 array; the raw transport sends them one by one, the
+simulated one computes them in one numpy pass. A visit opens with its
+index 0 and closes when its replies are collected, which come back as
+three int64 columns ``(seq, recv_ns, ip_id)``, the format the prober
+stores. Only ``sleep_until_ns`` and ``send_run`` wait for time to pass,
+and no transport starts a thread: the raw transport reads replies while
+it waits in them.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ import select
 import socket
 import struct
 import time
-from typing import Protocol
+from typing import Protocol, Sequence
 
 import numpy as np
 
@@ -45,13 +48,21 @@ def reply_columns(replies: dict[int, tuple[int, int]]) -> Replies:
 
 
 class EchoTransport(Protocol):
-    """What the prober needs: a clock, pacing, and fire-and-collect echoes.
+    """What the prober needs: a clock, a wait, runs of sends, and collection.
 
-    A visit to a target opens with its first ``send_echo``, sequence
-    number 0, and sends sequence numbers 0, 1, ... in order. ``send_echo``
-    must not block on the reply; it returns the send time.
+    ``send_run(targets, first_ns, interval_ns, start, stop, not_before_ns)``
+    sends probe indices ``start`` to ``stop - 1`` (``start < stop``), each
+    as sequence number ``i``, to every target: index by index, and within
+    an index in target order. It sends index ``i`` no earlier than
+    ``first_ns + i * interval_ns``, and never within one interval of the
+    target's previous send; ``not_before_ns[j]`` is the previous send to
+    ``targets[j]``, from an earlier run or visit. It must not block on
+    replies, and returns the send times as an int64 array of shape
+    ``len(targets) x (stop - start)``. A visit to a target opens with its
+    index 0, and its runs send indices 0, 1, ... in order.
+
     ``end_visit(target, sent_ns)`` is called once the reply timeout after
-    the visit's last send has passed, with the send times ``send_echo``
+    the visit's last send has passed, with the send times ``send_run``
     returned for the visit as one int64 array (``sent_ns[seq]`` for echo
     ``seq``). Without waiting, it closes the visit and returns the replies
     heard as ``Replies``: one row per reply, at most one per sequence
@@ -64,7 +75,8 @@ class EchoTransport(Protocol):
 
     def sleep_until_ns(self, t_ns: int) -> None: ...
 
-    def send_echo(self, target: str, seq: int) -> int: ...
+    def send_run(self, targets: Sequence[str], first_ns: int, interval_ns: int, start: int,
+                 stop: int, not_before_ns: np.ndarray) -> np.ndarray: ...
 
     def end_visit(self, target: str, sent_ns: np.ndarray) -> Replies: ...
 
@@ -177,15 +189,32 @@ class RawIcmpTransport:
             if remaining_ns <= 0:
                 return
 
-    def send_echo(self, target: str, seq: int) -> int:
-        if seq == 0:
-            self._pending[target] = {}
-        packet = build_echo_request(self.ident, seq)
-        sent_ns = self.now_ns()
-        try:
-            self._sock.sendto(packet, (target, 0))
-        except OSError as exc:
-            raise TransportError(f"send to {target} failed: {exc}") from exc
+    def send_run(self, targets: Sequence[str], first_ns: int, interval_ns: int, start: int,
+                 stop: int, not_before_ns: np.ndarray) -> np.ndarray:
+        """Send each index at its due time, reading replies while waiting for
+        it; the clock is read once per index, and a target whose previous
+        send is under one interval old waits until that send plus the
+        interval. A late send thus delays only the sends that would follow
+        it by less than the interval."""
+        sent_ns = np.empty((len(targets), stop - start), dtype=np.int64)
+        last_ns = [int(t_ns) for t_ns in not_before_ns]
+        for column, seq in enumerate(range(start, stop)):
+            self.sleep_until_ns(first_ns + seq * interval_ns)
+            now_ns = self.now_ns()
+            packet = build_echo_request(self.ident, seq)
+            for row, target in enumerate(targets):
+                if now_ns < last_ns[row] + interval_ns:
+                    # a late send must not bring this target's next one closer
+                    self.sleep_until_ns(last_ns[row] + interval_ns)
+                    now_ns = self.now_ns()
+                if seq == 0:
+                    self._pending[target] = {}
+                last_ns[row] = self.now_ns()
+                try:
+                    self._sock.sendto(packet, (target, 0))
+                except OSError as exc:
+                    raise TransportError(f"send to {target} failed: {exc}") from exc
+            sent_ns[:, column] = last_ns
         return sent_ns
 
     def end_visit(self, target: str, sent_ns: np.ndarray) -> Replies:

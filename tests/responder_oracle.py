@@ -1,5 +1,6 @@
-"""Reference responder: the bin model of ``SimulatedServer.advance`` and the
-per-visit ``SimulatedTransport.end_visit``, evaluated one echo at a time,
+"""Reference responder and sender: the bin model of
+``SimulatedServer.advance``, the per-visit ``SimulatedTransport.end_visit``
+and the numpy ``send_run`` of the transports, evaluated one echo at a time,
 kept so property tests can compare the two.
 
 ``advance_to`` moves a server's clock to one time through the 1 s bins,
@@ -8,7 +9,9 @@ answers one echo after such a move, and ``ScalarTransport`` draws each
 echo's loss as it is sent, keeps the delivered ones, and serves them one
 by one when the visit ends. The transport keeps the open-visit table the
 fleet once kept for its truth windows, and its replies in the reply dict
-transports once returned.
+transports once returned. ``send_run_per_send`` is the per-send loop a
+``send_run`` stands for; ``PerSendRuns`` gives a fake transport that loop
+over its own ``_send_echo``.
 """
 
 from __future__ import annotations
@@ -80,7 +83,36 @@ def serve_echo(server: SimulatedServer, at_ns: int) -> int | None:
     return ipid
 
 
-class ScalarTransport:
+def send_run_per_send(transport, send_echo, targets, first_ns: int, interval_ns: int, start: int,
+                      stop: int, not_before_ns) -> np.ndarray:
+    """``send_run`` as one ``send_echo(target, index)`` call per send, each
+    returning its send time, on ``transport``'s clock: each index waits in
+    ``sleep_until_ns`` for its due time and reads the clock once, then each
+    target whose previous send is under one interval old waits until that
+    send plus the interval."""
+    last_ns = [int(t_ns) for t_ns in not_before_ns]
+    sent_ns = np.empty((len(targets), stop - start), dtype=np.int64)
+    for column, index in enumerate(range(start, stop)):
+        transport.sleep_until_ns(first_ns + index * interval_ns)
+        now_ns = transport.now_ns()
+        for row, target in enumerate(targets):
+            if now_ns < last_ns[row] + interval_ns:
+                transport.sleep_until_ns(last_ns[row] + interval_ns)
+                now_ns = transport.now_ns()
+            sent_ns[row, column] = last_ns[row] = send_echo(target, index)
+    return sent_ns
+
+
+class PerSendRuns:
+    """``send_run`` as ``send_run_per_send`` over the class's ``_send_echo``."""
+
+    def send_run(self, targets, first_ns: int, interval_ns: int, start: int, stop: int,
+                 not_before_ns) -> np.ndarray:
+        return send_run_per_send(self, self._send_echo, targets, first_ns, interval_ns, start,
+                                 stop, not_before_ns)
+
+
+class ScalarTransport(PerSendRuns):
     """The simulated transport with per-send state: a visit's first send
     advances the responder and opens its truth window, a send draws its
     loss and remembers a delivered echo, and ``end_visit`` serves each one
@@ -108,7 +140,7 @@ class ScalarTransport:
         if t_ns > self._now_ns:
             self._now_ns = t_ns
 
-    def send_echo(self, target: str, seq: int) -> int:
+    def _send_echo(self, target: str, seq: int) -> int:
         sent_ns = self._now_ns
         server = self.fleet.by_address.get(target)
         if server is not None and server.reachable:

@@ -446,17 +446,38 @@ def test_simulate_writes_truth_before_the_probe_stage_is_done(
     assert written == {"truth.csv": True, "reachability.json": True}
 
 
+def test_simulate_parses_each_fleet_name_four_times(tmp_path, small_fleet_file, monkeypatch):
+    # once each to load the fleet, to derive the word lists and the snapshot
+    # together, to record a crawl hit, and to read the record back
+    from fleetscope import discovery, names, simulation
+
+    fleet_names = [server.name for server in SimulatedFleet.from_file(small_fleet_file).servers]
+    parsed = []
+    parse = names.parse_server_name
+
+    def counting_parse(name, *args, **kwargs):
+        parsed.append(name)
+        return parse(name, *args, **kwargs)
+
+    for module in (names, simulation, discovery):
+        monkeypatch.setattr(module, "parse_server_name", counting_parse)
+    assert _simulate(tmp_path / "out", small_fleet_file) == EXIT_OK
+    assert sorted(parsed) == sorted(fleet_names * 4)
+
+
 def test_interrupted_campaign_commits_nothing(tmp_path, small_fleet_file, monkeypatch, capsys):
-    send_echo = SimulatedTransport.send_echo
+    send_run = SimulatedTransport.send_run
     sent = []
 
-    def send_then_interrupt(self, target, seq):
-        if len(sent) == 500:
+    def send_then_interrupt(self, *args):
+        # a run that takes the campaign past 500 sends is interrupted in it
+        run = send_run(self, *args)
+        if len(sent) + run.size > 500:
             raise KeyboardInterrupt
-        sent.append(seq)
-        return send_echo(self, target, seq)
+        sent.extend(run.ravel().tolist())
+        return run
 
-    monkeypatch.setattr(SimulatedTransport, "send_echo", send_then_interrupt)
+    monkeypatch.setattr(SimulatedTransport, "send_run", send_then_interrupt)
     out = tmp_path / "out"
     assert _simulate(out, small_fleet_file) == EXIT_STAGE
     assert "nothing was committed" in capsys.readouterr().err

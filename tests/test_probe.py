@@ -25,6 +25,7 @@ from fleetscope.store import LOST_RTT
 from fleetscope.transport import (
     EchoTransport,
     RawIcmpTransport,
+    TransportError,
     build_echo_request,
     icmp_checksum,
     parse_echo_reply,
@@ -32,7 +33,7 @@ from fleetscope.transport import (
 )
 
 from conftest import make_fleet, make_server, public_methods, reply_dict
-from responder_oracle import ScalarTransport
+from responder_oracle import PerSendRuns, ScalarTransport
 
 
 def test_plan_matches_thirty_minute_revisit():
@@ -174,7 +175,7 @@ def test_probe_target_pacing_is_exact_under_virtual_clock():
     assert (abs(np.diff(visit.sent_ns) - interval_ns) <= interval_ns / 10).all()
 
 
-class ScriptedTransport:
+class ScriptedTransport(PerSendRuns):
     """Virtual clock whose ``end_visit`` returns the columns of the
     ``{seq: (recv_ns, ip_id)}`` dict ``replies(send times)``."""
 
@@ -188,7 +189,7 @@ class ScriptedTransport:
     def sleep_until_ns(self, t_ns: int) -> None:
         self.clock_ns = max(self.clock_ns, t_ns)
 
-    def send_echo(self, target: str, seq: int) -> int:
+    def _send_echo(self, target: str, seq: int) -> int:
         return self.clock_ns
 
     def end_visit(self, target: str, sent_ns: np.ndarray):
@@ -292,7 +293,7 @@ def test_run_campaign_respects_courtesy_cap():
             assert in_window <= 2
 
 
-class RealTimeCounterTransport:
+class RealTimeCounterTransport(PerSendRuns):
     """Wall-clock fake transport: a single shared counter, instant replies."""
 
     def __init__(self):
@@ -307,7 +308,7 @@ class RealTimeCounterTransport:
         if delta > 0:
             time.sleep(delta / 1e9)
 
-    def send_echo(self, target: str, seq: int) -> int:
+    def _send_echo(self, target: str, seq: int) -> int:
         sent = time.monotonic_ns()
         self.counter += 1
         self._pending.setdefault(target, {})[seq] = (sent + 1000, self.counter & 0xFFFF)
@@ -360,8 +361,8 @@ class StallingTransport(RealTimeCounterTransport):
         self.stall_ns = stall_ns
         self.sends = 0
 
-    def send_echo(self, target: str, seq: int) -> int:
-        sent = super().send_echo(target, seq)
+    def _send_echo(self, target: str, seq: int) -> int:
+        sent = super()._send_echo(target, seq)
         self.sends += 1
         if self.sends == self.stall_at:
             time.sleep(self.stall_ns / 1e9)
@@ -412,8 +413,8 @@ class VirtualStallingTransport(ScriptedTransport):
         self.sends: dict[str, list[int]] = {}
         self.count = 0
 
-    def send_echo(self, target: str, seq: int) -> int:
-        sent = super().send_echo(target, seq)
+    def _send_echo(self, target: str, seq: int) -> int:
+        sent = super()._send_echo(target, seq)
         self.sends.setdefault(target, []).append(sent)
         self.clock_ns += self.stalls_ns[self.count % len(self.stalls_ns)]
         self.count += 1
@@ -441,6 +442,45 @@ def test_stalled_sends_never_bring_a_targets_echoes_closer_than_the_interval(tar
         assert len(sent) == visits * params.probes_per_visit
         gaps = np.diff(sent)
         assert (gaps >= interval_ns).all(), f"{target}: a gap of {gaps.min() / 1e6:.3f} ms"
+
+
+class ShortGapTransport(ScriptedTransport):
+    """Virtual clock that no reply reaches; in its run number ``call`` it
+    moves the send ``(row, column)`` to one ns under an interval after the
+    send before it, or after ``not_before_ns`` in column 0. ``damaged``
+    holds the target of that send."""
+
+    def __init__(self, call: int, row: int, column: int):
+        super().__init__(lambda sent_ns: {})
+        self.call, self.row, self.column = call, row, column
+        self.calls = 0
+        self.damaged = None
+
+    def send_run(self, targets, first_ns, interval_ns, start, stop, not_before_ns):
+        sent_ns = super().send_run(targets, first_ns, interval_ns, start, stop, not_before_ns)
+        if self.calls == self.call:
+            before = sent_ns[self.row] if self.column else not_before_ns
+            sent_ns[self.row, self.column] = before[self.column - 1] + interval_ns - 1
+            self.damaged = targets[self.row]
+        self.calls += 1
+        return sent_ns
+
+
+@pytest.mark.parametrize("call, column", [
+    (0, 3),  # a gap inside a visit's run
+    (1, 0),  # the first send of the next visit, one ns too close to the last one's last
+])
+def test_a_run_that_sends_within_an_interval_is_refused_naming_the_target(call, column):
+    # three targets of one slot each, visited twice: one run per slot, as the
+    # collection of the first slot falls due at the second slot's start
+    params = CampaignParams(probe_interval_s=0.01, dwell_s=0.05, workers=3, probe_timeout_s=0.01,
+                            max_visits_per_hour=None, total_duration_s=0.1)
+    transport = ShortGapTransport(call, row=1, column=column)
+    with pytest.raises(TransportError, match="under the 10000000 ns interval") as raised:
+        run_campaign([f"198.18.9.{i + 1}" for i in range(3)], params, transport, [].append)
+    assert transport.damaged is not None
+    assert str(raised.value).startswith(f"{transport.damaged}: ")
+    assert transport.calls == call + 1
 
 
 def test_single_target_worker_waits_out_its_reply_window():
@@ -487,9 +527,9 @@ class LoggingTransport(ScriptedTransport):
         super().__init__(lambda sent_ns: {})
         self.log = []
 
-    def send_echo(self, target: str, seq: int) -> int:
+    def _send_echo(self, target: str, seq: int) -> int:
         self.log.append(("send", target, self.clock_ns, None))
-        return super().send_echo(target, seq)
+        return super()._send_echo(target, seq)
 
     def end_visit(self, target: str, sent_ns: np.ndarray):
         self.log.append(("end", target, self.clock_ns, sent_ns.tolist()))
@@ -540,9 +580,9 @@ _OUTSIDE_THE_PROTOCOL = {RawIcmpTransport: {"close"}}
 
 @pytest.mark.parametrize("cls", [RawIcmpTransport, SimulatedTransport, ScalarTransport,
                                  ScriptedTransport, RealTimeCounterTransport, StallingTransport,
-                                 VirtualStallingTransport, LoggingTransport])
+                                 VirtualStallingTransport, LoggingTransport, ShortGapTransport])
 def test_every_transport_defines_exactly_the_protocol(cls):
-    assert public_methods(EchoTransport) == {"now_ns", "sleep_until_ns", "send_echo", "end_visit"}
+    assert public_methods(EchoTransport) == {"now_ns", "sleep_until_ns", "send_run", "end_visit"}
     extra = _OUTSIDE_THE_PROTOCOL.get(cls, set())
     assert public_methods(cls) - extra == public_methods(EchoTransport)
 
@@ -640,11 +680,18 @@ def _echo_reply(source, ident, seq, ip_id, icmp_type=0):
     return header + bytes(icmp)
 
 
+def _send(raw, count):
+    """The send times of probes 0 to ``count - 1`` sent to 192.0.2.1 from now
+    on, 1 ns apart, in one run."""
+    now_ns = raw.now_ns()
+    return raw.send_run(["192.0.2.1"], now_ns, 1, 0, count, np.array([now_ns - 1]))[0]
+
+
 def test_raw_transport_clock_is_utc(monkeypatch):
     raw, _ = _raw_transport(monkeypatch)
     with raw:
         assert abs(raw.now_ns() - time.time_ns()) < 1_000_000_000
-        assert abs(raw.send_echo("192.0.2.1", 0) - time.time_ns()) < 1_000_000_000
+        assert abs(int(_send(raw, 1)[0]) - time.time_ns()) < 1_000_000_000
         deadline_ns = raw.now_ns() + 20_000_000
         raw.sleep_until_ns(deadline_ns)
         assert deadline_ns <= raw.now_ns() < deadline_ns + 1_000_000_000
@@ -652,7 +699,7 @@ def test_raw_transport_clock_is_utc(monkeypatch):
 
 def test_raw_transport_reads_replies_that_arrive_while_it_waits(monkeypatch):
     raw, fake = _raw_transport(monkeypatch)
-    sent = [raw.send_echo("192.0.2.1", seq) for seq in range(2)]
+    sent = _send(raw, 2)
     assert [address for _, address in fake.sent] == [("192.0.2.1", 0)] * 2
     written_ns = []
 
@@ -680,7 +727,7 @@ def test_raw_transport_keeps_only_first_replies_to_its_open_visits(monkeypatch):
     # read before the visit's first send opens it
     fake.peer.send(_echo_reply("192.0.2.1", raw.ident, 0, 6))
     raw.sleep_until_ns(raw.now_ns() + 20_000_000)
-    sent = [raw.send_echo("192.0.2.1", 0)]
+    sent = _send(raw, 1)
     for packet in (
         _echo_reply("192.0.2.1", raw.ident ^ 1, 0, 1),  # another prober's identifier
         _echo_reply("192.0.2.9", raw.ident, 0, 2),  # this address was sent no echo
@@ -701,7 +748,7 @@ def test_raw_transport_keeps_only_first_replies_to_its_open_visits(monkeypatch):
 
 def test_raw_transport_reads_queued_replies_when_the_wait_is_past_due(monkeypatch):
     raw, fake = _raw_transport(monkeypatch)
-    sent = [raw.send_echo("192.0.2.1", 0)]
+    sent = _send(raw, 1)
     fake.peer.send(_echo_reply("192.0.2.1", raw.ident, 0, 7))
     before_ns = raw.now_ns()
     raw.sleep_until_ns(before_ns - 1)
@@ -718,7 +765,7 @@ def test_raw_transport_starts_no_thread(monkeypatch):
     threads = threading.active_count()
     raw, fake = _raw_transport(monkeypatch)
     assert threading.active_count() == threads
-    sent = [raw.send_echo("192.0.2.1", 0)]
+    sent = _send(raw, 1)
     fake.peer.send(_echo_reply("192.0.2.1", raw.ident, 0, 7))
     raw.sleep_until_ns(raw.now_ns() + 10_000_000)
     assert len(reply_dict(raw.end_visit("192.0.2.1", np.array(sent)))) == 1

@@ -22,7 +22,7 @@ from fleetscope.simulation import (
 
 from conftest import (hhmm, make_fleet, make_hostname, make_server, one_visit, reply_dict,
                       write_fleet)
-from responder_oracle import ScalarTransport, advance_to, serve_echo
+from responder_oracle import ScalarTransport, advance_to, send_run_per_send, serve_echo
 
 
 def test_advance_constant_rate():
@@ -164,10 +164,7 @@ def test_transport_loss_is_request_side():
     server = make_server(base_pps=0.0, address="198.18.7.7")
     fleet = SimulatedFleet([server], seed=3)
     transport = SimulatedTransport(fleet, loss_rate=0.5)
-    sent = []
-    for i in range(200):
-        transport.sleep_until_ns(i * 30_000_000)
-        sent.append(transport.send_echo(server.address, i))
+    sent = transport.send_run([server.address], 0, 30_000_000, 0, 200, np.array([-30_000_000]))[0]
     seq, recv_ns, ip_id = transport.end_visit(server.address, np.array(sent, dtype=np.int64))
     assert 0 < len(seq) < 200
     # counter only advanced by replies actually served
@@ -188,9 +185,7 @@ def test_truth_records_mean_rate():
     server = make_server(base_pps=2000.0, address="198.18.8.8")
     fleet = SimulatedFleet([server], seed=1)
     transport = SimulatedTransport(fleet)
-    sent = [transport.send_echo(server.address, 0)]
-    transport.sleep_until_ns(30 * 10**9)
-    sent.append(transport.send_echo(server.address, 1))
+    sent = transport.send_run([server.address], 0, 30 * 10**9, 0, 2, np.array([-30 * 10**9]))[0]
     transport.end_visit(server.address, np.array(sent, dtype=np.int64))
     (truth,) = fleet.truth
     assert truth.target == server.address
@@ -296,6 +291,39 @@ def test_profile_validation():
         TrafficProfile(base_pps=1.0, diurnal_amplitude=1.5)
     with pytest.raises(ValueError):
         TrafficProfile(base_pps=1.0, fill_start_s=50000.0, fill_end_s=7200.0)
+
+
+# a time as whole intervals plus a part of one, in thousandths of an interval
+_thousandths = st.integers(-3_000, 3_000)
+
+
+@settings(max_examples=300, deadline=None)
+@given(interval_ns=st.integers(1, 10**9), first_ns=st.integers(0, 10**15),
+       start=st.integers(0, 100), widths=st.lists(st.integers(1, 30), min_size=1, max_size=4),
+       clocks=st.lists(_thousandths, min_size=4, max_size=4),
+       previous=st.lists(_thousandths, min_size=1, max_size=6))
+def test_send_run_matches_the_per_send_loop(interval_ns, first_ns, start, widths, clocks,
+                                            previous):
+    # consecutive runs of up to 6 targets, each after a clock that may be
+    # ahead of the run's due time, as a collection's wait leaves it; the
+    # previous sends, ahead of or behind the first due time, force waits
+    def at(thousandths, index):
+        return max(0, first_ns + index * interval_ns + thousandths * interval_ns // 1000)
+
+    targets = [f"198.18.4.{i + 1}" for i in range(len(previous))]
+    transport, oracle = (SimulatedTransport(make_fleet([])) for _ in range(2))
+    not_before_ns = np.array([at(offset, start - 1) for offset in previous], dtype=np.int64)
+    for width, clock in zip(widths, clocks):
+        for clocked in (transport, oracle):
+            clocked.sleep_until_ns(at(clock, start))
+        expected = send_run_per_send(oracle, lambda target, index: oracle.now_ns(), targets,
+                                     first_ns, interval_ns, start, start + width, not_before_ns)
+        sent_ns = transport.send_run(targets, first_ns, interval_ns, start, start + width,
+                                     not_before_ns)
+        assert sent_ns.dtype == np.int64
+        assert sent_ns.tolist() == expected.tolist()
+        assert transport.now_ns() == oracle.now_ns()
+        start, not_before_ns = start + width, sent_ns[:, -1]
 
 
 def test_virtual_clock_semantics():
@@ -409,8 +437,12 @@ def test_end_visit_matches_the_per_send_transport(spec, seed, reachable, loss_ra
             transport.sleep_until_ns(start_ns)
             sent = []
             for seq, gap in enumerate(gaps):
-                transport.sleep_until_ns(transport.now_ns() + gap)
-                sent.append(transport.send_echo(server.address, seq))
+                # one send per run, due at at_ns, with an interval of 1 ns
+                # and a previous send 1 ns before: a gap of 0 stays 0
+                at_ns = transport.now_ns() + gap
+                run = transport.send_run([server.address], at_ns - seq, 1, seq, seq + 1,
+                                         np.array([at_ns - 1]))
+                sent.append(int(run[0, 0]))
             sents.append(sent)
         assert sents[0] == sents[1]
         columns = transports[0].end_visit(server.address, np.array(sents[0], dtype=np.int64))

@@ -113,6 +113,13 @@ def test_frames_round_trip_every_column(tmp_path):
         25 + len(v.target) + 14 * len(v.sent_ns) for v in visits)
 
 
+def test_a_frame_with_no_probes_has_no_interval(tmp_path):
+    (frame,) = _committed_samples(tmp_path, [_visit(count=0)]).scan("samples")
+    with pytest.raises(ValueError, match=f"^{frame.target}: the frame has no probes"):
+        frame.interval_ns
+    assert _visit(count=2).interval_ns == 30_000_000
+
+
 def test_frame_round_trip_longest_rtt(tmp_path):
     visit = VisitFrame("t", 0, 60, np.array([0, 30]), np.array([MAX_RTT_NS, LOST_RTT], np.uint32),
                        np.array([1, 0], np.uint16))
