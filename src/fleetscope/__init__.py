@@ -19,7 +19,7 @@ from .names import (  # noqa: F401
 )
 from .ipid import (  # noqa: F401
     IdBehavior,
-    RateEstimate,
+    SeriesEstimates,
     ambiguity_bound,
-    series_estimates,
+    estimate_series,
 )

@@ -235,12 +235,12 @@ def estimate_stage(campaign_store, out, mtu_bytes: int,
                    frames: Iterable[store.VisitFrame]) -> None:
     """Estimate each visit as its frame is read, at the interval the frame
     carries, then write every target's flagged series in target order
-    (``ipid.series_estimates``), in bits at ``mtu_bytes``."""
+    (``ipid.estimate_series``), in bits at ``mtu_bytes``."""
     with _stage_output(campaign_store, "estimate", "estimates", out) as add:
         if add is None:
             return
-        for est in ipid.series_estimates(frames):
-            add(est.to_json(mtu_bytes))
+        for row in ipid.estimate_series(frames).rows(mtu_bytes):
+            add(row)
 
 
 def report_stage(campaign_store, out_dir, params: probe.CampaignParams,

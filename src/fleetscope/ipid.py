@@ -11,10 +11,10 @@ alias: their estimates are kept but flagged as lower bounds only.
 pass: the batch's answered probes become zero-padded 2-D arrays, one row
 per visit, and it returns one column per result. Every per-visit sum runs
 left to right along its row, and a padded cell adds an exact 0.0, so a row
-gets the bits a loop over its replies would. ``series_estimates`` cuts a
+gets the bits a loop over its replies would. ``estimate_series`` cuts a
 stream of frames into batches of at most ``BATCH_CELLS`` padded cells
-(frames times the longest frame's probes), which bounds the estimator's
-memory whatever the stream's length.
+(frames times the longest frame's probes) and returns ``SeriesEstimates``:
+columns, not an object per visit, whose ``rows`` are the estimates file's.
 """
 
 from __future__ import annotations
@@ -22,7 +22,8 @@ from __future__ import annotations
 import enum
 import logging
 import math
-from dataclasses import dataclass, replace
+from array import array
+from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -81,41 +82,6 @@ def ambiguity_bound(interval_s: float) -> float:
     if interval_s <= 0:
         raise ValueError("interval must be > 0")
     return MAX_ID / interval_s
-
-
-@dataclass(slots=True)
-class RateEstimate:
-    """Traffic estimate for one visit window.
-
-    ``ambiguity_risk`` marks estimates close to the single-wrap ceiling;
-    ``lower_bound_only`` marks targets whose series shows the sampling was
-    too slow, so values underestimate the real traffic.
-    """
-
-    target: str
-    window_start_ns: int
-    window_end_ns: int
-    packets_per_second: float
-    segments_used: int
-    ambiguity_risk: bool = False
-    lower_bound_only: bool = False
-
-    def to_json(self, mtu_bytes: int) -> dict:
-        """The estimates row; only a global counter is ever estimated."""
-        return {
-            "target": self.target,
-            "window_start_ns": self.window_start_ns,
-            "window_end_ns": self.window_end_ns,
-            "pps": self.packets_per_second,
-            "bps": self.packets_per_second * mtu_bytes * 8,
-            "mtu_bytes": mtu_bytes,
-            "flags": {
-                "id_behavior": IdBehavior.GLOBAL_COUNTER.value,
-                "segments_used": self.segments_used,
-                "ambiguity_risk": self.ambiguity_risk,
-                "lower_bound_only": self.lower_bound_only,
-            },
-        }
 
 
 @dataclass(frozen=True, slots=True)
@@ -248,55 +214,6 @@ def estimate_batch(frames: Sequence[VisitFrame]) -> BatchEstimates:
     )
 
 
-def daily_autocorrelation(estimates: Sequence[RateEstimate]) -> float | None:
-    """Correlation of the rate series, in ``AUTOCORR_BIN_S`` bins, with
-    itself one day later.
-
-    Returns None when the series is too short (fewer than 12 aligned bin
-    pairs) or has no variance, in which case no structure claim is made.
-    """
-    if not estimates:
-        return None
-    bin_ns = round(AUTOCORR_BIN_S * 1e9)
-    lag_bins = round(DAY_S / AUTOCORR_BIN_S)
-    bins: dict[int, list[float]] = {}
-    for est in estimates:
-        mid = (est.window_start_ns + est.window_end_ns) // 2
-        bins.setdefault(mid // bin_ns, []).append(est.packets_per_second)
-    means = {b: sum(v) / len(v) for b, v in bins.items()}
-    aligned = [(value, means[b + lag_bins]) for b, value in means.items() if b + lag_bins in means]
-    if len(aligned) < 12:
-        return None
-    x, y = (np.array(column) for column in zip(*aligned))
-    if x.std() == 0 or y.std() == 0:
-        return None
-    return float(np.corrcoef(x, y)[0, 1])
-
-
-def _flag_series(estimates: list[RateEstimate], interval_s: float) -> list[RateEstimate]:
-    """One target's estimates (at least one) in window order, with
-    under-sampling flagged.
-
-    The target is reported as lower-bound-only when ambiguity risk recurs
-    across its visits, or when its series oscillates at high values with
-    no daily structure (day-lag autocorrelation below threshold while the
-    mean exceeds half the single-wrap ceiling); all of its estimates then
-    carry the flag.
-    """
-    estimates = sorted(estimates, key=lambda e: e.window_start_ns)
-    risk_fraction = sum(e.ambiguity_risk for e in estimates) / len(estimates)
-    mean_pps = sum(e.packets_per_second for e in estimates) / len(estimates)
-    autocorr = daily_autocorrelation(estimates)
-    structureless_high = (
-        autocorr is not None
-        and autocorr < ALIAS_AUTOCORR_THRESHOLD
-        and mean_pps > ALIAS_MEAN_BOUND_FACTOR * ambiguity_bound(interval_s)
-    )
-    if risk_fraction >= ALIAS_RISK_VISIT_FRACTION or structureless_high:
-        estimates = [replace(e, lower_bound_only=True) for e in estimates]
-    return estimates
-
-
 def _batches(frames: Iterable[VisitFrame]) -> Iterator[list[VisitFrame]]:
     """``frames`` in order, in runs of at most ``BATCH_CELLS`` padded cells:
     a run's length times its longest frame's probes, at least one. A frame
@@ -313,31 +230,113 @@ def _batches(frames: Iterable[VisitFrame]) -> Iterator[list[VisitFrame]]:
         yield batch
 
 
-def series_estimates(frames: Iterable[VisitFrame]) -> list[RateEstimate]:
-    """One estimate per counter visit, each target's series flagged by
-    ``_flag_series`` at the interval of its first estimated frame, ordered
-    by target and then window.
+@dataclass(frozen=True, slots=True)
+class SeriesEstimates:
+    """``estimate_series``' columns; row ``i`` is one counter visit, in
+    (target name, window start) order, and ``target`` indexes ``targets``.
+    ``lower_bound`` marks every row of a target whose sampling was too slow,
+    so its values underestimate the real traffic."""
 
-    The frames are read once, in order, and may cover any number of
-    targets; ``estimate_batch`` takes them in batches of ``BATCH_CELLS``
-    padded cells. Visits that are not a global counter's or not estimable
-    are skipped.
+    targets: tuple[str, ...]  # in name order
+    target: np.ndarray  # intp
+    window_start_ns: np.ndarray  # int64
+    window_end_ns: np.ndarray  # int64
+    pps: np.ndarray  # float64
+    segments: np.ndarray  # int64
+    risk: np.ndarray  # bool
+    lower_bound: np.ndarray  # bool
+
+    def rows(self, mtu_bytes: int) -> Iterator[dict]:
+        """The rows of ``estimates.jsonl``, in bits at ``mtu_bytes``, made
+        ``BATCH_CELLS`` at a time; only a global counter is ever estimated."""
+        columns = (self.target, self.window_start_ns, self.window_end_ns, self.pps,
+                   self.segments, self.risk, self.lower_bound)
+        for begin in range(0, len(self.pps), BATCH_CELLS):
+            for target, start_ns, end_ns, pps, segments, risk, lower_bound in zip(
+                    *(column[begin:begin + BATCH_CELLS].tolist() for column in columns)):
+                yield {
+                    "target": self.targets[target],
+                    "window_start_ns": start_ns,
+                    "window_end_ns": end_ns,
+                    "pps": pps,
+                    "bps": pps * mtu_bytes * 8,
+                    "mtu_bytes": mtu_bytes,
+                    "flags": {
+                        "id_behavior": IdBehavior.GLOBAL_COUNTER.value,
+                        "segments_used": segments,
+                        "ambiguity_risk": risk,
+                        "lower_bound_only": lower_bound,
+                    },
+                }
+
+
+def daily_autocorrelation(mid_ns: np.ndarray, pps: np.ndarray) -> float | None:
+    """Correlation of one target's rate series (its windows' int64 midpoints
+    and their rates), in ``AUTOCORR_BIN_S`` bins, with itself one day later.
+
+    Returns None when the series is too short (fewer than 12 aligned bin
+    pairs) or has no variance, in which case no structure claim is made.
     """
-    per_target: dict[str, tuple[float, list[RateEstimate]]] = {}
+    lag_bins = round(DAY_S / AUTOCORR_BIN_S)
+    bins, where = np.unique(mid_ns // round(AUTOCORR_BIN_S * 1e9), return_inverse=True)
+    means = np.bincount(where, pps) / np.bincount(where)
+    aligned = np.isin(bins + lag_bins, bins)
+    if np.count_nonzero(aligned) < 12:
+        return None
+    x, y = means[aligned], means[np.searchsorted(bins, bins[aligned] + lag_bins)]
+    if x.std() == 0 or y.std() == 0:
+        return None
+    return float(np.corrcoef(x, y)[0, 1])
+
+
+def estimate_series(frames: Iterable[VisitFrame]) -> SeriesEstimates:
+    """One estimate per counter visit of ``frames``, read once and in
+    ``estimate_batch`` calls of at most ``BATCH_CELLS`` padded cells; the
+    visits that are not a global counter's or not estimable are skipped.
+    A target's rows are all flagged ``lower_bound`` when ambiguity risk
+    recurs across its visits, or when its series oscillates at high values
+    with no daily structure: day-lag autocorrelation below threshold while
+    the mean exceeds half the single-wrap ceiling at the interval of the
+    target's first estimated frame."""
+    index: dict[str, int] = {}  # each target's position in order of first estimate
+    interval_ns: dict[str, int] = {}  # the interval of each target's first estimated frame
+    target, start_ns, end_ns = array("q"), array("q"), array("q")
+    pps, segments, risk = array("d"), array("q"), array("b")
     for batch in _batches(frames):
         columns = estimate_batch(batch)
         kept = np.flatnonzero((columns.behavior == _COUNTER) & columns.estimable)
         if len(kept) < len(batch):
-            logger.debug("skipping %d of %d visits: fewer replies than a classification or an "
-                         "estimate needs, or not a global counter", len(batch) - len(kept),
-                         len(batch))
-        for i, pps, segments, risk in zip(kept.tolist(), columns.pps[kept].tolist(),
-                                          columns.segments[kept].tolist(),
-                                          columns.risk[kept].tolist()):
+            logger.debug("skipping %d of %d visits: too few replies, or not a global counter",
+                         len(batch) - len(kept), len(batch))
+        for i in kept.tolist():
             frame = batch[i]
-            if frame.target not in per_target:
-                per_target[frame.target] = (frame.interval_ns / 1e9, [])
-            per_target[frame.target][1].append(
-                RateEstimate(frame.target, frame.start_ns, frame.end_ns, pps, segments, risk))
-    return [est for _, (interval_s, series) in sorted(per_target.items())
-            for est in _flag_series(series, interval_s)]
+            target.append(index.setdefault(frame.target, len(index)))
+            interval_ns.setdefault(frame.target, frame.interval_ns)
+            start_ns.append(frame.start_ns)
+            end_ns.append(frame.end_ns)
+        pps.frombytes(columns.pps[kept].tobytes())
+        segments.frombytes(columns.segments[kept].tobytes())
+        risk.frombytes(columns.risk[kept].tobytes())
+
+    names, rank = np.unique(list(index), return_inverse=True)
+    target_col = rank[np.frombuffer(target, np.int64)]
+    order = np.lexsort((np.frombuffer(start_ns, np.int64), target_col))  # stable
+    target_col = target_col[order]
+    start_col = np.frombuffer(start_ns, np.int64)[order]
+    end_col = np.frombuffer(end_ns, np.int64)[order]
+    pps_col = np.frombuffer(pps, np.float64)[order]
+    risk_col = np.frombuffer(risk, np.int8)[order] != 0
+
+    # a group-by over each target's run of rows
+    counts = np.bincount(target_col, minlength=len(names))
+    firsts = np.cumsum(counts) - counts
+    bound = np.array([ambiguity_bound(interval_ns[name] / 1e9) for name in names.tolist()])
+    flagged = np.bincount(target_col, risk_col, len(names)) / counts >= ALIAS_RISK_VISIT_FRACTION
+    high = np.bincount(target_col, pps_col, len(names)) / counts > ALIAS_MEAN_BOUND_FACTOR * bound
+    mid_col = start_col + (end_col - start_col) // 2
+    for t in np.flatnonzero(high & ~flagged).tolist():
+        run = slice(firsts[t], firsts[t] + counts[t])
+        autocorr = daily_autocorrelation(mid_col[run], pps_col[run])
+        flagged[t] = autocorr is not None and autocorr < ALIAS_AUTOCORR_THRESHOLD
+    return SeriesEstimates(tuple(names.tolist()), target_col, start_col, end_col, pps_col,
+                           np.frombuffer(segments, np.int64)[order], risk_col, flagged[target_col])

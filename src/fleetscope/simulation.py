@@ -119,8 +119,12 @@ class SimulatedServer:
     _id_rng: random.Random | None = field(default=None, init=False, repr=False)
 
     def bind_rngs(self, seed: int) -> None:
-        self._noise_rng = random.Random(f"{seed}:{self.address}:noise")
-        self._id_rng = random.Random(f"{seed}:{self.address}:ids")
+        """Seed the streams this server draws from, and only those: profile
+        noise when ``noise_rel`` is positive, IDs when they are random."""
+        if self.profile.noise_rel > 0:
+            self._noise_rng = random.Random(f"{seed}:{self.address}:noise")
+        if self.id_behavior is IdBehavior.RANDOM:
+            self._id_rng = random.Random(f"{seed}:{self.address}:ids")
 
     def advance(self, times_ns: Sequence[int]) -> np.ndarray:
         """Integrate the profile up to each of the ascending ``times_ns`` in
@@ -238,13 +242,19 @@ class SimulatedFleet:
 
     @classmethod
     def from_config(cls, config: Mapping) -> "SimulatedFleet":
-        """The fleet a config describes. A missing ``servers`` list, a server
-        without a ``name`` or an ``address``, or a server value that does
-        not parse raises a ValueError naming the server."""
+        """The fleet a config describes. A missing ``servers`` list, a
+        ``seed`` that is not an integer or a ``domain_suffix`` that is not a
+        string raises a ValueError naming the key; a server without a
+        ``name`` or an ``address``, or a server value that does not parse,
+        one naming the server."""
         if "servers" not in config:
             raise ValueError("no 'servers' list")
         seed = config.get("seed", 0)
+        if isinstance(seed, bool) or not isinstance(seed, int):
+            raise ValueError(f"'seed' is not a JSON integer: {seed!r}")
         suffix = config.get("domain_suffix", "nflxvideo.net")
+        if not isinstance(suffix, str):
+            raise ValueError(f"'domain_suffix' is not a JSON string: {suffix!r}")
         servers = []
         for index, entry in enumerate(config["servers"]):
             if not isinstance(entry, Mapping):

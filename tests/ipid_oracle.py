@@ -1,9 +1,13 @@
 """Reference estimator: the per-sample loops that ``fleetscope.ipid``'s batch
-kernel replaced, kept verbatim so property tests can compare the two.
+kernel replaced, and the per-object series flagging that its columnar
+``estimate_series`` replaced, kept verbatim so property tests can compare
+the two.
 
 The loops read one record per probe (``ProbeSample``) grouped into a visit
 (``VisitLog``), the in-memory form visits had before ``store.VisitFrame``
 replaced it; ``to_frame`` turns a visit into the frame the kernel reads.
+An estimate is a plain (target, window start, window end, pps, segments,
+ambiguity risk) tuple; ``series_estimates`` appends the lower-bound flag.
 """
 
 from __future__ import annotations
@@ -16,16 +20,22 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from fleetscope.ipid import (
+    ALIAS_AUTOCORR_THRESHOLD,
+    ALIAS_MEAN_BOUND_FACTOR,
+    ALIAS_RISK_VISIT_FRACTION,
+    AUTOCORR_BIN_S,
+    BEHAVIORS,
     CLUSTER_CONCENTRATION,
     COUNTER_FRACTION,
+    DAY_S,
     GAP_SPLIT_FACTOR,
     ID_SPACE,
     MIN_BEHAVIOR_SAMPLES,
     RISK_BOUND_FACTOR,
     SMALL_DELTA,
     IdBehavior,
-    RateEstimate,
     ambiguity_bound,
+    estimate_batch,
 )
 from fleetscope.store import LOST_RTT, VisitFrame
 
@@ -125,7 +135,7 @@ def estimate_rate(
     interval_s: float,
     behavior: IdBehavior | None = None,
     subtract_self: bool = True,
-) -> RateEstimate:
+) -> tuple[str, int, int, float, int, bool]:
     live = _live(visit.samples)
     if len(live) < 2:
         raise InsufficientSamples(f"need >= 2 replies to estimate, got {len(live)}")
@@ -165,11 +175,76 @@ def estimate_rate(
     pps = packets / covered_s
     typical_gap = statistics.median(g for _, g in pairs)
     risk = pps > RISK_BOUND_FACTOR * ambiguity_bound(typical_gap)
-    return RateEstimate(
-        target=visit.target,
-        window_start_ns=visit.start_ns,
-        window_end_ns=visit.end_ns,
-        packets_per_second=pps,
-        segments_used=len(segments),
-        ambiguity_risk=risk,
+    return (visit.target, visit.start_ns, visit.end_ns, pps, len(segments), risk)
+
+
+# -- series flagging: each estimate a tuple as ``estimate_rate`` returns ------
+
+TARGET, START, END, PPS, SEGMENTS, RISK = range(6)
+
+
+def daily_autocorrelation(estimates: Sequence[tuple]) -> float | None:
+    """Correlation of the rate series, in ``AUTOCORR_BIN_S`` bins, with
+    itself one day later.
+
+    Returns None when the series is too short (fewer than 12 aligned bin
+    pairs) or has no variance, in which case no structure claim is made.
+    """
+    if not estimates:
+        return None
+    bin_ns = round(AUTOCORR_BIN_S * 1e9)
+    lag_bins = round(DAY_S / AUTOCORR_BIN_S)
+    bins: dict[int, list[float]] = {}
+    for est in estimates:
+        mid = (est[START] + est[END]) // 2
+        bins.setdefault(mid // bin_ns, []).append(est[PPS])
+    means = {b: sum(v) / len(v) for b, v in bins.items()}
+    aligned = [(value, means[b + lag_bins]) for b, value in means.items() if b + lag_bins in means]
+    if len(aligned) < 12:
+        return None
+    x, y = (np.array(column) for column in zip(*aligned))
+    if x.std() == 0 or y.std() == 0:
+        return None
+    return float(np.corrcoef(x, y)[0, 1])
+
+
+def flag_series(estimates: list[tuple], interval_s: float) -> list[tuple]:
+    """One target's estimates (at least one) in window order, each with its
+    lower-bound flag appended.
+
+    The target is reported as lower-bound-only when ambiguity risk recurs
+    across its visits, or when its series oscillates at high values with
+    no daily structure (day-lag autocorrelation below threshold while the
+    mean exceeds half the single-wrap ceiling); all of its estimates then
+    carry the flag.
+    """
+    estimates = sorted(estimates, key=lambda e: e[START])
+    risk_fraction = sum(e[RISK] for e in estimates) / len(estimates)
+    mean_pps = sum(e[PPS] for e in estimates) / len(estimates)
+    autocorr = daily_autocorrelation(estimates)
+    structureless_high = (
+        autocorr is not None
+        and autocorr < ALIAS_AUTOCORR_THRESHOLD
+        and mean_pps > ALIAS_MEAN_BOUND_FACTOR * ambiguity_bound(interval_s)
     )
+    lower_bound = risk_fraction >= ALIAS_RISK_VISIT_FRACTION or structureless_high
+    return [(*e, lower_bound) for e in estimates]
+
+
+def series_estimates(frames: Iterable[VisitFrame]) -> list[tuple]:
+    """One estimate per counter visit, one ``estimate_batch`` call per
+    frame, each target's series flagged by ``flag_series`` at the interval
+    of its first estimated frame, ordered by target and then window."""
+    per_target: dict[str, tuple[float, list[tuple]]] = {}
+    for frame in frames:
+        columns = estimate_batch([frame])
+        counter = columns.behavior[0] == BEHAVIORS.index(IdBehavior.GLOBAL_COUNTER)
+        if not (counter and columns.estimable[0]):
+            continue
+        if frame.target not in per_target:
+            per_target[frame.target] = (frame.interval_ns / 1e9, [])
+        per_target[frame.target][1].append(
+            (frame.target, frame.start_ns, frame.end_ns, float(columns.pps[0]),
+             int(columns.segments[0]), bool(columns.risk[0])))
+    return [est for _, (interval_s, series) in sorted(per_target.items())
+            for est in flag_series(series, interval_s)]

@@ -18,7 +18,7 @@ import pytest
 
 from fleetscope.cli import main as cli_main
 from fleetscope.discovery import run_crawl, summarize_discovery
-from fleetscope.ipid import _id_deltas, ambiguity_bound, series_estimates
+from fleetscope.ipid import _id_deltas, ambiguity_bound, estimate_series
 from fleetscope.names import ServerName, Wordlists, format_server_name, parse_server_name
 from fleetscope.probe import CampaignParams, run_campaign
 from fleetscope.simulation import SimulatedFleet, SimulatedTransport, ZoneResolver
@@ -74,9 +74,11 @@ def test_c01_estimator_accuracy():
         per_target.setdefault(visit.target, []).append(visit)
     errors = []
     for target, visits in per_target.items():
-        for est in series_estimates(visits):
-            true_pps = truth[(est.target, est.window_start_ns)]
-            errors.append(abs(est.packets_per_second - true_pps) / true_pps)
+        estimates = estimate_series(visits)
+        for i, start_ns, pps in zip(estimates.target.tolist(),
+                                    estimates.window_start_ns.tolist(), estimates.pps.tolist()):
+            true_pps = truth[(estimates.targets[i], start_ns)]
+            errors.append(abs(pps - true_pps) / true_pps)
     assert len(errors) == 200
     within = sum(1 for e in errors if e <= 0.02) / len(errors)
     elapsed = time.perf_counter() - started
@@ -140,12 +142,12 @@ def test_c03_above_bound_servers_flagged_every_visit():
     for server in servers:
         visits = []
         run_campaign([server.address], params, SimulatedTransport(fleet), visits.append)
-        estimates = series_estimates(visits)
-        assert len(estimates) == 48
-        total_visits += len(estimates)
-        flagged_visits += sum(e.lower_bound_only for e in estimates)
+        estimates = estimate_series(visits)
+        assert len(estimates.pps) == 48
+        total_visits += len(estimates.pps)
+        flagged_visits += int(estimates.lower_bound.sum())
         limit = ceiling * (1 + 1e-9) + 1 / interval
-        assert all(e.packets_per_second <= limit for e in estimates)
+        assert all(pps <= limit for pps in estimates.pps.tolist())
     assert flagged_visits == total_visits, (
         f"{flagged_visits}/{total_visits} visits flagged lower_bound_only"
     )
@@ -159,9 +161,10 @@ def test_c03_above_bound_servers_flagged_every_visit():
 
 def _binned(estimates, bin_s=1800.0):
     bins: dict[int, list[float]] = {}
-    for est in estimates:
-        mid = (est.window_start_ns + est.window_end_ns) // 2
-        bins.setdefault(int(mid // round(bin_s * 1e9)), []).append(est.packets_per_second)
+    for start_ns, end_ns, pps in zip(estimates.window_start_ns.tolist(),
+                                     estimates.window_end_ns.tolist(), estimates.pps.tolist()):
+        mid = (start_ns + end_ns) // 2
+        bins.setdefault(int(mid // round(bin_s * 1e9)), []).append(pps)
     return {b: sum(v) / len(v) for b, v in bins.items()}
 
 
@@ -196,7 +199,7 @@ def test_c04_periodic_matches_constant_sampling_below_bound():
         visits = []
         run_campaign([server.address], params, SimulatedTransport(periodic_fleet),
                      visits.append)
-        periodic[server.address] = series_estimates(visits)
+        periodic[server.address] = estimate_series(visits)
 
     constant_fleet = build_fleet()
     constant = {}
@@ -208,7 +211,7 @@ def test_c04_periodic_matches_constant_sampling_below_bound():
             transport = SimulatedTransport(constant_fleet)
             transport.sleep_until_ns(round(k * dwell * 1e9))
             visits.append(one_visit(server.address, interval, dwell, transport))
-        constant[server.address] = series_estimates(visits)
+        constant[server.address] = estimate_series(visits)
 
     rms_values = []
     for i, server in enumerate(periodic_fleet.servers):
@@ -219,7 +222,7 @@ def test_c04_periodic_matches_constant_sampling_below_bound():
         rel = [(p_bins[b] - c_bins[b]) / c_bins[b] for b in shared]
         rms = math.sqrt(sum(r * r for r in rel) / len(rel))
         rms_values.append(rms)
-        flagged = any(e.lower_bound_only for e in periodic[server.address])
+        flagged = periodic[server.address].lower_bound.any()
         if i < 3:
             assert rms <= 0.05, f"server {i} rms {rms:.3f}"
             assert not flagged
@@ -266,10 +269,10 @@ def test_c05_peak_times_recovered_across_timezones():
     for server in fleet.servers:
         visits = []
         run_campaign([server.address], params, SimulatedTransport(fleet), visits.append)
-        estimates.extend(series_estimates(visits))
+        estimates.extend(estimate_series(visits).rows(1500))
         kinds[server.address] = "isp" if ".isp." in server.name else "ixp"
 
-    peaks = detect_peaks(EstimateTable.from_rows(e.to_json(1500) for e in estimates), kinds,
+    peaks = detect_peaks(EstimateTable.from_rows(estimates), kinds,
                          bin_s=1800.0)
     by_tz = {f"198.18.40.{i + 1}": zones[i // 2][1] for i in range(10)}
 
@@ -474,8 +477,6 @@ def test_c08_validation_taxonomy_proportions():
 
 
 def test_c09_rollup_conservation_across_groupings():
-    from fleetscope.ipid import RateEstimate
-
     rng = random.Random("acceptance:c9")
     airports = AirportDatabase.bundled()
     continents = {"GB": "EU", "NL": "EU", "US": "NA", "JP": "AS", "BR": "SA"}
@@ -493,15 +494,18 @@ def test_c09_rollup_conservation_across_groupings():
             if rng.random() < 0.3:
                 continue
             pps = rng.uniform(10.0, 1e6)
-            estimates.append(RateEstimate(
-                target=server.address,
-                window_start_ns=b * 1800 * 10**9,
-                window_end_ns=(b * 1800 + 60) * 10**9,
-                packets_per_second=pps,
-                segments_used=1,
-            ))
+            estimates.append({
+                "target": server.address,
+                "window_start_ns": b * 1800 * 10**9,
+                "window_end_ns": (b * 1800 + 60) * 10**9,
+                "pps": pps,
+                "bps": pps * 1500 * 8,
+                "mtu_bytes": 1500,
+                "flags": {"id_behavior": "global_counter", "segments_used": 1,
+                          "ambiguity_risk": False, "lower_bound_only": False},
+            })
 
-    joined = join_series(EstimateTable.from_rows(e.to_json(1500) for e in estimates), records)
+    joined = join_series(EstimateTable.from_rows(estimates), records)
     total = sum(r.mean_bps for r in rollup(joined, "operator_kind", airports, continents))
     worst = 0.0
     for grouping in ("location", "country", "continent", "operator_kind"):

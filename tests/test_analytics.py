@@ -20,7 +20,6 @@ from fleetscope.analytics import (
     write_reports,
 )
 from fleetscope.discovery import ServerRecord
-from fleetscope.ipid import RateEstimate
 from fleetscope.names import parse_server_name
 from fleetscope.validation import AirportDatabase, load_continent_table
 
@@ -33,17 +32,21 @@ DAY_NS = 24 * HOUR_NS
 
 
 def _estimate(target, t_ns, pps):
-    return RateEstimate(
-        target=target,
-        window_start_ns=t_ns,
-        window_end_ns=t_ns + 60 * 10**9,
-        packets_per_second=pps,
-        segments_used=1,
-    )
+    """An unflagged ``estimates.jsonl`` row of a 60 s window at a 1500-byte MTU."""
+    return {
+        "target": target,
+        "window_start_ns": t_ns,
+        "window_end_ns": t_ns + 60 * 10**9,
+        "pps": pps,
+        "bps": pps * 1500 * 8,
+        "mtu_bytes": 1500,
+        "flags": {"id_behavior": "global_counter", "segments_used": 1,
+                  "ambiguity_risk": False, "lower_bound_only": False},
+    }
 
 
 def _table(estimates):
-    return EstimateTable.from_rows(e.to_json(1500) for e in estimates)
+    return EstimateTable.from_rows(estimates)
 
 
 def _sinusoid_series(target, peak_utc_s, days=1, step_s=1800, base=1000.0, amp=0.5):
@@ -89,7 +92,7 @@ def test_peak_detection_one_observation_per_day():
 def test_peak_detection_shift_invariance():
     series = _sinusoid_series("t1", 3600.0 * 7)
     shifted = [
-        _estimate("t1", e.window_start_ns + DAY_NS, e.packets_per_second)
+        _estimate("t1", e["window_start_ns"] + DAY_NS, e["pps"])
         for e in series
     ]
     original = detect_peaks(_table(series), {"t1": "ixp"})

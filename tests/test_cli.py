@@ -172,6 +172,29 @@ def test_simulate_is_byte_identical_across_hash_seeds(tmp_path):
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
 
 
+def test_simulate_flags_every_row_of_an_above_bound_server(tmp_path):
+    # far above the 30 ms single-wrap ceiling for a day: its series is a
+    # lower bound only, row by row and in the summary; the other is not
+    fast = make_server(3_000_000.0, counter=1, amplitude=0.4, noise=0.03)
+    ordinary = make_server(20_000.0, counter=2, amplitude=0.3, noise=0.02)
+    fleet = write_fleet(tmp_path / "fleet.json", [fast, ordinary])
+    out = tmp_path / "out"
+    assert main(["simulate", "--fleet", str(fleet), "--out", str(out), "--dwell", "6s",
+                 "--workers", "2", "--duration", "1d"]) == EXIT_OK
+    stored = out / "store" / "estimates.jsonl"
+    rows = [json.loads(line) for line in stored.read_text().splitlines()]
+    flags = {address: {row["flags"]["lower_bound_only"] for row in rows
+                       if row["target"] == address}
+             for address in (fast.address, ordinary.address)}
+    assert flags == {fast.address: {True}, ordinary.address: {False}}
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["lower_bound_targets"] == [fast.address]
+    again = tmp_path / "estimates.jsonl"
+    assert main(["estimate", "--samples", str(out / "store" / "samples.bin"),
+                 "--out", str(again)]) == EXIT_OK
+    assert again.read_bytes() == stored.read_bytes()
+
+
 def test_store_backed_pipeline_across_commands(tmp_path, small_fleet_file):
     store_dir = tmp_path / "campaign"
     copies = tmp_path / "copies"  # every stage's --out, next to its store stream
@@ -834,6 +857,24 @@ def test_a_fleet_server_without_an_address_is_named(tmp_path, capsys, command):
     assert capsys.readouterr().err == f"error: {fleet}: servers[0] has no 'address'\n"
     for output in ("out", "samples.bin", "campaign"):
         assert not (tmp_path / output).exists()
+
+
+@pytest.mark.parametrize("key, value, shown", [
+    ("seed", 7.0, "7.0"), ("seed", True, "True"), ("seed", "7", "'7'"),
+    ("domain_suffix", 5, "5"),
+], ids=["seed_float", "seed_bool", "seed_string", "domain_suffix"])
+def test_a_fleet_seed_or_suffix_of_the_wrong_json_type_is_named(tmp_path, capsys, key, value,
+                                                                  shown):
+    # a float or boolean seed would seed other streams than the integer it
+    # equals, and a suffix that is no string would fail deep in the crawl
+    fleet = write_fleet(tmp_path / "fleet.json", [make_server(1000.0)])
+    config = json.loads(fleet.read_text())
+    config[key] = value
+    fleet.write_text(json.dumps(config))
+    assert main(["simulate", "--fleet", str(fleet), "--out", str(tmp_path / "out")]) == EXIT_STAGE
+    kind = "integer" if key == "seed" else "string"
+    assert capsys.readouterr().err == f"error: {fleet}: {key!r} is not a JSON {kind}: {shown}\n"
+    assert not (tmp_path / "out").exists()
 
 
 def test_report_counts_the_stored_verdicts(tmp_path):

@@ -1,6 +1,7 @@
 """Rate estimation from ID samples: wrap handling, behaviour detection,
 per-visit estimates and series flagging."""
 
+import math
 import random
 from unittest.mock import patch
 
@@ -14,15 +15,15 @@ from fleetscope.ipid import (
     BEHAVIORS,
     UNCLASSIFIED,
     IdBehavior,
-    RateEstimate,
     _id_deltas,
     ambiguity_bound,
     daily_autocorrelation,
     estimate_batch,
-    series_estimates,
+    estimate_series,
 )
 from fleetscope.probe import CampaignParams, run_campaign
 from fleetscope.simulation import SimulatedTransport
+from fleetscope.store import VisitFrame
 
 import ipid_oracle
 from conftest import make_fleet, make_server, one_visit
@@ -76,10 +77,11 @@ def _frame(ids, interval_ns=30_000_000, target="t"):
 def _rows(frames):
     """Each frame's (class, estimate) from one ``estimate_batch`` call, in the
     oracle's terms: ``InsufficientSamples`` where the oracle raises it, and
-    the estimate of the visit read as a global counter."""
+    the estimate of the visit read as a global counter, as the oracle's
+    (target, window start, window end, pps, segments, risk) tuple."""
     columns = estimate_batch(frames)
     return [(InsufficientSamples if code == UNCLASSIFIED else BEHAVIORS[code],
-             RateEstimate(frame.target, frame.start_ns, frame.end_ns, pps, segments, risk)
+             (frame.target, frame.start_ns, frame.end_ns, pps, segments, risk)
              if estimable else InsufficientSamples)
             for frame, code, estimable, pps, segments, risk in zip(
                 frames, columns.behavior.tolist(), columns.estimable.tolist(),
@@ -91,7 +93,20 @@ def _classify(frame):
 
 
 def _estimate(frame):
-    return _rows([frame])[0][1]
+    """The visit's (pps, segments) read as a global counter, or
+    ``InsufficientSamples``."""
+    estimate = _rows([frame])[0][1]
+    return estimate if estimate is InsufficientSamples else estimate[3:5]
+
+
+def _series_rows(frames):
+    """``estimate_series``' rows as the oracle's (target, window start,
+    window end, pps, segments, risk, lower bound) tuples."""
+    result = estimate_series(frames)
+    return list(zip([result.targets[i] for i in result.target.tolist()],
+                    result.window_start_ns.tolist(), result.window_end_ns.tolist(),
+                    result.pps.tolist(), result.segments.tolist(), result.risk.tolist(),
+                    result.lower_bound.tolist()))
 
 
 def test_detect_counter_from_simulated_server():
@@ -131,9 +146,9 @@ def test_estimate_simulated_steady_server_within_two_percent():
     fleet = make_fleet([server])
     transport = SimulatedTransport(fleet)
     visit = one_visit(server.address, 0.03, 60.0, transport)
-    (est,) = series_estimates([visit])
+    (pps,) = estimate_series([visit]).pps.tolist()
     (truth,) = (t.true_pps for t in fleet.truth)
-    assert est.packets_per_second == pytest.approx(truth, rel=0.02)
+    assert pps == pytest.approx(truth, rel=0.02)
 
 
 def test_estimate_idle_server_after_self_subtraction():
@@ -142,17 +157,16 @@ def test_estimate_idle_server_after_self_subtraction():
     fleet = make_fleet([server])
     transport = SimulatedTransport(fleet)
     visit = one_visit(server.address, 0.03, 60.0, transport)
-    (est,) = series_estimates([visit])
+    (pps,) = estimate_series([visit]).pps.tolist()
     probe_rate = 1 / 0.03
-    assert est.packets_per_second <= 0.01 * probe_rate
+    assert pps <= 0.01 * probe_rate
 
 
 def test_estimate_conversion_rule():
     # 30 IDs per 30 ms, one of them our own echo reply: (30 - 1) / 0.03 pps,
     # or 11.6 Mbit/s at a 1500-byte MTU.
     ids = [(i * 30) % 65536 for i in range(2001)]
-    (est,) = series_estimates([_frame(ids)])
-    row = est.to_json(1500)
+    (row,) = estimate_series([_frame(ids)]).rows(1500)
     assert row["pps"] == pytest.approx((30 - 1) / 0.03)
     assert row["bps"] == row["pps"] * 1500 * 8
     assert (row["mtu_bytes"], row["flags"]["id_behavior"]) == (1500, "global_counter")
@@ -168,17 +182,17 @@ def test_estimate_reads_the_interval_from_the_frame(interval_ns):
     ids = [None if i % 3 == 2 else i * 40_000 % 65536 for i in range(101)]
     frame = _frame(ids, interval_ns)
     assert frame.interval_ns == interval_ns
-    est = _estimate(frame)
+    pps, segments = _estimate(frame)
     # 100 intervals in 67 gaps between replies, less one own reply per gap
-    assert est.packets_per_second == pytest.approx((100 * 40_000 - 67) / (100 * interval_ns / 1e9))
-    assert est.segments_used == 1
+    assert pps == pytest.approx((100 * 40_000 - 67) / (100 * interval_ns / 1e9))
+    assert segments == 1
 
 
 def test_estimate_requires_counter_behavior():
     constant = _frame([7] * 30)
     assert _classify(constant) is IdBehavior.CONSTANT_OR_PERFLOW
-    assert _estimate(constant).packets_per_second == 0.0
-    assert series_estimates([constant]) == []
+    assert _estimate(constant)[0] == 0.0
+    assert _series_rows([constant]) == []
 
 
 def test_estimate_requires_two_replies():
@@ -190,9 +204,9 @@ def test_estimate_survives_loss_gaps_with_wrap_completion():
     per_gap = 39000
     ids = [(i * per_gap) % 65536 for i in range(200)]
     ids[50] = ids[100] = None
-    est = _estimate(_frame(ids))
+    pps, _ = _estimate(_frame(ids))
     # 199 intervals in 197 gaps between replies, less one own reply per gap
-    assert est.packets_per_second == pytest.approx((199 * per_gap - 197) / (199 * 0.03))
+    assert pps == pytest.approx((199 * per_gap - 197) / (199 * 0.03))
 
 
 def test_estimate_splits_segments_on_long_gaps():
@@ -210,10 +224,10 @@ def test_estimate_splits_segments_on_long_gaps():
             counter += 30
             offset += interval_ns
     visit = VisitLog("t", 0, offset, samples)
-    est = _estimate(to_frame(visit))
-    assert est.segments_used == 2
+    pps, segments = _estimate(to_frame(visit))
+    assert segments == 2
     # 30 IDs per interval, one of them our own echo reply
-    assert est.packets_per_second == pytest.approx((30 - 1) / 0.03)
+    assert pps == pytest.approx((30 - 1) / 0.03)
 
 
 def test_no_overcount_against_simulator_truth():
@@ -221,13 +235,15 @@ def test_no_overcount_against_simulator_truth():
     fleet = make_fleet([server])
     transport = SimulatedTransport(fleet, loss_rate=0.01)
     visit = one_visit(server.address, 0.03, 60.0, transport)
-    (est,) = series_estimates([visit])
+    (pps,) = estimate_series([visit]).pps.tolist()
     (truth,) = (t.true_pps for t in fleet.truth)
-    assert est.packets_per_second <= truth * 1.001 + 1.0
+    assert pps <= truth * 1.001 + 1.0
 
 
 def test_series_estimates_empty_input():
-    assert series_estimates([]) == []
+    result = estimate_series([])
+    assert result.targets == ()
+    assert list(result.rows(1500)) == []
 
 
 def test_series_estimates_orders_many_targets_and_skips_what_it_cannot_estimate():
@@ -239,14 +255,14 @@ def test_series_estimates_orders_many_targets_and_skips_what_it_cannot_estimate(
                             total_duration_s=60.0, max_visits_per_hour=None, seed=5)
     visits = []
     run_campaign(list(fleet.by_address), params, SimulatedTransport(fleet), visits.append)
-    estimates = series_estimates(iter(visits))
+    estimates = _series_rows(iter(visits))
     # the visits of the random-ID and the silent server are skipped
-    assert sorted({e.target for e in estimates}) == sorted(s.address for s in counters)
-    keys = [(e.target, e.window_start_ns) for e in estimates]
+    assert sorted({e[0] for e in estimates}) == sorted(s.address for s in counters)
+    keys = [(e[0], e[1]) for e in estimates]
     assert keys == sorted(keys)
     assert len(keys) == sum(1 for v in visits if v.target in {s.address for s in counters})
     per_target = [est for target in sorted(s.address for s in counters)
-                  for est in series_estimates([v for v in visits if v.target == target])]
+                  for est in _series_rows([v for v in visits if v.target == target])]
     assert estimates == per_target
 
 
@@ -265,15 +281,15 @@ def test_series_recovers_diurnal_shape():
     server, fleet, visits = _campaign_series(
         base_pps=20_000.0, amplitude=0.5, noise=0.02, hours=24.0
     )
-    estimates = series_estimates(visits)
+    estimates = estimate_series(visits)
     truth = {t.start_ns: t.true_pps for t in fleet.truth}
     rel_errors = [
-        (e.packets_per_second - truth[e.window_start_ns]) / truth[e.window_start_ns]
-        for e in estimates
+        (pps - truth[start_ns]) / truth[start_ns]
+        for start_ns, pps in zip(estimates.window_start_ns.tolist(), estimates.pps.tolist())
     ]
     rms = (sum(err * err for err in rel_errors) / len(rel_errors)) ** 0.5
     assert rms < 0.05
-    assert not any(e.lower_bound_only for e in estimates)
+    assert not estimates.lower_bound.any()
 
 
 def test_series_flags_above_bound_server_as_lower_bound():
@@ -282,15 +298,86 @@ def test_series_flags_above_bound_server_as_lower_bound():
     server, fleet, visits = _campaign_series(
         base_pps=3_000_000.0, amplitude=0.4, noise=0.03, hours=26.0
     )
-    estimates = series_estimates(visits)
-    assert estimates
-    assert all(e.lower_bound_only for e in estimates)
+    estimates = estimate_series(visits)
+    assert len(estimates.pps)
+    assert estimates.lower_bound.all()
     ceiling = ambiguity_bound(0.03)
-    assert all(e.packets_per_second <= ceiling * 1.0001 for e in estimates)
+    assert all(pps <= ceiling * 1.0001 for pps in estimates.pps.tolist())
 
 
 def test_daily_autocorrelation_needs_data():
-    assert daily_autocorrelation([]) is None
+    assert daily_autocorrelation(np.zeros(0, np.int64), np.zeros(0)) is None
+
+
+# -- series flags against the per-object reference ------------------------------
+
+def _daily(t_s, amplitude):
+    return 1 + amplitude * math.sin(2 * math.pi * t_s / 86400)
+
+
+# Each kind's rate for visit k of n at UTC second t_s. At 30 ms the
+# single-wrap ceiling is ~2.18 Mpps, the risk threshold ~1.75 Mpps and half
+# the ceiling ~1.09 Mpps.
+_FLAG_KINDS = {
+    "below": lambda rng, k, n, t_s: 2e5 * _daily(t_s, 0.3) * rng.uniform(0.95, 1.05),
+    # one risky visit: flagged by the risk rule at 50 visits or fewer
+    "one_risky": lambda rng, k, n, t_s: 1.9e6 if k == n // 2 else 2e5 * _daily(t_s, 0.3),
+    "risky": lambda rng, k, n, t_s: rng.uniform(1.6e6, 2.1e6),
+    "above": lambda rng, k, n, t_s: rng.uniform(2.5e6, 6e6),
+    # high with no daily structure: only the autocorrelation rule can flag it
+    "structureless": lambda rng, k, n, t_s: rng.uniform(1.2e6, 1.7e6),
+    # as high only against the ceiling at 60 ms, where a slow first visit puts it
+    "structureless_mid": lambda rng, k, n, t_s: rng.uniform(0.6e6, 1.0e6),
+    # high with a daily sweep: its autocorrelation clears it
+    "diurnal_high": lambda rng, k, n, t_s: 1.4e6 * _daily(t_s, 0.2) * rng.uniform(0.99, 1.01),
+}
+
+
+def _counter_frame(target, start_ns, interval_ns, pps, probes=25):
+    """A visit to a global counter moving at ``pps`` plus one per reply."""
+    sent_ns = start_ns + interval_ns * np.arange(probes, dtype=np.int64)
+    counts = np.floor(pps * (sent_ns - start_ns) / 1e9).astype(np.int64) + np.arange(probes)
+    return VisitFrame(target, start_ns, int(sent_ns[-1]) + interval_ns, sent_ns,
+                      np.full(probes, 1_000_000, np.uint32), (counts + 4321).astype(np.uint16))
+
+
+def _flag_stream(targets, shuffled):
+    """Frames of each (kind, hours, slow first visit, seed) target, visited
+    every 30 minutes, in time order or shuffled. Each target also has an
+    all-lost visit at 10 ms and a random-ID visit, which are skipped, so its
+    first estimated frame is not its first frame."""
+    frames = []
+    for number, (kind, hours, slow_first, seed) in enumerate(targets):
+        rng = random.Random(seed)
+        target = f"198.18.60.{number + 1}"
+        frames.append(_frame([None] * 25, 10_000_000, target))
+        frames.append(_frame([rng.randrange(65536) for _ in range(25)], target=target))
+        visits = 2 * hours
+        for k in range(visits):
+            start_s = k * 1800 + number * 60
+            interval_ns = 60_000_000 if slow_first and k == 0 else 30_000_000
+            pps = _FLAG_KINDS[kind](rng, k, visits, start_s)
+            frames.append(_counter_frame(target, start_s * 10**9, interval_ns, pps))
+    frames.sort(key=lambda frame: frame.start_ns)
+    if shuffled:
+        random.Random(len(frames)).shuffle(frames)
+    return frames
+
+
+_flag_targets = st.tuples(st.sampled_from(sorted(_FLAG_KINDS)), st.integers(20, 34),
+                          st.booleans(), st.integers(0, 2**32))
+
+
+@settings(max_examples=60, deadline=None)
+# flagged by the autocorrelation rule alone; by the risk rule alone; by the
+# autocorrelation rule against the ceiling at its first estimated interval
+@example([("structureless", 34, False, 2)], False)
+@example([("one_risky", 25, False, 2), ("risky", 20, True, 3)], True)
+@example([("structureless_mid", 34, True, 2)], False)
+@given(st.lists(_flag_targets, min_size=1, max_size=4), st.booleans())
+def test_series_flags_match_the_per_object_reference(targets, shuffled):
+    frames = _flag_stream(targets, shuffled)
+    assert _series_rows(frames) == ipid_oracle.series_estimates(frames)
 
 
 # -- the batch kernel against the per-sample reference loops -------------------
@@ -382,7 +469,7 @@ def test_batch_boundaries_do_not_change_the_estimates(frames, data):
     assert [row for start, end in zip([0, *cuts], [*cuts, len(frames)])
             for row in _rows(frames[start:end])] == alone
     with patch.object(ipid, "BATCH_CELLS", 1):
-        one_each = series_estimates(frames)
+        one_each = list(estimate_series(frames).rows(1500))
     with patch.object(ipid, "BATCH_CELLS", 10**9):
-        one_batch = series_estimates(frames)
-    assert series_estimates(iter(frames)) == one_each == one_batch
+        one_batch = list(estimate_series(frames).rows(1500))
+    assert list(estimate_series(iter(frames)).rows(1500)) == one_each == one_batch

@@ -140,6 +140,16 @@ def test_id_stream_consistent_with_counter():
         assert server.serve_visit([at]).tolist() == [expected]
 
 
+def test_a_server_binds_only_the_streams_it_draws_from():
+    counter = make_server(base_pps=5000.0, counter=1)
+    noisy = make_server(base_pps=5000.0, counter=2, noise=0.1)
+    randoms = make_server(base_pps=5000.0, counter=3, behavior=IdBehavior.RANDOM)
+    make_fleet([counter, noisy, randoms])
+    assert (counter._noise_rng, counter._id_rng) == (None, None)
+    assert noisy._noise_rng is not None and noisy._id_rng is None
+    assert randoms._noise_rng is None and randoms._id_rng is not None
+
+
 def test_fleet_determinism_same_seed():
     def run(seed):
         server = make_server(base_pps=5000.0, noise=0.1, amplitude=0.3, address="198.18.9.9")
