@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import csv
 import ipaddress
 import itertools
 import json
@@ -437,6 +438,19 @@ def _cmd_report(args, params: probe.CampaignParams) -> int:
     return EXIT_OK
 
 
+class _TruthCsv(store._PartialFile):
+    """Writes ``truth.csv``, a row per simulated visit; ``repr`` keeps each rate exact."""
+
+    def __init__(self, path: Path):
+        super().__init__(path)
+        self._writer = csv.writer(self._fh, lineterminator="\n")
+        self._writer.writerow(["server", "window_start_ns", "window_end_ns", "true_pps"])
+
+    def append(self, row: tuple[str, int, int, float]) -> None:
+        target, start_ns, end_ns, true_pps = row
+        self._writer.writerow([target, start_ns, end_ns, repr(true_pps)])
+
+
 def _cmd_simulate(args, params: probe.CampaignParams) -> int:
     """Run every stage against a virtual fleet: its DNS zone, a snapshot
     synthesized from its names, and its simulated echo transport."""
@@ -459,8 +473,13 @@ def _cmd_simulate(args, params: probe.CampaignParams) -> int:
     records = _records_in(None, campaign_store)
     validate_stage(campaign_store, None, records, snapshot, cdn_asns, isp_asns, airports)
 
+    targets = [a for r in records for a in r.addresses if ":" not in a]
+    # a probe stage the store holds already writes no truth rows
+    truth = None if campaign_store.stage_done("probe") else _TruthCsv(out_dir / "truth.csv")
+    transport = simulation.SimulatedTransport(fleet, args.loss_rate, truth and truth.append)
+
     def write_truth(summary: probe.CampaignSummary) -> None:
-        fleet.export_truth_csv(out_dir / "truth.csv")
+        truth.commit()
         (out_dir / "reachability.json").write_text(json.dumps({
             "reachable": list(summary.reachable),
             "non_reachable": list(summary.unreachable),
@@ -468,9 +487,11 @@ def _cmd_simulate(args, params: probe.CampaignParams) -> int:
             "losses": summary.losses,
         }, indent=2, sort_keys=True) + "\n")
 
-    targets = [a for r in records for a in r.addresses if ":" not in a]
-    transport = simulation.SimulatedTransport(fleet, loss_rate=args.loss_rate)
-    probe_stage(campaign_store, None, params, targets, transport, write_truth)
+    try:
+        probe_stage(campaign_store, None, params, targets, transport, write_truth)
+    finally:
+        if truth is not None:
+            truth.close()
 
     estimate_stage(campaign_store, None, params.mtu_bytes, campaign_store.scan("samples"))
     with _naming_estimate_lines(None, campaign_store):

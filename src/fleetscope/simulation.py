@@ -8,8 +8,8 @@ estimator has to cope with. The counter is integrated per 1 s bin of server
 time, not per echo, and is linear within a bin. Each bin an echo falls in
 draws one noise factor, and the whole bins between visits are one step with
 one factor; a step of width W has the std ``noise_rel * sqrt(30 ms / W)``.
-The fleet also logs exact per-visit mean rates of that counter so
-estimates can be judged against ground truth.
+The transport hands each visit's exact mean rate of that counter to a
+truth destination so estimates can be judged against ground truth.
 
 All randomness (profile noise, random IDs, probe loss) comes from streams
 seeded by the fleet seed and the server address: one seed, one behaviour.
@@ -17,13 +17,12 @@ seeded by the fleet seed and the server address: one seed, one behaviour.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 import random
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -199,16 +198,6 @@ class SimulatedServer:
         return ids
 
 
-@dataclass(frozen=True, slots=True)
-class TruthRecord:
-    """Exact mean background rate of one target over one visit window."""
-
-    target: str
-    start_ns: int
-    end_ns: int
-    true_pps: float
-
-
 class SimulatedFleet:
     """All simulated servers plus the DNS zone that names them."""
 
@@ -218,37 +207,33 @@ class SimulatedFleet:
         self.domain_suffix = domain_suffix
         self.servers = list(servers)
         self.by_address: dict[str, SimulatedServer] = {}
-        self.by_name: dict[str, SimulatedServer] = {}
+        names: set[str] = set()
         for server in self.servers:
             parse_server_name(server.name, domain_suffix=domain_suffix)
             if server.address in self.by_address:
                 raise ValueError(f"duplicate address {server.address}")
-            if server.name in self.by_name:
+            if server.name in names:
                 raise ValueError(f"duplicate name {server.name}")
             server.bind_rngs(seed)
             self.by_address[server.address] = server
-            self.by_name[server.name] = server
-        self.truth: list[TruthRecord] = []
+            names.add(server.name)
 
     def zone(self) -> dict[str, tuple[str, ...]]:
         return {server.name: (server.address,) for server in self.servers}
 
-    def export_truth_csv(self, path: str | Path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["server", "window_start_ns", "window_end_ns", "true_pps"])
-            for row in self.truth:
-                writer.writerow([row.target, row.start_ns, row.end_ns, repr(row.true_pps)])
-
     @classmethod
     def from_config(cls, config: Mapping) -> "SimulatedFleet":
-        """The fleet a config describes. A missing ``servers`` list, a
-        ``seed`` that is not an integer or a ``domain_suffix`` that is not a
-        string raises a ValueError naming the key; a server without a
-        ``name`` or an ``address``, or a server value that does not parse,
-        one naming the server."""
+        """The fleet a config describes. A missing ``servers`` list, a key
+        other than ``servers``, ``seed`` and ``domain_suffix``, a ``seed``
+        that is not an integer or a ``domain_suffix`` that is not a string
+        raises a ValueError naming the key; a server without a ``name`` or an
+        ``address``, or a server value that does not parse or is out of
+        range, one naming the server."""
         if "servers" not in config:
             raise ValueError("no 'servers' list")
+        for key in config:
+            if key not in ("servers", "seed", "domain_suffix"):
+                raise ValueError(f"unknown key {key!r}")
         seed = config.get("seed", 0)
         if isinstance(seed, bool) or not isinstance(seed, int):
             raise ValueError(f"'seed' is not a JSON integer: {seed!r}")
@@ -278,6 +263,15 @@ class SimulatedFleet:
 
 
 def _server_from_config(entry: Mapping) -> SimulatedServer:
+    reachable = entry.get("reachable", True)
+    if type(reachable) is not bool:
+        raise ValueError(f"'reachable' is not a JSON bool: {reachable!r}")
+    rtt_ms = entry.get("rtt_ms", 5.0)
+    if type(rtt_ms) not in (int, float) or not 0 <= rtt_ms < math.inf:
+        raise ValueError(f"'rtt_ms' is not a finite number >= 0: {rtt_ms!r}")
+    constant_id = entry.get("constant_id", 7)
+    if type(constant_id) is not int or not 0 <= constant_id <= 0xFFFF:
+        raise ValueError(f"'constant_id' is not a JSON integer in 0..65535: {constant_id!r}")
     profile_cfg = entry.get("profile", {})
     fill = profile_cfg.get("fill") or {}
     profile = TrafficProfile(
@@ -295,9 +289,9 @@ def _server_from_config(entry: Mapping) -> SimulatedServer:
         address=entry["address"],
         profile=profile,
         id_behavior=IdBehavior(entry.get("id_behavior", "global_counter")),
-        reachable=bool(entry.get("reachable", True)),
-        rtt_ns=round(float(entry.get("rtt_ms", 5.0)) * 1e6),
-        constant_id=int(entry.get("constant_id", 7)),
+        reachable=reachable,
+        rtt_ns=round(float(rtt_ms) * 1e6),
+        constant_id=constant_id,
     )
 
 
@@ -337,11 +331,16 @@ class SimulatedTransport:
     call: nothing else touches a responder while one of its visits is
     open, so its replies are those it would have given as each echo
     arrived.
+
+    ``truth``, if given, gets ``(target, start_ns, end_ns, true_pps)`` as
+    each such window closes; the transport keeps no record of its own.
     """
 
-    def __init__(self, fleet: SimulatedFleet, loss_rate: float = 0.0):
+    def __init__(self, fleet: SimulatedFleet, loss_rate: float = 0.0,
+                 truth: Callable[[tuple[str, int, int, float]], None] | None = None):
         self.fleet = fleet
         self.loss_rate = loss_rate
+        self.truth = truth
         self._now_ns = 0
         self._loss_rngs: dict[str, random.Random] = {}
 
@@ -402,5 +401,6 @@ class SimulatedTransport:
             server.advance([end_ns])
             # the counter moved up to the last serve, half an RTT past the last send
             pps = (server.background_packets - start_packets) / ((server.time_ns - start_ns) / 1e9)
-            self.fleet.truth.append(TruthRecord(target, start_ns, end_ns, pps))
+            if self.truth is not None:
+                self.truth((target, start_ns, end_ns, pps))
         return seq, delivered + server.rtt_ns, ip_id

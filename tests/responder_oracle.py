@@ -8,7 +8,8 @@ drawing each step's noise as the walk first reaches it, ``serve_echo``
 answers one echo after such a move, and ``ScalarTransport`` draws each
 echo's loss as it is sent, keeps the delivered ones, and serves them one
 by one when the visit ends. The transport keeps the open-visit table the
-fleet once kept for its truth windows, and its replies in the reply dict
+fleet once kept for its truth windows, hands each window's rate to its
+``truth`` destination, and returns its replies in the reply dict
 transports once returned. ``send_run_per_send`` is the per-send loop a
 ``send_run`` stands for; ``PerSendRuns`` gives a fake transport that loop
 over its own ``_send_echo``.
@@ -22,8 +23,7 @@ import random
 import numpy as np
 
 from fleetscope.ipid import IdBehavior
-from fleetscope.simulation import (BIN_NS, NOISE_STEP_NS, SimulatedFleet, SimulatedServer,
-                                   TruthRecord)
+from fleetscope.simulation import BIN_NS, NOISE_STEP_NS, SimulatedFleet, SimulatedServer
 
 
 def cumulative_packets(server: SimulatedServer) -> int:
@@ -118,9 +118,10 @@ class ScalarTransport(PerSendRuns):
     loss and remembers a delivered echo, and ``end_visit`` serves each one
     and returns the replies as ``{seq: (recv_ns, ip_id)}``."""
 
-    def __init__(self, fleet: SimulatedFleet, loss_rate: float = 0.0):
+    def __init__(self, fleet: SimulatedFleet, loss_rate: float = 0.0, truth=None):
         self.fleet = fleet
         self.loss_rate = loss_rate
+        self.truth = truth
         self._now_ns = 0
         self._loss_rngs: dict[str, random.Random] = {}
         self._pending: dict[str, dict[int, int]] = {}  # seq -> sent_ns of delivered echoes
@@ -163,5 +164,6 @@ class ScalarTransport(PerSendRuns):
             start_ns, start_packets = opened
             advance_to(server, sent_ns[-1])
             pps = (server.background_packets - start_packets) / ((server.time_ns - start_ns) / 1e9)
-            self.fleet.truth.append(TruthRecord(target, start_ns, sent_ns[-1], pps))
+            if self.truth is not None:
+                self.truth((target, start_ns, sent_ns[-1], pps))
         return replies

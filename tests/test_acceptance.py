@@ -59,7 +59,8 @@ def test_c01_estimator_accuracy():
         )
     rng.shuffle(servers)
     fleet = SimulatedFleet(servers, seed=101)
-    transport = SimulatedTransport(fleet, loss_rate=0.01)
+    rows = []
+    transport = SimulatedTransport(fleet, loss_rate=0.01, truth=rows.append)
     params = CampaignParams(
         probe_interval_s=0.03, dwell_s=60.0, workers=25, total_duration_s=480.0,
         max_visits_per_hour=None, seed=101,
@@ -68,7 +69,7 @@ def test_c01_estimator_accuracy():
     summary = run_campaign(list(fleet.by_address), params, transport, frames.append)
     assert summary.visits_completed == 200  # 50 targets x 4 visits
 
-    truth = {(t.target, t.start_ns): t.true_pps for t in fleet.truth}
+    truth = {(target, start_ns): true_pps for target, start_ns, _, true_pps in rows}
     per_target: dict[str, list] = {}
     for visit in frames:
         per_target.setdefault(visit.target, []).append(visit)

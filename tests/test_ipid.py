@@ -144,10 +144,11 @@ def test_detect_requires_enough_samples():
 def test_estimate_simulated_steady_server_within_two_percent():
     server = make_server(base_pps=1000.0)
     fleet = make_fleet([server])
-    transport = SimulatedTransport(fleet)
+    rows = []
+    transport = SimulatedTransport(fleet, truth=rows.append)
     visit = one_visit(server.address, 0.03, 60.0, transport)
     (pps,) = estimate_series([visit]).pps.tolist()
-    (truth,) = (t.true_pps for t in fleet.truth)
+    (truth,) = (true_pps for _, _, _, true_pps in rows)
     assert pps == pytest.approx(truth, rel=0.02)
 
 
@@ -233,10 +234,11 @@ def test_estimate_splits_segments_on_long_gaps():
 def test_no_overcount_against_simulator_truth():
     server = make_server(base_pps=50_000.0, noise=0.02)
     fleet = make_fleet([server])
-    transport = SimulatedTransport(fleet, loss_rate=0.01)
+    rows = []
+    transport = SimulatedTransport(fleet, loss_rate=0.01, truth=rows.append)
     visit = one_visit(server.address, 0.03, 60.0, transport)
     (pps,) = estimate_series([visit]).pps.tolist()
-    (truth,) = (t.true_pps for t in fleet.truth)
+    (truth,) = (true_pps for _, _, _, true_pps in rows)
     assert pps <= truth * 1.001 + 1.0
 
 
@@ -267,22 +269,24 @@ def test_series_estimates_orders_many_targets_and_skips_what_it_cannot_estimate(
 
 
 def _campaign_series(base_pps, hours=26.0, amplitude=0.0, noise=0.0, seed=2):
-    """One server's visits of 30 s every 30 minutes for ``hours``."""
+    """One server's visits of 30 s every 30 minutes for ``hours``, and
+    their truth rows."""
     server = make_server(base_pps=base_pps, amplitude=amplitude, noise=noise)
     fleet = make_fleet([server], seed=seed)
     params = CampaignParams(probe_interval_s=0.03, dwell_s=30.0, workers=1,
                             total_duration_s=hours * 3600.0)
-    visits = []
-    run_campaign([server.address], params, SimulatedTransport(fleet), visits.append)
-    return server, fleet, visits
+    visits, rows = [], []
+    run_campaign([server.address], params, SimulatedTransport(fleet, truth=rows.append),
+                 visits.append)
+    return server, rows, visits
 
 
 def test_series_recovers_diurnal_shape():
-    server, fleet, visits = _campaign_series(
+    server, rows, visits = _campaign_series(
         base_pps=20_000.0, amplitude=0.5, noise=0.02, hours=24.0
     )
     estimates = estimate_series(visits)
-    truth = {t.start_ns: t.true_pps for t in fleet.truth}
+    truth = {start_ns: true_pps for _, start_ns, _, true_pps in rows}
     rel_errors = [
         (pps - truth[start_ns]) / truth[start_ns]
         for start_ns, pps in zip(estimates.window_start_ns.tolist(), estimates.pps.tolist())
@@ -295,7 +299,7 @@ def test_series_recovers_diurnal_shape():
 def test_series_flags_above_bound_server_as_lower_bound():
     # 3 Mpps with a +/-40% daily sweep: far above the 30 ms single-wrap
     # ceiling, so every estimate must be reported as a lower bound only.
-    server, fleet, visits = _campaign_series(
+    server, rows, visits = _campaign_series(
         base_pps=3_000_000.0, amplitude=0.4, noise=0.03, hours=26.0
     )
     estimates = estimate_series(visits)

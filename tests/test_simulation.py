@@ -1,7 +1,9 @@
 """Virtual fleet: profile integration, echo semantics, zone behaviour."""
 
+import gc
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fleetscope.ipid import IdBehavior
+from fleetscope.probe import CampaignParams, run_campaign
 from fleetscope.simulation import (
     BIN_NS,
     DAY_S,
@@ -122,12 +125,13 @@ def test_serve_echo_random_mode_is_unconstrained():
 def test_unreachable_server_never_replies():
     server = make_server(base_pps=10.0, reachable=False)
     fleet = make_fleet([server])
-    transport = SimulatedTransport(fleet)
+    rows = []
+    transport = SimulatedTransport(fleet, truth=rows.append)
     transport.sleep_until_ns(10**9)
     seq, recv_ns, ip_id = transport.end_visit(server.address, np.array([10**9, 2 * 10**9]))
     assert len(seq) == len(recv_ns) == len(ip_id) == 0
     assert server.reply_packets == 0
-    assert fleet.truth == []
+    assert rows == []
 
 
 def test_id_stream_consistent_with_counter():
@@ -194,14 +198,37 @@ def test_end_visit_returns_int64_columns():
 def test_truth_records_mean_rate():
     server = make_server(base_pps=2000.0, address="198.18.8.8")
     fleet = SimulatedFleet([server], seed=1)
-    transport = SimulatedTransport(fleet)
+    rows = []
+    transport = SimulatedTransport(fleet, truth=rows.append)
     sent = transport.send_run([server.address], 0, 30 * 10**9, 0, 2, np.array([-30 * 10**9]))[0]
     transport.end_visit(server.address, np.array(sent, dtype=np.int64))
-    (truth,) = fleet.truth
-    assert truth.target == server.address
-    assert truth.true_pps == pytest.approx(2000.0, rel=1e-6)
+    ((target, start_ns, end_ns, true_pps),) = rows
+    assert target == server.address
+    assert true_pps == pytest.approx(2000.0, rel=1e-6)
     # numpy scalars would print differently in truth.csv
-    assert (type(truth.start_ns), type(truth.end_ns), type(truth.true_pps)) == (int, int, float)
+    assert (type(start_ns), type(end_ns), type(true_pps)) == (int, int, float)
+
+
+def test_a_transport_without_a_truth_destination_keeps_nothing_per_visit():
+    # what a campaign leaves traced in memory may not grow with its visits
+    def held_after(visits: int) -> int:
+        server = make_server(base_pps=1000.0, noise=0.05)
+        params = CampaignParams(probe_interval_s=0.03, dwell_s=0.3, workers=1,
+                                total_duration_s=visits * 0.3, max_visits_per_hour=None,
+                                probe_timeout_s=0.03)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            transport = SimulatedTransport(make_fleet([server]), loss_rate=0.1)
+            summary = run_campaign([server.address], params, transport, lambda visit: None)
+            assert summary.visits_completed == visits
+            gc.collect()
+            return tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+
+    held_after(40)  # fills the interpreter's and numpy's caches
+    assert held_after(400) - held_after(40) < 4096
 
 
 def test_truth_of_a_far_server_is_its_rate():
@@ -209,9 +236,10 @@ def test_truth_of_a_far_server_is_its_rate():
     # 30 ms apart; over the 720 ms send span it would read ~10% high.
     server = make_server(base_pps=1000.0, rtt_ms=150.0)
     fleet = make_fleet([server])
-    one_visit(server.address, 0.03, 0.75, SimulatedTransport(fleet))
-    (truth,) = fleet.truth
-    assert truth.true_pps == pytest.approx(1000.0, rel=1e-9)
+    rows = []
+    one_visit(server.address, 0.03, 0.75, SimulatedTransport(fleet, truth=rows.append))
+    ((_, _, _, true_pps),) = rows
+    assert true_pps == pytest.approx(1000.0, rel=1e-9)
 
 
 def test_hhmm_round_trip():
@@ -244,6 +272,7 @@ def test_fleet_config_round_trip(tmp_path):
     ({"servers": [{"name": "x", "address": "198.18.0.1"}, {"name": "y"}]},
      r"fleet\.json: servers\[1\] has no 'address'"),
     ({"servers": [{"address": "198.18.0.1"}]}, r"fleet\.json: servers\[0\] has no 'name'"),
+    ({"seeds": 7, "servers": []}, r"fleet\.json: unknown key 'seeds'"),
 ])
 def test_fleet_file_errors_name_the_file_and_the_server(tmp_path, config, error):
     path = tmp_path / "fleet.json"
@@ -259,7 +288,14 @@ def test_fleet_file_errors_name_the_file_and_the_server(tmp_path, config, error)
     ({"id_behavior": "sometimes"}, "'sometimes' is not a valid IdBehavior"),
     ({"profile": 5}, "'int' object has no attribute 'get'"),
     ({"profile": {"base_pps": -1}}, "base_pps must be >= 0"),
-], ids=["peak_local", "base_pps", "base_pps_null", "id_behavior", "profile", "negative_rate"])
+    ({"reachable": "false"}, "'reachable' is not a JSON bool: 'false'"),
+    ({"constant_id": 7.9}, "'constant_id' is not a JSON integer in 0..65535: 7.9"),
+    ({"constant_id": 70000}, "'constant_id' is not a JSON integer in 0..65535: 70000"),
+    ({"rtt_ms": -5}, "'rtt_ms' is not a finite number >= 0: -5"),
+    ({"rtt_ms": math.nan}, "'rtt_ms' is not a finite number >= 0: nan"),
+], ids=["peak_local", "base_pps", "base_pps_null", "id_behavior", "profile", "negative_rate",
+        "reachable_string", "constant_id_float", "constant_id_above_16_bits", "negative_rtt",
+        "rtt_nan"])
 def test_a_bad_value_in_a_fleet_server_is_named(tmp_path, change, error):
     servers = [make_server(base_pps=1.0, counter=1), make_server(base_pps=1.0, counter=2)]
     path = write_fleet(tmp_path / "fleet.json", servers)
@@ -440,7 +476,9 @@ def test_end_visit_matches_the_per_send_transport(spec, seed, reachable, loss_ra
     # each visit sends at its start plus the running sum of its gaps, some
     # 0, and opens with its first send, as run_campaign drives a transport
     (server, reference), fleets = _twin_servers(spec, seed, reachable)
-    transports = [SimulatedTransport(fleets[0], loss_rate), ScalarTransport(fleets[1], loss_rate)]
+    rows = [[], []]
+    transports = [SimulatedTransport(fleets[0], loss_rate, rows[0].append),
+                  ScalarTransport(fleets[1], loss_rate, rows[1].append)]
     for gaps in visits:
         sents = []
         for transport in transports:
@@ -462,4 +500,4 @@ def test_end_visit_matches_the_per_send_transport(spec, seed, reachable, loss_ra
         assert replies == transports[1].end_visit(server.address, sents[1])
         assert _state(server) == _state(reference)
         start_ns = transports[0].now_ns() + 10**10
-    assert fleets[0].truth == fleets[1].truth
+    assert rows[0] == rows[1]
