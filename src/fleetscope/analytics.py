@@ -27,7 +27,6 @@ from __future__ import annotations
 import csv
 import datetime as dt
 import json
-from array import array
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
@@ -35,20 +34,12 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .discovery import ServerRecord
+from .jsonrows import BadEstimate, estimate_columns, read_estimate_parts
 from .validation import AirportDatabase
 
 DEFAULT_BIN_S = 1800.0
 DAY_NS = 86_400 * 10**9
 _EPOCH_ORDINAL = dt.date(1970, 1, 1).toordinal()
-
-
-class BadEstimate(ValueError):
-    """An estimate row the report cannot use; ``row`` counts the rows from 1."""
-
-    def __init__(self, row: int, reason: str):
-        super().__init__(f"estimate {row}: {reason}")
-        self.row = row
-        self.reason = reason
 
 
 class UnjoinedEstimate(BadEstimate):
@@ -74,27 +65,34 @@ class EstimateTable:
         (target, window, pps, bps, ``flags.lower_bound_only``), with a value
         of the wrong type, or with a rate that is not a finite number.
         """
+        return cls._of_parts([estimate_columns(rows)])
+
+    @classmethod
+    def read(cls, path: str | Path) -> "EstimateTable":
+        """The table of the estimates file at ``path``: ``from_rows`` of
+        ``read_jsonl(path)``, with the same errors, parsed in parts at once
+        (see ``jsonrows.read_estimate_parts``)."""
+        return cls._of_parts(read_estimate_parts(path))
+
+    @classmethod
+    def _of_parts(cls, parts: Sequence[tuple]) -> "EstimateTable":
+        """The table of ``jsonrows.estimate_columns`` parts, in row order."""
         index: dict[str, int] = {}
-        target, mid_ns, pps, bps = array("i"), array("q"), array("d"), array("d")
-        lower_bound = array("b")
-        for number, row in enumerate(rows, 1):
-            try:
-                mid_ns.append((row["window_start_ns"] + row["window_end_ns"]) // 2)
-                pps.append(row["pps"])
-                bps.append(row["bps"])
-                lower_bound.append(row["flags"]["lower_bound_only"])
-                target.append(index.setdefault(row["target"], len(index)))
-            except KeyError as exc:
-                raise BadEstimate(number, f"no field {exc.args[0]!r}") from None
-            except (TypeError, OverflowError) as exc:
-                raise BadEstimate(number, f"bad value ({exc})") from None
+        target = []
+        for targets, local, *_ in parts:  # to indices in order of first appearance
+            remap = np.array([index.setdefault(name, len(index)) for name in targets], np.intc)
+            target.append(remap[np.frombuffer(local, np.intc)])
+
+        def column(field: int, dtype) -> np.ndarray:
+            return np.concatenate([np.frombuffer(part[field], dtype) for part in parts])
+
         table = cls(
             tuple(index),
-            np.frombuffer(target, np.intc),
-            np.frombuffer(mid_ns, np.int64),
-            np.frombuffer(pps, np.float64),
-            np.frombuffer(bps, np.float64),
-            np.frombuffer(lower_bound, np.int8) != 0,
+            np.concatenate(target),
+            column(2, np.int64),
+            column(3, np.float64),
+            column(4, np.float64),
+            column(5, np.int8) != 0,
         )
         infinite = np.flatnonzero(~(np.isfinite(table.pps) & np.isfinite(table.bps)))
         if len(infinite):

@@ -302,7 +302,12 @@ def _records_in(path: str | None, campaign_store) -> list[discovery.ServerRecord
 
 
 def _estimates_in(path: str | None, campaign_store) -> analytics.EstimateTable:
-    return analytics.EstimateTable.from_rows(_rows_in(path, campaign_store, "estimates"))
+    """The estimates of the ``path`` file, else the store's (none before they exist)."""
+    if not path:
+        if campaign_store is None:
+            raise _UsageError("need --estimates or a global --store")
+        path = campaign_store.committed("estimates")
+    return analytics.EstimateTable.read(path) if path else analytics.EstimateTable.from_rows(())
 
 
 def _bad_row(path: str | None, campaign_store, stream: str, row: int, reason: str) -> ValueError:

@@ -28,6 +28,7 @@ import numpy as np
 
 from .ipid import IdBehavior
 from .names import parse_server_name
+from .store import MAX_RTT_NS
 from .transport import Replies
 
 DAY_S = 86400.0
@@ -269,6 +270,9 @@ def _server_from_config(entry: Mapping) -> SimulatedServer:
     rtt_ms = entry.get("rtt_ms", 5.0)
     if type(rtt_ms) not in (int, float) or not 0 <= rtt_ms < math.inf:
         raise ValueError(f"'rtt_ms' is not a finite number >= 0: {rtt_ms!r}")
+    rtt_ns = round(float(rtt_ms) * 1e6)
+    if rtt_ns > MAX_RTT_NS:  # a sample stores no longer round trip
+        raise ValueError(f"'rtt_ms' is not at most {MAX_RTT_NS / 1e6} ms: {rtt_ms!r}")
     constant_id = entry.get("constant_id", 7)
     if type(constant_id) is not int or not 0 <= constant_id <= 0xFFFF:
         raise ValueError(f"'constant_id' is not a JSON integer in 0..65535: {constant_id!r}")
@@ -290,7 +294,7 @@ def _server_from_config(entry: Mapping) -> SimulatedServer:
         profile=profile,
         id_behavior=IdBehavior(entry.get("id_behavior", "global_counter")),
         reachable=reachable,
-        rtt_ns=round(float(rtt_ms) * 1e6),
+        rtt_ns=rtt_ns,
         constant_id=constant_id,
     )
 

@@ -2,13 +2,13 @@
 
 One directory per campaign. Records, estimates and verdicts are
 JSON-lines files, written through ``JsonlWriter`` and read through
-``read_jsonl`` like any other JSON-lines file of the package. Samples are
-one binary frame per visit in ``samples.bin``, written through
-``FrameWriter`` and read through ``read_frames``; ``CampaignStore.writer``
-opens a stream's writer, which publishes the stream whole when it
-commits, so a stream holds one complete stage run or nothing. The
-manifest tracks schema versions and stage completion markers so a
-finished stage is never re-run and stages complete in pipeline order.
+``read_jsonl`` (from ``jsonrows``) like any other JSON-lines file of the
+package. Samples are one binary frame per visit in ``samples.bin``,
+written through ``FrameWriter`` and read through ``read_frames``;
+``CampaignStore.writer`` opens a stream's writer, which publishes the
+stream whole when it commits, so a stream holds one complete stage run or
+nothing. The manifest tracks schema versions and stage completion markers
+so a finished stage is never re-run and stages complete in pipeline order.
 
 A sample frame is little-endian: the header ``FRAME_MAGIC``, ``start_ns``
 (i64), ``end_ns`` (i64; the last send plus the probe interval), the probe
@@ -29,6 +29,8 @@ from typing import Iterator
 
 import numpy as np
 
+from .jsonrows import StoreError, read_jsonl
+
 STREAM_VERSIONS = {
     "records": 1,
     "samples": 2,
@@ -48,33 +50,12 @@ _BYTES_PER_PROBE = 8 + 4 + 2
 _SAMPLES_V1 = "samples stream is v1 (JSON lines); re-run the probe stage"
 
 
-class StoreError(Exception):
-    """Corrupt store contents."""
-
-
 class SchemaMismatch(StoreError):
     """The store was written by a newer schema than this reader supports."""
 
 
 class StageOrderError(StoreError):
     """Stages must complete in pipeline order."""
-
-
-def read_jsonl(path: str | Path) -> Iterator[dict]:
-    """Yield the objects of a JSON-lines file in order; blank lines are skipped.
-
-    A file is only ever published whole, so a line that is not JSON, the
-    last one included, raises ``StoreError`` naming the file and line.
-    """
-    with open(path) as fh:
-        for number, line in enumerate(fh, 1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError:
-                raise StoreError(f"{path}: line {number}: not valid JSON") from None
-            yield obj
 
 
 @dataclass(frozen=True, slots=True)
@@ -291,15 +272,22 @@ class CampaignStore:
             (self.directory / "samples.jsonl").unlink(missing_ok=True)
         return open_writer(stream, path)
 
-    def scan(self, stream: str) -> Iterator:
-        """Yield the committed items in append order (see ``read_stream``).
+    def committed(self, stream: str) -> Path | None:
+        """The file of ``stream``'s committed items; None when there is none.
 
-        A samples stream in the JSON-lines format of v1 raises ``StoreError``.
+        Raises ``SchemaMismatch`` if a newer schema wrote the stream, and
+        ``StoreError`` for a samples stream in the JSON-lines format of v1.
         """
         manifest = self._manifest_for(stream)
         if stream == "samples" and (manifest["streams"].get(stream) == 1
                                     or (self.directory / "samples.jsonl").exists()):
             raise StoreError(_SAMPLES_V1)
         path = self.stream_path(stream)
-        if path.exists():
+        return path if path.exists() else None
+
+    def scan(self, stream: str) -> Iterator:
+        """Yield the committed items in append order (see ``read_stream``,
+        and ``committed`` for the errors)."""
+        path = self.committed(stream)
+        if path is not None:
             yield from read_stream(stream, path)

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from fleetscope import analytics, cli, store
+from fleetscope import analytics, cli, jsonrows, store
 from fleetscope.cli import EXIT_OK, EXIT_STAGE, EXIT_USAGE, main
 from fleetscope.ipid import IdBehavior
 from fleetscope.simulation import SimulatedFleet, SimulatedTransport
@@ -982,6 +982,60 @@ def test_report_on_a_bad_estimate_names_its_line_and_writes_nothing(
                  "--estimates", str(estimates), "--out", str(out)]) == EXIT_STAGE
     assert capsys.readouterr().err == f"error: {estimates}: line 4: {reason}\n"
     assert list(out.iterdir()) == []
+
+
+def test_report_reads_estimates_in_parts_to_the_same_files_and_lines(
+    tmp_path, small_fleet_file, capsys, monkeypatch
+):
+    run = tmp_path / "run"
+    assert _simulate(run, small_fleet_file) == EXIT_OK
+    records = str(run / "store" / "records.jsonl")
+    good = (run / "store" / "estimates.jsonl").read_text().splitlines()
+    estimates = _write_lines(tmp_path / "estimates.jsonl", [*good, *good])
+
+    def report(out):
+        return main(["report", "--records", records, "--estimates", str(estimates),
+                     "--out", str(tmp_path / out)])
+
+    assert report("one_part") == EXIT_OK
+    monkeypatch.setattr(jsonrows, "PART_BYTES", estimates.stat().st_size // 2)
+    monkeypatch.setattr(jsonrows, "_usable_cpus", lambda: 2)
+    assert len(jsonrows._part_bounds(estimates)) == 2
+    assert report("two_parts") == EXIT_OK
+    names = sorted(os.listdir(tmp_path / "one_part"))
+    assert names == sorted(os.listdir(tmp_path / "two_parts")) and len(names) == 7
+    for name in names:
+        assert (tmp_path / "two_parts" / name).read_bytes() == (
+            tmp_path / "one_part" / name).read_bytes(), name
+    # the last row, in the second part, after a blank line in the first
+    _write_lines(estimates, [good[0], "", *good[1:], *good, '{"target": "x"}'])
+    assert len(jsonrows._part_bounds(estimates)) == 2
+    capsys.readouterr()
+    assert report("bad") == EXIT_STAGE
+    assert capsys.readouterr().err == (
+        f"error: {estimates}: line {2 * len(good) + 2}: no field 'window_start_ns'\n")
+    assert not (tmp_path / "bad").exists()
+
+
+def test_report_on_a_store_reads_the_estimates_its_schema_supports(
+    tmp_path, small_fleet_file, capsys
+):
+    run = tmp_path / "run"
+    assert _simulate(run, small_fleet_file) == EXIT_OK
+    manifest_path = run / "store" / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    manifest["streams"]["estimates"] = 2
+    manifest_path.write_text(json.dumps(manifest))
+    capsys.readouterr()
+    assert main(["--store", str(run / "store"), "report", "--out", str(tmp_path / "r")]) == (
+        EXIT_STAGE)
+    assert capsys.readouterr().err == "error: estimates is v2, this build supports v1\n"
+    manifest["streams"]["estimates"] = 1
+    manifest_path.write_text(json.dumps(manifest))
+    (run / "store" / "estimates.jsonl").unlink()
+    assert main(["--store", str(run / "store"), "report", "--out", str(tmp_path / "r")]) == (
+        EXIT_OK)
+    assert json.loads((tmp_path / "r" / "summary.json").read_text())["estimates"] == 0
 
 
 @pytest.mark.parametrize("command", ["report", "validate"])

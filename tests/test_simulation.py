@@ -293,9 +293,10 @@ def test_fleet_file_errors_name_the_file_and_the_server(tmp_path, config, error)
     ({"constant_id": 70000}, "'constant_id' is not a JSON integer in 0..65535: 70000"),
     ({"rtt_ms": -5}, "'rtt_ms' is not a finite number >= 0: -5"),
     ({"rtt_ms": math.nan}, "'rtt_ms' is not a finite number >= 0: nan"),
+    ({"rtt_ms": 1e300}, "'rtt_ms' is not at most 4294.967294 ms: 1e+300"),
 ], ids=["peak_local", "base_pps", "base_pps_null", "id_behavior", "profile", "negative_rate",
         "reachable_string", "constant_id_float", "constant_id_above_16_bits", "negative_rtt",
-        "rtt_nan"])
+        "rtt_nan", "rtt_longer_than_a_sample_stores"])
 def test_a_bad_value_in_a_fleet_server_is_named(tmp_path, change, error):
     servers = [make_server(base_pps=1.0, counter=1), make_server(base_pps=1.0, counter=2)]
     path = write_fleet(tmp_path / "fleet.json", servers)
