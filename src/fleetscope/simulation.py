@@ -11,15 +11,20 @@ one factor; a step of width W has the std ``noise_rel * sqrt(30 ms / W)``.
 The transport hands each visit's exact mean rate of that counter to a
 truth destination so estimates can be judged against ground truth.
 
-All randomness (profile noise, random IDs, probe loss) comes from streams
-seeded by the fleet seed and the server address: one seed, one behaviour.
+Every random draw (profile noise, random IDs, probe loss) is a splitmix64
+word keyed by what it is drawn for, so the simulator keeps no generator
+state and no draw depends on an earlier one. A server's key absorbs the
+fleet seed and its address; each stream absorbs a tag into it. A noise
+step is keyed by its start and end times, a random ID by its echo's
+arrival time and its place among the echoes that arrive at that time, and
+a loss by its visit's first send time and its sequence number. One seed,
+one behaviour.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import random
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Sequence
@@ -36,6 +41,86 @@ DAY_S = 86400.0
 BIN_NS = 1_000_000_000
 # the width whose noise step has the std noise_rel (see TrafficProfile)
 NOISE_STEP_NS = 30_000_000
+
+# splitmix64 (Steele, Lea & Flood, OOPSLA 2014): word n of the generator
+# from state s is _mix(s + n * _GAMMA), so any word is computed from its key
+# alone. Keys are masked Python ints; the per-echo words are uint64 arrays
+# throughout, since numpy 1.24 makes np.uint64 with an int a float64
+_M64 = (1 << 64) - 1
+_GAMMA = 0x9E3779B97F4A7C15
+_MUL1, _MUL2 = 0xBF58476D1CE4E5B9, 0x94D049BB133111EB
+_U = np.uint64
+_U11, _U27, _U30, _U31, _U48 = _U(11), _U(27), _U(30), _U(31), _U(48)
+# the tag each stream absorbs into a server's key
+_NOISE, _IDS, _LOSS = 1, 2, 3
+# a call with fewer noise steps hashes them one by one: numpy costs more
+_VECTOR_STEPS = 10
+_TAU = 2.0 * math.pi
+
+
+def _mix(z: int) -> int:
+    """The splitmix64 finaliser of a 64-bit int."""
+    z = ((z ^ (z >> 30)) * _MUL1) & _M64
+    z = ((z ^ (z >> 27)) * _MUL2) & _M64
+    return z ^ (z >> 31)
+
+
+def _absorb(key: int, word: int) -> int:
+    """``key`` extended by ``word``, taken mod 2**64: word 1 of splitmix64
+    from the state ``key ^ word``."""
+    return _mix(((key ^ word) + _GAMMA) & _M64)
+
+
+def _server_key(seed: int, address: str) -> int:
+    """The key of a server: the fleet seed, then the address's UTF-8 bytes
+    8 at a time (little-endian, the last zero-padded), then their count,
+    absorbed in turn from 0."""
+    data = address.encode()
+    key = _absorb(0, seed)
+    for at in range(0, len(data), 8):
+        key = _absorb(key, int.from_bytes(data[at:at + 8], "little"))
+    return _absorb(key, len(data))
+
+
+def splitmix64(states: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Word ``counts`` (1 for the first) of splitmix64 from ``states``,
+    elementwise: uint64 in and out."""
+    z = states + counts * _U(_GAMMA)
+    z ^= z >> _U30
+    z *= _U(_MUL1)
+    z ^= z >> _U27
+    z *= _U(_MUL2)
+    return z ^ (z >> _U31)
+
+
+def _absorb_all(keys, words: np.ndarray) -> np.ndarray:
+    """``_absorb`` of each of ``words`` into ``keys`` (one uint64 or one
+    per word)."""
+    return splitmix64(words.astype(np.uint64) ^ keys, _U(1))
+
+
+def _step_normals(key: int, starts: list[int], ends: list[int]) -> list[float]:
+    """The standard normal of each noise step from ``starts[i]`` to
+    ``ends[i]`` under the noise ``key``: Box-Muller of the top 53 bits of
+    words 1 and 2 of splitmix64 from ``_absorb(key, start) ^ end``, as
+    fractions u and v of 2**53. A call of many steps hashes them, and scales
+    u and v by exact float operations, as arrays; the transcendentals are
+    always those of ``math``, since numpy's can differ by an ulp across
+    CPUs."""
+    if len(starts) < _VECTOR_STEPS:
+        tails, angles = [], []
+        for start, end in zip(starts, ends):
+            state = _absorb(key, start) ^ end
+            tails.append(1.0 - (_mix((state + _GAMMA) & _M64) >> 11) * 2.0**-53)
+            angles.append(_TAU * ((_mix((state + 2 * _GAMMA) & _M64) >> 11) * 2.0**-53))
+    else:
+        states = _absorb_all(_U(key), np.array(starts, dtype=np.uint64))
+        states ^= np.array(ends, dtype=np.uint64)
+        firsts, seconds = splitmix64(states, np.array([[1], [2]], dtype=np.uint64)) >> _U11
+        tails = (1.0 - firsts * 2.0**-53).tolist()
+        angles = (_TAU * (seconds * 2.0**-53)).tolist()
+    sqrt, log, cos = math.sqrt, math.log, math.cos
+    return [sqrt(-2.0 * log(tail)) * cos(angle) for tail, angle in zip(tails, angles)]
 
 
 def parse_hhmm(text: str) -> float:
@@ -115,16 +200,10 @@ class SimulatedServer:
     # counts at them
     _open_step: tuple[int, int, float, float] | None = field(default=None, init=False,
                                                              repr=False)
-    _noise_rng: random.Random | None = field(default=None, init=False, repr=False)
-    _id_rng: random.Random | None = field(default=None, init=False, repr=False)
-
-    def bind_rngs(self, seed: int) -> None:
-        """Seed the streams this server draws from, and only those: profile
-        noise when ``noise_rel`` is positive, IDs when they are random."""
-        if self.profile.noise_rel > 0:
-            self._noise_rng = random.Random(f"{seed}:{self.address}:noise")
-        if self.id_behavior is IdBehavior.RANDOM:
-            self._id_rng = random.Random(f"{seed}:{self.address}:ids")
+    # the fleet seed and the address, hashed (see _server_key)
+    _key: int = field(default=0, init=False, repr=False)
+    # the arrival time of the last random ID, and the echoes served at it
+    _last_arrival: tuple[int, int] | None = field(default=None, init=False, repr=False)
 
     def advance(self, times_ns: Sequence[int]) -> np.ndarray:
         """Integrate the profile up to each of the ascending ``times_ns`` in
@@ -133,16 +212,16 @@ class SimulatedServer:
         The count is piecewise linear in time, with knots at 1 s bin edges.
         Each bin a time falls in (or its part past the clock, for a clock
         that no earlier call left inside a bin) is one noise step: its
-        factor is drawn in time order the first time a call reaches into it
-        and kept while later calls continue inside it. A time on the start
-        edge of a bin, where the step before it ends, reads that step's end
-        and opens no step. A span of whole bins that no time falls in is
-        one step with one draw. A step of width W has the std
-        ``noise_rel * sqrt(NOISE_STEP_NS / W)``, clipped so the count never
-        falls. So the counter depends on the times alone, not on how they
-        are split into calls; a fixed seed and campaign replays
-        identically. The clock never moves backwards: a time behind it reads
-        the count at the clock.
+        factor is keyed by the step's start and end, drawn the first time a
+        call reaches into it and kept while later calls continue inside it.
+        A time on the start edge of a bin, where the step before it ends,
+        reads that step's end and opens no step. A span of whole bins that
+        no time falls in is one step with one draw. A step of width W has
+        the std ``noise_rel * sqrt(NOISE_STEP_NS / W)``, clipped so the
+        count never falls. So the counter depends on the times alone, not on
+        how they are split into calls or on what was drawn before; a fixed
+        seed and campaign replays identically. The clock never moves
+        backwards: a time behind it reads the count at the clock.
         """
         times = np.asarray(times_ns, dtype=np.int64)
         if not len(times) or times[-1] <= self.time_ns:
@@ -165,14 +244,17 @@ class SimulatedServer:
                 xs.append(start)  # the whole bins before this one: one step
             xs.append(start + BIN_NS)
         cumulative = self.profile._cumulative
-        noise_rel = self.profile.noise_rel if self._noise_rng is not None else 0.0
+        noise_rel = self.profile.noise_rel
+        starts, ends = xs[known - 1:-1], xs[known:]
+        normals = (_step_normals(_absorb(self._key, _NOISE), starts, ends) if noise_rel > 0
+                   else [0.0] * len(starts))
         before = cumulative(xs[known - 1] / 1e9)
-        for at, to in zip(xs[known - 1:-1], xs[known:]):
+        for at, to, normal in zip(starts, ends, normals):
             after = cumulative(to / 1e9)
             factor = 1.0
             if noise_rel > 0:
                 std = noise_rel * math.sqrt(NOISE_STEP_NS / (to - at))
-                factor = max(0.0, 1.0 + std * self._noise_rng.gauss(0.0, 1.0))
+                factor = max(0.0, 1.0 + std * normal)
             ys.append(ys[-1] + (after - before) * factor)
             before = after
         background = np.interp(np.maximum(times, self.time_ns), xs, ys)
@@ -181,19 +263,28 @@ class SimulatedServer:
         self.time_ns = int(times[-1])
         return background
 
-    def serve_visit(self, at_ns: Sequence[int]) -> np.ndarray:
-        """Answer echoes arriving at the ascending times ``at_ns``: ``advance``
-        to each, then read its reply's IP ID (returned as int64); the reply
-        itself moves the counter by one."""
-        count = len(at_ns)
-        background = self.advance(at_ns)
+    def reply_ids(self, arrivals: np.ndarray, background: np.ndarray) -> np.ndarray:
+        """The IP IDs (int64) of the replies to echoes arriving at the
+        ascending int64 times ``arrivals``, once ``advance`` has moved the
+        clock to each and read the counts ``background`` there; each reply
+        moves the counter by one.
+
+        A random ID is the top 16 bits of word n + 1 of splitmix64 from the
+        echo's arrival time absorbed into the server's ID key, where n
+        counts the echoes served at that time before it, in this call or
+        the one before."""
+        count = len(arrivals)
         if self.id_behavior is IdBehavior.GLOBAL_COUNTER:
             # int() of each count, plus the replies served before it
             ids = (background.astype(np.int64) + self.reply_packets + np.arange(count)) & 0xFFFF
-        elif self.id_behavior is IdBehavior.RANDOM:
-            randrange = self._id_rng.randrange
-            ids = np.array([randrange(0, 1 << 16) for _ in range(count)], dtype=np.int64)
-        else:
+        elif self.id_behavior is IdBehavior.RANDOM and count:
+            nth = np.arange(count) - np.searchsorted(arrivals, arrivals)
+            if self._last_arrival is not None and self._last_arrival[0] == arrivals[0]:
+                nth[arrivals == arrivals[0]] += self._last_arrival[1]
+            self._last_arrival = (int(arrivals[-1]), int(nth[-1]) + 1)
+            states = _absorb_all(_U(_absorb(self._key, _IDS)), arrivals)
+            ids = (splitmix64(states, (nth + 1).astype(np.uint64)) >> _U48).astype(np.int64)
+        else:  # a constant ID, or no reply at all
             ids = np.full(count, self.constant_id, dtype=np.int64)
         self.reply_packets += count
         return ids
@@ -215,7 +306,7 @@ class SimulatedFleet:
                 raise ValueError(f"duplicate address {server.address}")
             if server.name in names:
                 raise ValueError(f"duplicate name {server.name}")
-            server.bind_rngs(seed)
+            server._key = _server_key(seed, server.address)
             self.by_address[server.address] = server
             names.add(server.name)
 
@@ -329,12 +420,15 @@ class SimulatedTransport:
     first send to the last serve, the span over which the counter moved.
 
     A send takes no time, so ``send_run`` only computes the send times and
-    moves the clock to the last. ``end_visit`` advances the responder to
-    the visit's first send, draws the visit's losses, one per send in
-    sequence order, and serves the delivered echoes in one ``serve_visit``
-    call: nothing else touches a responder while one of its visits is
-    open, so its replies are those it would have given as each echo
-    arrived.
+    moves the clock to the last. ``end_visit`` draws the visit's losses,
+    advances the responder to its first send and each delivered echo's
+    arrival in one call, and reads the replies: nothing else touches a
+    responder while one of its visits is open, so its replies are those it
+    would have given as each echo arrived. Send ``seq`` is lost when the top
+    53 bits of word ``seq + 1`` of splitmix64 from the visit's first send
+    time, absorbed into the target's loss key, are below
+    ``ceil(loss_rate * 2**53)``: a function of the fleet seed, the target,
+    the visit's first send and ``seq`` alone.
 
     ``truth``, if given, gets ``(target, start_ns, end_ns, true_pps)`` as
     each such window closes; the transport keeps no record of its own.
@@ -346,14 +440,6 @@ class SimulatedTransport:
         self.loss_rate = loss_rate
         self.truth = truth
         self._now_ns = 0
-        self._loss_rngs: dict[str, random.Random] = {}
-
-    def _loss_rng(self, target: str) -> random.Random:
-        rng = self._loss_rngs.get(target)
-        if rng is None:
-            rng = random.Random(f"{self.fleet.seed}:loss:{target}")
-            self._loss_rngs[target] = rng
-        return rng
 
     def now_ns(self) -> int:
         return self._now_ns
@@ -393,14 +479,17 @@ class SimulatedTransport:
             return none, none, none
         # Python ints keep the responder's clock and the truth row's repr exact
         start_ns, end_ns = int(sent_ns[0]), int(sent_ns[-1])
-        server.advance([start_ns])
-        start_packets = server.background_packets
         seq = np.arange(len(sent_ns), dtype=np.int64)
         if self.loss_rate:
-            draw = self._loss_rng(target).random
-            seq = seq[[draw() >= self.loss_rate for _ in range(len(sent_ns))]]
+            state = _absorb(_absorb(server._key, _LOSS), start_ns)
+            words = splitmix64(_U(state), (seq + 1).astype(np.uint64))
+            seq = seq[words >> _U11 >= _U(math.ceil(self.loss_rate * 2**53))]
         delivered = sent_ns[seq]
-        ip_id = server.serve_visit(delivered + server.rtt_ns // 2)
+        arrivals = delivered + server.rtt_ns // 2
+        # one advance to the first send and each arrival, as two would read
+        background = server.advance(np.concatenate(([start_ns], arrivals)))
+        start_packets = float(background[0])
+        ip_id = server.reply_ids(arrivals, background[1:])
         if end_ns > start_ns:
             server.advance([end_ns])
             # the counter moved up to the last serve, half an RTT past the last send

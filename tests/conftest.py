@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from fleetscope.discovery import ServerRecord
@@ -109,6 +110,12 @@ def one_visit(address: str, interval_s: float, dwell_s: float, transport) -> Vis
     run_campaign([address], params, transport, visits.append)
     (visit,) = visits
     return visit
+
+
+def serve_visit(server: SimulatedServer, at_ns) -> np.ndarray:
+    """The IDs of ``server``'s replies to echoes arriving at the ascending
+    times ``at_ns``: ``advance`` to each, then ``reply_ids``."""
+    return server.reply_ids(np.asarray(at_ns, dtype=np.int64), server.advance(at_ns))
 
 
 def reply_dict(columns) -> dict[int, tuple[int, int]]:

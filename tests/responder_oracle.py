@@ -13,17 +13,56 @@ fleet once kept for its truth windows, hands each window's rate to its
 transports once returned. ``send_run_per_send`` is the per-send loop a
 ``send_run`` stands for; ``PerSendRuns`` gives a fake transport that loop
 over its own ``_send_echo``.
+
+Every draw runs a ``SplitMix64`` generator of Python ints word by word from
+a state built from the fleet seed, the address, a stream tag and what the
+draw is for, and the numpy kernels of the simulator are not used.
 """
 
 from __future__ import annotations
 
 import math
-import random
 
 import numpy as np
 
 from fleetscope.ipid import IdBehavior
 from fleetscope.simulation import BIN_NS, NOISE_STEP_NS, SimulatedFleet, SimulatedServer
+
+_MASK = (1 << 64) - 1
+NOISE, IDS, LOSS = 1, 2, 3  # the stream tags
+
+
+class SplitMix64:
+    """Steele, Lea & Flood's splitmix64 generator over Python ints."""
+
+    def __init__(self, state: int):
+        self.state = state & _MASK
+
+    def next(self) -> int:
+        self.state = (self.state + 0x9E3779B97F4A7C15) & _MASK
+        z = self.state
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
+        return z ^ (z >> 31)
+
+    def uniform(self) -> float:
+        """The next word's top 53 bits as a fraction of 2**53."""
+        return (self.next() >> 11) / 2**53
+
+
+def extend(key: int, value: int) -> int:
+    """The first word of the generator from ``key`` XOR ``value``."""
+    return SplitMix64(key ^ value).next()
+
+
+def stream_key(seed: int, address: str, tag: int) -> int:
+    """The seed, the address in zero-padded 8-byte little-endian words,
+    the address's length in bytes and the stream tag, extended from 0."""
+    data = address.encode("utf-8")
+    key = extend(0, seed)
+    for at in range(0, len(data), 8):
+        key = extend(key, int.from_bytes(data[at:at + 8].ljust(8, b"\0"), "little"))
+    return extend(extend(key, len(data)), tag)
 
 
 def cumulative_packets(server: SimulatedServer) -> int:
@@ -31,20 +70,25 @@ def cumulative_packets(server: SimulatedServer) -> int:
     return int(server.background_packets) + server.reply_packets
 
 
-def _step(server: SimulatedServer, at_ns: int, to_ns: int, count: float) -> float:
-    """The count at ``to_ns`` of one noise step from ``count`` at ``at_ns``."""
+def _step(server: SimulatedServer, seed: int, at_ns: int, to_ns: int, count: float) -> float:
+    """The count at ``to_ns`` of one noise step from ``count`` at ``at_ns``:
+    its normal is Box-Muller of the first two uniforms of the generator from
+    the step's start extending the noise key, XOR its end."""
     cumulative = server.profile._cumulative
     packets = cumulative(to_ns / 1e9) - cumulative(at_ns / 1e9)
     noise_rel = server.profile.noise_rel
-    if server._noise_rng is not None and noise_rel > 0:
+    if noise_rel > 0:
+        draws = SplitMix64(extend(stream_key(seed, server.address, NOISE), at_ns) ^ to_ns)
+        u, v = draws.uniform(), draws.uniform()
+        normal = math.sqrt(-2.0 * math.log(1.0 - u)) * math.cos(2.0 * math.pi * v)
         std = noise_rel * math.sqrt(NOISE_STEP_NS / (to_ns - at_ns))
-        packets *= max(0.0, 1.0 + std * server._noise_rng.gauss(0.0, 1.0))
+        packets *= max(0.0, 1.0 + std * normal)
     return count + packets
 
 
-def advance_to(server: SimulatedServer, to_ns: int) -> None:
-    """Move the server's clock to ``to_ns``; a time behind the clock moves
-    nothing. Past the end of the clock's step, the whole bins before the
+def advance_to(server: SimulatedServer, to_ns: int, seed: int) -> None:
+    """Move the server's clock to ``to_ns`` in a fleet of ``seed``; a time
+    behind the clock moves nothing. Past the end of the clock's step, the whole bins before the
     bin of ``to_ns`` are one step and that bin (from the clock, if the
     clock is inside it) is another; the count is read on the line through
     the ends of the step that holds ``to_ns``."""
@@ -56,27 +100,37 @@ def advance_to(server: SimulatedServer, to_ns: int) -> None:
                      else (step[1], step[3]))
         start = to_ns // BIN_NS * BIN_NS
         if start > at:
-            at, count = start, _step(server, at, start, count)
-        step = (at, start + BIN_NS, count, _step(server, at, start + BIN_NS, count))
+            at, count = start, _step(server, seed, at, start, count)
+        step = (at, start + BIN_NS, count, _step(server, seed, at, start + BIN_NS, count))
         server._open_step = step
     # np.interp of one segment: the responder reads its knots with it, so both round alike
     server.background_packets = float(np.interp(to_ns, step[:2], step[2:]))
     server.time_ns = to_ns
 
 
-def serve_echo(server: SimulatedServer, at_ns: int) -> int | None:
-    """Answer one echo arriving at ``at_ns``: returns the reply's IP ID.
+def serve_echo(server: SimulatedServer, at_ns: int, seed: int) -> int | None:
+    """Answer one echo arriving at ``at_ns`` in a fleet of ``seed``: returns
+    the reply's IP ID.
 
     The current ID is returned first, then the counter moves by one for
-    the reply packet itself. Unreachable servers never reply.
+    the reply packet itself. A random ID is the top 16 bits of the word of
+    the generator from the arrival time extending the ID key that follows
+    one word for each echo served at that time before. Unreachable servers
+    never reply.
     """
     if not server.reachable:
         return None
-    advance_to(server, at_ns)
+    advance_to(server, at_ns, seed)
     if server.id_behavior is IdBehavior.GLOBAL_COUNTER:
         ipid = cumulative_packets(server) & 0xFFFF
     elif server.id_behavior is IdBehavior.RANDOM:
-        ipid = server._id_rng.randrange(0, 1 << 16) if server._id_rng else 0
+        last = server._last_arrival
+        before = last[1] if last is not None and last[0] == at_ns else 0
+        draws = SplitMix64(extend(stream_key(seed, server.address, IDS), at_ns))
+        for _ in range(before):
+            draws.next()
+        ipid = draws.next() >> 48
+        server._last_arrival = (at_ns, before + 1)
     else:
         ipid = server.constant_id
     server.reply_packets += 1
@@ -114,25 +168,20 @@ class PerSendRuns:
 
 class ScalarTransport(PerSendRuns):
     """The simulated transport with per-send state: a visit's first send
-    advances the responder and opens its truth window, a send draws its
-    loss and remembers a delivered echo, and ``end_visit`` serves each one
-    and returns the replies as ``{seq: (recv_ns, ip_id)}``."""
+    advances the responder, opens its truth window and starts its loss
+    generator from the send time extending the target's loss key, a send
+    is lost when the generator's next uniform is below the loss rate or
+    else remembered, and ``end_visit`` serves each delivered echo and
+    returns the replies as ``{seq: (recv_ns, ip_id)}``."""
 
     def __init__(self, fleet: SimulatedFleet, loss_rate: float = 0.0, truth=None):
         self.fleet = fleet
         self.loss_rate = loss_rate
         self.truth = truth
         self._now_ns = 0
-        self._loss_rngs: dict[str, random.Random] = {}
+        self._losses: dict[str, SplitMix64] = {}  # the open visits' loss generators
         self._pending: dict[str, dict[int, int]] = {}  # seq -> sent_ns of delivered echoes
         self._windows: dict[str, tuple[int, float]] = {}  # first send, counter then
-
-    def _loss_rng(self, target: str) -> random.Random:
-        rng = self._loss_rngs.get(target)
-        if rng is None:
-            rng = random.Random(f"{self.fleet.seed}:loss:{target}")
-            self._loss_rngs[target] = rng
-        return rng
 
     def now_ns(self) -> int:
         return self._now_ns
@@ -147,9 +196,11 @@ class ScalarTransport(PerSendRuns):
         if server is not None and server.reachable:
             if seq == 0:
                 self._pending.pop(target, None)
-                advance_to(server, sent_ns)
+                advance_to(server, sent_ns, self.fleet.seed)
                 self._windows[target] = (sent_ns, server.background_packets)
-            if self.loss_rate and self._loss_rng(target).random() < self.loss_rate:
+                self._losses[target] = SplitMix64(
+                    extend(stream_key(self.fleet.seed, target, LOSS), sent_ns))
+            if self.loss_rate and self._losses[target].uniform() < self.loss_rate:
                 return sent_ns
             self._pending.setdefault(target, {})[seq] = sent_ns
         return sent_ns
@@ -158,11 +209,13 @@ class ScalarTransport(PerSendRuns):
         replies = {}
         server = self.fleet.by_address.get(target)
         for seq, sent in self._pending.pop(target, {}).items():
-            replies[seq] = (sent + server.rtt_ns, serve_echo(server, sent + server.rtt_ns // 2))
+            replies[seq] = (sent + server.rtt_ns,
+                            serve_echo(server, sent + server.rtt_ns // 2, self.fleet.seed))
+        self._losses.pop(target, None)
         opened = self._windows.pop(target, None)
         if opened is not None and sent_ns[-1] > opened[0]:
             start_ns, start_packets = opened
-            advance_to(server, sent_ns[-1])
+            advance_to(server, sent_ns[-1], self.fleet.seed)
             pps = (server.background_packets - start_packets) / ((server.time_ns - start_ns) / 1e9)
             if self.truth is not None:
                 self.truth((target, start_ns, sent_ns[-1], pps))

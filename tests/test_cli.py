@@ -96,35 +96,35 @@ REPORT_FILES = ("peaks.csv", "cdf.csv", "location_scatter.csv", "rollup_country.
                 "rollup_continent.csv", "rollup_kind.csv", "summary.json")
 # the SHA-256 of each of REPORT_FILES, by loss rate
 REPORT_SHA256 = {
-    "0": ["31e846318071d3da10d6f8c8956bf3a0625f988215590cb64aea11d5cecd7f85",
-          "a11b8d02170692e6321875d59ced62fcad720ba22ba552a5845df0108f349f87",
-          "f8ea5849d3e779baf9537f9748155e62f3fd40cb329b34e92cc87f52335966d6",
-          "853ea2bfeeef9ede3de3c898be749199facf15a3540886b6bc23e5327899a5a0",
-          "24a12928dc0cca1be95021e22b629dcf4c8996463706e7b1720d72113e8e2c29",
-          "cacbe251d9c5026cef77d4f9e165b2198fe5f050fbe7d2fb766e57a408dce5eb",
-          "cbfc3d78e603b552d050b195c38ff3e4f39f3603bf37ba4fe6ad3b40d2b1f1f2"],
-    "0.01": ["97455e787fb97ae631b180e3a0fb991a2293629701a9eedf0e2fcb919679ddcb",
-             "54d7e9b941d8f8f6308602a3e023aec1f72d409d02283867efbc38c264c882bc",
-             "49de5f19dde52497fb5c13fad8ad9dfb8d50d90d974c8e7408e3062da53f320b",
-             "baaf151e1726e88e6f7b62836a2c4bdb45f26612f5e99e498533c71ce7f8ead0",
-             "ffe6f11b586f55aa4eedbcb05995d1cf06d4bf6270bd268ad1a237d72f6da29b",
-             "e1d957beb08b0f2cf0e121d535461c5045e6279f7a38b2bbd451cc20d6ec874d",
-             "faf492e62f23dc79c1852009a517d7046e0c6c4766eac8be0bffdc75b34a3cda"],
+    "0": ["e75dfac1a1b20c628af893facfbf89e117c65f2c90cd978782fb366042c44a45",
+          "24e9ff5104a3b30d60c73ecad8f878dd7d2c68f1665ed3a13c14f85637a83afa",
+          "532fc9e07fd1713e7b5645cff95af96bb56ef34a76ed7ffe0932da0378e61c20",
+          "e16e204811fda57838df3291ac12ed7bd88661786451e439ba5173bc16c4633a",
+          "871969c98408049eedc5e9e737e2d4938ab7d8a852f760aa3f699f6287f838c6",
+          "1192d70d6c4e34ddad085beed3277736838d75c0af4b967526729571768beefd",
+          "7da179cbe1503d0c240da068ae761d6662f06866ea93bf9b1a9cf45acc49aa0f"],
+    "0.01": ["3eac1f1e34ef172ac3583cf7b6e633335c428a6394db1c49361756c829302168",
+             "60d506a317e938a41ff1771d8390a855f2df8716b47fbfa4817c63883e0e92eb",
+             "bcedad38b4662cda17fcbb7c59595b0fb30478e04df3eec2cdbd2a3928df68f7",
+             "19c77fa3dc56e9f7199aca623538a404078cfd9864944391bf1aa48afc2242ef",
+             "fb4e313351efeccea756f5ed00f2d36047b90421861527f3c7e7a0f985343811",
+             "070b35d5fa7254581959c5e6cda5efd7aed22a99069c24d37eae3f6677dec132",
+             "df36a40c34ac65b0b3bde63fda57a7aa0796ae8bdd45b6610d2430f29583fbb0"],
 }
 
 
 # the SHA-256 of the simulator's truth.csv, by loss rate: the counter moves
 # with time alone, so a loss that leaves an echo in each visited bin does
 # not change it
-TRUTH_SHA256 = {"0": "d81a328f1736ae294c0c2e2b01cec53dd0b487c7cbc786c0176d61e2e260bd6a",
-                "0.01": "d81a328f1736ae294c0c2e2b01cec53dd0b487c7cbc786c0176d61e2e260bd6a"}
+TRUTH_SHA256 = {"0": "0d7cde6eb40fbff54cbfceeefca43446e6ba656764739589b3e2bfacdf741030",
+                "0.01": "0d7cde6eb40fbff54cbfceeefca43446e6ba656764739589b3e2bfacdf741030"}
 
 
 @pytest.mark.parametrize("loss_rate, samples_sha256, estimates_sha256", [
-    pytest.param("0", "88806677fe9728f4505d8e01ac1452a035404184e055fad975e0819ebbadcc3b",
-                 "5c214832b53c08c566c69b95dd647de585889b0891191f80d81bdde553da6687", id="0"),
-    pytest.param("0.01", "96702606396c9c534ebc0fc8189c151d45b95c7301518d1d714ae31cdf9c87b3",
-                 "8310e7a98f155261307f8627b8bb568b58b91a16de0b29d52f337ef640de285a", id="0.01"),
+    pytest.param("0", "77dcd0a66b554c39e7ba0e5ec28cd45da802f4d82781ccf2925277e518a6eea8",
+                 "d7cc7f506220a35c9947c2a3ca50e102aec98e83dc8a85b329bb9dbdcb532fd2", id="0"),
+    pytest.param("0.01", "56d34567d87fb64eccff82124a4971cd54a231c5044fab73701890dd0a8fc7dc",
+                 "648c565e2c3045f5a4998d186dae35019e7a57286c87d85d8c08ecafde2b5e93", id="0.01"),
 ])
 def test_simulate_outputs_are_pinned(tmp_path, loss_rate, samples_sha256, estimates_sha256):
     """A change that alters a stored sample or estimate, the simulator's

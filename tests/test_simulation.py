@@ -3,13 +3,20 @@
 import gc
 import json
 import math
+import os
+import random
+import subprocess
+import sys
 import tracemalloc
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from fleetscope import simulation
 from fleetscope.ipid import IdBehavior
 from fleetscope.probe import CampaignParams, run_campaign
 from fleetscope.simulation import (
@@ -24,8 +31,9 @@ from fleetscope.simulation import (
 )
 
 from conftest import (hhmm, make_fleet, make_hostname, make_server, one_visit, reply_dict,
-                      write_fleet)
-from responder_oracle import ScalarTransport, advance_to, send_run_per_send, serve_echo
+                      serve_visit, write_fleet)
+from responder_oracle import (ScalarTransport, SplitMix64, advance_to, send_run_per_send,
+                             serve_echo)
 
 
 def test_advance_constant_rate():
@@ -45,12 +53,18 @@ def test_advance_zero_length_is_identity():
 
 
 def test_advance_to_a_time_behind_the_clock_moves_nothing():
-    server = make_server(base_pps=10.0, noise=0.2)
-    make_fleet([server])
-    server.advance([10**9])
-    before = (server.background_packets, server.time_ns, server._noise_rng.getstate())
+    server, twin = (make_server(base_pps=10.0, noise=0.2, address="198.18.9.1")
+                    for _ in range(2))
+    for responder in (server, twin):
+        make_fleet([responder])
+        responder.advance([10**9])
+    before = (server.background_packets, server.time_ns, server._open_step)
     assert server.advance([10**8]).tolist() == [before[0]]
-    assert (server.background_packets, server.time_ns, server._noise_rng.getstate()) == before
+    assert (server.background_packets, server.time_ns, server._open_step) == before
+    # and what it serves next is what a server that never looked back serves
+    at_ns = [15 * 10**8, 4 * 10**9]
+    assert serve_visit(server, at_ns).tolist() == serve_visit(twin, at_ns).tolist()
+    assert server.background_packets == twin.background_packets
 
 
 def _instant_rate(profile: TrafficProfile, t_s: float) -> float:
@@ -111,13 +125,13 @@ def test_serve_echo_wraps_at_16_bits():
     make_fleet([server])
     server.background_packets = 65535.0
     # the reply itself advances the counter
-    assert server.serve_visit([0, 1]).tolist() == [65535, 0]
+    assert serve_visit(server, [0, 1]).tolist() == [65535, 0]
 
 
 def test_serve_echo_random_mode_is_unconstrained():
     server = make_server(base_pps=0.0, behavior=IdBehavior.RANDOM)
     make_fleet([server], seed=5)
-    ids = server.serve_visit(range(2000)).tolist()
+    ids = serve_visit(server, range(2000)).tolist()
     assert all(0 <= i <= 65535 for i in ids)
     assert len(set(ids)) > 1500  # roughly uniform, not a counter
 
@@ -141,24 +155,32 @@ def test_id_stream_consistent_with_counter():
         at = i * 30_000_000
         server.advance([at])
         expected = (int(server.background_packets) + server.reply_packets) & 0xFFFF
-        assert server.serve_visit([at]).tolist() == [expected]
+        assert serve_visit(server, [at]).tolist() == [expected]
 
 
-def test_a_server_binds_only_the_streams_it_draws_from():
-    counter = make_server(base_pps=5000.0, counter=1)
-    noisy = make_server(base_pps=5000.0, counter=2, noise=0.1)
-    randoms = make_server(base_pps=5000.0, counter=3, behavior=IdBehavior.RANDOM)
-    make_fleet([counter, noisy, randoms])
-    assert (counter._noise_rng, counter._id_rng) == (None, None)
-    assert noisy._noise_rng is not None and noisy._id_rng is None
-    assert randoms._noise_rng is None and randoms._id_rng is not None
+def test_a_server_and_a_transport_hold_no_generator():
+    # every draw is keyed, so after noisy, lossy random-ID visits nothing
+    # the simulator holds is a generator or a generator's state
+    noisy = make_server(base_pps=5000.0, counter=1, noise=0.1)
+    randoms = make_server(base_pps=5000.0, counter=2, noise=0.1, behavior=IdBehavior.RANDOM)
+    transport = SimulatedTransport(make_fleet([noisy, randoms]), loss_rate=0.3)
+    for server in (noisy, randoms):
+        one_visit(server.address, 0.03, 3.0, transport)
+    assert noisy.reply_packets and randoms.reply_packets
+    generators = (random.Random, np.random.Generator, np.random.BitGenerator,
+                  np.random.RandomState)
+    for held in (noisy, randoms, transport, transport.fleet):
+        values = ([getattr(held, name) for name in held.__slots__]
+                  if hasattr(held, "__slots__") else list(vars(held).values()))
+        assert not [value for value in values if isinstance(value, generators)], held
+    assert not hasattr(simulation, "random")
 
 
 def test_fleet_determinism_same_seed():
     def run(seed):
         server = make_server(base_pps=5000.0, noise=0.1, amplitude=0.3, address="198.18.9.9")
         SimulatedFleet([server], seed=seed)
-        return server.serve_visit([i * 30_000_000 for i in range(500)]).tolist()
+        return serve_visit(server, [i * 30_000_000 for i in range(500)]).tolist()
 
     assert run(42) == run(42)
     assert run(42) != run(43)
@@ -420,15 +442,19 @@ def _state(server):
 @settings(max_examples=200, deadline=None)
 @given(spec=_servers, seed=st.integers(0, 1000), start_ns=st.integers(0, 10 * 86400 * 10**9),
        visits=st.lists(st.lists(_offsets, max_size=40), min_size=1, max_size=3))
+# a noisy visit across 20 bins, whose steps one call hashes as an array
+@example(spec={"profile": TrafficProfile(base_pps=1000.0, noise_rel=0.2),
+               "id_behavior": IdBehavior.GLOBAL_COUNTER, "constant_id": 0, "rtt_ns": 0},
+         seed=3, start_ns=5, visits=[[k * 500_000_000 for k in range(40)]])
 def test_serve_visit_matches_the_per_echo_responder(spec, seed, start_ns, visits):
     (server, reference), _ = _twin_servers(spec, seed)
     for offsets in visits:
         server.advance([start_ns])
-        advance_to(reference, start_ns)
+        advance_to(reference, start_ns, seed)
         at_ns = sorted(max(0, start_ns + offset) for offset in offsets)
-        ids = server.serve_visit(at_ns)
+        ids = serve_visit(server, at_ns)
         assert ids.dtype == np.int64
-        assert ids.tolist() == [serve_echo(reference, at) for at in at_ns]
+        assert ids.tolist() == [serve_echo(reference, at, seed) for at in at_ns]
         assert _state(server) == _state(reference)
         start_ns += 3 * 10**11
 
@@ -458,8 +484,8 @@ def test_the_counter_depends_on_time_not_on_how_a_visit_is_cut(spec, seed, start
     chunks = [at_ns[a:b] for a, b in zip([0, *bounds], [*bounds, len(at_ns)])]
     for server in (whole, chunked):
         server.advance([start_ns])
-    ids = whole.serve_visit(at_ns).tolist()
-    assert [i for chunk in chunks for i in chunked.serve_visit(chunk).tolist()] == ids
+    ids = serve_visit(whole, at_ns).tolist()
+    assert [i for chunk in chunks for i in serve_visit(chunked, chunk).tolist()] == ids
     assert _state(chunked) == _state(whole)
     end_ns = at_ns[-1] + later_ns
     assert chunked.advance([end_ns]).tolist() == whole.advance([end_ns]).tolist()
@@ -502,3 +528,95 @@ def test_end_visit_matches_the_per_send_transport(spec, seed, reachable, loss_ra
         assert _state(server) == _state(reference)
         start_ns = transports[0].now_ns() + 10**10
     assert rows[0] == rows[1]
+
+
+def test_splitmix64_known_answer_on_both_paths():
+    # the first three words of Vigna's splitmix64.c from the state 1234567
+    expected = [6457827717110365317, 3203168211198807973, 9817491932198370423]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        words = simulation.splitmix64(np.full(3, 1234567, dtype=np.uint64),
+                                      np.arange(1, 4, dtype=np.uint64))
+        assert words.dtype == np.uint64
+        assert words.tolist() == expected
+    draws = SplitMix64(1234567)
+    assert [draws.next() for _ in range(3)] == expected
+
+
+def _visit(transport, address: str, start_ns: int, sends: int, interval_ns: int):
+    """Send ``sends`` echoes to ``address`` from ``start_ns``, ``interval_ns``
+    apart, and end the visit: its delivered sequence numbers, their IDs and
+    its last send time."""
+    transport.sleep_until_ns(start_ns)
+    sent_ns = transport.send_run([address], start_ns, interval_ns, 0, sends,
+                                 np.array([start_ns - interval_ns]))[0]
+    seq, _, ip_id = transport.end_visit(address, sent_ns)
+    return seq.tolist(), ip_id.tolist(), int(sent_ns[-1])
+
+
+_visits = st.tuples(st.integers(1, 10**10), st.integers(1, 40), st.integers(0, 60_000_000))
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 1000), loss_rate=st.sampled_from([0.01, 0.5]) | st.floats(0.0, 1.0),
+       rtt_ns=st.integers(0, 300_000_000), noise=st.sampled_from([0.0, 0.1]),
+       prefix=st.lists(_visits, max_size=4), last=_visits)
+def test_a_visit_draws_the_same_losses_and_ids_after_any_earlier_visits(
+        seed, loss_rate, rtt_ns, noise, prefix, last):
+    # each visit starts its gap after the one before it ends; sends 0 ns
+    # apart arrive at the same time
+    spec = {"profile": TrafficProfile(base_pps=1000.0, noise_rel=noise),
+            "id_behavior": IdBehavior.RANDOM, "constant_id": 0, "rtt_ns": rtt_ns}
+    (after, alone), fleets = _twin_servers(spec, seed)
+    transports = [SimulatedTransport(fleet, loss_rate) for fleet in fleets]
+    end_ns = 0
+    for gap_ns, sends, interval_ns in prefix:
+        end_ns = _visit(transports[0], after.address, end_ns + gap_ns, sends, interval_ns)[2]
+    gap_ns, sends, interval_ns = last
+    start_ns = end_ns + gap_ns
+    assert (_visit(transports[0], after.address, start_ns, sends, interval_ns)
+            == _visit(transports[1], alone.address, start_ns, sends, interval_ns))
+
+
+def test_keyed_losses_drop_the_loss_rate_of_a_million_sends():
+    server = make_server(base_pps=0.0)
+    transport = SimulatedTransport(make_fleet([server]), loss_rate=0.01)
+    delivered = sum(len(_visit(transport, server.address, visit * 10**10, 2000, 10**6)[0])
+                    for visit in range(500))
+    assert abs(1 - delivered / 10**6 - 0.01) <= 0.0005
+
+
+def test_a_lossy_transport_keeps_nothing_per_target():
+    # loss draws need no per-target state: what a transport holds after one
+    # visit to each of its targets may not grow with their number
+    def held_after(targets: int) -> int:
+        servers = [make_server(base_pps=1000.0, counter=i + 1) for i in range(targets)]
+        fleet = make_fleet(servers)
+        untraced = [{name: getattr(server, name) for name in server.__slots__}
+                    for server in servers]
+        gc.collect()
+        tracemalloc.start()
+        try:
+            transport = SimulatedTransport(fleet, loss_rate=0.1)
+            for server, state in zip(servers, untraced):
+                assert _visit(transport, server.address, 10**9, 25, 30_000_000)[0]
+                for name, value in state.items():  # the responder's state is the fleet's
+                    setattr(server, name, value)
+            gc.collect()
+            return tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+
+    held_after(40)  # fills the interpreter's and numpy's caches
+    assert held_after(400) - held_after(40) < 4096
+
+
+def test_the_cli_does_not_import_hashlib():
+    # hashlib costs a few MB of import RSS; the simulator hashes keys itself
+    package_root = Path(simulation.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(package_root), os.environ.get("PYTHONPATH")]))}
+    loaded = subprocess.run([sys.executable, "-c", "import sys, fleetscope.cli; "
+                             "print('hashlib' in sys.modules)"],
+                            env=env, check=True, capture_output=True, text=True, timeout=60)
+    assert loaded.stdout == "False\n"
