@@ -135,37 +135,23 @@ def _stage_output(campaign_store: store.CampaignStore | None, stage: str, stream
             writer.close()
 
 
-def derive_wordlists(parsed: Sequence[names.ServerName]) -> names.Wordlists:
-    """Word lists covering exactly the dimensions present in a fleet's parsed names."""
-    return names.Wordlists(
-        airport_codes=tuple(sorted({n.airport_code for n in parsed})),
-        isp_labels=tuple(sorted({n.isp_label for n in parsed if n.isp_label})),
-        nic_types=tuple(sorted({n.nic for n in parsed})),
-        protocols=tuple(sorted({n.protocol for n in parsed})),
-        protocol_indices=tuple(sorted({n.protocol_index for n in parsed})),
-        deployment_indices=tuple(sorted({n.deployment_index for n in parsed})),
-        max_server_counter=max(n.server_counter for n in parsed),
-        max_site_counter=max(n.site_counter for n in parsed),
-    )
-
-
 def synthesize_snapshot(
-    fleet: simulation.SimulatedFleet, parsed: Sequence[names.ServerName],
+    records: Iterable[discovery.ServerRecord], isp_labels: Sequence[str],
     airports: validation.AirportDatabase
 ) -> tuple[validation.AddressSnapshot, set[int], dict[str, list[int]]]:
-    """Per-address metadata consistent with the fleet's own naming;
-    ``parsed[i]`` is the parsed name of ``fleet.servers[i]``.
+    """Per-address metadata consistent with each record's own name.
 
     IXP addresses map to a private-use CDN ASN, ISP addresses to one
-    private-use ASN per label; countries come from the airport claim.
+    private-use ASN per label, numbered in the order of ``isp_labels``;
+    countries come from the airport claim.
     """
-    isp_labels = sorted({n.isp_label for n in parsed if n.isp_label})
     isp_asn_table = {label: [64501 + i] for i, label in enumerate(isp_labels)}
     rows = []
-    for server, name in zip(fleet.servers, parsed):
+    for record in records:
+        name = record.name
         country = airports.country(name.airport_code) if name.airport_code in airports else "zz"
         asn = SIM_CDN_ASN if name.is_ixp else isp_asn_table[name.isp_label][0]
-        rows.append((f"{server.address}/32", country, country, asn))
+        rows.extend((f"{address}/32", country, country, asn) for address in record.addresses)
     return validation.AddressSnapshot(rows), {SIM_CDN_ASN}, isp_asn_table
 
 
@@ -458,24 +444,19 @@ class _TruthCsv(store._PartialFile):
 
 def _cmd_simulate(args, params: probe.CampaignParams) -> int:
     """Run every stage against a virtual fleet: its DNS zone, a snapshot
-    synthesized from its names, and its simulated echo transport."""
+    synthesized from the crawl's records, and its simulated echo transport."""
     fleet = simulation.SimulatedFleet.from_file(args.fleet)
+    lists = fleet.wordlists()
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     airports = validation.AirportDatabase.bundled()
     campaign_store = store.CampaignStore(out_dir / "store")
 
-    # one parse of the fleet's names serves the word lists and the snapshot,
-    # and is dropped before the crawl
-    parsed = [names.parse_server_name(server.name, domain_suffix=fleet.domain_suffix)
-              for server in fleet.servers]
-    lists = derive_wordlists(parsed)
-    snapshot, cdn_asns, isp_asns = synthesize_snapshot(fleet, parsed, airports)
-    del parsed
-
-    crawl_stage(campaign_store, None, lists, simulation.ZoneResolver(fleet.zone()), None,
-                fleet.domain_suffix)
-    records = _records_in(None, campaign_store)
+    records = crawl_stage(campaign_store, None, lists, simulation.ZoneResolver(fleet.zone()),
+                          None, fleet.domain_suffix)
+    if records is None:  # the store holds the crawl already
+        records = _records_in(None, campaign_store)
+    snapshot, cdn_asns, isp_asns = synthesize_snapshot(records, lists.isp_labels, airports)
     validate_stage(campaign_store, None, records, snapshot, cdn_asns, isp_asns, airports)
 
     targets = [a for r in records for a in r.addresses if ":" not in a]

@@ -132,7 +132,7 @@ def load_config(path: str | Path | None = None,
             raise ConfigError("campaign", "expected a JSON object")
         values = {**raw, **{f"campaign.{key}": value for key, value in campaign.items()}}
         for key in values:
-            if key not in _SETTINGS:
+            if key not in _SETTINGS or (key in raw and "." in key):  # a top-level key has no dot
                 raise ConfigError(key, "unknown field")
         try:
             params = _with(params, {key: (value, key) for key, value in values.items()})

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Protocol
 
 from .names import (
+    DEFAULT_DOMAIN_SUFFIX,
     OPERATOR_ISP,
     OPERATOR_IXP,
     ServerName,
@@ -121,7 +122,7 @@ class ServerRecord:
         if not isinstance(obj["addresses"], list):  # tuple() would split a string
             raise ValueError(f"addresses: expected a list, not {obj['addresses']!r}")
         return cls(
-            name=parse_server_name(obj["name"], domain_suffix=obj.get("suffix", "nflxvideo.net")),
+            name=parse_server_name(obj["name"], obj.get("suffix", DEFAULT_DOMAIN_SUFFIX)),
             addresses=tuple(obj["addresses"]),
             first_seen_ns=obj["first_seen_ns"],
             last_seen_ns=obj["last_seen_ns"],
@@ -172,7 +173,7 @@ def run_crawl(
     lists: Wordlists,
     resolver: Resolver,
     max_queries_per_second: float | None,
-    domain_suffix: str = "nflxvideo.net",
+    domain_suffix: str = DEFAULT_DOMAIN_SUFFIX,
 ) -> list[ServerRecord]:
     """Walk every name prefix's server counters upward from c001 and
     collect the hits, at most ``max_queries_per_second`` names a second

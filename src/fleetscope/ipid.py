@@ -195,7 +195,9 @@ def estimate_batch(frames: Sequence[VisitFrame]) -> BatchEstimates:
     multi = in_segment & ~single & has_single[:, None]
     if multi.any():  # a gap of several intervals: a lost probe or a late send
         rates = np.divide(deltas, gaps, out=np.zeros(gaps.shape), where=single)
-        rate_ref = np.where(has_single, _row_medians(rates, single), 0.0)
+        lossy = multi.any(axis=1)  # only these rows read their median single-interval rate
+        rate_ref = np.zeros(rows)
+        rate_ref[lossy] = _row_medians(rates[lossy], single[lossy])
         wraps = np.round((rate_ref[:, None] * gaps - deltas) / ID_SPACE)
         deltas += np.where(multi, np.maximum(wraps, 0).astype(np.int64) * ID_SPACE, 0)
     covered_s = _row_sums(gaps, in_segment)

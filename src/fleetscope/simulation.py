@@ -32,7 +32,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 import numpy as np
 
 from .ipid import IdBehavior
-from .names import parse_server_name
+from .names import DEFAULT_DOMAIN_SUFFIX, Wordlists, parse_server_name
 from .store import MAX_RTT_NS
 from .transport import Replies
 
@@ -294,14 +294,15 @@ class SimulatedFleet:
     """All simulated servers plus the DNS zone that names them."""
 
     def __init__(self, servers: Iterable[SimulatedServer], seed: int = 0,
-                 domain_suffix: str = "nflxvideo.net"):
+                 domain_suffix: str = DEFAULT_DOMAIN_SUFFIX):
         self.seed = seed
         self.domain_suffix = domain_suffix
         self.servers = list(servers)
         self.by_address: dict[str, SimulatedServer] = {}
         names: set[str] = set()
+        parsed = []
         for server in self.servers:
-            parse_server_name(server.name, domain_suffix=domain_suffix)
+            parsed.append(parse_server_name(server.name, domain_suffix=domain_suffix))
             if server.address in self.by_address:
                 raise ValueError(f"duplicate address {server.address}")
             if server.name in names:
@@ -309,6 +310,23 @@ class SimulatedFleet:
             server._key = _server_key(seed, server.address)
             self.by_address[server.address] = server
             names.add(server.name)
+        # the dimensions of the names, which wordlists() needs; the names are not kept
+        self._dimensions = dict(
+            airport_codes=sorted({n.airport_code for n in parsed}),
+            isp_labels=sorted({n.isp_label for n in parsed if n.isp_label}),
+            nic_types=sorted({n.nic for n in parsed}),
+            protocols=sorted({n.protocol for n in parsed}),
+            protocol_indices=sorted({n.protocol_index for n in parsed}),
+            deployment_indices=sorted({n.deployment_index for n in parsed}),
+            max_server_counter=max((n.server_counter for n in parsed), default=0),
+            max_site_counter=max((n.site_counter for n in parsed), default=0),
+        )
+
+    def wordlists(self) -> Wordlists:
+        """Word lists covering exactly the dimensions present in the fleet's
+        names. A fleet that no word lists cover (no server, or c000 alone)
+        still loads, to be probed; for it this raises ValueError."""
+        return Wordlists(**self._dimensions)
 
     def zone(self) -> dict[str, tuple[str, ...]]:
         return {server.name: (server.address,) for server in self.servers}
@@ -329,7 +347,7 @@ class SimulatedFleet:
         seed = config.get("seed", 0)
         if isinstance(seed, bool) or not isinstance(seed, int):
             raise ValueError(f"'seed' is not a JSON integer: {seed!r}")
-        suffix = config.get("domain_suffix", "nflxvideo.net")
+        suffix = config.get("domain_suffix", DEFAULT_DOMAIN_SUFFIX)
         if not isinstance(suffix, str):
             raise ValueError(f"'domain_suffix' is not a JSON string: {suffix!r}")
         servers = []

@@ -213,7 +213,15 @@ class CampaignStore:
     # -- manifest ---------------------------------------------------------
 
     def _read_manifest(self) -> dict:
-        return json.loads(self._manifest_path.read_text())
+        """The manifest; ``StoreError`` naming its file for any other JSON."""
+        try:
+            manifest = json.loads(self._manifest_path.read_text())
+        except ValueError as exc:
+            raise StoreError(f"{self._manifest_path}: {exc}") from None
+        if not (isinstance(manifest, dict) and isinstance(manifest.get("streams"), dict)
+                and isinstance(manifest.get("stages"), dict)):
+            raise StoreError(f"{self._manifest_path}: expected 'streams' and 'stages' objects")
+        return manifest
 
     def _write_manifest(self, manifest: dict) -> None:
         tmp = self._manifest_path.with_suffix(".tmp")

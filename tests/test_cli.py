@@ -119,6 +119,11 @@ REPORT_SHA256 = {
 TRUTH_SHA256 = {"0": "0d7cde6eb40fbff54cbfceeefca43446e6ba656764739589b3e2bfacdf741030",
                 "0.01": "0d7cde6eb40fbff54cbfceeefca43446e6ba656764739589b3e2bfacdf741030"}
 
+# the SHA-256 of store/records.jsonl and store/verdicts.jsonl at every loss
+# rate: the crawl and the validation probe nothing
+RECORDS_VERDICTS_SHA256 = ["6d7c1b291ef2b339531fa388fa35acccb926eb498a79b15fd3d564f293dd9dc7",
+                           "6d53951ee85f28e4c6070dd47255c792b57c5eab550cde8c9d22a3f91e27be29"]
+
 
 @pytest.mark.parametrize("loss_rate, samples_sha256, estimates_sha256", [
     pytest.param("0", "77dcd0a66b554c39e7ba0e5ec28cd45da802f4d82781ccf2925277e518a6eea8",
@@ -127,11 +132,11 @@ TRUTH_SHA256 = {"0": "0d7cde6eb40fbff54cbfceeefca43446e6ba656764739589b3e2bfacdf
                  "648c565e2c3045f5a4998d186dae35019e7a57286c87d85d8c08ecafde2b5e93", id="0.01"),
 ])
 def test_simulate_outputs_are_pinned(tmp_path, loss_rate, samples_sha256, estimates_sha256):
-    """A change that alters a stored sample or estimate, the simulator's
-    ground truth, or a report file, of the example fleet shows here;
-    refactors must keep these digests. The report sums its floats in a
-    fixed order, so its digests (recorded on Python 3.11) hold on every
-    Python version."""
+    """A change that alters a stored record, verdict, sample or estimate,
+    the simulator's ground truth, or a report file, of the example fleet
+    shows here; refactors must keep these digests. The report sums its
+    floats in a fixed order, so its digests (recorded on Python 3.11) hold
+    on every Python version."""
     fleet = Path(__file__).resolve().parent.parent / "fleet.example.json"
     out = tmp_path / "out"
     assert main(["--seed", "7", "simulate", "--fleet", str(fleet), "--out", str(out),
@@ -140,6 +145,8 @@ def test_simulate_outputs_are_pinned(tmp_path, loss_rate, samples_sha256, estima
     digests = [hashlib.sha256((out / "store" / name).read_bytes()).hexdigest()
                for name in ("samples.bin", "estimates.jsonl")]
     assert digests == [samples_sha256, estimates_sha256]
+    assert [hashlib.sha256((out / "store" / name).read_bytes()).hexdigest()
+            for name in ("records.jsonl", "verdicts.jsonl")] == RECORDS_VERDICTS_SHA256
     assert hashlib.sha256((out / "truth.csv").read_bytes()).hexdigest() == TRUTH_SHA256[loss_rate]
     assert [hashlib.sha256((out / name).read_bytes()).hexdigest()
             for name in REPORT_FILES] == REPORT_SHA256[loss_rate]
@@ -289,10 +296,11 @@ def test_simulate_stages_are_idempotent(tmp_path, small_fleet_file):
     args = ["--seed", "3", "simulate", "--fleet", str(small_fleet_file),
             "--out", str(out), "--dwell", "6s", "--workers", "3", "--duration", "30s"]
     assert main(args) == EXIT_OK
-    samples_before = (out / "store" / "samples.bin").read_bytes()
-    # a second run skips completed stages instead of appending twice
+    before = _tree(out)
+    # a second run skips completed stages instead of appending twice, and
+    # rewrites the reports from the stored records to the same bytes
     assert main(args) == EXIT_OK
-    assert (out / "store" / "samples.bin").read_bytes() == samples_before
+    assert _tree(out) == before
 
 
 def test_simulate_stores_every_probe_of_every_visit(tmp_path, small_fleet_file):
@@ -469,9 +477,10 @@ def test_simulate_writes_truth_before_the_probe_stage_is_done(
     assert written == {"truth.csv": True, "reachability.json": True}
 
 
-def test_simulate_parses_each_fleet_name_four_times(tmp_path, small_fleet_file, monkeypatch):
-    # once each to load the fleet, to derive the word lists and the snapshot
-    # together, to record a crawl hit, and to read the record back
+def test_simulate_parses_each_fleet_name_twice(tmp_path, small_fleet_file, monkeypatch):
+    # once each to load the fleet (which keeps its word lists) and to record
+    # a crawl hit; a rerun over a finished store reads the records back in
+    # place of the crawl
     from fleetscope import discovery, names, simulation
 
     fleet_names = [server.name for server in SimulatedFleet.from_file(small_fleet_file).servers]
@@ -484,8 +493,10 @@ def test_simulate_parses_each_fleet_name_four_times(tmp_path, small_fleet_file, 
 
     for module in (names, simulation, discovery):
         monkeypatch.setattr(module, "parse_server_name", counting_parse)
-    assert _simulate(tmp_path / "out", small_fleet_file) == EXIT_OK
-    assert sorted(parsed) == sorted(fleet_names * 4)
+    for run in ("fresh", "rerun"):
+        parsed.clear()
+        assert _simulate(tmp_path / "out", small_fleet_file) == EXIT_OK
+        assert sorted(parsed) == sorted(fleet_names * 2), run
 
 
 def test_interrupted_campaign_commits_nothing(tmp_path, small_fleet_file, monkeypatch, capsys):
@@ -704,6 +715,17 @@ def test_config_with_a_removed_key_fails(tmp_path, small_fleet_file, capsys):
     assert "estimate: unknown field" in capsys.readouterr().err
 
 
+def test_config_with_a_dotted_top_level_key_fails(tmp_path, small_fleet_file, capsys):
+    # campaign keys live under "campaign"; this one would set the dwell
+    config = tmp_path / "dotted.json"
+    config.write_text(json.dumps({"campaign.dwell": "10s"}))
+    out = tmp_path / "out"
+    assert main(["--config", str(config), "simulate", "--fleet", str(small_fleet_file),
+                 "--out", str(out)]) == EXIT_STAGE
+    assert capsys.readouterr().err == "error: campaign.dwell: unknown field\n"
+    assert not out.exists()
+
+
 def test_revisit_period_that_does_not_divide_a_day_fails_before_any_stage(tmp_path, capsys):
     config = tmp_path / "revisit.json"
     config.write_text(json.dumps({"campaign": {"revisit_period": "50m"}}))
@@ -859,6 +881,19 @@ def test_a_fleet_server_without_an_address_is_named(tmp_path, capsys, command):
         assert not (tmp_path / output).exists()
 
 
+def test_a_fleet_numbered_from_c000_is_probed_but_not_simulated(tmp_path, capsys):
+    # c000 parses, but word lists count from c001: only the crawl refuses it
+    fleet = write_fleet(tmp_path / "fleet.json", [make_server(1.0, counter=0,
+                                                              address="198.18.0.1")])
+    targets = _write_lines(tmp_path / "targets.txt", ["198.18.0.1"])
+    assert main(["probe", "--targets", str(targets), "--transport", f"sim:{fleet}",
+                 "--dwell", "6s", "--workers", "1", "--duration", "30s",
+                 "--out", str(tmp_path / "samples.bin")]) == EXIT_OK
+    capsys.readouterr()
+    assert main(["simulate", "--fleet", str(fleet), "--out", str(tmp_path / "out")]) == EXIT_STAGE
+    assert capsys.readouterr().err == "error: counter bounds must be strictly positive\n"
+
+
 @pytest.mark.parametrize("key, value, shown", [
     ("seed", 7.0, "7.0"), ("seed", True, "True"), ("seed", "7", "'7'"),
     ("domain_suffix", 5, "5"),
@@ -946,6 +981,21 @@ def test_report_refuses_a_directory_that_is_no_store(tmp_path, capsys):
     assert main(["--store", str(empty), "report", "--out", str(out)]) == EXIT_STAGE
     assert f"no store at {empty}" in capsys.readouterr().err
     assert list(empty.iterdir()) == []
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("manifest, reason", [
+    ("{}", "expected 'streams' and 'stages' objects"),
+    ('{"streams": {}, "stages": []}', "expected 'streams' and 'stages' objects"),
+    ("not json", "Expecting value: line 1 column 1 (char 0)"),
+], ids=["empty_object", "stages_list", "not_json"])
+def test_a_damaged_manifest_is_named(tmp_path, capsys, manifest, reason):
+    store_dir = tmp_path / "campaign"
+    store.CampaignStore(store_dir)
+    (store_dir / "manifest.json").write_text(manifest)
+    out = tmp_path / "r"
+    assert main(["--store", str(store_dir), "report", "--out", str(out)]) == EXIT_STAGE
+    assert capsys.readouterr().err == f"error: {store_dir / 'manifest.json'}: {reason}\n"
     assert not out.exists()
 
 

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 from fleetscope import simulation
 from fleetscope.ipid import IdBehavior
+from fleetscope.names import Wordlists
 from fleetscope.probe import CampaignParams, run_campaign
 from fleetscope.simulation import (
     BIN_NS,
@@ -351,6 +352,16 @@ def test_fleet_rejects_duplicates_and_bad_names():
     )
     with pytest.raises(Exception):
         SimulatedFleet([bad])
+
+
+def test_fleet_word_lists_cover_exactly_its_names():
+    fleet = make_fleet([make_server(1.0, airport="lhr", counter=3),
+                        make_server(1.0, airport="jfk", site=2, operator="bt.isp", counter=7),
+                        make_server(1.0, airport="lhr", operator="kpn.isp")])
+    assert fleet.wordlists() == Wordlists(
+        airport_codes=("jfk", "lhr"), isp_labels=("bt", "kpn"), nic_types=("lagg0",),
+        protocols=("ipv4",), protocol_indices=(1,), deployment_indices=(1,),
+        max_server_counter=7, max_site_counter=2)
 
 
 def test_profile_validation():
