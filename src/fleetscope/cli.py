@@ -143,7 +143,7 @@ def synthesize_snapshot(
 
     IXP addresses map to a private-use CDN ASN, ISP addresses to one
     private-use ASN per label, numbered in the order of ``isp_labels``;
-    countries come from the airport claim.
+    countries come from the airport claim. Only IPv4 addresses have rows.
     """
     isp_asn_table = {label: [64501 + i] for i, label in enumerate(isp_labels)}
     rows = []
@@ -151,7 +151,8 @@ def synthesize_snapshot(
         name = record.name
         country = airports.country(name.airport_code) if name.airport_code in airports else "zz"
         asn = SIM_CDN_ASN if name.is_ixp else isp_asn_table[name.isp_label][0]
-        rows.extend((f"{address}/32", country, country, asn) for address in record.addresses)
+        rows.extend((f"{address}/32", country, country, asn) for address in record.addresses
+                    if ":" not in address)
     return validation.AddressSnapshot(rows), {SIM_CDN_ASN}, isp_asn_table
 
 

@@ -4,17 +4,17 @@
 ``read_estimate_parts`` parses an estimates file into columns, in parts
 that run at once: part 0 in the calling process, and each other part in a
 worker, a bare interpreter running this file (``python -I -S jsonrows.py
-PATH START STOP ENCODING``) that writes the part's columns to standard
-output with ``marshal``. A bare interpreter rather than ``os.fork``: the
-caller has imported numpy, whose BLAS starts threads, and forking a
-process that has threads can deadlock the child. So this file imports the
-standard library only.
+PATH START STOP``) that writes the part's columns to standard output with
+``marshal``. A bare interpreter rather than ``os.fork``: the caller has
+imported numpy, whose BLAS starts threads, and forking a process that has
+threads can deadlock the child. So this file imports the standard library
+only.
 
-``read_jsonl`` and every part read a file's lines as ``open(path)`` does
-(the locale's encoding, universal newlines) and decode each line as
-``json.loads`` does, in blocks, so a part accepts, rejects and returns
-what ``read_jsonl`` would. Errors name the line or row counted from the
-start of the file, whichever part holds it.
+A part reads plain lines only (``parse_part``): being ASCII, they decode
+alike in every locale, and no part counts lines or rows. A file with any
+other line, or a row the report cannot use, is read again in one pass,
+``estimate_columns(read_jsonl(path))``, which reads it as ``open()`` does
+or raises the error that names the line or row.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ import os
 import sys
 from array import array
 from collections.abc import Iterable, Iterator, Mapping
+from itertools import repeat
 
 # The smallest part. On 2 vCPUs with Python 3.11.7 a worker takes ~30 ms to
 # start and a part parses at ~53 MB/s, so an 8 MiB part (~33,000 estimates)
@@ -52,15 +53,6 @@ class BadEstimate(ValueError):
         self.reason = reason
 
 
-class _BadLine(Exception):
-    """``(number, reason)``: line ``number`` of a part (from 1) is not valid
-    JSON or text."""
-
-
-def _line_error(path: str | os.PathLike, number: int, reason: str) -> StoreError:
-    return StoreError(f"{path}: line {number}: {reason}")
-
-
 def _chunks(path: str | os.PathLike, start: int, stop: int | None) -> Iterator[bytes]:
     """Bytes ``start`` to ``stop`` (the end of the file if None) of ``path``,
     which start at the start of a line, in chunks of whole lines; the last
@@ -85,58 +77,38 @@ def _chunks(path: str | os.PathLike, start: int, stop: int | None) -> Iterator[b
         yield rest
 
 
-class _Values:
-    """The JSON values of bytes ``start`` to ``stop`` of ``path``, one per
-    line that is not blank; ``lines`` counts the lines read.
-
-    Raises ``_BadLine`` for a line that is not valid JSON or not valid text.
-    """
-
-    def __init__(self, path: str | os.PathLike, start: int = 0, stop: int | None = None,
-                 encoding: str | None = None):
-        self.path, self.start, self.stop = path, start, stop
-        # what open() decodes with; a worker is told the caller's
-        self.encoding = encoding or locale.getpreferredencoding(False)
-        self.lines = 0
-
-    def __iter__(self) -> Iterator:
-        number = 0
-        for chunk in _chunks(self.path, self.start, self.stop):
-            for line in chunk.splitlines():  # at \n, \r\n and \r, as open() splits
-                number += 1
-                try:
-                    line = line.decode(self.encoding)
-                except UnicodeDecodeError:
-                    raise _BadLine(number, f"not valid {self.encoding} text") from None
-                # json.loads(line), less its checks for a line that is one
-                # JSON value with nothing around it
-                try:
-                    value, end = _scan_once(line, 0)
-                except StopIteration:
-                    end = -1
-                except json.JSONDecodeError:
-                    raise _BadLine(number, "not valid JSON") from None
-                if end != len(line):
-                    if not line.strip():
-                        continue
-                    try:
-                        value = json.loads(line)
-                    except json.JSONDecodeError:
-                        raise _BadLine(number, "not valid JSON") from None
-                yield value
-        self.lines = number
-
-
 def read_jsonl(path: str | os.PathLike) -> Iterator[dict]:
     """Yield the objects of a JSON-lines file in order; blank lines are skipped.
 
-    A file is only ever published whole, so a line that is not JSON, the
-    last one included, raises ``StoreError`` naming the file and line.
+    Lines are read as ``open(path)`` reads them (the locale's encoding,
+    universal newlines) and decoded as ``json.loads`` decodes them. A file
+    is only ever published whole, so a line that is not JSON or not valid
+    text, the last one included, raises ``StoreError`` naming the file and
+    line.
     """
-    try:
-        yield from _Values(path)
-    except _BadLine as exc:
-        raise _line_error(path, *exc.args) from None
+    encoding = locale.getpreferredencoding(False)  # what open() decodes with
+    number = 0
+    for chunk in _chunks(path, 0, None):
+        for line in chunk.splitlines():  # at \n, \r\n and \r, as open() splits
+            number += 1
+            try:
+                line = line.decode(encoding)
+            except UnicodeDecodeError:
+                raise StoreError(f"{path}: line {number}: not valid {encoding} text") from None
+            # json.loads(line), less its checks for a line that is one JSON
+            # value with nothing around it
+            try:
+                value, end = _scan_once(line, 0)
+            except (StopIteration, json.JSONDecodeError):
+                end = -1
+            if end != len(line):
+                if not line.strip():
+                    continue
+                try:
+                    value = json.loads(line)
+                except json.JSONDecodeError:
+                    raise StoreError(f"{path}: line {number}: not valid JSON") from None
+            yield value
 
 
 def estimate_columns(rows: Iterable[Mapping]) -> tuple:
@@ -166,22 +138,29 @@ def estimate_columns(rows: Iterable[Mapping]) -> tuple:
     return list(index), target, mid_ns, pps, bps, lower_bound
 
 
-def parse_part(path: str | os.PathLike, start: int, stop: int, encoding: str) -> tuple:
-    """The estimates in bytes ``start`` to ``stop`` of ``path``.
+def _plain_values(path: str | os.PathLike, start: int, stop: int) -> Iterator:
+    """The JSON value of each line in bytes ``start`` to ``stop`` of
+    ``path``; ``ValueError`` for a line that is not plain."""
+    for chunk in _chunks(path, start, stop):
+        lines = chunk.decode("ascii").split("\n")
+        if not lines[-1]:  # after the last line end
+            lines.pop()
+        # a line with no JSON value stops the map short, which zip raises for
+        for line, (value, end) in zip(lines, map(_scan_once, lines, repeat(0)), strict=True):
+            if end != len(line):
+                raise ValueError("a line holds more than its JSON value")
+            yield value
 
-    Returns ``(lines, error, columns)``: the number of lines, and either
-    ``None`` and the part's ``estimate_columns``, or the part's first error
-    as ``("line" or "row", number counted from the part's start, reason)``
-    and ``None``.
-    """
-    values = _Values(path, start, stop, encoding)
+
+def parse_part(path: str | os.PathLike, start: int, stop: int) -> tuple | None:
+    """The ``estimate_columns`` of bytes ``start`` to ``stop`` of ``path``,
+    or None unless each of their lines is plain (ASCII, one JSON value with
+    nothing around it, a ``\\n`` at its end except at the end of the file)
+    and each row one ``estimate_columns`` takes."""
     try:
-        columns = estimate_columns(values)
-    except _BadLine as exc:
-        return 0, ("line", *exc.args), None
-    except BadEstimate as exc:
-        return 0, ("row", exc.row, exc.reason), None
-    return values.lines, None, columns
+        return estimate_columns(_plain_values(path, start, stop))
+    except (ValueError, RecursionError):  # a one-pass read names what it is
+        return None
 
 
 def _usable_cpus() -> int:
@@ -208,16 +187,10 @@ def _part_bounds(path: str | os.PathLike) -> list[tuple[int, int]]:
 
 def read_estimate_parts(path: str | os.PathLike) -> list[tuple]:
     """The ``estimate_columns`` of each part of the estimates file at
-    ``path``, in file order; target indices count within a part.
-
-    Raises ``StoreError`` for the first line that is not valid JSON or
-    text, and ``BadEstimate`` for the first row ``estimate_columns``
-    refuses, whichever comes first in the file; line and row numbers count
-    from the start of the file. A worker that fails raises ``StoreError``.
-    Workers are killed and waited for on every path.
-    """
+    ``path``, in file order (target indices count within a part), or of
+    one pass if a part is not plain. A worker that fails raises
+    ``StoreError``; workers are killed and waited for on every path."""
     bounds = _part_bounds(path)
-    encoding = locale.getpreferredencoding(False)
     workers = []
     try:
         if len(bounds) > 1:
@@ -225,42 +198,37 @@ def read_estimate_parts(path: str | os.PathLike) -> list[tuple]:
 
             for start, stop in bounds[1:]:
                 workers.append(subprocess.Popen(
-                    [sys.executable, "-I", "-S", __file__, str(path), str(start), str(stop),
-                     encoding],
+                    [sys.executable, "-I", "-S", __file__, str(path), str(start), str(stop)],
                     stdin=subprocess.DEVNULL, stdout=subprocess.PIPE))
         parts = []
-        lines_before = rows_before = 0
         for (start, stop), worker in zip(bounds, [None, *workers]):
-            lines, error, columns = (parse_part(path, start, stop, encoding) if worker is None
-                                     else _result(worker, path, start, stop))
-            if error is not None:
-                kind, number, reason = error
-                if kind == "line":
-                    raise _line_error(path, lines_before + number, reason)
-                raise BadEstimate(rows_before + number, reason)
+            columns = (parse_part(path, start, stop) if worker is None
+                       else _result(worker, path, start, stop))
+            if columns is None:
+                break
             parts.append(columns)
-            lines_before += lines
-            rows_before += len(columns[-1])
-        return parts
+        else:
+            return parts
     finally:
         for worker in workers:
             worker.kill()
             worker.stdout.close()
             worker.wait()
+    return [estimate_columns(read_jsonl(path))]
 
 
-def _result(worker, path: str | os.PathLike, start: int, stop: int) -> tuple:
+def _result(worker, path: str | os.PathLike, start: int, stop: int) -> tuple | None:
     """What ``worker`` printed: the ``parse_part`` of bytes ``start`` to ``stop``."""
     try:
-        lines, error, columns = marshal.load(worker.stdout)
+        columns = marshal.load(worker.stdout)
+        if not worker.wait():
+            return columns
     except (EOFError, ValueError, TypeError):
-        lines = None
-    if worker.wait() or lines is None:
-        raise StoreError(f"{path}: the worker that parses bytes {start}..{stop} failed "
-                         f"(exit status {worker.returncode})")
-    return lines, error, columns
+        worker.wait()
+    raise StoreError(f"{path}: the worker that parses bytes {start}..{stop} failed "
+                     f"(exit status {worker.returncode})")
 
 
 if __name__ == "__main__":
-    _path, _start, _stop, _encoding = sys.argv[1:]
-    marshal.dump(parse_part(_path, int(_start), int(_stop), _encoding), sys.stdout.buffer)
+    _path, _start, _stop = sys.argv[1:]
+    marshal.dump(parse_part(_path, int(_start), int(_stop)), sys.stdout.buffer)

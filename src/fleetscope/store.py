@@ -213,7 +213,9 @@ class CampaignStore:
     # -- manifest ---------------------------------------------------------
 
     def _read_manifest(self) -> dict:
-        """The manifest; ``StoreError`` naming its file for any other JSON."""
+        """The manifest; ``StoreError`` naming its file for any other JSON, or
+        for a stage marker that is not an object or a stream version that is
+        not an integer."""
         try:
             manifest = json.loads(self._manifest_path.read_text())
         except ValueError as exc:
@@ -221,6 +223,13 @@ class CampaignStore:
         if not (isinstance(manifest, dict) and isinstance(manifest.get("streams"), dict)
                 and isinstance(manifest.get("stages"), dict)):
             raise StoreError(f"{self._manifest_path}: expected 'streams' and 'stages' objects")
+        for stage, marker in manifest["stages"].items():
+            if not isinstance(marker, dict):
+                raise StoreError(f"{self._manifest_path}: stage {stage!r} is not an object")
+        for stream, version in manifest["streams"].items():
+            if type(version) is not int:  # a bool is not a version
+                raise StoreError(f"{self._manifest_path}: stream {stream!r} version is not "
+                                 f"an integer")
         return manifest
 
     def _write_manifest(self, manifest: dict) -> None:

@@ -48,6 +48,12 @@ class UnknownAddress(KeyError):
     reason = "unknown_address"
 
 
+class NoIPv4Address(UnknownAddress):
+    """The record has no IPv4 address, the only kind the snapshot covers."""
+
+    reason = "no_ipv4_address"
+
+
 class AirportDatabase:
     """Airport code to ISO country, with an alias table for typo'd codes.
 
@@ -219,7 +225,7 @@ def _first_ipv4(record: ServerRecord) -> str:
     for address in record.addresses:
         if ":" not in address:
             return address
-    raise ValueError(f"{record.hostname} has no IPv4 address")
+    raise NoIPv4Address(record.hostname)
 
 
 def geo_crosscheck(

@@ -806,6 +806,34 @@ def test_validate_marks_what_its_tables_do_not_cover_unverified(tmp_path):
                                                          "reason": "unknown_address"}
 
 
+def test_validate_marks_a_record_without_an_ipv4_address_unverified(tmp_path):
+    # a crawl walks ipv6 names too, and those resolve to AAAA records only
+    ipv4 = make_server(1.0, airport="lhr", operator="ix", address="203.0.113.1")
+    ipv6 = make_server(1.0, airport="lhr", operator="ix", address="2001:db8::1")
+    ipv6.name = make_hostname(airport="lhr", protocol="ipv6")
+    code, verdicts = _validate_records(tmp_path, [ipv4, ipv6],
+                                       ["203.0.113.0/24,gb,gb,64500,cdn"], {})
+    assert code == EXIT_OK
+    assert verdicts[ipv4.name]["geo"]["verdict"] == "match"
+    for check in ("geo", "asn"):
+        assert verdicts[ipv6.name][check] == {"verdict": "unverified",
+                                              "reason": "no_ipv4_address"}
+
+
+def test_simulate_a_fleet_with_an_ipv6_address_probes_only_the_ipv4_ones(tmp_path):
+    servers = [make_server(2000.0, counter=1), make_server(1000.0, counter=2),
+               make_server(500.0, counter=3, address="2001:db8::1")]
+    out = tmp_path / "run"
+    assert _simulate(out, write_fleet(tmp_path / "fleet.json", servers, seed=5)) == EXIT_OK
+    verdicts = {row["name"]: row for row in store.read_jsonl(out / "store" / "verdicts.jsonl")}
+    for check in ("geo", "asn"):
+        assert verdicts[servers[2].name][check] == {"verdict": "unverified",
+                                                    "reason": "no_ipv4_address"}
+        assert verdicts[servers[0].name][check]["verdict"] != "unverified"
+    probed = {frame.target for frame in store.read_frames(out / "store" / "samples.bin")}
+    assert probed == {servers[0].address, servers[1].address}
+
+
 @pytest.mark.parametrize("airports_flag", [False, True])
 def test_validate_aliases_add_to_the_airport_table_in_use(tmp_path, airports_flag):
     typo = make_server(1.0, airport="xxz", operator="ix", address="203.0.113.1")
@@ -988,7 +1016,13 @@ def test_report_refuses_a_directory_that_is_no_store(tmp_path, capsys):
     ("{}", "expected 'streams' and 'stages' objects"),
     ('{"streams": {}, "stages": []}', "expected 'streams' and 'stages' objects"),
     ("not json", "Expecting value: line 1 column 1 (char 0)"),
-], ids=["empty_object", "stages_list", "not_json"])
+    ('{"streams": {}, "stages": {"estimate": true}}', "stage 'estimate' is not an object"),
+    ('{"streams": {"estimates": "1"}, "stages": {}}',
+     "stream 'estimates' version is not an integer"),
+    ('{"streams": {"estimates": true}, "stages": {}}',
+     "stream 'estimates' version is not an integer"),
+], ids=["empty_object", "stages_list", "not_json", "stage_marker_bool", "stream_version_text",
+        "stream_version_bool"])
 def test_a_damaged_manifest_is_named(tmp_path, capsys, manifest, reason):
     store_dir = tmp_path / "campaign"
     store.CampaignStore(store_dir)
