@@ -19,6 +19,7 @@ import ipaddress
 import itertools
 import json
 import logging
+import math
 import sys
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
@@ -43,6 +44,20 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def _number_in(low: float, high: float, what: str) -> Callable[[str], float]:
+    """An argparse type: a number from ``low`` to ``high``, else a usage
+    error that says it must be ``what``."""
+    def parse(text: str) -> float:
+        try:
+            value = float(text)
+        except ValueError:
+            value = math.nan
+        if not low <= value <= high:  # NaN compares false
+            raise argparse.ArgumentTypeError(f"must be {what}, not {text!r}")
+        return value
+    return parse
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="fleetscope", description=__doc__)
     parser.add_argument("--log-level", default="warning",
@@ -56,7 +71,8 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("crawl", help="walk the name prefixes through DNS and record the hits")
     p.add_argument("--wordlists", required=True)
     p.add_argument("--resolver", default="system", help="'system' or 'zone:FLEET.json'")
-    p.add_argument("--rate", type=float, default=500.0, help="queries per second (0 = unlimited)")
+    p.add_argument("--rate", type=_number_in(0.0, sys.float_info.max, "a finite number >= 0"),
+                   default=500.0, help="queries per second (0 = unlimited)")
     p.add_argument("--max-counter", type=int, default=names.Wordlists.max_server_counter,
                    help="highest server counter queried under any name prefix")
     p.add_argument("--max-site-counter", type=int, default=1)
@@ -96,7 +112,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--dwell", default=None)
     p.add_argument("--workers", type=int, default=None)
     p.add_argument("--duration", default=None)
-    p.add_argument("--loss-rate", type=float, default=0.0)
+    p.add_argument("--loss-rate", type=_number_in(0.0, 1.0, "a number from 0 to 1"),
+                   default=0.0)
     return parser
 
 
@@ -324,11 +341,8 @@ def _cmd_crawl(args) -> int:
         max_site_counter=args.max_site_counter,
     )
     resolver = _make_resolver(args.resolver)
-    if args.rate < 0:
-        raise ValueError(f"--rate must be >= 0, not {args.rate:g}")
-    rate = None if args.rate == 0 else args.rate
     campaign_store = store.CampaignStore(args.store) if args.store else None
-    records = crawl_stage(campaign_store, args.out, lists, resolver, rate)
+    records = crawl_stage(campaign_store, args.out, lists, resolver, args.rate or None)
     if records is None:
         return EXIT_OK
     summary = discovery.summarize_discovery(

@@ -133,8 +133,8 @@ class RateLimiter:
     """Token bucket; capacity is a tenth of a second's worth of tokens."""
 
     def __init__(self, rate_per_s: float):
-        if rate_per_s <= 0:
-            raise ValueError("the query rate must be > 0")
+        if not rate_per_s > 0:  # NaN compares false
+            raise ValueError(f"the query rate must be > 0, not {rate_per_s!r}")
         self.rate = rate_per_s
         self.capacity = max(1.0, rate_per_s / 10.0)
         self._tokens = self.capacity

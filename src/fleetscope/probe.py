@@ -9,21 +9,21 @@ rather than revisiting too fast.
 One loop on one thread runs every campaign, on a virtual or a real clock
 alike. It walks the busy slots of each cycle in time order, so idle slots
 and workers cost nothing. The visits of a slot send in step: probe index
-``i`` of each is due ``i`` intervals after the slot's start. The loop asks
-the transport for a run of indices at a time (``send_run``) and cuts each
-slot's run at the due time of the next pending collection, so a slot takes
-one call plus one per collection that falls within it. A collection comes
-before any send due at or after it: once an earlier slot's last send is
-one reply timeout old, the loop waits for that time in the transport's
+``i`` of each is due ``i`` intervals after the slot's start, and one
+transport call (``send_run``) sends the whole slot. Before a slot sends,
+the loop collects every earlier slot whose last send is one reply timeout
+old by the slot's start: it waits for that time in the transport's
 ``sleep_until_ns``, which is where a real transport reads its replies,
 and passes each of the slot's visits, as one ``VisitFrame``, to the
-caller's ``emit`` function. Due times are fixed from the campaign's
-start. The transport sends no index before its due time and no target
-within one interval of its previous send, in this visit or its last one,
-so a late send delays only the sends that would follow it by less than
-the interval. The loop checks every run it gets back and raises
-``TransportError`` on a gap under the interval: courtesy is checked, not
-trusted.
+caller's ``emit`` function. ``plan_campaign`` pads each cycle so that a
+target's reply window closes by its next visit's start, so every visit
+is collected before its target is sent to again. Due times are fixed
+from the campaign's start. The transport sends no index before its due
+time and no target within one interval of its previous send, in this
+visit or its last one, so a late send delays only the sends that would
+follow it by less than the interval. The loop checks every slot's send
+times and raises ``TransportError`` on a gap under the interval:
+courtesy is checked, not trusted.
 """
 
 from __future__ import annotations
@@ -181,9 +181,10 @@ def run_campaign(
     ``emit`` with each finished visit.
 
     The visits of slot ``s`` start at ``epoch + s * dwell_s``, where the
-    epoch is the transport's clock at the call, and send in step. One reply
-    timeout after their last send each is emitted, in slot order and then
-    worker order.
+    epoch is the transport's clock at the call, and send in step. Once
+    their last send is one reply timeout old, each is emitted before the
+    next busy slot that starts at or after that time sends, or at the
+    campaign's end, in slot order and then worker order.
     """
     if params.total_duration_s <= 0:
         return CampaignSummary()
@@ -226,23 +227,11 @@ def run_campaign(
 
     for slot, visit_targets in slots:
         first_ns = epoch_ns + slot * slot_ns
+        collect_until(first_ns)
         previous_ns = np.array([last_sent_ns[target] for target in visit_targets], dtype=np.int64)
-        runs = []
-        start = 0
-        while start < count:
-            # a collection due at a send's time comes first: the send may
-            # revisit the same target
-            collect_until(first_ns + start * interval_ns)
-            stop = count
-            if pending:  # the run ends before the first index due at the next collection
-                stop = min(count, -(-(pending[0][0] - first_ns) // interval_ns))
-            run = transport.send_run(visit_targets, first_ns, interval_ns, start, stop,
-                                     previous_ns)
-            _check_courtesy(visit_targets, run, stop - start, previous_ns, interval_ns)
-            runs.append(run)
-            previous_ns, start = run[:, -1], stop
-        sent = runs[0] if len(runs) == 1 else np.concatenate(runs, axis=1)
-        last_sent_ns.update(zip(visit_targets, previous_ns.tolist()))
+        sent = transport.send_run(visit_targets, first_ns, interval_ns, count, previous_ns)
+        _check_courtesy(visit_targets, sent, count, previous_ns, interval_ns)
+        last_sent_ns.update(zip(visit_targets, sent[:, -1].tolist()))
         pending.append((first_ns + (count - 1) * interval_ns + timeout_ns, visit_targets, sent))
     collect_until(math.inf)
 
@@ -251,13 +240,13 @@ def run_campaign(
     return totals
 
 
-def _check_courtesy(targets: Sequence[str], sent_ns: np.ndarray, width: int,
+def _check_courtesy(targets: Sequence[str], sent_ns: np.ndarray, count: int,
                     previous_ns: np.ndarray, interval_ns: int) -> None:
-    """Raise ``TransportError`` unless ``sent_ns`` holds ``width`` send
+    """Raise ``TransportError`` unless ``sent_ns`` holds ``count`` send
     times per target, each at least one interval after the target's
     previous send (``previous_ns`` for the first)."""
-    if np.shape(sent_ns) != (len(targets), width):
-        raise TransportError(f"a run of {width} probes to {len(targets)} targets came back "
+    if np.shape(sent_ns) != (len(targets), count):
+        raise TransportError(f"visits of {count} probes to {len(targets)} targets came back "
                              f"with the shape {np.shape(sent_ns)}")
     # each target's shortest gap, or the interval when none is shorter
     gaps = np.minimum(sent_ns[:, 0] - previous_ns,

@@ -466,26 +466,24 @@ class SimulatedTransport:
         if t_ns > self._now_ns:
             self._now_ns = t_ns
 
-    def send_run(self, targets: Sequence[str], first_ns: int, interval_ns: int, start: int,
-                 stop: int, not_before_ns: np.ndarray) -> np.ndarray:
+    def send_run(self, targets: Sequence[str], first_ns: int, interval_ns: int, count: int,
+                 not_before_ns: np.ndarray) -> np.ndarray:
         """The send times of the per-send loop on this clock, where a send
         takes no time: each index waits for its due time, then each target in
         turn for its previous send plus the interval.
 
-        Index ``start`` is a running maximum, in target order, of the clock,
-        its due time and each previous send plus the interval. A later index
-        sends each target at the latest of its send of the index before plus
-        the interval, the index's due time and the index before's last send.
-        From index ``start`` on, the last target's sends step by one
-        interval, and no due time is later than index ``start``'s sends plus
-        the intervals between, so each later index is index ``start``,
-        raised to its last send less one interval, plus the intervals
-        between."""
-        due_ns = first_ns + start * interval_ns
+        Index 0 is a running maximum, in target order, of the clock, its due
+        time and each previous send plus the interval. A later index sends
+        each target at the latest of its send of the index before plus the
+        interval, the index's due time and the index before's last send. The
+        last target's sends step by one interval, and no due time is later
+        than index 0's sends plus the intervals between, so each later index
+        is index 0, raised to its last send less one interval, plus the
+        intervals between."""
         first = np.maximum.accumulate(np.maximum(
-            np.asarray(not_before_ns, dtype=np.int64) + interval_ns, max(self._now_ns, due_ns)))
+            np.asarray(not_before_ns, dtype=np.int64) + interval_ns, max(self._now_ns, first_ns)))
         later = np.maximum(first, int(first[-1]) - interval_ns)
-        sent_ns = later[:, None] + interval_ns * np.arange(stop - start, dtype=np.int64)
+        sent_ns = later[:, None] + interval_ns * np.arange(count, dtype=np.int64)
         sent_ns[:, 0] = first
         self._now_ns = int(sent_ns[-1, -1])
         return sent_ns

@@ -77,11 +77,6 @@ class VisitFrame:
             raise ValueError(f"{self.target}: the frame has no probes, so no probe interval")
         return self.end_ns - int(self.sent_ns[-1])
 
-    def replies(self) -> tuple[np.ndarray, np.ndarray]:
-        """Send times and IDs (both int64) of the answered probes, in order."""
-        answered = self.rtt_ns != LOST_RTT
-        return self.sent_ns[answered], self.ipid[answered].astype(np.int64)
-
 
 def encode_frame(frame: VisitFrame) -> bytes:
     """The bytes of ``frame`` in the samples file."""

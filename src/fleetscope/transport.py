@@ -5,15 +5,15 @@ CAP_NET_RAW or root) and the in-process simulated transport in
 ``simulation`` (no privilege, virtual time). Both satisfy ``EchoTransport``
 structurally; the prober never imports a concrete transport, and runs its
 one event loop against either. The contract is four calls: a clock, a
-wait, a run of sends, and one collection per visit. ``send_run`` sends a
-run of probe indices to a slot's targets in one call and returns the send
-times as an int64 array; the raw transport sends them one by one, the
-simulated one computes them in one numpy pass. A visit opens with its
-index 0 and closes when its replies are collected, which come back as
-three int64 columns ``(seq, recv_ns, ip_id)``, the format the prober
-stores. Only ``sleep_until_ns`` and ``send_run`` wait for time to pass,
-and no transport starts a thread: the raw transport reads replies while
-it waits in them.
+wait, one call that sends a slot's visits, and one collection per visit.
+``send_run`` sends every probe of a slot's visits in one call and returns
+the send times as an int64 array; the raw transport sends them one by
+one, the simulated one computes them in one numpy pass. A visit closes
+when its replies are collected, which come back as three int64 columns
+``(seq, recv_ns, ip_id)``, the format the prober stores. Only
+``sleep_until_ns`` and ``send_run`` wait for time to pass, and no
+transport starts a thread: the raw transport reads replies while it
+waits in them.
 """
 
 from __future__ import annotations
@@ -48,18 +48,17 @@ def reply_columns(replies: dict[int, tuple[int, int]]) -> Replies:
 
 
 class EchoTransport(Protocol):
-    """What the prober needs: a clock, a wait, runs of sends, and collection.
+    """What the prober needs: a clock, a wait, a slot's sends, and collection.
 
-    ``send_run(targets, first_ns, interval_ns, start, stop, not_before_ns)``
-    sends probe indices ``start`` to ``stop - 1`` (``start < stop``), each
-    as sequence number ``i``, to every target: index by index, and within
-    an index in target order. It sends index ``i`` no earlier than
+    ``send_run(targets, first_ns, interval_ns, count, not_before_ns)``
+    opens a visit to every target and sends its probe indices ``0`` to
+    ``count - 1``, each as sequence number ``i``: index by index, and
+    within an index in target order. It sends index ``i`` no earlier than
     ``first_ns + i * interval_ns``, and never within one interval of the
     target's previous send; ``not_before_ns[j]`` is the previous send to
-    ``targets[j]``, from an earlier run or visit. It must not block on
-    replies, and returns the send times as an int64 array of shape
-    ``len(targets) x (stop - start)``. A visit to a target opens with its
-    index 0, and its runs send indices 0, 1, ... in order.
+    ``targets[j]``, from its last visit. It must not block on replies, and
+    returns the send times as an int64 array of shape
+    ``len(targets) x count``.
 
     ``end_visit(target, sent_ns)`` is called once the reply timeout after
     the visit's last send has passed, with the send times ``send_run``
@@ -75,8 +74,8 @@ class EchoTransport(Protocol):
 
     def sleep_until_ns(self, t_ns: int) -> None: ...
 
-    def send_run(self, targets: Sequence[str], first_ns: int, interval_ns: int, start: int,
-                 stop: int, not_before_ns: np.ndarray) -> np.ndarray: ...
+    def send_run(self, targets: Sequence[str], first_ns: int, interval_ns: int, count: int,
+                 not_before_ns: np.ndarray) -> np.ndarray: ...
 
     def end_visit(self, target: str, sent_ns: np.ndarray) -> Replies: ...
 
@@ -189,16 +188,17 @@ class RawIcmpTransport:
             if remaining_ns <= 0:
                 return
 
-    def send_run(self, targets: Sequence[str], first_ns: int, interval_ns: int, start: int,
-                 stop: int, not_before_ns: np.ndarray) -> np.ndarray:
-        """Send each index at its due time, reading replies while waiting for
-        it; the clock is read once per index, and a target whose previous
-        send is under one interval old waits until that send plus the
-        interval. A late send thus delays only the sends that would follow
-        it by less than the interval."""
-        sent_ns = np.empty((len(targets), stop - start), dtype=np.int64)
+    def send_run(self, targets: Sequence[str], first_ns: int, interval_ns: int, count: int,
+                 not_before_ns: np.ndarray) -> np.ndarray:
+        """Send each index of the visits at its due time, reading replies
+        while waiting for it; a visit opens with its index 0. The clock is
+        read once per index, and a target whose previous send is under one
+        interval old waits until that send plus the interval. A late send
+        thus delays only the sends that would follow it by less than the
+        interval."""
+        sent_ns = np.empty((len(targets), count), dtype=np.int64)
         last_ns = [int(t_ns) for t_ns in not_before_ns]
-        for column, seq in enumerate(range(start, stop)):
+        for seq in range(count):
             self.sleep_until_ns(first_ns + seq * interval_ns)
             now_ns = self.now_ns()
             packet = build_echo_request(self.ident, seq)
@@ -214,7 +214,7 @@ class RawIcmpTransport:
                     self._sock.sendto(packet, (target, 0))
                 except OSError as exc:
                     raise TransportError(f"send to {target} failed: {exc}") from exc
-            sent_ns[:, column] = last_ns
+            sent_ns[:, seq] = last_ns
         return sent_ns
 
     def end_visit(self, target: str, sent_ns: np.ndarray) -> Replies:

@@ -137,33 +137,33 @@ def serve_echo(server: SimulatedServer, at_ns: int, seed: int) -> int | None:
     return ipid
 
 
-def send_run_per_send(transport, send_echo, targets, first_ns: int, interval_ns: int, start: int,
-                      stop: int, not_before_ns) -> np.ndarray:
+def send_run_per_send(transport, send_echo, targets, first_ns: int, interval_ns: int, count: int,
+                      not_before_ns) -> np.ndarray:
     """``send_run`` as one ``send_echo(target, index)`` call per send, each
     returning its send time, on ``transport``'s clock: each index waits in
     ``sleep_until_ns`` for its due time and reads the clock once, then each
     target whose previous send is under one interval old waits until that
     send plus the interval."""
     last_ns = [int(t_ns) for t_ns in not_before_ns]
-    sent_ns = np.empty((len(targets), stop - start), dtype=np.int64)
-    for column, index in enumerate(range(start, stop)):
+    sent_ns = np.empty((len(targets), count), dtype=np.int64)
+    for index in range(count):
         transport.sleep_until_ns(first_ns + index * interval_ns)
         now_ns = transport.now_ns()
         for row, target in enumerate(targets):
             if now_ns < last_ns[row] + interval_ns:
                 transport.sleep_until_ns(last_ns[row] + interval_ns)
                 now_ns = transport.now_ns()
-            sent_ns[row, column] = last_ns[row] = send_echo(target, index)
+            sent_ns[row, index] = last_ns[row] = send_echo(target, index)
     return sent_ns
 
 
 class PerSendRuns:
     """``send_run`` as ``send_run_per_send`` over the class's ``_send_echo``."""
 
-    def send_run(self, targets, first_ns: int, interval_ns: int, start: int, stop: int,
+    def send_run(self, targets, first_ns: int, interval_ns: int, count: int,
                  not_before_ns) -> np.ndarray:
-        return send_run_per_send(self, self._send_echo, targets, first_ns, interval_ns, start,
-                                 stop, not_before_ns)
+        return send_run_per_send(self, self._send_echo, targets, first_ns, interval_ns, count,
+                                 not_before_ns)
 
 
 class ScalarTransport(PerSendRuns):

@@ -39,6 +39,29 @@ def test_stage_failure_exit_code(tmp_path):
     assert code == EXIT_STAGE
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("--rate", "nan"),  # a rate limiter that never waits
+    ("--rate", "inf"),
+    ("--rate", "-1"),
+    ("--loss-rate", "-0.1"),
+    ("--loss-rate", "inf"),
+    ("--loss-rate", "nan"),
+    ("--loss-rate", "1.5"),  # every probe lost, so no estimate at all
+])
+def test_a_flag_that_bounds_load_refuses_a_value_that_breaks_it(tmp_path, small_fleet_file,
+                                                                capsys, flag, value):
+    # refused as the arguments are parsed, before any stage makes a file
+    if flag == "--rate":
+        args = _crawl_args(tmp_path, small_fleet_file, tmp_path / "out")
+        args[args.index("--rate") + 1] = value
+    else:
+        args = ["simulate", "--fleet", str(small_fleet_file), "--out", str(tmp_path / "out"),
+                "--dwell", "6s", "--workers", "3", "--duration", "60s", "--loss-rate", value]
+    assert main(args) == EXIT_USAGE
+    assert f"usage error: argument {flag}: must be " in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_crawl_against_zone(tmp_path, small_fleet_file, capsys):
     wordlists = tmp_path / "wl"
     wordlists.mkdir()

@@ -270,6 +270,13 @@ def test_run_crawl_rate_limit_is_observed():
     assert elapsed >= 0.15
 
 
+@pytest.mark.parametrize("rate", [0.0, -1.0, float("nan")])
+def test_a_rate_limiter_refuses_a_rate_that_is_not_positive(rate):
+    # a NaN rate would never wait
+    with pytest.raises(ValueError, match="the query rate must be > 0"):
+        discovery.RateLimiter(rate)
+
+
 def test_record_json_round_trip():
     record = record_for(make_server(1.0, operator="bt.isp", airport="man"), seen_ns=123)
     clone = ServerRecord.from_json(record.to_json())

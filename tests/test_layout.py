@@ -1,10 +1,11 @@
 """Layout guard: every public function, class and method under ``src/`` has a
 caller under ``src/``.
 
-A name counts as called when some ``Name`` or ``Attribute`` node in the
-package's source reads it; imports and re-exports are not reads. A method
-whose name is also a field or data attribute of some class is matched by
-qualified name instead (see ``uncalled``). Library code that only tests
+A function or class counts as called when some ``Name`` or ``Attribute``
+node in the package's source reads it; imports and re-exports are not
+reads. A method counts only an ``Attribute`` read, and a method whose name
+is also a field or data attribute of some class is matched by qualified
+name instead (see ``uncalled``). Library code that only tests
 call belongs in a test helper module, next to ``tests/ipid_oracle.py`` and
 ``tests/analytics_oracle.py``.
 """
@@ -81,19 +82,26 @@ def uncalled(trees: dict[str, ast.Module]) -> list[str]:
     """``module:qualified name`` of each public function, class and method
     of ``trees`` (module name -> parsed source) that nothing in them reads.
 
-    A bare-name read counts, except for a method that shares its name with
-    a field or data attribute of some class: a read of the attribute would
-    pass for a call of the method. Such a method (a property excepted, which
-    is read like an attribute) counts only calls ``x.name(...)``,
-    ``self.name`` inside its own class and ``Class.name``.
+    A function or class counts any read of its name. A method counts only
+    attribute reads: a local variable of the same name would pass for a
+    call. A method that shares its name with a field or data attribute of
+    some class counts still less, since a read of the attribute would pass
+    for a call of the method. Such a method (a property excepted, which is
+    read like an attribute) counts only calls ``x.name(...)``, ``self.name``
+    inside its own class and ``Class.name``.
     """
     read = {name for tree in trees.values() for name in _reads(tree)}
+    # x.name, Class.name and self.name
+    attributes = {node.attr for tree in trees.values() for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute)}
     data = {name for tree in trees.values() for name in _data_attributes(tree)}
     qualified = {pair for tree in trees.values() for pair in _qualified_reads(tree)}
 
     def is_read(owner, name, is_property):
-        if owner is None or is_property or name not in data:
+        if owner is None:
             return name in read
+        if is_property or name not in data:
+            return name in attributes
         return (None, name) in qualified or (owner, name) in qualified
 
     return [f"{module}:{qualified_name}"
@@ -108,8 +116,9 @@ def test_every_public_name_under_src_has_a_caller_under_src():
     assert not missing, "public names that nothing under src/ calls: " + ", ".join(missing)
 
 
-# A dead method that shares its name with a live field: a bare-name rule
-# passes it, because reading ``record.addresses`` reads the name.
+# A dead method that shares its name with a live field, and one that shares
+# its name with a local variable: a bare-name rule passes both, because
+# reading ``record.addresses`` or ``total`` reads the name.
 _FIELD_AND_METHOD = """
 class Record:
     addresses: tuple
@@ -121,8 +130,12 @@ class Fleet:
     def size(self):
         return {in_class}
 
+    def total(self):
+        return 0
+
 def run(record, fleet):
-    return record.addresses, fleet.size(), {outside}
+    total = len(record.addresses)
+    return total, fleet.size(), {outside}
 
 run(Record(), Fleet())
 """
@@ -131,14 +144,18 @@ run(Record(), Fleet())
 def test_a_method_named_like_a_field_needs_a_qualified_caller():
     def uncalled_in(in_class="0", outside="0"):
         tree = ast.parse(_FIELD_AND_METHOD.format(in_class=in_class, outside=outside))
-        assert "addresses" in set(_reads(tree))  # so the bare-name rule passes it
+        assert {"addresses", "total"} <= set(_reads(tree))  # so the bare-name rule passes both
         return uncalled({"m.py": tree})
 
-    assert uncalled_in() == ["m.py:Fleet.addresses"]
-    assert uncalled_in(in_class="self.addresses()") == []
-    assert uncalled_in(outside="fleet.addresses()") == []
-    assert uncalled_in(outside="Fleet.addresses") == []
-    assert uncalled_in(outside="fleet.addresses") == ["m.py:Fleet.addresses"]
+    both = ["m.py:Fleet.addresses", "m.py:Fleet.total"]
+    assert uncalled_in() == both
+    assert uncalled_in(in_class="self.addresses()") == both[1:]
+    assert uncalled_in(outside="fleet.addresses()") == both[1:]
+    assert uncalled_in(outside="Fleet.addresses") == both[1:]
+    assert uncalled_in(outside="fleet.addresses") == both
+    # a method named like no field counts any attribute read
+    assert uncalled_in(in_class="self.total()") == both[:1]
+    assert uncalled_in(outside="fleet.total") == both[:1]
 
 
 # the scalar responder, now the reference in tests/responder_oracle.py

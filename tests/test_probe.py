@@ -9,7 +9,7 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fleetscope import transport
@@ -445,7 +445,7 @@ def test_stalled_sends_never_bring_a_targets_echoes_closer_than_the_interval(tar
 
 
 class ShortGapTransport(ScriptedTransport):
-    """Virtual clock that no reply reaches; in its run number ``call`` it
+    """Virtual clock that no reply reaches; in its call number ``call`` it
     moves the send ``(row, column)`` to one ns under an interval after the
     send before it, or after ``not_before_ns`` in column 0. ``damaged``
     holds the target of that send."""
@@ -456,8 +456,8 @@ class ShortGapTransport(ScriptedTransport):
         self.calls = 0
         self.damaged = None
 
-    def send_run(self, targets, first_ns, interval_ns, start, stop, not_before_ns):
-        sent_ns = super().send_run(targets, first_ns, interval_ns, start, stop, not_before_ns)
+    def send_run(self, targets, first_ns, interval_ns, count, not_before_ns):
+        sent_ns = super().send_run(targets, first_ns, interval_ns, count, not_before_ns)
         if self.calls == self.call:
             before = sent_ns[self.row] if self.column else not_before_ns
             sent_ns[self.row, self.column] = before[self.column - 1] + interval_ns - 1
@@ -471,8 +471,8 @@ class ShortGapTransport(ScriptedTransport):
     (1, 0),  # the first send of the next visit, one ns too close to the last one's last
 ])
 def test_a_run_that_sends_within_an_interval_is_refused_naming_the_target(call, column):
-    # three targets of one slot each, visited twice: one run per slot, as the
-    # collection of the first slot falls due at the second slot's start
+    # three targets of one slot each, visited twice: one call per slot, the
+    # first slot collected at the second slot's start
     params = CampaignParams(probe_interval_s=0.01, dwell_s=0.05, workers=3, probe_timeout_s=0.01,
                             max_visits_per_hour=None, total_duration_s=0.1)
     transport = ShortGapTransport(call, row=1, column=column)
@@ -520,15 +520,22 @@ def test_visits_of_a_slot_send_in_step_and_arrive_in_slot_then_worker_order():
 
 class LoggingTransport(ScriptedTransport):
     """Virtual clock that no reply reaches; ``log`` holds each send and each
-    collection in the order they were made, as ``(kind, target, clock, sent_ns)``
-    with the kind ``"send"`` or ``"end"``."""
+    collection in the order they were made, as ``(kind, target, clock,
+    detail)``: the kind ``"send"`` with the first due time of its call, or
+    ``"end"`` with the visit's send times. ``runs`` holds the first due time
+    of each ``send_run`` call."""
 
     def __init__(self):
         super().__init__(lambda sent_ns: {})
         self.log = []
+        self.runs = []
+
+    def send_run(self, targets, first_ns, interval_ns, count, not_before_ns):
+        self.runs.append(first_ns)
+        return super().send_run(targets, first_ns, interval_ns, count, not_before_ns)
 
     def _send_echo(self, target: str, seq: int) -> int:
-        self.log.append(("send", target, self.clock_ns, None))
+        self.log.append(("send", target, self.clock_ns, self.runs[-1]))
         return super()._send_echo(target, seq)
 
     def end_visit(self, target: str, sent_ns: np.ndarray):
@@ -536,19 +543,51 @@ class LoggingTransport(ScriptedTransport):
         return super().end_visit(target, sent_ns)
 
 
-def _check_collections_interleave(log, timeout_ns):
-    """Each collection comes one timeout after its visit's last send, after
-    every send due before it and before every send due at or after it."""
-    for position, (kind, _, clock_ns, sent_ns) in enumerate(log):
-        if kind == "end":
-            assert clock_ns == sent_ns[-1] + timeout_ns
-            assert all(t < clock_ns for k, _, t, _ in log[:position] if k == "send")
-            assert all(t >= clock_ns for k, _, t, _ in log[position + 1:] if k == "send")
+def _check_collections_come_before_the_next_slot(log, frames, timeout_ns):
+    """Each collection comes once its visit's last send is one timeout old:
+    after every send of the slots that start before that time, and before
+    the sends of the first slot that starts at or after it, or at the
+    campaign's end. Visits are collected and emitted in due order."""
+    ends = [(position, clock_ns, sent_ns[-1] + timeout_ns)
+            for position, (kind, _, clock_ns, sent_ns) in enumerate(log) if kind == "end"]
+    sends = [(position, first_ns)
+             for position, (kind, _, _, first_ns) in enumerate(log) if kind == "send"]
+    for position, clock_ns, due_ns in ends:
+        assert clock_ns >= due_ns
+        assert all((first_ns < due_ns) == (before < position) for before, first_ns in sends)
+    dues = [due_ns for *_, due_ns in ends]
+    assert dues == sorted(dues)
+    assert [int(frame.sent_ns[-1]) + timeout_ns for frame in frames] == dues
+
+
+@settings(max_examples=100, deadline=None)
+@given(targets=st.integers(1, 9), workers=st.integers(1, 4), dwell=st.integers(2, 8),
+       timeout=st.integers(1, 30), slots=st.integers(1, 16))
+@example(targets=9, workers=3, dwell=5, timeout=12, slots=9)  # a timeout over two dwells
+@example(targets=1, workers=1, dwell=4, timeout=1, slots=3)  # due at the next visit's start
+def test_a_collection_comes_before_the_first_slot_that_starts_after_its_reply_timeout(
+        targets, workers, dwell, timeout, slots):
+    # dwell and timeout in intervals of 10 ms, the duration in dwells
+    params = CampaignParams(probe_interval_s=0.01, dwell_s=dwell / 100, workers=workers,
+                            probe_timeout_s=timeout / 100, max_visits_per_hour=None,
+                            total_duration_s=slots * dwell / 100)
+    addresses = [f"198.18.9.{i + 1}" for i in range(targets)]
+    transport = LoggingTransport()
+    frames = []
+    summary = run_campaign(addresses, params, transport, frames.append)
+    schedule = plan_campaign(addresses, params)
+    busy = [slot for slot in range(slots) if slot % schedule.cycle_slots < len(schedule.slots)]
+    assert transport.runs == [slot * dwell * 10_000_000 for slot in busy]
+    assert summary.visits_completed == len(frames) == sum(
+        len(schedule.slots[slot % schedule.cycle_slots]) for slot in busy)
+    _check_collections_come_before_the_next_slot(transport.log, frames, timeout * 10_000_000)
 
 
 def test_collections_interleave_with_the_sends_of_later_slots():
-    # the fleet-sweep shape: a reply timeout longer than a slot, so a slot's
-    # collection falls among the sends of the slot two after it
+    # the fleet-sweep shape: a reply timeout longer than a slot, so a slot is
+    # collected before the slot three after it sends, and the last three at
+    # the end; each slot is one send_run call, though four collections fall
+    # due while a slot sends
     addresses = [f"198.18.9.{i + 1}" for i in range(9)]
     params = CampaignParams(probe_interval_s=0.03, dwell_s=0.75, workers=3, probe_timeout_s=1.0,
                             max_visits_per_hour=None, total_duration_s=4.5)
@@ -556,9 +595,10 @@ def test_collections_interleave_with_the_sends_of_later_slots():
     frames = []
     run_campaign(addresses, params, transport, frames.append)
     assert len(frames) == 18
+    assert transport.runs == [slot * 750_000_000 for slot in range(6)]
     ends = [clock_ns for kind, _, clock_ns, _ in transport.log if kind == "end"]
-    assert ends == sorted(ends) and ends[0] == 1_720_000_000 < ends[-1] == 5_470_000_000
-    _check_collections_interleave(transport.log, 1_000_000_000)
+    assert ends == sorted(ends) and ends[0] == 2_220_000_000 < ends[-1] == 5_470_000_000
+    _check_collections_come_before_the_next_slot(transport.log, frames, 1_000_000_000)
 
 
 def test_a_collection_comes_before_a_send_due_at_the_same_time():
@@ -566,11 +606,12 @@ def test_a_collection_comes_before_a_send_due_at_the_same_time():
     params = CampaignParams(probe_interval_s=0.03, dwell_s=3.0, workers=1, probe_timeout_s=0.03,
                             max_visits_per_hour=None, total_duration_s=6.0)
     transport = LoggingTransport()
-    run_campaign(["198.18.0.1"], params, transport, [].append)
+    frames = []
+    run_campaign(["198.18.0.1"], params, transport, frames.append)
     kinds = [kind for kind, *_ in transport.log]
     assert kinds == ["send"] * 100 + ["end"] + ["send"] * 100 + ["end"]
     assert transport.log[100][2] == transport.log[101][2] == 3_000_000_000
-    _check_collections_interleave(transport.log, 30_000_000)
+    _check_collections_come_before_the_next_slot(transport.log, frames, 30_000_000)
 
 
 # public methods a transport may have beyond the protocol: the raw socket
@@ -681,10 +722,10 @@ def _echo_reply(source, ident, seq, ip_id, icmp_type=0):
 
 
 def _send(raw, count):
-    """The send times of probes 0 to ``count - 1`` sent to 192.0.2.1 from now
-    on, 1 ns apart, in one run."""
+    """The send times of a visit of ``count`` probes sent to 192.0.2.1 from
+    now on, 1 ns apart."""
     now_ns = raw.now_ns()
-    return raw.send_run(["192.0.2.1"], now_ns, 1, 0, count, np.array([now_ns - 1]))[0]
+    return raw.send_run(["192.0.2.1"], now_ns, 1, count, np.array([now_ns - 1]))[0]
 
 
 def test_raw_transport_clock_is_utc(monkeypatch):

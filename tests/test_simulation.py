@@ -201,7 +201,7 @@ def test_transport_loss_is_request_side():
     server = make_server(base_pps=0.0, address="198.18.7.7")
     fleet = SimulatedFleet([server], seed=3)
     transport = SimulatedTransport(fleet, loss_rate=0.5)
-    sent = transport.send_run([server.address], 0, 30_000_000, 0, 200, np.array([-30_000_000]))[0]
+    sent = transport.send_run([server.address], 0, 30_000_000, 200, np.array([-30_000_000]))[0]
     seq, recv_ns, ip_id = transport.end_visit(server.address, np.array(sent, dtype=np.int64))
     assert 0 < len(seq) < 200
     # counter only advanced by replies actually served
@@ -223,7 +223,7 @@ def test_truth_records_mean_rate():
     fleet = SimulatedFleet([server], seed=1)
     rows = []
     transport = SimulatedTransport(fleet, truth=rows.append)
-    sent = transport.send_run([server.address], 0, 30 * 10**9, 0, 2, np.array([-30 * 10**9]))[0]
+    sent = transport.send_run([server.address], 0, 30 * 10**9, 2, np.array([-30 * 10**9]))[0]
     transport.end_visit(server.address, np.array(sent, dtype=np.int64))
     ((target, start_ns, end_ns, true_pps),) = rows
     assert target == server.address
@@ -379,31 +379,30 @@ _thousandths = st.integers(-3_000, 3_000)
 
 @settings(max_examples=300, deadline=None)
 @given(interval_ns=st.integers(1, 10**9), first_ns=st.integers(0, 10**15),
-       start=st.integers(0, 100), widths=st.lists(st.integers(1, 30), min_size=1, max_size=4),
+       widths=st.lists(st.integers(1, 30), min_size=1, max_size=4),
        clocks=st.lists(_thousandths, min_size=4, max_size=4),
        previous=st.lists(_thousandths, min_size=1, max_size=6))
-def test_send_run_matches_the_per_send_loop(interval_ns, first_ns, start, widths, clocks,
-                                            previous):
-    # consecutive runs of up to 6 targets, each after a clock that may be
-    # ahead of the run's due time, as a collection's wait leaves it; the
-    # previous sends, ahead of or behind the first due time, force waits
+def test_send_run_matches_the_per_send_loop(interval_ns, first_ns, widths, clocks, previous):
+    # consecutive visits of up to 6 targets, each due as the one before ends
+    # and each after a clock that may be ahead of its due time, as a
+    # collection's wait leaves it; the previous sends, ahead of or behind the
+    # first due time, force waits
     def at(thousandths, index):
         return max(0, first_ns + index * interval_ns + thousandths * interval_ns // 1000)
 
     targets = [f"198.18.4.{i + 1}" for i in range(len(previous))]
     transport, oracle = (SimulatedTransport(make_fleet([])) for _ in range(2))
-    not_before_ns = np.array([at(offset, start - 1) for offset in previous], dtype=np.int64)
+    not_before_ns = np.array([at(offset, -1) for offset in previous], dtype=np.int64)
     for width, clock in zip(widths, clocks):
         for clocked in (transport, oracle):
-            clocked.sleep_until_ns(at(clock, start))
+            clocked.sleep_until_ns(at(clock, 0))
         expected = send_run_per_send(oracle, lambda target, index: oracle.now_ns(), targets,
-                                     first_ns, interval_ns, start, start + width, not_before_ns)
-        sent_ns = transport.send_run(targets, first_ns, interval_ns, start, start + width,
-                                     not_before_ns)
+                                     first_ns, interval_ns, width, not_before_ns)
+        sent_ns = transport.send_run(targets, first_ns, interval_ns, width, not_before_ns)
         assert sent_ns.dtype == np.int64
         assert sent_ns.tolist() == expected.tolist()
         assert transport.now_ns() == oracle.now_ns()
-        start, not_before_ns = start + width, sent_ns[:, -1]
+        first_ns, not_before_ns = first_ns + width * interval_ns, sent_ns[:, -1]
 
 
 def test_virtual_clock_semantics():
@@ -512,32 +511,24 @@ def test_the_counter_depends_on_time_not_on_how_a_visit_is_cut(spec, seed, start
 def test_end_visit_matches_the_per_send_transport(spec, seed, reachable, loss_rate, start_ns,
                                                    visits):
     # each visit sends at its start plus the running sum of its gaps, some
-    # 0, and opens with its first send, as run_campaign drives a transport
+    # 0, and opens with its first send; the per-send transport sends one
+    # echo at a time, so a gap of 0 stays 0
     (server, reference), fleets = _twin_servers(spec, seed, reachable)
     rows = [[], []]
-    transports = [SimulatedTransport(fleets[0], loss_rate, rows[0].append),
-                  ScalarTransport(fleets[1], loss_rate, rows[1].append)]
+    transport = SimulatedTransport(fleets[0], loss_rate, rows[0].append)
+    oracle = ScalarTransport(fleets[1], loss_rate, rows[1].append)
     for gaps in visits:
-        sents = []
-        for transport in transports:
-            transport.sleep_until_ns(start_ns)
-            sent = []
-            for seq, gap in enumerate(gaps):
-                # one send per run, due at at_ns, with an interval of 1 ns
-                # and a previous send 1 ns before: a gap of 0 stays 0
-                at_ns = transport.now_ns() + gap
-                run = transport.send_run([server.address], at_ns - seq, 1, seq, seq + 1,
-                                         np.array([at_ns - 1]))
-                sent.append(int(run[0, 0]))
-            sents.append(sent)
-        assert sents[0] == sents[1]
-        columns = transports[0].end_visit(server.address, np.array(sents[0], dtype=np.int64))
+        sent = (start_ns + np.cumsum(gaps)).tolist()
+        for seq, sent_ns in enumerate(sent):
+            oracle.sleep_until_ns(sent_ns)
+            assert oracle._send_echo(server.address, seq) == sent_ns
+        columns = transport.end_visit(server.address, np.array(sent, dtype=np.int64))
         assert [column.dtype for column in columns] == [np.int64] * 3
         replies = reply_dict(columns)
         assert len(replies) == len(columns[0])
-        assert replies == transports[1].end_visit(server.address, sents[1])
+        assert replies == oracle.end_visit(server.address, sent)
         assert _state(server) == _state(reference)
-        start_ns = transports[0].now_ns() + 10**10
+        start_ns = sent[-1] + 10**10
     assert rows[0] == rows[1]
 
 
@@ -559,7 +550,7 @@ def _visit(transport, address: str, start_ns: int, sends: int, interval_ns: int)
     apart, and end the visit: its delivered sequence numbers, their IDs and
     its last send time."""
     transport.sleep_until_ns(start_ns)
-    sent_ns = transport.send_run([address], start_ns, interval_ns, 0, sends,
+    sent_ns = transport.send_run([address], start_ns, interval_ns, sends,
                                  np.array([start_ns - interval_ns]))[0]
     seq, _, ip_id = transport.end_visit(address, sent_ns)
     return seq.tolist(), ip_id.tolist(), int(sent_ns[-1])

@@ -86,6 +86,12 @@ def _visit(target="198.18.0.7", start_ns=5_000_000_000, count=40, lost=(3, 4, 17
     )
 
 
+def _replies(frame):
+    """Send times and IDs (both int64) of the answered probes of ``frame``, in order."""
+    answered = frame.rtt_ns != LOST_RTT
+    return frame.sent_ns[answered], frame.ipid[answered].astype(np.int64)
+
+
 def _committed_samples(tmp_path, visits):
     return _committed(CampaignStore(tmp_path / "store"), "samples", visits)
 
@@ -100,11 +106,11 @@ def test_frames_round_trip_every_column(tmp_path):
         assert (frame.target, frame.start_ns, frame.end_ns) == (visit.target, visit.start_ns, visit.end_ns)
         for column in ("sent_ns", "rtt_ns", "ipid"):
             assert getattr(frame, column).tolist() == getattr(visit, column).tolist()
-        sent_ns, ids = frame.replies()
+        sent_ns, ids = _replies(frame)
         answered = visit.rtt_ns != LOST_RTT
         assert sent_ns.tolist() == visit.sent_ns[answered].tolist()
         assert ids.tolist() == visit.ipid[answered].tolist()
-    sent_ns, ids = frames[0].replies()  # probes 3, 4 and 17 were lost
+    sent_ns, ids = _replies(frames[0])  # probes 3, 4 and 17 were lost
     assert sent_ns[:4].tolist() == [5_000_000_000 + i * 30_000_000 for i in (0, 1, 2, 5)]
     assert ids[:4].tolist() == [60_000, 60_007, 60_014, 60_035]
     assert len(ids) == 37
