@@ -14,10 +14,11 @@ transport call (``send_run``) sends the whole slot. Before a slot sends,
 the loop collects every earlier slot whose last send is one reply timeout
 old by the slot's start: it waits for that time in the transport's
 ``sleep_until_ns``, which is where a real transport reads its replies,
-and passes each of the slot's visits, as one ``VisitFrame``, to the
-caller's ``emit`` function. ``plan_campaign`` pads each cycle so that a
-target's reply window closes by its next visit's start, so every visit
-is collected before its target is sent to again. Due times are fixed
+collects the slot's replies in one call (``end_run``), and passes each of
+its visits, as one ``VisitFrame``, to the caller's ``emit`` function.
+``plan_campaign`` pads each cycle so that a target's reply window closes
+by its next visit's start, so every visit is collected before its target
+is sent to again. Due times are fixed
 from the campaign's start. The transport sends no index before its due
 time and no target within one interval of its previous send, in this
 visit or its last one, so a late send delays only the sends that would
@@ -38,7 +39,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .store import LOST_RTT, MAX_RTT_NS, VisitFrame
-from .transport import EchoTransport, Replies, TransportError
+from .transport import NO_REPLY, EchoTransport, TransportError
 
 logger = logging.getLogger(__name__)
 
@@ -210,20 +211,23 @@ def run_campaign(
     # in a dwell), so sends and collections alike fall due in slot order.
     pending: deque[tuple[int, tuple[str, ...], np.ndarray]] = deque()
 
+    def collect(visit_targets: tuple[str, ...], sent: np.ndarray) -> None:
+        # a function, so that no frame outlives it to hold the slot's arrays
+        frames, losses = _slot_frames(visit_targets, sent, *transport.end_run(visit_targets, sent),
+                                      interval_ns, timeout_ns)
+        for frame, lost in zip(frames, losses):
+            emit(frame)
+            totals.visits_completed += 1
+            totals.probes_sent += count
+            totals.losses += lost
+            if lost < count:
+                answered.add(frame.target)
+
     def collect_until(t_ns: float) -> None:
         while pending and pending[0][0] <= t_ns:
             due_ns, visit_targets, sent = pending.popleft()
             transport.sleep_until_ns(due_ns)
-            for target, sent_ns in zip(visit_targets, sent):
-                visit = _visit_frame(target, sent_ns, transport.end_visit(target, sent_ns),
-                                     interval_ns, timeout_ns)
-                emit(visit)
-                losses = int(np.count_nonzero(visit.rtt_ns == LOST_RTT))
-                totals.visits_completed += 1
-                totals.probes_sent += count
-                totals.losses += losses
-                if losses < count:
-                    answered.add(target)
+            collect(visit_targets, sent)
 
     for slot, visit_targets in slots:
         first_ns = epoch_ns + slot * slot_ns
@@ -257,25 +261,32 @@ def _check_courtesy(targets: Sequence[str], sent_ns: np.ndarray, count: int,
                              f"after the one before, under the {interval_ns} ns interval")
 
 
-def _visit_frame(target: str, sent_ns: np.ndarray, replies: Replies,
-                 interval_ns: int, timeout_ns: int) -> VisitFrame:
-    """The visit whose probe ``i`` went out at ``sent_ns[i]``, from the
-    transport's reply columns. A reply later than the timeout, or to a
-    sequence number the visit did not send, counts as a loss; a reply
-    before its send or an ID outside 16 bits raises ``ValueError``."""
-    seq, recv_ns, ids = replies
-    rtt_ns = np.full(len(sent_ns), LOST_RTT, dtype=np.uint32)
-    ipid = np.zeros(len(sent_ns), dtype=np.uint16)
-    ours = (seq >= 0) & (seq < len(sent_ns))
-    seq, recv_ns, ids = seq[ours], recv_ns[ours], ids[ours]
-    rtt = recv_ns - sent_ns[seq]
-    if (rtt < 0).any():
-        raise ValueError(f"{target}: a reply arrived before its probe was sent")
-    timely = rtt <= timeout_ns
-    seq, rtt, ids = seq[timely], rtt[timely], ids[timely]
-    if ((ids < 0) | (ids > MAX_IPID)).any():
-        raise ValueError(f"{target}: an IP ID is not a 16-bit value")
-    rtt_ns[seq] = rtt
-    ipid[seq] = ids
-    return VisitFrame(target, int(sent_ns[0]), int(sent_ns[-1]) + interval_ns,
-                      sent_ns, rtt_ns, ipid)
+def _slot_frames(targets: Sequence[str], sent_ns: np.ndarray, recv_ns: np.ndarray,
+                 ip_id: np.ndarray, interval_ns: int,
+                 timeout_ns: int) -> tuple[list[VisitFrame], list[int]]:
+    """The visit to each ``targets[j]`` whose probe ``i`` went out at
+    ``sent_ns[j, i]``, from ``end_run``'s arrays of the slot, and the
+    number of probes each lost. A reply later than the timeout counts as a
+    loss; a reply before its send or an ID outside 16 bits raises
+    ``ValueError`` naming the first such target."""
+    if np.shape(recv_ns) != sent_ns.shape or np.shape(ip_id) != sent_ns.shape:
+        raise TransportError(f"the replies to visits of shape {sent_ns.shape} came back with "
+                             f"the shapes {np.shape(recv_ns)} and {np.shape(ip_id)}")
+    lost = recv_ns == NO_REPLY
+    rtt = np.subtract(recv_ns, sent_ns, out=recv_ns)  # in place: a slot's arrays are large
+    early = ((rtt < 0) & ~lost).any(axis=1)
+    lost |= rtt > timeout_ns
+    wide = (((ip_id < 0) | (ip_id > MAX_IPID)) & ~lost).any(axis=1)
+    if (early | wide).any():
+        row = int(np.argmax(early | wide))
+        raise ValueError(f"{targets[row]}: " + ("a reply arrived before its probe was sent"
+                                                if early[row] else
+                                                "an IP ID is not a 16-bit value"))
+    rtt[lost] = LOST_RTT
+    ipid = ip_id.astype(np.uint16, copy=False)
+    ipid[lost] = 0
+    frames = [VisitFrame(target, start_ns, end_ns, sent, rtts, ids)
+              for target, start_ns, end_ns, sent, rtts, ids in zip(
+                  targets, sent_ns[:, 0].tolist(), (sent_ns[:, -1] + interval_ns).tolist(),
+                  sent_ns, rtt.astype(np.uint32), ipid)]
+    return frames, np.count_nonzero(lost, axis=1).tolist()

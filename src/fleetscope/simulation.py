@@ -8,8 +8,10 @@ estimator has to cope with. The counter is integrated per 1 s bin of server
 time, not per echo, and is linear within a bin. Each bin an echo falls in
 draws one noise factor, and the whole bins between visits are one step with
 one factor; a step of width W has the std ``noise_rel * sqrt(30 ms / W)``.
-The transport hands each visit's exact mean rate of that counter to a
-truth destination so estimates can be judged against ground truth.
+The transport answers every visit of a slot in one call, with a few numpy
+passes over the slot's probes, and hands each visit's exact mean rate of
+that counter to a truth destination so estimates can be judged against
+ground truth.
 
 Every random draw (profile noise, random IDs, probe loss) is a splitmix64
 word keyed by what it is drawn for, so the simulator keeps no generator
@@ -34,7 +36,7 @@ import numpy as np
 from .ipid import IdBehavior
 from .names import DEFAULT_DOMAIN_SUFFIX, Wordlists, parse_server_name
 from .store import MAX_RTT_NS
-from .transport import Replies
+from .transport import NO_REPLY
 
 DAY_S = 86400.0
 # the responder draws one noise factor per bin of server time
@@ -55,6 +57,13 @@ _U11, _U27, _U30, _U31, _U48 = _U(11), _U(27), _U(30), _U(31), _U(48)
 _NOISE, _IDS, _LOSS = 1, 2, 3
 # a call with fewer noise steps hashes them one by one: numpy costs more
 _VECTOR_STEPS = 10
+# end_run answers a slot in chunks of whole visits of at most this many
+# probes, or of one visit if it is longer. The paper-shaped hour (156
+# visits of 2,000 probes a slot) peaked at 51.6-51.8 MB in chunks of 2,048
+# to 6,000 probes, at 51.7-54.6 MB in chunks of 8,192, at ~55 MB in
+# chunks of 16,384 and at ~81 MB a slot at a time (2 vCPUs, numpy 2.4).
+# A fleet-sweep slot (150 visits of 25) is one chunk.
+CHUNK_PROBES = 4_096
 _TAU = 2.0 * math.pi
 
 
@@ -93,28 +102,28 @@ def splitmix64(states: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return z ^ (z >> _U31)
 
 
-def _absorb_all(keys, words: np.ndarray) -> np.ndarray:
-    """``_absorb`` of each of ``words`` into ``keys`` (one uint64 or one
-    per word)."""
-    return splitmix64(words.astype(np.uint64) ^ keys, _U(1))
+def _absorb_all(keys, words) -> np.ndarray:
+    """``_absorb`` of each of ``words`` (an array, or one int) into ``keys``
+    (one uint64, or an array of one per word)."""
+    return splitmix64(np.asarray(words).astype(np.uint64) ^ keys, _U(1))
 
 
-def _step_normals(key: int, starts: list[int], ends: list[int]) -> list[float]:
+def _step_normals(keys: list[int], starts: list[int], ends: list[int]) -> list[float]:
     """The standard normal of each noise step from ``starts[i]`` to
-    ``ends[i]`` under the noise ``key``: Box-Muller of the top 53 bits of
-    words 1 and 2 of splitmix64 from ``_absorb(key, start) ^ end``, as
-    fractions u and v of 2**53. A call of many steps hashes them, and scales
-    u and v by exact float operations, as arrays; the transcendentals are
-    always those of ``math``, since numpy's can differ by an ulp across
-    CPUs."""
+    ``ends[i]`` under the noise key ``keys[i]``: Box-Muller of the top 53
+    bits of words 1 and 2 of splitmix64 from ``_absorb(key, start) ^ end``,
+    as fractions u and v of 2**53. A call of many steps hashes them, and
+    scales u and v by exact float operations, as arrays; the
+    transcendentals are always those of ``math``, since numpy's can differ
+    by an ulp across CPUs."""
     if len(starts) < _VECTOR_STEPS:
         tails, angles = [], []
-        for start, end in zip(starts, ends):
+        for key, start, end in zip(keys, starts, ends):
             state = _absorb(key, start) ^ end
             tails.append(1.0 - (_mix((state + _GAMMA) & _M64) >> 11) * 2.0**-53)
             angles.append(_TAU * ((_mix((state + 2 * _GAMMA) & _M64) >> 11) * 2.0**-53))
     else:
-        states = _absorb_all(_U(key), np.array(starts, dtype=np.uint64))
+        states = _absorb_all(np.array(keys, dtype=np.uint64), np.array(starts, dtype=np.uint64))
         states ^= np.array(ends, dtype=np.uint64)
         firsts, seconds = splitmix64(states, np.array([[1], [2]], dtype=np.uint64)) >> _U11
         tails = (1.0 - firsts * 2.0**-53).tolist()
@@ -184,7 +193,8 @@ class TrafficProfile:
 
 @dataclass(slots=True)  # a fleet holds thousands: no per-server __dict__
 class SimulatedServer:
-    """One responder: a name, an address, a profile and an ID counter."""
+    """One responder: a name, an address, a profile and an ID counter, whose
+    clock and counts ``SimulatedTransport.end_run`` moves."""
 
     name: str
     address: str
@@ -204,90 +214,6 @@ class SimulatedServer:
     _key: int = field(default=0, init=False, repr=False)
     # the arrival time of the last random ID, and the echoes served at it
     _last_arrival: tuple[int, int] | None = field(default=None, init=False, repr=False)
-
-    def advance(self, times_ns: Sequence[int]) -> np.ndarray:
-        """Integrate the profile up to each of the ascending ``times_ns`` in
-        turn: returns the background packet count at each, as float64.
-
-        The count is piecewise linear in time, with knots at 1 s bin edges.
-        Each bin a time falls in (or its part past the clock, for a clock
-        that no earlier call left inside a bin) is one noise step: its
-        factor is keyed by the step's start and end, drawn the first time a
-        call reaches into it and kept while later calls continue inside it.
-        A time on the start edge of a bin, where the step before it ends,
-        reads that step's end and opens no step. A span of whole bins that
-        no time falls in is one step with one draw. A step of width W has
-        the std ``noise_rel * sqrt(NOISE_STEP_NS / W)``, clipped so the
-        count never falls. So the counter depends on the times alone, not on
-        how they are split into calls or on what was drawn before; a fixed
-        seed and campaign replays identically. The clock never moves
-        backwards: a time behind it reads the count at the clock.
-        """
-        times = np.asarray(times_ns, dtype=np.int64)
-        if not len(times) or times[-1] <= self.time_ns:
-            return np.full(len(times), self.background_packets)
-        if self._open_step is None:  # no call has moved the clock yet
-            xs, ys = [self.time_ns], [self.background_packets]
-        else:
-            xs, ys = list(self._open_step[:2]), list(self._open_step[2:])
-        known = len(xs)
-        beyond = times[times > xs[-1]]
-        starts = np.unique(beyond // BIN_NS) * BIN_NS
-        edge_only = ()  # the bins whose times all sit on their start edge
-        if np.count_nonzero(beyond % BIN_NS) < len(beyond):
-            last = beyond[np.searchsorted(beyond, starts + BIN_NS) - 1]
-            edge_only = set(starts[last == starts].tolist())
-        for start in starts.tolist():
-            if start == xs[-1] and start in edge_only:
-                continue  # those times read the end of the step before, as a later call's would
-            if start > xs[-1]:
-                xs.append(start)  # the whole bins before this one: one step
-            xs.append(start + BIN_NS)
-        cumulative = self.profile._cumulative
-        noise_rel = self.profile.noise_rel
-        starts, ends = xs[known - 1:-1], xs[known:]
-        normals = (_step_normals(_absorb(self._key, _NOISE), starts, ends) if noise_rel > 0
-                   else [0.0] * len(starts))
-        before = cumulative(xs[known - 1] / 1e9)
-        for at, to, normal in zip(starts, ends, normals):
-            after = cumulative(to / 1e9)
-            factor = 1.0
-            if noise_rel > 0:
-                std = noise_rel * math.sqrt(NOISE_STEP_NS / (to - at))
-                factor = max(0.0, 1.0 + std * normal)
-            ys.append(ys[-1] + (after - before) * factor)
-            before = after
-        background = np.interp(np.maximum(times, self.time_ns), xs, ys)
-        self._open_step = (xs[-2], xs[-1], ys[-2], ys[-1])
-        self.background_packets = float(background[-1])
-        self.time_ns = int(times[-1])
-        return background
-
-    def reply_ids(self, arrivals: np.ndarray, background: np.ndarray) -> np.ndarray:
-        """The IP IDs (int64) of the replies to echoes arriving at the
-        ascending int64 times ``arrivals``, once ``advance`` has moved the
-        clock to each and read the counts ``background`` there; each reply
-        moves the counter by one.
-
-        A random ID is the top 16 bits of word n + 1 of splitmix64 from the
-        echo's arrival time absorbed into the server's ID key, where n
-        counts the echoes served at that time before it, in this call or
-        the one before."""
-        count = len(arrivals)
-        if self.id_behavior is IdBehavior.GLOBAL_COUNTER:
-            # int() of each count, plus the replies served before it
-            ids = (background.astype(np.int64) + self.reply_packets + np.arange(count)) & 0xFFFF
-        elif self.id_behavior is IdBehavior.RANDOM and count:
-            nth = np.arange(count) - np.searchsorted(arrivals, arrivals)
-            if self._last_arrival is not None and self._last_arrival[0] == arrivals[0]:
-                nth[arrivals == arrivals[0]] += self._last_arrival[1]
-            self._last_arrival = (int(arrivals[-1]), int(nth[-1]) + 1)
-            states = _absorb_all(_U(_absorb(self._key, _IDS)), arrivals)
-            ids = (splitmix64(states, (nth + 1).astype(np.uint64)) >> _U48).astype(np.int64)
-        else:  # a constant ID, or no reply at all
-            ids = np.full(count, self.constant_id, dtype=np.int64)
-        self.reply_packets += count
-        return ids
 
 
 class SimulatedFleet:
@@ -438,9 +364,9 @@ class SimulatedTransport:
     first send to the last serve, the span over which the counter moved.
 
     A send takes no time, so ``send_run`` only computes the send times and
-    moves the clock to the last. ``end_visit`` draws the visit's losses,
-    advances the responder to its first send and each delivered echo's
-    arrival in one call, and reads the replies: nothing else touches a
+    moves the clock to the last. ``end_run`` draws the slot's losses, moves
+    each responder to its visit's first send, each delivered echo's arrival
+    and its last send, and reads the replies: nothing else touches a
     responder while one of its visits is open, so its replies are those it
     would have given as each echo arrived. Send ``seq`` is lost when the top
     53 bits of word ``seq + 1`` of splitmix64 from the visit's first send
@@ -454,6 +380,8 @@ class SimulatedTransport:
 
     def __init__(self, fleet: SimulatedFleet, loss_rate: float = 0.0,
                  truth: Callable[[tuple[str, int, int, float]], None] | None = None):
+        if not 0.0 <= loss_rate <= 1.0:  # NaN compares false
+            raise ValueError(f"loss_rate must be a number from 0 to 1, not {loss_rate!r}")
         self.fleet = fleet
         self.loss_rate = loss_rate
         self.truth = truth
@@ -488,28 +416,202 @@ class SimulatedTransport:
         self._now_ns = int(sent_ns[-1, -1])
         return sent_ns
 
-    def end_visit(self, target: str, sent_ns: np.ndarray) -> Replies:
-        server = self.fleet.by_address.get(target)
-        if server is None or not server.reachable:
-            none = np.zeros(0, dtype=np.int64)
-            return none, none, none
-        # Python ints keep the responder's clock and the truth row's repr exact
-        start_ns, end_ns = int(sent_ns[0]), int(sent_ns[-1])
-        seq = np.arange(len(sent_ns), dtype=np.int64)
+    def end_run(self, targets: Sequence[str],
+                sent_ns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The replies to a slot's visits, one target each, in chunks of at
+        most ``CHUNK_PROBES`` probes; an unknown or unreachable target hears
+        none and has no truth window."""
+        recv_ns = np.full(sent_ns.shape, NO_REPLY, dtype=np.int64)
+        ip_id = np.zeros(sent_ns.shape, dtype=np.uint16)  # a slot's IDs, 2 bytes each
+        servers = [self.fleet.by_address.get(target) for target in targets]
+        rows = [row for row, server in enumerate(servers)
+                if server is not None and server.reachable]
+        step = max(1, CHUNK_PROBES // sent_ns.shape[1])
+        for at in range(0, len(rows), step):
+            chunk = rows[at:at + step]
+            recv_ns[chunk], ip_id[chunk] = self._answer([servers[row] for row in chunk],
+                                                        sent_ns[chunk])
+        return recv_ns, ip_id
+
+    def _answer(self, servers: list[SimulatedServer],
+                sent: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``end_run`` of the visits to ``servers``, sent at the rows of ``sent``.
+
+        Each visit reads its responder's background count at its first
+        send, at each delivered echo's arrival and at its last send, in
+        that order; a read behind the responder's clock reads the count at
+        the clock, and the clock never moves backwards. The count is
+        piecewise linear in time, with knots at 1 s bin edges. Each bin a
+        read falls in (or its part past the clock, for a clock that no
+        earlier read left inside a bin) is one noise step: its factor is
+        keyed by the step's start and end, drawn the first time a read
+        reaches into it and kept while later reads continue inside it. A
+        read on the start edge of a bin, where the step before it ends,
+        reads that step's end and opens no step. A span of whole bins that
+        no read falls in is one step with one draw. A step of width W has
+        the std ``noise_rel * sqrt(NOISE_STEP_NS / W)``, clipped so the
+        count never falls. So the counter depends on the read times alone,
+        not on how they are split into visits or slots or on what was drawn
+        before; a fixed seed and campaign replays identically.
+
+        A reply's ID is the counter (the count plus the replies served
+        before) mod 65536 for a global counter, the constant for a
+        constant one, and for a random one the top 16 bits of word n + 1
+        of splitmix64 from the echo's arrival time absorbed into the
+        server's ID key, where n counts the echoes served at that time
+        before it, in this visit or the one before.
+        """
+        visits, count = sent.shape
+        starts, ends = sent[:, 0], sent[:, -1]
+        keys = np.array([server._key for server in servers], dtype=np.uint64)
+        rtt = np.array([server.rtt_ns for server in servers], dtype=np.int64)[:, None]
+        arrivals = sent + rtt // 2
         if self.loss_rate:
-            state = _absorb(_absorb(server._key, _LOSS), start_ns)
-            words = splitmix64(_U(state), (seq + 1).astype(np.uint64))
-            seq = seq[words >> _U11 >= _U(math.ceil(self.loss_rate * 2**53))]
-        delivered = sent_ns[seq]
-        arrivals = delivered + server.rtt_ns // 2
-        # one advance to the first send and each arrival, as two would read
-        background = server.advance(np.concatenate(([start_ns], arrivals)))
-        start_packets = float(background[0])
-        ip_id = server.reply_ids(arrivals, background[1:])
-        if end_ns > start_ns:
-            server.advance([end_ns])
-            # the counter moved up to the last serve, half an RTT past the last send
-            pps = (server.background_packets - start_packets) / ((server.time_ns - start_ns) / 1e9)
-            if self.truth is not None:
-                self.truth((target, start_ns, end_ns, pps))
-        return seq, delivered + server.rtt_ns, ip_id
+            states = _absorb_all(_absorb_all(keys, _LOSS), starts)
+            words = splitmix64(states[:, None], np.arange(1, count + 1, dtype=np.uint64))
+            delivered = words >> _U11 >= _U(math.ceil(self.loss_rate * 2**53))
+            # the last send, or the last delivered arrival past it
+            last = np.maximum(ends, np.where(delivered, arrivals, starts[:, None]).max(axis=1))
+        else:
+            delivered = np.ones(sent.shape, dtype=bool)
+            last = arrivals[:, -1]
+        # each visit's reads in order: its first send, its delivered
+        # arrivals, then its last send, raised to the arrival before it
+        reads = np.concatenate((starts[:, None], arrivals, last[:, None]), axis=1)
+        kept = np.ones(reads.shape, dtype=bool)
+        kept[:, 1:-1] = delivered
+        served = np.count_nonzero(delivered, axis=1)
+        bounds = np.zeros(visits + 1, dtype=np.int64)
+        # not np.cumsum, whose traced cache varies from call to call
+        bounds[1:] = np.add.accumulate(served + 2)
+        clocks = np.array([server.time_ns for server in servers], dtype=np.int64)
+        times = np.maximum(reads[kept], np.repeat(clocks, served + 2))
+
+        # the reads of each visit grouped by the bin they fall in, and the
+        # groups that reach past the end of the step that holds the clock
+        bins = times // BIN_NS * BIN_NS
+        first = np.ones(len(times), dtype=bool)
+        first[1:] = bins[1:] != bins[:-1]
+        first[bounds[:-1]] = True
+        firsts = np.flatnonzero(first)
+        lasts = times[np.append(firsts[1:], len(times)) - 1]
+        owners = np.repeat(np.arange(visits), np.diff(np.searchsorted(firsts, bounds)))
+        reach = np.array([server.time_ns if server._open_step is None else server._open_step[1]
+                          for server in servers], dtype=np.int64)
+        beyond = lasts > reach[owners]
+        group_starts = bins[firsts][beyond].tolist()
+        # the groups whose reads all sit on the start edge of their bin
+        edges = (lasts == bins[firsts])[beyond].tolist()
+        group_bounds = np.searchsorted(owners[beyond], np.arange(visits + 1)).tolist()
+
+        # each visit's knots: those of the step that holds the clock, then
+        # those its reads reach
+        knots = []
+        noise_keys = _absorb_all(keys, _NOISE).tolist()
+        step_keys, step_starts, step_ends = [], [], []
+        for visit, server in enumerate(servers):
+            step = server._open_step
+            xs = [server.time_ns] if step is None else [step[0], step[1]]
+            known = len(xs)
+            for at in range(group_bounds[visit], group_bounds[visit + 1]):
+                start = group_starts[at]
+                if start == xs[-1] and edges[at]:
+                    continue  # those reads end the step before, as a later visit's would
+                if start > xs[-1]:
+                    xs.append(start)  # the whole bins before this one: one step
+                xs.append(start + BIN_NS)
+            knots.append(xs)
+            if server.profile.noise_rel > 0 and len(xs) > known:
+                step_keys += [noise_keys[visit]] * (len(xs) - known)
+                step_starts += xs[known - 1:-1]
+                step_ends += xs[known:]
+        normals = iter(_step_normals(step_keys, step_starts, step_ends))
+
+        background = np.empty(len(times))
+        moved = (times[bounds[1:] - 1] > clocks).tolist()
+        arriving = np.ones(len(times), dtype=bool)
+        arriving[bounds[:-1]] = False
+        arriving[bounds[1:] - 1] = False
+        bounds = bounds.tolist()
+        for visit, (server, xs) in enumerate(zip(servers, knots)):
+            low, high = bounds[visit], bounds[visit + 1]
+            if not moved[visit]:
+                background[low:high] = server.background_packets
+                continue
+            step = server._open_step
+            ys = [server.background_packets] if step is None else [step[2], step[3]]
+            known = len(ys)
+            cumulative = server.profile._cumulative
+            noise_rel = server.profile.noise_rel
+            before = cumulative(xs[known - 1] / 1e9)
+            for at, to in zip(xs[known - 1:-1], xs[known:]):
+                after = cumulative(to / 1e9)
+                factor = 1.0
+                if noise_rel > 0:
+                    std = noise_rel * math.sqrt(NOISE_STEP_NS / (to - at))
+                    factor = max(0.0, 1.0 + std * next(normals))
+                ys.append(ys[-1] + (after - before) * factor)
+                before = after
+            background[low:high] = np.interp(times[low:high], xs, ys)
+            server._open_step = (xs[-2], xs[-1], ys[-2], ys[-1])
+            server.background_packets = float(background[high - 1])
+            server.time_ns = int(times[high - 1])
+
+        if self.truth is not None:
+            for server, start_ns, end_ns, low in zip(servers, starts.tolist(), ends.tolist(),
+                                                     bounds):
+                if end_ns > start_ns:
+                    # the counter moved up to the last serve, half an RTT past the last send
+                    pps = ((server.background_packets - float(background[low]))
+                           / ((server.time_ns - start_ns) / 1e9))
+                    self.truth((server.address, start_ns, end_ns, pps))
+        recv_ns = np.full(sent.shape, NO_REPLY, dtype=np.int64)
+        recv_ns[delivered] = (sent + rtt)[delivered]
+        ip_id = np.zeros(sent.shape, dtype=np.uint16)
+        ip_id[delivered] = _reply_ids(servers, served, arrivals[delivered], background[arriving])
+        return recv_ns, ip_id
+
+
+def _reply_ids(servers: list[SimulatedServer], served: np.ndarray, arrivals: np.ndarray,
+               counts: np.ndarray) -> np.ndarray:
+    """The IP IDs (int64) of the replies ``servers[v]`` serves to the next
+    ``served[v]`` of the echoes arriving at ``arrivals``, where the count
+    reads ``counts``; each reply moves the counter by one."""
+    offsets = np.zeros(len(servers) + 1, dtype=np.int64)
+    offsets[1:] = np.add.accumulate(served)
+    behaviors = [server.id_behavior for server in servers]
+    # int() of each count, plus the replies served before it
+    replies = np.array([server.reply_packets for server in servers], dtype=np.int64)
+    ids = (counts.astype(np.int64) + np.repeat(replies - offsets[:-1], served)
+           + np.arange(len(arrivals))) & 0xFFFF
+    constant = np.repeat([behavior is IdBehavior.CONSTANT_OR_PERFLOW for behavior in behaviors],
+                         served)
+    ids[constant] = np.repeat([server.constant_id for server in servers], served)[constant]
+    randoms = [visit for visit, behavior in enumerate(behaviors)
+               if behavior is IdBehavior.RANDOM and served[visit]]
+    if randoms:
+        random = np.repeat([behavior is IdBehavior.RANDOM for behavior in behaviors], served)
+        at, sizes = arrivals[random], served[randoms]
+        heads = np.zeros(len(randoms), dtype=np.int64)
+        heads[1:] = np.add.accumulate(sizes[:-1])
+        # n: the place of each echo among those of its visit arriving at its time
+        run = np.ones(len(at), dtype=bool)
+        run[1:] = at[1:] != at[:-1]
+        run[heads] = True
+        place = np.arange(len(at))
+        nth = place - np.maximum.accumulate(np.where(run, place, 0))
+        # those arriving when the visit before ended come after its last echoes
+        carried = []
+        for visit, first in zip(randoms, at[heads].tolist()):
+            last = servers[visit]._last_arrival
+            carried.append(last[1] if last is not None and last[0] == first else 0)
+        nth += np.repeat(carried, sizes) * (at == np.repeat(at[heads], sizes))
+        id_keys = _absorb_all(np.array([servers[visit]._key for visit in randoms],
+                                       dtype=np.uint64), _IDS)
+        states = _absorb_all(np.repeat(id_keys, sizes), at)
+        ids[random] = (splitmix64(states, (nth + 1).astype(np.uint64)) >> _U48).astype(np.int64)
+        for visit, end in zip(randoms, (heads + sizes - 1).tolist()):
+            servers[visit]._last_arrival = (int(at[end]), int(nth[end]) + 1)
+    for server, count in zip(servers, served.tolist()):
+        server.reply_packets += count
+    return ids

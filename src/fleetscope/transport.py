@@ -5,15 +5,15 @@ CAP_NET_RAW or root) and the in-process simulated transport in
 ``simulation`` (no privilege, virtual time). Both satisfy ``EchoTransport``
 structurally; the prober never imports a concrete transport, and runs its
 one event loop against either. The contract is four calls: a clock, a
-wait, one call that sends a slot's visits, and one collection per visit.
+wait, one call that sends a slot's visits, and one collection per slot.
 ``send_run`` sends every probe of a slot's visits in one call and returns
 the send times as an int64 array; the raw transport sends them one by
-one, the simulated one computes them in one numpy pass. A visit closes
-when its replies are collected, which come back as three int64 columns
-``(seq, recv_ns, ip_id)``, the format the prober stores. Only
-``sleep_until_ns`` and ``send_run`` wait for time to pass, and no
-transport starts a thread: the raw transport reads replies while it
-waits in them.
+one, the simulated one computes them in one numpy pass. The slot's visits
+close when ``end_run`` collects their replies, which come back as two
+arrays shaped like the send times: each reply's receive time (int64), or
+``NO_REPLY``, and its IP ID. Only ``sleep_until_ns`` and ``send_run``
+wait for time to pass, and no transport starts a thread: the raw
+transport reads replies while it waits in them.
 """
 
 from __future__ import annotations
@@ -36,19 +36,26 @@ class TransportError(Exception):
     """Socket or privilege failure while probing."""
 
 
-# a visit's replies as int64 columns (seq, recv_ns, ip_id)
-Replies = tuple[np.ndarray, np.ndarray, np.ndarray]
+# the receive time ``end_run`` gives a probe that no reply answered
+NO_REPLY = -1
 
 
-def reply_columns(replies: dict[int, tuple[int, int]]) -> Replies:
-    """``{seq: (recv_ns, ip_id)}`` as ``Replies``."""
-    seq = np.fromiter(replies, np.int64, len(replies))
-    recv_ns, ip_id = np.array(list(replies.values()), dtype=np.int64).reshape(-1, 2).T
-    return seq, recv_ns, ip_id
+def reply_arrays(replies: Sequence[dict[int, tuple[int, int]]],
+                 count: int) -> tuple[np.ndarray, np.ndarray]:
+    """The ``{seq: (recv_ns, ip_id)}`` replies of each of a slot's visits of
+    ``count`` probes as ``end_run``'s arrays; a sequence number the visit
+    did not send is dropped."""
+    recv_ns = np.full((len(replies), count), NO_REPLY, dtype=np.int64)
+    ip_id = np.zeros((len(replies), count), dtype=np.int64)
+    for row, heard in enumerate(replies):
+        for seq, (recv, ident) in heard.items():
+            if 0 <= seq < count:
+                recv_ns[row, seq], ip_id[row, seq] = recv, ident
+    return recv_ns, ip_id
 
 
 class EchoTransport(Protocol):
-    """What the prober needs: a clock, a wait, a slot's sends, and collection.
+    """What the prober needs: a clock, a wait, a slot's sends, and its collection.
 
     ``send_run(targets, first_ns, interval_ns, count, not_before_ns)``
     opens a visit to every target and sends its probe indices ``0`` to
@@ -60,14 +67,16 @@ class EchoTransport(Protocol):
     returns the send times as an int64 array of shape
     ``len(targets) x count``.
 
-    ``end_visit(target, sent_ns)`` is called once the reply timeout after
-    the visit's last send has passed, with the send times ``send_run``
-    returned for the visit as one int64 array (``sent_ns[seq]`` for echo
-    ``seq``). Without waiting, it closes the visit and returns the replies
-    heard as ``Replies``: one row per reply, at most one per sequence
-    number, in any order. A transport that hears real replies may ignore
-    ``sent_ns``. Visits of different targets overlap; visits of one
-    target do not.
+    ``end_run(targets, sent_ns)`` is called once the reply timeout after
+    the slot's last send has passed, with the targets and the send times of
+    one ``send_run`` call (``sent_ns[j, seq]`` for echo ``seq`` to
+    ``targets[j]``). Without waiting, it closes the slot's visits and
+    returns the replies heard as two arrays shaped like ``sent_ns``: the
+    receive time of the reply to each echo as an int64, or ``NO_REPLY``,
+    and its IP ID, of any integer dtype. The caller owns both arrays. A
+    transport that hears real replies may ignore ``sent_ns`` but its
+    shape. Visits of different targets overlap; visits of one target do
+    not.
     """
 
     def now_ns(self) -> int: ...
@@ -77,7 +86,8 @@ class EchoTransport(Protocol):
     def send_run(self, targets: Sequence[str], first_ns: int, interval_ns: int, count: int,
                  not_before_ns: np.ndarray) -> np.ndarray: ...
 
-    def end_visit(self, target: str, sent_ns: np.ndarray) -> Replies: ...
+    def end_run(self, targets: Sequence[str],
+                sent_ns: np.ndarray) -> tuple[np.ndarray, np.ndarray]: ...
 
 
 def icmp_checksum(data: bytes) -> int:
@@ -217,8 +227,10 @@ class RawIcmpTransport:
             sent_ns[:, seq] = last_ns
         return sent_ns
 
-    def end_visit(self, target: str, sent_ns: np.ndarray) -> Replies:
-        return reply_columns(self._pending.pop(target, {}))
+    def end_run(self, targets: Sequence[str],
+                sent_ns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        return reply_arrays([self._pending.pop(target, {}) for target in targets],
+                            sent_ns.shape[1])
 
     def close(self) -> None:
         self._sock.close()

@@ -12,8 +12,10 @@ from fleetscope.discovery import ServerRecord
 from fleetscope.ipid import IdBehavior
 from fleetscope.names import parse_server_name
 from fleetscope.probe import CampaignParams, run_campaign
-from fleetscope.simulation import SimulatedFleet, SimulatedServer, TrafficProfile
+from fleetscope.simulation import (SimulatedFleet, SimulatedServer, SimulatedTransport,
+                                   TrafficProfile)
 from fleetscope.store import VisitFrame
+from fleetscope.transport import NO_REPLY
 
 
 def make_hostname(
@@ -112,15 +114,36 @@ def one_visit(address: str, interval_s: float, dwell_s: float, transport) -> Vis
     return visit
 
 
-def serve_visit(server: SimulatedServer, at_ns) -> np.ndarray:
+def serve_visit(fleet: SimulatedFleet, server: SimulatedServer, at_ns) -> np.ndarray:
     """The IDs of ``server``'s replies to echoes arriving at the ascending
-    times ``at_ns``: ``advance`` to each, then ``reply_ids``."""
-    return server.reply_ids(np.asarray(at_ns, dtype=np.int64), server.advance(at_ns))
+    times ``at_ns``: one lossless ``end_run`` of a visit sent half an RTT
+    before them, which also reads the count at its first and last sends.
+    No times are no visit."""
+    if not len(at_ns):
+        return np.zeros(0, dtype=np.int64)
+    sent_ns = np.asarray(at_ns, dtype=np.int64)[None, :] - server.rtt_ns // 2
+    return SimulatedTransport(fleet).end_run([server.address], sent_ns)[1][0]
 
 
-def reply_dict(columns) -> dict[int, tuple[int, int]]:
-    """The reply columns ``end_visit`` returns as ``{seq: (recv_ns, ip_id)}``."""
-    seq, recv_ns, ip_id = (column.tolist() for column in columns)
+def advance(fleet: SimulatedFleet, server: SimulatedServer, to_ns: int) -> float:
+    """Move ``server``'s clock to ``to_ns`` as a visit of one lost echo sent
+    then reads it, and return the count there: at the clock, for a time
+    behind it."""
+    SimulatedTransport(fleet, loss_rate=1.0).end_run([server.address], np.array([[to_ns]]))
+    return server.background_packets
+
+
+def reply_columns(replies, row: int = 0) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Row ``row`` of ``end_run``'s arrays as int64 columns ``(seq, recv_ns,
+    ip_id)`` of the replies heard."""
+    recv_ns, ip_id = replies
+    seq = np.flatnonzero(recv_ns[row] != NO_REPLY)
+    return seq, recv_ns[row][seq], ip_id[row][seq].astype(np.int64)
+
+
+def reply_dict(replies, row: int = 0) -> dict[int, tuple[int, int]]:
+    """Row ``row`` of ``end_run``'s arrays as ``{seq: (recv_ns, ip_id)}``."""
+    seq, recv_ns, ip_id = (column.tolist() for column in reply_columns(replies, row))
     return dict(zip(seq, zip(recv_ns, ip_id)))
 
 

@@ -1,16 +1,16 @@
-"""Reference responder and sender: the bin model of
-``SimulatedServer.advance``, the per-visit ``SimulatedTransport.end_visit``
-and the numpy ``send_run`` of the transports, evaluated one echo at a time,
-kept so property tests can compare the two.
+"""Reference responder and sender: the bin model and the per-slot
+``SimulatedTransport.end_run`` of the simulator, and the numpy ``send_run``
+of the transports, evaluated one echo at a time, kept so property tests can
+compare the two.
 
 ``advance_to`` moves a server's clock to one time through the 1 s bins,
 drawing each step's noise as the walk first reaches it, ``serve_echo``
 answers one echo after such a move, and ``ScalarTransport`` draws each
 echo's loss as it is sent, keeps the delivered ones, and serves them one
-by one when the visit ends. The transport keeps the open-visit table the
-fleet once kept for its truth windows, hands each window's rate to its
-``truth`` destination, and returns its replies in the reply dict
-transports once returned. ``send_run_per_send`` is the per-send loop a
+by one, visit by visit, when the slot ends. The transport keeps the
+open-visit table the fleet once kept for its truth windows, hands each
+window's rate to its ``truth`` destination, and fills its reply arrays
+one reply at a time. ``send_run_per_send`` is the per-send loop a
 ``send_run`` stands for; ``PerSendRuns`` gives a fake transport that loop
 over its own ``_send_echo``.
 
@@ -171,8 +171,8 @@ class ScalarTransport(PerSendRuns):
     advances the responder, opens its truth window and starts its loss
     generator from the send time extending the target's loss key, a send
     is lost when the generator's next uniform is below the loss rate or
-    else remembered, and ``end_visit`` serves each delivered echo and
-    returns the replies as ``{seq: (recv_ns, ip_id)}``."""
+    else remembered, and ``end_run`` serves each delivered echo of each
+    target in turn and returns the replies as ``end_run``'s arrays."""
 
     def __init__(self, fleet: SimulatedFleet, loss_rate: float = 0.0, truth=None):
         self.fleet = fleet
@@ -205,7 +205,15 @@ class ScalarTransport(PerSendRuns):
             self._pending.setdefault(target, {})[seq] = sent_ns
         return sent_ns
 
-    def end_visit(self, target: str, sent_ns: list[int]) -> dict[int, tuple[int, int]]:
+    def end_run(self, targets, sent_ns) -> tuple[np.ndarray, np.ndarray]:
+        recv_ns = np.full(np.shape(sent_ns), -1, dtype=np.int64)
+        ip_id = np.zeros(np.shape(sent_ns), dtype=np.int64)
+        for row, (target, sent) in enumerate(zip(targets, np.asarray(sent_ns).tolist())):
+            for seq, (recv, ipid) in self._end_visit(target, sent).items():
+                recv_ns[row, seq], ip_id[row, seq] = recv, ipid
+        return recv_ns, ip_id
+
+    def _end_visit(self, target: str, sent_ns: list[int]) -> dict[int, tuple[int, int]]:
         replies = {}
         server = self.fleet.by_address.get(target)
         for seq, sent in self._pending.pop(target, {}).items():

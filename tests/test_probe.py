@@ -29,7 +29,7 @@ from fleetscope.transport import (
     build_echo_request,
     icmp_checksum,
     parse_echo_reply,
-    reply_columns,
+    reply_arrays,
 )
 
 from conftest import make_fleet, make_server, public_methods, reply_dict
@@ -176,8 +176,8 @@ def test_probe_target_pacing_is_exact_under_virtual_clock():
 
 
 class ScriptedTransport(PerSendRuns):
-    """Virtual clock whose ``end_visit`` returns the columns of the
-    ``{seq: (recv_ns, ip_id)}`` dict ``replies(send times)``."""
+    """Virtual clock whose ``end_run`` returns the arrays of the
+    ``{seq: (recv_ns, ip_id)}`` dict ``replies(send times)`` of each visit."""
 
     def __init__(self, replies):
         self.replies = replies
@@ -192,8 +192,8 @@ class ScriptedTransport(PerSendRuns):
     def _send_echo(self, target: str, seq: int) -> int:
         return self.clock_ns
 
-    def end_visit(self, target: str, sent_ns: np.ndarray):
-        return reply_columns(self.replies(sent_ns))
+    def end_run(self, targets, sent_ns: np.ndarray):
+        return reply_arrays([self.replies(sent) for sent in sent_ns], sent_ns.shape[1])
 
 
 def _one_visit(replies):
@@ -230,6 +230,87 @@ def test_replies_to_unsent_probes_and_late_replies_count_as_lost():
     assert summary.losses == 1
     assert visit.rtt_ns.tolist() == [1_000] * 2 + [LOST_RTT] + [1_000] * 7
     assert visit.ipid.tolist() == [0, 1, 0, 3, 4, 5, 6, 7, 8, 9]
+
+
+class TargetScriptedTransport(ScriptedTransport):
+    """``ScriptedTransport`` whose ``replies(target, send times)`` also
+    gets each visit's target."""
+
+    def end_run(self, targets, sent_ns: np.ndarray):
+        return reply_arrays([self.replies(target, sent) for target, sent in zip(targets, sent_ns)],
+                            sent_ns.shape[1])
+
+
+_SLOT = tuple(f"198.18.0.{i + 1}" for i in range(3))
+
+
+def _one_slot(replies):
+    """One slot of three visits of ten probes (1 s timeout) against
+    ``TargetScriptedTransport(replies)``: the summary and each target's frame."""
+    params = CampaignParams(probe_interval_s=0.03, dwell_s=0.3, workers=3, total_duration_s=0.3,
+                            max_visits_per_hour=None)
+    visits = []
+    summary = run_campaign(_SLOT, params, TargetScriptedTransport(replies), visits.append)
+    return summary, {visit.target: visit for visit in visits}
+
+
+@pytest.mark.parametrize("bad, error", [
+    (lambda sent: {3: (sent[3] - 1, 3)}, "a reply arrived before its probe was sent"),
+    (lambda sent: {4: (sent[4] + 1_000, 70_000)}, "an IP ID is not a 16-bit value"),
+    (lambda sent: {4: (sent[4] + 1_000, -1)}, "an IP ID is not a 16-bit value"),
+], ids=["reply_before_send", "id_above_16_bits", "negative_id"])
+def test_a_bad_reply_in_a_slot_is_refused_naming_its_target(bad, error):
+    # every visit answers every probe; one target also sends the bad reply
+    for target in _SLOT:
+        def replies(visit_target, sent):
+            return _answer_all(sent) | (bad(sent) if visit_target == target else {})
+
+        with pytest.raises(ValueError) as raised:
+            _one_slot(replies)
+        assert str(raised.value) == f"{target}: {error}"
+    # with every target's reply bad, the first visit of the slot is named
+    first = plan_campaign(_SLOT, CampaignParams(workers=3)).slots[0][0]
+    with pytest.raises(ValueError, match=f"^{first}: "):
+        _one_slot(lambda visit_target, sent: _answer_all(sent) | bad(sent))
+
+
+def test_late_replies_and_replies_to_unsent_probes_in_a_slot_count_as_lost():
+    # the first target's probe 2 is answered one ns after the 1 s timeout,
+    # with an impossible ID, and its probe 3 right at it; the second hears
+    # replies only to sequence numbers it did not send
+    def replies(target, sent):
+        if target == _SLOT[0]:
+            return _answer_all(sent) | {2: (sent[2] + 1_000_000_001, 70_000),
+                                        3: (sent[3] + 1_000_000_000, 3)}
+        if target == _SLOT[1]:
+            return {-1: (sent[0] + 1_000, 1), 10: (sent[9] + 1_000, 1), 65_535: (0, 70_000)}
+        return _answer_all(sent)
+
+    summary, visits = _one_slot(replies)
+    assert summary.losses == 11
+    assert visits[_SLOT[0]].rtt_ns.tolist() == [1_000] * 2 + [LOST_RTT, 1_000_000_000] + [1_000] * 6
+    assert visits[_SLOT[0]].ipid.tolist() == [0, 1, 0, 3, 4, 5, 6, 7, 8, 9]
+    assert (visits[_SLOT[1]].rtt_ns == LOST_RTT).all() and not visits[_SLOT[1]].ipid.any()
+    assert visits[_SLOT[2]].rtt_ns.tolist() == [1_000] * 10
+    assert summary.unreachable == (_SLOT[1],)
+
+
+class OneRowTransport(TargetScriptedTransport):
+    """``TargetScriptedTransport`` whose ``end_run`` returns the first row only."""
+
+    def end_run(self, targets, sent_ns: np.ndarray):
+        recv_ns, ip_id = super().end_run(targets, sent_ns)
+        return recv_ns[:1], ip_id[:1]
+
+
+def test_replies_of_another_shape_than_the_sends_are_refused():
+    # one row would broadcast over the slot's three visits
+    params = CampaignParams(probe_interval_s=0.03, dwell_s=0.3, workers=3, total_duration_s=0.3,
+                            max_visits_per_hour=None)
+    transport = OneRowTransport(lambda target, sent: _answer_all(sent))
+    with pytest.raises(TransportError, match=r"^the replies to visits of shape \(3, 10\) came "
+                                             r"back with the shapes \(1, 10\) and \(1, 10\)$"):
+        run_campaign(_SLOT, params, transport, [].append)
 
 
 def test_run_campaign_reachability_partition():
@@ -314,8 +395,9 @@ class RealTimeCounterTransport(PerSendRuns):
         self._pending.setdefault(target, {})[seq] = (sent + 1000, self.counter & 0xFFFF)
         return sent
 
-    def end_visit(self, target: str, sent_ns: np.ndarray):
-        return reply_columns(self._pending.pop(target, {}))
+    def end_run(self, targets, sent_ns: np.ndarray):
+        return reply_arrays([self._pending.pop(target, {}) for target in targets],
+                            sent_ns.shape[1])
 
 
 def test_run_campaign_with_a_real_clock():
@@ -538,9 +620,10 @@ class LoggingTransport(ScriptedTransport):
         self.log.append(("send", target, self.clock_ns, self.runs[-1]))
         return super()._send_echo(target, seq)
 
-    def end_visit(self, target: str, sent_ns: np.ndarray):
-        self.log.append(("end", target, self.clock_ns, sent_ns.tolist()))
-        return super().end_visit(target, sent_ns)
+    def end_run(self, targets, sent_ns: np.ndarray):
+        for target, sent in zip(targets, sent_ns.tolist()):
+            self.log.append(("end", target, self.clock_ns, sent))
+        return super().end_run(targets, sent_ns)
 
 
 def _check_collections_come_before_the_next_slot(log, frames, timeout_ns):
@@ -620,10 +703,11 @@ _OUTSIDE_THE_PROTOCOL = {RawIcmpTransport: {"close"}}
 
 
 @pytest.mark.parametrize("cls", [RawIcmpTransport, SimulatedTransport, ScalarTransport,
-                                 ScriptedTransport, RealTimeCounterTransport, StallingTransport,
+                                 ScriptedTransport, TargetScriptedTransport, OneRowTransport,
+                                 RealTimeCounterTransport, StallingTransport,
                                  VirtualStallingTransport, LoggingTransport, ShortGapTransport])
 def test_every_transport_defines_exactly_the_protocol(cls):
-    assert public_methods(EchoTransport) == {"now_ns", "sleep_until_ns", "send_run", "end_visit"}
+    assert public_methods(EchoTransport) == {"now_ns", "sleep_until_ns", "send_run", "end_run"}
     extra = _OUTSIDE_THE_PROTOCOL.get(cls, set())
     assert public_methods(cls) - extra == public_methods(EchoTransport)
 
@@ -756,7 +840,7 @@ def test_raw_transport_reads_replies_that_arrive_while_it_waits(monkeypatch):
     replier.join(timeout=5)
     assert not replier.is_alive()
     assert raw.now_ns() >= deadline_ns
-    replies = reply_dict(raw.end_visit("192.0.2.1", np.array(sent, dtype=np.int64)))
+    replies = reply_dict(raw.end_run(["192.0.2.1"], sent[None, :]))
     assert {seq: ip_id for seq, (_, ip_id) in replies.items()} == {0: 100, 1: 101}
     # stamped as they were read, during the wait, not when it ended
     assert all(written_ns[0] <= recv_ns < deadline_ns for recv_ns, _ in replies.values())
@@ -778,12 +862,12 @@ def test_raw_transport_keeps_only_first_replies_to_its_open_visits(monkeypatch):
     ):
         fake.peer.send(packet)
     raw.sleep_until_ns(raw.now_ns() + 20_000_000)
-    replies = reply_dict(raw.end_visit("192.0.2.1", np.array(sent, dtype=np.int64)))
+    replies = reply_dict(raw.end_run(["192.0.2.1"], sent[None, :]))
     assert {seq: ip_id for seq, (_, ip_id) in replies.items()} == {0: 4}
-    # the visit is closed: a reply read after end_visit is dropped
+    # the visit is closed: a reply read after end_run is dropped
     fake.peer.send(_echo_reply("192.0.2.1", raw.ident, 1, 7))
     raw.sleep_until_ns(raw.now_ns() + 20_000_000)
-    assert [len(column) for column in raw.end_visit("192.0.2.1", np.array(sent))] == [0] * 3
+    assert reply_dict(raw.end_run(["192.0.2.1"], sent[None, :])) == {}
     raw.close()
 
 
@@ -794,7 +878,7 @@ def test_raw_transport_reads_queued_replies_when_the_wait_is_past_due(monkeypatc
     before_ns = raw.now_ns()
     raw.sleep_until_ns(before_ns - 1)
     after_ns = raw.now_ns()
-    (recv_ns, ip_id), = reply_dict(raw.end_visit("192.0.2.1", np.array(sent))).values()
+    (recv_ns, ip_id), = reply_dict(raw.end_run(["192.0.2.1"], sent[None, :])).values()
     assert ip_id == 7
     assert before_ns <= recv_ns <= after_ns
     # reading until the queue is empty does not wait for more
@@ -809,7 +893,7 @@ def test_raw_transport_starts_no_thread(monkeypatch):
     sent = _send(raw, 1)
     fake.peer.send(_echo_reply("192.0.2.1", raw.ident, 0, 7))
     raw.sleep_until_ns(raw.now_ns() + 10_000_000)
-    assert len(reply_dict(raw.end_visit("192.0.2.1", np.array(sent)))) == 1
+    assert len(reply_dict(raw.end_run(["192.0.2.1"], sent[None, :]))) == 1
     assert threading.active_count() == threads
     raw.close()
     assert fake.closed

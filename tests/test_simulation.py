@@ -5,11 +5,13 @@ import json
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 import tracemalloc
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -30,41 +32,43 @@ from fleetscope.simulation import (
     ZoneResolver,
     parse_hhmm,
 )
+from fleetscope.transport import NO_REPLY
 
-from conftest import (hhmm, make_fleet, make_hostname, make_server, one_visit, reply_dict,
-                      serve_visit, write_fleet)
+from conftest import (advance, hhmm, make_fleet, make_hostname, make_server, one_visit,
+                      reply_columns, reply_dict, serve_visit, write_fleet)
 from responder_oracle import (ScalarTransport, SplitMix64, advance_to, send_run_per_send,
                              serve_echo)
 
 
 def test_advance_constant_rate():
     server = make_server(base_pps=1000.0)
-    make_fleet([server])
-    server.advance([10 * 10**9])
+    fleet = make_fleet([server])
+    advance(fleet, server, 10 * 10**9)
     assert int(server.background_packets) == 10_000
 
 
 def test_advance_zero_length_is_identity():
     server = make_server(base_pps=1000.0)
-    make_fleet([server])
-    server.advance([5 * 10**9])
+    fleet = make_fleet([server])
+    advance(fleet, server, 5 * 10**9)
     before = server.background_packets
-    server.advance([5 * 10**9])
+    advance(fleet, server, 5 * 10**9)
     assert server.background_packets == before
 
 
 def test_advance_to_a_time_behind_the_clock_moves_nothing():
     server, twin = (make_server(base_pps=10.0, noise=0.2, address="198.18.9.1")
                     for _ in range(2))
-    for responder in (server, twin):
-        make_fleet([responder])
-        responder.advance([10**9])
+    fleets = [make_fleet([responder]) for responder in (server, twin)]
+    for fleet, responder in zip(fleets, (server, twin)):
+        advance(fleet, responder, 10**9)
     before = (server.background_packets, server.time_ns, server._open_step)
-    assert server.advance([10**8]).tolist() == [before[0]]
+    assert advance(fleets[0], server, 10**8) == before[0]
     assert (server.background_packets, server.time_ns, server._open_step) == before
     # and what it serves next is what a server that never looked back serves
     at_ns = [15 * 10**8, 4 * 10**9]
-    assert serve_visit(server, at_ns).tolist() == serve_visit(twin, at_ns).tolist()
+    assert (serve_visit(fleets[0], server, at_ns).tolist()
+            == serve_visit(fleets[1], twin, at_ns).tolist())
     assert server.background_packets == twin.background_packets
 
 
@@ -123,16 +127,16 @@ def test_fill_window_respects_timezone():
 
 def test_serve_echo_wraps_at_16_bits():
     server = make_server(base_pps=0.0)
-    make_fleet([server])
+    fleet = make_fleet([server])
     server.background_packets = 65535.0
     # the reply itself advances the counter
-    assert serve_visit(server, [0, 1]).tolist() == [65535, 0]
+    assert serve_visit(fleet, server, [0, 1]).tolist() == [65535, 0]
 
 
 def test_serve_echo_random_mode_is_unconstrained():
     server = make_server(base_pps=0.0, behavior=IdBehavior.RANDOM)
-    make_fleet([server], seed=5)
-    ids = serve_visit(server, range(2000)).tolist()
+    fleet = make_fleet([server], seed=5)
+    ids = serve_visit(fleet, server, range(2000)).tolist()
     assert all(0 <= i <= 65535 for i in ids)
     assert len(set(ids)) > 1500  # roughly uniform, not a counter
 
@@ -143,7 +147,8 @@ def test_unreachable_server_never_replies():
     rows = []
     transport = SimulatedTransport(fleet, truth=rows.append)
     transport.sleep_until_ns(10**9)
-    seq, recv_ns, ip_id = transport.end_visit(server.address, np.array([10**9, 2 * 10**9]))
+    seq, recv_ns, ip_id = reply_columns(
+        transport.end_run([server.address], np.array([[10**9, 2 * 10**9]])))
     assert len(seq) == len(recv_ns) == len(ip_id) == 0
     assert server.reply_packets == 0
     assert rows == []
@@ -151,12 +156,12 @@ def test_unreachable_server_never_replies():
 
 def test_id_stream_consistent_with_counter():
     server = make_server(base_pps=12345.0)
-    make_fleet([server])
+    fleet = make_fleet([server])
     for i in range(1, 50):
         at = i * 30_000_000
-        server.advance([at])
+        advance(fleet, server, at)
         expected = (int(server.background_packets) + server.reply_packets) & 0xFFFF
-        assert serve_visit(server, [at]).tolist() == [expected]
+        assert serve_visit(fleet, server, [at]).tolist() == [expected]
 
 
 def test_a_server_and_a_transport_hold_no_generator():
@@ -180,8 +185,8 @@ def test_a_server_and_a_transport_hold_no_generator():
 def test_fleet_determinism_same_seed():
     def run(seed):
         server = make_server(base_pps=5000.0, noise=0.1, amplitude=0.3, address="198.18.9.9")
-        SimulatedFleet([server], seed=seed)
-        return serve_visit(server, [i * 30_000_000 for i in range(500)]).tolist()
+        fleet = SimulatedFleet([server], seed=seed)
+        return serve_visit(fleet, server, [i * 30_000_000 for i in range(500)]).tolist()
 
     assert run(42) == run(42)
     assert run(42) != run(43)
@@ -201,21 +206,22 @@ def test_transport_loss_is_request_side():
     server = make_server(base_pps=0.0, address="198.18.7.7")
     fleet = SimulatedFleet([server], seed=3)
     transport = SimulatedTransport(fleet, loss_rate=0.5)
-    sent = transport.send_run([server.address], 0, 30_000_000, 200, np.array([-30_000_000]))[0]
-    seq, recv_ns, ip_id = transport.end_visit(server.address, np.array(sent, dtype=np.int64))
+    sent = transport.send_run([server.address], 0, 30_000_000, 200, np.array([-30_000_000]))
+    seq, recv_ns, ip_id = reply_columns(transport.end_run([server.address], sent))
     assert 0 < len(seq) < 200
     # counter only advanced by replies actually served
     assert ip_id.tolist() == list(range(len(seq)))
-    assert (recv_ns == np.array(sent)[seq] + server.rtt_ns).all()
+    assert (recv_ns == sent[0][seq] + server.rtt_ns).all()
 
 
 def test_end_visit_returns_int64_columns():
+    # end_run's receive times are int64, its IDs 16-bit, both shaped like the sends
     server = make_server(base_pps=100.0)
     transport = SimulatedTransport(make_fleet([server]), loss_rate=0.2)
-    sent_ns = np.arange(50, dtype=np.int64) * 30_000_000
-    replies = transport.end_visit(server.address, sent_ns)
-    assert [column.dtype for column in replies] == [np.int64] * 3
-    assert len({len(column) for column in replies}) == 1
+    sent_ns = np.arange(50, dtype=np.int64)[None, :] * 30_000_000
+    replies = transport.end_run([server.address], sent_ns)
+    assert [column.dtype for column in replies] == [np.int64, np.uint16]
+    assert {column.shape for column in replies} == {sent_ns.shape}
 
 
 def test_truth_records_mean_rate():
@@ -223,8 +229,8 @@ def test_truth_records_mean_rate():
     fleet = SimulatedFleet([server], seed=1)
     rows = []
     transport = SimulatedTransport(fleet, truth=rows.append)
-    sent = transport.send_run([server.address], 0, 30 * 10**9, 2, np.array([-30 * 10**9]))[0]
-    transport.end_visit(server.address, np.array(sent, dtype=np.int64))
+    sent = transport.send_run([server.address], 0, 30 * 10**9, 2, np.array([-30 * 10**9]))
+    transport.end_run([server.address], sent)
     ((target, start_ns, end_ns, true_pps),) = rows
     assert target == server.address
     assert true_pps == pytest.approx(2000.0, rel=1e-6)
@@ -457,13 +463,15 @@ def _state(server):
                "id_behavior": IdBehavior.GLOBAL_COUNTER, "constant_id": 0, "rtt_ns": 0},
          seed=3, start_ns=5, visits=[[k * 500_000_000 for k in range(40)]])
 def test_serve_visit_matches_the_per_echo_responder(spec, seed, start_ns, visits):
-    (server, reference), _ = _twin_servers(spec, seed)
+    (server, reference), fleets = _twin_servers(spec, seed)
     for offsets in visits:
-        server.advance([start_ns])
+        advance(fleets[0], server, start_ns)
         advance_to(reference, start_ns, seed)
         at_ns = sorted(max(0, start_ns + offset) for offset in offsets)
-        ids = serve_visit(server, at_ns)
-        assert ids.dtype == np.int64
+        ids = serve_visit(fleets[0], server, at_ns)
+        if at_ns:  # the visit reads the count at its first send too
+            advance_to(reference, at_ns[0] - server.rtt_ns // 2, seed)
+            assert ids.dtype == np.uint16
         assert ids.tolist() == [serve_echo(reference, at, seed) for at in at_ns]
         assert _state(server) == _state(reference)
         start_ns += 3 * 10**11
@@ -487,18 +495,20 @@ def test_the_counter_depends_on_time_not_on_how_a_visit_is_cut(spec, seed, start
                                                                 later_ns):
     # one serve_visit call, and the same arrivals served in consecutive
     # chunks; times land on and across bin edges, and the visit then runs
-    # on inside its last bin, whose noise factor must have been kept
-    (whole, chunked), _ = _twin_servers(spec, seed)
+    # on inside its last bin, whose noise factor must have been kept. With
+    # no RTT a visit's first and last sends are its first and last arrivals,
+    # so the chunks read the counter at the times the one call reads it
+    (whole, chunked), fleets = _twin_servers({**spec, "rtt_ns": 0}, seed)
     at_ns = sorted(max(0, start_ns + offset) for offset in offsets)
     bounds = sorted({cut % (len(at_ns) + 1) for cut in cuts})
     chunks = [at_ns[a:b] for a, b in zip([0, *bounds], [*bounds, len(at_ns)])]
-    for server in (whole, chunked):
-        server.advance([start_ns])
-    ids = serve_visit(whole, at_ns).tolist()
-    assert [i for chunk in chunks for i in serve_visit(chunked, chunk).tolist()] == ids
+    for fleet, server in zip(fleets, (whole, chunked)):
+        advance(fleet, server, start_ns)
+    ids = serve_visit(fleets[0], whole, at_ns).tolist()
+    assert [i for chunk in chunks for i in serve_visit(fleets[1], chunked, chunk).tolist()] == ids
     assert _state(chunked) == _state(whole)
     end_ns = at_ns[-1] + later_ns
-    assert chunked.advance([end_ns]).tolist() == whole.advance([end_ns]).tolist()
+    assert advance(fleets[1], chunked, end_ns) == advance(fleets[0], whole, end_ns)
     assert _state(chunked) == _state(whole)
 
 
@@ -522,14 +532,83 @@ def test_end_visit_matches_the_per_send_transport(spec, seed, reachable, loss_ra
         for seq, sent_ns in enumerate(sent):
             oracle.sleep_until_ns(sent_ns)
             assert oracle._send_echo(server.address, seq) == sent_ns
-        columns = transport.end_visit(server.address, np.array(sent, dtype=np.int64))
-        assert [column.dtype for column in columns] == [np.int64] * 3
+        columns = transport.end_run([server.address], np.array([sent], dtype=np.int64))
+        assert [column.dtype for column in columns] == [np.int64, np.uint16]
         replies = reply_dict(columns)
-        assert len(replies) == len(columns[0])
-        assert replies == oracle.end_visit(server.address, sent)
+        assert len(replies) == np.count_nonzero(columns[0] != NO_REPLY)
+        assert replies == reply_dict(oracle.end_run([server.address], [sent]))
         assert _state(server) == _state(reference)
         start_ns = sent[-1] + 10**10
     assert rows[0] == rows[1]
+
+
+# a slot's targets: servers of every ID behaviour, some unreachable, and
+# addresses no server has (None); RTTs of 0, and half-RTTs past the next
+# slot's first send
+_slot_targets = st.lists(st.none() | st.fixed_dictionaries({
+    "profile": _profiles,
+    "id_behavior": st.sampled_from(IdBehavior),
+    "constant_id": st.integers(0, 0xFFFF),
+    "rtt_ns": st.sampled_from([0, 1, 2 * BIN_NS]) | st.integers(0, 4 * BIN_NS),
+    "reachable": st.booleans(),
+}), min_size=1, max_size=12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(targets=_slot_targets, seed=st.integers(0, 1000),
+       loss_rate=st.sampled_from([0.0, 0.3, 1.0]),
+       first_ns=st.integers(0, 10 * 86400).map(lambda s: s * BIN_NS) | st.integers(0, 10**15),
+       interval_ns=st.sampled_from([BIN_NS, BIN_NS // 4, 30_000_000]) | st.integers(1, 2 * BIN_NS),
+       count=st.integers(1, 40), gaps=st.lists(st.integers(0, 3 * BIN_NS), min_size=1, max_size=3),
+       chunk=st.sampled_from([1, 7, 64, simulation.CHUNK_PROBES]))
+# sends on bin edges, one visit per chunk, the next slot sent while the
+# replies to the last are still on their way, then one after whole bins
+@example(targets=[{"profile": TrafficProfile(base_pps=1000.0, noise_rel=0.2),
+                   "id_behavior": IdBehavior.GLOBAL_COUNTER, "constant_id": 0,
+                   "rtt_ns": 2 * BIN_NS, "reachable": True}, None,
+                  {"profile": TrafficProfile(base_pps=10.0, noise_rel=0.2),
+                   "id_behavior": IdBehavior.RANDOM, "constant_id": 0, "rtt_ns": 0,
+                   "reachable": True}],
+         seed=4, loss_rate=0.3, first_ns=5 * BIN_NS, interval_ns=BIN_NS // 4, count=9,
+         gaps=[0, 2 * BIN_NS], chunk=9)
+def test_end_run_matches_the_per_echo_transport(targets, seed, loss_rate, first_ns, interval_ns,
+                                                count, gaps, chunk):
+    # consecutive slots of one visit to each target: replies, truth rows,
+    # and each server's clock and counts after each slot, bit for bit
+    addresses = [f"198.18.5.{i + 1}" for i in range(len(targets))]
+    fleets = [SimulatedFleet([SimulatedServer(name=make_hostname(counter=i + 1), address=address,
+                                              **spec)
+                              for i, (address, spec) in enumerate(zip(addresses, targets))
+                              if spec is not None], seed=seed) for _ in range(2)]
+    rows = [[], []]
+    transport = SimulatedTransport(fleets[0], loss_rate, rows[0].append)
+    oracle = ScalarTransport(fleets[1], loss_rate, rows[1].append)
+    not_before_ns = np.full(len(addresses), first_ns - interval_ns, dtype=np.int64)
+    with mock.patch.object(simulation, "CHUNK_PROBES", chunk):
+        for gap_ns in gaps:
+            sent_ns = transport.send_run(addresses, first_ns, interval_ns, count, not_before_ns)
+            expected = oracle.send_run(addresses, first_ns, interval_ns, count, not_before_ns)
+            assert sent_ns.tolist() == expected.tolist()
+            recv_ns, ip_id = transport.end_run(addresses, sent_ns)
+            oracle_recv_ns, oracle_ip_id = oracle.end_run(addresses, expected)
+            assert recv_ns.tolist() == oracle_recv_ns.tolist()
+            assert ip_id.tolist() == oracle_ip_id.tolist()
+            for server, reference in zip(*(fleet.servers for fleet in fleets)):
+                assert _state(server) == _state(reference), server.address
+                assert server._open_step == reference._open_step, server.address
+            not_before_ns = sent_ns[:, -1]
+            first_ns = int(not_before_ns.max()) + interval_ns + gap_ns
+    assert rows[0] == rows[1]
+
+
+@pytest.mark.parametrize("loss_rate", [-0.1, math.nan, math.inf, 1.5])
+def test_a_loss_rate_outside_zero_to_one_is_refused(loss_rate):
+    fleet = make_fleet([make_server(base_pps=1.0)])
+    with pytest.raises(ValueError, match=re.escape(
+            f"loss_rate must be a number from 0 to 1, not {loss_rate!r}")):
+        SimulatedTransport(fleet, loss_rate)
+    for edge in (0, 0.0, 1, 1.0):
+        assert SimulatedTransport(fleet, edge).loss_rate == edge
 
 
 def test_splitmix64_known_answer_on_both_paths():
@@ -551,9 +630,9 @@ def _visit(transport, address: str, start_ns: int, sends: int, interval_ns: int)
     its last send time."""
     transport.sleep_until_ns(start_ns)
     sent_ns = transport.send_run([address], start_ns, interval_ns, sends,
-                                 np.array([start_ns - interval_ns]))[0]
-    seq, _, ip_id = transport.end_visit(address, sent_ns)
-    return seq.tolist(), ip_id.tolist(), int(sent_ns[-1])
+                                 np.array([start_ns - interval_ns]))
+    seq, _, ip_id = reply_columns(transport.end_run([address], sent_ns))
+    return seq.tolist(), ip_id.tolist(), int(sent_ns[0, -1])
 
 
 _visits = st.tuples(st.integers(1, 10**10), st.integers(1, 40), st.integers(0, 60_000_000))
