@@ -471,8 +471,9 @@ def _cmd_simulate(args, params: probe.CampaignParams) -> int:
                           None, fleet.domain_suffix)
     if records is None:  # the store holds the crawl already
         records = _records_in(None, campaign_store)
-    snapshot, cdn_asns, isp_asns = synthesize_snapshot(records, lists.isp_labels, airports)
-    validate_stage(campaign_store, None, records, snapshot, cdn_asns, isp_asns, airports)
+    # the snapshot and ASN tables are freed when validate returns
+    validate_stage(campaign_store, None, records,
+                   *synthesize_snapshot(records, lists.isp_labels, airports), airports)
 
     targets = [a for r in records for a in r.addresses if ":" not in a]
     # a probe stage the store holds already writes no truth rows

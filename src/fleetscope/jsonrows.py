@@ -1,20 +1,20 @@
 """JSON-lines files: ``read_jsonl``, and the estimates file read in parts.
 
-``read_jsonl`` yields the objects of any JSON-lines file of the package.
-``read_estimate_parts`` parses an estimates file into columns, in parts
-that run at once: part 0 in the calling process, and each other part in a
-worker, a bare interpreter running this file (``python -I -S jsonrows.py
-PATH START STOP``) that writes the part's columns to standard output with
-``marshal``. A bare interpreter rather than ``os.fork``: the caller has
-imported numpy, whose BLAS starts threads, and forking a process that has
-threads can deadlock the child. So this file imports the standard library
-only.
+``read_jsonl`` yields the objects of any JSON-lines file of the package,
+or of a range of its lines. ``read_estimate_parts`` parses an estimates
+file into columns, in parts that run at once: part 0 in the calling
+process, and each other part in a worker, a bare interpreter running this
+file (``python -I -S jsonrows.py PATH START STOP ENCODING``) that writes
+the part's columns to standard output with ``marshal``. A bare
+interpreter rather than ``os.fork``: the caller has imported numpy, whose
+BLAS starts threads, and forking a process that has threads can deadlock
+the child. So this file imports the standard library only.
 
-A part reads plain lines only (``parse_part``): being ASCII, they decode
-alike in every locale, and no part counts lines or rows. A file with any
-other line, or a row the report cannot use, is read again in one pass,
-``estimate_columns(read_jsonl(path))``, which reads it as ``open()`` does
-or raises the error that names the line or row.
+A part is read as one pass over the file reads it (``parse_part``), in
+the caller's encoding, which a worker is given on its command line since
+``-I`` ignores ``PYTHONUTF8``. A part counts lines and rows from its own
+start, so only if a part fails is the file read again in one pass,
+``estimate_columns(read_jsonl(path))``, whose error names the line or row.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ import os
 import sys
 from array import array
 from collections.abc import Iterable, Iterator, Mapping
-from itertools import repeat
 
 # The smallest part. On 2 vCPUs with Python 3.11.7 a worker takes ~30 ms to
 # start and a part parses at ~53 MB/s, so an 8 MiB part (~33,000 estimates)
@@ -77,18 +76,22 @@ def _chunks(path: str | os.PathLike, start: int, stop: int | None) -> Iterator[b
         yield rest
 
 
-def read_jsonl(path: str | os.PathLike) -> Iterator[dict]:
-    """Yield the objects of a JSON-lines file in order; blank lines are skipped.
+def read_jsonl(path: str | os.PathLike, start: int = 0, stop: int | None = None,
+               encoding: str | None = None) -> Iterator[dict]:
+    """Yield the objects of a JSON-lines file in order, or of its bytes
+    ``start`` to ``stop`` (the end of the file if None), which start at a
+    line start; blank lines are skipped.
 
-    Lines are read as ``open(path)`` reads them (the locale's encoding,
-    universal newlines) and decoded as ``json.loads`` decodes them. A file
-    is only ever published whole, so a line that is not JSON or not valid
-    text, the last one included, raises ``StoreError`` naming the file and
-    line.
+    Lines are read as ``open(path)`` reads them (the locale's encoding
+    unless ``encoding`` names one, universal newlines) and decoded as
+    ``json.loads`` decodes them. A file is only ever published whole, so a
+    line that is not JSON or not valid text, the last one included, raises
+    ``StoreError`` naming the file and line, counted from ``start``.
     """
-    encoding = locale.getpreferredencoding(False)  # what open() decodes with
+    if encoding is None:
+        encoding = locale.getpreferredencoding(False)  # what open() decodes with
     number = 0
-    for chunk in _chunks(path, 0, None):
+    for chunk in _chunks(path, start, stop):
         for line in chunk.splitlines():  # at \n, \r\n and \r, as open() splits
             number += 1
             try:
@@ -138,28 +141,13 @@ def estimate_columns(rows: Iterable[Mapping]) -> tuple:
     return list(index), target, mid_ns, pps, bps, lower_bound
 
 
-def _plain_values(path: str | os.PathLike, start: int, stop: int) -> Iterator:
-    """The JSON value of each line in bytes ``start`` to ``stop`` of
-    ``path``; ``ValueError`` for a line that is not plain."""
-    for chunk in _chunks(path, start, stop):
-        lines = chunk.decode("ascii").split("\n")
-        if not lines[-1]:  # after the last line end
-            lines.pop()
-        # a line with no JSON value stops the map short, which zip raises for
-        for line, (value, end) in zip(lines, map(_scan_once, lines, repeat(0)), strict=True):
-            if end != len(line):
-                raise ValueError("a line holds more than its JSON value")
-            yield value
-
-
-def parse_part(path: str | os.PathLike, start: int, stop: int) -> tuple | None:
-    """The ``estimate_columns`` of bytes ``start`` to ``stop`` of ``path``,
-    or None unless each of their lines is plain (ASCII, one JSON value with
-    nothing around it, a ``\\n`` at its end except at the end of the file)
-    and each row one ``estimate_columns`` takes."""
+def parse_part(path: str | os.PathLike, start: int, stop: int, encoding: str) -> tuple | None:
+    """The ``estimate_columns`` of ``read_jsonl(path, start, stop,
+    encoding)``, or None if that read fails: a one-pass read names what
+    is wrong."""
     try:
-        return estimate_columns(_plain_values(path, start, stop))
-    except (ValueError, RecursionError):  # a one-pass read names what it is
+        return estimate_columns(read_jsonl(path, start, stop, encoding))
+    except (StoreError, BadEstimate, RecursionError):
         return None
 
 
@@ -188,9 +176,10 @@ def _part_bounds(path: str | os.PathLike) -> list[tuple[int, int]]:
 def read_estimate_parts(path: str | os.PathLike) -> list[tuple]:
     """The ``estimate_columns`` of each part of the estimates file at
     ``path``, in file order (target indices count within a part), or of
-    one pass if a part is not plain. A worker that fails raises
+    one pass if a part fails to read. A worker that fails raises
     ``StoreError``; workers are killed and waited for on every path."""
     bounds = _part_bounds(path)
+    encoding = locale.getpreferredencoding(False)  # what open() decodes with
     workers = []
     try:
         if len(bounds) > 1:
@@ -198,11 +187,11 @@ def read_estimate_parts(path: str | os.PathLike) -> list[tuple]:
 
             for start, stop in bounds[1:]:
                 workers.append(subprocess.Popen(
-                    [sys.executable, "-I", "-S", __file__, str(path), str(start), str(stop)],
-                    stdin=subprocess.DEVNULL, stdout=subprocess.PIPE))
+                    [sys.executable, "-I", "-S", __file__, str(path), str(start), str(stop),
+                     encoding], stdin=subprocess.DEVNULL, stdout=subprocess.PIPE))
         parts = []
         for (start, stop), worker in zip(bounds, [None, *workers]):
-            columns = (parse_part(path, start, stop) if worker is None
+            columns = (parse_part(path, start, stop, encoding) if worker is None
                        else _result(worker, path, start, stop))
             if columns is None:
                 break
@@ -218,9 +207,12 @@ def read_estimate_parts(path: str | os.PathLike) -> list[tuple]:
 
 
 def _result(worker, path: str | os.PathLike, start: int, stop: int) -> tuple | None:
-    """What ``worker`` printed: the ``parse_part`` of bytes ``start`` to ``stop``."""
+    """What ``worker`` printed: the ``parse_part`` of bytes ``start`` to
+    ``stop``, one field at a time, or None."""
     try:
         columns = marshal.load(worker.stdout)
+        if columns is not None:
+            columns = (columns, *(marshal.load(worker.stdout) for _ in range(5)))
         if not worker.wait():
             return columns
     except (EOFError, ValueError, TypeError):
@@ -230,5 +222,8 @@ def _result(worker, path: str | os.PathLike, start: int, stop: int) -> tuple | N
 
 
 if __name__ == "__main__":
-    _path, _start, _stop = sys.argv[1:]
-    marshal.dump(parse_part(_path, int(_start), int(_stop)), sys.stdout.buffer)
+    _path, _start, _stop, _encoding = sys.argv[1:]
+    # a field at a time, since marshal.dump buffers all it writes; None
+    # alone if the part fails to read
+    for _field in parse_part(_path, int(_start), int(_stop), _encoding) or [None]:
+        marshal.dump(_field, sys.stdout.buffer)

@@ -55,8 +55,6 @@ _U = np.uint64
 _U11, _U27, _U30, _U31, _U48 = _U(11), _U(27), _U(30), _U(31), _U(48)
 # the tag each stream absorbs into a server's key
 _NOISE, _IDS, _LOSS = 1, 2, 3
-# a call with fewer noise steps hashes them one by one: numpy costs more
-_VECTOR_STEPS = 10
 # end_run answers a slot in chunks of whole visits of at most this many
 # probes, or of one visit if it is longer. The paper-shaped hour (156
 # visits of 2,000 probes a slot) peaked at 51.6-51.8 MB in chunks of 2,048
@@ -112,22 +110,14 @@ def _step_normals(keys: list[int], starts: list[int], ends: list[int]) -> list[f
     """The standard normal of each noise step from ``starts[i]`` to
     ``ends[i]`` under the noise key ``keys[i]``: Box-Muller of the top 53
     bits of words 1 and 2 of splitmix64 from ``_absorb(key, start) ^ end``,
-    as fractions u and v of 2**53. A call of many steps hashes them, and
-    scales u and v by exact float operations, as arrays; the
-    transcendentals are always those of ``math``, since numpy's can differ
-    by an ulp across CPUs."""
-    if len(starts) < _VECTOR_STEPS:
-        tails, angles = [], []
-        for key, start, end in zip(keys, starts, ends):
-            state = _absorb(key, start) ^ end
-            tails.append(1.0 - (_mix((state + _GAMMA) & _M64) >> 11) * 2.0**-53)
-            angles.append(_TAU * ((_mix((state + 2 * _GAMMA) & _M64) >> 11) * 2.0**-53))
-    else:
-        states = _absorb_all(np.array(keys, dtype=np.uint64), np.array(starts, dtype=np.uint64))
-        states ^= np.array(ends, dtype=np.uint64)
-        firsts, seconds = splitmix64(states, np.array([[1], [2]], dtype=np.uint64)) >> _U11
-        tails = (1.0 - firsts * 2.0**-53).tolist()
-        angles = (_TAU * (seconds * 2.0**-53)).tolist()
+    as fractions u and v of 2**53. The steps are hashed, and u and v scaled
+    by exact float operations, as arrays; the transcendentals are always
+    those of ``math``, since numpy's can differ by an ulp across CPUs."""
+    states = _absorb_all(np.array(keys, dtype=np.uint64), np.array(starts, dtype=np.uint64))
+    states ^= np.array(ends, dtype=np.uint64)
+    firsts, seconds = splitmix64(states, np.array([[1], [2]], dtype=np.uint64)) >> _U11
+    tails = (1.0 - firsts * 2.0**-53).tolist()
+    angles = (_TAU * (seconds * 2.0**-53)).tolist()
     sqrt, log, cos = math.sqrt, math.log, math.cos
     return [sqrt(-2.0 * log(tail)) * cos(angle) for tail, angle in zip(tails, angles)]
 

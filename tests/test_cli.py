@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import pytest
@@ -520,6 +521,27 @@ def test_simulate_parses_each_fleet_name_twice(tmp_path, small_fleet_file, monke
         parsed.clear()
         assert _simulate(tmp_path / "out", small_fleet_file) == EXIT_OK
         assert sorted(parsed) == sorted(fleet_names * 2), run
+
+
+def test_simulate_frees_the_snapshot_before_the_probe_stage(
+        tmp_path, small_fleet_file, monkeypatch):
+    # only validate reads the synthesized snapshot and its ASN tables
+    snapshots, alive = [], []
+    synthesize, probe_stage = cli.synthesize_snapshot, cli.probe_stage
+
+    def keep_a_weakref(*args):
+        snapshot, *tables = synthesize(*args)
+        snapshots.append(weakref.ref(snapshot))
+        return (snapshot, *tables)
+
+    def look_then_probe(*args):
+        alive.append(snapshots[0]() is not None)
+        return probe_stage(*args)
+
+    monkeypatch.setattr(cli, "synthesize_snapshot", keep_a_weakref)
+    monkeypatch.setattr(cli, "probe_stage", look_then_probe)
+    assert _simulate(tmp_path / "out", small_fleet_file) == EXIT_OK
+    assert alive == [False]
 
 
 def test_interrupted_campaign_commits_nothing(tmp_path, small_fleet_file, monkeypatch, capsys):

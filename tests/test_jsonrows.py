@@ -119,9 +119,9 @@ DAMAGE = {
     "two_rows": lambda line: re.sub(r'^(\s*)\{"bps":([^,]*),', r'\1{"b":\2},{', line),
     "text_after_the_row": _after_the_row("x"),
 }
-# lines that are not plain, but read in one pass; a row makes room by losing
-# a digit of mtu_bytes, which the report does not read, or by writing
-# lower_bound_only as a number
+# lines other than compact ASCII ones ending in "\n", which parts read as
+# the one pass does; a row makes room by losing a digit of mtu_bytes, which
+# the report does not read, or by writing lower_bound_only as a number
 NOT_PLAIN = {
     "crlf": lambda line: (line.replace('"mtu_bytes":1500', '"mtu_bytes":150', 1)[:-1] + "\r\n"
                           if '"mtu_bytes":1500' in line and line.endswith("\n") else line),
@@ -203,7 +203,7 @@ def _rows_in_three_parts(tmp_path, patch) -> tuple[Path, list[str], list[int]]:
             "bps": 12.0 * i, "flags": {"lower_bound_only": i % 4 == 0}, "pps": float(i),
             "target": TARGETS[i % 4 if i < 15 else -1 - i % 4],
             "window_end_ns": start_ns + 60 * 10**9, "window_start_ns": start_ns,
-        }, separators=(",", ":")) + "\n")  # plain, so parts read it
+        }, separators=(",", ":")) + "\n")
     path = tmp_path / "estimates.jsonl"
     path.write_text("".join(lines))
     patch.setattr(jsonrows, "PART_BYTES", path.stat().st_size // 3)
@@ -245,19 +245,67 @@ def _two_part_file(tmp_path, patch, first_line="") -> Path:
     return path
 
 
-def test_a_plain_file_is_read_in_parts_without_a_second_pass(tmp_path, monkeypatch):
+def _whole_file_reads(patch) -> list:
+    """Records each ``jsonrows.read_jsonl`` call of this process that reads
+    a whole file: a call without a byte range."""
+    reads, read = [], jsonrows.read_jsonl
+
+    def recording(path, *span, **encoding):
+        if not span:
+            reads.append(path)
+        return read(path, *span, **encoding)
+
+    patch.setattr(jsonrows, "read_jsonl", recording)
+    return reads
+
+
+# a clean line in each part (or every line end) rewritten: parts read these
+# as the one pass does
+CLEAN = {
+    "blank": lambda lines, at: lines[:at] + ["\n", " \t\n"] + lines[at:],
+    "crlf": lambda lines, at: [line.rstrip("\r\n") + "\r\n" for line in lines],
+    "indented": lambda lines, at: [*lines[:at], "  " + lines[at], *lines[at + 1:]],
+    "non_ascii_target": lambda lines, at: [
+        *lines[:at], lines[at].replace("10.0.0.1", "10.0.0.\u00e9"), *lines[at + 1:]],
+}
+
+
+@pytest.mark.parametrize("kind", ["unchanged", *sorted(CLEAN), "invalid_json", "missing_field",
+                                  "not_text"])
+def test_a_two_part_file_is_read_again_whole_only_if_damaged(tmp_path, monkeypatch, kind):
     path = _two_part_file(tmp_path, monkeypatch)
+    lines = path.read_text().splitlines(keepends=True)
+    if kind in CLEAN:
+        for at in (150, 50):  # in the second part, then in the first
+            lines = CLEAN[kind](lines, at)
+    elif kind != "unchanged":
+        lines[150] = DAMAGE[kind](lines[150])
+    encoding = locale.getpreferredencoding(False)
+    path.write_bytes("".join(lines).encode(encoding, "surrogateescape"))
+    (_, stop), (start, _) = jsonrows._part_bounds(path)
+    assert stop == start < len("".join(lines[:150]).encode(encoding))  # line 150 is in part 2
+    reference = _outcome(lambda p: EstimateTable.from_rows(read_jsonl(p)), path)
+    reads = _whole_file_reads(monkeypatch)
+    ours = _outcome(EstimateTable.read, path)
+    if kind in DAMAGE:
+        assert reads == [path] and ours[0] != "ok" and ours == reference
+    else:
+        assert reads == [] and ours[0] == "ok" and _columns(ours[1]) == _columns(reference[1])
+        assert len(ours[1]) == 200
+    _assert_no_child_remains()
 
-    def second_pass(_):
-        raise AssertionError("read_jsonl was called")
 
-    monkeypatch.setattr(jsonrows, "read_jsonl", second_pass)
-    assert len(jsonrows.read_estimate_parts(path)) == 2
-    # a blank line in the second part is read in one pass
-    path.write_text(path.read_text() + "\n" + path.read_text().splitlines()[0] + "\n")
-    assert len(jsonrows._part_bounds(path)) == 2
-    with pytest.raises(AssertionError, match="read_jsonl was called"):
-        jsonrows.read_estimate_parts(path)
+def test_a_worker_decodes_with_the_callers_encoding(tmp_path, monkeypatch):
+    path = _two_part_file(tmp_path, monkeypatch)
+    lines = path.read_text().splitlines(keepends=True)
+    lines[150] = lines[150].replace("10.0.0.1", "10.0.0.\u00e9")  # the byte 0xe9, not UTF-8
+    path.write_bytes("".join(lines).encode("latin-1"))
+    monkeypatch.setattr(locale, "getpreferredencoding", lambda do_setlocale=True: "latin-1")
+    reference = EstimateTable.from_rows(read_jsonl(path))
+    reads = _whole_file_reads(monkeypatch)
+    table = EstimateTable.read(path)
+    assert reads == [] and table.targets == ("10.0.0.1", "10.0.0.\u00e9")
+    assert _columns(table) == _columns(reference)
     _assert_no_child_remains()
 
 
