@@ -494,6 +494,7 @@ def _cmd_simulate(args, params: probe.CampaignParams) -> int:
     finally:
         if truth is not None:
             truth.close()
+    del fleet, transport  # estimate and report never read them
 
     estimate_stage(campaign_store, None, params.mtu_bytes, campaign_store.scan("samples"))
     with _naming_estimate_lines(None, campaign_store):

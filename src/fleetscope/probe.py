@@ -29,7 +29,6 @@ courtesy is checked, not trusted.
 
 from __future__ import annotations
 
-import logging
 import math
 import random
 from collections import deque
@@ -40,8 +39,6 @@ import numpy as np
 
 from .store import LOST_RTT, MAX_RTT_NS, VisitFrame
 from .transport import NO_REPLY, EchoTransport, TransportError
-
-logger = logging.getLogger(__name__)
 
 MAX_IPID = 0xFFFF
 MAX_PROBES_PER_VISIT = 1 << 16

@@ -45,10 +45,10 @@ BIN_NS = 1_000_000_000
 NOISE_STEP_NS = 30_000_000
 
 # splitmix64 (Steele, Lea & Flood, OOPSLA 2014): word n of the generator
-# from state s is _mix(s + n * _GAMMA), so any word is computed from its key
-# alone. Keys are masked Python ints; the per-echo words are uint64 arrays
-# throughout, since numpy 1.24 makes np.uint64 with an int a float64
-_M64 = (1 << 64) - 1
+# from state s is the finaliser of s + n * _GAMMA, so any word is computed
+# from its key alone. Every hash runs on uint64 arrays (a server keeps its
+# key as an int): numpy 1.24 makes np.uint64 with an int a float64, and a
+# uint64 scalar warns on overflow
 _GAMMA = 0x9E3779B97F4A7C15
 _MUL1, _MUL2 = 0xBF58476D1CE4E5B9, 0x94D049BB133111EB
 _U = np.uint64
@@ -65,30 +65,6 @@ CHUNK_PROBES = 4_096
 _TAU = 2.0 * math.pi
 
 
-def _mix(z: int) -> int:
-    """The splitmix64 finaliser of a 64-bit int."""
-    z = ((z ^ (z >> 30)) * _MUL1) & _M64
-    z = ((z ^ (z >> 27)) * _MUL2) & _M64
-    return z ^ (z >> 31)
-
-
-def _absorb(key: int, word: int) -> int:
-    """``key`` extended by ``word``, taken mod 2**64: word 1 of splitmix64
-    from the state ``key ^ word``."""
-    return _mix(((key ^ word) + _GAMMA) & _M64)
-
-
-def _server_key(seed: int, address: str) -> int:
-    """The key of a server: the fleet seed, then the address's UTF-8 bytes
-    8 at a time (little-endian, the last zero-padded), then their count,
-    absorbed in turn from 0."""
-    data = address.encode()
-    key = _absorb(0, seed)
-    for at in range(0, len(data), 8):
-        key = _absorb(key, int.from_bytes(data[at:at + 8], "little"))
-    return _absorb(key, len(data))
-
-
 def splitmix64(states: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """Word ``counts`` (1 for the first) of splitmix64 from ``states``,
     elementwise: uint64 in and out."""
@@ -101,18 +77,20 @@ def splitmix64(states: np.ndarray, counts: np.ndarray) -> np.ndarray:
 
 
 def _absorb_all(keys, words) -> np.ndarray:
-    """``_absorb`` of each of ``words`` (an array, or one int) into ``keys``
-    (one uint64, or an array of one per word)."""
+    """Each of ``keys`` (one uint64, or an array of one per word) extended
+    by ``words`` (an array, or one int): word 1 of splitmix64 from the state
+    ``key ^ word``."""
     return splitmix64(np.asarray(words).astype(np.uint64) ^ keys, _U(1))
 
 
 def _step_normals(keys: list[int], starts: list[int], ends: list[int]) -> list[float]:
     """The standard normal of each noise step from ``starts[i]`` to
     ``ends[i]`` under the noise key ``keys[i]``: Box-Muller of the top 53
-    bits of words 1 and 2 of splitmix64 from ``_absorb(key, start) ^ end``,
-    as fractions u and v of 2**53. The steps are hashed, and u and v scaled
-    by exact float operations, as arrays; the transcendentals are always
-    those of ``math``, since numpy's can differ by an ulp across CPUs."""
+    bits of words 1 and 2 of splitmix64 from the key extended by the start
+    (``_absorb_all``), XOR the end, as fractions u and v of 2**53. The
+    steps are hashed, and u and v scaled by exact float operations, as
+    arrays; the transcendentals are always those of ``math``, since numpy's
+    can differ by an ulp across CPUs."""
     states = _absorb_all(np.array(keys, dtype=np.uint64), np.array(starts, dtype=np.uint64))
     states ^= np.array(ends, dtype=np.uint64)
     firsts, seconds = splitmix64(states, np.array([[1], [2]], dtype=np.uint64)) >> _U11
@@ -128,7 +106,7 @@ def parse_hhmm(text: str) -> float:
     return int(hours) * 3600.0 + int(minutes or 0) * 60.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TrafficProfile:
     """Instantaneous send rate of a simulated server.
 
@@ -200,7 +178,7 @@ class SimulatedServer:
     # counts at them
     _open_step: tuple[int, int, float, float] | None = field(default=None, init=False,
                                                              repr=False)
-    # the fleet seed and the address, hashed (see _server_key)
+    # the fleet seed and the address, hashed (see SimulatedFleet)
     _key: int = field(default=0, init=False, repr=False)
     # the arrival time of the last random ID, and the echoes served at it
     _last_arrival: tuple[int, int] | None = field(default=None, init=False, repr=False)
@@ -223,9 +201,21 @@ class SimulatedFleet:
                 raise ValueError(f"duplicate address {server.address}")
             if server.name in names:
                 raise ValueError(f"duplicate name {server.name}")
-            server._key = _server_key(seed, server.address)
             self.by_address[server.address] = server
             names.add(server.name)
+        # each server's key: the seed (mod 2**64), then the address's UTF-8
+        # bytes 8 at a time (little-endian, the last zero-padded), then their
+        # count, absorbed in turn from 0
+        data = [server.address.encode() for server in self.servers]
+        lengths = np.array([len(address) for address in data], dtype=np.uint64)
+        width = -(-max(map(len, data), default=0) // 8)
+        words = np.frombuffer(b"".join(address.ljust(8 * width, b"\0") for address in data),
+                              dtype="<u8").reshape(len(data), width)
+        keys = _absorb_all(np.zeros(len(data), dtype=np.uint64), seed % 2**64)
+        for column in range(width):
+            keys = np.where(lengths > 8 * column, _absorb_all(keys, words[:, column]), keys)
+        for server, key in zip(self.servers, _absorb_all(keys, lengths).tolist()):
+            server._key = key
         # the dimensions of the names, which wordlists() needs; the names are not kept
         self._dimensions = dict(
             airport_codes=sorted({n.airport_code for n in parsed}),

@@ -149,7 +149,8 @@ def load_continent_table(path: str | Path | None = None) -> dict[str, str]:
 
 class AddressSnapshot:
     """Longest-prefix-match snapshot of per-IPv4-prefix address metadata: the
-    geolocated country, the registration country and the ASN.
+    geolocated country, the registration country and the ASN, which
+    ``lookup`` reads together from an address's one row.
 
     CSV rows: ``prefix,country,registered_country,asn`` and an optional
     ``holder`` column, which is not read.
@@ -168,7 +169,8 @@ class AddressSnapshot:
         return cls(_read_table(path, 4, lambda row: (
             ipaddress.IPv4Network(row[0]), row[1], row[2], int(row[3]))))
 
-    def _lookup(self, address: str) -> tuple[str, str, int]:
+    def lookup(self, address: str) -> tuple[str, str, int]:
+        """``(country, registered_country, asn)`` of ``address``."""
         addr = int(ipaddress.IPv4Address(address))
         for prefixlen in self._prefixlens:
             mask = ((1 << prefixlen) - 1) << (32 - prefixlen) if prefixlen else 0
@@ -176,15 +178,6 @@ class AddressSnapshot:
             if hit is not None:
                 return hit
         raise UnknownAddress(address)
-
-    def country(self, address: str) -> str:
-        return self._lookup(address)[0]
-
-    def registered_country(self, address: str) -> str:
-        return self._lookup(address)[1]
-
-    def asn(self, address: str) -> int:
-        return self._lookup(address)[2]
 
 
 @dataclass(frozen=True, slots=True)
@@ -245,16 +238,16 @@ def geo_crosscheck(
     """
     address = _first_ipv4(record)
     expected = airports.country(record.name.airport_code)
-    observed = provider.country(address)
+    observed, registered, asn = provider.lookup(address)
     if observed == expected:
         return GeoVerdict(VERDICT_MATCH, expected, observed)
 
     if record.operator_kind == "ixp":
-        if provider.registered_country(address) == observed:
+        if registered == observed:
             return GeoVerdict(VERDICT_MISMATCH, expected, observed, MISMATCH_IXP_PREFIX)
         return GeoVerdict(VERDICT_MISMATCH, expected, observed, MISMATCH_UNEXPLAINED)
 
-    if provider.asn(address) in cdn_asns:
+    if asn in cdn_asns:
         return GeoVerdict(VERDICT_MISMATCH, expected, observed, MISMATCH_ONGOING)
     if record.isp_label in multinational_isps:
         return GeoVerdict(VERDICT_MISMATCH, expected, observed, MISMATCH_MULTINATIONAL)
@@ -273,7 +266,7 @@ def asn_crosscheck(
     ISP names on CDN address space indicate deployment in progress.
     """
     address = _first_ipv4(record)
-    observed = provider.asn(address)
+    observed = provider.lookup(address)[2]
     if record.operator_kind == "ixp":
         if observed in cdn_asns:
             return AsnVerdict(ASN_CONSISTENT, observed, "cdn_operator")

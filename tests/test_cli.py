@@ -544,6 +544,27 @@ def test_simulate_frees_the_snapshot_before_the_probe_stage(
     assert alive == [False]
 
 
+def test_simulate_frees_the_fleet_before_the_estimate_stage(
+        tmp_path, small_fleet_file, monkeypatch):
+    # only crawl and probe read the fleet and its transport
+    fleets, alive = [], []
+    from_file, estimate_stage = SimulatedFleet.from_file, cli.estimate_stage
+
+    def keep_a_weakref(path):
+        fleet = from_file(path)
+        fleets.append(weakref.ref(fleet))
+        return fleet
+
+    def look_then_estimate(*args):
+        alive.append(fleets[0]() is not None)
+        return estimate_stage(*args)
+
+    monkeypatch.setattr(SimulatedFleet, "from_file", keep_a_weakref)
+    monkeypatch.setattr(cli, "estimate_stage", look_then_estimate)
+    assert _simulate(tmp_path / "out", small_fleet_file) == EXIT_OK
+    assert alive == [False]
+
+
 def test_interrupted_campaign_commits_nothing(tmp_path, small_fleet_file, monkeypatch, capsys):
     send_run = SimulatedTransport.send_run
     sent = []

@@ -36,8 +36,8 @@ from fleetscope.transport import NO_REPLY
 
 from conftest import (advance, hhmm, make_fleet, make_hostname, make_server, one_visit,
                       reply_columns, reply_dict, serve_visit, write_fleet)
-from responder_oracle import (ScalarTransport, SplitMix64, advance_to, send_run_per_send,
-                             serve_echo)
+from responder_oracle import (IDS, LOSS, NOISE, ScalarTransport, SplitMix64, advance_to,
+                             send_run_per_send, serve_echo, stream_key)
 
 
 def test_advance_constant_rate():
@@ -622,6 +622,21 @@ def test_splitmix64_known_answer_on_both_paths():
         assert words.tolist() == expected
     draws = SplitMix64(1234567)
     assert [draws.next() for _ in range(3)] == expected
+
+
+@pytest.mark.parametrize("seed", [0, -1, 2**63, 2**64 + 5, -2**70])
+def test_every_fleet_key_is_the_reference_key_for_any_integer_seed(tmp_path, seed):
+    # addresses of 7, 8, 9, 16 and 39 bytes: part of a word, whole words and
+    # more; a fleet with IPv6 addresses still loads, to be probed
+    addresses = ["1.2.3.4", "10.0.0.1", "10.0.0.12", "2001:db8::1:2:34",
+                 "2001:0db8:0000:0000:0000:0000:0000:0001"]
+    servers = [make_server(1.0, counter=n + 1, address=address)
+               for n, address in enumerate(addresses)]
+    fleet = SimulatedFleet.from_file(write_fleet(tmp_path / "fleet.json", servers, seed))
+    keys = np.array([fleet.by_address[address]._key for address in addresses], dtype=np.uint64)
+    for tag in (NOISE, IDS, LOSS):
+        assert (simulation._absorb_all(keys, tag).tolist()
+                == [stream_key(seed, address, tag) for address in addresses]), tag
 
 
 def _visit(transport, address: str, start_ns: int, sends: int, interval_ns: int):

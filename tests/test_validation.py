@@ -158,19 +158,19 @@ def test_snapshot_longest_prefix_wins():
         ("10.1.0.0/16", "de", "de", 2),
         ("10.1.2.0/24", "fr", "fr", 3),
     ])
-    assert snapshot.asn("10.9.9.9") == 1
-    assert snapshot.asn("10.1.9.9") == 2
-    assert snapshot.asn("10.1.2.9") == 3
-    assert snapshot.country("10.1.2.9") == "FR"
+    assert snapshot.lookup("10.9.9.9")[2] == 1
+    assert snapshot.lookup("10.1.9.9")[2] == 2
+    assert snapshot.lookup("10.1.2.9")[2] == 3
+    assert snapshot.lookup("10.1.2.9")[0] == "FR"
 
 
 def test_snapshot_csv_round_trip(tmp_path):
     path = tmp_path / "snapshot.csv"
     path.write_text("# prefix,country,reg,asn,holder\n203.0.113.0/24,gb,nl,64500,cdn\n")
     snapshot = AddressSnapshot.from_csv(path)
-    assert snapshot.country("203.0.113.1") == "GB"
-    assert snapshot.registered_country("203.0.113.1") == "NL"
-    assert snapshot.asn("203.0.113.1") == 64500  # the holder column is accepted, not read
+    assert snapshot.lookup("203.0.113.1")[0] == "GB"
+    assert snapshot.lookup("203.0.113.1")[1] == "NL"
+    assert snapshot.lookup("203.0.113.1")[2] == 64500  # the holder column is accepted, not read
 
 
 def test_every_record_gets_exactly_one_verdict_pair():
