@@ -75,20 +75,22 @@ class EstimateTable:
         return cls._of_parts(read_estimate_parts(path))
 
     @classmethod
-    def _of_parts(cls, parts: Sequence[tuple]) -> "EstimateTable":
-        """The table of ``jsonrows.estimate_columns`` parts, in row order."""
+    def _of_parts(cls, parts: list) -> "EstimateTable":
+        """The table of ``estimate_columns`` parts in row order, freeing each field once copied."""
         index: dict[str, int] = {}
-        target = []
-        for targets, local, *_ in parts:  # to indices in order of first appearance
-            remap = np.array([index.setdefault(name, len(index)) for name in targets], np.intc)
-            target.append(remap[np.frombuffer(local, np.intc)])
+        for part in parts:  # to indices in order of first appearance
+            remap = np.array([index.setdefault(name, len(index)) for name in part[0]], np.intc)
+            part[1] = remap[np.frombuffer(part[1], np.intc)]
 
         def column(field: int, dtype) -> np.ndarray:
-            return np.concatenate([np.frombuffer(part[field], dtype) for part in parts])
+            joined = np.concatenate([np.frombuffer(part[field], dtype) for part in parts])
+            for part in parts:
+                part[field] = None
+            return joined
 
         table = cls(
             tuple(index),
-            np.concatenate(target),
+            column(1, np.intc),
             column(2, np.int64),
             column(3, np.float64),
             column(4, np.float64),

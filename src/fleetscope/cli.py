@@ -18,11 +18,10 @@ import csv
 import ipaddress
 import itertools
 import json
-import logging
 import math
 import sys
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from . import analytics, discovery, ipid, names, probe, simulation, store, validation
 from .config import ConfigError, load_config
@@ -60,8 +59,6 @@ def _number_in(low: float, high: float, what: str) -> Callable[[str], float]:
 
 def _build_parser() -> _Parser:
     parser = _Parser(prog="fleetscope", description=__doc__)
-    parser.add_argument("--log-level", default="warning",
-                        choices=["debug", "info", "warning", "error"])
     parser.add_argument("--seed", type=int, default=None, help="override the config seed")
     parser.add_argument("--config", default=None, help="campaign config JSON (every stage)")
     parser.add_argument("--store", default=None,
@@ -256,7 +253,8 @@ def report_stage(campaign_store, out_dir, params: probe.CampaignParams,
     verdict counts (``validation.summarize_verdicts``)."""
     verdicts = None
     if campaign_store is not None and campaign_store.stage_done("validate"):
-        verdicts = validation.summarize_verdicts(campaign_store.scan("verdicts"))
+        verdicts = validation.summarize_verdicts(
+            _checked_rows(None, campaign_store, "verdicts", validation.verdict_classes))
     return analytics.write_reports(out_dir, records, estimates, airports,
                                    validation.load_continent_table(),
                                    bin_s=params.revisit_period_s, validation=verdicts)
@@ -293,16 +291,22 @@ def _rows_in(path: str | None, campaign_store: store.CampaignStore | None, strea
     raise _UsageError(f"need --{stream} or a global --store")
 
 
-def _records_in(path: str | None, campaign_store) -> list[discovery.ServerRecord]:
-    """The records of ``path``, else the store's; a bad row raises its ``_bad_row``."""
-    records = []
-    for row, obj in enumerate(_rows_in(path, campaign_store, "records"), 1):
+def _checked_rows(path: str | None, campaign_store, stream: str, check: Callable) -> Iterator:
+    """``check`` of each row of ``path``, else of the store's ``stream``; a
+    row that is not an object, or that ``check`` refuses, raises its ``_bad_row``."""
+    for row, obj in enumerate(_rows_in(path, campaign_store, stream), 1):
         try:
-            records.append(discovery.ServerRecord.from_json(obj))
-        except (KeyError, TypeError, ValueError) as exc:
+            if not isinstance(obj, dict):
+                raise ValueError("not an object")
+            yield check(obj)
+        except (KeyError, TypeError, AttributeError, ValueError) as exc:
             reason = f"no field {exc}" if isinstance(exc, KeyError) else str(exc)
-            raise _bad_row(path, campaign_store, "records", row, reason) from None
-    return records
+            raise _bad_row(path, campaign_store, stream, row, reason) from None
+
+
+def _records_in(path: str | None, campaign_store) -> list[discovery.ServerRecord]:
+    """The records of ``path``, else the store's."""
+    return list(_checked_rows(path, campaign_store, "records", discovery.ServerRecord.from_json))
 
 
 def _estimates_in(path: str | None, campaign_store) -> analytics.EstimateTable:
@@ -333,7 +337,7 @@ def _naming_estimate_lines(path: str | None, campaign_store):
         raise _bad_row(path, campaign_store, "estimates", exc.row, exc.reason) from None
 
 
-def _cmd_crawl(args) -> int:
+def _cmd_crawl(args, params: probe.CampaignParams) -> int:
     _require_out(args, "crawl")
     lists = names.Wordlists.from_dir(
         args.wordlists,
@@ -354,7 +358,7 @@ def _cmd_crawl(args) -> int:
     return EXIT_OK
 
 
-def _cmd_validate(args) -> int:
+def _cmd_validate(args, params: probe.CampaignParams) -> int:
     _require_out(args, "validate")
     snapshot = validation.AddressSnapshot.from_csv(args.snapshot)
     cdn_asns = {int(a) for a in args.cdn_asns.split(",") if a}
@@ -512,22 +516,11 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    logging.basicConfig(level=getattr(logging, args.log_level.upper()))
     try:
         params = load_config(args.config, vars(args))
-        if args.command == "crawl":
-            return _cmd_crawl(args)
-        if args.command == "validate":
-            return _cmd_validate(args)
-        if args.command == "probe":
-            return _cmd_probe(args, params)
-        if args.command == "estimate":
-            return _cmd_estimate(args, params)
-        if args.command == "report":
-            return _cmd_report(args, params)
-        if args.command == "simulate":
-            return _cmd_simulate(args, params)
-        raise _UsageError(f"unknown command {args.command!r}")
+        command = {"crawl": _cmd_crawl, "validate": _cmd_validate, "probe": _cmd_probe,
+                   "estimate": _cmd_estimate, "report": _cmd_report, "simulate": _cmd_simulate}
+        return command[args.command](args, params)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

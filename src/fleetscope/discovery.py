@@ -16,6 +16,7 @@ is the time stamped on the records the crawl finds.
 
 from __future__ import annotations
 
+import ipaddress
 import socket
 import time
 from dataclasses import dataclass
@@ -83,10 +84,6 @@ class ServerRecord:
     first_seen_ns: int
     last_seen_ns: int
 
-    def __post_init__(self) -> None:
-        if not self.addresses:
-            raise ValueError("a record needs at least one address")
-
     @property
     def hostname(self) -> str:
         return format_server_name(self.name)
@@ -119,11 +116,17 @@ class ServerRecord:
 
     @classmethod
     def from_json(cls, obj: dict) -> "ServerRecord":
-        if not isinstance(obj["addresses"], list):  # tuple() would split a string
-            raise ValueError(f"addresses: expected a list, not {obj['addresses']!r}")
+        """The one check of a record: its name parses, its addresses are IP address text."""
+        addresses = obj["addresses"]
+        if not isinstance(addresses, list):  # tuple() would split a string
+            raise ValueError(f"addresses: expected a list, not {addresses!r}")
+        if not addresses:
+            raise ValueError("a record needs at least one address")
+        for address in addresses:  # str(): ip_address would take a JSON number
+            ipaddress.ip_address(str(address))
         return cls(
             name=parse_server_name(obj["name"], obj.get("suffix", DEFAULT_DOMAIN_SUFFIX)),
-            addresses=tuple(obj["addresses"]),
+            addresses=tuple(addresses),
             first_seen_ns=obj["first_seen_ns"],
             last_seen_ns=obj["last_seen_ns"],
         )

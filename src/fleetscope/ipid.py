@@ -20,7 +20,6 @@ columns, not an object per visit, whose ``rows`` are the estimates file's.
 from __future__ import annotations
 
 import enum
-import logging
 import math
 from array import array
 from dataclasses import dataclass
@@ -29,8 +28,6 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .store import LOST_RTT, VisitFrame
-
-logger = logging.getLogger(__name__)
 
 ID_SPACE = 1 << 16
 MAX_ID = ID_SPACE - 1
@@ -307,9 +304,6 @@ def estimate_series(frames: Iterable[VisitFrame]) -> SeriesEstimates:
     for batch in _batches(frames):
         columns = estimate_batch(batch)
         kept = np.flatnonzero((columns.behavior == _COUNTER) & columns.estimable)
-        if len(kept) < len(batch):
-            logger.debug("skipping %d of %d visits: too few replies, or not a global counter",
-                         len(batch) - len(kept), len(batch))
         for i in kept.tolist():
             frame = batch[i]
             target.append(index.setdefault(frame.target, len(index)))

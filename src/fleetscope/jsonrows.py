@@ -114,10 +114,10 @@ def read_jsonl(path: str | os.PathLike, start: int = 0, stop: int | None = None,
             yield value
 
 
-def estimate_columns(rows: Iterable[Mapping]) -> tuple:
+def estimate_columns(rows: Iterable[Mapping]) -> list:
     """Estimate rows in the ``estimates.jsonl`` format as columns.
 
-    Returns ``(targets, target, mid_ns, pps, bps, lower_bound)``: the
+    Returns ``[targets, target, mid_ns, pps, bps, lower_bound]``: the
     target names in order of first appearance, then one ``array`` per
     field, entry ``i`` of each from row ``i``: the index of the row's
     target in ``targets``, its window midpoint, rates, and
@@ -138,10 +138,10 @@ def estimate_columns(rows: Iterable[Mapping]) -> tuple:
             raise BadEstimate(number, f"no field {exc.args[0]!r}") from None
         except (TypeError, OverflowError) as exc:
             raise BadEstimate(number, f"bad value ({exc})") from None
-    return list(index), target, mid_ns, pps, bps, lower_bound
+    return [list(index), target, mid_ns, pps, bps, lower_bound]
 
 
-def parse_part(path: str | os.PathLike, start: int, stop: int, encoding: str) -> tuple | None:
+def parse_part(path: str | os.PathLike, start: int, stop: int, encoding: str) -> list | None:
     """The ``estimate_columns`` of ``read_jsonl(path, start, stop,
     encoding)``, or None if that read fails: a one-pass read names what
     is wrong."""
@@ -173,7 +173,7 @@ def _part_bounds(path: str | os.PathLike) -> list[tuple[int, int]]:
     return [(start, stop) for start, stop in zip(cuts, cuts[1:]) if start < stop or not start]
 
 
-def read_estimate_parts(path: str | os.PathLike) -> list[tuple]:
+def read_estimate_parts(path: str | os.PathLike) -> list[list]:
     """The ``estimate_columns`` of each part of the estimates file at
     ``path``, in file order (target indices count within a part), or of
     one pass if a part fails to read. A worker that fails raises
@@ -206,13 +206,13 @@ def read_estimate_parts(path: str | os.PathLike) -> list[tuple]:
     return [estimate_columns(read_jsonl(path))]
 
 
-def _result(worker, path: str | os.PathLike, start: int, stop: int) -> tuple | None:
+def _result(worker, path: str | os.PathLike, start: int, stop: int) -> list | None:
     """What ``worker`` printed: the ``parse_part`` of bytes ``start`` to
     ``stop``, one field at a time, or None."""
     try:
         columns = marshal.load(worker.stdout)
         if columns is not None:
-            columns = (columns, *(marshal.load(worker.stdout) for _ in range(5)))
+            columns = [columns, *(marshal.load(worker.stdout) for _ in range(5))]
         if not worker.wait():
             return columns
     except (EOFError, ValueError, TypeError):

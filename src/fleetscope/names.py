@@ -94,6 +94,7 @@ class ServerName:
 
     ``operator`` holds the wire token: ``"ix"`` for IXP-operated servers or
     ``"<label>.isp"`` for ISP-operated ones (the label may contain dots).
+    Its one check is ``parse_server_name``.
     """
 
     protocol: str
@@ -105,26 +106,6 @@ class ServerName:
     site_counter: int
     operator: str
     domain_suffix: str = DEFAULT_DOMAIN_SUFFIX
-
-    def __post_init__(self) -> None:
-        if self.protocol not in PROTOCOLS:
-            raise ValueError(f"protocol must be one of {PROTOCOLS}, got {self.protocol!r}")
-        if self.protocol_index < 0:
-            raise ValueError("protocol_index must be >= 0")
-        if not _TOKEN_RE.match(self.nic):
-            raise ValueError(f"nic must match [a-z0-9]+, got {self.nic!r}")
-        if self.server_counter < 0:
-            raise ValueError("server_counter must be >= 0")
-        if self.deployment_index < 0:
-            raise ValueError("deployment_index must be >= 0")
-        if not _AIRPORT_RE.match(self.airport_code):
-            raise ValueError(f"airport_code must match [a-z]{{3}}, got {self.airport_code!r}")
-        if self.site_counter < 1:
-            raise ValueError("site_counter must be >= 1")
-        if not _valid_operator(self.operator):
-            raise ValueError(f"operator must be 'ix' or '<label>.isp', got {self.operator!r}")
-        if not self.domain_suffix or self.domain_suffix != self.domain_suffix.lower():
-            raise ValueError(f"domain_suffix must be non-empty lowercase, got {self.domain_suffix!r}")
 
     @property
     def is_ixp(self) -> bool:
@@ -154,13 +135,17 @@ def parse_server_name(name: str, domain_suffix: str = DEFAULT_DOMAIN_SUFFIX) -> 
     """Decompose a hostname into its components.
 
     Raises ``MalformedName`` naming the failing component for anything that
-    does not match the grammar byte for byte; ``format_server_name`` of the
-    result reproduces the input exactly.
+    does not match the grammar byte for byte, and for a ``domain_suffix``
+    that is empty or not lowercase; ``format_server_name`` of the result
+    reproduces the input exactly.
 
     Any three-letter airport code is accepted (real fleets contain typo'd
     codes), so discovery never drops real servers; validation marks a code
     the airport database cannot place as unverified.
     """
+    if not domain_suffix or domain_suffix != domain_suffix.lower():
+        raise MalformedName("domain_suffix", name,
+                            f"expected a non-empty lowercase suffix, not {domain_suffix!r}")
     dot_suffix = "." + domain_suffix
     if not name.endswith(dot_suffix):
         raise MalformedName("domain_suffix", name, f"expected suffix {domain_suffix!r}")

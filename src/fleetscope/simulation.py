@@ -25,6 +25,7 @@ one behaviour.
 
 from __future__ import annotations
 
+import ipaddress
 import json
 import math
 from dataclasses import dataclass, field
@@ -288,6 +289,7 @@ def _server_from_config(entry: Mapping) -> SimulatedServer:
     rtt_ns = round(float(rtt_ms) * 1e6)
     if rtt_ns > MAX_RTT_NS:  # a sample stores no longer round trip
         raise ValueError(f"'rtt_ms' is not at most {MAX_RTT_NS / 1e6} ms: {rtt_ms!r}")
+    ipaddress.ip_address(str(entry["address"]))  # str(): it would take a JSON number
     constant_id = entry.get("constant_id", 7)
     if type(constant_id) is not int or not 0 <= constant_id <= 0xFFFF:
         raise ValueError(f"'constant_id' is not a JSON integer in 0..65535: {constant_id!r}")

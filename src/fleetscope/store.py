@@ -47,6 +47,8 @@ LOST_RTT = 0xFFFF_FFFF
 MAX_RTT_NS = LOST_RTT - 1
 _FRAME_HEADER = struct.Struct("<4sqqIB")
 _BYTES_PER_PROBE = 8 + 4 + 2
+# json.dumps(obj, separators=(",", ":")), less a new encoder per call
+_encode_row = json.JSONEncoder(separators=(",", ":")).encode
 _SAMPLES_V1 = "samples stream is v1 (JSON lines); re-run the probe stage"
 
 
@@ -169,7 +171,7 @@ class JsonlWriter(_PartialFile):
     """Writes a JSON-lines file, one object per line."""
 
     def append(self, obj: dict) -> None:
-        self._fh.write(json.dumps(obj, separators=(",", ":")) + "\n")
+        self._fh.write(_encode_row(obj) + "\n")
 
 
 class FrameWriter(_PartialFile):

@@ -293,17 +293,26 @@ def multinational_labels(records: Iterable[ServerRecord], airports: AirportDatab
     return frozenset(label for label, seen in countries.items() if len(seen) > 1)
 
 
-def summarize_verdicts(rows: Iterable[dict]) -> dict:
-    """Counts of verdict rows per geo class (``match``, a mismatch class or
+def verdict_classes(row: Mapping) -> tuple[str, str, str]:
+    """A verdict row's geo class, ASN outcome and hostname, each a string."""
+    geo = row["geo"]
+    classes = geo.get("mismatch_class") or geo["verdict"], row["asn"]["verdict"], row["name"]
+    if any(type(value) is not str for value in classes):  # each is counted or sorted
+        raise ValueError(f"expected strings, not {classes!r}")
+    return classes
+
+
+def summarize_verdicts(classes: Iterable[tuple[str, str, str]]) -> dict:
+    """Counts of verdicts per geo class (``match``, a mismatch class or
     ``unverified``) and per ASN outcome, plus the sorted hostnames of the
-    unexplained geo mismatches. Reads ``rows`` once, keeping only those."""
+    unexplained geo mismatches, from each row's ``verdict_classes``. Reads
+    ``classes`` once, keeping only those."""
     geo: Counter[str] = Counter()
     asn: Counter[str] = Counter()
     unexplained = []
-    for row in rows:
-        geo_class = row["geo"].get("mismatch_class") or row["geo"]["verdict"]
+    for geo_class, asn_class, name in classes:
         geo[geo_class] += 1
-        asn[row["asn"]["verdict"]] += 1
+        asn[asn_class] += 1
         if geo_class == MISMATCH_UNEXPLAINED:
-            unexplained.append(row["name"])
+            unexplained.append(name)
     return {"geo": dict(geo), "asn": dict(asn), "unexplained": sorted(unexplained)}

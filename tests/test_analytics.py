@@ -3,12 +3,15 @@
 import datetime as dt
 import functools
 import tempfile
+import weakref
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fleetscope import analytics
 from fleetscope.analytics import (
     EstimateTable,
     UnjoinedEstimate,
@@ -20,6 +23,7 @@ from fleetscope.analytics import (
     write_reports,
 )
 from fleetscope.discovery import ServerRecord
+from fleetscope.jsonrows import estimate_columns
 from fleetscope.names import parse_server_name
 from fleetscope.validation import AirportDatabase, load_continent_table
 
@@ -59,6 +63,29 @@ def _sinusoid_series(target, peak_utc_s, days=1, step_s=1800, base=1000.0, amp=0
             rate = base * (1 + amp * math.cos(2 * math.pi * (s - peak_utc_s) / 86400))
             series.append(_estimate(target, t * 10**9, rate))
     return series
+
+
+def test_a_read_frees_each_part_field_once_its_column_is_built(monkeypatch):
+    # the parts and the table's columns are never all alive at once
+    rows = [_estimate(target, i * HOUR_NS, 10.0 * i) for i, target in enumerate("abcab")]
+    parts = [estimate_columns(rows[:2]), estimate_columns(rows[2:])]
+    fields = [[weakref.ref(part[field]) for part in parts] for field in range(2, 6)]
+    alive = []
+    concatenate = np.concatenate
+
+    def count_then_concatenate(arrays):
+        alive.append([sum(ref() is not None for ref in refs) for refs in fields])
+        return concatenate(arrays)
+
+    monkeypatch.setattr(analytics, "read_estimate_parts", lambda path: parts)
+    monkeypatch.setattr(np, "concatenate", count_then_concatenate)
+    table = EstimateTable.read("estimates.jsonl")
+    # target, then mid_ns, pps, bps and lower_bound
+    assert alive == [[2, 2, 2, 2], [2, 2, 2, 2], [0, 2, 2, 2], [0, 0, 2, 2], [0, 0, 0, 2]]
+    assert all(ref() is None for refs in fields for ref in refs)
+    assert table.targets == ("a", "b", "c")
+    assert table.target.tolist() == [0, 1, 2, 0, 1]
+    assert table.pps.tolist() == [0.0, 10.0, 20.0, 30.0, 40.0]
 
 
 def test_peak_detection_timezone_shift():

@@ -975,6 +975,28 @@ def test_a_fleet_server_without_an_address_is_named(tmp_path, capsys, command):
         assert not (tmp_path / output).exists()
 
 
+@pytest.mark.parametrize("command", ["simulate", "probe", "crawl"])
+@pytest.mark.parametrize("address", ["foo", "10.0.0.256"])
+def test_a_fleet_address_that_is_no_ip_address_is_named(tmp_path, capsys, command, address):
+    fleet = write_fleet(tmp_path / "fleet.json", [make_server(1.0)])
+    config = json.loads(fleet.read_text())
+    config["servers"][0]["address"] = address
+    fleet.write_text(json.dumps(config))
+    targets = _write_lines(tmp_path / "targets.txt", ["198.18.0.1"])
+    args = {
+        "simulate": ["simulate", "--fleet", str(fleet), "--out", str(tmp_path / "out")],
+        "probe": ["probe", "--targets", str(targets), "--transport", f"sim:{fleet}",
+                  "--out", str(tmp_path / "samples.bin")],
+        "crawl": _crawl_args(tmp_path, fleet, tmp_path / "campaign"),
+    }[command]
+    assert main(args) == EXIT_STAGE
+    name = config["servers"][0]["name"]
+    assert capsys.readouterr().err == (f"error: {fleet}: servers[0] ({name}): {address!r} "
+                                       "does not appear to be an IPv4 or IPv6 address\n")
+    for output in ("out", "samples.bin", "campaign"):  # no stage begun, none marked done
+        assert not (tmp_path / output).exists()
+
+
 def test_a_fleet_numbered_from_c000_is_probed_but_not_simulated(tmp_path, capsys):
     # c000 parses, but word lists count from c001: only the crawl refuses it
     fleet = write_fleet(tmp_path / "fleet.json", [make_server(1.0, counter=0,
@@ -1004,6 +1026,43 @@ def test_a_fleet_seed_or_suffix_of_the_wrong_json_type_is_named(tmp_path, capsys
     kind = "integer" if key == "seed" else "string"
     assert capsys.readouterr().err == f"error: {fleet}: {key!r} is not a JSON {kind}: {shown}\n"
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("suffix", ["", "NFLXVIDEO.NET"], ids=["empty", "uppercase"])
+def test_a_fleet_suffix_that_is_empty_or_not_lowercase_is_named(tmp_path, capsys, suffix):
+    # the names end with the suffix, so only the suffix itself is at fault
+    fleet = write_fleet(tmp_path / "fleet.json", [make_server(1000.0)])
+    config = json.loads(fleet.read_text())
+    name = config["servers"][0]["name"].removesuffix("nflxvideo.net") + suffix
+    config["servers"][0]["name"] = name
+    config["domain_suffix"] = suffix
+    fleet.write_text(json.dumps(config))
+    assert main(["simulate", "--fleet", str(fleet), "--out", str(tmp_path / "out")]) == EXIT_STAGE
+    assert capsys.readouterr().err == (f"error: {fleet}: {name!r}: bad domain_suffix: "
+                                       f"expected a non-empty lowercase suffix, not {suffix!r}\n")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("bad_row, reason", [
+    (lambda good: json.dumps({key: value for key, value in good.items() if key != "geo"}),
+     "no field 'geo'"),
+    (lambda good: json.dumps([good]), "not an object"),
+    (lambda good: json.dumps({**good, "geo": {"verdict": ["match"]}}),
+     f"expected strings, not (['match'], 'consistent', {make_hostname()!r})"),
+], ids=["no_geo", "not_an_object", "geo_verdict_not_a_string"])
+def test_report_names_a_bad_verdict_line_and_writes_nothing(tmp_path, small_fleet_file, capsys,
+                                                            bad_row, reason):
+    run = tmp_path / "run"
+    assert _simulate(run, small_fleet_file) == EXIT_OK
+    verdicts = run / "store" / "verdicts.jsonl"
+    rows = verdicts.read_text().splitlines()
+    rows[1] = bad_row(json.loads(rows[1]))
+    verdicts.write_text("".join(row + "\n" for row in rows))
+    capsys.readouterr()
+    out = tmp_path / "r"
+    assert main(["--store", str(run / "store"), "report", "--out", str(out)]) == EXIT_STAGE
+    assert capsys.readouterr().err == f"error: {verdicts}: line 2: {reason}\n"
+    assert not out.exists()
 
 
 def test_report_counts_the_stored_verdicts(tmp_path):
@@ -1197,7 +1256,19 @@ def test_report_on_a_store_reads_the_estimates_its_schema_supports(
     (lambda good: {**good, "addresses": []}, "a record needs at least one address"),
     (lambda good: {**good, "addresses": "203.0.113.3"},
      "addresses: expected a list, not '203.0.113.3'"),
-], ids=["no_addresses_field", "bad_name", "empty_addresses", "addresses_not_a_list"])
+    (lambda good: {**good, "addresses": ["203.0.113.3", "foo"]},
+     "'foo' does not appear to be an IPv4 or IPv6 address"),
+    # the name ends with the suffix, so only the suffix itself is at fault
+    (lambda good: {**good, "name": good["name"].removesuffix("nflxvideo.net"), "suffix": ""},
+     f"'{make_hostname(counter=3).removesuffix('nflxvideo.net')}': bad domain_suffix: "
+     "expected a non-empty lowercase suffix, not ''"),
+    (lambda good: {**good, "name": good["name"].replace("nflxvideo.net", "NFLXVIDEO.NET"),
+                   "suffix": "NFLXVIDEO.NET"},
+     f"'{make_hostname(counter=3).replace('nflxvideo.net', 'NFLXVIDEO.NET')}': bad "
+     "domain_suffix: expected a non-empty lowercase suffix, not 'NFLXVIDEO.NET'"),
+    (lambda good: [good], "not an object"),
+], ids=["no_addresses_field", "bad_name", "empty_addresses", "addresses_not_a_list",
+        "not_an_address", "empty_suffix", "uppercase_suffix", "not_an_object"])
 def test_a_bad_record_names_its_line_and_writes_nothing(tmp_path, capsys, command, bad_row,
                                                         reason):
     good = [record_for(make_server(1.0, counter=i + 1, address=f"203.0.113.{i + 1}")).to_json()

@@ -57,6 +57,17 @@ def test_parse_rejects_foreign_suffix():
     assert exc.value.component == "domain_suffix"
 
 
+@pytest.mark.parametrize("suffix", ["", "NFLXVIDEO.NET"], ids=["empty", "uppercase"])
+def test_parse_rejects_a_suffix_that_is_empty_or_not_lowercase(suffix):
+    # the name ends with the suffix, so only the suffix itself is at fault
+    name = f"ipv4_1-lagg0-c020.1.lhr001.ix.{suffix}"
+    with pytest.raises(MalformedName) as exc:
+        parse_server_name(name, domain_suffix=suffix)
+    assert exc.value.component == "domain_suffix"
+    assert str(exc.value) == (f"{name!r}: bad domain_suffix: "
+                              f"expected a non-empty lowercase suffix, not {suffix!r}")
+
+
 def test_format_examples():
     ixp = ServerName("ipv4", 1, "lagg0", 20, 1, "lhr", 1, "ix")
     assert format_server_name(ixp) == IXP_NAME
