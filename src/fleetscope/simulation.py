@@ -1,26 +1,24 @@
 """Virtual target fleet: DNS zone, echo responders, and traffic profiles.
 
-Time is virtual throughout, so a ten-day campaign replays in seconds. Every
-responder integrates its traffic profile into a cumulative packet counter;
-in global-counter mode the exposed IP ID is that counter mod 65536, with
-the echo reply itself incrementing it by one, which is exactly what a rate
-estimator has to cope with. The counter is integrated per 1 s bin of server
-time, not per echo, and is linear within a bin. Each bin an echo falls in
-draws one noise factor, and the whole bins between visits are one step with
-one factor; a step of width W has the std ``noise_rel * sqrt(30 ms / W)``.
-The transport answers every visit of a slot in one call, with a few numpy
-passes over the slot's probes, and hands each visit's exact mean rate of
-that counter to a truth destination so estimates can be judged against
-ground truth.
+Time is virtual throughout, so a ten-day campaign replays in seconds. Each
+responder's background count, the packets it has sent by time t, is a pure
+function of its key and t; in global-counter mode the exposed IP ID is that
+count plus the echo replies served before, mod 65536, which is exactly what
+a rate estimator has to cope with. The count is a keyed multiplicative
+cascade over the traffic profile (Feldmann, Gilbert & Willinger, "Data
+networks as cascades", SIGCOMM 1998; see ``_counts``). The transport
+answers every visit of a slot in one call, with a few numpy passes over the
+slot's probes, and hands each visit's exact mean rate of that count to a
+truth destination so estimates can be judged against ground truth.
 
-Every random draw (profile noise, random IDs, probe loss) is a splitmix64
+Every random draw (cascade shares, random IDs, probe loss) is a splitmix64
 word keyed by what it is drawn for, so the simulator keeps no generator
-state and no draw depends on an earlier one. A server's key absorbs the
-fleet seed and its address; each stream absorbs a tag into it. A noise
-step is keyed by its start and end times, a random ID by its echo's
-arrival time and its place among the echoes that arrive at that time, and
-a loss by its visit's first send time and its sequence number. One seed,
-one behaviour.
+state and no draw depends on an earlier one or on what was read before. A
+server's key absorbs the fleet seed and its address; each stream absorbs a
+tag into it. A share is keyed by its cell's midpoint, a random ID by its
+echo's arrival time and its place among the echoes that arrive at that
+time, and a loss by its visit's first send time and its sequence number.
+One seed, one behaviour.
 """
 
 from __future__ import annotations
@@ -40,10 +38,17 @@ from .store import MAX_RTT_NS
 from .transport import NO_REPLY
 
 DAY_S = 86400.0
-# the responder draws one noise factor per bin of server time
+# the cascade's finest cell; the count is linear inside one
 BIN_NS = 1_000_000_000
-# the width whose noise step has the std noise_rel (see TrafficProfile)
+# the width whose mean has the std noise_rel (see TrafficProfile)
 NOISE_STEP_NS = 30_000_000
+# a top cell of the cascade spans 2**_DEPTH bins (~12 days)
+_DEPTH = 20
+# the variance of the mean over a cell at each depth, in units of
+# noise_rel**2: 0 for a top cell, whose integral is exact, and below it 30 ms
+# over the cell's width
+_CELL_VARIANCE = np.array([0.0] + [math.ldexp(NOISE_STEP_NS / BIN_NS, depth - _DEPTH)
+                                   for depth in range(1, _DEPTH + 1)])
 
 # splitmix64 (Steele, Lea & Flood, OOPSLA 2014): word n of the generator
 # from state s is the finaliser of s + n * _GAMMA, so any word is computed
@@ -57,12 +62,11 @@ _U11, _U27, _U30, _U31, _U48 = _U(11), _U(27), _U(30), _U(31), _U(48)
 # the tag each stream absorbs into a server's key
 _NOISE, _IDS, _LOSS = 1, 2, 3
 # end_run answers a slot in chunks of whole visits of at most this many
-# probes, or of one visit if it is longer. The paper-shaped hour (156
-# visits of 2,000 probes a slot) peaked at 51.6-51.8 MB in chunks of 2,048
-# to 6,000 probes, at 51.7-54.6 MB in chunks of 8,192, at ~55 MB in
-# chunks of 16,384 and at ~81 MB a slot at a time (2 vCPUs, numpy 2.4).
-# A fleet-sweep slot (150 visits of 25) is one chunk.
-CHUNK_PROBES = 4_096
+# probes, or of one visit if it is longer; a chunk costs ~200 numpy calls
+# whatever its size. The paper-shaped hour (156 visits of 2,000 probes a
+# slot) peaked at 50.5, 51.8-52.9 and 52.9-53.1 MB in chunks of 4,096,
+# 16,384 and 32,768 probes (2 vCPUs, numpy 2.4); a fleet-sweep slot is one.
+CHUNK_PROBES = 16_384
 _TAU = 2.0 * math.pi
 
 
@@ -84,27 +88,15 @@ def _absorb_all(keys, words) -> np.ndarray:
     return splitmix64(np.asarray(words).astype(np.uint64) ^ keys, _U(1))
 
 
-def _step_normals(keys: list[int], starts: list[int], ends: list[int]) -> list[float]:
-    """The standard normal of each noise step from ``starts[i]`` to
-    ``ends[i]`` under the noise key ``keys[i]``: Box-Muller of the top 53
-    bits of words 1 and 2 of splitmix64 from the key extended by the start
-    (``_absorb_all``), XOR the end, as fractions u and v of 2**53. The
-    steps are hashed, and u and v scaled by exact float operations, as
-    arrays; the transcendentals are always those of ``math``, since numpy's
-    can differ by an ulp across CPUs."""
-    states = _absorb_all(np.array(keys, dtype=np.uint64), np.array(starts, dtype=np.uint64))
-    states ^= np.array(ends, dtype=np.uint64)
-    firsts, seconds = splitmix64(states, np.array([[1], [2]], dtype=np.uint64)) >> _U11
-    tails = (1.0 - firsts * 2.0**-53).tolist()
-    angles = (_TAU * (seconds * 2.0**-53)).tolist()
-    sqrt, log, cos = math.sqrt, math.log, math.cos
-    return [sqrt(-2.0 * log(tail)) * cos(angle) for tail, angle in zip(tails, angles)]
-
-
 def parse_hhmm(text: str) -> float:
-    """'23:30' -> seconds since local midnight."""
+    """'23:30' -> seconds since local midnight; an hour alone is on the
+    hour. A time past 24:00, or with minutes of 60 or more, raises a
+    ValueError."""
     hours, _, minutes = text.partition(":")
-    return int(hours) * 3600.0 + int(minutes or 0) * 60.0
+    hours, minutes = int(hours), int(minutes or 0)
+    if not (0 <= hours and 0 <= minutes < 60 and hours * 60 + minutes <= 24 * 60):
+        raise ValueError(f"{text!r} is not a time of day HH:MM")
+    return hours * 3600.0 + minutes * 60.0
 
 
 @dataclass(frozen=True, slots=True)
@@ -114,12 +106,13 @@ class TrafficProfile:
     The deterministic part is a daily sinusoid peaking at ``peak_local_s``
     plus an optional content-fill burst: a raised cosine inside the fill
     window, zero at the edges and ``fill_extra_pps`` high at the window
-    midpoint. The responder multiplies the packets of each noise step (a
-    1 s bin that an echo falls in, or a span of whole bins that none does)
-    of width W by a Gaussian factor of mean 1 and std
-    ``noise_rel * sqrt(30 ms / W)``, clipped so the rate never goes
-    negative: a visit's mean rate varies about as much as if each 30 ms
-    echo drew a factor of std ``noise_rel``.
+    midpoint. The responder's cascade (``_counts``) keeps the exact
+    integral of that rate over each ~12-day top cell and moves packets
+    between the halves of each cell below it: the mean factor of any W whole
+    seconds has mean 1 and std ``noise_rel * sqrt(30 ms / W)``, as if each
+    30 ms echo drew a factor of std ``noise_rel``. Every value is finite,
+    the peak time and the timezone offset within a day, and ``noise_rel``
+    at most 5: above ~5.8 a split would move more than a half's packets.
     """
 
     base_pps: float
@@ -132,38 +125,50 @@ class TrafficProfile:
     fill_end_s: float = 50400.0  # 14:00
 
     def __post_init__(self) -> None:
-        if self.base_pps < 0:
-            raise ValueError("base_pps must be >= 0")
+        # NaN fails every comparison, so each check refuses it
+        if not 0.0 <= self.base_pps < math.inf:
+            raise ValueError(f"base_pps must be >= 0 and finite, not {self.base_pps!r}")
         if not 0.0 <= self.diurnal_amplitude <= 1.0:
             raise ValueError("diurnal_amplitude must be within [0, 1]")
-        if self.fill_extra_pps < 0:
-            raise ValueError("fill_extra_pps must be >= 0")
+        if not 0.0 <= self.peak_local_s <= DAY_S:
+            raise ValueError(f"peak_local_s must be within a day, not {self.peak_local_s!r}")
+        if not -DAY_S <= self.tz_offset_s <= DAY_S:
+            raise ValueError(f"tz_offset_s must be within a day, not {self.tz_offset_s!r}")
+        if not 0.0 <= self.fill_extra_pps < math.inf:
+            raise ValueError(
+                f"fill_extra_pps must be >= 0 and finite, not {self.fill_extra_pps!r}")
         if not 0.0 <= self.fill_start_s < self.fill_end_s <= DAY_S:
             raise ValueError("fill window must satisfy 0 <= start < end <= 24h")
-        if self.noise_rel < 0:
-            raise ValueError("noise_rel must be >= 0")
+        if not 0.0 <= self.noise_rel <= 5.0:
+            raise ValueError(f"noise_rel must be within [0, 5], not {self.noise_rel!r}")
 
-    def _cumulative(self, t_s: float) -> float:
-        """Antiderivative of the deterministic rate at UTC time ``t_s``."""
-        local = t_s + self.tz_offset_s
-        phase = 2 * math.pi * (local - self.peak_local_s) / DAY_S
-        total = self.base_pps * (
-            t_s + self.diurnal_amplitude * (DAY_S / (2 * math.pi)) * math.sin(phase)
-        )
-        if self.fill_extra_pps:
-            width = self.fill_end_s - self.fill_start_s
-            days = math.floor(local / DAY_S)
-            pos = local - days * DAY_S
-            x = min(max(pos - self.fill_start_s, 0.0), width)
-            partial = 0.5 * (x - (width / (2 * math.pi)) * math.sin(2 * math.pi * x / width))
-            total += self.fill_extra_pps * (days * 0.5 * width + partial)
-        return total
+
+def _cumulative(profiles: Sequence[TrafficProfile], owners: np.ndarray,
+                t_s: np.ndarray) -> np.ndarray:
+    """The antiderivative of the deterministic rate of ``profiles[owners[i]]``
+    at UTC time ``t_s[i]``: numpy's arithmetic, which rounds as IEEE requires,
+    and the sines of ``math``, since numpy's can differ by an ulp across CPUs."""
+    base, amplitude, peak, tz, extra, start, end = np.take(np.array(
+        [(p.base_pps, p.diurnal_amplitude, p.peak_local_s, p.tz_offset_s, p.fill_extra_pps,
+          p.fill_start_s, p.fill_end_s) for p in profiles]).T, owners, axis=1)
+    local = t_s + tz
+    sines = list(map(math.sin, (_TAU * (local - peak) / DAY_S).tolist()))
+    total = base * (t_s + amplitude * (DAY_S / _TAU) * np.array(sines))
+    filled = np.flatnonzero(extra)
+    if len(filled):
+        local, start, width = local[filled], start[filled], end[filled] - start[filled]
+        days = np.floor(local / DAY_S)
+        x = np.minimum(np.maximum(local - days * DAY_S - start, 0.0), width)
+        sines = list(map(math.sin, (_TAU * x / width).tolist()))
+        partial = 0.5 * (x - (width / _TAU) * np.array(sines))
+        total[filled] += extra[filled] * (days * 0.5 * width + partial)
+    return total
 
 
 @dataclass(slots=True)  # a fleet holds thousands: no per-server __dict__
 class SimulatedServer:
-    """One responder: a name, an address, a profile and an ID counter, whose
-    clock and counts ``SimulatedTransport.end_run`` moves."""
+    """One responder: a name, an address, a profile, and the count of
+    replies that ``SimulatedTransport.end_run`` has served."""
 
     name: str
     address: str
@@ -172,13 +177,7 @@ class SimulatedServer:
     reachable: bool = True
     rtt_ns: int = 5_000_000
     constant_id: int = 7
-    background_packets: float = field(default=0.0, init=False)
     reply_packets: int = field(default=0, init=False)
-    time_ns: int = field(default=0, init=False)
-    # the noise step that holds the clock: its start and end times, then the
-    # counts at them
-    _open_step: tuple[int, int, float, float] | None = field(default=None, init=False,
-                                                             repr=False)
     # the fleet seed and the address, hashed (see SimulatedFleet)
     _key: int = field(default=0, init=False, repr=False)
     # the arrival time of the last random ID, and the echoes served at it
@@ -346,15 +345,15 @@ class SimulatedTransport:
     first send to the last serve, the span over which the counter moved.
 
     A send takes no time, so ``send_run`` only computes the send times and
-    moves the clock to the last. ``end_run`` draws the slot's losses, moves
-    each responder to its visit's first send, each delivered echo's arrival
-    and its last send, and reads the replies: nothing else touches a
-    responder while one of its visits is open, so its replies are those it
-    would have given as each echo arrived. Send ``seq`` is lost when the top
-    53 bits of word ``seq + 1`` of splitmix64 from the visit's first send
-    time, absorbed into the target's loss key, are below
-    ``ceil(loss_rate * 2**53)``: a function of the fleet seed, the target,
-    the visit's first send and ``seq`` alone.
+    moves the clock to the last. ``end_run`` draws the slot's losses and
+    reads each responder's background count at its visit's first send, each
+    delivered echo's arrival and its last serve: the count is a function of
+    time alone, and nothing else touches a responder while one of its visits
+    is open, so its replies are those it would have given as each echo
+    arrived. Send ``seq`` is lost when the top 53 bits of word ``seq + 1``
+    of splitmix64 from the visit's first send time, absorbed into the
+    target's loss key, are below ``ceil(loss_rate * 2**53)``: a function of
+    the fleet seed, the target, the visit's first send and ``seq`` alone.
 
     ``truth``, if given, gets ``(target, start_ns, end_ns, true_pps)`` as
     each such window closes; the transport keeps no record of its own.
@@ -419,22 +418,10 @@ class SimulatedTransport:
                 sent: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """``end_run`` of the visits to ``servers``, sent at the rows of ``sent``.
 
-        Each visit reads its responder's background count at its first
-        send, at each delivered echo's arrival and at its last send, in
-        that order; a read behind the responder's clock reads the count at
-        the clock, and the clock never moves backwards. The count is
-        piecewise linear in time, with knots at 1 s bin edges. Each bin a
-        read falls in (or its part past the clock, for a clock that no
-        earlier read left inside a bin) is one noise step: its factor is
-        keyed by the step's start and end, drawn the first time a read
-        reaches into it and kept while later reads continue inside it. A
-        read on the start edge of a bin, where the step before it ends,
-        reads that step's end and opens no step. A span of whole bins that
-        no read falls in is one step with one draw. A step of width W has
-        the std ``noise_rel * sqrt(NOISE_STEP_NS / W)``, clipped so the
-        count never falls. So the counter depends on the read times alone,
-        not on how they are split into visits or slots or on what was drawn
-        before; a fixed seed and campaign replays identically.
+        Each visit reads its responder's background count (``_counts``) at
+        its first send, each delivered echo's arrival and its last serve,
+        the last send or the last delivered arrival past it; its truth is
+        the mean rate between the first and the last of these.
 
         A reply's ID is the counter (the count plus the replies served
         before) mod 65536 for a global counter, the constant for a
@@ -445,113 +432,124 @@ class SimulatedTransport:
         """
         visits, count = sent.shape
         starts, ends = sent[:, 0], sent[:, -1]
-        keys = np.array([server._key for server in servers], dtype=np.uint64)
         rtt = np.array([server.rtt_ns for server in servers], dtype=np.int64)[:, None]
         arrivals = sent + rtt // 2
         if self.loss_rate:
+            keys = np.array([server._key for server in servers], dtype=np.uint64)
             states = _absorb_all(_absorb_all(keys, _LOSS), starts)
-            words = splitmix64(states[:, None], np.arange(1, count + 1, dtype=np.uint64))
-            delivered = words >> _U11 >= _U(math.ceil(self.loss_rate * 2**53))
-            # the last send, or the last delivered arrival past it
+            delivered = (splitmix64(states[:, None], np.arange(1, count + 1, dtype=np.uint64))
+                         >> _U11 >= _U(math.ceil(self.loss_rate * 2**53)))
             last = np.maximum(ends, np.where(delivered, arrivals, starts[:, None]).max(axis=1))
         else:
             delivered = np.ones(sent.shape, dtype=bool)
             last = arrivals[:, -1]
-        # each visit's reads in order: its first send, its delivered
-        # arrivals, then its last send, raised to the arrival before it
+        # each visit's reads: its first send, its arrivals, then its last serve
         reads = np.concatenate((starts[:, None], arrivals, last[:, None]), axis=1)
-        kept = np.ones(reads.shape, dtype=bool)
-        kept[:, 1:-1] = delivered
-        served = np.count_nonzero(delivered, axis=1)
-        bounds = np.zeros(visits + 1, dtype=np.int64)
-        # not np.cumsum, whose traced cache varies from call to call
-        bounds[1:] = np.add.accumulate(served + 2)
-        clocks = np.array([server.time_ns for server in servers], dtype=np.int64)
-        times = np.maximum(reads[kept], np.repeat(clocks, served + 2))
-
-        # the reads of each visit grouped by the bin they fall in, and the
-        # groups that reach past the end of the step that holds the clock
-        bins = times // BIN_NS * BIN_NS
-        first = np.ones(len(times), dtype=bool)
-        first[1:] = bins[1:] != bins[:-1]
-        first[bounds[:-1]] = True
-        firsts = np.flatnonzero(first)
-        lasts = times[np.append(firsts[1:], len(times)) - 1]
-        owners = np.repeat(np.arange(visits), np.diff(np.searchsorted(firsts, bounds)))
-        reach = np.array([server.time_ns if server._open_step is None else server._open_step[1]
-                          for server in servers], dtype=np.int64)
-        beyond = lasts > reach[owners]
-        group_starts = bins[firsts][beyond].tolist()
-        # the groups whose reads all sit on the start edge of their bin
-        edges = (lasts == bins[firsts])[beyond].tolist()
-        group_bounds = np.searchsorted(owners[beyond], np.arange(visits + 1)).tolist()
-
-        # each visit's knots: those of the step that holds the clock, then
-        # those its reads reach
-        knots = []
-        noise_keys = _absorb_all(keys, _NOISE).tolist()
-        step_keys, step_starts, step_ends = [], [], []
-        for visit, server in enumerate(servers):
-            step = server._open_step
-            xs = [server.time_ns] if step is None else [step[0], step[1]]
-            known = len(xs)
-            for at in range(group_bounds[visit], group_bounds[visit + 1]):
-                start = group_starts[at]
-                if start == xs[-1] and edges[at]:
-                    continue  # those reads end the step before, as a later visit's would
-                if start > xs[-1]:
-                    xs.append(start)  # the whole bins before this one: one step
-                xs.append(start + BIN_NS)
-            knots.append(xs)
-            if server.profile.noise_rel > 0 and len(xs) > known:
-                step_keys += [noise_keys[visit]] * (len(xs) - known)
-                step_starts += xs[known - 1:-1]
-                step_ends += xs[known:]
-        normals = iter(_step_normals(step_keys, step_starts, step_ends))
-
-        background = np.empty(len(times))
-        moved = (times[bounds[1:] - 1] > clocks).tolist()
-        arriving = np.ones(len(times), dtype=bool)
-        arriving[bounds[:-1]] = False
-        arriving[bounds[1:] - 1] = False
-        bounds = bounds.tolist()
-        for visit, (server, xs) in enumerate(zip(servers, knots)):
-            low, high = bounds[visit], bounds[visit + 1]
-            if not moved[visit]:
-                background[low:high] = server.background_packets
-                continue
-            step = server._open_step
-            ys = [server.background_packets] if step is None else [step[2], step[3]]
-            known = len(ys)
-            cumulative = server.profile._cumulative
-            noise_rel = server.profile.noise_rel
-            before = cumulative(xs[known - 1] / 1e9)
-            for at, to in zip(xs[known - 1:-1], xs[known:]):
-                after = cumulative(to / 1e9)
-                factor = 1.0
-                if noise_rel > 0:
-                    std = noise_rel * math.sqrt(NOISE_STEP_NS / (to - at))
-                    factor = max(0.0, 1.0 + std * next(normals))
-                ys.append(ys[-1] + (after - before) * factor)
-                before = after
-            background[low:high] = np.interp(times[low:high], xs, ys)
-            server._open_step = (xs[-2], xs[-1], ys[-2], ys[-1])
-            server.background_packets = float(background[high - 1])
-            server.time_ns = int(times[high - 1])
-
+        background = _counts(servers, np.repeat(np.arange(visits), count + 2),
+                             reads.ravel()).reshape(reads.shape)
         if self.truth is not None:
-            for server, start_ns, end_ns, low in zip(servers, starts.tolist(), ends.tolist(),
-                                                     bounds):
-                if end_ns > start_ns:
-                    # the counter moved up to the last serve, half an RTT past the last send
-                    pps = ((server.background_packets - float(background[low]))
-                           / ((server.time_ns - start_ns) / 1e9))
-                    self.truth((server.address, start_ns, end_ns, pps))
+            windows = np.flatnonzero(ends > starts)
+            pps = ((background[windows, -1] - background[windows, 0])
+                   / ((last - starts)[windows] / 1e9))
+            for visit, rate in zip(windows.tolist(), pps.tolist()):
+                self.truth((servers[visit].address, int(starts[visit]), int(ends[visit]), rate))
         recv_ns = np.full(sent.shape, NO_REPLY, dtype=np.int64)
         recv_ns[delivered] = (sent + rtt)[delivered]
         ip_id = np.zeros(sent.shape, dtype=np.uint16)
-        ip_id[delivered] = _reply_ids(servers, served, arrivals[delivered], background[arriving])
+        ip_id[delivered] = _reply_ids(servers, np.count_nonzero(delivered, axis=1),
+                                      arrivals[delivered], background[:, 1:-1][delivered])
         return recv_ns, ip_id
+
+
+def _counts(servers: Sequence[SimulatedServer], owners: np.ndarray,
+            t_ns: np.ndarray) -> np.ndarray:
+    """The background count of ``servers[owners[i]]`` at ``t_ns[i]``: the
+    packets it has sent since time 0, a pure function of its key and the
+    time. Reads of one owner in ascending time share their cells' work.
+
+    A top cell of 2**_DEPTH bins holds the profile's exact integral. Each
+    cell below splits its count at its midpoint m at the share
+    q = p + min(p, 1 - p) * a * (2u - 1): p is the profile's share of the
+    left half, u the top 53 bits of the noise key absorbing m (in bins,
+    which names the cell) as a fraction of 2**53, and a gives the mean over
+    each cell the variance noise_rel**2 * _CELL_VARIANCE, with distinct bins
+    uncorrelated. The count at m is the count at the cell's start plus q
+    times the count across it, at most the count at its end, so no rounding
+    lets it fall; it is linear inside a bin.
+    """
+    bins = t_ns // BIN_NS
+    into = t_ns - bins * BIN_NS
+    # each owner's distinct bins, adjacent in ascending reads, and their reads
+    new = np.ones(len(bins), dtype=bool)
+    new[1:] = (bins[1:] != bins[:-1]) | (owners[1:] != owners[:-1])
+    firsts = np.flatnonzero(new)
+    runs = np.diff(np.append(firsts, len(bins)))
+    holders, bins = owners[firsts], bins[firsts]
+    # each bin's cell at each level (rows; the last is the bin itself), each
+    # distinct cell once in level-major order, and which one each bin's is
+    cells = bins >> np.arange(_DEPTH, -1, -1, dtype=np.int64)[:, None]
+    fresh = np.ones((_DEPTH, len(bins)), dtype=bool)
+    fresh[:, 1:] = (cells[:-1, 1:] != cells[:-1, :-1]) | (holders[1:] != holders[:-1])
+    distinct = np.flatnonzero(fresh)
+    cell_of = np.repeat(np.arange(len(distinct)),
+                        np.diff(np.append(distinct, fresh.size))).reshape(fresh.shape)
+    levels, columns = np.divmod(distinct, len(bins))
+    index, cell_owners = cells[:-1].ravel()[distinct], holders[columns]
+    # the profile's integral at each distinct cell's midpoint, each top
+    # cell's start and end, and time 0
+    n_cells, n_tops = len(distinct), int(np.count_nonzero(fresh[0]))
+    spans = np.left_shift(1, levels)
+    widths = (1 << _DEPTH) // spans
+    middles, tops = index * widths + widths // 2, index[:n_tops] * widths[:n_tops]
+    everyone = np.arange(len(servers))
+    integrals = _cumulative(
+        [server.profile for server in servers],
+        np.concatenate((cell_owners, cell_owners[:n_tops], cell_owners[:n_tops], everyone)),
+        np.concatenate((middles, tops, tops + (1 << _DEPTH), 0 * everyone)).astype(np.float64))
+    # a cell starts at the midpoint of the deepest level above it where its
+    # path went right (the lowest set bit of its index below its top cell),
+    # or at its top cell's start, and ends at that where it went left (the
+    # lowest clear bit), or at its top cell's end
+    path = index & (spans - 1)
+    ones, zeros = path & -path, ~path & (path + 1)
+    top = cell_of[0, columns]
+    low = integrals[np.where(ones > 0, cell_of[levels - np.frexp(ones)[1], columns],
+                             n_cells + top)]
+    high = integrals[np.where(zeros < spans, cell_of[levels - np.frexp(zeros)[1], columns],
+                              n_cells + n_tops + top)]
+    across = high - low
+    shares = np.full(n_cells, 0.5)
+    np.divide(integrals[:n_cells] - low, across, out=shares, where=across > 0)
+    np.clip(shares, 0.0, 1.0, out=shares)
+    # a from the variance of the mean over the cell and over its halves
+    noise = np.array([server.profile.noise_rel for server in servers])[cell_owners]
+    above = noise * noise * _CELL_VARIANCE[levels]
+    below = noise * noise * _CELL_VARIANCE[levels + 1]
+    amplitudes = np.sqrt(3.0 * (below - above) / (1.0 + above))
+    keys = _absorb_all(np.array([server._key for server in servers], dtype=np.uint64), _NOISE)
+    jitter = (_absorb_all(keys[cell_owners], middles) >> _U11) * 2.0**-52 - 1.0  # 2u - 1
+    shares += np.minimum(shares, 1.0 - shares) * amplitudes * jitter
+
+    # down from each top cell's counts: the count at each level's midpoint,
+    # then the half each bin lies in; rows 0 and 1 of sides pick the bins in
+    # the right half, whose start moves, and those in the left
+    edges = integrals[n_cells + np.stack((cell_of[0], n_tops + cell_of[0]))]
+    edges -= integrals[n_cells + 2 * n_tops:][holders]
+    shares = shares[cell_of]
+    sides = np.empty((_DEPTH, 2, len(bins)), dtype=bool)
+    sides[:, 0] = cells[1:] & 1
+    np.logical_not(sides[:, 0], out=sides[:, 1])
+    split = np.empty(len(bins))
+    for level in range(_DEPTH):
+        np.subtract(edges[1], edges[0], out=split)
+        split *= shares[level]
+        split += edges[0]
+        np.minimum(split, edges[1], out=split)
+        np.copyto(edges, split, where=sides[level])
+    low, high = edges
+    counts = np.repeat((high - low) / BIN_NS, runs) * into
+    counts += np.repeat(low, runs)
+    return np.minimum(counts, np.repeat(high, runs), out=counts)
 
 
 def _reply_ids(servers: list[SimulatedServer], served: np.ndarray, arrivals: np.ndarray,

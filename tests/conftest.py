@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from fleetscope import simulation
 from fleetscope.discovery import ServerRecord
 from fleetscope.ipid import IdBehavior
 from fleetscope.names import parse_server_name
@@ -125,12 +126,11 @@ def serve_visit(fleet: SimulatedFleet, server: SimulatedServer, at_ns) -> np.nda
     return SimulatedTransport(fleet).end_run([server.address], sent_ns)[1][0]
 
 
-def advance(fleet: SimulatedFleet, server: SimulatedServer, to_ns: int) -> float:
-    """Move ``server``'s clock to ``to_ns`` as a visit of one lost echo sent
-    then reads it, and return the count there: at the clock, for a time
-    behind it."""
-    SimulatedTransport(fleet, loss_rate=1.0).end_run([server.address], np.array([[to_ns]]))
-    return server.background_packets
+def count_at(server: SimulatedServer, t_ns) -> np.ndarray:
+    """``server``'s background count at each of the times ``t_ns``, read
+    together; its fleet has keyed it."""
+    t_ns = np.asarray(t_ns, dtype=np.int64)
+    return simulation._counts([server], np.zeros(len(t_ns), dtype=np.int64), t_ns)
 
 
 def reply_columns(replies, row: int = 0) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -1,18 +1,18 @@
-"""Reference responder and sender: the bin model and the per-slot
-``SimulatedTransport.end_run`` of the simulator, and the numpy ``send_run``
-of the transports, evaluated one echo at a time, kept so property tests can
-compare the two.
+"""Reference responder and sender: the background count of the simulator
+as a scalar cascade, the per-slot ``SimulatedTransport.end_run`` one echo
+at a time, and the numpy ``send_run`` of the transports as a per-send loop,
+kept so property tests can compare the two.
 
-``advance_to`` moves a server's clock to one time through the 1 s bins,
-drawing each step's noise as the walk first reaches it, ``serve_echo``
-answers one echo after such a move, and ``ScalarTransport`` draws each
-echo's loss as it is sent, keeps the delivered ones, and serves them one
-by one, visit by visit, when the slot ends. The transport keeps the
-open-visit table the fleet once kept for its truth windows, hands each
-window's rate to its ``truth`` destination, and fills its reply arrays
-one reply at a time. ``send_run_per_send`` is the per-send loop a
-``send_run`` stands for; ``PerSendRuns`` gives a fake transport that loop
-over its own ``_send_echo``.
+``background_count`` walks one read's cell path down from its top cell, one
+level at a time in Python floats and ints, ``serve_echo`` answers one echo
+from it, and ``ScalarTransport`` draws each echo's loss as it is sent,
+keeps the delivered ones, and serves them one by one, visit by visit, when
+the slot ends. The transport keeps the open-visit table the fleet once kept
+for its truth windows, hands each window's rate to its ``truth``
+destination, and fills its reply arrays one reply at a time.
+``send_run_per_send`` is the per-send loop a ``send_run`` stands for;
+``PerSendRuns`` gives a fake transport that loop over its own
+``_send_echo``.
 
 Every draw runs a ``SplitMix64`` generator of Python ints word by word from
 a state built from the fleet seed, the address, a stream tag and what the
@@ -26,10 +26,12 @@ import math
 import numpy as np
 
 from fleetscope.ipid import IdBehavior
-from fleetscope.simulation import BIN_NS, NOISE_STEP_NS, SimulatedFleet, SimulatedServer
+from fleetscope.simulation import (BIN_NS, DAY_S, NOISE_STEP_NS, SimulatedFleet, SimulatedServer,
+                                   TrafficProfile)
 
 _MASK = (1 << 64) - 1
 NOISE, IDS, LOSS = 1, 2, 3  # the stream tags
+DEPTH = 20  # a top cell spans 2**DEPTH bins
 
 
 class SplitMix64:
@@ -65,47 +67,63 @@ def stream_key(seed: int, address: str, tag: int) -> int:
     return extend(extend(key, len(data)), tag)
 
 
-def cumulative_packets(server: SimulatedServer) -> int:
-    """Total packets sent: background traffic plus our echo replies."""
-    return int(server.background_packets) + server.reply_packets
+def integral(profile: TrafficProfile, t_s: float) -> float:
+    """The antiderivative of the profile's deterministic rate at UTC time
+    ``t_s``: the sinusoid's, plus whole fill windows and the part of one."""
+    local = t_s + profile.tz_offset_s
+    phase = 2 * math.pi * (local - profile.peak_local_s) / DAY_S
+    total = profile.base_pps * (
+        t_s + profile.diurnal_amplitude * (DAY_S / (2 * math.pi)) * math.sin(phase))
+    if profile.fill_extra_pps:
+        width = profile.fill_end_s - profile.fill_start_s
+        days = math.floor(local / DAY_S)
+        pos = local - days * DAY_S
+        x = min(max(pos - profile.fill_start_s, 0.0), width)
+        partial = 0.5 * (x - (width / (2 * math.pi)) * math.sin(2 * math.pi * x / width))
+        total += profile.fill_extra_pps * (days * 0.5 * width + partial)
+    return total
 
 
-def _step(server: SimulatedServer, seed: int, at_ns: int, to_ns: int, count: float) -> float:
-    """The count at ``to_ns`` of one noise step from ``count`` at ``at_ns``:
-    its normal is Box-Muller of the first two uniforms of the generator from
-    the step's start extending the noise key, XOR its end."""
-    cumulative = server.profile._cumulative
-    packets = cumulative(to_ns / 1e9) - cumulative(at_ns / 1e9)
-    noise_rel = server.profile.noise_rel
-    if noise_rel > 0:
-        draws = SplitMix64(extend(stream_key(seed, server.address, NOISE), at_ns) ^ to_ns)
-        u, v = draws.uniform(), draws.uniform()
-        normal = math.sqrt(-2.0 * math.log(1.0 - u)) * math.cos(2.0 * math.pi * v)
-        std = noise_rel * math.sqrt(NOISE_STEP_NS / (to_ns - at_ns))
-        packets *= max(0.0, 1.0 + std * normal)
-    return count + packets
+def background_count(server: SimulatedServer, seed: int, t_ns: int) -> float:
+    """The packets ``server`` of a fleet of ``seed`` has sent by ``t_ns``.
 
-
-def advance_to(server: SimulatedServer, to_ns: int, seed: int) -> None:
-    """Move the server's clock to ``to_ns`` in a fleet of ``seed``; a time
-    behind the clock moves nothing. Past the end of the clock's step, the whole bins before the
-    bin of ``to_ns`` are one step and that bin (from the clock, if the
-    clock is inside it) is another; the count is read on the line through
-    the ends of the step that holds ``to_ns``."""
-    if to_ns <= server.time_ns:
-        return
-    step = server._open_step
-    if step is None or to_ns > step[1]:
-        at, count = ((server.time_ns, server.background_packets) if step is None
-                     else (step[1], step[3]))
-        start = to_ns // BIN_NS * BIN_NS
-        if start > at:
-            at, count = start, _step(server, seed, at, start, count)
-        step = (at, start + BIN_NS, count, _step(server, seed, at, start + BIN_NS, count))
-        server._open_step = step
-    # np.interp of one segment: the responder reads its knots with it, so both round alike
-    server.background_packets = float(np.interp(to_ns, step[:2], step[2:]))
-    server.time_ns = to_ns
+    The counts at the ends of the top cell (2**DEPTH bins) holding ``t_ns``
+    are the profile's integral from 0. Each level down, the cell holding
+    ``t_ns`` splits its count at its midpoint at the share
+    ``p + min(p, 1 - p) * a * (2u - 1)``: ``p`` the profile's share of the
+    left half, ``u`` the first word of the generator from the midpoint (in
+    bins, which names the level and the cell) extending the noise key, and
+    ``a`` the amplitude that makes the variance of a cell's mean 0 at the
+    top and ``noise_rel**2`` times 30 ms over its width below. The count at
+    the midpoint is at most the count at the cell's end, and the count is
+    read on the line across the bin."""
+    profile = server.profile
+    noise_rel = profile.noise_rel
+    key = stream_key(seed, server.address, NOISE)
+    at = t_ns // BIN_NS
+    start = at >> DEPTH << DEPTH
+    end = start + (1 << DEPTH)
+    zero = integral(profile, 0.0)
+    start_integral, end_integral = integral(profile, float(start)), integral(profile, float(end))
+    low, high = start_integral - zero, end_integral - zero
+    before = 0.0
+    for level in range(DEPTH):
+        middle = (start + end) // 2
+        middle_integral = integral(profile, float(middle))
+        across = end_integral - start_integral
+        share = (middle_integral - start_integral) / across if across > 0 else 0.5
+        share = min(max(share, 0.0), 1.0)
+        after = noise_rel * noise_rel * math.ldexp(NOISE_STEP_NS / BIN_NS, level + 1 - DEPTH)
+        amplitude = math.sqrt(3.0 * (after - before) / (1.0 + before))
+        u = (extend(key, middle) >> 11) / 2**53
+        share = share + min(share, 1.0 - share) * amplitude * (u * 2.0 - 1.0)
+        before = after
+        count = min(low + (high - low) * share, high)
+        if at >= middle:
+            start, start_integral, low = middle, middle_integral, count
+        else:
+            end, end_integral, high = middle, middle_integral, count
+    return min(low + (high - low) / BIN_NS * (t_ns - at * BIN_NS), high)
 
 
 def serve_echo(server: SimulatedServer, at_ns: int, seed: int) -> int | None:
@@ -120,9 +138,8 @@ def serve_echo(server: SimulatedServer, at_ns: int, seed: int) -> int | None:
     """
     if not server.reachable:
         return None
-    advance_to(server, at_ns, seed)
     if server.id_behavior is IdBehavior.GLOBAL_COUNTER:
-        ipid = cumulative_packets(server) & 0xFFFF
+        ipid = (int(background_count(server, seed, at_ns)) + server.reply_packets) & 0xFFFF
     elif server.id_behavior is IdBehavior.RANDOM:
         last = server._last_arrival
         before = last[1] if last is not None and last[0] == at_ns else 0
@@ -168,7 +185,7 @@ class PerSendRuns:
 
 class ScalarTransport(PerSendRuns):
     """The simulated transport with per-send state: a visit's first send
-    advances the responder, opens its truth window and starts its loss
+    opens its truth window and starts its loss
     generator from the send time extending the target's loss key, a send
     is lost when the generator's next uniform is below the loss rate or
     else remembered, and ``end_run`` serves each delivered echo of each
@@ -181,7 +198,7 @@ class ScalarTransport(PerSendRuns):
         self._now_ns = 0
         self._losses: dict[str, SplitMix64] = {}  # the open visits' loss generators
         self._pending: dict[str, dict[int, int]] = {}  # seq -> sent_ns of delivered echoes
-        self._windows: dict[str, tuple[int, float]] = {}  # first send, counter then
+        self._windows: dict[str, int] = {}  # the open visits' first sends
 
     def now_ns(self) -> int:
         return self._now_ns
@@ -196,8 +213,7 @@ class ScalarTransport(PerSendRuns):
         if server is not None and server.reachable:
             if seq == 0:
                 self._pending.pop(target, None)
-                advance_to(server, sent_ns, self.fleet.seed)
-                self._windows[target] = (sent_ns, server.background_packets)
+                self._windows[target] = sent_ns
                 self._losses[target] = SplitMix64(
                     extend(stream_key(self.fleet.seed, target, LOSS), sent_ns))
             if self.loss_rate and self._losses[target].uniform() < self.loss_rate:
@@ -214,17 +230,21 @@ class ScalarTransport(PerSendRuns):
         return recv_ns, ip_id
 
     def _end_visit(self, target: str, sent_ns: list[int]) -> dict[int, tuple[int, int]]:
+        """Serve the delivered echoes of ``target``'s visit, and hand its
+        truth window on: the mean rate from its first send to its last
+        serve, the last send or the last delivered arrival past it."""
         replies = {}
         server = self.fleet.by_address.get(target)
+        last_ns = sent_ns[-1]
         for seq, sent in self._pending.pop(target, {}).items():
-            replies[seq] = (sent + server.rtt_ns,
-                            serve_echo(server, sent + server.rtt_ns // 2, self.fleet.seed))
+            arrival_ns = sent + server.rtt_ns // 2
+            replies[seq] = (sent + server.rtt_ns, serve_echo(server, arrival_ns, self.fleet.seed))
+            last_ns = max(last_ns, arrival_ns)
         self._losses.pop(target, None)
-        opened = self._windows.pop(target, None)
-        if opened is not None and sent_ns[-1] > opened[0]:
-            start_ns, start_packets = opened
-            advance_to(server, sent_ns[-1], self.fleet.seed)
-            pps = (server.background_packets - start_packets) / ((server.time_ns - start_ns) / 1e9)
-            if self.truth is not None:
-                self.truth((target, start_ns, sent_ns[-1], pps))
+        start_ns = self._windows.pop(target, None)
+        if start_ns is not None and sent_ns[-1] > start_ns and self.truth is not None:
+            seed = self.fleet.seed
+            packets = background_count(server, seed, last_ns) - background_count(server, seed,
+                                                                                  start_ns)
+            self.truth((target, start_ns, sent_ns[-1], packets / ((last_ns - start_ns) / 1e9)))
         return replies

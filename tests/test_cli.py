@@ -120,28 +120,28 @@ REPORT_FILES = ("peaks.csv", "cdf.csv", "location_scatter.csv", "rollup_country.
                 "rollup_continent.csv", "rollup_kind.csv", "summary.json")
 # the SHA-256 of each of REPORT_FILES, by loss rate
 REPORT_SHA256 = {
-    "0": ["e75dfac1a1b20c628af893facfbf89e117c65f2c90cd978782fb366042c44a45",
-          "24e9ff5104a3b30d60c73ecad8f878dd7d2c68f1665ed3a13c14f85637a83afa",
-          "532fc9e07fd1713e7b5645cff95af96bb56ef34a76ed7ffe0932da0378e61c20",
-          "e16e204811fda57838df3291ac12ed7bd88661786451e439ba5173bc16c4633a",
-          "871969c98408049eedc5e9e737e2d4938ab7d8a852f760aa3f699f6287f838c6",
-          "1192d70d6c4e34ddad085beed3277736838d75c0af4b967526729571768beefd",
-          "7da179cbe1503d0c240da068ae761d6662f06866ea93bf9b1a9cf45acc49aa0f"],
-    "0.01": ["3eac1f1e34ef172ac3583cf7b6e633335c428a6394db1c49361756c829302168",
-             "60d506a317e938a41ff1771d8390a855f2df8716b47fbfa4817c63883e0e92eb",
-             "bcedad38b4662cda17fcbb7c59595b0fb30478e04df3eec2cdbd2a3928df68f7",
-             "19c77fa3dc56e9f7199aca623538a404078cfd9864944391bf1aa48afc2242ef",
-             "fb4e313351efeccea756f5ed00f2d36047b90421861527f3c7e7a0f985343811",
-             "070b35d5fa7254581959c5e6cda5efd7aed22a99069c24d37eae3f6677dec132",
-             "df36a40c34ac65b0b3bde63fda57a7aa0796ae8bdd45b6610d2430f29583fbb0"],
+    "0": ["952bcc4a367b05bf3fb73ee6b4f6b85ac0dbb66184b9d072c719732ecac59440",
+          "48654f930da979c71052f2281829263db5a33ba972f730e300282da33fb92162",
+          "b8e94ff1e4192453e91d3c90be46a4b4744526f796adec060bdb2f9ad0d3c40d",
+          "60cc8c8efbe45e3c83e5562afd2a9e080c896b431fa36f323cc57ac14b618e59",
+          "e96f9e0be35803e8d62d60f6086db583b8a2c77d0d88439dd6f7f997512d50d5",
+          "19f638536c37c72de2154c706b0025da47257795fa0d3fe06d66fdce5b2ec244",
+          "fe02eb7e2066cf56a9827c9f25d3e80707f41e4aecc53f70a5765024f62fdd09"],
+    "0.01": ["23398d4cbbafa1eb36b207415be88312ca3162c23de54ea21af4f5e2fe1cd03d",
+             "887993521f19fb94a90c5ed4b8f0cbf304602f2545518cb434f31911193061de",
+             "bbf5c9cf809ab11803c491cb2a2a7dedc5fae656e5c6b5e06d83607e5eebee00",
+             "d1e764fd996c16c0708423062cfeb133f1bb1a2ed33e07e7739d91c5f914ed4d",
+             "f4026a0cc6164c5b8d1e7d941eb33cbdcbb5859f62b588e29b8afe5e539c162f",
+             "9de8fe4be850bcfb8a785a3bf0e69c6411579b3b9378888b156bc61dfa63a261",
+             "fe02eb7e2066cf56a9827c9f25d3e80707f41e4aecc53f70a5765024f62fdd09"],
 }
 
 
-# the SHA-256 of the simulator's truth.csv, by loss rate: the counter moves
-# with time alone, so a loss that leaves an echo in each visited bin does
-# not change it
-TRUTH_SHA256 = {"0": "0d7cde6eb40fbff54cbfceeefca43446e6ba656764739589b3e2bfacdf741030",
-                "0.01": "0d7cde6eb40fbff54cbfceeefca43446e6ba656764739589b3e2bfacdf741030"}
+# the SHA-256 of the simulator's truth.csv, by loss rate: the count is a
+# function of time alone, so a loss that leaves each visit's last serve
+# where it was does not change it
+TRUTH_SHA256 = {"0": "b01004b9a665838f06966cd612a71a16779d27ff4205f63dc87ff34dcf4e54fb",
+                "0.01": "b01004b9a665838f06966cd612a71a16779d27ff4205f63dc87ff34dcf4e54fb"}
 
 # the SHA-256 of store/records.jsonl and store/verdicts.jsonl at every loss
 # rate: the crawl and the validation probe nothing
@@ -150,10 +150,10 @@ RECORDS_VERDICTS_SHA256 = ["6d7c1b291ef2b339531fa388fa35acccb926eb498a79b15fd3d5
 
 
 @pytest.mark.parametrize("loss_rate, samples_sha256, estimates_sha256", [
-    pytest.param("0", "77dcd0a66b554c39e7ba0e5ec28cd45da802f4d82781ccf2925277e518a6eea8",
-                 "d7cc7f506220a35c9947c2a3ca50e102aec98e83dc8a85b329bb9dbdcb532fd2", id="0"),
-    pytest.param("0.01", "56d34567d87fb64eccff82124a4971cd54a231c5044fab73701890dd0a8fc7dc",
-                 "648c565e2c3045f5a4998d186dae35019e7a57286c87d85d8c08ecafde2b5e93", id="0.01"),
+    pytest.param("0", "0f5cadcae894d33eedb823673cb55e5354c19f8c0b536061f505c7cc512d1f0e",
+                 "c350a07c41d1dbd58519b65d7fab8dabe6d022a0e3936069643b1e2af8bb1cdb", id="0"),
+    pytest.param("0.01", "deedd82298b57a9c30dbe84e7c325c30efeb954570c463c29d6ceeeb6a20e315",
+                 "144784b86d1dff789c2b4546de9128e8189a650eede5ae2ea54907200eeb671d", id="0.01"),
 ])
 def test_simulate_outputs_are_pinned(tmp_path, loss_rate, samples_sha256, estimates_sha256):
     """A change that alters a stored record, verdict, sample or estimate,

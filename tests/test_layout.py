@@ -159,7 +159,7 @@ def test_a_method_named_like_a_field_needs_a_qualified_caller():
 
 
 # the scalar responder, now the reference in tests/responder_oracle.py
-ORACLE_ONLY = {"advance_to", "serve_echo", "cumulative_packets"}
+ORACLE_ONLY = {"background_count", "serve_echo"}
 
 
 def test_the_scalar_responder_lives_only_in_its_oracle():

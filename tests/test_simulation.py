@@ -34,42 +34,26 @@ from fleetscope.simulation import (
 )
 from fleetscope.transport import NO_REPLY
 
-from conftest import (advance, hhmm, make_fleet, make_hostname, make_server, one_visit,
+from conftest import (count_at, hhmm, make_fleet, make_hostname, make_server, one_visit,
                       reply_columns, reply_dict, serve_visit, write_fleet)
-from responder_oracle import (IDS, LOSS, NOISE, ScalarTransport, SplitMix64, advance_to,
-                             send_run_per_send, serve_echo, stream_key)
+from responder_oracle import (IDS, LOSS, NOISE, ScalarTransport, SplitMix64, background_count,
+                             integral, send_run_per_send, serve_echo, stream_key)
 
 
 def test_advance_constant_rate():
     server = make_server(base_pps=1000.0)
-    fleet = make_fleet([server])
-    advance(fleet, server, 10 * 10**9)
-    assert int(server.background_packets) == 10_000
+    make_fleet([server])
+    assert int(count_at(server, [10 * 10**9])[0]) == 10_000
 
 
 def test_advance_zero_length_is_identity():
-    server = make_server(base_pps=1000.0)
-    fleet = make_fleet([server])
-    advance(fleet, server, 5 * 10**9)
-    before = server.background_packets
-    advance(fleet, server, 5 * 10**9)
-    assert server.background_packets == before
-
-
-def test_advance_to_a_time_behind_the_clock_moves_nothing():
-    server, twin = (make_server(base_pps=10.0, noise=0.2, address="198.18.9.1")
-                    for _ in range(2))
-    fleets = [make_fleet([responder]) for responder in (server, twin)]
-    for fleet, responder in zip(fleets, (server, twin)):
-        advance(fleet, responder, 10**9)
-    before = (server.background_packets, server.time_ns, server._open_step)
-    assert advance(fleets[0], server, 10**8) == before[0]
-    assert (server.background_packets, server.time_ns, server._open_step) == before
-    # and what it serves next is what a server that never looked back serves
-    at_ns = [15 * 10**8, 4 * 10**9]
-    assert (serve_visit(fleets[0], server, at_ns).tolist()
-            == serve_visit(fleets[1], twin, at_ns).tolist())
-    assert server.background_packets == twin.background_packets
+    # a count is read, not advanced: the same time reads the same count
+    # alone, twice in one call, and after or before any other time
+    server = make_server(base_pps=1000.0, noise=0.2)
+    make_fleet([server])
+    alone = count_at(server, [5 * 10**9 + 7])[0]
+    assert count_at(server, [5 * 10**9 + 7] * 2).tolist() == [alone] * 2
+    assert count_at(server, [9 * 10**9, 5 * 10**9 + 7, 10**8])[1] == alone
 
 
 def _instant_rate(profile: TrafficProfile, t_s: float) -> float:
@@ -87,9 +71,15 @@ def _instant_rate(profile: TrafficProfile, t_s: float) -> float:
     return rate
 
 
+def _integral(profile: TrafficProfile, t_s: float) -> float:
+    """The simulator's antiderivative of the profile's rate at ``t_s``."""
+    return float(simulation._cumulative([profile], np.zeros(1, dtype=np.int64),
+                                        np.array([t_s]))[0])
+
+
 def _rate(profile: TrafficProfile, t_s: float) -> float:
     """The mean rate a responder integrates over the second from ``t_s``."""
-    return profile._cumulative(t_s + 1.0) - profile._cumulative(t_s)
+    return _integral(profile, t_s + 1.0) - _integral(profile, t_s)
 
 
 def test_sinusoid_day_matches_numeric_quadrature():
@@ -99,7 +89,7 @@ def test_sinusoid_day_matches_numeric_quadrature():
     )
     rates = np.array([_instant_rate(profile, x) for x in np.linspace(0.0, 86400.0, 10_001)])
     quad = np.trapezoid(rates, np.linspace(0.0, 86400.0, 10_001))
-    exact = profile._cumulative(86400.0) - profile._cumulative(0.0)
+    exact = _integral(profile, 86400.0) - _integral(profile, 0.0)
     assert exact == pytest.approx(quad, rel=1e-3)
     assert exact == pytest.approx(5000.0 * 86400.0, rel=1e-9)  # sinusoid integrates out
 
@@ -111,7 +101,7 @@ def test_fill_window_integral_matches_quadrature():
     xs = np.linspace(3600.0, 70000.0, 200_001)
     rates = np.array([_instant_rate(profile, x) for x in xs])
     quad = np.trapezoid(rates, xs)
-    exact = profile._cumulative(70000.0) - profile._cumulative(3600.0)
+    exact = _integral(profile, 70000.0) - _integral(profile, 3600.0)
     assert exact == pytest.approx(quad, rel=1e-4)
     # raised cosine: zero at edges, peak at the window midpoint
     assert _rate(profile, 7200.0) == pytest.approx(100.0)
@@ -128,7 +118,7 @@ def test_fill_window_respects_timezone():
 def test_serve_echo_wraps_at_16_bits():
     server = make_server(base_pps=0.0)
     fleet = make_fleet([server])
-    server.background_packets = 65535.0
+    server.reply_packets = 65535
     # the reply itself advances the counter
     assert serve_visit(fleet, server, [0, 1]).tolist() == [65535, 0]
 
@@ -159,8 +149,7 @@ def test_id_stream_consistent_with_counter():
     fleet = make_fleet([server])
     for i in range(1, 50):
         at = i * 30_000_000
-        advance(fleet, server, at)
-        expected = (int(server.background_packets) + server.reply_packets) & 0xFFFF
+        expected = (int(count_at(server, [at])[0]) + server.reply_packets) & 0xFFFF
         assert serve_visit(fleet, server, [at]).tolist() == [expected]
 
 
@@ -326,10 +315,20 @@ def test_fleet_file_errors_name_the_file_and_the_server(tmp_path, config, error)
     ({"address": "foo"}, "'foo' does not appear to be an IPv4 or IPv6 address"),
     ({"address": "10.0.0.256"}, "'10.0.0.256' does not appear to be an IPv4 or IPv6 address"),
     ({"address": 167772161}, "'167772161' does not appear to be an IPv4 or IPv6 address"),
+    ({"profile": {"base_pps": math.nan}}, "base_pps must be >= 0 and finite, not nan"),
+    ({"profile": {"base_pps": 1.0, "noise_rel": math.inf}}, "noise_rel must be within [0, 5]"),
+    ({"profile": {"base_pps": 1.0, "fill": {"extra_pps": math.inf}}},
+     "fill_extra_pps must be >= 0 and finite, not inf"),
+    ({"profile": {"base_pps": 1.0, "tz_offset_hours": math.inf}},
+     "tz_offset_s must be within a day, not inf"),
+    ({"profile": {"peak_local": "99:99"}}, "'99:99' is not a time of day HH:MM"),
+    ({"profile": {"fill": {"extra_pps": 1.0, "start": "02:60"}}},
+     "'02:60' is not a time of day HH:MM"),
 ], ids=["peak_local", "base_pps", "base_pps_null", "id_behavior", "profile", "negative_rate",
         "reachable_string", "constant_id_float", "constant_id_above_16_bits", "negative_rtt",
         "rtt_nan", "rtt_longer_than_a_sample_stores", "address_not_an_address",
-        "address_octet_above_255", "address_a_number"])
+        "address_octet_above_255", "address_a_number", "rate_nan", "noise_infinite",
+        "fill_infinite", "timezone_infinite", "peak_past_a_day", "fill_minutes_past_59"])
 def test_a_bad_value_in_a_fleet_server_is_named(tmp_path, change, error):
     servers = [make_server(base_pps=1.0, counter=1), make_server(base_pps=1.0, counter=2)]
     path = write_fleet(tmp_path / "fleet.json", servers)
@@ -381,6 +380,20 @@ def test_profile_validation():
         TrafficProfile(base_pps=1.0, diurnal_amplitude=1.5)
     with pytest.raises(ValueError):
         TrafficProfile(base_pps=1.0, fill_start_s=50000.0, fill_end_s=7200.0)
+    # what the cascade cannot hold: a value that is not finite, a peak or a
+    # timezone offset beyond a day (whose sums lose the time of day), and a
+    # noise whose splits would move more than a half
+    for bad in ({"base_pps": math.nan}, {"base_pps": math.inf},
+                {"noise_rel": math.inf}, {"noise_rel": math.nan}, {"noise_rel": 5.5},
+                {"fill_extra_pps": math.inf}, {"tz_offset_s": math.inf},
+                {"tz_offset_s": math.nan}, {"tz_offset_s": 1e15 * 3600.0},
+                {"peak_local_s": DAY_S + 60.0},
+                {"peak_local_s": -60.0}):
+        with pytest.raises(ValueError):
+            TrafficProfile(**{"base_pps": 1.0, **bad})
+    for text in ("99:99", "12:60", "24:01", "-1:00", "7:-5"):
+        with pytest.raises(ValueError, match="is not a time of day HH:MM"):
+            parse_hhmm(text)
 
 
 # a time as whole intervals plus a part of one, in thousandths of an interval
@@ -456,25 +469,75 @@ def _twin_servers(spec, seed, reachable=True):
 
 
 def _state(server):
-    return server.background_packets, server.time_ns, server.reply_packets
+    """What a responder keeps from visit to visit: the replies it has served,
+    and the arrival time of its last random ID with the echoes served then."""
+    return server.reply_packets, server._last_arrival
+
+
+# read times: anywhere in ten days, and a few ns from the edge of a cell at
+# any level, from one bin to a top cell of ~12 days
+_read_times = st.integers(0, 10 * 86400 * 10**9) | st.builds(
+    lambda level, cell, off: max(0, (cell << level) * BIN_NS + off),
+    st.integers(0, 20), st.integers(0, 2**10), st.integers(-2, 2))
+
+
+@settings(max_examples=300, deadline=None)
+@given(profiles=st.tuples(_profiles, _profiles), seed=st.integers(0, 1000),
+       times=st.lists(_read_times, min_size=1, max_size=30), before=st.integers(1, 10**9))
+# a noisy server read on both sides of the edges of cells at several levels
+@example(profiles=(TrafficProfile(base_pps=1000.0, noise_rel=0.5),) * 2, seed=1,
+         times=[(1 << level) * BIN_NS + off for level in (0, 5, 19, 20) for off in (-1, 0, 1)],
+         before=1)
+def test_the_count_never_falls_and_is_the_scalar_cascade(profiles, seed, times, before):
+    # each read, and each read 1 ns to 1 s before it, in ascending order; then
+    # the same reads in descending order between another server's
+    server, other = (SimulatedServer(name=make_hostname(counter=n + 1),
+                                     address=f"198.18.3.{n + 1}", profile=profile)
+                     for n, profile in enumerate(profiles))
+    SimulatedFleet([server, other], seed=seed)
+    at_ns = sorted({t for time in times for t in (time, max(0, time - before))})
+    counts = count_at(server, at_ns)
+    assert (np.diff(counts) >= 0).all()
+    assert counts.tolist() == [background_count(server, seed, t) for t in at_ns]
+    owners = np.arange(2 * len(at_ns)) % 2
+    mixed = simulation._counts([server, other], owners, np.repeat(at_ns[::-1], 2))
+    assert mixed[owners == 0].tolist() == counts[::-1].tolist()
+    assert mixed[owners == 1].tolist() == [background_count(other, seed, t) for t in at_ns[::-1]]
+
+
+@pytest.mark.parametrize("noise_rel", [0.05, 0.2])
+def test_the_mean_of_w_seconds_has_the_std_of_30_ms_over_w(noise_rel):
+    # the mean factor of a W-long window, over 2,000 keyed servers of one
+    # constant rate, against noise_rel * sqrt(30 ms / W)
+    servers = [SimulatedServer(name=make_hostname(site=n // 999 + 1, counter=n % 999 + 1),
+                               address=f"198.18.{n // 250}.{n % 250 + 1}",
+                               profile=TrafficProfile(base_pps=1000.0, noise_rel=noise_rel))
+               for n in range(2000)]
+    SimulatedFleet(servers, seed=9)
+    owners = np.repeat(np.arange(2000), 2)
+    for width_s in (1, 60, 1800):
+        start_ns = 3 * 86400 * BIN_NS + 17 * BIN_NS
+        t_ns = np.tile([start_ns, start_ns + width_s * BIN_NS], 2000)
+        counts = simulation._counts(servers, owners, t_ns).reshape(2000, 2)
+        factors = (counts[:, 1] - counts[:, 0]) / (1000.0 * width_s)
+        expected = noise_rel * math.sqrt(0.03 / width_s)
+        assert abs(factors.mean() - 1.0) < 4 * expected / math.sqrt(2000)
+        assert factors.std() == pytest.approx(expected, rel=0.1), width_s
 
 
 @settings(max_examples=200, deadline=None)
 @given(spec=_servers, seed=st.integers(0, 1000), start_ns=st.integers(0, 10 * 86400 * 10**9),
        visits=st.lists(st.lists(_offsets, max_size=40), min_size=1, max_size=3))
-# a noisy visit across 20 bins, whose steps one call hashes as an array
+# a noisy visit across 20 bins
 @example(spec={"profile": TrafficProfile(base_pps=1000.0, noise_rel=0.2),
                "id_behavior": IdBehavior.GLOBAL_COUNTER, "constant_id": 0, "rtt_ns": 0},
          seed=3, start_ns=5, visits=[[k * 500_000_000 for k in range(40)]])
 def test_serve_visit_matches_the_per_echo_responder(spec, seed, start_ns, visits):
     (server, reference), fleets = _twin_servers(spec, seed)
     for offsets in visits:
-        advance(fleets[0], server, start_ns)
-        advance_to(reference, start_ns, seed)
         at_ns = sorted(max(0, start_ns + offset) for offset in offsets)
         ids = serve_visit(fleets[0], server, at_ns)
-        if at_ns:  # the visit reads the count at its first send too
-            advance_to(reference, at_ns[0] - server.rtt_ns // 2, seed)
+        if at_ns:
             assert ids.dtype == np.uint16
         assert ids.tolist() == [serve_echo(reference, at, seed) for at in at_ns]
         assert _state(server) == _state(reference)
@@ -487,32 +550,22 @@ def test_serve_visit_matches_the_per_echo_responder(spec, seed, start_ns, visits
            lambda s: s * BIN_NS),
        offsets=st.lists(_offsets | st.integers(-1, 4).map(lambda k: k * BIN_NS), min_size=1,
                         max_size=60),
-       cuts=st.lists(st.integers(0, 60), max_size=6), later_ns=st.integers(0, 3 * BIN_NS))
-# a time on the edge where the first bin ends: one call must not open the
-# second bin for it, as the call that starts there does not
+       cuts=st.lists(st.integers(0, 60), max_size=6))
+# times on bin edges, the visit cut where the first bin ends
 @example(spec={"profile": TrafficProfile(base_pps=1.0, peak_local_s=0.0, noise_rel=0.5,
                                          fill_start_s=0.0, fill_end_s=60.0),
                "id_behavior": IdBehavior.GLOBAL_COUNTER, "constant_id": 0, "rtt_ns": 0},
-         seed=2, start_ns=0, offsets=[0] * 7 + [30_000_000, BIN_NS, 3 * BIN_NS], cuts=[8],
-         later_ns=0)
-def test_the_counter_depends_on_time_not_on_how_a_visit_is_cut(spec, seed, start_ns, offsets, cuts,
-                                                                later_ns):
+         seed=2, start_ns=0, offsets=[0] * 7 + [30_000_000, BIN_NS, 3 * BIN_NS], cuts=[8])
+def test_the_counter_depends_on_time_not_on_how_a_visit_is_cut(spec, seed, start_ns, offsets,
+                                                                cuts):
     # one serve_visit call, and the same arrivals served in consecutive
-    # chunks; times land on and across bin edges, and the visit then runs
-    # on inside its last bin, whose noise factor must have been kept. With
-    # no RTT a visit's first and last sends are its first and last arrivals,
-    # so the chunks read the counter at the times the one call reads it
+    # chunks, each a visit of its own
     (whole, chunked), fleets = _twin_servers({**spec, "rtt_ns": 0}, seed)
     at_ns = sorted(max(0, start_ns + offset) for offset in offsets)
     bounds = sorted({cut % (len(at_ns) + 1) for cut in cuts})
     chunks = [at_ns[a:b] for a, b in zip([0, *bounds], [*bounds, len(at_ns)])]
-    for fleet, server in zip(fleets, (whole, chunked)):
-        advance(fleet, server, start_ns)
     ids = serve_visit(fleets[0], whole, at_ns).tolist()
     assert [i for chunk in chunks for i in serve_visit(fleets[1], chunked, chunk).tolist()] == ids
-    assert _state(chunked) == _state(whole)
-    end_ns = at_ns[-1] + later_ns
-    assert advance(fleets[1], chunked, end_ns) == advance(fleets[0], whole, end_ns)
     assert _state(chunked) == _state(whole)
 
 
@@ -599,10 +652,47 @@ def test_end_run_matches_the_per_echo_transport(targets, seed, loss_rate, first_
             assert ip_id.tolist() == oracle_ip_id.tolist()
             for server, reference in zip(*(fleet.servers for fleet in fleets)):
                 assert _state(server) == _state(reference), server.address
-                assert server._open_step == reference._open_step, server.address
             not_before_ns = sent_ns[:, -1]
             first_ns = int(not_before_ns.max()) + interval_ns + gap_ns
     assert rows[0] == rows[1]
+
+
+@settings(max_examples=150, deadline=None)
+@given(targets=_slot_targets, seed=st.integers(0, 1000),
+       loss_rate=st.sampled_from([0.0, 0.01, 0.3]) | st.floats(0.0, 0.3),
+       first_ns=st.integers(0, 10 * 86400).map(lambda s: s * BIN_NS) | st.integers(0, 10**15),
+       interval_ns=st.sampled_from([BIN_NS // 4, 30_000_000]) | st.integers(1, 2 * BIN_NS),
+       count=st.integers(1, 40), sides=st.lists(st.booleans(), min_size=12, max_size=12),
+       chunks=st.tuples(*[st.sampled_from([1, 7, 64, simulation.CHUNK_PROBES])] * 3))
+def test_a_targets_replies_do_not_depend_on_its_slot_mates(targets, seed, loss_rate, first_ns,
+                                                           interval_ns, count, sides, chunks):
+    # one slot, sent once: end_run over all of its targets, and over a split
+    # of them between two transports of one other copy of the fleet, each in
+    # chunks of its own size, gives each target the same replies and truth
+    addresses = [f"198.18.5.{i + 1}" for i in range(len(targets))]
+
+    def fleet():
+        return SimulatedFleet([SimulatedServer(name=make_hostname(counter=i + 1), address=address,
+                                               **spec)
+                               for i, (address, spec) in enumerate(zip(addresses, targets))
+                               if spec is not None], seed=seed)
+
+    whole_rows, split_rows = [], []
+    whole = SimulatedTransport(fleet(), loss_rate, whole_rows.append)
+    copy = fleet()
+    halves = [SimulatedTransport(copy, loss_rate, split_rows.append) for _ in range(2)]
+    sent_ns = whole.send_run(addresses, first_ns, interval_ns, count,
+                             np.full(len(addresses), first_ns - interval_ns, dtype=np.int64))
+    with mock.patch.object(simulation, "CHUNK_PROBES", chunks[0]):
+        recv_ns, ip_id = whole.end_run(addresses, sent_ns)
+    in_second = np.array(sides[:len(addresses)])
+    for half, rows, chunk in zip(halves, (np.flatnonzero(~in_second), np.flatnonzero(in_second)),
+                                 chunks[1:]):
+        with mock.patch.object(simulation, "CHUNK_PROBES", chunk):
+            replies = half.end_run([addresses[row] for row in rows], sent_ns[rows])
+        assert replies[0].tolist() == recv_ns[rows].tolist()
+        assert replies[1].tolist() == ip_id[rows].tolist()
+    assert sorted(split_rows) == sorted(whole_rows)
 
 
 @pytest.mark.parametrize("loss_rate", [-0.1, math.nan, math.inf, 1.5])
