@@ -491,8 +491,7 @@ def _counts(servers: Sequence[SimulatedServer], owners: np.ndarray,
     fresh = np.ones((_DEPTH, len(bins)), dtype=bool)
     fresh[:, 1:] = (cells[:-1, 1:] != cells[:-1, :-1]) | (holders[1:] != holders[:-1])
     distinct = np.flatnonzero(fresh)
-    cell_of = np.repeat(np.arange(len(distinct)),
-                        np.diff(np.append(distinct, fresh.size))).reshape(fresh.shape)
+    cell_of = (np.add.accumulate(fresh.ravel(), dtype=np.int64) - 1).reshape(fresh.shape)
     levels, columns = np.divmod(distinct, len(bins))
     index, cell_owners = cells[:-1].ravel()[distinct], holders[columns]
     # the profile's integral at each distinct cell's midpoint, each top

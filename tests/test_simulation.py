@@ -1,5 +1,6 @@
 """Virtual fleet: profile integration, echo semantics, zone behaviour."""
 
+import dataclasses
 import gc
 import json
 import math
@@ -483,14 +484,23 @@ _read_times = st.integers(0, 10 * 86400 * 10**9) | st.builds(
 
 @settings(max_examples=300, deadline=None)
 @given(profiles=st.tuples(_profiles, _profiles), seed=st.integers(0, 1000),
-       times=st.lists(_read_times, min_size=1, max_size=30), before=st.integers(1, 10**9))
+       times=st.lists(_read_times, min_size=1, max_size=30), before=st.integers(1, 10**9),
+       noise_rel=st.none() | st.floats(0.0, 5.0))
 # a noisy server read on both sides of the edges of cells at several levels
 @example(profiles=(TrafficProfile(base_pps=1000.0, noise_rel=0.5),) * 2, seed=1,
          times=[(1 << level) * BIN_NS + off for level in (0, 5, 19, 20) for off in (-1, 0, 1)],
-         before=1)
-def test_the_count_never_falls_and_is_the_scalar_cascade(profiles, seed, times, before):
+         before=1, noise_rel=None)
+# the largest noise a profile takes, whose deepest splits move the most
+@example(profiles=(TrafficProfile(base_pps=10.0, diurnal_amplitude=1.0),) * 2, seed=4,
+         times=[day * 86400 * BIN_NS + off for day in range(12) for off in (-1, 0, 1)],
+         before=BIN_NS // 2, noise_rel=5.0)
+def test_the_count_never_falls_and_is_the_scalar_cascade(profiles, seed, times, before,
+                                                         noise_rel):
     # each read, and each read 1 ns to 1 s before it, in ascending order; then
-    # the same reads in descending order between another server's
+    # the same reads in descending order between another server's; the
+    # server's noise_rel, if drawn, spans every value a profile takes
+    if noise_rel is not None:
+        profiles = (dataclasses.replace(profiles[0], noise_rel=noise_rel), profiles[1])
     server, other = (SimulatedServer(name=make_hostname(counter=n + 1),
                                      address=f"198.18.3.{n + 1}", profile=profile)
                      for n, profile in enumerate(profiles))
