@@ -176,6 +176,46 @@ def test_simulate_outputs_are_pinned(tmp_path, loss_rate, samples_sha256, estima
             for name in REPORT_FILES] == REPORT_SHA256[loss_rate]
 
 
+# the SHA-256 of samples.bin, truth.csv, estimates.jsonl and each of
+# REPORT_FILES for the mixed fleet below
+MIXED_SHA256 = ["160c60b719c787620e82faa9b04e086c6f62b4e4b05bb8c34a5c9a5a7ae85d0f",
+                "d59d6d0c24de5a8190716addae309fa2b522c46ef8a264cf4efddfacd2b5c66f",
+                "d91f12540c6b66f8ec2bff585220991a8ce5fbb7511e53b83bd6afdd242a5de3",
+                "eef437979e598a43884355e25fe5a1c93cb97a30a421fc21e6c68558807b1a28",
+                "e0111b3635d1ef28248a53d600eb6ee3f60acbe43450e42b717b22fc8040243e",
+                "a83794ee7b5a637ffba44971341d092f059254a9b73cb3a5fdad47e905110657",
+                "be8897859704d6e4fbe152d3f0126a7707f40c931c005853330cffc752d54205",
+                "549456529c782b304ceb67dd9a1577029a884910286ac54b1bed8ba9b2356f2e",
+                "a32129ceccfc8e60d079dec5f36ff6044dbf2d5e8557bcd927e648a11b95e9e7",
+                "a010f3092e6b0061546cd6bb6488bad2d99c65364006a5b4f08ff02ad87b39b9"]
+
+
+def test_simulate_outputs_of_a_mixed_fleet_are_pinned(tmp_path):
+    """As ``test_simulate_outputs_are_pinned``, for a lossy campaign over
+    every kind of server the simulator answers for: noisy counters, one
+    with a fill burst in another timezone, one far above the single-wrap
+    bound, a random-ID, a constant-ID and an unreachable server."""
+    servers = [
+        make_server(20_000.0, counter=1, amplitude=0.4, noise=0.1, address="198.18.0.1"),
+        make_server(800.0, airport="jfk", operator="bt.isp", tz_offset_h=-5.0, fill_extra=400.0,
+                    noise=0.05, rtt_ms=80.0, address="198.18.0.2"),
+        make_server(3_000_000.0, counter=2, amplitude=0.4, noise=0.03, address="198.18.0.3"),
+        make_server(5_000.0, counter=3, noise=0.1, behavior=IdBehavior.RANDOM,
+                    rtt_ms=0.0, address="198.18.0.4"),
+        make_server(5_000.0, airport="jfk", counter=2,
+                    behavior=IdBehavior.CONSTANT_OR_PERFLOW, address="198.18.0.5"),
+        make_server(5_000.0, airport="jfk", counter=3, reachable=False, address="198.18.0.6"),
+    ]
+    fleet = write_fleet(tmp_path / "fleet.json", servers, seed=3)
+    out = tmp_path / "out"
+    assert main(["--seed", "2", "simulate", "--fleet", str(fleet), "--out", str(out),
+                 "--dwell", "6s", "--workers", "3", "--duration", "1d",
+                 "--loss-rate", "0.01"]) == EXIT_OK
+    paths = [out / "store" / "samples.bin", out / "truth.csv", out / "store" / "estimates.jsonl",
+             *(out / name for name in REPORT_FILES)]
+    assert [hashlib.sha256(path.read_bytes()).hexdigest() for path in paths] == MIXED_SHA256
+
+
 def test_simulate_is_byte_identical_across_hash_seeds(tmp_path):
     # one process per hash seed: a stream seeded from hash() of a string
     # would agree with itself within a process, and differ here
