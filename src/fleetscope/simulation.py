@@ -16,9 +16,8 @@ word keyed by what it is drawn for, so the simulator keeps no generator
 state and no draw depends on an earlier one or on what was read before. A
 server's key absorbs the fleet seed and its address; each stream absorbs a
 tag into it. A share is keyed by its cell's midpoint, a random ID by its
-echo's arrival time and its place among the echoes that arrive at that
-time, and a loss by its visit's first send time and its sequence number.
-One seed, one behaviour.
+echo's arrival time, and a loss by its visit's first send time and its
+sequence number. One seed, one behaviour.
 """
 
 from __future__ import annotations
@@ -26,13 +25,13 @@ from __future__ import annotations
 import ipaddress
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .ipid import IdBehavior
+from .ipid import BEHAVIORS, IdBehavior
 from .names import DEFAULT_DOMAIN_SUFFIX, Wordlists, parse_server_name
 from .store import MAX_RTT_NS
 from .transport import NO_REPLY
@@ -52,15 +51,17 @@ _CELL_VARIANCE = np.array([0.0] + [math.ldexp(NOISE_STEP_NS / BIN_NS, depth - _D
 
 # splitmix64 (Steele, Lea & Flood, OOPSLA 2014): word n of the generator
 # from state s is the finaliser of s + n * _GAMMA, so any word is computed
-# from its key alone. Every hash runs on uint64 arrays (a server keeps its
-# key as an int): numpy 1.24 makes np.uint64 with an int a float64, and a
-# uint64 scalar warns on overflow
+# from its key alone. Every hash runs on uint64 arrays: numpy 1.24 makes
+# np.uint64 with an int a float64, and a uint64 scalar warns on overflow
 _GAMMA = 0x9E3779B97F4A7C15
 _MUL1, _MUL2 = 0xBF58476D1CE4E5B9, 0x94D049BB133111EB
 _U = np.uint64
 _U11, _U27, _U30, _U31, _U48 = _U(11), _U(27), _U(30), _U(31), _U(48)
 # the tag each stream absorbs into a server's key
 _NOISE, _IDS, _LOSS = 1, 2, 3
+# the ID-behaviour codes of a fleet's behavior column: indices into BEHAVIORS
+_RANDOM = BEHAVIORS.index(IdBehavior.RANDOM)
+_CONSTANT = BEHAVIORS.index(IdBehavior.CONSTANT_OR_PERFLOW)
 # end_run answers a slot in chunks of whole visits of at most this many
 # probes, or of one visit if it is longer; a chunk costs ~200 numpy calls
 # whatever its size. The paper-shaped hour (156 visits of 2,000 probes a
@@ -126,49 +127,44 @@ class TrafficProfile:
 
     def __post_init__(self) -> None:
         # NaN fails every comparison, so each check refuses it
-        if not 0.0 <= self.base_pps < math.inf:
-            raise ValueError(f"base_pps must be >= 0 and finite, not {self.base_pps!r}")
+        for name, rate in (("base_pps", self.base_pps), ("fill_extra_pps", self.fill_extra_pps)):
+            if not 0.0 <= rate < math.inf:
+                raise ValueError(f"{name} must be >= 0 and finite, not {rate!r}")
         if not 0.0 <= self.diurnal_amplitude <= 1.0:
             raise ValueError("diurnal_amplitude must be within [0, 1]")
         if not 0.0 <= self.peak_local_s <= DAY_S:
             raise ValueError(f"peak_local_s must be within a day, not {self.peak_local_s!r}")
         if not -DAY_S <= self.tz_offset_s <= DAY_S:
             raise ValueError(f"tz_offset_s must be within a day, not {self.tz_offset_s!r}")
-        if not 0.0 <= self.fill_extra_pps < math.inf:
-            raise ValueError(
-                f"fill_extra_pps must be >= 0 and finite, not {self.fill_extra_pps!r}")
         if not 0.0 <= self.fill_start_s < self.fill_end_s <= DAY_S:
             raise ValueError("fill window must satisfy 0 <= start < end <= 24h")
         if not 0.0 <= self.noise_rel <= 5.0:
             raise ValueError(f"noise_rel must be within [0, 5], not {self.noise_rel!r}")
 
 
-def _cumulative(profiles: Sequence[TrafficProfile], owners: np.ndarray,
-                t_s: np.ndarray) -> np.ndarray:
-    """The antiderivative of the deterministic rate of ``profiles[owners[i]]``
-    at UTC time ``t_s[i]``: numpy's arithmetic, which rounds as IEEE requires,
-    and the sines of ``math``, since numpy's can differ by an ulp across CPUs."""
-    base, amplitude, peak, tz, extra, start, end = np.take(np.array(
-        [(p.base_pps, p.diurnal_amplitude, p.peak_local_s, p.tz_offset_s, p.fill_extra_pps,
-          p.fill_start_s, p.fill_end_s) for p in profiles]).T, owners, axis=1)
+def _cumulative(profiles: np.ndarray, owners: np.ndarray, t_s: np.ndarray) -> np.ndarray:
+    """The antiderivative of the deterministic rate of column ``owners[i]``
+    of a fleet's ``profiles`` table at UTC time ``t_s[i]``: numpy's
+    arithmetic, which rounds as IEEE requires, and the sines of ``math``,
+    since numpy's can differ by an ulp across CPUs."""
+    base, amplitude, peak, tz, extra, start, end = profiles[:, owners]
     local = t_s + tz
     sines = list(map(math.sin, (_TAU * (local - peak) / DAY_S).tolist()))
     total = base * (t_s + amplitude * (DAY_S / _TAU) * np.array(sines))
     filled = np.flatnonzero(extra)
-    if len(filled):
-        local, start, width = local[filled], start[filled], end[filled] - start[filled]
-        days = np.floor(local / DAY_S)
-        x = np.minimum(np.maximum(local - days * DAY_S - start, 0.0), width)
-        sines = list(map(math.sin, (_TAU * x / width).tolist()))
-        partial = 0.5 * (x - (width / _TAU) * np.array(sines))
-        total[filled] += extra[filled] * (days * 0.5 * width + partial)
+    local, start, width = local[filled], start[filled], end[filled] - start[filled]
+    days = np.floor(local / DAY_S)
+    x = np.minimum(np.maximum(local - days * DAY_S - start, 0.0), width)
+    sines = list(map(math.sin, (_TAU * x / width).tolist()))
+    partial = 0.5 * (x - (width / _TAU) * np.array(sines))
+    total[filled] += extra[filled] * (days * 0.5 * width + partial)
     return total
 
 
-@dataclass(slots=True)  # a fleet holds thousands: no per-server __dict__
+@dataclass(frozen=True, slots=True)  # a fleet holds thousands: no per-server __dict__
 class SimulatedServer:
-    """One responder: a name, an address, a profile, and the count of
-    replies that ``SimulatedTransport.end_run`` has served."""
+    """One responder's configuration: a name, an address, a profile, how it
+    sets its IP IDs, whether it answers, and its round-trip time."""
 
     name: str
     address: str
@@ -177,31 +173,33 @@ class SimulatedServer:
     reachable: bool = True
     rtt_ns: int = 5_000_000
     constant_id: int = 7
-    reply_packets: int = field(default=0, init=False)
-    # the fleet seed and the address, hashed (see SimulatedFleet)
-    _key: int = field(default=0, init=False, repr=False)
-    # the arrival time of the last random ID, and the echoes served at it
-    _last_arrival: tuple[int, int] | None = field(default=None, init=False, repr=False)
 
 
 class SimulatedFleet:
-    """All simulated servers plus the DNS zone that names them."""
+    """All simulated servers plus the DNS zone that names them.
+
+    ``positions`` maps each address to its server's position in ``servers``,
+    which indexes the one array per value the responder reads: the
+    ``noise_keys``, ``id_keys`` and ``loss_keys``, ``rtt_ns``, ``reachable``,
+    ``behavior`` (an index into ``ipid.BEHAVIORS``), ``constant_id``, the
+    ``profiles`` table that ``_cumulative`` reads, ``noise_rel``,
+    ``zero_integral`` (the profile's integral at time 0), and ``replies``."""
 
     def __init__(self, servers: Iterable[SimulatedServer], seed: int = 0,
                  domain_suffix: str = DEFAULT_DOMAIN_SUFFIX):
         self.seed = seed
         self.domain_suffix = domain_suffix
         self.servers = list(servers)
-        self.by_address: dict[str, SimulatedServer] = {}
+        self.positions: dict[str, int] = {}
         names: set[str] = set()
         parsed = []
-        for server in self.servers:
+        for position, server in enumerate(self.servers):
             parsed.append(parse_server_name(server.name, domain_suffix=domain_suffix))
-            if server.address in self.by_address:
+            if server.address in self.positions:
                 raise ValueError(f"duplicate address {server.address}")
             if server.name in names:
                 raise ValueError(f"duplicate name {server.name}")
-            self.by_address[server.address] = server
+            self.positions[server.address] = position
             names.add(server.name)
         # each server's key: the seed (mod 2**64), then the address's UTF-8
         # bytes 8 at a time (little-endian, the last zero-padded), then their
@@ -214,8 +212,20 @@ class SimulatedFleet:
         keys = _absorb_all(np.zeros(len(data), dtype=np.uint64), seed % 2**64)
         for column in range(width):
             keys = np.where(lengths > 8 * column, _absorb_all(keys, words[:, column]), keys)
-        for server, key in zip(self.servers, _absorb_all(keys, lengths).tolist()):
-            server._key = key
+        # and each stream's key: the server's with the stream's tag absorbed
+        self.noise_keys, self.id_keys, self.loss_keys = _absorb_all(
+            _absorb_all(keys, lengths), np.array([[_NOISE], [_IDS], [_LOSS]]))
+        self.rtt_ns, reachable, self.behavior, self.constant_id = np.array(
+            [(s.rtt_ns, s.reachable, BEHAVIORS.index(s.id_behavior), s.constant_id)
+             for s in self.servers], dtype=np.int64).reshape(-1, 4).T
+        self.reachable = reachable == 1
+        table = np.array([(p.base_pps, p.diurnal_amplitude, p.peak_local_s, p.tz_offset_s,
+                           p.fill_extra_pps, p.fill_start_s, p.fill_end_s, p.noise_rel)
+                          for p in (s.profile for s in self.servers)]).reshape(-1, 8).T
+        self.profiles, self.noise_rel = table[:7], table[7]
+        n = len(self.servers)
+        self.zero_integral = _cumulative(self.profiles, np.arange(n), np.zeros(n))
+        self.replies = np.zeros(n, dtype=np.int64)
         # the dimensions of the names, which wordlists() needs; the names are not kept
         self._dimensions = dict(
             airport_codes=sorted({n.airport_code for n in parsed}),
@@ -225,8 +235,7 @@ class SimulatedFleet:
             protocol_indices=sorted({n.protocol_index for n in parsed}),
             deployment_indices=sorted({n.deployment_index for n in parsed}),
             max_server_counter=max((n.server_counter for n in parsed), default=0),
-            max_site_counter=max((n.site_counter for n in parsed), default=0),
-        )
+            max_site_counter=max((n.site_counter for n in parsed), default=0))
 
     def wordlists(self) -> Wordlists:
         """Word lists covering exactly the dimensions present in the fleet's
@@ -239,12 +248,11 @@ class SimulatedFleet:
 
     @classmethod
     def from_config(cls, config: Mapping) -> "SimulatedFleet":
-        """The fleet a config describes. A missing ``servers`` list, a key
-        other than ``servers``, ``seed`` and ``domain_suffix``, a ``seed``
-        that is not an integer or a ``domain_suffix`` that is not a string
-        raises a ValueError naming the key; a server without a ``name`` or an
-        ``address``, or a server value that does not parse or is out of
-        range, one naming the server."""
+        """The fleet a config describes. A missing ``servers`` list, or a
+        top-level key, ``seed`` or ``domain_suffix`` it cannot use, raises a
+        ValueError naming the key; a server without a ``name`` or an
+        ``address``, or with an unknown server, profile or fill key or a value
+        that does not parse or is out of range, one naming the server."""
         if "servers" not in config:
             raise ValueError("no 'servers' list")
         for key in config:
@@ -265,7 +273,7 @@ class SimulatedFleet:
                     raise ValueError(f"servers[{index}] has no {key!r}")
             try:
                 servers.append(_server_from_config(entry))
-            except (ValueError, TypeError, AttributeError) as exc:
+            except (ValueError, TypeError, AttributeError, OverflowError) as exc:
                 raise ValueError(f"servers[{index}] ({entry['name']}): {exc}") from None
         return cls(servers, seed=seed, domain_suffix=suffix)
 
@@ -278,7 +286,28 @@ class SimulatedFleet:
             raise ValueError(f"{path}: {exc}") from None
 
 
+# the keys a fleet server, its profile and the profile's fill may hold
+_KEYS = ({"name", "address", "reachable", "rtt_ms", "id_behavior", "constant_id", "profile"},
+         {"base_pps", "diurnal_amplitude", "peak_local", "tz_offset_hours", "noise_rel", "fill"},
+         {"extra_pps", "start", "end"})
+
+
+def _number(config: Mapping, key: str) -> float:
+    """``config[key]``, 0 if absent, which must be a JSON number."""
+    value = config.get(key, 0.0)
+    if type(value) not in (int, float):
+        raise ValueError(f"{key!r} is not a JSON number: {value!r}")
+    return float(value)
+
+
 def _server_from_config(entry: Mapping) -> SimulatedServer:
+    profile_cfg = entry.get("profile", {})
+    fill = profile_cfg.get("fill") or {}
+    for keys, config, inside in zip(_KEYS, (entry, profile_cfg, fill),
+                                    ("", " in 'profile'", " in 'fill'")):
+        if not config.keys() <= keys:
+            unknown = next(key for key in config if key not in keys)
+            raise ValueError(f"unknown key {unknown!r}{inside}")
     reachable = entry.get("reachable", True)
     if type(reachable) is not bool:
         raise ValueError(f"'reachable' is not a JSON bool: {reachable!r}")
@@ -292,27 +321,19 @@ def _server_from_config(entry: Mapping) -> SimulatedServer:
     constant_id = entry.get("constant_id", 7)
     if type(constant_id) is not int or not 0 <= constant_id <= 0xFFFF:
         raise ValueError(f"'constant_id' is not a JSON integer in 0..65535: {constant_id!r}")
-    profile_cfg = entry.get("profile", {})
-    fill = profile_cfg.get("fill") or {}
     profile = TrafficProfile(
-        base_pps=float(profile_cfg.get("base_pps", 0.0)),
-        diurnal_amplitude=float(profile_cfg.get("diurnal_amplitude", 0.0)),
+        base_pps=_number(profile_cfg, "base_pps"),
+        diurnal_amplitude=_number(profile_cfg, "diurnal_amplitude"),
         peak_local_s=parse_hhmm(profile_cfg.get("peak_local", "23:30")),
-        tz_offset_s=float(profile_cfg.get("tz_offset_hours", 0.0)) * 3600.0,
-        noise_rel=float(profile_cfg.get("noise_rel", 0.0)),
-        fill_extra_pps=float(fill.get("extra_pps", 0.0)),
+        tz_offset_s=_number(profile_cfg, "tz_offset_hours") * 3600.0,
+        noise_rel=_number(profile_cfg, "noise_rel"),
+        fill_extra_pps=_number(fill, "extra_pps"),
         fill_start_s=parse_hhmm(fill.get("start", "02:00")),
         fill_end_s=parse_hhmm(fill.get("end", "14:00")),
     )
-    return SimulatedServer(
-        name=entry["name"],
-        address=entry["address"],
-        profile=profile,
-        id_behavior=IdBehavior(entry.get("id_behavior", "global_counter")),
-        reachable=reachable,
-        rtt_ns=rtt_ns,
-        constant_id=constant_id,
-    )
+    return SimulatedServer(name=entry["name"], address=entry["address"], profile=profile,
+                           id_behavior=IdBehavior(entry.get("id_behavior", "global_counter")),
+                           reachable=reachable, rtt_ns=rtt_ns, constant_id=constant_id)
 
 
 class ZoneResolver:
@@ -344,16 +365,14 @@ class SimulatedTransport:
     runs from its first send to its last; its rate is the mean from the
     first send to the last serve, the span over which the counter moved.
 
-    A send takes no time, so ``send_run`` only computes the send times and
-    moves the clock to the last. ``end_run`` draws the slot's losses and
-    reads each responder's background count at its visit's first send, each
-    delivered echo's arrival and its last serve: the count is a function of
-    time alone, and nothing else touches a responder while one of its visits
-    is open, so its replies are those it would have given as each echo
-    arrived. Send ``seq`` is lost when the top 53 bits of word ``seq + 1``
-    of splitmix64 from the visit's first send time, absorbed into the
-    target's loss key, are below ``ceil(loss_rate * 2**53)``: a function of
-    the fleet seed, the target, the visit's first send and ``seq`` alone.
+    ``send_run`` only computes the send times and moves the clock to the
+    last. ``end_run`` draws the slot's losses and answers each visit from
+    the responder's background count, a function of time alone, so its
+    replies are those it would have given as each echo arrived. Send
+    ``seq`` is lost when the top 53 bits of word ``seq + 1`` of splitmix64
+    from the visit's first send time, absorbed into the target's loss key,
+    are below ``ceil(loss_rate * 2**53)``: a function of the fleet seed,
+    the target, the visit's first send and ``seq`` alone.
 
     ``truth``, if given, gets ``(target, start_ns, end_ns, true_pps)`` as
     each such window closes; the transport keeps no record of its own.
@@ -379,16 +398,12 @@ class SimulatedTransport:
                  not_before_ns: np.ndarray) -> np.ndarray:
         """The send times of the per-send loop on this clock, where a send
         takes no time: each index waits for its due time, then each target in
-        turn for its previous send plus the interval.
-
-        Index 0 is a running maximum, in target order, of the clock, its due
-        time and each previous send plus the interval. A later index sends
-        each target at the latest of its send of the index before plus the
-        interval, the index's due time and the index before's last send. The
-        last target's sends step by one interval, and no due time is later
-        than index 0's sends plus the intervals between, so each later index
-        is index 0, raised to its last send less one interval, plus the
-        intervals between."""
+        turn for its previous send plus the interval. Index 0 is a running
+        maximum, in target order, of the clock, its due time and each
+        previous send plus the interval. The last target's sends then step by
+        one interval, and no due time is later than index 0's sends plus the
+        intervals between, so each later index is index 0, raised to its last
+        send less one interval, plus the intervals between."""
         first = np.maximum.accumulate(np.maximum(
             np.asarray(not_before_ns, dtype=np.int64) + interval_ns, max(self._now_ns, first_ns)))
         later = np.maximum(first, int(first[-1]) - interval_ns)
@@ -404,39 +419,34 @@ class SimulatedTransport:
         none and has no truth window."""
         recv_ns = np.full(sent_ns.shape, NO_REPLY, dtype=np.int64)
         ip_id = np.zeros(sent_ns.shape, dtype=np.uint16)  # a slot's IDs, 2 bytes each
-        servers = [self.fleet.by_address.get(target) for target in targets]
-        rows = [row for row, server in enumerate(servers)
-                if server is not None and server.reachable]
+        at = np.array([self.fleet.positions.get(target, -1) for target in targets], dtype=np.int64)
+        rows = np.flatnonzero(at >= 0)
+        rows = rows[self.fleet.reachable[at[rows]]]
         step = max(1, CHUNK_PROBES // sent_ns.shape[1])
-        for at in range(0, len(rows), step):
-            chunk = rows[at:at + step]
-            recv_ns[chunk], ip_id[chunk] = self._answer([servers[row] for row in chunk],
-                                                        sent_ns[chunk])
+        for first in range(0, len(rows), step):
+            chunk = rows[first:first + step]
+            recv_ns[chunk], ip_id[chunk] = self._answer(at[chunk], sent_ns[chunk])
         return recv_ns, ip_id
 
-    def _answer(self, servers: list[SimulatedServer],
+    def _answer(self, positions: np.ndarray,
                 sent: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """``end_run`` of the visits to ``servers``, sent at the rows of ``sent``.
-
-        Each visit reads its responder's background count (``_counts``) at
-        its first send, each delivered echo's arrival and its last serve,
-        the last send or the last delivered arrival past it; its truth is
-        the mean rate between the first and the last of these.
-
-        A reply's ID is the counter (the count plus the replies served
-        before) mod 65536 for a global counter, the constant for a
-        constant one, and for a random one the top 16 bits of word n + 1
-        of splitmix64 from the echo's arrival time absorbed into the
-        server's ID key, where n counts the echoes served at that time
-        before it, in this visit or the one before.
-        """
-        visits, count = sent.shape
+        """``end_run`` of the visits to the fleet's servers at ``positions``,
+        sent at the rows of ``sent``. Each visit reads its responder's
+        background count (``_counts``) at its first send, each delivered
+        echo's arrival and its last serve, the last send or the last
+        delivered arrival past it; its truth is the mean rate between the
+        first and the last of these. A reply's ID is the counter (the count
+        plus the replies served before) mod 65536 for a global counter, the
+        constant for a constant one, and for a random one the top 16 bits of
+        word 1 of splitmix64 from the echo's arrival time absorbed into the
+        server's ID key, so echoes that arrive at one instant get one ID."""
+        fleet = self.fleet
+        count = sent.shape[1]
         starts, ends = sent[:, 0], sent[:, -1]
-        rtt = np.array([server.rtt_ns for server in servers], dtype=np.int64)[:, None]
+        rtt = fleet.rtt_ns[positions][:, None]
         arrivals = sent + rtt // 2
         if self.loss_rate:
-            keys = np.array([server._key for server in servers], dtype=np.uint64)
-            states = _absorb_all(_absorb_all(keys, _LOSS), starts)
+            states = _absorb_all(fleet.loss_keys[positions], starts)
             delivered = (splitmix64(states[:, None], np.arange(1, count + 1, dtype=np.uint64))
                          >> _U11 >= _U(math.ceil(self.loss_rate * 2**53)))
             last = np.maximum(ends, np.where(delivered, arrivals, starts[:, None]).max(axis=1))
@@ -445,27 +455,28 @@ class SimulatedTransport:
             last = arrivals[:, -1]
         # each visit's reads: its first send, its arrivals, then its last serve
         reads = np.concatenate((starts[:, None], arrivals, last[:, None]), axis=1)
-        background = _counts(servers, np.repeat(np.arange(visits), count + 2),
+        background = _counts(fleet, np.repeat(positions, count + 2),
                              reads.ravel()).reshape(reads.shape)
         if self.truth is not None:
             windows = np.flatnonzero(ends > starts)
             pps = ((background[windows, -1] - background[windows, 0])
                    / ((last - starts)[windows] / 1e9))
             for visit, rate in zip(windows.tolist(), pps.tolist()):
-                self.truth((servers[visit].address, int(starts[visit]), int(ends[visit]), rate))
+                self.truth((fleet.servers[positions[visit]].address, int(starts[visit]),
+                            int(ends[visit]), rate))
         recv_ns = np.full(sent.shape, NO_REPLY, dtype=np.int64)
         recv_ns[delivered] = (sent + rtt)[delivered]
         ip_id = np.zeros(sent.shape, dtype=np.uint16)
-        ip_id[delivered] = _reply_ids(servers, np.count_nonzero(delivered, axis=1),
+        ip_id[delivered] = _reply_ids(fleet, positions, np.count_nonzero(delivered, axis=1),
                                       arrivals[delivered], background[:, 1:-1][delivered])
         return recv_ns, ip_id
 
 
-def _counts(servers: Sequence[SimulatedServer], owners: np.ndarray,
-            t_ns: np.ndarray) -> np.ndarray:
-    """The background count of ``servers[owners[i]]`` at ``t_ns[i]``: the
-    packets it has sent since time 0, a pure function of its key and the
-    time. Reads of one owner in ascending time share their cells' work.
+def _counts(fleet: SimulatedFleet, owners: np.ndarray, t_ns: np.ndarray) -> np.ndarray:
+    """The background count of the server at position ``owners[i]`` of
+    ``fleet`` at ``t_ns[i]``: the packets it has sent since time 0, a pure
+    function of its key and the time. Reads of one owner in ascending time
+    share their cells' work.
 
     A top cell of 2**_DEPTH bins holds the profile's exact integral. Each
     cell below splits its count at its midpoint m at the share
@@ -477,8 +488,7 @@ def _counts(servers: Sequence[SimulatedServer], owners: np.ndarray,
     times the count across it, at most the count at its end, so no rounding
     lets it fall; it is linear inside a bin.
     """
-    bins = t_ns // BIN_NS
-    into = t_ns - bins * BIN_NS
+    bins, into = np.divmod(t_ns, BIN_NS)
     # each owner's distinct bins, adjacent in ascending reads, and their reads
     new = np.ones(len(bins), dtype=bool)
     new[1:] = (bins[1:] != bins[:-1]) | (owners[1:] != owners[:-1])
@@ -494,17 +504,15 @@ def _counts(servers: Sequence[SimulatedServer], owners: np.ndarray,
     cell_of = (np.add.accumulate(fresh.ravel(), dtype=np.int64) - 1).reshape(fresh.shape)
     levels, columns = np.divmod(distinct, len(bins))
     index, cell_owners = cells[:-1].ravel()[distinct], holders[columns]
-    # the profile's integral at each distinct cell's midpoint, each top
-    # cell's start and end, and time 0
+    # the profile's integral at each distinct cell's midpoint, and each top
+    # cell's start and end
     n_cells, n_tops = len(distinct), int(np.count_nonzero(fresh[0]))
     spans = np.left_shift(1, levels)
     widths = (1 << _DEPTH) // spans
     middles, tops = index * widths + widths // 2, index[:n_tops] * widths[:n_tops]
-    everyone = np.arange(len(servers))
     integrals = _cumulative(
-        [server.profile for server in servers],
-        np.concatenate((cell_owners, cell_owners[:n_tops], cell_owners[:n_tops], everyone)),
-        np.concatenate((middles, tops, tops + (1 << _DEPTH), 0 * everyone)).astype(np.float64))
+        fleet.profiles, np.concatenate((cell_owners, cell_owners[:n_tops], cell_owners[:n_tops])),
+        np.concatenate((middles, tops, tops + (1 << _DEPTH))).astype(np.float64))
     # a cell starts at the midpoint of the deepest level above it where its
     # path went right (the lowest set bit of its index below its top cell),
     # or at its top cell's start, and ends at that where it went left (the
@@ -521,23 +529,21 @@ def _counts(servers: Sequence[SimulatedServer], owners: np.ndarray,
     np.divide(integrals[:n_cells] - low, across, out=shares, where=across > 0)
     np.clip(shares, 0.0, 1.0, out=shares)
     # a from the variance of the mean over the cell and over its halves
-    noise = np.array([server.profile.noise_rel for server in servers])[cell_owners]
+    noise = fleet.noise_rel[cell_owners]
     above = noise * noise * _CELL_VARIANCE[levels]
     below = noise * noise * _CELL_VARIANCE[levels + 1]
     amplitudes = np.sqrt(3.0 * (below - above) / (1.0 + above))
-    keys = _absorb_all(np.array([server._key for server in servers], dtype=np.uint64), _NOISE)
-    jitter = (_absorb_all(keys[cell_owners], middles) >> _U11) * 2.0**-52 - 1.0  # 2u - 1
+    jitter = (_absorb_all(fleet.noise_keys[cell_owners], middles) >> _U11) * 2.0**-52 - 1  # 2u - 1
     shares += np.minimum(shares, 1.0 - shares) * amplitudes * jitter
 
     # down from each top cell's counts: the count at each level's midpoint,
     # then the half each bin lies in; rows 0 and 1 of sides pick the bins in
     # the right half, whose start moves, and those in the left
     edges = integrals[n_cells + np.stack((cell_of[0], n_tops + cell_of[0]))]
-    edges -= integrals[n_cells + 2 * n_tops:][holders]
+    edges -= fleet.zero_integral[holders]
     shares = shares[cell_of]
-    sides = np.empty((_DEPTH, 2, len(bins)), dtype=bool)
-    sides[:, 0] = cells[1:] & 1
-    np.logical_not(sides[:, 0], out=sides[:, 1])
+    right = (cells[1:] & 1).astype(bool)
+    sides = np.stack((right, ~right), axis=1)
     split = np.empty(len(bins))
     for level in range(_DEPTH):
         np.subtract(edges[1], edges[0], out=split)
@@ -551,46 +557,20 @@ def _counts(servers: Sequence[SimulatedServer], owners: np.ndarray,
     return np.minimum(counts, np.repeat(high, runs), out=counts)
 
 
-def _reply_ids(servers: list[SimulatedServer], served: np.ndarray, arrivals: np.ndarray,
-               counts: np.ndarray) -> np.ndarray:
-    """The IP IDs (int64) of the replies ``servers[v]`` serves to the next
-    ``served[v]`` of the echoes arriving at ``arrivals``, where the count
-    reads ``counts``; each reply moves the counter by one."""
-    offsets = np.zeros(len(servers) + 1, dtype=np.int64)
-    offsets[1:] = np.add.accumulate(served)
-    behaviors = [server.id_behavior for server in servers]
+def _reply_ids(fleet: SimulatedFleet, positions: np.ndarray, served: np.ndarray,
+               arrivals: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """The IP IDs (int64) of the replies of the servers at ``positions``,
+    ``served[v]`` each, to the echoes arriving at ``arrivals``, where the
+    count reads ``counts``; each reply moves ``fleet.replies`` on by one."""
     # int() of each count, plus the replies served before it
-    replies = np.array([server.reply_packets for server in servers], dtype=np.int64)
-    ids = (counts.astype(np.int64) + np.repeat(replies - offsets[:-1], served)
-           + np.arange(len(arrivals))) & 0xFFFF
-    constant = np.repeat([behavior is IdBehavior.CONSTANT_OR_PERFLOW for behavior in behaviors],
-                         served)
-    ids[constant] = np.repeat([server.constant_id for server in servers], served)[constant]
-    randoms = [visit for visit, behavior in enumerate(behaviors)
-               if behavior is IdBehavior.RANDOM and served[visit]]
-    if randoms:
-        random = np.repeat([behavior is IdBehavior.RANDOM for behavior in behaviors], served)
-        at, sizes = arrivals[random], served[randoms]
-        heads = np.zeros(len(randoms), dtype=np.int64)
-        heads[1:] = np.add.accumulate(sizes[:-1])
-        # n: the place of each echo among those of its visit arriving at its time
-        run = np.ones(len(at), dtype=bool)
-        run[1:] = at[1:] != at[:-1]
-        run[heads] = True
-        place = np.arange(len(at))
-        nth = place - np.maximum.accumulate(np.where(run, place, 0))
-        # those arriving when the visit before ended come after its last echoes
-        carried = []
-        for visit, first in zip(randoms, at[heads].tolist()):
-            last = servers[visit]._last_arrival
-            carried.append(last[1] if last is not None and last[0] == first else 0)
-        nth += np.repeat(carried, sizes) * (at == np.repeat(at[heads], sizes))
-        id_keys = _absorb_all(np.array([servers[visit]._key for visit in randoms],
-                                       dtype=np.uint64), _IDS)
-        states = _absorb_all(np.repeat(id_keys, sizes), at)
-        ids[random] = (splitmix64(states, (nth + 1).astype(np.uint64)) >> _U48).astype(np.int64)
-        for visit, end in zip(randoms, (heads + sizes - 1).tolist()):
-            servers[visit]._last_arrival = (int(at[end]), int(nth[end]) + 1)
-    for server, count in zip(servers, served.tolist()):
-        server.reply_packets += count
+    firsts = fleet.replies[positions] - (np.add.accumulate(served) - served)
+    ids = (counts.astype(np.int64) + np.repeat(firsts, served) + np.arange(len(arrivals))) & 0xFFFF
+    owners = np.repeat(positions, served)
+    behavior = fleet.behavior[owners]
+    constant = behavior == _CONSTANT
+    ids[constant] = fleet.constant_id[owners[constant]]
+    random = behavior == _RANDOM
+    states = _absorb_all(fleet.id_keys[owners[random]], arrivals[random])
+    ids[random] = (splitmix64(states, _U(1)) >> _U48).astype(np.int64)
+    np.add.at(fleet.replies, positions, served)
     return ids

@@ -126,11 +126,11 @@ def serve_visit(fleet: SimulatedFleet, server: SimulatedServer, at_ns) -> np.nda
     return SimulatedTransport(fleet).end_run([server.address], sent_ns)[1][0]
 
 
-def count_at(server: SimulatedServer, t_ns) -> np.ndarray:
-    """``server``'s background count at each of the times ``t_ns``, read
-    together; its fleet has keyed it."""
+def count_at(fleet: SimulatedFleet, server: SimulatedServer, t_ns) -> np.ndarray:
+    """``server``'s background count at each of the times ``t_ns`` in
+    ``fleet``, read together."""
     t_ns = np.asarray(t_ns, dtype=np.int64)
-    return simulation._counts([server], np.zeros(len(t_ns), dtype=np.int64), t_ns)
+    return simulation._counts(fleet, np.full(len(t_ns), fleet.positions[server.address]), t_ns)
 
 
 def reply_columns(replies, row: int = 0) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

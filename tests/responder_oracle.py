@@ -126,32 +126,22 @@ def background_count(server: SimulatedServer, seed: int, t_ns: int) -> float:
     return min(low + (high - low) / BIN_NS * (t_ns - at * BIN_NS), high)
 
 
-def serve_echo(server: SimulatedServer, at_ns: int, seed: int) -> int | None:
-    """Answer one echo arriving at ``at_ns`` in a fleet of ``seed``: returns
-    the reply's IP ID.
+def serve_echo(server: SimulatedServer, at_ns: int, seed: int, served: int) -> int | None:
+    """Answer one echo arriving at ``at_ns`` in a fleet of ``seed``, after
+    ``served`` replies: returns the reply's IP ID.
 
-    The current ID is returned first, then the counter moves by one for
-    the reply packet itself. A random ID is the top 16 bits of the word of
-    the generator from the arrival time extending the ID key that follows
-    one word for each echo served at that time before. Unreachable servers
-    never reply.
+    A global counter's ID is the count plus the replies served before; the
+    reply packet itself moves the counter on. A random ID is the top 16
+    bits of the first word of the generator from the arrival time extending
+    the ID key. Unreachable servers never reply.
     """
     if not server.reachable:
         return None
     if server.id_behavior is IdBehavior.GLOBAL_COUNTER:
-        ipid = (int(background_count(server, seed, at_ns)) + server.reply_packets) & 0xFFFF
-    elif server.id_behavior is IdBehavior.RANDOM:
-        last = server._last_arrival
-        before = last[1] if last is not None and last[0] == at_ns else 0
-        draws = SplitMix64(extend(stream_key(seed, server.address, IDS), at_ns))
-        for _ in range(before):
-            draws.next()
-        ipid = draws.next() >> 48
-        server._last_arrival = (at_ns, before + 1)
-    else:
-        ipid = server.constant_id
-    server.reply_packets += 1
-    return ipid
+        return (int(background_count(server, seed, at_ns)) + served) & 0xFFFF
+    if server.id_behavior is IdBehavior.RANDOM:
+        return SplitMix64(extend(stream_key(seed, server.address, IDS), at_ns)).next() >> 48
+    return server.constant_id
 
 
 def send_run_per_send(transport, send_echo, targets, first_ns: int, interval_ns: int, count: int,
@@ -189,12 +179,15 @@ class ScalarTransport(PerSendRuns):
     generator from the send time extending the target's loss key, a send
     is lost when the generator's next uniform is below the loss rate or
     else remembered, and ``end_run`` serves each delivered echo of each
-    target in turn and returns the replies as ``end_run``'s arrays."""
+    target in turn and returns the replies as ``end_run``'s arrays.
+    ``replies`` counts the replies each address has served."""
 
     def __init__(self, fleet: SimulatedFleet, loss_rate: float = 0.0, truth=None):
         self.fleet = fleet
         self.loss_rate = loss_rate
         self.truth = truth
+        self.replies: dict[str, int] = {}
+        self._servers = {server.address: server for server in fleet.servers}
         self._now_ns = 0
         self._losses: dict[str, SplitMix64] = {}  # the open visits' loss generators
         self._pending: dict[str, dict[int, int]] = {}  # seq -> sent_ns of delivered echoes
@@ -209,7 +202,7 @@ class ScalarTransport(PerSendRuns):
 
     def _send_echo(self, target: str, seq: int) -> int:
         sent_ns = self._now_ns
-        server = self.fleet.by_address.get(target)
+        server = self._servers.get(target)
         if server is not None and server.reachable:
             if seq == 0:
                 self._pending.pop(target, None)
@@ -234,11 +227,14 @@ class ScalarTransport(PerSendRuns):
         truth window on: the mean rate from its first send to its last
         serve, the last send or the last delivered arrival past it."""
         replies = {}
-        server = self.fleet.by_address.get(target)
+        server = self._servers.get(target)
         last_ns = sent_ns[-1]
         for seq, sent in self._pending.pop(target, {}).items():
             arrival_ns = sent + server.rtt_ns // 2
-            replies[seq] = (sent + server.rtt_ns, serve_echo(server, arrival_ns, self.fleet.seed))
+            served = self.replies.get(target, 0)
+            replies[seq] = (sent + server.rtt_ns,
+                            serve_echo(server, arrival_ns, self.fleet.seed, served))
+            self.replies[target] = served + 1
             last_ns = max(last_ns, arrival_ns)
         self._losses.pop(target, None)
         start_ns = self._windows.pop(target, None)

@@ -66,7 +66,7 @@ def test_c01_estimator_accuracy():
         max_visits_per_hour=None, seed=101,
     )
     frames = []
-    summary = run_campaign(list(fleet.by_address), params, transport, frames.append)
+    summary = run_campaign(list(fleet.positions), params, transport, frames.append)
     assert summary.visits_completed == 200  # 50 targets x 4 visits
 
     truth = {(target, start_ns): true_pps for target, start_ns, _, true_pps in rows}

@@ -256,7 +256,7 @@ def test_series_estimates_orders_many_targets_and_skips_what_it_cannot_estimate(
     params = CampaignParams(probe_interval_s=0.03, dwell_s=3.0, workers=2,
                             total_duration_s=60.0, max_visits_per_hour=None, seed=5)
     visits = []
-    run_campaign(list(fleet.by_address), params, SimulatedTransport(fleet), visits.append)
+    run_campaign(list(fleet.positions), params, SimulatedTransport(fleet), visits.append)
     estimates = _series_rows(iter(visits))
     # the visits of the random-ID and the silent server are skipped
     assert sorted({e[0] for e in estimates}) == sorted(s.address for s in counters)

@@ -322,7 +322,7 @@ def test_run_campaign_reachability_partition():
         max_visits_per_hour=None, seed=3,
     )
     visits = []
-    summary = run_campaign(list(fleet.by_address), params, SimulatedTransport(fleet), visits.append)
+    summary = run_campaign(list(fleet.positions), params, SimulatedTransport(fleet), visits.append)
     assert set(summary.reachable) == {s.address for s in responsive}
     assert set(summary.unreachable) == {s.address for s in silent}
     assert summary.visits_completed == len(visits)
@@ -331,7 +331,7 @@ def test_run_campaign_reachability_partition():
 def test_run_campaign_zero_duration_is_empty():
     fleet = make_fleet([make_server(base_pps=1.0)])
     params = CampaignParams(total_duration_s=0.0)
-    summary = run_campaign(list(fleet.by_address), params, SimulatedTransport(fleet), [].append)
+    summary = run_campaign(list(fleet.positions), params, SimulatedTransport(fleet), [].append)
     assert summary.visits_completed == 0
     assert summary.reachable == ()
     assert summary.unreachable == ()
@@ -345,7 +345,7 @@ def test_run_campaign_sample_times_strictly_increase_per_target():
         max_visits_per_hour=None, seed=1,
     )
     visits = []
-    run_campaign(list(fleet.by_address), params, SimulatedTransport(fleet), visits.append)
+    run_campaign(list(fleet.positions), params, SimulatedTransport(fleet), visits.append)
     per_target: dict[str, list[int]] = {}
     for visit in visits:
         per_target.setdefault(visit.target, []).extend(visit.sent_ns.tolist())
@@ -362,7 +362,7 @@ def test_run_campaign_respects_courtesy_cap():
         max_visits_per_hour=2.0, seed=1,
     )
     visits = []
-    run_campaign(list(fleet.by_address), params, SimulatedTransport(fleet), visits.append)
+    run_campaign(list(fleet.positions), params, SimulatedTransport(fleet), visits.append)
     starts: dict[str, list[int]] = {}
     for visit in visits:
         starts.setdefault(visit.target, []).append(visit.start_ns)
@@ -576,7 +576,7 @@ def test_single_target_worker_waits_out_its_reply_window():
         max_visits_per_hour=None,
     )
     visits = []
-    summary = run_campaign(list(fleet.by_address), params, SimulatedTransport(fleet), visits.append)
+    summary = run_campaign(list(fleet.positions), params, SimulatedTransport(fleet), visits.append)
     assert [v.start_ns for v in visits] == [0, 6 * 10**9]
     assert summary.probes_sent == 200
     assert summary.losses == 0
@@ -590,8 +590,8 @@ def test_visits_of_a_slot_send_in_step_and_arrive_in_slot_then_worker_order():
         max_visits_per_hour=None, seed=4,
     )
     visits = []
-    run_campaign(list(fleet.by_address), params, SimulatedTransport(fleet), visits.append)
-    schedule = plan_campaign(list(fleet.by_address), params)
+    run_campaign(list(fleet.positions), params, SimulatedTransport(fleet), visits.append)
+    schedule = plan_campaign(list(fleet.positions), params)
     assert schedule.cycle_slots == len(schedule.slots) == 2
     expected = [(slot, target) for slot in range(4) for target in schedule.slots[slot % 2]]
     assert [(v.start_ns // (3 * 10**9), v.target) for v in visits] == expected

@@ -43,18 +43,17 @@ from responder_oracle import (IDS, LOSS, NOISE, ScalarTransport, SplitMix64, bac
 
 def test_advance_constant_rate():
     server = make_server(base_pps=1000.0)
-    make_fleet([server])
-    assert int(count_at(server, [10 * 10**9])[0]) == 10_000
+    assert int(count_at(make_fleet([server]), server, [10 * 10**9])[0]) == 10_000
 
 
 def test_advance_zero_length_is_identity():
     # a count is read, not advanced: the same time reads the same count
     # alone, twice in one call, and after or before any other time
     server = make_server(base_pps=1000.0, noise=0.2)
-    make_fleet([server])
-    alone = count_at(server, [5 * 10**9 + 7])[0]
-    assert count_at(server, [5 * 10**9 + 7] * 2).tolist() == [alone] * 2
-    assert count_at(server, [9 * 10**9, 5 * 10**9 + 7, 10**8])[1] == alone
+    fleet = make_fleet([server])
+    alone = count_at(fleet, server, [5 * 10**9 + 7])[0]
+    assert count_at(fleet, server, [5 * 10**9 + 7] * 2).tolist() == [alone] * 2
+    assert count_at(fleet, server, [9 * 10**9, 5 * 10**9 + 7, 10**8])[1] == alone
 
 
 def _instant_rate(profile: TrafficProfile, t_s: float) -> float:
@@ -74,7 +73,9 @@ def _instant_rate(profile: TrafficProfile, t_s: float) -> float:
 
 def _integral(profile: TrafficProfile, t_s: float) -> float:
     """The simulator's antiderivative of the profile's rate at ``t_s``."""
-    return float(simulation._cumulative([profile], np.zeros(1, dtype=np.int64),
+    fleet = make_fleet([SimulatedServer(name=make_hostname(), address="198.18.0.1",
+                                        profile=profile)])
+    return float(simulation._cumulative(fleet.profiles, np.zeros(1, dtype=np.int64),
                                         np.array([t_s]))[0])
 
 
@@ -119,7 +120,7 @@ def test_fill_window_respects_timezone():
 def test_serve_echo_wraps_at_16_bits():
     server = make_server(base_pps=0.0)
     fleet = make_fleet([server])
-    server.reply_packets = 65535
+    fleet.replies[0] = 65535
     # the reply itself advances the counter
     assert serve_visit(fleet, server, [0, 1]).tolist() == [65535, 0]
 
@@ -132,6 +133,18 @@ def test_serve_echo_random_mode_is_unconstrained():
     assert len(set(ids)) > 1500  # roughly uniform, not a counter
 
 
+def test_echoes_arriving_at_one_instant_get_one_random_id():
+    # a random ID is keyed by its arrival alone: two sends 0 ns apart arrive
+    # together, and neither end_run nor the per-echo responder tells them apart
+    server = make_server(base_pps=1000.0, behavior=IdBehavior.RANDOM)
+    fleet = make_fleet([server], seed=4)
+    sent_ns = np.full((1, 2), 10**9, dtype=np.int64)
+    ids = SimulatedTransport(fleet).end_run([server.address], sent_ns)[1][0].tolist()
+    at_ns = 10**9 + server.rtt_ns // 2
+    assert ids == [serve_echo(server, at_ns, 4, 0), serve_echo(server, at_ns, 4, 1)]
+    assert ids[0] == ids[1]
+
+
 def test_unreachable_server_never_replies():
     server = make_server(base_pps=10.0, reachable=False)
     fleet = make_fleet([server])
@@ -141,7 +154,7 @@ def test_unreachable_server_never_replies():
     seq, recv_ns, ip_id = reply_columns(
         transport.end_run([server.address], np.array([[10**9, 2 * 10**9]])))
     assert len(seq) == len(recv_ns) == len(ip_id) == 0
-    assert server.reply_packets == 0
+    assert fleet.replies.tolist() == [0]
     assert rows == []
 
 
@@ -150,7 +163,7 @@ def test_id_stream_consistent_with_counter():
     fleet = make_fleet([server])
     for i in range(1, 50):
         at = i * 30_000_000
-        expected = (int(count_at(server, [at])[0]) + server.reply_packets) & 0xFFFF
+        expected = (int(count_at(fleet, server, [at])[0]) + int(fleet.replies[0])) & 0xFFFF
         assert serve_visit(fleet, server, [at]).tolist() == [expected]
 
 
@@ -162,7 +175,7 @@ def test_a_server_and_a_transport_hold_no_generator():
     transport = SimulatedTransport(make_fleet([noisy, randoms]), loss_rate=0.3)
     for server in (noisy, randoms):
         one_visit(server.address, 0.03, 3.0, transport)
-    assert noisy.reply_packets and randoms.reply_packets
+    assert transport.fleet.replies.all()
     generators = (random.Random, np.random.Generator, np.random.BitGenerator,
                   np.random.RandomState)
     for held in (noisy, randoms, transport, transport.fleet):
@@ -302,8 +315,8 @@ def test_fleet_file_errors_name_the_file_and_the_server(tmp_path, config, error)
 
 @pytest.mark.parametrize("change, error", [
     ({"profile": {"peak_local": "ab:cd"}}, "invalid literal for int"),
-    ({"profile": {"base_pps": "fast"}}, "could not convert string to float"),
-    ({"profile": {"base_pps": None}}, "float() argument must be"),
+    ({"profile": {"base_pps": "fast"}}, "'base_pps' is not a JSON number: 'fast'"),
+    ({"profile": {"base_pps": None}}, "'base_pps' is not a JSON number: None"),
     ({"id_behavior": "sometimes"}, "'sometimes' is not a valid IdBehavior"),
     ({"profile": 5}, "'int' object has no attribute 'get'"),
     ({"profile": {"base_pps": -1}}, "base_pps must be >= 0"),
@@ -325,11 +338,28 @@ def test_fleet_file_errors_name_the_file_and_the_server(tmp_path, config, error)
     ({"profile": {"peak_local": "99:99"}}, "'99:99' is not a time of day HH:MM"),
     ({"profile": {"fill": {"extra_pps": 1.0, "start": "02:60"}}},
      "'02:60' is not a time of day HH:MM"),
+    ({"rtt": 5}, "unknown key 'rtt'"),
+    ({"profile": {"base_pps": 1.0, "noise": 0.1}}, "unknown key 'noise' in 'profile'"),
+    ({"profile": {"base_pps": 1.0, "fill": {"extra": 9}}}, "unknown key 'extra' in 'fill'"),
+    ({"profile": {"base_pps": "100"}}, "'base_pps' is not a JSON number: '100'"),
+    ({"profile": {"base_pps": True}}, "'base_pps' is not a JSON number: True"),
+    ({"profile": {"base_pps": 10**400}}, "int too large to convert to float"),
+    ({"profile": {"base_pps": 1.0, "diurnal_amplitude": "0.5"}},
+     "'diurnal_amplitude' is not a JSON number: '0.5'"),
+    ({"profile": {"base_pps": 1.0, "tz_offset_hours": "-5"}},
+     "'tz_offset_hours' is not a JSON number: '-5'"),
+    ({"profile": {"base_pps": 1.0, "noise_rel": False}},
+     "'noise_rel' is not a JSON number: False"),
+    ({"profile": {"base_pps": 1.0, "fill": {"extra_pps": "9"}}},
+     "'extra_pps' is not a JSON number: '9'"),
 ], ids=["peak_local", "base_pps", "base_pps_null", "id_behavior", "profile", "negative_rate",
         "reachable_string", "constant_id_float", "constant_id_above_16_bits", "negative_rtt",
         "rtt_nan", "rtt_longer_than_a_sample_stores", "address_not_an_address",
         "address_octet_above_255", "address_a_number", "rate_nan", "noise_infinite",
-        "fill_infinite", "timezone_infinite", "peak_past_a_day", "fill_minutes_past_59"])
+        "fill_infinite", "timezone_infinite", "peak_past_a_day", "fill_minutes_past_59",
+        "unknown_server_key", "unknown_profile_key", "unknown_fill_key", "base_pps_string",
+        "base_pps_bool", "base_pps_past_a_float", "amplitude_string", "timezone_string",
+        "noise_bool", "fill_string"])
 def test_a_bad_value_in_a_fleet_server_is_named(tmp_path, change, error):
     servers = [make_server(base_pps=1.0, counter=1), make_server(base_pps=1.0, counter=2)]
     path = write_fleet(tmp_path / "fleet.json", servers)
@@ -341,6 +371,24 @@ def test_a_bad_value_in_a_fleet_server_is_named(tmp_path, change, error):
     prefix = f"{path}: servers[1] ({servers[1].name}): "
     assert str(raised.value).startswith(prefix)
     assert error in str(raised.value)
+
+
+def test_a_fleet_server_may_hold_every_key_and_a_null_fill():
+    # every key a fleet server, its profile and its fill take, integers as
+    # numbers; the example fleet writes "fill": null
+    entry = {"name": make_hostname(), "address": "198.18.0.1", "reachable": True, "rtt_ms": 2,
+             "id_behavior": "random", "constant_id": 3,
+             "profile": {"base_pps": 10, "diurnal_amplitude": 0.5, "peak_local": "21:00",
+                         "tz_offset_hours": -5, "noise_rel": 0.1,
+                         "fill": {"extra_pps": 4, "start": "01:00", "end": "05:00"}}}
+    (server,) = SimulatedFleet.from_config({"servers": [entry]}).servers
+    assert server.profile == TrafficProfile(10.0, 0.5, 75600.0, -18000.0, 0.1, 4.0, 3600.0,
+                                            18000.0)
+    assert (server.rtt_ns, server.id_behavior, server.constant_id) == (2_000_000,
+                                                                       IdBehavior.RANDOM, 3)
+    entry["profile"]["fill"] = None
+    (server,) = SimulatedFleet.from_config({"servers": [entry]}).servers
+    assert server.profile.fill_extra_pps == 0.0
 
 
 def test_a_fleet_server_that_is_no_object_is_named(tmp_path):
@@ -469,10 +517,10 @@ def _twin_servers(spec, seed, reachable=True):
     return servers, [SimulatedFleet([server], seed=seed) for server in servers]
 
 
-def _state(server):
-    """What a responder keeps from visit to visit: the replies it has served,
-    and the arrival time of its last random ID with the echoes served then."""
-    return server.reply_packets, server._last_arrival
+def _oracle_replies(oracle: ScalarTransport) -> list[int]:
+    """The replies each server of the oracle's fleet has served, in fleet
+    order, as a fleet's ``replies`` column counts them."""
+    return [oracle.replies.get(server.address, 0) for server in oracle.fleet.servers]
 
 
 # read times: anywhere in ten days, and a few ns from the edge of a cell at
@@ -504,13 +552,13 @@ def test_the_count_never_falls_and_is_the_scalar_cascade(profiles, seed, times, 
     server, other = (SimulatedServer(name=make_hostname(counter=n + 1),
                                      address=f"198.18.3.{n + 1}", profile=profile)
                      for n, profile in enumerate(profiles))
-    SimulatedFleet([server, other], seed=seed)
+    fleet = SimulatedFleet([server, other], seed=seed)
     at_ns = sorted({t for time in times for t in (time, max(0, time - before))})
-    counts = count_at(server, at_ns)
+    counts = count_at(fleet, server, at_ns)
     assert (np.diff(counts) >= 0).all()
     assert counts.tolist() == [background_count(server, seed, t) for t in at_ns]
     owners = np.arange(2 * len(at_ns)) % 2
-    mixed = simulation._counts([server, other], owners, np.repeat(at_ns[::-1], 2))
+    mixed = simulation._counts(fleet, owners, np.repeat(at_ns[::-1], 2))
     assert mixed[owners == 0].tolist() == counts[::-1].tolist()
     assert mixed[owners == 1].tolist() == [background_count(other, seed, t) for t in at_ns[::-1]]
 
@@ -523,12 +571,12 @@ def test_the_mean_of_w_seconds_has_the_std_of_30_ms_over_w(noise_rel):
                                address=f"198.18.{n // 250}.{n % 250 + 1}",
                                profile=TrafficProfile(base_pps=1000.0, noise_rel=noise_rel))
                for n in range(2000)]
-    SimulatedFleet(servers, seed=9)
+    fleet = SimulatedFleet(servers, seed=9)
     owners = np.repeat(np.arange(2000), 2)
     for width_s in (1, 60, 1800):
         start_ns = 3 * 86400 * BIN_NS + 17 * BIN_NS
         t_ns = np.tile([start_ns, start_ns + width_s * BIN_NS], 2000)
-        counts = simulation._counts(servers, owners, t_ns).reshape(2000, 2)
+        counts = simulation._counts(fleet, owners, t_ns).reshape(2000, 2)
         factors = (counts[:, 1] - counts[:, 0]) / (1000.0 * width_s)
         expected = noise_rel * math.sqrt(0.03 / width_s)
         assert abs(factors.mean() - 1.0) < 4 * expected / math.sqrt(2000)
@@ -544,13 +592,16 @@ def test_the_mean_of_w_seconds_has_the_std_of_30_ms_over_w(noise_rel):
          seed=3, start_ns=5, visits=[[k * 500_000_000 for k in range(40)]])
 def test_serve_visit_matches_the_per_echo_responder(spec, seed, start_ns, visits):
     (server, reference), fleets = _twin_servers(spec, seed)
+    served = 0
     for offsets in visits:
         at_ns = sorted(max(0, start_ns + offset) for offset in offsets)
         ids = serve_visit(fleets[0], server, at_ns)
         if at_ns:
             assert ids.dtype == np.uint16
-        assert ids.tolist() == [serve_echo(reference, at, seed) for at in at_ns]
-        assert _state(server) == _state(reference)
+        assert ids.tolist() == [serve_echo(reference, at, seed, served + n)
+                                for n, at in enumerate(at_ns)]
+        served += len(at_ns)
+        assert fleets[0].replies.tolist() == [served]
         start_ns += 3 * 10**11
 
 
@@ -576,7 +627,7 @@ def test_the_counter_depends_on_time_not_on_how_a_visit_is_cut(spec, seed, start
     chunks = [at_ns[a:b] for a, b in zip([0, *bounds], [*bounds, len(at_ns)])]
     ids = serve_visit(fleets[0], whole, at_ns).tolist()
     assert [i for chunk in chunks for i in serve_visit(fleets[1], chunked, chunk).tolist()] == ids
-    assert _state(chunked) == _state(whole)
+    assert fleets[1].replies.tolist() == fleets[0].replies.tolist()
 
 
 @settings(max_examples=200, deadline=None)
@@ -604,7 +655,7 @@ def test_end_visit_matches_the_per_send_transport(spec, seed, reachable, loss_ra
         replies = reply_dict(columns)
         assert len(replies) == np.count_nonzero(columns[0] != NO_REPLY)
         assert replies == reply_dict(oracle.end_run([server.address], [sent]))
-        assert _state(server) == _state(reference)
+        assert fleets[0].replies.tolist() == _oracle_replies(oracle)
         start_ns = sent[-1] + 10**10
     assert rows[0] == rows[1]
 
@@ -660,8 +711,7 @@ def test_end_run_matches_the_per_echo_transport(targets, seed, loss_rate, first_
             oracle_recv_ns, oracle_ip_id = oracle.end_run(addresses, expected)
             assert recv_ns.tolist() == oracle_recv_ns.tolist()
             assert ip_id.tolist() == oracle_ip_id.tolist()
-            for server, reference in zip(*(fleet.servers for fleet in fleets)):
-                assert _state(server) == _state(reference), server.address
+            assert fleets[0].replies.tolist() == _oracle_replies(oracle)
             not_before_ns = sent_ns[:, -1]
             first_ns = int(not_before_ns.max()) + interval_ns + gap_ns
     assert rows[0] == rows[1]
@@ -737,9 +787,10 @@ def test_every_fleet_key_is_the_reference_key_for_any_integer_seed(tmp_path, see
     servers = [make_server(1.0, counter=n + 1, address=address)
                for n, address in enumerate(addresses)]
     fleet = SimulatedFleet.from_file(write_fleet(tmp_path / "fleet.json", servers, seed))
-    keys = np.array([fleet.by_address[address]._key for address in addresses], dtype=np.uint64)
-    for tag in (NOISE, IDS, LOSS):
-        assert (simulation._absorb_all(keys, tag).tolist()
+    positions = [fleet.positions[address] for address in addresses]
+    for tag, keys in ((NOISE, fleet.noise_keys), (IDS, fleet.id_keys), (LOSS, fleet.loss_keys)):
+        assert keys.dtype == np.uint64
+        assert (keys[positions].tolist()
                 == [stream_key(seed, address, tag) for address in addresses]), tag
 
 
@@ -792,16 +843,12 @@ def test_a_lossy_transport_keeps_nothing_per_target():
     def held_after(targets: int) -> int:
         servers = [make_server(base_pps=1000.0, counter=i + 1) for i in range(targets)]
         fleet = make_fleet(servers)
-        untraced = [{name: getattr(server, name) for name in server.__slots__}
-                    for server in servers]
         gc.collect()
         tracemalloc.start()
         try:
             transport = SimulatedTransport(fleet, loss_rate=0.1)
-            for server, state in zip(servers, untraced):
+            for server in servers:  # the responder's state is the fleet's, made untraced
                 assert _visit(transport, server.address, 10**9, 25, 30_000_000)[0]
-                for name, value in state.items():  # the responder's state is the fleet's
-                    setattr(server, name, value)
             gc.collect()
             return tracemalloc.get_traced_memory()[0]
         finally:
