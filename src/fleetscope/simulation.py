@@ -127,15 +127,17 @@ class TrafficProfile:
 
     def __post_init__(self) -> None:
         # NaN fails every comparison, so each check refuses it
-        for name, rate in (("base_pps", self.base_pps), ("fill_extra_pps", self.fill_extra_pps)):
-            if not 0.0 <= rate < math.inf:
-                raise ValueError(f"{name} must be >= 0 and finite, not {rate!r}")
+        if not 0.0 <= self.base_pps < math.inf:
+            raise ValueError(f"base_pps must be >= 0 and finite, not {self.base_pps!r}")
         if not 0.0 <= self.diurnal_amplitude <= 1.0:
             raise ValueError("diurnal_amplitude must be within [0, 1]")
         if not 0.0 <= self.peak_local_s <= DAY_S:
             raise ValueError(f"peak_local_s must be within a day, not {self.peak_local_s!r}")
         if not -DAY_S <= self.tz_offset_s <= DAY_S:
             raise ValueError(f"tz_offset_s must be within a day, not {self.tz_offset_s!r}")
+        if not 0.0 <= self.fill_extra_pps < math.inf:
+            raise ValueError(
+                f"fill_extra_pps must be >= 0 and finite, not {self.fill_extra_pps!r}")
         if not 0.0 <= self.fill_start_s < self.fill_end_s <= DAY_S:
             raise ValueError("fill window must satisfy 0 <= start < end <= 24h")
         if not 0.0 <= self.noise_rel <= 5.0:
@@ -235,7 +237,8 @@ class SimulatedFleet:
             protocol_indices=sorted({n.protocol_index for n in parsed}),
             deployment_indices=sorted({n.deployment_index for n in parsed}),
             max_server_counter=max((n.server_counter for n in parsed), default=0),
-            max_site_counter=max((n.site_counter for n in parsed), default=0))
+            max_site_counter=max((n.site_counter for n in parsed), default=0),
+        )
 
     def wordlists(self) -> Wordlists:
         """Word lists covering exactly the dimensions present in the fleet's
@@ -292,9 +295,9 @@ _KEYS = ({"name", "address", "reachable", "rtt_ms", "id_behavior", "constant_id"
          {"extra_pps", "start", "end"})
 
 
-def _number(config: Mapping, key: str) -> float:
-    """``config[key]``, 0 if absent, which must be a JSON number."""
-    value = config.get(key, 0.0)
+def _number(config: Mapping, key: str, default: float = 0.0) -> float:
+    """``config[key]``, ``default`` if absent, which must be a JSON number."""
+    value = config.get(key, default)
     if type(value) not in (int, float):
         raise ValueError(f"{key!r} is not a JSON number: {value!r}")
     return float(value)
@@ -311,10 +314,10 @@ def _server_from_config(entry: Mapping) -> SimulatedServer:
     reachable = entry.get("reachable", True)
     if type(reachable) is not bool:
         raise ValueError(f"'reachable' is not a JSON bool: {reachable!r}")
-    rtt_ms = entry.get("rtt_ms", 5.0)
-    if type(rtt_ms) not in (int, float) or not 0 <= rtt_ms < math.inf:
+    rtt_ms = _number(entry, "rtt_ms", 5.0)
+    if not 0 <= rtt_ms < math.inf:
         raise ValueError(f"'rtt_ms' is not a finite number >= 0: {rtt_ms!r}")
-    rtt_ns = round(float(rtt_ms) * 1e6)
+    rtt_ns = round(rtt_ms * 1e6)
     if rtt_ns > MAX_RTT_NS:  # a sample stores no longer round trip
         raise ValueError(f"'rtt_ms' is not at most {MAX_RTT_NS / 1e6} ms: {rtt_ms!r}")
     ipaddress.ip_address(str(entry["address"]))  # str(): it would take a JSON number
@@ -398,12 +401,16 @@ class SimulatedTransport:
                  not_before_ns: np.ndarray) -> np.ndarray:
         """The send times of the per-send loop on this clock, where a send
         takes no time: each index waits for its due time, then each target in
-        turn for its previous send plus the interval. Index 0 is a running
-        maximum, in target order, of the clock, its due time and each
-        previous send plus the interval. The last target's sends then step by
-        one interval, and no due time is later than index 0's sends plus the
-        intervals between, so each later index is index 0, raised to its last
-        send less one interval, plus the intervals between."""
+        turn for its previous send plus the interval.
+
+        Index 0 is a running maximum, in target order, of the clock, its due
+        time and each previous send plus the interval. A later index sends
+        each target at the latest of its send of the index before plus the
+        interval, the index's due time and the index before's last send. The
+        last target's sends step by one interval, and no due time is later
+        than index 0's sends plus the intervals between, so each later index
+        is index 0, raised to its last send less one interval, plus the
+        intervals between."""
         first = np.maximum.accumulate(np.maximum(
             np.asarray(not_before_ns, dtype=np.int64) + interval_ns, max(self._now_ns, first_ns)))
         later = np.maximum(first, int(first[-1]) - interval_ns)
