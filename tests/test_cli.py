@@ -1,6 +1,5 @@
 """Command-line behaviour: exit codes and the simulate pipeline."""
 
-import dataclasses
 import hashlib
 import json
 import math
@@ -916,8 +915,7 @@ def test_validate_marks_what_its_tables_do_not_cover_unverified(tmp_path):
 def test_validate_marks_a_record_without_an_ipv4_address_unverified(tmp_path):
     # a crawl walks ipv6 names too, and those resolve to AAAA records only
     ipv4 = make_server(1.0, airport="lhr", operator="ix", address="203.0.113.1")
-    ipv6 = dataclasses.replace(
-        make_server(1.0, airport="lhr", operator="ix", address="2001:db8::1"),
+    ipv6 = make_server(1.0, airport="lhr", operator="ix", address="2001:db8::1")._replace(
         name=make_hostname(airport="lhr", protocol="ipv6"))
     code, verdicts = _validate_records(tmp_path, [ipv4, ipv6],
                                        ["203.0.113.0/24,gb,gb,64500,cdn"], {})

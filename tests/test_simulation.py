@@ -179,8 +179,7 @@ def test_a_server_and_a_transport_hold_no_generator():
     generators = (random.Random, np.random.Generator, np.random.BitGenerator,
                   np.random.RandomState)
     for held in (noisy, randoms, transport, transport.fleet):
-        values = ([getattr(held, name) for name in held.__slots__]
-                  if hasattr(held, "__slots__") else list(vars(held).values()))
+        values = list(held) if isinstance(held, tuple) else list(vars(held).values())
         assert not [value for value in values if isinstance(value, generators)], held
     assert not hasattr(simulation, "random")
 
