@@ -427,13 +427,14 @@ class SimulatedTransport:
         none and has no truth window."""
         recv_ns = np.full(sent_ns.shape, NO_REPLY, dtype=np.int64)
         ip_id = np.zeros(sent_ns.shape, dtype=np.uint16)  # a slot's IDs, 2 bytes each
-        at = np.array([self.fleet.positions.get(target, -1) for target in targets], dtype=np.int64)
-        rows = np.flatnonzero(at >= 0)
-        rows = rows[self.fleet.reachable[at[rows]]]
+        index = self.fleet.positions
+        positions = np.array([index.get(target, -1) for target in targets], dtype=np.int64)
+        rows = np.flatnonzero(positions >= 0)
+        rows = rows[self.fleet.reachable[positions[rows]]]
         step = max(1, CHUNK_PROBES // sent_ns.shape[1])
         for first in range(0, len(rows), step):
             chunk = rows[first:first + step]
-            recv_ns[chunk], ip_id[chunk] = self._answer(at[chunk], sent_ns[chunk])
+            recv_ns[chunk], ip_id[chunk] = self._answer(positions[chunk], sent_ns[chunk])
         return recv_ns, ip_id
 
     def _answer(self, positions: np.ndarray,
