@@ -226,9 +226,9 @@ class SimulatedFleet:
                            p.fill_extra_pps, p.fill_start_s, p.fill_end_s, p.noise_rel)
                           for p in (s.profile for s in self.servers)]).reshape(-1, 8).T
         self.profiles, self.noise_rel = table[:7], table[7]
-        n = len(self.servers)
-        self.zero_integral = _cumulative(self.profiles, np.arange(n), np.zeros(n))
-        self.replies = np.zeros(n, dtype=np.int64)
+        count = len(self.servers)
+        self.zero_integral = _cumulative(self.profiles, np.arange(count), np.zeros(count))
+        self.replies = np.zeros(count, dtype=np.int64)
         # the dimensions of the names, which wordlists() needs; the names are not kept
         self._dimensions = dict(
             airport_codes=sorted({n.airport_code for n in parsed}),
